@@ -7,8 +7,10 @@
 //! tables). These rules cross-check every flat table against the
 //! logical model it encodes — re-derived through the same oracles
 //! [`ControlPlane::build`] itself uses ([`logical_fib`], [`te_program`],
-//! [`ldp_lfib_hops`], `LdpBindings::compute`) — and against its own
-//! structural invariants.
+//! [`ldp_label_action`], `LdpBindings::compute`) — and against its own
+//! structural invariants. The verifier shares *oracles* with the build,
+//! never outputs: every logical table is recomputed from the
+//! [`Network`] here, not read back from the plane under test.
 //!
 //! The checks are *staged*: a malformed CSR shape (D501/D503/D505/D506/
 //! D508 structure, D509 trie) gates the content comparison that would
@@ -17,16 +19,12 @@
 //! pins for every corruption class.
 
 use crate::diag::{Diagnostic, Location, Severity};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use wormhole_net::igp::{edge_metric, INF};
 use wormhole_net::{
-    ldp_lfib_hops, logical_fib, te_program, Addr, ControlPlane, Label, LabelValue, LdpBindings,
-    LfibEntry, Network, RouterId, OWNER_PAGE_SIZE,
+    ldp_label_action, logical_fib, te_program, Addr, ControlPlane, FibTables, Label, LabelValue,
+    LdpBindings, LfibEntry, Network, RouterId, OWNER_PAGE_SIZE,
 };
-
-/// One router's logical FIB: per prefix slot, the deduplicated
-/// `(iface, next)` first hops — the shape [`logical_fib`] returns.
-type RouterFib = Vec<Vec<(u32, RouterId)>>;
 
 fn err(code: &'static str, location: Location, message: String, hint: &str) -> Diagnostic {
     Diagnostic::new(code, Severity::Error, location, message, hint)
@@ -218,6 +216,9 @@ fn ldp_agreement(net: &Network, cp: &ControlPlane, fresh: &LdpBindings, out: &mu
 /// FIB is only trusted then).
 fn igp_check(net: &Network, cp: &ControlPlane, out: &mut Vec<Diagnostic>) -> bool {
     let mut all_ok = true;
+    // Per source: each interface's peer as a local index and its
+    // outgoing metric, resolved once instead of per listed hop.
+    let mut nbr: Vec<(Option<usize>, u32)> = Vec::new();
     for view in &cp.igp {
         let n = view.members.len();
         let (fh_index, fh_data) = view.first_hop_csr();
@@ -263,6 +264,14 @@ fn igp_check(net: &Network, cp: &ControlPlane, out: &mut Vec<Diagnostic>) -> boo
         for ls in 0..n {
             let s = view.members[ls];
             let router = net.router(s);
+            nbr.clear();
+            nbr.extend(
+                router
+                    .ifaces
+                    .iter()
+                    .enumerate()
+                    .map(|(idx, iface)| (view.local_index(iface.peer), edge_metric(net, s, idx))),
+            );
             for ld in 0..n {
                 let cell = ls * n + ld;
                 let span = &fh_data[fh_index[cell] as usize..fh_index[cell + 1] as usize];
@@ -306,12 +315,9 @@ fn igp_check(net: &Network, cp: &ControlPlane, out: &mut Vec<Diagnostic>) -> boo
                     let bad = match router.ifaces.get(idx as usize) {
                         None => true,
                         Some(iface) => {
+                            let (lp, w) = nbr[idx as usize];
                             iface.peer != peer
-                                || view.local.get(&peer).is_none_or(|&lp| {
-                                    edge_metric(net, s, idx as usize)
-                                        .saturating_add(view.dist[lp][ld])
-                                        != total
-                                })
+                                || lp.is_none_or(|lp| w.saturating_add(view.dist[lp][ld]) != total)
                         }
                     };
                     if bad {
@@ -381,85 +387,124 @@ fn lfib_shape(net: &Network, cp: &ControlPlane, out: &mut Vec<Diagnostic>) -> bo
     all_ok
 }
 
+/// Where an expected LFIB entry comes from.
+#[derive(Copy, Clone)]
+enum Want {
+    /// An LDP entry for this FEC slot, over the logical FIB's hops.
+    Ldp(u32),
+    /// This index of the TE transit program.
+    Te(usize),
+}
+
+/// True when `installed` is exactly the LDP entry a router derives for
+/// `slot` over the next-hop set `hops` — [`ldp_label_action`] per
+/// branch, compared in place.
+fn ldp_entry_matches(
+    fresh: &LdpBindings,
+    slot: u32,
+    hops: &[(u32, RouterId)],
+    installed: &LfibEntry,
+) -> bool {
+    installed.slot == slot
+        && installed.nexthops.len() == hops.len()
+        && installed
+            .nexthops
+            .iter()
+            .zip(hops)
+            .all(|(h, &(iface, next))| {
+                h.iface == iface
+                    && h.next == next
+                    && h.action == ldp_label_action(fresh, next, slot)
+            })
+}
+
 /// D507: the installed LFIB must equal the logical program — LDP
 /// entries derived from recomputed bindings over the logical FIB, plus
 /// the TE transit chain. Anything else is stale, missing, or rewritten.
+///
+/// Per router, the expected labels form a sorted want-list (a TE entry
+/// overrides an LDP one on the same label, a later tunnel an earlier
+/// one — the build's insertion order); the installed entries are then
+/// matched by binary search and compared in place.
 fn lfib_agreement(
     net: &Network,
     cp: &ControlPlane,
     fresh: &LdpBindings,
-    fib: &[RouterFib],
+    fib: &FibTables,
     out: &mut Vec<Diagnostic>,
 ) {
-    let Ok((te_transit, _)) = te_program(net) else {
+    let Ok((mut te_transit, _)) = te_program(net) else {
         return;
     };
-    let mut expected: Vec<HashMap<u32, LfibEntry>> = vec![HashMap::new(); net.num_routers()];
+    // Grouped by router; the stable sort keeps tunnel order within each
+    // group.
+    te_transit.sort_by_key(|&(rid, _, _)| rid);
+    let mut te_next = 0;
+    // `(label, precedence, source)`: later precedence wins a label.
+    let mut want: Vec<(u32, usize, Want)> = Vec::new();
+    let mut seen: Vec<bool> = Vec::new();
     for r in net.routers() {
+        want.clear();
         for (slot, value) in fresh.advertisements(r.id) {
             let LabelValue::Real(in_label) = value else {
                 continue;
             };
-            let hops = ldp_lfib_hops(fresh, slot, &fib[r.id.index()][slot as usize]);
-            if !hops.is_empty() {
-                expected[r.id.index()].insert(
-                    in_label.0,
-                    LfibEntry {
-                        slot,
-                        nexthops: hops,
-                    },
-                );
+            if !fib.hops(r.id, slot).is_empty() {
+                want.push((in_label.0, want.len(), Want::Ldp(slot)));
             }
         }
-    }
-    for (rid, label, entry) in te_transit {
-        expected[rid.index()].insert(label.0, entry);
-    }
-    for r in net.routers() {
-        let want = &expected[r.id.index()];
-        let mut seen: HashSet<u32> = HashSet::with_capacity(want.len());
+        while te_next < te_transit.len() && te_transit[te_next].0 == r.id {
+            want.push((te_transit[te_next].1 .0, want.len(), Want::Te(te_next)));
+            te_next += 1;
+        }
+        want.sort_unstable_by_key(|&(label, precedence, _)| (label, std::cmp::Reverse(precedence)));
+        want.dedup_by_key(|w| w.0);
+        seen.clear();
+        seen.resize(want.len(), false);
         for (label, installed) in cp.lfib_entries(r.id) {
-            seen.insert(label.0);
-            match want.get(&label.0) {
-                None => out.push(err(
+            match want.binary_search_by_key(&label.0, |w| w.0) {
+                Err(_) => out.push(err(
                     "D507",
                     Location::Router(r.name.clone()),
                     format!("stale LFIB entry for label {label}: no LDP binding or TE tunnel produces it"),
                     "nothing can address this entry correctly; it was injected or left behind",
                 )),
-                Some(e) if e != installed => out.push(err(
-                    "D507",
-                    Location::Router(r.name.clone()),
-                    format!("LFIB entry for label {label} disagrees with the logical program"),
-                    "the entry was rewritten after build; LSPs through it break mid-path",
-                )),
-                Some(_) => {}
+                Ok(i) => {
+                    seen[i] = true;
+                    let agrees = match want[i].2 {
+                        Want::Ldp(slot) => {
+                            ldp_entry_matches(fresh, slot, fib.hops(r.id, slot), installed)
+                        }
+                        Want::Te(t) => te_transit[t].2 == *installed,
+                    };
+                    if !agrees {
+                        out.push(err(
+                            "D507",
+                            Location::Router(r.name.clone()),
+                            format!("LFIB entry for label {label} disagrees with the logical program"),
+                            "the entry was rewritten after build; LSPs through it break mid-path",
+                        ));
+                    }
+                }
             }
         }
-        for &label in want.keys() {
-            if !seen.contains(&label) {
-                out.push(err(
-                    "D507",
-                    Location::Router(r.name.clone()),
-                    format!(
-                        "missing LFIB entry for label {}: the logical program installs it",
-                        Label(label)
-                    ),
-                    "labeled packets for this FEC would die here with an unlabeled fallback",
-                ));
-            }
+        for (w, _) in want.iter().zip(&seen).filter(|&(_, &seen)| !seen) {
+            out.push(err(
+                "D507",
+                Location::Router(r.name.clone()),
+                format!(
+                    "missing LFIB entry for label {}: the logical program installs it",
+                    Label(w.0)
+                ),
+                "labeled packets for this FEC would die here with an unlabeled fallback",
+            ));
         }
     }
 }
 
 /// D508: FIB CSR shape (one span per slot, spans tiling the pool) and,
 /// when the structure holds, dense/logical content agreement.
-fn fib_check(
-    net: &Network,
-    cp: &ControlPlane,
-    fib: Option<&[RouterFib]>,
-    out: &mut Vec<Diagnostic>,
-) {
+fn fib_check(net: &Network, cp: &ControlPlane, fib: Option<&FibTables>, out: &mut Vec<Diagnostic>) {
     let v = cp.dense_view();
     let mut ok = check_csr_offsets(
         "D508",
@@ -516,9 +561,9 @@ fn fib_check(
     }
     let mut reported = 0;
     for r in net.routers() {
-        for (slot, hops) in fib[r.id.index()].iter().enumerate() {
-            let dense = cp.fib_entry(r.id, slot as u32).unwrap_or(&[]);
-            if dense != hops.as_slice() && reported < 8 {
+        for slot in 0..fib.slots(r.id) as u32 {
+            let dense = cp.fib_entry(r.id, slot).unwrap_or(&[]);
+            if dense != fib.hops(r.id, slot) && reported < 8 {
                 out.push(err(
                     "D508",
                     Location::Router(r.name.clone()),
@@ -878,7 +923,7 @@ pub fn verify_dense(net: &Network, cp: &ControlPlane) -> Vec<Diagnostic> {
         ldp_agreement(net, cp, &fresh, &mut out);
     }
     let fib = igp_ok.then(|| logical_fib(net, &cp.igp, &cp.as_prefixes));
-    fib_check(net, cp, fib.as_deref(), &mut out);
+    fib_check(net, cp, fib.as_ref(), &mut out);
     if let Some(fib) = &fib {
         if lfib_ok {
             lfib_agreement(net, cp, &fresh, fib, &mut out);

@@ -2,6 +2,12 @@
 //! three scales: a correct build must produce **zero** D5xx findings,
 //! and the parallel builder must pass the same verifier as the serial
 //! one — the evidence behind the `build_with_jobs` lint gate.
+//!
+//! The tenfold row also checks the control-plane oracles against the
+//! plain reference in `oracle/` (the quick and paper rows of that check
+//! run in the root package's `tests/control_plane_oracle.rs`).
+
+mod oracle;
 
 use wormhole_lint as lint;
 use wormhole_net::ControlPlane;
@@ -46,6 +52,14 @@ fn paper_scale_builds_clean() {
 #[ignore = "release-mode CI scale; run with --include-ignored"]
 fn tenfold_scale_builds_clean() {
     assert_clean(InternetConfig::tenfold(42), "tenfold/seed42");
+}
+
+/// `AsIgp` and `logical_fib` equal the plain reference at tenfold.
+#[test]
+#[ignore = "release-mode CI scale; run with --include-ignored"]
+fn tenfold_oracles_match_the_reference() {
+    let i = generate(&InternetConfig::tenfold(42));
+    oracle::assert_reference_equivalent(&i.net, &i.cp, "tenfold/seed42");
 }
 
 /// The parallel plane builder must satisfy the same invariants as the

@@ -8,8 +8,13 @@
 //! coverage test proves every registered D5xx rule is fired by at
 //! least one class.
 //!
-//! A thirteenth class corrupts the campaign-audit snapshot instead of
-//! the dense plane: the incremental-aggregation accounting that `A310`
+//! Two further dense classes corrupt only *content*, with every shape
+//! intact: a rewritten LFIB swap label (`D507`) and a retargeted FIB
+//! pool hop (`D508`). They pin the in-place comparison paths, whose
+//! only other classes (a stale entry, a truncated span) change shape.
+//!
+//! One more class corrupts the campaign-audit snapshot instead of the
+//! dense plane: the incremental-aggregation accounting that `A310`
 //! guards ([`audit_class`]).
 //!
 //! Six further classes ([`v6_classes`]) corrupt the revelation-veracity
@@ -19,7 +24,8 @@
 use std::collections::BTreeSet;
 use wormhole_lint as lint;
 use wormhole_net::{
-    Addr, ControlPlane, Label, LabelValue, LfibEntry, LfibHop, Network, PoppingMode, RouterId,
+    Addr, ControlPlane, Label, LabelAction, LabelValue, LfibEntry, LfibHop, Network, PoppingMode,
+    RouterId,
 };
 use wormhole_topo::{gns3_fig2, gns3_fig2_te, Fig2Config};
 
@@ -42,6 +48,32 @@ fn ldp_plane() -> (Network, ControlPlane) {
 fn te_plane() -> (Network, ControlPlane) {
     let s = gns3_fig2_te(PoppingMode::Php, false);
     (s.net, s.cp)
+}
+
+/// The first installed LFIB window entry that swaps labels:
+/// `(router, window index, branch index, outgoing label)`.
+fn first_swap(net: &Network, cp: &ControlPlane) -> (RouterId, usize, usize, Label) {
+    for r in net.routers() {
+        for (i, e) in cp.lfib_raw(r.id).window.iter().enumerate() {
+            let Some(e) = e else { continue };
+            for (j, h) in e.nexthops.iter().enumerate() {
+                if let LabelAction::Swap(l) = h.action {
+                    return (r.id, i, j, l);
+                }
+            }
+        }
+    }
+    panic!("no swapping LFIB window entry");
+}
+
+/// Rewrites the outgoing label of [`first_swap`]'s branch, keeping the
+/// entry's shape; returns the router and the entry's incoming label.
+fn rewrite_first_swap(net: &Network, cp: &mut ControlPlane) -> (RouterId, Label) {
+    let (rid, i, j, out) = first_swap(net, cp);
+    let lo = cp.lfib_raw(rid).lo;
+    let entry = cp.lfib_window_mut(rid)[i].as_mut().expect("entry present");
+    entry.nexthops[j].action = LabelAction::Swap(Label(out.0 + 977));
+    (rid, Label(lo + i as u32))
 }
 
 /// The D5xx codes fired over `(net, cp)`, as a set.
@@ -173,6 +205,14 @@ fn classes() -> Vec<Class> {
             },
         },
         Class {
+            name: "rewrite-lfib-action",
+            rule: "D507",
+            build: ldp_plane,
+            corrupt: |net, cp| {
+                rewrite_first_swap(net, cp);
+            },
+        },
+        Class {
             name: "truncate-fib-span",
             rule: "D508",
             build: ldp_plane,
@@ -183,6 +223,35 @@ fn classes() -> Vec<Class> {
                     .position(|&(_, len)| len >= 1)
                     .expect("some FIB span is populated");
                 spans[j].1 -= 1; // drop an ECMP branch; the tiling breaks
+            },
+        },
+        Class {
+            name: "retarget-fib-pool-hop",
+            rule: "D508",
+            build: ldp_plane,
+            corrupt: |net, cp| {
+                // Point one populated hop out of a different interface of
+                // the same router (at that interface's real peer): every
+                // span keeps its (start, len), only the content lies.
+                let v = cp.dense_view();
+                let (k, hop) = net
+                    .routers()
+                    .iter()
+                    .filter(|r| r.ifaces.len() >= 2)
+                    .find_map(|r| {
+                        let spans = v.fib_base[r.id.index()]..v.fib_base[r.id.index() + 1];
+                        spans
+                            .map(|s| v.fib_spans[s as usize])
+                            .find_map(|(start, len)| {
+                                (len >= 1).then(|| {
+                                    let iface = v.fib_pool[start as usize].0 as usize;
+                                    let other = (iface + 1) % r.ifaces.len();
+                                    (start as usize, (other as u32, r.ifaces[other].peer))
+                                })
+                            })
+                    })
+                    .expect("a multi-interface router with a populated FIB span");
+                cp.fib_pool_mut()[k] = hop;
             },
         },
         Class {
@@ -344,8 +413,8 @@ fn audit_corruption_caught_by_exactly_the_intended_rule() {
     );
     let info = lint::rule(class.rule).expect("class rule registered");
     assert_eq!(info.family, lint::Family::Audit, "{}", class.name);
-    // 12 dense classes + this one: the 13-class contract.
-    assert_eq!(classes().len() + 1, 13);
+    // 14 dense classes + this one: the 15-class contract.
+    assert_eq!(classes().len() + 1, 15);
 }
 
 /// A clean screened-campaign snapshot the V6xx classes corrupt: one
@@ -466,7 +535,7 @@ fn veracity_corruption_caught_by_exactly_the_intended_rule() {
 }
 
 /// Coverage: every registered V6xx rule is exercised by exactly one
-/// corruption class, bringing the suite to 19 classes in total.
+/// corruption class, bringing the suite to 21 classes in total.
 #[test]
 fn every_veracity_rule_fired_by_a_corruption_class() {
     let covered: BTreeSet<&str> = v6_classes().iter().map(|c| c.rule).collect();
@@ -480,7 +549,7 @@ fn every_veracity_rule_fired_by_a_corruption_class() {
         let info = lint::rule(c.rule).expect("class rule registered");
         assert_eq!(info.family, lint::Family::Veracity, "{}", c.name);
     }
-    assert_eq!(classes().len() + 1 + v6_classes().len(), 19);
+    assert_eq!(classes().len() + 1 + v6_classes().len(), 21);
 }
 
 /// Corrupted planes also fail the combined `check_plane` gate — the
@@ -494,4 +563,106 @@ fn check_plane_carries_dense_findings() {
     let diags = lint::check_plane(&net, &cp);
     assert!(lint::has_errors(&diags));
     assert!(diags.iter().any(|d| d.code == "D508"));
+}
+
+/// The rendered `D507` finding for `router`, exactly as `lint::render`
+/// prints it.
+fn d507_line(net: &Network, router: RouterId, message: &str, hint: &str) -> String {
+    format!(
+        "error[D507] router {}: {message}\n  fix: {hint}",
+        net.router(router).name
+    )
+}
+
+/// The three `D507` findings — stale, rewritten and missing entries —
+/// keep their exact rendered text, label and location.
+#[test]
+fn d507_findings_render_stale_rewritten_and_missing_entries() {
+    let render = |net: &Network, cp: &ControlPlane| {
+        let diags = lint::verify_dense(net, cp);
+        assert!(
+            diags.iter().all(|d| d.code == "D507"),
+            "{}",
+            lint::render(&diags)
+        );
+        lint::render(&diags)
+    };
+
+    // Stale: an injected label nothing produces.
+    let (net, mut cp) = ldp_plane();
+    let r = net
+        .routers()
+        .iter()
+        .find(|r| !r.ifaces.is_empty() && cp.lfib_size(r.id) > 0)
+        .expect("an LSR with interfaces");
+    cp.inject_lfib_entry(
+        r.id,
+        Label(700_123),
+        LfibEntry {
+            slot: 0,
+            nexthops: vec![LfibHop {
+                iface: 0,
+                next: r.ifaces[0].peer,
+                action: LabelAction::Pop,
+            }],
+        },
+    );
+    assert_eq!(
+        render(&net, &cp),
+        d507_line(
+            &net,
+            r.id,
+            "stale LFIB entry for label L700123: no LDP binding or TE tunnel produces it",
+            "nothing can address this entry correctly; it was injected or left behind",
+        ) + "\n1 error(s), 0 warning(s), 0 info\n"
+    );
+
+    // Rewritten: one branch swaps to the wrong label.
+    let (net, mut cp) = ldp_plane();
+    let (rid, label) = rewrite_first_swap(&net, &mut cp);
+    assert_eq!(
+        render(&net, &cp),
+        d507_line(
+            &net,
+            rid,
+            &format!("LFIB entry for label {label} disagrees with the logical program"),
+            "the entry was rewritten after build; LSPs through it break mid-path",
+        ) + "\n1 error(s), 0 warning(s), 0 info\n"
+    );
+
+    // Missing: the last window entry moves one label up, so its own
+    // label is missing and the new one is stale (occupancy and `len`
+    // still agree, so D506 stays quiet).
+    let (net, mut cp) = ldp_plane();
+    let rid = net
+        .routers()
+        .iter()
+        .map(|r| r.id)
+        .find(|&r| cp.lfib_raw(r).window.last().is_some_and(|e| e.is_some()))
+        .expect("an LSR with a populated window");
+    let raw = cp.lfib_raw(rid);
+    let (old, new) = (
+        Label(raw.lo + raw.window.len() as u32 - 1),
+        Label(raw.lo + raw.window.len() as u32),
+    );
+    let window = cp.lfib_window_mut(rid);
+    let moved = window.last_mut().and_then(Option::take);
+    window.push(moved);
+    let stale = d507_line(
+        &net,
+        rid,
+        &format!("stale LFIB entry for label {new}: no LDP binding or TE tunnel produces it"),
+        "nothing can address this entry correctly; it was injected or left behind",
+    );
+    let missing = d507_line(
+        &net,
+        rid,
+        &format!("missing LFIB entry for label {old}: the logical program installs it"),
+        "labeled packets for this FEC would die here with an unlabeled fallback",
+    );
+    // `render` sorts by message within a location: "missing" < "stale".
+    assert_eq!(
+        render(&net, &cp),
+        format!("{missing}\n{stale}\n2 error(s), 0 warning(s), 0 info\n")
+    );
 }

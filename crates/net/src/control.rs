@@ -5,8 +5,8 @@
 //! 1. per-AS IGP distance matrices ([`AsIgp`]), in parallel across
 //!    ASes (`build_with_jobs`) with a deterministic AS-ordered merge;
 //! 2. per-router intra-AS FIBs (ECMP next-hop sets towards the nearest
-//!    owner of each internal prefix), flattened into one shared pool
-//!    with per-router offset tables;
+//!    owner of each internal prefix), emitted directly as one shared
+//!    pool with per-router offset tables ([`FibTables`]);
 //! 3. per-router external routes: hot-potato egress selection over the
 //!    valley-free AS-level routes ([`Bgp`]);
 //! 4. LDP bindings ([`LdpBindings`]) and per-router LFIBs implementing
@@ -18,7 +18,7 @@ use crate::addr::Addr;
 use crate::bgp::Bgp;
 use crate::error::NetError;
 use crate::ids::{Asn, Label, LinkId, RouterId};
-use crate::igp::AsIgp;
+use crate::igp::{AsIgp, INF};
 use crate::ldp::{LabelValue, LdpBindings};
 use crate::net::Network;
 use crate::prefixes::AsPrefixes;
@@ -265,13 +265,8 @@ pub struct ControlPlane {
     pub bgp: Bgp,
     /// LDP advertisements.
     pub bindings: LdpBindings,
-    /// Router → base index into [`Self::fib_spans`] (one span per slot
-    /// of the router's own AS table); length `num_routers + 1`.
-    fib_base: Vec<u32>,
-    /// `(start, len)` into [`Self::fib_pool`] per `(router, slot)`.
-    fib_spans: Vec<(u32, u32)>,
-    /// Concatenated ECMP next-hop sets `(iface index, next router)`.
-    fib_pool: Vec<(u32, RouterId)>,
+    /// The intra-AS FIB CSR, as [`logical_fib`] emits it.
+    fib: FibTables,
     /// External forwarding, flattened row-major:
     /// `ext[router.index() * ext_stride + dst_as_index]`. One flat
     /// array instead of a `Vec<Vec<_>>` keeps the per-hop inter-AS
@@ -334,79 +329,142 @@ fn compute_as(net: &Network, asn: Asn) -> Result<(AsIgp, AsPrefixes), NetError> 
     Ok((view, prefixes))
 }
 
+/// A per-router intra-AS FIB in CSR layout: router `r` owns the spans
+/// `base[r]..base[r + 1]` of [`FibTables::spans`], one per prefix slot
+/// of its own AS table, and each `(start, len)` span indexes the
+/// concatenated ECMP next-hop sets in [`FibTables::pool`].
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct FibTables {
+    /// Router → base index into `spans`; length `num_routers + 1`.
+    pub base: Vec<u32>,
+    /// `(start, len)` into `pool` per `(router, slot)`.
+    pub spans: Vec<(u32, u32)>,
+    /// Concatenated ECMP next-hop sets `(iface index, next router)`.
+    pub pool: Vec<(u32, RouterId)>,
+}
+
+impl FibTables {
+    /// Number of slot spans `router` owns.
+    #[inline]
+    pub fn slots(&self, router: RouterId) -> usize {
+        (self.base[router.index() + 1] - self.base[router.index()]) as usize
+    }
+
+    /// The next-hop set of `router` for `slot`; empty for connected,
+    /// unreachable and out-of-table slots.
+    #[inline]
+    pub fn hops(&self, router: RouterId, slot: u32) -> &[(u32, RouterId)] {
+        if slot as usize >= self.slots(router) {
+            return &[];
+        }
+        let (start, len) = self.spans[self.base[router.index()] as usize + slot as usize];
+        &self.pool[start as usize..(start + len) as usize]
+    }
+}
+
 /// The *logical* intra-AS FIB: for every router, the per-slot ECMP
 /// next-hop set towards the nearest owner of each internal prefix of
-/// its own AS (empty for connected or unreachable prefixes). This is
-/// the semantic model that [`ControlPlane::build`] flattens into
-/// `fib_base`/`fib_spans`/`fib_pool`; the `wormhole-lint` D5xx
-/// verifier re-derives it to cross-check the dense encoding, so build
-/// and verifier stay in lockstep by construction.
-pub fn logical_fib(
-    net: &Network,
-    igp: &[AsIgp],
-    as_prefixes: &[AsPrefixes],
-) -> Vec<Vec<Vec<(u32, RouterId)>>> {
-    let mut fib: Vec<Vec<Vec<(u32, RouterId)>>> = vec![Vec::new(); net.num_routers()];
+/// its own AS (empty for connected or unreachable prefixes), sorted by
+/// `(next router, iface)`. [`ControlPlane::build`] stores the result as
+/// its FIB; the `wormhole-lint` D5xx verifier re-derives it to
+/// cross-check the stored tables, so build and verifier stay in
+/// lockstep by construction.
+///
+/// Every owner is mapped to its IGP local index once per AS, so the
+/// per-`(router, slot)` loop reads distance rows and first-hop spans
+/// directly and writes each hop set straight into the pool: no hashing
+/// and no allocation per cell.
+pub fn logical_fib(net: &Network, igp: &[AsIgp], as_prefixes: &[AsPrefixes]) -> FibTables {
+    const NONE: u32 = u32::MAX;
+    let n = net.num_routers();
+    // Router → (AS index, local index in that AS's IGP view).
+    let mut home = vec![(NONE, NONE); n];
+    // Per AS: slot → its owners' local indices, as a CSR.
+    let mut owners: Vec<(Vec<u32>, Vec<u32>)> = Vec::with_capacity(as_prefixes.len());
     for (as_idx, ap) in as_prefixes.iter().enumerate() {
         let view = &igp[as_idx];
+        let local = |r: RouterId| view.local_index(r).map_or(NONE, |l| l as u32);
         for &rid in net.as_members(ap.asn) {
-            let table = &mut fib[rid.index()];
-            table.resize(ap.len(), Vec::new());
-            for slot in 0..ap.len() as u32 {
-                let owners = ap.owners(slot);
-                if owners.contains(&rid) {
-                    continue; // connected route, engine handles it
-                }
-                let best = owners
-                    .iter()
-                    .map(|&o| view.distance(rid, o))
-                    .min()
-                    .unwrap_or(crate::igp::INF);
-                if best >= crate::igp::INF {
-                    continue;
-                }
-                let mut hops: Vec<(u32, RouterId)> = Vec::new();
-                for &o in owners {
-                    if view.distance(rid, o) != best {
-                        continue;
-                    }
-                    for &h in view.first_hops(rid, o) {
-                        if !hops.contains(&h) {
-                            hops.push(h);
+            home[rid.index()] = (as_idx as u32, local(rid));
+        }
+        let mut base = Vec::with_capacity(ap.len() + 1);
+        let mut locals = Vec::new();
+        base.push(0u32);
+        for slot in 0..ap.len() as u32 {
+            locals.extend(ap.owners(slot).iter().map(|&o| local(o)));
+            base.push(locals.len() as u32);
+        }
+        owners.push((base, locals));
+    }
+    let mut fib = FibTables {
+        base: Vec::with_capacity(n + 1),
+        ..FibTables::default()
+    };
+    for &(as_idx, ls) in &home {
+        fib.base.push(fib.spans.len() as u32);
+        if as_idx == NONE {
+            continue;
+        }
+        let view = &igp[as_idx as usize];
+        let (obase, olocals) = &owners[as_idx as usize];
+        let row = (ls != NONE).then(|| &view.dist[ls as usize]);
+        for slot in 0..as_prefixes[as_idx as usize].len() {
+            let start = fib.pool.len();
+            let slot_owners = &olocals[obase[slot] as usize..obase[slot + 1] as usize];
+            // Connected routes (the router owns the prefix) and routers
+            // outside the IGP view keep an empty span.
+            if let Some(row) = row.filter(|_| !slot_owners.contains(&ls)) {
+                let dist = |o: u32| if o == NONE { INF } else { row[o as usize] };
+                let best = slot_owners.iter().map(|&o| dist(o)).min().unwrap_or(INF);
+                if best < INF {
+                    for &o in slot_owners {
+                        if dist(o) != best {
+                            continue;
+                        }
+                        for &h in view.first_hops_local(ls as usize, o as usize) {
+                            if !fib.pool[start..].contains(&h) {
+                                fib.pool.push(h);
+                            }
                         }
                     }
+                    fib.pool[start..].sort_unstable_by_key(|&(i, r)| (r, i));
                 }
-                hops.sort_by_key(|&(i, r)| (r, i));
-                table[slot as usize] = hops;
             }
+            fib.spans
+                .push((start as u32, (fib.pool.len() - start) as u32));
         }
     }
+    fib.base.push(fib.spans.len() as u32);
     fib
 }
 
+/// The label operation a router applies on a branch towards `next` for
+/// FEC `slot`, following `next`'s LDP advertisement: swap to its real
+/// label, pop on implicit null or a missing binding (Cisco "untagged"),
+/// swap-to-explicit-null on UHP.
+#[inline]
+pub fn ldp_label_action(bindings: &LdpBindings, next: RouterId, slot: u32) -> LabelAction {
+    match bindings.advertised(next, slot) {
+        Some(LabelValue::Real(out_label)) => LabelAction::Swap(out_label),
+        Some(LabelValue::ImplicitNull) => LabelAction::Pop,
+        Some(LabelValue::ExplicitNull) => LabelAction::SwapExplicitNull,
+        // Downstream has no binding: "untagged".
+        None => LabelAction::Pop,
+    }
+}
+
 /// The LFIB branches a router installs for FEC `slot` given its ECMP
-/// next-hop set `hops`: each branch's label operation follows the
-/// downstream neighbor's LDP advertisement — swap to its real label,
-/// pop on implicit null or a missing binding (Cisco "untagged"),
-/// swap-to-explicit-null on UHP. Shared by [`ControlPlane::build`] and
-/// the D5xx verifier.
+/// next-hop set `hops`, each with its [`ldp_label_action`]. Used by
+/// [`ControlPlane::build`]; the D5xx verifier compares installed
+/// branches against [`ldp_label_action`] in place.
 pub fn ldp_lfib_hops(bindings: &LdpBindings, slot: u32, hops: &[(u32, RouterId)]) -> Vec<LfibHop> {
-    let mut out = Vec::with_capacity(hops.len());
-    for &(iface, next) in hops {
-        let action = match bindings.advertised(next, slot) {
-            Some(LabelValue::Real(out_label)) => LabelAction::Swap(out_label),
-            Some(LabelValue::ImplicitNull) => LabelAction::Pop,
-            Some(LabelValue::ExplicitNull) => LabelAction::SwapExplicitNull,
-            // Downstream has no binding: "untagged".
-            None => LabelAction::Pop,
-        };
-        out.push(LfibHop {
+    hops.iter()
+        .map(|&(iface, next)| LfibHop {
             iface,
             next,
-            action,
-        });
-    }
-    out
+            action: ldp_label_action(bindings, next, slot),
+        })
+        .collect()
 }
 
 /// The label program of every RSVP-TE tunnel: the transit LFIB entries
@@ -594,8 +652,7 @@ impl ControlPlane {
         }
         let bindings = LdpBindings::compute(net, &as_prefixes);
 
-        // Intra-AS FIBs, first into the logical per-router scratch
-        // table that the dense pool below flattens.
+        // Intra-AS FIBs, emitted directly in their stored CSR form.
         let fib = logical_fib(net, &igp, &as_prefixes);
 
         // External routes with hot-potato egress selection (or the
@@ -603,12 +660,32 @@ impl ControlPlane {
         let compute_ext = cached_ext.is_none();
         let mut ext =
             cached_ext.unwrap_or_else(|| vec![ExtRoute::Unreachable; n_as * net.num_routers()]);
+        // Per source AS: its borders' inter-AS interfaces as
+        // `(border, iface, peer AS index, border local index)`, resolved
+        // once instead of per destination AS.
+        let mut links: Vec<(RouterId, u32, usize, usize)> = Vec::new();
+        // Per destination: the `(border, iface, border local index)`
+        // candidates reaching a best next AS.
+        let mut candidates: Vec<(RouterId, u32, usize)> = Vec::new();
         for (src_as, &asn) in as_list.iter().enumerate() {
             if !compute_ext {
                 break;
             }
             let view = &igp[src_as];
-            let borders = net.borders(asn);
+            let members = net.as_members(asn);
+            links.clear();
+            for (lb, &b) in members.iter().enumerate() {
+                for (idx, iface) in net.router(b).ifaces.iter().enumerate() {
+                    if !net.link(iface.link).inter_as {
+                        continue;
+                    }
+                    let peer_as = net.router(iface.peer).asn;
+                    let peer_idx = net
+                        .as_index(peer_as)
+                        .ok_or(NetError::UnregisteredAs { asn: peer_as })?;
+                    links.push((b, idx as u32, peer_idx, lb));
+                }
+            }
             #[allow(clippy::needless_range_loop)] // dst_as indexes two tables
             for dst_as in 0..n_as {
                 if dst_as == src_as {
@@ -618,35 +695,27 @@ impl ControlPlane {
                 if best_next.is_empty() {
                     continue;
                 }
-                // Candidate (border, iface) pairs reaching a best next AS.
-                let mut candidates: Vec<(RouterId, u32)> = Vec::new();
-                for &b in &borders {
-                    for (idx, iface) in net.router(b).ifaces.iter().enumerate() {
-                        if !net.link(iface.link).inter_as {
-                            continue;
-                        }
-                        let peer_as = net.router(iface.peer).asn;
-                        let peer_idx = net
-                            .as_index(peer_as)
-                            .ok_or(NetError::UnregisteredAs { asn: peer_as })?;
-                        if best_next.contains(&peer_idx) {
-                            candidates.push((b, idx as u32));
-                        }
-                    }
-                }
+                // `links` is in (border, iface) order, so the
+                // candidates are too.
+                candidates.clear();
+                candidates.extend(
+                    links
+                        .iter()
+                        .filter(|l| best_next.contains(&l.2))
+                        .map(|&(b, iface, _, lb)| (b, iface, lb)),
+                );
                 if candidates.is_empty() {
                     continue; // relationship without a physical link
                 }
-                candidates.sort_by_key(|&(r, i)| (r, i));
-                for &rid in net.as_members(asn) {
-                    if let Some(&(_, iface)) = candidates.iter().find(|&&(b, _)| b == rid) {
+                for (lr, &rid) in members.iter().enumerate() {
+                    if let Some(&(_, iface, _)) = candidates.iter().find(|c| c.0 == rid) {
                         ext[rid.index() * n_as + dst_as] = ExtRoute::Direct { iface };
                         continue;
                     }
                     // Nearest candidate border (hot potato).
                     let choice = candidates
                         .iter()
-                        .map(|&(b, _)| (view.distance(rid, b), b))
+                        .map(|&(b, _, lb)| (view.distance_local(lr, lb), b))
                         .min();
                     if let Some((d, egress)) = choice {
                         if d < crate::igp::INF {
@@ -661,12 +730,11 @@ impl ControlPlane {
         let mut lfib: Vec<RouterLfib> = vec![RouterLfib::default(); net.num_routers()];
         for ap in as_prefixes.iter() {
             for &rid in net.as_members(ap.asn) {
-                let advertised: Vec<(u32, LabelValue)> = bindings.advertisements(rid).collect();
-                for (slot, value) in advertised {
+                for (slot, value) in bindings.advertisements(rid) {
                     let LabelValue::Real(in_label) = value else {
                         continue;
                     };
-                    let hops = ldp_lfib_hops(&bindings, slot, &fib[rid.index()][slot as usize]);
+                    let hops = ldp_lfib_hops(&bindings, slot, fib.hops(rid, slot));
                     if !hops.is_empty() {
                         lfib[rid.index()].insert(
                             in_label,
@@ -699,19 +767,6 @@ impl ControlPlane {
             }
         }
         te_heads.push(te_routes.len() as u32);
-
-        // Flatten the per-router FIB scratch into the shared pool.
-        let mut fib_base = Vec::with_capacity(net.num_routers() + 1);
-        let mut fib_spans = Vec::new();
-        let mut fib_pool = Vec::new();
-        for table in &fib {
-            fib_base.push(fib_spans.len() as u32);
-            for hops in table {
-                fib_spans.push((fib_pool.len() as u32, hops.len() as u32));
-                fib_pool.extend_from_slice(hops);
-            }
-        }
-        fib_base.push(fib_spans.len() as u32);
 
         // Dense destination-resolution tables: the forwarding decision
         // only ever LPMs an address inside the AS that owns it (the
@@ -814,9 +869,7 @@ impl ControlPlane {
             igp,
             bgp,
             bindings,
-            fib_base,
-            fib_spans,
-            fib_pool,
+            fib,
             ext,
             ext_stride: n_as,
             lfib,
@@ -923,16 +976,8 @@ impl ControlPlane {
     /// the prefix or it is unreachable.
     #[inline]
     pub fn fib_entry(&self, router: RouterId, slot: u32) -> Option<&[(u32, RouterId)]> {
-        let base = self.fib_base[router.index()] as usize;
-        let n_slots = self.fib_base[router.index() + 1] as usize - base;
-        if slot as usize >= n_slots {
-            return None;
-        }
-        let (start, len) = self.fib_spans[base + slot as usize];
-        if len == 0 {
-            return None;
-        }
-        Some(&self.fib_pool[start as usize..(start + len) as usize])
+        let hops = self.fib.hops(router, slot);
+        (!hops.is_empty()).then_some(hops)
     }
 
     /// The external route of `router` towards the AS with dense index
@@ -993,9 +1038,9 @@ impl ControlPlane {
     /// well-formedness without the tables becoming public fields.
     pub fn dense_view(&self) -> DenseView<'_> {
         DenseView {
-            fib_base: &self.fib_base,
-            fib_spans: &self.fib_spans,
-            fib_pool: &self.fib_pool,
+            fib_base: &self.fib.base,
+            fib_spans: &self.fib.spans,
+            fib_pool: &self.fib.pool,
             te_heads: &self.te_heads,
             te_routes: &self.te_routes,
             loopback_slot: &self.loopback_slot,
@@ -1022,7 +1067,7 @@ impl ControlPlane {
 
 /// A read-only borrow of every flat table inside a [`ControlPlane`],
 /// exposed for invariant verification (see [`ControlPlane::dense_view`]).
-#[derive(Copy, Clone, Debug)]
+#[derive(Copy, Clone, Debug, PartialEq)]
 pub struct DenseView<'a> {
     /// Router → base index into `fib_spans`; length `num_routers + 1`.
     pub fib_base: &'a [u32],
@@ -1082,17 +1127,17 @@ impl ControlPlane {
 
     /// Mutable `fib_base` CSR offsets.
     pub fn fib_base_mut(&mut self) -> &mut Vec<u32> {
-        &mut self.fib_base
+        &mut self.fib.base
     }
 
     /// Mutable `fib_spans` table.
     pub fn fib_spans_mut(&mut self) -> &mut Vec<(u32, u32)> {
-        &mut self.fib_spans
+        &mut self.fib.spans
     }
 
     /// Mutable `fib_pool`.
     pub fn fib_pool_mut(&mut self) -> &mut Vec<(u32, RouterId)> {
-        &mut self.fib_pool
+        &mut self.fib.pool
     }
 
     /// Mutable per-router loopback slot table.

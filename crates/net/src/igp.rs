@@ -8,7 +8,8 @@
 
 use crate::ids::{Asn, RouterId};
 use crate::net::Network;
-use std::collections::{BinaryHeap, HashMap};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// "Unreachable" distance sentinel.
 pub const INF: u32 = u32::MAX / 2;
@@ -19,10 +20,10 @@ pub const INF: u32 = u32::MAX / 2;
 pub struct AsIgp {
     /// The AS.
     pub asn: Asn,
-    /// Member routers, in [`Network::as_members`] order.
+    /// Member routers, in [`Network::as_members`] order — ascending
+    /// router id, so a member's local index is its rank and
+    /// [`AsIgp::local_index`] is a binary search, not a hash.
     pub members: Vec<RouterId>,
-    /// Router id → local dense index.
-    pub local: HashMap<RouterId, usize>,
     /// `dist[s][d]`: shortest metric from member `s` to member `d`
     /// (local indices).
     pub dist: Vec<Vec<u32>>,
@@ -33,37 +34,65 @@ pub struct AsIgp {
     fh_data: Vec<(u32, RouterId)>,
 }
 
+/// One resolved intra-AS adjacency of a member: the interface, the
+/// neighbor, the neighbor's local index and the outgoing metric — read
+/// by both Dijkstra and the first-hop precompute.
+#[derive(Copy, Clone)]
+struct Adj {
+    iface: u32,
+    peer: RouterId,
+    local: u32,
+    metric: u32,
+}
+
 impl AsIgp {
     /// Computes the IGP view of `asn`.
     pub fn compute(net: &Network, asn: Asn) -> AsIgp {
         let members: Vec<RouterId> = net.as_members(asn).to_vec();
-        let local: HashMap<RouterId, usize> =
-            members.iter().enumerate().map(|(i, &r)| (r, i)).collect();
-        let dist: Vec<Vec<u32>> = members
-            .iter()
-            .map(|&src| dijkstra(net, &members, &local, src))
+        debug_assert!(members.windows(2).all(|w| w[0] < w[1]));
+        let n = members.len();
+        // Resolve every member's intra-AS neighbors once, in interface
+        // order, as a CSR over local indices.
+        let mut adj_base = Vec::with_capacity(n + 1);
+        let mut adj: Vec<Adj> = Vec::new();
+        adj_base.push(0u32);
+        for &s in &members {
+            for (idx, iface) in net.router(s).ifaces.iter().enumerate() {
+                if net.link(iface.link).inter_as {
+                    continue;
+                }
+                let Ok(local) = members.binary_search(&iface.peer) else {
+                    continue;
+                };
+                adj.push(Adj {
+                    iface: idx as u32,
+                    peer: iface.peer,
+                    local: local as u32,
+                    metric: edge_metric(net, s, idx),
+                });
+            }
+            adj_base.push(adj.len() as u32);
+        }
+        let rows = |u: usize| &adj[adj_base[u] as usize..adj_base[u + 1] as usize];
+
+        let mut heap = BinaryHeap::new();
+        let dist: Vec<Vec<u32>> = (0..n)
+            .map(|src| dijkstra(&adj_base, &adj, src, &mut heap))
             .collect();
+
         // Precompute every (s, d) ECMP first-hop set once, so per-hop
         // forwarding decisions borrow a slice instead of re-deriving
         // (and allocating) the set on every packet.
-        let n = members.len();
         let mut fh_index = Vec::with_capacity(n * n + 1);
         let mut fh_data = Vec::new();
         fh_index.push(0u32);
-        for (ls, &s) in members.iter().enumerate() {
-            let router = net.router(s);
-            for (ld, &total) in dist[ls].iter().enumerate() {
+        for (ls, row) in dist.iter().enumerate() {
+            let out = rows(ls);
+            for (ld, &total) in row.iter().enumerate() {
                 if total < INF && ls != ld {
-                    for (idx, iface) in router.ifaces.iter().enumerate() {
-                        if net.link(iface.link).inter_as {
-                            continue;
-                        }
-                        let Some(&ln) = local.get(&iface.peer) else {
-                            continue;
-                        };
-                        let w = edge_metric(net, s, idx);
-                        if w.saturating_add(dist[ln][ld]) == total {
-                            fh_data.push((idx as u32, iface.peer));
+                    for a in out {
+                        if a.metric.saturating_add(dist[a.local as usize][ld]) == total {
+                            fh_data.push((a.iface, a.peer));
                         }
                     }
                 }
@@ -73,18 +102,39 @@ impl AsIgp {
         AsIgp {
             asn,
             members,
-            local,
             dist,
             fh_index,
             fh_data,
         }
     }
 
+    /// The local (dense) index of member `r`, if it is one.
+    #[inline]
+    pub fn local_index(&self, r: RouterId) -> Option<usize> {
+        self.members.binary_search(&r).ok()
+    }
+
+    /// Shortest metric from local member `ls` to local member `ld`.
+    #[inline]
+    pub fn distance_local(&self, ls: usize, ld: usize) -> u32 {
+        self.dist[ls][ld]
+    }
+
+    /// The ECMP first-hop set from local member `ls` towards local
+    /// member `ld` (see [`AsIgp::first_hops`]).
+    #[inline]
+    pub fn first_hops_local(&self, ls: usize, ld: usize) -> &[(u32, RouterId)] {
+        let cell = ls * self.members.len() + ld;
+        let lo = self.fh_index[cell] as usize;
+        let hi = self.fh_index[cell + 1] as usize;
+        &self.fh_data[lo..hi]
+    }
+
     /// Shortest metric from `s` to `d` (router ids; `INF` if either is
     /// not a member or unreachable).
     pub fn distance(&self, s: RouterId, d: RouterId) -> u32 {
-        match (self.local.get(&s), self.local.get(&d)) {
-            (Some(&ls), Some(&ld)) => self.dist[ls][ld],
+        match (self.local_index(s), self.local_index(d)) {
+            (Some(ls), Some(ld)) => self.dist[ls][ld],
             _ => INF,
         }
     }
@@ -94,14 +144,10 @@ impl AsIgp {
     /// Empty when `d` is unreachable or `s == d`. Borrowed from the
     /// table precomputed by [`AsIgp::compute`]; no per-call allocation.
     pub fn first_hops(&self, s: RouterId, d: RouterId) -> &[(u32, RouterId)] {
-        let (ls, ld) = match (self.local.get(&s), self.local.get(&d)) {
-            (Some(&ls), Some(&ld)) => (ls, ld),
-            _ => return &[],
-        };
-        let cell = ls * self.members.len() + ld;
-        let lo = self.fh_index[cell] as usize;
-        let hi = self.fh_index[cell + 1] as usize;
-        &self.fh_data[lo..hi]
+        match (self.local_index(s), self.local_index(d)) {
+            (Some(ls), Some(ld)) => self.first_hops_local(ls, ld),
+            _ => &[],
+        }
     }
 
     /// True when every member can reach every other member.
@@ -140,31 +186,25 @@ pub fn edge_metric(net: &Network, router: RouterId, iface_idx: usize) -> u32 {
     }
 }
 
+/// Single-source shortest metrics over the adjacency CSR
+/// `(adj_base, adj)`; `heap` is scratch reused across sources.
 fn dijkstra(
-    net: &Network,
-    members: &[RouterId],
-    local: &HashMap<RouterId, usize>,
-    src: RouterId,
+    adj_base: &[u32],
+    adj: &[Adj],
+    src: usize,
+    heap: &mut BinaryHeap<Reverse<(u32, usize)>>,
 ) -> Vec<u32> {
-    use std::cmp::Reverse;
-    let mut dist = vec![INF; members.len()];
-    let src_l = local[&src];
-    dist[src_l] = 0;
-    let mut heap = BinaryHeap::new();
-    heap.push(Reverse((0u32, src_l)));
+    let mut dist = vec![INF; adj_base.len() - 1];
+    dist[src] = 0;
+    heap.clear();
+    heap.push(Reverse((0u32, src)));
     while let Some(Reverse((d, u))) = heap.pop() {
         if d > dist[u] {
             continue;
         }
-        let router = net.router(members[u]);
-        for (idx, iface) in router.ifaces.iter().enumerate() {
-            if net.link(iface.link).inter_as {
-                continue;
-            }
-            let Some(&v) = local.get(&iface.peer) else {
-                continue;
-            };
-            let nd = d.saturating_add(edge_metric(net, members[u], idx));
+        for a in &adj[adj_base[u] as usize..adj_base[u + 1] as usize] {
+            let v = a.local as usize;
+            let nd = d.saturating_add(a.metric);
             if nd < dist[v] {
                 dist[v] = nd;
                 heap.push(Reverse((nd, v)));

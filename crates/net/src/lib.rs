@@ -69,8 +69,9 @@ pub use addr::{Addr, AddrAllocator, Prefix};
 pub use batch::BATCH_WIDTH;
 pub use bgp::{Bgp, RouteClass};
 pub use control::{
-    ldp_lfib_hops, logical_fib, te_program, walk, CachePayloadError, ControlPlane, DenseView,
-    ExtRoute, LabelAction, LfibEntry, LfibHop, LfibRaw, TeRoute, WalkIface, OWNER_PAGE_SIZE,
+    ldp_label_action, ldp_lfib_hops, logical_fib, te_program, walk, CachePayloadError,
+    ControlPlane, DenseView, ExtRoute, FibTables, LabelAction, LfibEntry, LfibHop, LfibRaw,
+    TeRoute, WalkIface, OWNER_PAGE_SIZE,
 };
 pub use engine::{DropReason, Engine, EngineOpts, EngineStats, ReplyInfo, ReplyKind, SendOutcome};
 pub use error::NetError;
