@@ -317,11 +317,14 @@ impl PaperContext {
 }
 
 /// Audits a campaign result and reduces the outcome to report lines:
-/// an error/warn/info tally, every warn-or-worse finding, and the
-/// per-shard probe accounting the `A307` rule cross-checks.
+/// an error/warn/info tally, the first eight warn-or-worse findings in
+/// [`wormhole_lint::normalize`] order (the audit's own order follows
+/// hash iteration, which changes from run to run), and the per-shard
+/// probe accounting the `A307` rule cross-checks.
 fn lint_summary(internet: &Internet, result: &CampaignResult) -> Vec<String> {
-    let diags = audit_campaign(&internet.net, result);
+    let mut diags = audit_campaign(&internet.net, result);
     let (errors, warns, infos) = wormhole_lint::count(&diags);
+    wormhole_lint::normalize(&mut diags);
     let mut out = vec![format!(
         "lint: {errors} errors, {warns} warnings, {infos} notes over {} traces / {} probes \
          (shards: {:?})",
@@ -370,5 +373,18 @@ mod tests {
             r.lines[0].contains("shards"),
             "tally should include per-shard probe accounting"
         );
+    }
+
+    /// The audit's findings come out of hash-ordered collections, so
+    /// two contexts of one seed list them in different orders; the
+    /// summary must not.
+    #[test]
+    fn lint_summary_is_stable_across_calls() {
+        let ctx = PaperContext::generate_with(Scale::Paper, 8, 2);
+        let first = lint_summary(&ctx.internet, &ctx.result);
+        assert!(first.len() > 2, "{first:?}");
+        assert_eq!(lint_summary(&ctx.internet, &ctx.result), first);
+        let again = PaperContext::generate_with(Scale::Paper, 8, 2);
+        assert_eq!(lint_summary(&again.internet, &again.result), first);
     }
 }

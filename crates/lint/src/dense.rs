@@ -1,14 +1,14 @@
 //! `D5xx` — dense-plane verification.
 //!
-//! PR 5 moved the entire packet-walk hot path onto flattened
-//! control-plane tables (per-router LFIB label windows + overflow,
+//! The packet-walk hot path runs on flattened control-plane tables
+//! (label-sorted LFIB rows over shared entry and branch pools,
 //! `te_heads`/`te_routes` CSR, `fib_base`/`fib_spans`/`fib_pool`,
 //! [`LdpBindings`] and [`AsIgp`] CSRs, build-time destination-resolution
-//! tables). These rules cross-check every flat table against the
-//! logical model it encodes — re-derived through the same oracles
-//! [`ControlPlane::build`] itself uses ([`logical_fib`], [`te_program`],
-//! [`ldp_label_action`], `LdpBindings::compute`) — and against its own
-//! structural invariants. The verifier shares *oracles* with the build,
+//! tables, the three-level address→owner index). These rules
+//! cross-check every flat table against the logical model it encodes —
+//! re-derived through the same oracles [`ControlPlane::build`] itself
+//! uses ([`logical_fib`], [`te_program`], [`ldp_label_action`],
+//! `LdpBindings::compute`) — and against its own structural invariants. The verifier shares *oracles* with the build,
 //! never outputs: every logical table is recomputed from the
 //! [`Network`] here, not read back from the plane under test.
 //!
@@ -23,7 +23,7 @@ use std::collections::HashSet;
 use wormhole_net::igp::{edge_metric, INF};
 use wormhole_net::{
     ldp_label_action, logical_fib, te_program, Addr, ControlPlane, FibTables, Label, LabelValue,
-    LdpBindings, LfibEntry, Network, RouterId, OWNER_PAGE_SIZE,
+    LdpBindings, LfibRef, Network, RouterId, OWNER_DIR_SIZE,
 };
 
 fn err(code: &'static str, location: Location, message: String, hint: &str) -> Diagnostic {
@@ -340,51 +340,95 @@ fn igp_check(net: &Network, cp: &ControlPlane, out: &mut Vec<Diagnostic>) -> boo
     all_ok
 }
 
-/// D506: per-router LFIB window/overflow self-consistency. Returns
-/// `true` when every router is clean.
+/// D506: LFIB row shape. The row offsets must be a CSR over the entry
+/// pool, each row's labels strictly increasing with its first label
+/// recorded in `lfib_lo` (the direct-index origin of every lookup), and
+/// the entries' branch runs must tile the branch pool, one or more
+/// branches each. Returns `true` when the whole LFIB is well-shaped.
 fn lfib_shape(net: &Network, cp: &ControlPlane, out: &mut Vec<Diagnostic>) -> bool {
-    let mut all_ok = true;
-    for r in net.routers() {
-        let raw = cp.lfib_raw(r.id);
-        let loc = || Location::Router(r.name.clone());
-        if raw.overflow.windows(2).any(|w| w[0].0 >= w[1].0) {
-            out.push(err(
-                "D506",
-                loc(),
-                "LFIB overflow labels are not strictly sorted".to_string(),
-                "lfib_entry() binary-searches the overflow; duplicates shadow each other",
-            ));
-            all_ok = false;
-        }
-        let hi = raw.lo + raw.window.len() as u32;
-        for &(v, _) in raw.overflow {
-            if v >= raw.lo && v < hi {
-                let kind = if raw.window[(v - raw.lo) as usize].is_some() {
-                    "shadowed by the window entry for the same label"
-                } else {
-                    "inside the window range instead of absorbed into it"
-                };
+    let v = cp.dense_view();
+    let n = net.num_routers();
+    let mut ok = check_csr_offsets(
+        "D506",
+        "lfib base",
+        v.lfib_base,
+        n,
+        v.lfib_entries.len(),
+        out,
+    );
+    if v.lfib_lo.len() != n {
+        out.push(err(
+            "D506",
+            Location::Network,
+            format!("{} LFIB row origins for {n} routers", v.lfib_lo.len()),
+            "lfib_lo must hold one label per router",
+        ));
+        ok = false;
+    }
+    if ok {
+        for r in net.routers() {
+            let i = r.id.index();
+            let row = &v.lfib_entries[v.lfib_base[i] as usize..v.lfib_base[i + 1] as usize];
+            let loc = || Location::Router(r.name.clone());
+            if row.windows(2).any(|w| w[0].label >= w[1].label) {
                 out.push(err(
                     "D506",
                     loc(),
-                    format!("overflow label {v} is {kind}"),
-                    "every label must have exactly one home (absorb_overflow invariant)",
+                    "LFIB row labels are not strictly increasing".to_string(),
+                    "lfib_entry() indexes and binary-searches the row; duplicates shadow each other",
                 ));
-                all_ok = false;
+                ok = false;
+            }
+            let first = row.first().map_or(0, |e| e.label);
+            if v.lfib_lo[i] != first {
+                out.push(err(
+                    "D506",
+                    loc(),
+                    format!(
+                        "LFIB row origin {} disagrees with the row's first label {first}",
+                        v.lfib_lo[i]
+                    ),
+                    "direct-indexed lookups would land on the wrong entry",
+                ));
+                ok = false;
             }
         }
-        let count = raw.window.iter().filter(|e| e.is_some()).count() + raw.overflow.len();
-        if raw.len != count {
+    }
+    // Branch runs start at 0 and strictly increase: each entry owns at
+    // least one branch and no two entries share one.
+    let mut prev: Option<u32> = None;
+    for (i, e) in v.lfib_entries.iter().enumerate() {
+        if prev.map_or(e.hops != 0, |p| e.hops <= p) {
             out.push(err(
                 "D506",
-                loc(),
-                format!("LFIB claims {} entries but holds {count}", raw.len),
-                "the length counter drifted from the window/overflow contents",
+                Location::Network,
+                format!(
+                    "LFIB entry #{i} starts its branches at {}, breaking the pool tiling after {prev:?}",
+                    e.hops
+                ),
+                "branch runs must tile lfib_hops in order, at least one branch per entry",
             ));
-            all_ok = false;
+            ok = false;
+            break;
         }
+        prev = Some(e.hops);
     }
-    all_ok
+    let closes = v.lfib_entries.last().map_or(v.lfib_hops.is_empty(), |e| {
+        (e.hops as usize) < v.lfib_hops.len()
+    });
+    if ok && !closes {
+        out.push(err(
+            "D506",
+            Location::Network,
+            format!(
+                "the last LFIB entry's branches do not end inside the pool of {}",
+                v.lfib_hops.len()
+            ),
+            "the final entry needs at least one branch, and no pool slot may be orphaned",
+        ));
+        ok = false;
+    }
+    ok
 }
 
 /// Where an expected LFIB entry comes from.
@@ -403,7 +447,7 @@ fn ldp_entry_matches(
     fresh: &LdpBindings,
     slot: u32,
     hops: &[(u32, RouterId)],
-    installed: &LfibEntry,
+    installed: LfibRef<'_>,
 ) -> bool {
     installed.slot == slot
         && installed.nexthops.len() == hops.len()
@@ -475,7 +519,10 @@ fn lfib_agreement(
                         Want::Ldp(slot) => {
                             ldp_entry_matches(fresh, slot, fib.hops(r.id, slot), installed)
                         }
-                        Want::Te(t) => te_transit[t].2 == *installed,
+                        Want::Te(t) => {
+                            let e = &te_transit[t].2;
+                            installed.slot == e.slot && installed.nexthops == e.nexthops
+                        }
                     };
                     if !agrees {
                         out.push(err(
@@ -798,44 +845,47 @@ fn owner_hash(net: &Network, cp: &ControlPlane, trie_ok: &[bool], out: &mut Vec<
 }
 
 /// D512: the dense address→owner index (`ControlPlane::owner_of`, the
-/// two-array-load replacement the engine's `DstCache` resolves
-/// destinations through) must be well-shaped and must agree with the
-/// routers that actually hold each address.
+/// three-level replacement for the owner hash the engine's `DstCache`
+/// resolves destinations through) must be well-shaped and must agree
+/// with the routers that actually hold each address.
 ///
-/// Shape first: every populated page reference must be page-aligned,
-/// in bounds, and distinct (two /20 blocks sharing a pool page would
-/// alias each other's addresses), and the pool must be a whole number
-/// of [`OWNER_PAGE_SIZE`]-entry pages. Only a well-shaped index is
-/// content-checked, in both directions: every held address resolves to
-/// its holder, and every populated pool entry names a router that
-/// holds the decoded address. The comparison runs against the routers
-/// directly — **not** the owner hash — so a poisoned hash (D511) and a
-/// poisoned dense index (D512) each fire exactly their own rule.
+/// Shape first: every /8's directory page must be page-aligned, in
+/// bounds and its own (two /8s sharing a page would alias each other's
+/// addresses), every page must belong to a /8, and the `(start, len)`
+/// block runs must tile the pool in directory order, none longer than a
+/// block. Only a well-shaped index is content-checked, in both
+/// directions: every held address resolves to its holder, and every
+/// populated pool entry names a router that holds the decoded address.
+/// The comparison runs against the routers directly — **not** the owner
+/// hash — so a poisoned hash (D511) and a poisoned dense index (D512)
+/// each fire exactly their own rule.
 fn owner_index(net: &Network, cp: &ControlPlane, out: &mut Vec<Diagnostic>) {
     let v = cp.dense_view();
-    let pool_len = v.owner_pool.len();
+    let dir_len = v.owner_dir.len();
     let mut ok = true;
-    if !pool_len.is_multiple_of(OWNER_PAGE_SIZE) {
+    if !dir_len.is_multiple_of(OWNER_DIR_SIZE) {
         out.push(err(
             "D512",
             Location::Network,
-            format!("owner pool length {pool_len} is not a whole number of pages"),
-            "a truncated final page makes the last /20 block read out of bounds",
+            format!("owner directory length {dir_len} is not a whole number of pages"),
+            "a truncated final page makes the last /8's blocks read out of bounds",
         ));
         ok = false;
     }
     let mut seen_pages: HashSet<u32> = HashSet::new();
-    for (hi, &page) in v.owner_page.iter().enumerate() {
+    for (top, &page) in v.owner_top.iter().enumerate() {
         if page == u32::MAX {
             continue;
         }
         let base = page as usize;
-        if !base.is_multiple_of(OWNER_PAGE_SIZE) || base + OWNER_PAGE_SIZE > pool_len {
+        if !base.is_multiple_of(OWNER_DIR_SIZE) || base + OWNER_DIR_SIZE > dir_len {
             out.push(err(
                 "D512",
                 Location::Network,
-                format!("owner page for block {hi:#x} points at {base} (pool len {pool_len})"),
-                "a misaligned or out-of-bounds page base corrupts every lookup in its /20",
+                format!(
+                    "owner directory page for {top}/8 points at {base} (directory len {dir_len})"
+                ),
+                "a misaligned or out-of-bounds page base corrupts every lookup in its /8",
             ));
             ok = false;
             continue;
@@ -844,11 +894,50 @@ fn owner_index(net: &Network, cp: &ControlPlane, out: &mut Vec<Diagnostic>) {
             out.push(err(
                 "D512",
                 Location::Network,
-                format!("two /20 blocks share the owner pool page at {base}"),
-                "aliased pages let one block's addresses shadow another's owners",
+                format!("two /8s share the owner directory page at {base}"),
+                "aliased pages let one /8's addresses shadow another's owners",
             ));
             ok = false;
         }
+    }
+    if ok && seen_pages.len() * OWNER_DIR_SIZE != dir_len {
+        out.push(err(
+            "D512",
+            Location::Network,
+            format!(
+                "{} owner directory pages, {} of them reachable from a /8",
+                dir_len / OWNER_DIR_SIZE,
+                seen_pages.len()
+            ),
+            "an orphan page is dead weight no lookup can reach — rebuild the index",
+        ));
+        ok = false;
+    }
+    let mut cursor = 0usize;
+    for (i, &(start, len)) in v.owner_dir.iter().enumerate() {
+        if start as usize != cursor || len as usize > OWNER_DIR_SIZE {
+            out.push(err(
+                "D512",
+                Location::Network,
+                format!("owner block run #{i} ({start}, {len}) breaks the pool tiling at {cursor}"),
+                "runs must tile owner_pool in directory order, each within its /20 block",
+            ));
+            ok = false;
+            break;
+        }
+        cursor += len as usize;
+    }
+    if ok && cursor != v.owner_pool.len() {
+        out.push(err(
+            "D512",
+            Location::Network,
+            format!(
+                "owner block runs cover {cursor} pool entries of {}",
+                v.owner_pool.len()
+            ),
+            "orphan pool entries after the last run — the index drifted",
+        ));
+        ok = false;
     }
     if !ok {
         return;
@@ -874,32 +963,35 @@ fn owner_index(net: &Network, cp: &ControlPlane, out: &mut Vec<Diagnostic>) {
     }
     // Reverse: every populated pool entry names a holder of the decoded
     // address — a poisoned entry for an unowned address is a lie too.
-    for (hi, &page) in v.owner_page.iter().enumerate() {
+    for (top, &page) in v.owner_top.iter().enumerate() {
         if page == u32::MAX {
             continue;
         }
-        let base = page as usize;
-        for off in 0..OWNER_PAGE_SIZE {
-            let raw = v.owner_pool[base + off];
-            if raw == 0 {
-                continue;
-            }
-            let addr = Addr(((hi as u32) << 12) | off as u32);
-            let rid = RouterId(raw - 1);
-            let holds = (rid.index()) < net.num_routers() && {
-                let r = net.router(rid);
-                r.loopback == addr || r.ifaces.iter().any(|i| i.addr == addr)
-            };
-            if !holds {
-                let name = (rid.index() < net.num_routers()).then(|| net.router(rid).name.clone());
-                out.push(err(
-                    "D512",
-                    Location::Addr(addr),
-                    format!(
-                        "dense owner index maps the address to {name:?}, which does not hold it"
-                    ),
-                    "stale or poisoned index entries resolve unowned space to a live router",
-                ));
+        for block in 0..OWNER_DIR_SIZE {
+            let (start, len) = v.owner_dir[page as usize + block];
+            for off in 0..len {
+                let raw = v.owner_pool[(start + off) as usize];
+                if raw == 0 {
+                    continue;
+                }
+                let addr = Addr(((top as u32) << 24) | ((block as u32) << 12) | off);
+                let rid = RouterId(raw - 1);
+                let holds = (rid.index()) < net.num_routers() && {
+                    let r = net.router(rid);
+                    r.loopback == addr || r.ifaces.iter().any(|i| i.addr == addr)
+                };
+                if !holds {
+                    let name =
+                        (rid.index() < net.num_routers()).then(|| net.router(rid).name.clone());
+                    out.push(err(
+                        "D512",
+                        Location::Addr(addr),
+                        format!(
+                            "dense owner index maps the address to {name:?}, which does not hold it"
+                        ),
+                        "stale or poisoned index entries resolve unowned space to a live router",
+                    ));
+                }
             }
         }
     }

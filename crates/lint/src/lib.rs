@@ -25,7 +25,7 @@
 //!   accounting, degraded-shard consistency);
 //! * **`D5xx`** ([`dense`]) — dense-plane verification: the flattened
 //!   control-plane tables the hot path runs on (CSR offset tables,
-//!   LFIB label windows, destination-resolution memos) cross-checked
+//!   LFIB label rows, destination-resolution memos) cross-checked
 //!   against the logical model they encode and against themselves;
 //! * **`V6xx`** ([`audit`]) — revelation-veracity audits over the
 //!   campaign's evidence screens (RTLA lengths against non-`<255, 64>`

@@ -437,12 +437,15 @@ pub static RULES: &[RuleInfo] = &[
         code: "D506",
         family: Family::Dense,
         severity: Severity::Error,
-        summary: "LFIB window/overflow self-inconsistency",
-        explanation: "A router's LFIB stores each label in exactly one home: the dense \
-                      window or the sorted overflow. A shadowed overflow entry (label also \
-                      present in the window), an unsorted or duplicated overflow, or a \
-                      length counter disagreeing with the actual entry count makes lookup \
-                      results depend on which representation is consulted first.",
+        summary: "LFIB row shape broken",
+        explanation: "Every router's LFIB is one row of a shared entry pool, its labels \
+                      strictly increasing, and lookups first index the row at `label - lo` \
+                      before binary-searching it. Row offsets that are not a CSR over the \
+                      pool, a duplicated or unsorted label (one entry shadowing another), a \
+                      recorded row origin that is not the row's first label, or branch runs \
+                      that do not tile the branch pool (an entry with no branch, or two \
+                      entries sharing one) make lookups return another router's or another \
+                      label's entry.",
     },
     RuleInfo {
         code: "D507",
@@ -504,10 +507,11 @@ pub static RULES: &[RuleInfo] = &[
         family: Family::Dense,
         severity: Severity::Error,
         summary: "dense owner index malformed or disagrees with router addresses",
-        explanation: "The paged address-to-owner index is what the engine's DstCache \
-                      actually resolves destinations through on the hot path (two array \
-                      loads instead of the owner hash). Page references must be aligned, \
-                      in bounds, and distinct, the pool a whole number of pages, and the \
+        explanation: "The three-level address-to-owner index (/8 directory page, /20 block \
+                      run, pool entry) is what the engine's DstCache actually resolves \
+                      destinations through on the hot path instead of the owner hash. \
+                      Directory pages must be aligned, in bounds, distinct and each owned by \
+                      a /8, the block runs must tile the pool in directory order, and the \
                       mapping must agree with the routers in both directions: every held \
                       address resolves to its holder and every populated entry names a \
                       holder. Checked against the routers directly, never the owner hash, \

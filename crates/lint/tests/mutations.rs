@@ -12,6 +12,9 @@
 //! intact: a rewritten LFIB swap label (`D507`) and a retargeted FIB
 //! pool hop (`D508`). They pin the in-place comparison paths, whose
 //! only other classes (a stale entry, a truncated span) change shape.
+//! Two more corrupt the *directories* of the row and block tables: a
+//! shifted LFIB row offset (`D506`) and a skewed owner-directory run
+//! (`D512`), next to their rules' label- and content-level classes.
 //!
 //! One more class corrupts the campaign-audit snapshot instead of the
 //! dense plane: the incremental-aggregation accounting that `A310`
@@ -24,8 +27,8 @@
 use std::collections::BTreeSet;
 use wormhole_lint as lint;
 use wormhole_net::{
-    Addr, ControlPlane, Label, LabelAction, LabelValue, LfibEntry, LfibHop, Network, PoppingMode,
-    RouterId,
+    Addr, ControlPlane, Label, LabelAction, LabelValue, LdpBindings, LfibEntry, LfibHop, Network,
+    PoppingMode, RouterId,
 };
 use wormhole_topo::{gns3_fig2, gns3_fig2_te, Fig2Config};
 
@@ -50,30 +53,48 @@ fn te_plane() -> (Network, ControlPlane) {
     (s.net, s.cp)
 }
 
-/// The first installed LFIB window entry that swaps labels:
-/// `(router, window index, branch index, outgoing label)`.
-fn first_swap(net: &Network, cp: &ControlPlane) -> (RouterId, usize, usize, Label) {
+/// The first installed LFIB branch that swaps labels:
+/// `(router, incoming label, branch pool index, outgoing label)`.
+fn first_swap(net: &Network, cp: &ControlPlane) -> (RouterId, Label, usize, Label) {
+    let v = cp.dense_view();
     for r in net.routers() {
-        for (i, e) in cp.lfib_raw(r.id).window.iter().enumerate() {
-            let Some(e) = e else { continue };
-            for (j, h) in e.nexthops.iter().enumerate() {
-                if let LabelAction::Swap(l) = h.action {
-                    return (r.id, i, j, l);
+        let row = v.lfib_base[r.id.index()] as usize..v.lfib_base[r.id.index() + 1] as usize;
+        for i in row {
+            let e = v.lfib_entries[i];
+            let end = v
+                .lfib_entries
+                .get(i + 1)
+                .map_or(v.lfib_hops.len(), |n| n.hops as usize);
+            for k in e.hops as usize..end {
+                if let LabelAction::Swap(l) = v.lfib_hops[k].action {
+                    return (r.id, Label(e.label), k, l);
                 }
             }
         }
     }
-    panic!("no swapping LFIB window entry");
+    panic!("no swapping LFIB entry");
 }
 
 /// Rewrites the outgoing label of [`first_swap`]'s branch, keeping the
 /// entry's shape; returns the router and the entry's incoming label.
 fn rewrite_first_swap(net: &Network, cp: &mut ControlPlane) -> (RouterId, Label) {
-    let (rid, i, j, out) = first_swap(net, cp);
-    let lo = cp.lfib_raw(rid).lo;
-    let entry = cp.lfib_window_mut(rid)[i].as_mut().expect("entry present");
-    entry.nexthops[j].action = LabelAction::Swap(Label(out.0 + 977));
-    (rid, Label(lo + i as u32))
+    let (rid, label, k, out) = first_swap(net, cp);
+    cp.lfib_hops_mut()[k].action = LabelAction::Swap(Label(out.0 + 977));
+    (rid, label)
+}
+
+/// The first router whose LFIB row holds at least two entries, with
+/// the entry-pool range of that row.
+fn multi_entry_row(net: &Network, cp: &ControlPlane) -> (RouterId, std::ops::Range<usize>) {
+    let base = cp.dense_view().lfib_base;
+    net.routers()
+        .iter()
+        .map(|r| {
+            let i = r.id.index();
+            (r.id, base[i] as usize..base[i + 1] as usize)
+        })
+        .find(|(_, row)| row.len() >= 2)
+        .expect("an LSR with two LFIB entries")
 }
 
 /// The D5xx codes fired over `(net, cp)`, as a set.
@@ -127,12 +148,9 @@ fn classes() -> Vec<Class> {
                 let pool = cp.bindings.pool_mut();
                 let slot = pool
                     .iter()
-                    .position(|v| matches!(v, Some(LabelValue::Real(_))))
+                    .position(|&w| matches!(LdpBindings::unpack(w), Some(LabelValue::Real(_))))
                     .expect("some real label is advertised");
-                let Some(LabelValue::Real(l)) = pool[slot] else {
-                    unreachable!()
-                };
-                pool[slot] = Some(LabelValue::Real(Label(l.0 + 977)));
+                pool[slot] += 977;
             },
         },
         Class {
@@ -149,32 +167,28 @@ fn classes() -> Vec<Class> {
             },
         },
         Class {
-            name: "shadow-lfib-overflow",
+            name: "shadow-lfib-label",
             rule: "D506",
             build: ldp_plane,
             corrupt: |net, cp| {
-                for r in 0..net.num_routers() as u32 {
-                    let rid = RouterId(r);
-                    let raw = cp.lfib_raw(rid);
-                    let Some((i, e)) = raw
-                        .window
-                        .iter()
-                        .enumerate()
-                        .find_map(|(i, e)| e.clone().map(|e| (i, e)))
-                    else {
-                        continue;
-                    };
-                    let label = raw.lo + i as u32;
-                    let overflow = cp.lfib_overflow_mut(rid);
-                    let pos = overflow
-                        .binary_search_by_key(&label, |&(l, _)| l)
-                        .unwrap_err();
-                    // A copy of the window entry, so only the two-homes
-                    // invariant breaks — the content still agrees.
-                    overflow.insert(pos, (label, e));
-                    return;
-                }
-                panic!("no LFIB window entry to shadow");
+                // The second entry of a row takes the first one's label:
+                // the row is no longer strictly sorted and one entry
+                // shadows the other.
+                let (_, row) = multi_entry_row(net, cp);
+                let entries = cp.lfib_entries_mut();
+                entries[row.start + 1].label = entries[row.start].label;
+            },
+        },
+        Class {
+            name: "shift-lfib-row-offset",
+            rule: "D506",
+            build: ldp_plane,
+            corrupt: |net, cp| {
+                // Hand a row's first entry to the previous router: every
+                // entry and label stays as built, only the row boundary
+                // moves.
+                let (rid, _) = multi_entry_row(net, cp);
+                cp.lfib_base_mut()[rid.index()] += 1;
             },
         },
         Class {
@@ -310,6 +324,22 @@ fn classes() -> Vec<Class> {
                 cp.poison_owner_index(victim, wrong);
             },
         },
+        Class {
+            name: "skew-owner-directory-run",
+            rule: "D512",
+            build: ldp_plane,
+            corrupt: |_, cp| {
+                // Start a populated block's run one entry late: its
+                // addresses read their neighbours' owners and the runs
+                // no longer tile the pool.
+                let dir = cp.owner_dir_mut();
+                let k = dir
+                    .iter()
+                    .position(|&(_, len)| len > 0)
+                    .expect("some block holds an address");
+                dir[k].0 += 1;
+            },
+        },
     ]
 }
 
@@ -413,8 +443,8 @@ fn audit_corruption_caught_by_exactly_the_intended_rule() {
     );
     let info = lint::rule(class.rule).expect("class rule registered");
     assert_eq!(info.family, lint::Family::Audit, "{}", class.name);
-    // 14 dense classes + this one: the 15-class contract.
-    assert_eq!(classes().len() + 1, 15);
+    // 16 dense classes + this one: the 17-class contract.
+    assert_eq!(classes().len() + 1, 17);
 }
 
 /// A clean screened-campaign snapshot the V6xx classes corrupt: one
@@ -535,7 +565,7 @@ fn veracity_corruption_caught_by_exactly_the_intended_rule() {
 }
 
 /// Coverage: every registered V6xx rule is exercised by exactly one
-/// corruption class, bringing the suite to 21 classes in total.
+/// corruption class, bringing the suite to 23 classes in total.
 #[test]
 fn every_veracity_rule_fired_by_a_corruption_class() {
     let covered: BTreeSet<&str> = v6_classes().iter().map(|c| c.rule).collect();
@@ -549,7 +579,7 @@ fn every_veracity_rule_fired_by_a_corruption_class() {
         let info = lint::rule(c.rule).expect("class rule registered");
         assert_eq!(info.family, lint::Family::Veracity, "{}", c.name);
     }
-    assert_eq!(classes().len() + 1 + v6_classes().len(), 21);
+    assert_eq!(classes().len() + 1 + v6_classes().len(), 23);
 }
 
 /// Corrupted planes also fail the combined `check_plane` gate — the
@@ -630,24 +660,14 @@ fn d507_findings_render_stale_rewritten_and_missing_entries() {
         ) + "\n1 error(s), 0 warning(s), 0 info\n"
     );
 
-    // Missing: the last window entry moves one label up, so its own
-    // label is missing and the new one is stale (occupancy and `len`
-    // still agree, so D506 stays quiet).
+    // Missing: the last entry of a row moves one label up, so its own
+    // label is missing and the new one is stale (the row stays sorted
+    // with its origin intact, so D506 stays quiet).
     let (net, mut cp) = ldp_plane();
-    let rid = net
-        .routers()
-        .iter()
-        .map(|r| r.id)
-        .find(|&r| cp.lfib_raw(r).window.last().is_some_and(|e| e.is_some()))
-        .expect("an LSR with a populated window");
-    let raw = cp.lfib_raw(rid);
-    let (old, new) = (
-        Label(raw.lo + raw.window.len() as u32 - 1),
-        Label(raw.lo + raw.window.len() as u32),
-    );
-    let window = cp.lfib_window_mut(rid);
-    let moved = window.last_mut().and_then(Option::take);
-    window.push(moved);
+    let (rid, row) = multi_entry_row(&net, &cp);
+    let last = &mut cp.lfib_entries_mut()[row.end - 1];
+    let (old, new) = (Label(last.label), Label(last.label + 1));
+    last.label += 1;
     let stale = d507_line(
         &net,
         rid,

@@ -29,12 +29,19 @@ pub enum RouteClass {
 
 /// The AS-level routing table: for every destination AS, each AS's set
 /// of equally-best next-hop ASes.
+///
+/// The next-hop sets live in one `u32` CSR: pair `(dst, src)` owns the
+/// span `next_base[dst * n + src] .. next_base[dst * n + src + 1]` of
+/// `next_pool`, so the `n²` sets cost two flat arrays instead of `n²`
+/// small heap vectors.
 #[derive(Debug, Clone)]
 pub struct Bgp {
-    /// `next_as[dst][src]`: dense AS indices of the best next-hop ASes
-    /// from `src` towards `dst` (empty ⇒ unreachable; `src == dst` ⇒
+    /// CSR offsets into `next_pool`; length `n * n + 1`.
+    pub(crate) next_base: Vec<u32>,
+    /// Concatenated dense AS indices of the best next-hop ASes from
+    /// `src` towards `dst` (an empty span ⇒ unreachable; `src == dst` ⇒
     /// empty by convention).
-    pub next_as: Vec<Vec<Vec<usize>>>,
+    pub(crate) next_pool: Vec<u32>,
     /// `route[dst][src]`: the selected route's (class, AS-path length).
     pub route: Vec<RouteColumn>,
 }
@@ -95,14 +102,38 @@ impl Bgp {
     pub fn compute(net: &Network) -> Result<Bgp, NetError> {
         let adj = build_adj(net)?;
         let n = net.as_list().len();
-        let mut next_as = Vec::with_capacity(n);
         let mut route = Vec::with_capacity(n);
+        let mut next_base = Vec::with_capacity(n * n + 1);
+        let mut next_pool = Vec::new();
+        next_base.push(0u32);
         for dst in 0..n {
             let (nexts, routes) = Self::single_dest(&adj, n, dst);
-            next_as.push(nexts);
+            for set in &nexts {
+                next_pool.extend(set.iter().map(|&x| x as u32));
+                next_base.push(next_pool.len() as u32);
+            }
             route.push(routes);
         }
-        Ok(Bgp { next_as, route })
+        next_pool.shrink_to_fit();
+        Ok(Bgp {
+            next_base,
+            next_pool,
+            route,
+        })
+    }
+
+    /// Number of ASes the table covers.
+    pub fn num_as(&self) -> usize {
+        self.route.len()
+    }
+
+    /// Heap bytes reserved by the next-hop CSR and the route columns.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        use crate::control::vec_bytes;
+        vec_bytes(&self.next_base)
+            + vec_bytes(&self.next_pool)
+            + vec_bytes(&self.route)
+            + self.route.iter().map(vec_bytes).sum::<usize>()
     }
 
     /// Dijkstra over the `(class, hops)` lattice for one destination.
@@ -150,13 +181,15 @@ impl Bgp {
 
     /// The best next-hop AS indices from `src` towards `dst` (dense
     /// indices).
-    pub fn next_hops(&self, dst: usize, src: usize) -> &[usize] {
-        &self.next_as[dst][src]
+    #[inline]
+    pub fn next_hops(&self, dst: usize, src: usize) -> &[u32] {
+        let cell = dst * self.num_as() + src;
+        &self.next_pool[self.next_base[cell] as usize..self.next_base[cell + 1] as usize]
     }
 
     /// Whether `src` has any route to `dst`.
     pub fn reachable(&self, dst: usize, src: usize) -> bool {
-        src == dst || !self.next_as[dst][src].is_empty()
+        src == dst || !self.next_hops(dst, src).is_empty()
     }
 
     /// Convenience: resolves through [`Network::as_index`].
@@ -164,9 +197,9 @@ impl Bgp {
         let (Some(d), Some(s)) = (net.as_index(dst), net.as_index(src)) else {
             return Vec::new();
         };
-        self.next_as[d][s]
+        self.next_hops(d, s)
             .iter()
-            .map(|&i| net.as_list()[i])
+            .map(|&i| net.as_list()[i as usize])
             .collect()
     }
 }

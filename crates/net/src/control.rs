@@ -10,9 +10,11 @@
 //! 3. per-router external routes: hot-potato egress selection over the
 //!    valley-free AS-level routes ([`Bgp`]);
 //! 4. LDP bindings ([`LdpBindings`]) and per-router LFIBs implementing
-//!    swap / PHP-pop / explicit-null-swap, stored as dense label
-//!    windows (labels are small integers we allocate ourselves) with a
-//!    sorted overflow for outliers (RSVP-TE labels, injected entries).
+//!    swap / PHP-pop / explicit-null-swap, stored as label-sorted rows
+//!    over shared entry and branch pools (see [`LfibRecord`]).
+//!
+//! Every table is sized to what it holds: [`ControlPlane::table_bytes`]
+//! reports the heap each one reserves.
 
 use crate::addr::Addr;
 use crate::bgp::Bgp;
@@ -25,7 +27,9 @@ use crate::prefixes::AsPrefixes;
 use crate::vendor::PoppingMode;
 use std::collections::HashMap;
 
-/// A route towards an external AS.
+/// A route towards an external AS. The plane stores each one packed
+/// into a `u32` ([`ExtRoute::pack`]), the same word the substrate cache
+/// writes.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum ExtRoute {
     /// No valley-free route exists.
@@ -42,6 +46,38 @@ pub enum ExtRoute {
         /// The selected egress border router.
         egress: RouterId,
     },
+}
+
+impl ExtRoute {
+    /// Packs the route into one `u32`: tag in the low two bits
+    /// (`0` unreachable, `1` direct, `2` via egress), payload above.
+    #[inline]
+    pub(crate) const fn pack(self) -> u32 {
+        match self {
+            ExtRoute::Unreachable => 0,
+            ExtRoute::Direct { iface } => 1 | (iface << 2),
+            ExtRoute::ViaEgress { egress } => 2 | (egress.0 << 2),
+        }
+    }
+
+    /// Unpacks a word written by [`ExtRoute::pack`]; `None` for a word
+    /// no route packs to.
+    #[inline]
+    pub(crate) const fn unpack(packed: u32) -> Option<ExtRoute> {
+        Some(match packed & 0b11 {
+            0 if packed == 0 => ExtRoute::Unreachable,
+            1 => ExtRoute::Direct { iface: packed >> 2 },
+            2 => ExtRoute::ViaEgress {
+                egress: RouterId(packed >> 2),
+            },
+            _ => return None,
+        })
+    }
+}
+
+/// Heap bytes a vector reserves: capacity × element size.
+pub(crate) fn vec_bytes<T>(v: &Vec<T>) -> usize {
+    v.capacity() * std::mem::size_of::<T>()
 }
 
 /// Why [`ControlPlane::from_cache_payload`] rejected a payload.
@@ -90,7 +126,9 @@ pub struct LfibHop {
     pub action: LabelAction,
 }
 
-/// An LFIB entry: incoming label → FEC and ECMP branches.
+/// An LFIB entry to install: incoming label → FEC and ECMP branches.
+/// The TE program and [`ControlPlane::inject_lfib_entry`] speak this
+/// owned form; installed entries are read back as [`LfibRef`]s.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct LfibEntry {
     /// The FEC (prefix slot in the router's AS table).
@@ -99,112 +137,171 @@ pub struct LfibEntry {
     pub nexthops: Vec<LfibHop>,
 }
 
-/// Labels further than this from a router's dense LDP run go to the
-/// sorted overflow instead of growing the window (RSVP-TE labels live
-/// at `500_000+`, far from the LDP runs that start near `16`).
-const LFIB_WINDOW_SPAN: u32 = 4096;
-
-/// The LFIB of one router: a dense label window (direct indexing for
-/// the contiguous LDP run) plus a small sorted overflow for outliers.
-#[derive(Debug, Clone, Default)]
-struct RouterLfib {
-    /// Label value of `window[0]`.
-    lo: u32,
-    /// `window[label - lo]`, `None` for gaps.
-    window: Vec<Option<LfibEntry>>,
-    /// Entries outside the window, sorted by label value.
-    overflow: Vec<(u32, LfibEntry)>,
-    /// Number of installed entries (window `Some`s + overflow).
-    len: usize,
+/// An installed LFIB entry, borrowed from the plane's pools.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub struct LfibRef<'a> {
+    /// The FEC (prefix slot in the router's AS table; `u32::MAX` for
+    /// RSVP-TE entries).
+    pub slot: u32,
+    /// ECMP branches.
+    pub nexthops: &'a [LfibHop],
 }
 
-impl RouterLfib {
+/// One installed LFIB entry in the shared entry pool. Router `r`'s
+/// entries are `entries[base[r]..base[r + 1]]`, sorted by strictly
+/// increasing label; an entry's branches run from its `hops` to the
+/// next entry's (the last entry's to the end of the branch pool).
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub struct LfibRecord {
+    /// Incoming label value.
+    pub label: u32,
+    /// The FEC slot (`u32::MAX` for RSVP-TE entries).
+    pub slot: u32,
+    /// Start of the entry's branches in the branch pool.
+    pub hops: u32,
+}
+
+/// Every router's LFIB as label-sorted rows over one entry pool and
+/// one branch pool. LDP allocates each router's labels as one
+/// increasing run, so `label - lo[r]` is the entry's position in its
+/// row; a miss there (a gap, an RSVP-TE label at `500_000+`, an
+/// injected entry) falls back to a binary search of the row prefix
+/// the label can occupy.
+#[derive(Debug, Clone, Default)]
+struct LfibTables {
+    /// Router → first entry of its row; length `num_routers + 1`.
+    base: Vec<u32>,
+    /// Label of each router's first entry (`0` for an empty row).
+    lo: Vec<u32>,
+    /// Installed entries, row after row.
+    entries: Vec<LfibRecord>,
+    /// Concatenated ECMP branches.
+    hops: Vec<LfibHop>,
+}
+
+impl LfibTables {
+    /// Empty tables with room for `routers` rows.
+    fn with_rows(routers: usize) -> LfibTables {
+        let mut base = Vec::with_capacity(routers + 1);
+        base.push(0);
+        LfibTables {
+            base,
+            lo: Vec::with_capacity(routers),
+            ..LfibTables::default()
+        }
+    }
+
+    /// Appends an entry to the open row; labels must increase.
+    fn push(&mut self, label: u32, slot: u32, hops: impl IntoIterator<Item = LfibHop>) {
+        let row_start = *self.base.last().expect("base starts at 0") as usize;
+        debug_assert!(self.entries[row_start..]
+            .last()
+            .is_none_or(|e| e.label < label));
+        self.entries.push(LfibRecord {
+            label,
+            slot,
+            hops: self.hops.len() as u32,
+        });
+        self.hops.extend(hops);
+    }
+
+    /// Closes the open row (the next router's row starts after it).
+    fn end_row(&mut self) {
+        let start = *self.base.last().expect("base starts at 0") as usize;
+        self.lo.push(self.entries.get(start).map_or(0, |e| e.label));
+        self.base.push(self.entries.len() as u32);
+    }
+
+    /// Releases the growth slack of the two pools.
+    fn shrink(&mut self) {
+        self.entries.shrink_to_fit();
+        self.hops.shrink_to_fit();
+    }
+
+    /// Entry `i` of the entry pool, with its branches.
     #[inline]
-    fn get(&self, label: Label) -> Option<&LfibEntry> {
-        let v = label.0;
-        if v >= self.lo {
-            if let Some(Some(e)) = self.window.get((v - self.lo) as usize) {
-                return Some(e);
-            }
+    fn entry(&self, i: usize) -> LfibRef<'_> {
+        let e = self.entries[i];
+        let end = self
+            .entries
+            .get(i + 1)
+            .map_or(self.hops.len(), |n| n.hops as usize);
+        LfibRef {
+            slot: e.slot,
+            nexthops: &self.hops[e.hops as usize..end],
         }
-        self.overflow
-            .binary_search_by_key(&v, |&(l, _)| l)
+    }
+
+    /// The entry pool range of `router`'s row.
+    #[inline]
+    fn row(&self, router: RouterId) -> std::ops::Range<usize> {
+        self.base[router.index()] as usize..self.base[router.index() + 1] as usize
+    }
+
+    #[inline]
+    fn get(&self, router: RouterId, label: Label) -> Option<LfibRef<'_>> {
+        let r = router.index();
+        let (start, end) = (self.base[r] as usize, self.base[r + 1] as usize);
+        let guess = start + label.0.wrapping_sub(self.lo[r]) as usize;
+        let i = if guess < end && self.entries[guess].label == label.0 {
+            guess
+        } else {
+            self.search(start..end, label)?
+        };
+        Some(self.entry(i))
+    }
+
+    /// The slow path of [`LfibTables::get`]: labels strictly increase
+    /// along a row, so `label` sits at most `label - lo` entries in.
+    #[cold]
+    fn search(&self, row: std::ops::Range<usize>, label: Label) -> Option<usize> {
+        let lo = self.entries.get(row.start)?.label;
+        let upto = row.end.min(
+            row.start
+                .saturating_add((label.0.checked_sub(lo)? as usize) + 1),
+        );
+        self.entries[row.start..upto]
+            .binary_search_by_key(&label.0, |e| e.label)
             .ok()
-            .map(|i| &self.overflow[i].1)
+            .map(|i| row.start + i)
     }
 
-    fn insert(&mut self, label: Label, entry: LfibEntry) {
-        let v = label.0;
-        if self.window.is_empty() {
-            self.lo = v;
-            self.window.push(Some(entry));
-            self.len += 1;
-            self.absorb_overflow();
-            return;
-        }
-        let hi = self.lo + self.window.len() as u32;
-        if v >= self.lo && v < hi {
-            let slot = &mut self.window[(v - self.lo) as usize];
-            if slot.is_none() {
-                self.len += 1;
-            }
-            *slot = Some(entry);
-            return;
-        }
-        if v >= hi && v - self.lo < LFIB_WINDOW_SPAN {
-            self.window.resize_with((v - self.lo + 1) as usize, || None);
-            self.window[(v - self.lo) as usize] = Some(entry);
-            self.len += 1;
-            self.absorb_overflow();
-            return;
-        }
-        if v < self.lo && hi - v <= LFIB_WINDOW_SPAN {
-            let shift = (self.lo - v) as usize;
-            let mut grown: Vec<Option<LfibEntry>> = Vec::with_capacity(self.window.len() + shift);
-            grown.resize_with(shift, || None);
-            grown.append(&mut self.window);
-            self.window = grown;
-            self.lo = v;
-            self.window[0] = Some(entry);
-            self.len += 1;
-            self.absorb_overflow();
-            return;
-        }
-        match self.overflow.binary_search_by_key(&v, |&(l, _)| l) {
-            Ok(i) => self.overflow[i] = (v, entry),
-            Err(i) => {
-                self.overflow.insert(i, (v, entry));
-                self.len += 1;
-            }
-        }
+    fn iter(&self, router: RouterId) -> impl Iterator<Item = (Label, LfibRef<'_>)> + '_ {
+        self.row(router)
+            .map(|i| (Label(self.entries[i].label), self.entry(i)))
     }
 
-    /// Migrates overflow entries that the (re)grown window now covers,
-    /// so every label has exactly one home.
-    fn absorb_overflow(&mut self) {
-        if self.overflow.is_empty() {
-            return;
-        }
-        let lo = self.lo;
-        let hi = self.lo + self.window.len() as u32;
-        let mut kept = Vec::with_capacity(self.overflow.len());
-        for (v, e) in self.overflow.drain(..) {
-            if v >= lo && v < hi {
-                self.window[(v - lo) as usize] = Some(e);
-            } else {
-                kept.push((v, e));
+    /// A copy of the tables with `entry` installed (or overwritten)
+    /// under `label` at `router`.
+    fn with_entry(&self, router: RouterId, label: Label, entry: &LfibEntry) -> LfibTables {
+        let mut out = LfibTables::with_rows(self.lo.len());
+        for r in 0..self.lo.len() {
+            let rid = RouterId(r as u32);
+            let mut pending = (rid == router).then_some(entry);
+            for (l, e) in self.iter(rid) {
+                if let Some(new) = pending.filter(|_| label <= l) {
+                    out.push(label.0, new.slot, new.nexthops.iter().copied());
+                    pending = None;
+                    if label == l {
+                        continue; // overwritten
+                    }
+                }
+                out.push(l.0, e.slot, e.nexthops.iter().copied());
             }
+            if let Some(new) = pending {
+                out.push(label.0, new.slot, new.nexthops.iter().copied());
+            }
+            out.end_row();
         }
-        self.overflow = kept;
+        out.shrink();
+        out
     }
 
-    fn iter(&self) -> impl Iterator<Item = (Label, &LfibEntry)> + '_ {
-        let lo = self.lo;
-        self.window
-            .iter()
-            .enumerate()
-            .filter_map(move |(i, e)| e.as_ref().map(|e| (Label(lo + i as u32), e)))
-            .chain(self.overflow.iter().map(|(v, e)| (Label(*v), e)))
+    fn heap_bytes(&self) -> usize {
+        vec_bytes(&self.base)
+            + vec_bytes(&self.lo)
+            + vec_bytes(&self.entries)
+            + vec_bytes(&self.hops)
     }
 }
 
@@ -249,10 +346,11 @@ pub struct WalkIface {
     pub delay_ms: f64,
 }
 
-/// Addresses per page of the dense owner index (and the page
-/// alignment): the low 12 bits of an address index into a page, the
-/// high 20 bits select it.
-pub const OWNER_PAGE_SIZE: usize = 1 << 12;
+/// Blocks per directory page of the dense owner index, and addresses
+/// per block: an address's top 8 bits pick its /8's directory page, the
+/// next 12 its /20 block in that page, the low 12 its offset in the
+/// block.
+pub const OWNER_DIR_SIZE: usize = 1 << 12;
 
 /// The computed control plane of a network.
 #[derive(Debug, Clone)]
@@ -267,15 +365,16 @@ pub struct ControlPlane {
     pub bindings: LdpBindings,
     /// The intra-AS FIB CSR, as [`logical_fib`] emits it.
     fib: FibTables,
-    /// External forwarding, flattened row-major:
-    /// `ext[router.index() * ext_stride + dst_as_index]`. One flat
-    /// array instead of a `Vec<Vec<_>>` keeps the per-hop inter-AS
-    /// lookup a single indexed load with no pointer chase.
-    ext: Vec<ExtRoute>,
+    /// External forwarding, flattened row-major and packed
+    /// ([`ExtRoute::pack`]): `ext[router.index() * ext_stride +
+    /// dst_as_index]`. One flat array instead of a `Vec<Vec<_>>` keeps
+    /// the per-hop inter-AS lookup a single indexed load with no
+    /// pointer chase.
+    ext: Vec<u32>,
     /// Row stride of [`Self::ext`]: the number of ASes.
     ext_stride: usize,
-    /// Per-router dense LFIBs.
-    lfib: Vec<RouterLfib>,
+    /// Per-router LFIB rows.
+    lfib: LfibTables,
     /// Router → span of [`Self::te_routes`] headed there; length
     /// `num_routers + 1`. Almost every router heads no tunnel, so the
     /// miss path is two adjacent loads.
@@ -297,14 +396,19 @@ pub struct ControlPlane {
     /// Dense AS index of each router's own AS (`u32::MAX` = the AS is
     /// unregistered, which `NetworkBuilder` never produces).
     router_as_idx: Vec<u32>,
-    /// Level-1 page table of the dense address→owner index:
-    /// `addr >> 12` → base of a [`OWNER_PAGE_SIZE`]-entry page in
-    /// [`Self::owner_pool`] (`u32::MAX` = no address in that /20).
-    /// Addresses come from the builder's contiguous pools, so the
-    /// handful of live pages replace the per-leg owner hash with two
-    /// dependent array loads.
-    owner_page: Vec<u32>,
-    /// Concatenated owner pages: `owner router id + 1`, `0` = unowned.
+    /// First level of the dense address→owner index, inline so it
+    /// costs no pointer chase: `addr >> 24` → base of that /8's
+    /// [`OWNER_DIR_SIZE`]-entry page in [`Self::owner_dir`] (`u32::MAX`
+    /// = no address in the /8).
+    owner_top: [u32; 256],
+    /// Per used /8, one `(start, len)` run of [`Self::owner_pool`] per
+    /// /20 block: block offset `o` lives at `owner_pool[start + o]` when
+    /// `o < len`. The builder hands out addresses from the front of
+    /// each pool, so a run ends at the block's highest held address and
+    /// the runs tile the pool in directory order. Together the three
+    /// levels replace the per-leg owner hash with three array loads.
+    owner_dir: Vec<(u32, u32)>,
+    /// Concatenated runs: `owner router id + 1`, `0` = unowned.
     owner_pool: Vec<u32>,
     /// Per-router configuration byte (see [`walk`]).
     walk_flags: Vec<u8>,
@@ -317,6 +421,23 @@ pub struct ControlPlane {
     /// Flat interface records in router-then-interface order, indexed
     /// through [`Self::iface_slot_base`] (same CSR as `iface_slot`).
     walk_iface: Vec<WalkIface>,
+}
+
+/// Where an LFIB entry comes from while a router's row is assembled.
+#[derive(Copy, Clone)]
+enum LfibSource {
+    /// The LDP entry for this FEC slot.
+    Ldp(u32),
+    /// This index of the (router-grouped) TE transit program.
+    Te(usize),
+}
+
+/// The `owner_dir` index of `addr`'s /20 block and its offset in the
+/// block, under a first level that covers `addr`'s /8.
+#[inline]
+fn owner_slot(owner_top: &[u32; 256], addr: Addr) -> (usize, u32) {
+    let block = owner_top[(addr.0 >> 24) as usize] as usize + ((addr.0 >> 12) & 0xFFF) as usize;
+    (block, addr.0 & 0xFFF)
 }
 
 /// Phase-1 output for one AS: its IGP view and prefix table.
@@ -396,9 +517,15 @@ pub fn logical_fib(net: &Network, igp: &[AsIgp], as_prefixes: &[AsPrefixes]) -> 
         }
         owners.push((base, locals));
     }
+    let spans = home
+        .iter()
+        .filter(|&&(as_idx, _)| as_idx != NONE)
+        .map(|&(as_idx, _)| as_prefixes[as_idx as usize].len())
+        .sum();
     let mut fib = FibTables {
         base: Vec::with_capacity(n + 1),
-        ..FibTables::default()
+        spans: Vec::with_capacity(spans),
+        pool: Vec::new(),
     };
     for &(as_idx, ls) in &home {
         fib.base.push(fib.spans.len() as u32);
@@ -435,6 +562,7 @@ pub fn logical_fib(net: &Network, igp: &[AsIgp], as_prefixes: &[AsPrefixes]) -> 
         }
     }
     fib.base.push(fib.spans.len() as u32);
+    fib.pool.shrink_to_fit();
     fib
 }
 
@@ -457,14 +585,16 @@ pub fn ldp_label_action(bindings: &LdpBindings, next: RouterId, slot: u32) -> La
 /// next-hop set `hops`, each with its [`ldp_label_action`]. Used by
 /// [`ControlPlane::build`]; the D5xx verifier compares installed
 /// branches against [`ldp_label_action`] in place.
-pub fn ldp_lfib_hops(bindings: &LdpBindings, slot: u32, hops: &[(u32, RouterId)]) -> Vec<LfibHop> {
-    hops.iter()
-        .map(|&(iface, next)| LfibHop {
-            iface,
-            next,
-            action: ldp_label_action(bindings, next, slot),
-        })
-        .collect()
+pub fn ldp_lfib_hops<'a>(
+    bindings: &'a LdpBindings,
+    slot: u32,
+    hops: &'a [(u32, RouterId)],
+) -> impl Iterator<Item = LfibHop> + 'a {
+    hops.iter().map(move |&(iface, next)| LfibHop {
+        iface,
+        next,
+        action: ldp_label_action(bindings, next, slot),
+    })
 }
 
 /// The label program of every RSVP-TE tunnel: the transit LFIB entries
@@ -574,6 +704,7 @@ impl ControlPlane {
         use crate::wire::Wire as _;
         let mut out = Vec::new();
         self.bgp.put(&mut out);
+        // The packed words are exactly `Vec<ExtRoute>`'s encoding.
         self.ext.put(&mut out);
         out
     }
@@ -594,14 +725,19 @@ impl ControlPlane {
         use crate::wire::{Reader, Wire as _, WireError};
         let mut r = Reader::new(payload);
         let bgp = Bgp::take(&mut r).map_err(CachePayloadError::Decode)?;
-        let ext: Vec<ExtRoute> = Vec::take(&mut r).map_err(CachePayloadError::Decode)?;
+        let ext: Vec<u32> = Vec::take(&mut r).map_err(CachePayloadError::Decode)?;
         if !r.is_empty() {
             return Err(CachePayloadError::Decode(WireError::Corrupt(
                 "trailing bytes",
             )));
         }
+        if ext.iter().any(|&w| ExtRoute::unpack(w).is_none()) {
+            return Err(CachePayloadError::Decode(WireError::Corrupt(
+                "ExtRoute tag",
+            )));
+        }
         let n_as = net.as_list().len();
-        if ext.len() != n_as * net.num_routers() || bgp.next_as.len() != n_as {
+        if ext.len() != n_as * net.num_routers() || bgp.num_as() != n_as {
             return Err(CachePayloadError::Decode(WireError::Corrupt(
                 "cached table dimensions do not match the network",
             )));
@@ -618,7 +754,7 @@ impl ControlPlane {
         net: &Network,
         jobs: usize,
         bgp: Bgp,
-        cached_ext: Option<Vec<ExtRoute>>,
+        cached_ext: Option<Vec<u32>>,
     ) -> Result<ControlPlane, NetError> {
         let as_list = net.as_list();
         let n_as = as_list.len();
@@ -658,12 +794,12 @@ impl ControlPlane {
         // External routes with hot-potato egress selection (or the
         // cached table, which this loop produced on a previous build).
         let compute_ext = cached_ext.is_none();
-        let mut ext =
-            cached_ext.unwrap_or_else(|| vec![ExtRoute::Unreachable; n_as * net.num_routers()]);
+        let mut ext = cached_ext
+            .unwrap_or_else(|| vec![ExtRoute::Unreachable.pack(); n_as * net.num_routers()]);
         // Per source AS: its borders' inter-AS interfaces as
         // `(border, iface, peer AS index, border local index)`, resolved
         // once instead of per destination AS.
-        let mut links: Vec<(RouterId, u32, usize, usize)> = Vec::new();
+        let mut links: Vec<(RouterId, u32, u32, usize)> = Vec::new();
         // Per destination: the `(border, iface, border local index)`
         // candidates reaching a best next AS.
         let mut candidates: Vec<(RouterId, u32, usize)> = Vec::new();
@@ -683,7 +819,7 @@ impl ControlPlane {
                     let peer_idx = net
                         .as_index(peer_as)
                         .ok_or(NetError::UnregisteredAs { asn: peer_as })?;
-                    links.push((b, idx as u32, peer_idx, lb));
+                    links.push((b, idx as u32, peer_idx as u32, lb));
                 }
             }
             #[allow(clippy::needless_range_loop)] // dst_as indexes two tables
@@ -709,7 +845,7 @@ impl ControlPlane {
                 }
                 for (lr, &rid) in members.iter().enumerate() {
                     if let Some(&(_, iface, _)) = candidates.iter().find(|c| c.0 == rid) {
-                        ext[rid.index() * n_as + dst_as] = ExtRoute::Direct { iface };
+                        ext[rid.index() * n_as + dst_as] = ExtRoute::Direct { iface }.pack();
                         continue;
                     }
                     // Nearest candidate border (hot potato).
@@ -719,42 +855,65 @@ impl ControlPlane {
                         .min();
                     if let Some((d, egress)) = choice {
                         if d < crate::igp::INF {
-                            ext[rid.index() * n_as + dst_as] = ExtRoute::ViaEgress { egress };
+                            ext[rid.index() * n_as + dst_as] =
+                                ExtRoute::ViaEgress { egress }.pack();
                         }
                     }
                 }
             }
         }
 
-        // LFIBs: one entry per real incoming label.
-        let mut lfib: Vec<RouterLfib> = vec![RouterLfib::default(); net.num_routers()];
-        for ap in as_prefixes.iter() {
-            for &rid in net.as_members(ap.asn) {
-                for (slot, value) in bindings.advertisements(rid) {
-                    let LabelValue::Real(in_label) = value else {
-                        continue;
-                    };
-                    let hops = ldp_lfib_hops(&bindings, slot, fib.hops(rid, slot));
-                    if !hops.is_empty() {
-                        lfib[rid.index()].insert(
-                            in_label,
-                            LfibEntry {
-                                slot,
-                                nexthops: hops,
-                            },
-                        );
+        // LFIBs: one entry per real incoming label with a next hop,
+        // plus the RSVP-TE label chain at every transit LSR. Per router
+        // the labels form a `(label, precedence, source)` list: a TE
+        // entry overrides an LDP one on the same label and a later
+        // tunnel an earlier one, then the row is written in label order.
+        let (mut te_transit, te_list) = te_program(net)?;
+        // Grouped by router; the stable sort keeps tunnel order.
+        te_transit.sort_by_key(|&(rid, _, _)| rid);
+        let mut lfib = LfibTables::with_rows(net.num_routers());
+        // Upper bounds (an LDP entry is one FIB span and its hops), so
+        // the pools never regrow; `shrink` trims them afterwards.
+        lfib.entries.reserve(fib.spans.len() + te_transit.len());
+        lfib.hops.reserve(fib.pool.len() + te_transit.len());
+        let mut row: Vec<(u32, usize, LfibSource)> = Vec::new();
+        let mut te_next = 0;
+        for r in net.routers() {
+            row.clear();
+            for (slot, value) in bindings.advertisements(r.id) {
+                if let LabelValue::Real(in_label) = value {
+                    if !fib.hops(r.id, slot).is_empty() {
+                        row.push((in_label.0, row.len(), LfibSource::Ldp(slot)));
                     }
                 }
             }
+            while te_next < te_transit.len() && te_transit[te_next].0 == r.id {
+                row.push((te_transit[te_next].1 .0, row.len(), LfibSource::Te(te_next)));
+                te_next += 1;
+            }
+            row.sort_unstable_by_key(|&(label, precedence, _)| {
+                (label, std::cmp::Reverse(precedence))
+            });
+            row.dedup_by_key(|e| e.0);
+            for &(label, _, source) in &row {
+                match source {
+                    LfibSource::Ldp(slot) => lfib.push(
+                        label,
+                        slot,
+                        ldp_lfib_hops(&bindings, slot, fib.hops(r.id, slot)),
+                    ),
+                    LfibSource::Te(t) => {
+                        let entry = &te_transit[t].2;
+                        lfib.push(label, entry.slot, entry.nexthops.iter().copied())
+                    }
+                }
+            }
+            lfib.end_row();
         }
+        lfib.shrink();
 
-        // RSVP-TE tunnels: validate paths, install the label chain at
-        // every transit LSR, and flatten the heads' autoroute decisions
-        // into a CSR table grouped by head.
-        let (te_transit, te_list) = te_program(net)?;
-        for (cur, in_label, entry) in te_transit {
-            lfib[cur.index()].insert(in_label, entry);
-        }
+        // Flatten the TE heads' autoroute decisions into a CSR table
+        // grouped by head.
         let mut te_heads = Vec::with_capacity(net.num_routers() + 1);
         let mut te_routes = Vec::with_capacity(te_list.len());
         let mut cursor = 0usize;
@@ -775,8 +934,9 @@ impl ControlPlane {
         // is resolved here, once, instead of per packet leg.
         let mut loopback_slot = vec![u32::MAX; net.num_routers()];
         let mut router_as_idx = vec![u32::MAX; net.num_routers()];
+        let num_ifaces = net.routers().iter().map(|r| r.ifaces.len()).sum();
         let mut iface_slot_base = Vec::with_capacity(net.num_routers() + 1);
-        let mut iface_slot = Vec::new();
+        let mut iface_slot = Vec::with_capacity(num_ifaces);
         iface_slot_base.push(0u32);
         for (i, r) in net.routers().iter().enumerate() {
             match net.as_index(r.asn) {
@@ -795,27 +955,40 @@ impl ControlPlane {
             iface_slot_base.push(iface_slot.len() as u32);
         }
 
-        // Dense address→owner index. Walking the routers (not the owner
-        // hash) keeps page allocation order — and thus the table bytes —
+        // Dense address→owner index, sized in three passes over the
+        // routers' addresses: mark the used /8s, stretch each /20
+        // block's run to its highest held offset, then fill the runs.
+        // Walking the routers (not the owner hash) keeps the table bytes
         // deterministic across builds and job counts.
-        let mut owner_page = vec![u32::MAX; 1 << 20];
-        let mut owner_pool: Vec<u32> = Vec::new();
-        {
-            let mut index = |addr: Addr, rid: RouterId| {
-                let hi = (addr.0 >> 12) as usize;
-                if owner_page[hi] == u32::MAX {
-                    owner_page[hi] = owner_pool.len() as u32;
-                    owner_pool.resize(owner_pool.len() + OWNER_PAGE_SIZE, 0);
-                }
-                let base = owner_page[hi] as usize;
-                owner_pool[base + (addr.0 & 0xFFF) as usize] = rid.0 + 1;
-            };
-            for r in net.routers() {
-                index(r.loopback, r.id);
-                for ifc in &r.ifaces {
-                    index(ifc.addr, r.id);
-                }
-            }
+        let addrs = || {
+            net.routers().iter().flat_map(|r| {
+                std::iter::once((r.loopback, r.id)).chain(r.ifaces.iter().map(|i| (i.addr, r.id)))
+            })
+        };
+        let mut owner_top = [u32::MAX; 256];
+        for (addr, _) in addrs() {
+            owner_top[(addr.0 >> 24) as usize] = 0;
+        }
+        let mut pages = 0u32;
+        for top in owner_top.iter_mut().filter(|t| **t == 0) {
+            *top = pages * OWNER_DIR_SIZE as u32;
+            pages += 1;
+        }
+        let mut owner_dir = vec![(0u32, 0u32); pages as usize * OWNER_DIR_SIZE];
+        for (addr, _) in addrs() {
+            let (block, off) = owner_slot(&owner_top, addr);
+            let run = &mut owner_dir[block];
+            run.1 = run.1.max(off + 1);
+        }
+        let mut cursor = 0u32;
+        for run in &mut owner_dir {
+            run.0 = cursor;
+            cursor += run.1;
+        }
+        let mut owner_pool = vec![0u32; cursor as usize];
+        for (addr, rid) in addrs() {
+            let (block, off) = owner_slot(&owner_top, addr);
+            owner_pool[(owner_dir[block].0 + off) as usize] = rid.0 + 1;
         }
 
         // Flat walk tables: the per-router configuration byte, vendor
@@ -879,7 +1052,8 @@ impl ControlPlane {
             iface_slot_base,
             iface_slot,
             router_as_idx,
-            owner_page,
+            owner_top,
+            owner_dir,
             owner_pool,
             walk_flags,
             walk_te_ttl,
@@ -889,22 +1063,29 @@ impl ControlPlane {
         })
     }
 
-    /// The router owning `addr`, through the dense owner index — two
-    /// dependent array loads, the replacement for the per-leg owner
-    /// hash. Agrees with [`Network::owner`] by construction (the D512
-    /// dense-plane rule cross-checks it against the routers).
+    /// The router owning `addr`, through the dense owner index — three
+    /// array loads, the first from the plane itself — the replacement
+    /// for the per-leg owner hash. Agrees with [`Network::owner`] by
+    /// construction (the D512 dense-plane rule cross-checks it against
+    /// the routers).
     #[inline]
     pub fn owner_of(&self, addr: Addr) -> Option<RouterId> {
-        let page = self.owner_page[(addr.0 >> 12) as usize];
-        if page == u32::MAX {
+        match self.owner_pool[self.owner_pos(addr)?] {
+            0 => None,
+            v => Some(RouterId(v - 1)),
+        }
+    }
+
+    /// The position of `addr` in the owner pool, when its block run
+    /// covers it.
+    #[inline]
+    fn owner_pos(&self, addr: Addr) -> Option<usize> {
+        if self.owner_top[(addr.0 >> 24) as usize] == u32::MAX {
             return None;
         }
-        let v = self.owner_pool[page as usize + (addr.0 & 0xFFF) as usize];
-        if v == 0 {
-            None
-        } else {
-            Some(RouterId(v - 1))
-        }
+        let (block, off) = owner_slot(&self.owner_top, addr);
+        let (start, len) = self.owner_dir[block];
+        (off < len).then_some((start + off) as usize)
     }
 
     /// The walk-table configuration byte of `router` (see [`walk`]).
@@ -984,32 +1165,39 @@ impl ControlPlane {
     /// `dst_as`.
     #[inline]
     pub fn ext_route(&self, router: RouterId, dst_as: usize) -> ExtRoute {
-        self.ext[router.index() * self.ext_stride + dst_as]
+        // Every stored word unpacks: the build packs it, and a cached
+        // table is checked on load.
+        ExtRoute::unpack(self.ext[router.index() * self.ext_stride + dst_as])
+            .unwrap_or(ExtRoute::Unreachable)
     }
 
     /// The LFIB entry of `router` for incoming `label`.
     #[inline]
-    pub fn lfib_entry(&self, router: RouterId, label: Label) -> Option<&LfibEntry> {
-        self.lfib[router.index()].get(label)
+    pub fn lfib_entry(&self, router: RouterId, label: Label) -> Option<LfibRef<'_>> {
+        self.lfib.get(router, label)
     }
 
     /// Number of LFIB entries installed at `router`.
     pub fn lfib_size(&self, router: RouterId) -> usize {
-        self.lfib[router.index()].len
+        self.lfib.row(router).len()
     }
 
     /// Iterates over every LFIB entry installed at `router`, as
-    /// `(incoming label, entry)` pairs (arbitrary order).
-    pub fn lfib_entries(&self, router: RouterId) -> impl Iterator<Item = (Label, &LfibEntry)> + '_ {
-        self.lfib[router.index()].iter()
+    /// `(incoming label, entry)` pairs in increasing label order.
+    pub fn lfib_entries(
+        &self,
+        router: RouterId,
+    ) -> impl Iterator<Item = (Label, LfibRef<'_>)> + '_ {
+        self.lfib.iter(router)
     }
 
     /// Installs (or overwrites) an LFIB entry at `router` — a what-if
     /// mutator for fault-injection studies and for exercising the
     /// static checks: `build` only ever produces consistent LFIBs, so
-    /// dangling label-swaps can only be created deliberately.
+    /// dangling label-swaps can only be created deliberately. Rewrites
+    /// the pools, so it costs a pass over every installed entry.
     pub fn inject_lfib_entry(&mut self, router: RouterId, label: Label, entry: LfibEntry) {
-        self.lfib[router.index()].insert(label, entry);
+        self.lfib = self.lfib.with_entry(router, label, &entry);
     }
 
     /// The TE autoroute decision at `head` for traffic towards `tail`
@@ -1041,27 +1229,70 @@ impl ControlPlane {
             fib_base: &self.fib.base,
             fib_spans: &self.fib.spans,
             fib_pool: &self.fib.pool,
+            lfib_base: &self.lfib.base,
+            lfib_lo: &self.lfib.lo,
+            lfib_entries: &self.lfib.entries,
+            lfib_hops: &self.lfib.hops,
             te_heads: &self.te_heads,
             te_routes: &self.te_routes,
             loopback_slot: &self.loopback_slot,
             iface_slot_base: &self.iface_slot_base,
             iface_slot: &self.iface_slot,
             router_as_idx: &self.router_as_idx,
-            owner_page: &self.owner_page,
+            owner_top: &self.owner_top,
+            owner_dir: &self.owner_dir,
             owner_pool: &self.owner_pool,
         }
     }
 
-    /// Borrows the raw window/overflow representation of `router`'s
-    /// LFIB, for the D5xx dense-plane verifier.
-    pub fn lfib_raw(&self, router: RouterId) -> LfibRaw<'_> {
-        let t = &self.lfib[router.index()];
-        LfibRaw {
-            lo: t.lo,
-            window: &t.window,
-            overflow: &t.overflow,
-            len: t.len,
-        }
+    /// The heap each table of the plane reserves, in bytes (capacity ×
+    /// element size, nested vectors included), in a fixed table order.
+    /// The inline first level of the owner index is part of the plane
+    /// itself and not counted.
+    pub fn table_bytes(&self) -> Vec<(&'static str, usize)> {
+        vec![
+            (
+                "igp",
+                vec_bytes(&self.igp) + self.igp.iter().map(AsIgp::heap_bytes).sum::<usize>(),
+            ),
+            (
+                "prefixes",
+                vec_bytes(&self.as_prefixes)
+                    + self
+                        .as_prefixes
+                        .iter()
+                        .map(AsPrefixes::heap_bytes)
+                        .sum::<usize>(),
+            ),
+            ("bgp", self.bgp.heap_bytes()),
+            ("ldp bindings", self.bindings.heap_bytes()),
+            (
+                "fib",
+                vec_bytes(&self.fib.base) + vec_bytes(&self.fib.spans) + vec_bytes(&self.fib.pool),
+            ),
+            ("ext", vec_bytes(&self.ext)),
+            ("lfib", self.lfib.heap_bytes()),
+            ("te", vec_bytes(&self.te_heads) + vec_bytes(&self.te_routes)),
+            (
+                "dst resolution",
+                vec_bytes(&self.loopback_slot)
+                    + vec_bytes(&self.iface_slot_base)
+                    + vec_bytes(&self.iface_slot)
+                    + vec_bytes(&self.router_as_idx),
+            ),
+            (
+                "owner index",
+                vec_bytes(&self.owner_dir) + vec_bytes(&self.owner_pool),
+            ),
+            (
+                "walk",
+                vec_bytes(&self.walk_flags)
+                    + vec_bytes(&self.walk_te_ttl)
+                    + vec_bytes(&self.walk_er_ttl)
+                    + vec_bytes(&self.walk_loopback)
+                    + vec_bytes(&self.walk_iface),
+            ),
+        ]
     }
 }
 
@@ -1075,6 +1306,17 @@ pub struct DenseView<'a> {
     pub fib_spans: &'a [(u32, u32)],
     /// Concatenated ECMP next-hop sets `(iface index, next router)`.
     pub fib_pool: &'a [(u32, RouterId)],
+    /// Router → first entry of its LFIB row in `lfib_entries`; length
+    /// `num_routers + 1`.
+    pub lfib_base: &'a [u32],
+    /// Label of each router's first LFIB entry (`0` for an empty row).
+    pub lfib_lo: &'a [u32],
+    /// Installed LFIB entries, row after row, labels strictly
+    /// increasing within a row.
+    pub lfib_entries: &'a [LfibRecord],
+    /// Concatenated LFIB branches; an entry's run ends where the next
+    /// entry's starts.
+    pub lfib_hops: &'a [LfibHop],
     /// Router → span of `te_routes` headed there; length
     /// `num_routers + 1`.
     pub te_heads: &'a [u32],
@@ -1088,25 +1330,12 @@ pub struct DenseView<'a> {
     pub iface_slot: &'a [u32],
     /// Dense AS index of each router's own AS (`u32::MAX` = none).
     pub router_as_idx: &'a [u32],
-    /// Level-1 page table of the dense owner index (`u32::MAX` = no
-    /// page for that /20).
-    pub owner_page: &'a [u32],
-    /// Concatenated owner pages (`owner id + 1`, `0` = unowned).
+    /// `/8` → base of its page in `owner_dir` (`u32::MAX` = none).
+    pub owner_top: &'a [u32; 256],
+    /// Per used /8, one `(start, len)` run of `owner_pool` per /20.
+    pub owner_dir: &'a [(u32, u32)],
+    /// Concatenated runs (`owner id + 1`, `0` = unowned).
     pub owner_pool: &'a [u32],
-}
-
-/// A read-only borrow of one router's raw LFIB representation (see
-/// [`ControlPlane::lfib_raw`]).
-#[derive(Copy, Clone, Debug)]
-pub struct LfibRaw<'a> {
-    /// Label value of `window[0]`.
-    pub lo: u32,
-    /// `window[label - lo]`, `None` for gaps.
-    pub window: &'a [Option<LfibEntry>],
-    /// Entries outside the window, sorted by label value.
-    pub overflow: &'a [(u32, LfibEntry)],
-    /// Claimed number of installed entries.
-    pub len: usize,
 }
 
 /// Test-only mutation hooks (`mutation` cargo feature): `&mut` access
@@ -1160,28 +1389,35 @@ impl ControlPlane {
         &mut self.router_as_idx
     }
 
-    /// Mutable LFIB overflow list of `router`.
-    pub fn lfib_overflow_mut(&mut self, router: RouterId) -> &mut Vec<(u32, LfibEntry)> {
-        &mut self.lfib[router.index()].overflow
+    /// Mutable LFIB row offsets.
+    pub fn lfib_base_mut(&mut self) -> &mut Vec<u32> {
+        &mut self.lfib.base
     }
 
-    /// Mutable LFIB window of `router`.
-    pub fn lfib_window_mut(&mut self, router: RouterId) -> &mut Vec<Option<LfibEntry>> {
-        &mut self.lfib[router.index()].window
+    /// Mutable LFIB entry pool.
+    pub fn lfib_entries_mut(&mut self) -> &mut Vec<LfibRecord> {
+        &mut self.lfib.entries
     }
 
-    /// Rebinds `addr` to `owner` in the dense owner index without
-    /// touching the routers that actually hold the address (test-only
-    /// mutation hook for the D512 owner-index invariant check).
+    /// Mutable LFIB branch pool.
+    pub fn lfib_hops_mut(&mut self) -> &mut Vec<LfibHop> {
+        &mut self.lfib.hops
+    }
+
+    /// Mutable owner-index block directory.
+    pub fn owner_dir_mut(&mut self) -> &mut Vec<(u32, u32)> {
+        &mut self.owner_dir
+    }
+
+    /// Rebinds the indexed address `addr` to `owner` in the dense owner
+    /// index without touching the routers that actually hold it
+    /// (test-only mutation hook for the D512 owner-index invariant
+    /// check). Panics when the index does not cover `addr`.
     pub fn poison_owner_index(&mut self, addr: Addr, owner: RouterId) {
-        let hi = (addr.0 >> 12) as usize;
-        if self.owner_page[hi] == u32::MAX {
-            self.owner_page[hi] = self.owner_pool.len() as u32;
-            self.owner_pool
-                .resize(self.owner_pool.len() + OWNER_PAGE_SIZE, 0);
-        }
-        let base = self.owner_page[hi] as usize;
-        self.owner_pool[base + (addr.0 & 0xFFF) as usize] = owner.0 + 1;
+        let pos = self
+            .owner_pos(addr)
+            .expect("the owner index covers the address");
+        self.owner_pool[pos] = owner.0 + 1;
     }
 }
 
@@ -1330,36 +1566,74 @@ mod tests {
     }
 
     #[test]
-    fn lfib_window_handles_sparse_and_injected_labels() {
-        // A dense run, a far-away TE-style label, and labels straddling
-        // the window edges must all round-trip through the same table.
-        let mut t = RouterLfib::default();
+    fn lfib_rows_handle_sparse_and_injected_labels() {
+        // A dense run with a gap, a far-away TE-style label, and
+        // injected labels before, inside and after the run must all
+        // round-trip through the same rows.
+        let hop = |iface: u32| LfibHop {
+            iface,
+            next: RouterId(1),
+            action: LabelAction::Pop,
+        };
+        let mut t = LfibTables::with_rows(2);
+        t.end_row(); // router 0: empty
+        for v in [18u32, 19, 20, 22, 500_007] {
+            t.push(v, v, [hop(v), hop(v + 1)]);
+        }
+        t.end_row();
+        let r = RouterId(1);
+        assert_eq!((t.row(RouterId(0)).len(), t.row(r).len()), (0, 5));
+        assert!(t.get(RouterId(0), Label(18)).is_none());
+        for v in [18u32, 19, 20, 22, 500_007] {
+            let e = t.get(r, Label(v)).unwrap_or_else(|| panic!("label {v}"));
+            assert_eq!((e.slot, e.nexthops), (v, &[hop(v), hop(v + 1)][..]));
+        }
+        for v in [0u32, 17, 21, 23, 500_008] {
+            assert!(t.get(r, Label(v)).is_none(), "label {v}");
+        }
         let entry = |slot: u32| LfibEntry {
             slot,
-            nexthops: vec![LfibHop {
-                iface: 0,
-                next: RouterId(1),
-                action: LabelAction::Pop,
-            }],
+            nexthops: vec![hop(slot)],
         };
-        for v in [20u32, 18, 19, 22] {
-            t.insert(Label(v), entry(v));
+        let t = t
+            .with_entry(r, Label(16), &entry(16)) // before the run
+            .with_entry(r, Label(21), &entry(21)) // fills the gap
+            .with_entry(r, Label(20), &entry(99)) // overwrites
+            .with_entry(r, Label(700_000), &entry(7)); // after TE
+        let labels: Vec<u32> = t.iter(r).map(|(l, _)| l.0).collect();
+        assert_eq!(labels, [16, 18, 19, 20, 21, 22, 500_007, 700_000]);
+        assert_eq!(t.lo, [0, 16]);
+        let e = t.get(r, Label(20)).unwrap();
+        assert_eq!((e.slot, e.nexthops), (99, &[hop(99)][..]));
+        let e = t.get(r, Label(22)).unwrap();
+        assert_eq!(e.nexthops, &[hop(22), hop(23)][..]);
+        assert_eq!(t.get(r, Label(700_000)).unwrap().slot, 7);
+    }
+
+    #[test]
+    fn owner_index_covers_exactly_the_held_addresses() {
+        let (net, _) = line_net();
+        let cp = ControlPlane::build(&net).unwrap();
+        for r in net.routers() {
+            assert_eq!(cp.owner_of(r.loopback), Some(r.id));
+            for i in &r.ifaces {
+                assert_eq!(cp.owner_of(i.addr), Some(r.id));
+                assert_eq!(cp.owner_of(Addr(i.addr.0 + 4096)), None);
+            }
         }
-        t.insert(Label(500_007), entry(7)); // overflow (TE range)
-        t.insert(Label(16), entry(16)); // front growth
-        assert_eq!(t.len, 6);
-        for v in [16u32, 18, 19, 20, 22] {
-            assert_eq!(t.get(Label(v)).map(|e| e.slot), Some(v), "label {v}");
-        }
-        assert_eq!(t.get(Label(500_007)).map(|e| e.slot), Some(7));
-        assert!(t.get(Label(17)).is_none());
-        assert!(t.get(Label(21)).is_none());
-        assert!(t.get(Label(500_008)).is_none());
-        // Overwrites don't double-count.
-        t.insert(Label(20), entry(99));
-        assert_eq!(t.len, 6);
-        assert_eq!(t.get(Label(20)).map(|e| e.slot), Some(99));
-        assert_eq!(t.iter().count(), 6);
+        assert_eq!(cp.owner_of(Addr::new(192, 0, 2, 1)), None);
+        // Each run ends at its block's highest held address.
+        let v = cp.dense_view();
+        let held = net
+            .routers()
+            .iter()
+            .map(|r| 1 + r.ifaces.len())
+            .sum::<usize>();
+        assert!(
+            v.owner_pool.len() < 2 * held + 8,
+            "{} entries",
+            v.owner_pool.len()
+        );
     }
 
     #[test]

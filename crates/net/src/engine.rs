@@ -38,7 +38,7 @@
 
 use crate::addr::Addr;
 use crate::batch::{BatchLanes, BATCH_WIDTH};
-use crate::control::{walk, ControlPlane, ExtRoute, LabelAction, LfibEntry};
+use crate::control::{walk, ControlPlane, ExtRoute, LabelAction};
 use crate::fault::FaultPlan;
 use crate::ids::{Label, RouterId};
 use crate::net::Network;
@@ -770,12 +770,11 @@ impl<'a> Engine<'a> {
                 let Some(entry) = self.sub.cp.lfib_entry(cur, top.label) else {
                     return Some(f.drop_here(DropReason::BadLabel));
                 };
-                let entry: &LfibEntry = entry;
                 if top.ttl <= 1 {
                     // LSE expiry: the reply is label-switched to the
                     // end of the LSP unless we are the penultimate
                     // hop (whose action pops the last label).
-                    let hop = pick(&entry.nexthops, f.pkt.flow, self.ecmp_salt(cur, &f.pkt));
+                    let hop = pick(entry.nexthops, f.pkt.flow, self.ecmp_salt(cur, &f.pkt));
                     let downstream = match hop.action {
                         LabelAction::Swap(l) => Some((l, hop.iface, hop.next)),
                         LabelAction::SwapExplicitNull => {
@@ -786,7 +785,7 @@ impl<'a> Engine<'a> {
                     let path = std::mem::take(&mut f.path);
                     return Some(self.icmp_expired(cur, &f.pkt, f.in_iface_addr, downstream, path));
                 }
-                let hop = *pick(&entry.nexthops, f.pkt.flow, self.ecmp_salt(cur, &f.pkt));
+                let hop = *pick(entry.nexthops, f.pkt.flow, self.ecmp_salt(cur, &f.pkt));
                 match hop.action {
                     LabelAction::Swap(l) => {
                         if let Some(lse) = f.pkt.stack.top_mut() {

@@ -99,6 +99,7 @@ impl AsIgp {
                 fh_index.push(fh_data.len() as u32);
             }
         }
+        fh_data.shrink_to_fit();
         AsIgp {
             asn,
             members,
@@ -159,6 +160,16 @@ impl AsIgp {
     pub fn find_unreachable(&self) -> Option<RouterId> {
         let row = self.dist.first()?;
         row.iter().position(|&d| d >= INF).map(|i| self.members[i])
+    }
+
+    /// Heap bytes reserved by the view's tables.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        use crate::control::vec_bytes;
+        vec_bytes(&self.members)
+            + vec_bytes(&self.dist)
+            + self.dist.iter().map(vec_bytes).sum::<usize>()
+            + vec_bytes(&self.fh_index)
+            + vec_bytes(&self.fh_data)
     }
 
     /// The raw first-hop CSR `(fh_index, fh_data)`, for the D5xx

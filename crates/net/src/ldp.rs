@@ -29,31 +29,70 @@ pub enum LabelValue {
 /// `pool[base[i]..base[i+1]]`, directly indexed by slot — because
 /// [`LdpBindings::advertised`] runs once per IP hop on the packet
 /// walk's hot path, where a per-router hash map lookup was measurable.
+/// Each advertisement is packed into one `u32` ([`LdpBindings::pack`]):
+/// labels are 20-bit values, so the top of the range holds the two
+/// null modes and the "not advertised" sentinel.
 #[derive(Debug, Clone)]
 pub struct LdpBindings {
     /// `num_routers + 1` offsets into `pool`.
     base: Vec<u32>,
-    /// Slot-indexed advertisements; `None` marks a slot the router does
-    /// not advertise (e.g. non-/32 prefixes under `LoopbackOnly`).
-    pool: Vec<Option<LabelValue>>,
+    /// Slot-indexed packed advertisements; [`LdpBindings::NONE`] marks
+    /// a slot the router does not advertise (e.g. non-/32 prefixes
+    /// under `LoopbackOnly`).
+    pool: Vec<u32>,
 }
 
 impl LdpBindings {
+    /// Packed "not advertised" slot.
+    const NONE: u32 = u32::MAX;
+    /// Packed implicit null.
+    const IMPLICIT_NULL: u32 = u32::MAX - 1;
+    /// Packed explicit null.
+    const EXPLICIT_NULL: u32 = u32::MAX - 2;
+
+    /// Packs an advertisement into its pool word.
+    #[inline]
+    fn pack(value: LabelValue) -> u32 {
+        match value {
+            LabelValue::ImplicitNull => Self::IMPLICIT_NULL,
+            LabelValue::ExplicitNull => Self::EXPLICIT_NULL,
+            LabelValue::Real(l) => {
+                debug_assert!(
+                    l.0 < Self::EXPLICIT_NULL,
+                    "label {l} collides with a sentinel"
+                );
+                l.0
+            }
+        }
+    }
+
+    /// Unpacks a pool word written by [`LdpBindings::pack`].
+    #[inline]
+    pub fn unpack(word: u32) -> Option<LabelValue> {
+        match word {
+            Self::NONE => None,
+            Self::IMPLICIT_NULL => Some(LabelValue::ImplicitNull),
+            Self::EXPLICIT_NULL => Some(LabelValue::ExplicitNull),
+            l => Some(LabelValue::Real(Label(l))),
+        }
+    }
+
     /// Computes every router's advertisements.
     pub fn compute(net: &Network, as_prefixes: &[AsPrefixes]) -> LdpBindings {
-        let mut scratch: Vec<Vec<Option<LabelValue>>> = vec![Vec::new(); net.num_routers()];
-        for (as_idx, ap) in as_prefixes.iter().enumerate() {
-            debug_assert_eq!(net.as_index(ap.asn), Some(as_idx));
-            for &rid in net.as_members(ap.asn) {
-                let r = net.router(rid);
-                if !r.config.mpls || r.config.ldp_policy == LdpPolicy::None {
-                    continue;
-                }
+        let mut base = Vec::with_capacity(net.num_routers() + 1);
+        let mut pool = Vec::new();
+        base.push(0u32);
+        for r in net.routers() {
+            let runs_ldp = r.config.mpls && r.config.ldp_policy != LdpPolicy::None;
+            let table = net.as_index(r.asn).and_then(|i| as_prefixes.get(i));
+            if let Some(ap) = table.filter(|_| runs_ldp) {
+                let rid = r.id;
                 // Offset the label space per router so adjacent LSRs
                 // quote visibly distinct labels (as real tables do).
                 let mut next_label = Label::FIRST_DYNAMIC.0 + (rid.0 % 61);
-                let table = &mut scratch[rid.index()];
-                table.resize(ap.len(), None);
+                let start = pool.len();
+                pool.resize(start + ap.len(), Self::NONE);
+                let table = &mut pool[start..];
                 for slot in 0..ap.len() as u32 {
                     let prefix = ap.prefix(slot);
                     let advertise = match r.config.ldp_policy {
@@ -74,17 +113,12 @@ impl LdpBindings {
                         next_label += 1;
                         LabelValue::Real(l)
                     };
-                    table[slot as usize] = Some(value);
+                    table[slot as usize] = Self::pack(value);
                 }
             }
-        }
-        let mut base = Vec::with_capacity(scratch.len() + 1);
-        let mut pool = Vec::new();
-        base.push(0u32);
-        for table in &scratch {
-            pool.extend_from_slice(table);
             base.push(pool.len() as u32);
         }
+        pool.shrink_to_fit();
         LdpBindings { base, pool }
     }
 
@@ -96,7 +130,7 @@ impl LdpBindings {
         let end = self.base[router.index() + 1] as usize;
         let i = start + slot as usize;
         if i < end {
-            self.pool[i]
+            Self::unpack(self.pool[i])
         } else {
             None
         }
@@ -109,7 +143,7 @@ impl LdpBindings {
         self.pool[start..end]
             .iter()
             .enumerate()
-            .filter_map(|(slot, v)| v.map(|v| (slot as u32, v)))
+            .filter_map(|(slot, &w)| Self::unpack(w).map(|v| (slot as u32, v)))
     }
 
     /// Number of FECs `router` advertises.
@@ -117,10 +151,15 @@ impl LdpBindings {
         self.advertisements(router).count()
     }
 
-    /// The raw CSR representation `(base, pool)`, for the D5xx
+    /// The raw CSR representation `(base, packed pool)`, for the D5xx
     /// dense-plane verifier's well-formedness checks.
-    pub fn csr(&self) -> (&[u32], &[Option<LabelValue>]) {
+    pub fn csr(&self) -> (&[u32], &[u32]) {
         (&self.base, &self.pool)
+    }
+
+    /// Heap bytes reserved by the two tables.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        crate::control::vec_bytes(&self.base) + crate::control::vec_bytes(&self.pool)
     }
 
     /// Mutable CSR offsets (test-only mutation hook).
@@ -131,7 +170,7 @@ impl LdpBindings {
 
     /// Mutable advertisement pool (test-only mutation hook).
     #[cfg(feature = "mutation")]
-    pub fn pool_mut(&mut self) -> &mut Vec<Option<LabelValue>> {
+    pub fn pool_mut(&mut self) -> &mut Vec<u32> {
         &mut self.pool
     }
 }

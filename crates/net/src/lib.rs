@@ -70,8 +70,8 @@ pub use batch::BATCH_WIDTH;
 pub use bgp::{Bgp, RouteClass};
 pub use control::{
     ldp_label_action, ldp_lfib_hops, logical_fib, te_program, walk, CachePayloadError,
-    ControlPlane, DenseView, ExtRoute, FibTables, LabelAction, LfibEntry, LfibHop, LfibRaw,
-    TeRoute, WalkIface, OWNER_PAGE_SIZE,
+    ControlPlane, DenseView, ExtRoute, FibTables, LabelAction, LfibEntry, LfibHop, LfibRecord,
+    LfibRef, TeRoute, WalkIface, OWNER_DIR_SIZE,
 };
 pub use engine::{DropReason, Engine, EngineOpts, EngineStats, ReplyInfo, ReplyKind, SendOutcome};
 pub use error::NetError;

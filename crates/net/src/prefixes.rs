@@ -76,6 +76,15 @@ impl AsPrefixes {
         &self.owners[slot as usize]
     }
 
+    /// Heap bytes reserved by the table, its owner sets and its trie.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        use crate::control::vec_bytes;
+        vec_bytes(&self.prefixes)
+            + vec_bytes(&self.owners)
+            + self.owners.iter().map(vec_bytes).sum::<usize>()
+            + self.lpm.heap_bytes()
+    }
+
     /// Number of prefixes.
     pub fn len(&self) -> usize {
         self.prefixes.len()

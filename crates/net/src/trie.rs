@@ -45,6 +45,11 @@ impl<T> PrefixTrie<T> {
         }
     }
 
+    /// Heap bytes reserved by the node array.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        crate::control::vec_bytes(&self.nodes)
+    }
+
     /// Number of prefixes stored.
     pub fn len(&self) -> usize {
         self.len

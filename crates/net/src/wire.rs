@@ -308,40 +308,78 @@ impl Wire for crate::RouteClass {
 }
 
 impl Wire for crate::Bgp {
+    /// The next-hop CSR travels as the nested `next_as[dst][src]` list
+    /// of `usize` AS indices it flattens, so the substrate-cache bytes
+    /// do not depend on the in-memory layout.
     fn put(&self, out: &mut Vec<u8>) {
-        self.next_as.put(out);
+        let n = self.num_as();
+        n.put(out);
+        for dst in 0..n {
+            n.put(out);
+            for src in 0..n {
+                let set = self.next_hops(dst, src);
+                set.len().put(out);
+                for &x in set {
+                    (x as usize).put(out);
+                }
+            }
+        }
         self.route.put(out);
     }
     fn take(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        let n = usize::take(r)?;
+        // Every row header is 8 bytes: a lying `n` dies here, before the
+        // `n²` offset table is allocated.
+        if n > r.remaining() / 8 {
+            return Err(WireError::Truncated);
+        }
+        let cells = n.saturating_mul(n).saturating_add(1);
+        let mut next_base = Vec::with_capacity(cells.min(r.remaining() / 8 + 1));
+        let mut next_pool = Vec::new();
+        next_base.push(0u32);
+        for _ in 0..n {
+            if usize::take(r)? != n {
+                return Err(WireError::Corrupt("BGP next-hop table is not square"));
+            }
+            for _ in 0..n {
+                let len = usize::take(r)?;
+                if len > r.remaining() / 8 {
+                    return Err(WireError::Truncated);
+                }
+                for _ in 0..len {
+                    let x = usize::take(r)?;
+                    if x >= n {
+                        return Err(WireError::Corrupt("BGP next-hop AS index out of range"));
+                    }
+                    next_pool.push(x as u32);
+                }
+                next_base.push(next_pool.len() as u32);
+            }
+        }
+        next_pool.shrink_to_fit();
+        let route: Vec<crate::bgp::RouteColumn> = Wire::take(r)?;
+        if route.len() != n {
+            return Err(WireError::Corrupt(
+                "BGP route table does not match its next hops",
+            ));
+        }
         Ok(crate::Bgp {
-            next_as: Wire::take(r)?,
-            route: Wire::take(r)?,
+            next_base,
+            next_pool,
+            route,
         })
     }
 }
 
 impl Wire for crate::ExtRoute {
-    /// Packed into one `u32`: tag in the low two bits, payload above —
-    /// the external-route table is the bulk of the substrate cache
+    /// Packed into one `u32` ([`crate::ExtRoute::pack`]): the
+    /// external-route table is the bulk of the substrate cache
     /// (`n_as × num_routers` entries), so every entry stays four bytes.
     fn put(&self, out: &mut Vec<u8>) {
-        let packed: u32 = match *self {
-            crate::ExtRoute::Unreachable => 0,
-            crate::ExtRoute::Direct { iface } => 1 | (iface << 2),
-            crate::ExtRoute::ViaEgress { egress } => 2 | (egress.0 << 2),
-        };
-        packed.put(out);
+        self.pack().put(out);
     }
     fn take(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let packed = u32::take(r)?;
-        Ok(match packed & 0b11 {
-            0 if packed == 0 => crate::ExtRoute::Unreachable,
-            1 => crate::ExtRoute::Direct { iface: packed >> 2 },
-            2 => crate::ExtRoute::ViaEgress {
-                egress: crate::RouterId(packed >> 2),
-            },
-            _ => return Err(WireError::Corrupt("ExtRoute tag")),
-        })
+        crate::ExtRoute::unpack(u32::take(r)?).ok_or(WireError::Corrupt("ExtRoute tag"))
     }
 }
 
@@ -626,6 +664,13 @@ mod tests {
             from_bytes::<Vec<u8>>(&ok),
             Err(WireError::Corrupt("trailing bytes"))
         );
+        // Tag 3 and a tagged-unreachable payload are no route.
+        for word in [3u32, 4] {
+            assert_eq!(
+                from_bytes::<crate::ExtRoute>(&word.to_le_bytes()),
+                Err(WireError::Corrupt("ExtRoute tag"))
+            );
+        }
         // A forged huge length dies with Truncated, not an OOM.
         let mut huge = Vec::new();
         u64::MAX.put(&mut huge);

@@ -1,0 +1,172 @@
+//! The control plane's tables: their heap footprint, and the
+//! substrate-cache bytes they encode to.
+//!
+//! Every flat table is sized to what it holds, so
+//! [`ControlPlane::table_bytes`] equals the element counts the dense
+//! view exposes, with no growth slack. The `#[ignore]`d rows hold the
+//! resident footprint of the tenfold and thousandfold planes under a
+//! ceiling (release CI runs them with `--include-ignored`).
+//!
+//! The cache golden pins `cache_payload()` at quick scale: its length
+//! and FNV-64 checksum are the bytes the nested in-memory layout wrote,
+//! so the compact tables encode to an unchanged WHSC format.
+
+use std::mem::size_of_val;
+use wormhole::experiments::{internet_config_for, Scale};
+use wormhole::net::{wire, ControlPlane, RouterId};
+use wormhole::topo::{generate, InternetConfig};
+
+const MB: usize = 1_000_000;
+
+fn bytes(cp: &ControlPlane, table: &str) -> usize {
+    cp.table_bytes()
+        .iter()
+        .find(|t| t.0 == table)
+        .unwrap_or_else(|| panic!("no table {table}"))
+        .1
+}
+
+fn total(cp: &ControlPlane) -> usize {
+    cp.table_bytes().iter().map(|t| t.1).sum()
+}
+
+/// The flat tables reserve exactly their contents.
+fn assert_exactly_sized(i: &wormhole::topo::Internet, what: &str) {
+    let cp = &i.cp;
+    let v = cp.dense_view();
+    let (n, n_as) = (i.net.num_routers(), i.net.as_list().len());
+    let names: Vec<&str> = cp.table_bytes().iter().map(|t| t.0).collect();
+    assert_eq!(
+        names,
+        [
+            "igp",
+            "prefixes",
+            "bgp",
+            "ldp bindings",
+            "fib",
+            "ext",
+            "lfib",
+            "te",
+            "dst resolution",
+            "owner index",
+            "walk"
+        ],
+        "{what}"
+    );
+    assert_eq!(
+        bytes(cp, "ext"),
+        n * n_as * 4,
+        "{what}: ext is one u32 per cell"
+    );
+    assert_eq!(
+        bytes(cp, "fib"),
+        size_of_val(v.fib_base) + size_of_val(v.fib_spans) + size_of_val(v.fib_pool),
+        "{what}: fib"
+    );
+    assert_eq!(
+        bytes(cp, "lfib"),
+        size_of_val(v.lfib_base)
+            + size_of_val(v.lfib_lo)
+            + size_of_val(v.lfib_entries)
+            + size_of_val(v.lfib_hops),
+        "{what}: lfib"
+    );
+    assert_eq!(
+        bytes(cp, "owner index"),
+        size_of_val(v.owner_dir) + size_of_val(v.owner_pool),
+        "{what}: owner index"
+    );
+    let (base, pool) = cp.bindings.csr();
+    assert_eq!(
+        bytes(cp, "ldp bindings"),
+        size_of_val(base) + size_of_val(pool),
+        "{what}: ldp"
+    );
+    // Each block run ends at its highest held address: the pool is
+    // within a small factor of the addresses it indexes.
+    let held: usize = i.net.routers().iter().map(|r| 1 + r.ifaces.len()).sum();
+    assert!(
+        v.owner_pool.len() < 2 * held,
+        "{what}: {} pool entries for {held} addresses",
+        v.owner_pool.len()
+    );
+    let installed: usize = (0..n as u32).map(|r| cp.lfib_size(RouterId(r))).sum();
+    assert_eq!(installed, v.lfib_entries.len(), "{what}");
+}
+
+fn report(what: &str, cp: &ControlPlane) {
+    for (name, b) in cp.table_bytes() {
+        eprintln!("{what}: {name:>15} {:>9.2} MB", b as f64 / MB as f64);
+    }
+    eprintln!(
+        "{what}: {:>15} {:>9.2} MB",
+        "total",
+        total(cp) as f64 / MB as f64
+    );
+}
+
+#[test]
+fn tables_are_exactly_sized_at_quick_scale() {
+    for seed in [1, 8, 42] {
+        let i = generate(&InternetConfig::small(seed));
+        assert_exactly_sized(&i, &format!("quick/seed{seed}"));
+        report("quick", &i.cp);
+        assert!(
+            total(&i.cp) < MB,
+            "quick/seed{seed}: {} bytes",
+            total(&i.cp)
+        );
+    }
+}
+
+#[test]
+fn tables_are_exactly_sized_at_paper_scale() {
+    let i = generate(&internet_config_for(Scale::Paper, 8));
+    assert_exactly_sized(&i, "paper/seed8");
+    report("paper", &i.cp);
+    assert!(total(&i.cp) < 4 * MB, "paper: {} bytes", total(&i.cp));
+}
+
+#[test]
+#[ignore = "release-mode CI scale; run with --include-ignored"]
+fn tenfold_plane_footprint_within_ceiling() {
+    let i = generate(&internet_config_for(Scale::Tenfold, 8));
+    assert_exactly_sized(&i, "tenfold/seed8");
+    report("tenfold", &i.cp);
+    assert!(total(&i.cp) <= 24 * MB, "tenfold: {} bytes", total(&i.cp));
+}
+
+#[test]
+#[ignore = "release-mode CI scale; run with --include-ignored"]
+fn thousandfold_plane_footprint_within_ceiling() {
+    let i = generate(&internet_config_for(Scale::ThousandFold, 8));
+    assert_exactly_sized(&i, "thousandfold/seed8");
+    report("thousandfold", &i.cp);
+    assert!(
+        total(&i.cp) <= 140 * MB,
+        "thousandfold: {} bytes",
+        total(&i.cp)
+    );
+}
+
+/// `cache_payload()` length and FNV-64 at quick scale, as written by
+/// the nested `Vec<Vec<Vec<usize>>>` / `Vec<ExtRoute>` tables before
+/// they were packed: a cache written by either build restores in the
+/// other.
+#[test]
+fn quick_cache_payload_bytes_are_pinned() {
+    for (seed, len, fnv) in [
+        (8, 9222, 0x8b5b_c0e7_2cc4_3e89u64),
+        (42, 9226, 0xe049_d020_f0dd_1a20),
+    ] {
+        let i = generate(&InternetConfig::small(seed));
+        let payload = i.cp.cache_payload();
+        assert_eq!(
+            (payload.len(), wire::checksum(&payload)),
+            (len, fnv),
+            "quick/seed{seed}"
+        );
+        let warm = ControlPlane::from_cache_payload(&i.net, 1, &payload).expect("restores");
+        assert_eq!(warm.cache_payload(), payload, "quick/seed{seed}: re-encode");
+    }
+}
