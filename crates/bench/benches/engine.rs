@@ -1,14 +1,13 @@
-//! Engine microbenchmarks on the tenfold Internet: the batched SoA
-//! walk versus the scalar recording-off walk (the two steady-state
-//! campaign configurations) versus the ground-truth-recording walk,
+//! Engine microbenchmarks on the tenfold Internet: the recording-off
+//! walk every campaign runs versus the ground-truth-recording walk,
 //! plus a dedicated timed section that writes `BENCH_engine.json` at
-//! the repo root — batched, scalar and thousandfold walk throughput,
-//! the `heap_allocs` proof counters, and serial-vs-parallel
-//! control-plane build times.
+//! the repo root — tenfold and thousandfold walk throughput, the
+//! `heap_allocs` proof counters, and serial-vs-parallel control-plane
+//! build times.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use wormhole_bench::measure;
-use wormhole_net::{Engine, FaultPlan, ProbeState, SubstrateRef, BATCH_WIDTH};
+use wormhole_net::{Engine, FaultPlan, ProbeState, SubstrateRef};
 use wormhole_probe::{traceroute, Session, TracerouteOpts};
 use wormhole_topo::{generate, InternetConfig};
 
@@ -29,21 +28,6 @@ fn engine_bench(c: &mut Criterion) {
     group.bench_function("traceroute_recording_off", |b| {
         let mut sess = Session::over(sub, vp, ProbeState::new(FaultPlan::none(), 0));
         b.iter(|| black_box(sess.traceroute(far)))
-    });
-    group.bench_function("traceroute_batch_64", |b| {
-        // A full SoA lane of far loopbacks — the gap against the
-        // scalar walk above is the batching win itself (shared table
-        // walks, gathered flag rows, no per-probe dispatch).
-        let mut sess = Session::over(sub, vp, ProbeState::new(FaultPlan::none(), 0));
-        let dsts: Vec<_> = internet
-            .net
-            .routers()
-            .iter()
-            .rev()
-            .take(BATCH_WIDTH)
-            .map(|r| r.loopback)
-            .collect();
-        b.iter(|| black_box(sess.traceroute_batch(&dsts)))
     });
     group.bench_function("traceroute_recording_on", |b| {
         // Same walk over a bare engine with ground-truth path recording

@@ -9,9 +9,8 @@
 //!                             (internal) distributed worker mode
 //! ```
 //!
-//! The gate also fails when any recording-off packet walk — batched
-//! or scalar, at either scale — performs a heap allocation, regardless
-//! of throughput: the allocation-free walk is an invariant, not a
+//! The gate also fails when the recording-off packet walk, at either
+//! scale, performs a heap allocation, regardless of throughput: the allocation-free walk is an invariant, not a
 //! number that may drift. Likewise the substrate cache's warm restore
 //! must cost at most half its cold build — a machine-independent ratio
 //! checked on every fresh measurement, not just against the baseline.

@@ -388,7 +388,7 @@ pub fn campaign_json(scales: &[ScaleBench], dist: &[DistRun], cache: &[CacheBenc
 /// One timed loopback sweep — a walk of every router loopback from the
 /// first vantage point with path recording off.
 pub struct WalkRun {
-    /// Stable row name in `BENCH_engine.json` (`walk`, `walk_scalar`,
+    /// Stable row name in `BENCH_engine.json` (`walk_scalar`,
     /// `walk_thousandfold`).
     pub name: &'static str,
     /// Router count of the Internet walked.
@@ -406,9 +406,9 @@ pub struct WalkRun {
     pub heap_allocs: u64,
 }
 
-/// Engine-level microbench results: the allocation-free packet walks
-/// (batched SoA at tenfold and thousandfold, scalar at tenfold for the
-/// speedup row) and the serial-vs-parallel control-plane build.
+/// Engine-level microbench results: the allocation-free packet walk at
+/// tenfold and thousandfold, and the serial-vs-parallel control-plane
+/// build.
 pub struct EngineBench {
     /// Router count of the tenfold Internet (the headline scale).
     pub routers: usize,
@@ -422,13 +422,11 @@ pub struct EngineBench {
     pub plane_parallel_seconds: f64,
 }
 
-/// Times one loopback sweep, batched (`Session::traceroute_batch` over
-/// the whole destination list — the SoA engine keeps at most
-/// `BATCH_WIDTH` packets in flight per step) or scalar (one
-/// `Session::traceroute` per loopback). Best-of-three sweeps: the walk
-/// is deterministic, only timing varies, and counters are read after
-/// the first sweep so they count one sweep's probes.
-pub fn time_walk(name: &'static str, internet: &Internet, batched: bool) -> WalkRun {
+/// Times one loopback sweep: one `Session::traceroute` per router
+/// loopback. Best-of-three sweeps: the walk is deterministic, only
+/// timing varies, and counters are read after the first sweep so they
+/// count one sweep's probes.
+pub fn time_walk(name: &'static str, internet: &Internet) -> WalkRun {
     let sub = SubstrateRef::new(&internet.net, &internet.cp);
     let mut sess = Session::over(sub, internet.vps[0], ProbeState::new(FaultPlan::none(), 0));
     let dsts: Vec<Addr> = internet.net.routers().iter().map(|r| r.loopback).collect();
@@ -437,12 +435,8 @@ pub fn time_walk(name: &'static str, internet: &Internet, batched: bool) -> Walk
     let mut traces = 0;
     for sweep in 0..3 {
         let t0 = Instant::now();
-        if batched {
-            sess.traceroute_batch(&dsts);
-        } else {
-            for &d in &dsts {
-                sess.traceroute(d);
-            }
+        for &d in &dsts {
+            sess.traceroute(d);
         }
         seconds = seconds.min(t0.elapsed().as_secs_f64());
         if sweep == 0 {
@@ -461,14 +455,12 @@ pub fn time_walk(name: &'static str, internet: &Internet, batched: bool) -> Walk
     }
 }
 
-/// Measures the three walk rows — batched and scalar at tenfold, then
-/// batched at thousandfold — and times the tenfold control-plane build
-/// serially and with every core.
+/// Measures the two walk rows — tenfold, then thousandfold — and times
+/// the tenfold control-plane build serially and with every core.
 pub fn measure_engine(tenfold: &Internet, thousandfold: &Internet) -> EngineBench {
     let walks = vec![
-        time_walk("walk", tenfold, true),
-        time_walk("walk_scalar", tenfold, false),
-        time_walk("walk_thousandfold", thousandfold, true),
+        time_walk("walk_scalar", tenfold),
+        time_walk("walk_thousandfold", thousandfold),
     ];
 
     // Untimed warmup build: the first build pays the allocator's page
@@ -640,7 +632,7 @@ pub fn parse_cache_baseline(json: &str) -> Vec<CacheBaseline> {
 /// `BENCH_engine.json`.
 #[derive(Clone, Debug, PartialEq)]
 pub struct EngineRow {
-    /// Row name (`walk`, `walk_scalar`, `walk_thousandfold`).
+    /// Row name (`walk_scalar`, `walk_thousandfold`).
     pub name: String,
     /// Committed throughput.
     pub probes_per_sec: f64,
@@ -648,7 +640,7 @@ pub struct EngineRow {
 
 /// Extracts every `walk*` throughput row from a `BENCH_engine.json`
 /// document. Leans on the emitter's one-object-per-line layout; the
-/// committed format is the three-row matrix (`walk`, `walk_scalar`,
+/// committed format is the two-row matrix (`walk_scalar`,
 /// `walk_thousandfold`) — a baseline with fewer rows simply gates
 /// fewer walks, and `bench-regression --write` refreshes it.
 pub fn parse_engine_baseline(json: &str) -> Vec<EngineRow> {
@@ -816,9 +808,8 @@ mod tests {
         let e = EngineBench {
             routers: 3694,
             walks: vec![
-                walk("walk", 3694, 12_000_000.5),
                 walk("walk_scalar", 3694, 1_833_333.3),
-                walk("walk_thousandfold", 14201, 11_000_000.0),
+                walk("walk_thousandfold", 14201, 11_000_000.5),
             ],
             plane_serial_seconds: 1.2,
             plane_jobs: 4,
@@ -826,11 +817,10 @@ mod tests {
         };
         let json = engine_json(&e);
         let rows = parse_engine_baseline(&json);
-        assert_eq!(rows.len(), 3);
-        assert_eq!(rows[0].name, "walk");
-        assert!((rows[0].probes_per_sec - 12_000_000.5).abs() < 0.2);
-        assert_eq!(rows[1].name, "walk_scalar");
-        assert_eq!(rows[2].name, "walk_thousandfold");
+        assert_eq!(rows.len(), 2);
+        assert_eq!(rows[0].name, "walk_scalar");
+        assert_eq!(rows[1].name, "walk_thousandfold");
+        assert!((rows[1].probes_per_sec - 11_000_000.5).abs() < 0.2);
         assert!(json.contains("\"heap_allocs\": 0"));
     }
 }

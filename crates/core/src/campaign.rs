@@ -37,7 +37,7 @@ use std::time::Instant;
 use wormhole_net::wire::Wire;
 use wormhole_net::{
     trace_seed, Addr, Asn, ControlPlane, EngineStats, FaultPlan, Network, ProbeState, ReplyKind,
-    RouterId, SubstrateRef, BATCH_WIDTH,
+    RouterId, SubstrateRef,
 };
 use wormhole_probe::{NullSink, PingResult, Session, Trace, TraceSink, TracerouteOpts};
 use wormhole_topo::{ItdkBuilder, ItdkSnapshot, NodeInfo};
@@ -63,8 +63,10 @@ pub struct CampaignConfig {
     pub fingerprint: bool,
     /// Fault injection for every session.
     pub faults: FaultPlan,
-    /// Seed for fault randomness; each vantage-point worker derives its
-    /// own stream from `(seed, vp_index)`.
+    /// Seed for fault randomness. Under [`Scheduling::VpBatches`] each
+    /// vantage point derives its own stream from `(seed, vp_index)`;
+    /// under [`Scheduling::Stealing`] each trace derives one from
+    /// `(seed, vp_index, task key)`.
     pub seed: u64,
     /// Worker threads for the probing phases: `1` runs serially, `0`
     /// uses the machine's available parallelism. Results are identical
@@ -74,19 +76,6 @@ pub struct CampaignConfig {
     /// [`Scheduling`]. Either choice is deterministic in `jobs`; the two
     /// differ from each other (different RNG stream granularity).
     pub scheduling: Scheduling,
-    /// Probes advanced together by the engine's batched SoA walk during
-    /// the [`Scheduling::VpBatches`] probing phases, and the task-claim
-    /// chunk size of the [`Scheduling::Stealing`] executor. `0` or `1`
-    /// runs the scalar walk (and per-task steals). Results are
-    /// byte-identical at every value — the batched walk is an execution
-    /// strategy, not a semantic switch — so this defaults to the
-    /// engine's native [`wormhole_net::BATCH_WIDTH`].
-    pub batch_width: usize,
-    /// Which engine walk the [`Scheduling::VpBatches`] probing phases
-    /// drive; see [`WalkMode`]. Byte-identical at every setting — the
-    /// batched SoA walk is an execution strategy, not a semantic
-    /// switch — so the default picks per substrate size.
-    pub walk_mode: WalkMode,
     /// Run the lint-before-simulate gate (deny `Error`-level static
     /// analysis findings, including the `D5xx` dense-plane verifier
     /// over the flat tables the walk runs on — so a plane built with
@@ -130,36 +119,12 @@ impl Default for CampaignConfig {
             seed: 0,
             jobs: 1,
             scheduling: Scheduling::VpBatches,
-            batch_width: BATCH_WIDTH,
-            walk_mode: WalkMode::Auto,
             lint_gate: cfg!(debug_assertions),
             chaos_panic_vp: None,
             screen_revelations: true,
             keep_bootstrap_paths: false,
         }
     }
-}
-
-/// Routers at or below this count keep the scalar walk under
-/// [`WalkMode::Auto`]: small planes stay cache-resident, where the
-/// batched walk's lane bookkeeping costs more than it amortizes.
-pub const WALK_AUTO_THRESHOLD: usize = 8192;
-
-/// Which engine walk the probing phases drive. Every mode produces
-/// byte-identical campaign reports — the batched SoA walk advances the
-/// same probe sequence lane by lane — so this knob only trades wall
-/// clock, like [`CampaignConfig::jobs`].
-#[derive(Copy, Clone, PartialEq, Eq, Debug, Default)]
-pub enum WalkMode {
-    /// Scalar while the substrate has at most [`WALK_AUTO_THRESHOLD`]
-    /// routers (the dense plane stays cache-resident and the batched
-    /// walk's lane bookkeeping dominates), batched beyond that.
-    #[default]
-    Auto,
-    /// Always the scalar walk.
-    Scalar,
-    /// Always the batched SoA walk at [`CampaignConfig::batch_width`].
-    Batched,
 }
 
 /// How the probing phases distribute work over worker threads.
@@ -303,7 +268,7 @@ pub struct CampaignResult {
     pub probes_by_vp: Vec<u64>,
     /// Aggregated engine counters over every session the campaign ran
     /// (per-VP sessions in batch mode, per-task hermetic sessions under
-    /// stealing). Deterministic at any `jobs`/`batch_width` value; in
+    /// stealing). Deterministic at any `jobs` value; in
     /// particular `heap_allocs` stays `0` — campaign sessions keep path
     /// recording off, so the whole probing walk is allocation-free.
     /// Excluded from [`Self::report`] (like [`Self::timings`]) to keep
@@ -328,7 +293,7 @@ pub struct CampaignResult {
     pub timings: CampaignTimings,
     /// Per-phase running totals of the incremental snapshot builder
     /// (bootstrap, then the phase-4 probe traces). Deterministic at any
-    /// `jobs`/`batch_width`/scheduling value, but excluded from
+    /// `jobs`/scheduling value, but excluded from
     /// [`Self::report`] to keep existing transcripts stable.
     pub snapshot_deltas: Vec<SnapshotDelta>,
     /// Order-independent fingerprint of the builder's *final* state
@@ -570,64 +535,6 @@ pub(crate) fn reveal_one(
     (g, ((x, y), out, ers))
 }
 
-/// Feeds a VP's ordered `(global_index, target)` batch through the
-/// session's batched traceroute walk in `width`-sized chunks (`width <
-/// 2` runs the scalar loop), returning one trace per task in task
-/// order. Byte-identical to the scalar loop either way: the session
-/// batch API assigns echo ids in destination order and falls back to
-/// scalar itself whenever the fault plan is order-sensitive.
-fn traced_batch(
-    sess: &mut Session<'_>,
-    batch: Vec<(usize, Addr)>,
-    width: usize,
-) -> Vec<(usize, Trace)> {
-    if width < 2 {
-        let mut out = Vec::with_capacity(batch.len());
-        out.extend(batch.into_iter().map(|(g, t)| (g, sess.traceroute(t))));
-        return out;
-    }
-    let mut out = Vec::with_capacity(batch.len());
-    let mut dsts: Vec<Addr> = Vec::with_capacity(width.min(batch.len()));
-    for chunk in batch.chunks(width) {
-        dsts.clear();
-        dsts.extend(chunk.iter().map(|&(_, t)| t));
-        out.extend(
-            chunk
-                .iter()
-                .map(|&(g, _)| g)
-                .zip(sess.traceroute_batch(&dsts)),
-        );
-    }
-    out
-}
-
-/// The ping analogue of [`traced_batch`], for the fingerprint phase.
-fn pinged_batch(
-    sess: &mut Session<'_>,
-    batch: Vec<(usize, Addr)>,
-    width: usize,
-) -> Vec<(usize, Addr, PingResult)> {
-    if width < 2 {
-        let mut out = Vec::with_capacity(batch.len());
-        out.extend(batch.into_iter().map(|(g, a)| (g, a, sess.ping(a))));
-        return out;
-    }
-    let mut out = Vec::with_capacity(batch.len());
-    let mut dsts: Vec<Addr> = Vec::with_capacity(width.min(batch.len()));
-    for chunk in batch.chunks(width) {
-        dsts.clear();
-        dsts.extend(chunk.iter().map(|&(_, a)| a));
-        out.extend(
-            chunk
-                .iter()
-                .map(|&(g, a)| (g, a))
-                .zip(sess.ping_batch(&dsts))
-                .map(|((g, a), r)| (g, a, r)),
-        );
-    }
-    out
-}
-
 /// Splits per-VP shard results into the surviving batches, recording a
 /// [`DegradedShard`] (and marking the VP dead) for each panicked batch.
 fn split_shards<R>(
@@ -812,22 +719,6 @@ impl<'a> Campaign<'a> {
         mut dist: Option<&mut DistDispatcher<'_>>,
     ) -> CampaignResult {
         let stealing = self.cfg.scheduling == Scheduling::Stealing;
-        // Engine batch width for the VP-batch probing phases (resolved
-        // through the walk-mode policy), and the task-claim chunk size
-        // for the stealing executor (always tied to `batch_width`: a
-        // claim's size can never change results, only contention).
-        let bw = match self.cfg.walk_mode {
-            WalkMode::Scalar => 1,
-            WalkMode::Batched => self.cfg.batch_width,
-            WalkMode::Auto => {
-                if self.net().num_routers() <= WALK_AUTO_THRESHOLD {
-                    1
-                } else {
-                    self.cfg.batch_width
-                }
-            }
-        };
-        let steal_chunk = self.cfg.batch_width.max(1);
         // Long-lived per-VP sessions only exist in batch mode; stealing
         // builds a hermetic session per task instead.
         let mut sessions = if stealing {
@@ -892,7 +783,7 @@ impl<'a> Campaign<'a> {
                     n_vps,
                     queue,
                     jobs,
-                    steal_chunk,
+                    shard::STEAL_CHUNK,
                     &mut merge_scratch,
                     &make_session,
                     &|sess, (g, t)| (g, sess.traceroute(t).addr_path()),
@@ -913,9 +804,9 @@ impl<'a> Campaign<'a> {
             shard::run_vp_batches(&mut sessions, tasks, jobs, &|sess, batch| {
                 let mut out = Vec::with_capacity(batch.len());
                 out.extend(
-                    traced_batch(sess, batch, bw)
+                    batch
                         .into_iter()
-                        .map(|(g, t)| (g, t.addr_path())),
+                        .map(|(g, t)| (g, sess.traceroute(t).addr_path())),
                 );
                 out
             })
@@ -982,7 +873,7 @@ impl<'a> Campaign<'a> {
                     n_vps,
                     queue,
                     jobs,
-                    steal_chunk,
+                    shard::STEAL_CHUNK,
                     &mut merge_scratch,
                     &make_session,
                     &|sess, (g, t)| {
@@ -1011,7 +902,9 @@ impl<'a> Campaign<'a> {
                 if let Some((idx, vp)) = chaos {
                     assert!(sess.vp() != vp, "chaos: injected worker panic (vp {idx})");
                 }
-                traced_batch(sess, batch, bw)
+                let mut out = Vec::with_capacity(batch.len());
+                out.extend(batch.into_iter().map(|(g, t)| (g, sess.traceroute(t))));
+                out
             })
         };
         probe_seconds += phase_started.elapsed().as_secs_f64();
@@ -1091,7 +984,7 @@ impl<'a> Campaign<'a> {
                         n_vps,
                         queue,
                         jobs,
-                        steal_chunk,
+                        shard::STEAL_CHUNK,
                         &mut merge_scratch,
                         &make_session,
                         &|sess, (g, addr)| (g, addr, sess.ping(addr)),
@@ -1113,7 +1006,9 @@ impl<'a> Campaign<'a> {
                     }
                 }
                 shard::run_vp_batches(&mut sessions, tasks, jobs, &|sess, batch| {
-                    pinged_batch(sess, batch, bw)
+                    let mut out = Vec::with_capacity(batch.len());
+                    out.extend(batch.into_iter().map(|(g, a)| (g, a, sess.ping(a))));
+                    out
                 })
             };
             probe_seconds += phase_started.elapsed().as_secs_f64();

@@ -42,14 +42,18 @@
 //! interleaving, and any chunk size.
 //!
 //! Chunked claims amortize the queue's only shared cache line (the
-//! cursor) over several tasks; the campaign ties the chunk size to the
-//! engine's batch width ([`wormhole_net::BATCH_WIDTH`]) so a claim
-//! matches the granularity the batched walk is tuned for.
+//! cursor) over several tasks; the campaign claims [`STEAL_CHUNK`]
+//! tasks at a time. A claim's size changes contention, never results.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use wormhole_net::EngineStats;
 use wormhole_probe::Session;
+
+/// Tasks one stealing claim covers in a campaign. Only contention on
+/// the shared cursor depends on it: results are identical at every
+/// chunk size.
+pub(crate) const STEAL_CHUNK: usize = 64;
 
 /// Renders a caught panic payload into a report-friendly message.
 fn panic_message(e: Box<dyn std::any::Any + Send>) -> String {
@@ -489,7 +493,7 @@ mod tests {
         assert!(serial.iter().all(|r| r.is_ok()));
         assert!(serial_probes.iter().sum::<u64>() > 0);
         for jobs in [2, 4, 9] {
-            for chunk in [1, 3, wormhole_net::BATCH_WIDTH] {
+            for chunk in [1, 3, STEAL_CHUNK] {
                 let (out, probes) = run(jobs, chunk);
                 assert_eq!(
                     serial, out,

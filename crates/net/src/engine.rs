@@ -24,20 +24,15 @@
 //!
 //! A probe's life — forward leg, ICMP generation, return leg — is a
 //! resumable state machine ([`Flight`]): one *step* advances a packet
-//! by exactly one router visit. The scalar [`Engine::send`] drives a
-//! single flight to completion; [`Engine::send_batch`] drives up to
-//! [`crate::batch::BATCH_WIDTH`] flights together, mirroring their hot
-//! fields into cache-line-aligned struct-of-arrays lanes each sweep so
-//! TTL classification runs over contiguous arrays and the next routers'
-//! dense-table rows are touched before the per-lane advance (see
-//! [`crate::batch`]). All per-hop state the machine consults lives in
-//! the [`ControlPlane`]'s dense walk tables — flag bytes, vendor TTLs,
-//! flat interface records, and a paged address→owner index — so the
-//! steady-state walk performs no hashing and never dereferences the
-//! heavyweight `Router` objects.
+//! by exactly one router visit, and [`Engine::send`] steps a single
+//! flight to completion. That is the only walk; [`Engine::send_batch`]
+//! is a convenience loop over it. All per-hop state the machine
+//! consults lives in the [`ControlPlane`]'s dense walk tables — flag
+//! bytes, vendor TTLs, flat interface records, and a paged
+//! address→owner index — so the steady-state walk performs no hashing
+//! and never dereferences the heavyweight `Router` objects.
 
 use crate::addr::Addr;
-use crate::batch::{BatchLanes, BATCH_WIDTH};
 use crate::control::{walk, ControlPlane, ExtRoute, LabelAction};
 use crate::fault::FaultPlan;
 use crate::ids::{Label, RouterId};
@@ -296,7 +291,7 @@ impl DstCache {
 
 /// One leg of a flight: a packet in motion plus everything the per-hop
 /// step needs to resume where it left off.
-pub(crate) struct LegFlight {
+struct LegFlight {
     pkt: Packet,
     cur: RouterId,
     in_iface_addr: Option<Addr>,
@@ -314,17 +309,6 @@ impl LegFlight {
             path: std::mem::take(&mut self.path),
         }
     }
-
-    /// Lane mirror of this leg's hot fields, for the SoA batch driver:
-    /// `(ip_ttl, lse_ttl, label, cur, labeled)`.
-    pub(crate) fn lane(&self) -> (u8, u8, u32, u32, bool) {
-        let (label, lse_ttl) = match self.pkt.stack.top() {
-            Some(t) => (t.label.0, t.ttl),
-            None => (u32::MAX, u8::MAX),
-        };
-        let labeled = self.via_wire && self.pkt.is_labeled();
-        (self.pkt.ip_ttl, lse_ttl, label, self.cur.0, labeled)
-    }
 }
 
 /// Which leg a flight is on.
@@ -335,22 +319,15 @@ enum Phase {
     Ret { kind: ReplyKind, from: Addr },
 }
 
-/// A probe in flight: the resumable state machine behind both the
-/// scalar walk and the batched walk. One [`Engine::step_flight`] call
-/// advances it by exactly one router visit.
-pub(crate) struct Flight {
+/// A probe in flight: the resumable state machine behind
+/// [`Engine::send`]. One [`Engine::step_flight`] call advances it by
+/// exactly one router visit.
+struct Flight {
     leg: LegFlight,
     phase: Phase,
     probe_src: Addr,
     replier: RouterId,
     fwd_path: Vec<RouterId>,
-}
-
-impl Flight {
-    /// Lane mirror of the flight's hot fields (see [`LegFlight::lane`]).
-    pub(crate) fn lane(&self) -> (u8, u8, u32, u32, bool) {
-        self.leg.lane()
-    }
 }
 
 /// The forwarding engine: an immutable [`SubstrateRef`] (shared
@@ -436,99 +413,16 @@ impl<'a> Engine<'a> {
     }
 
     /// Sends every packet in `pkts` from `origin`, appending one
-    /// outcome per packet (in input order) to `out`.
-    ///
-    /// Under a batch-safe fault plan ([`FaultPlan::batch_safe`]) the
-    /// packets advance together, up to [`BATCH_WIDTH`] at a time, over
-    /// struct-of-arrays lanes: each sweep mirrors the live flights' hot
-    /// fields (IP-TTL, top LSE-TTL/label, current router, status) into
-    /// cache-line-aligned arrays, classifies expiring lanes with
-    /// straight-line array arithmetic, touches the next routers' dense
-    /// flag rows ahead of the advance, and then steps every live flight
-    /// one router visit — expiring lanes first, so ICMP generators
-    /// leave the forwarding sweep early. Batch-safe plans draw no RNG
-    /// and consult no token bucket or flap schedule, so per-packet
-    /// outcomes and all [`EngineStats`] totals are byte-identical to
-    /// the scalar walk regardless of interleaving. Order-sensitive
-    /// plans fall back to exact sequential scalar sends — identical by
-    /// construction.
-    ///
-    /// The batch driver itself never allocates: lanes and flight slots
-    /// live on the stack, so with path recording off `heap_allocs`
-    /// stays at zero.
+    /// outcome per packet (in input order) to `out`. Exactly a
+    /// [`Engine::send`] loop: outcomes, [`EngineStats`] and the virtual
+    /// clock are those of sending the packets one by one.
     pub fn send_batch(&mut self, origin: RouterId, pkts: &[Packet], out: &mut Vec<SendOutcome>) {
-        if !self.state.faults.batch_safe() {
-            for &p in pkts {
-                let o = self.send(origin, p);
-                out.push(o);
-            }
-            return;
-        }
-        let mut lanes = BatchLanes::new();
-        // Flight and outcome slots are hoisted out of the chunk loop:
-        // every chunk drains back to all-`None`, so the arrays are
-        // initialized once per call, not re-zeroed per chunk.
-        let mut flights: [Option<Flight>; BATCH_WIDTH] = std::array::from_fn(|_| None);
-        let mut results: [Option<SendOutcome>; BATCH_WIDTH] = std::array::from_fn(|_| None);
-        // Dense list of live lane indices — sweeps iterate exactly the
-        // live lanes instead of scanning the full width as flights
-        // drain out.
-        let mut live_idx = [0u8; BATCH_WIDTH];
-        for chunk in pkts.chunks(BATCH_WIDTH) {
-            for (i, &p) in chunk.iter().enumerate() {
-                let fl = self.launch(origin, p);
-                lanes.load(i, fl.lane());
-                flights[i] = Some(fl);
-                live_idx[i] = i as u8;
-            }
-            let mut n_live = chunk.len();
-            while n_live > 0 {
-                lanes.classify(&live_idx[..n_live]);
-                lanes.gather_flags(self.sub.cp, &live_idx[..n_live]);
-                // Expiring lanes step first (they convert to return
-                // legs and often leave the sweep); each lane steps in
-                // exactly one of the two passes. Completed lanes are
-                // swap-removed from the live list; lanes that stay
-                // live reload their mirror for the next sweep.
-                for pass in [1u8, 0u8] {
-                    let mut j = 0;
-                    while j < n_live {
-                        let i = live_idx[j] as usize;
-                        if !lanes.in_pass(i, pass) {
-                            j += 1;
-                            continue;
-                        }
-                        let Some(fl) = flights[i].as_mut() else {
-                            j += 1;
-                            continue;
-                        };
-                        match self.step_flight(fl) {
-                            Some(o) => {
-                                results[i] = Some(o);
-                                flights[i] = None;
-                                lanes.clear(i);
-                                n_live -= 1;
-                                live_idx[j] = live_idx[n_live];
-                            }
-                            None => {
-                                lanes.load(i, fl.lane());
-                                j += 1;
-                            }
-                        }
-                    }
-                }
-            }
-            for r in results.iter_mut().take(chunk.len()) {
-                if let Some(o) = r.take() {
-                    out.push(o);
-                }
-            }
-        }
+        out.extend(pkts.iter().map(|&p| self.send(origin, p)));
     }
 
     /// Starts a probe's flight: counts it, ticks the pacing clock, and
     /// places the packet at its origin ready for the first step.
-    pub(crate) fn launch(&mut self, origin: RouterId, pkt: Packet) -> Flight {
+    fn launch(&mut self, origin: RouterId, pkt: Packet) -> Flight {
         assert!(pkt.ip_ttl >= 1, "probes need a TTL of at least 1");
         self.state.stats.probes += 1;
         self.state.tick_probe();
@@ -545,7 +439,7 @@ impl<'a> Engine<'a> {
 
     /// Advances `fl` by one router visit; `Some` when the flight
     /// completed on this step.
-    pub(crate) fn step_flight(&mut self, fl: &mut Flight) -> Option<SendOutcome> {
+    fn step_flight(&mut self, fl: &mut Flight) -> Option<SendOutcome> {
         let end = self.leg_step(&mut fl.leg)?;
         match fl.phase {
             Phase::Fwd => self.fwd_transition(fl, end).err(),
@@ -1568,88 +1462,6 @@ mod tests {
             seen.insert(*pick(&v, flow, 13));
         }
         assert!(seen.len() > 1);
-    }
-
-    #[test]
-    fn batched_send_matches_scalar_per_packet() {
-        let cfg = RouterConfig::mpls_router(Vendor::CiscoIos);
-        let (net, vp, target) = fig2(cfg.clone(), cfg);
-        let cp = ControlPlane::build(&net).unwrap();
-        let src = net.router(vp).loopback;
-        // A mixed burst: every traceroute TTL, a ping, and an
-        // unroutable destination, several times over to exceed one
-        // batch chunk.
-        let mut pkts = Vec::new();
-        for round in 0..12u16 {
-            for ttl in 1..=7u8 {
-                pkts.push(Packet::echo_request(
-                    src,
-                    target,
-                    ttl,
-                    1,
-                    1,
-                    round * 100 + ttl as u16,
-                ));
-            }
-            pkts.push(Packet::echo_request(
-                src,
-                target,
-                64,
-                1,
-                1,
-                round * 100 + 90,
-            ));
-            pkts.push(Packet::echo_request(
-                src,
-                Addr::new(9, 9, 9, 9),
-                64,
-                1,
-                1,
-                round * 100 + 91,
-            ));
-        }
-        let mut scalar_eng = Engine::new(&net, &cp);
-        scalar_eng.set_record_paths(false);
-        let scalar: Vec<SendOutcome> = pkts.iter().map(|&p| scalar_eng.send(vp, p)).collect();
-        let mut batch_eng = Engine::new(&net, &cp);
-        batch_eng.set_record_paths(false);
-        let mut batched = Vec::new();
-        batch_eng.send_batch(vp, &pkts, &mut batched);
-        assert_eq!(scalar.len(), batched.len());
-        for (i, (s, b)) in scalar.iter().zip(batched.iter()).enumerate() {
-            assert_eq!(format!("{s:?}"), format!("{b:?}"), "packet {i} diverged");
-        }
-        let (s, b) = (scalar_eng.stats(), batch_eng.stats());
-        assert_eq!(s.probes, b.probes);
-        assert_eq!(s.crossings, b.crossings);
-        assert_eq!(s.replies, b.replies);
-        assert_eq!(s.lost, b.lost);
-        assert_eq!(b.heap_allocs, 0, "batched walk must not touch the heap");
-        assert_eq!(scalar_eng.state.now_ms, batch_eng.state.now_ms);
-    }
-
-    #[test]
-    fn batched_send_falls_back_for_order_sensitive_faults() {
-        let cfg = RouterConfig::mpls_router(Vendor::CiscoIos);
-        let (net, vp, target) = fig2(cfg.clone(), cfg);
-        let cp = ControlPlane::build(&net).unwrap();
-        let src = net.router(vp).loopback;
-        let plan = FaultPlan::with_loss(0.3).unwrap();
-        assert!(!plan.batch_safe());
-        let pkts: Vec<Packet> = (0..40u16)
-            .map(|seq| Packet::echo_request(src, target, 64, 1, 1, seq))
-            .collect();
-        let mut scalar_eng = Engine::with_faults(&net, &cp, plan.clone(), 77);
-        scalar_eng.set_record_paths(false);
-        let scalar: Vec<SendOutcome> = pkts.iter().map(|&p| scalar_eng.send(vp, p)).collect();
-        let mut batch_eng = Engine::with_faults(&net, &cp, plan, 77);
-        batch_eng.set_record_paths(false);
-        let mut batched = Vec::new();
-        batch_eng.send_batch(vp, &pkts, &mut batched);
-        for (s, b) in scalar.iter().zip(batched.iter()) {
-            assert_eq!(format!("{s:?}"), format!("{b:?}"));
-        }
-        assert_eq!(scalar_eng.stats().lost, batch_eng.stats().lost);
     }
 
     #[test]

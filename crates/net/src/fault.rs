@@ -338,25 +338,6 @@ impl FaultPlan {
         self.loss > 0.0 || self.icmp_loss > 0.0 || self.jitter_ms > 0.0
     }
 
-    /// True when interleaving concurrent probes cannot change any
-    /// probe's outcome, so the engine may step them as one SoA batch.
-    /// Random draws (per-crossing RNG consumption), token buckets
-    /// (shared per-router state) and flap schedules (sampled at each
-    /// probe's clock tick) are all order-sensitive; persistent silence
-    /// is a pure hash of the router id and stays batch-safe. The
-    /// deceptive dimensions are pure per probe, but the SoA batch
-    /// walker does not model them, so deceptive plans also fall back.
-    /// Plans that fail this predicate make the batch API fall back to
-    /// exact sequential scalar processing, which keeps results
-    /// byte-identical by construction.
-    pub fn batch_safe(&self) -> bool {
-        !self.is_random()
-            && self.te_limit.is_none()
-            && self.er_limit.is_none()
-            && self.flaps.is_none()
-            && !self.is_deceptive()
-    }
-
     /// True when the plan carries any *deceptive* dimension — faults
     /// that forge plausible-but-wrong evidence (spoofed quoted TTLs,
     /// per-probe forks, hidden egresses) rather than merely losing or
@@ -584,7 +565,6 @@ mod tests {
         assert!(p.silent.is_none() && p.flaps.is_none());
         assert!(!p.is_random());
         assert!(!p.is_deceptive());
-        assert!(p.batch_safe());
     }
 
     #[test]
@@ -760,7 +740,7 @@ mod tests {
     }
 
     #[test]
-    fn deceptive_plans_fall_back_to_scalar() {
+    fn deceptive_plans_draw_no_randomness() {
         for sc in [
             FaultScenario::DeceptiveTtl,
             FaultScenario::ArtifactLb,
@@ -769,7 +749,6 @@ mod tests {
             let p = sc.plan();
             assert!(p.is_deceptive(), "{} is deceptive", sc.name());
             assert!(!p.is_random(), "{} never draws RNG", sc.name());
-            assert!(!p.batch_safe(), "{} must fall back to scalar", sc.name());
         }
         for sc in [FaultScenario::Clean, FaultScenario::Hostile] {
             assert!(!sc.plan().is_deceptive(), "{} stays honest", sc.name());

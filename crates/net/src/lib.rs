@@ -45,7 +45,6 @@
 #![forbid(unsafe_code)]
 
 pub mod addr;
-pub mod batch;
 pub mod bgp;
 pub mod control;
 pub mod engine;
@@ -66,7 +65,6 @@ pub mod vendor;
 pub mod wire;
 
 pub use addr::{Addr, AddrAllocator, Prefix};
-pub use batch::BATCH_WIDTH;
 pub use bgp::{Bgp, RouteClass};
 pub use control::{
     ldp_label_action, ldp_lfib_hops, logical_fib, te_program, walk, CachePayloadError,

@@ -84,8 +84,7 @@ impl PingResult {
 }
 
 /// A resumable ping: the retry loop as an explicit state machine with
-/// at most one outstanding probe, shared by the scalar [`ping`] driver
-/// and the batched session walk.
+/// at most one outstanding probe, driven to completion by [`ping`].
 #[derive(Clone, Copy, Debug)]
 pub struct PingMachine {
     src: Addr,

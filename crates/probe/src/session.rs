@@ -5,13 +5,12 @@
 //! time at a configured rate) so experiments can report the probing
 //! budget a real deployment would need.
 
-use crate::ping::{ping, PingMachine, PingResult};
+use crate::ping::{ping, PingResult};
 use crate::sink::{stats_delta, TraceSink};
 use crate::trace::Trace;
-use crate::traceroute::{traceroute, TraceMachine, TracerouteOpts};
+use crate::traceroute::{traceroute, TracerouteOpts};
 use wormhole_net::{
-    Addr, ControlPlane, Engine, EngineStats, FaultPlan, Network, Packet, ProbeState, RouterId,
-    SendOutcome, SubstrateRef,
+    Addr, ControlPlane, Engine, EngineStats, FaultPlan, Network, ProbeState, RouterId, SubstrateRef,
 };
 
 /// Session counters.
@@ -116,9 +115,8 @@ impl<'a> Session<'a> {
     }
 
     /// Attaches a streaming [`TraceSink`]: every completed traceroute
-    /// is forwarded as it finishes (batched traceroutes flush a batch
-    /// in input order as it drains), each followed by the engine-stats
-    /// delta it cost — no phase-sized buffering anywhere. `tag` is the
+    /// is forwarded as it finishes, followed by the engine-stats delta
+    /// it cost — no phase-sized buffering anywhere. `tag` is the
     /// attribution passed to [`TraceSink::on_trace`] (campaigns use the
     /// vantage-point index).
     pub fn set_sink(&mut self, tag: usize, sink: Box<dyn TraceSink + Send + 'a>) {
@@ -195,167 +193,6 @@ impl<'a> Session<'a> {
         self.stats.probes += self.eng.stats().probes - before;
         r
     }
-
-    /// Whether this session's fault plan permits interleaved batch
-    /// probing (see [`FaultPlan::batch_safe`]).
-    fn batch_safe(&self) -> bool {
-        self.eng.state.faults.batch_safe()
-    }
-
-    /// Traceroutes every destination in `dsts`, returning one trace
-    /// per destination in input order.
-    ///
-    /// Under a batch-safe fault plan the traces run as concurrent
-    /// [`TraceMachine`]s — each sweep collects one outstanding probe
-    /// per unfinished trace and pushes them through the engine's SoA
-    /// batch walk ([`Engine::send_batch`]), so per-probe engine entry
-    /// costs amortize across up to [`wormhole_net::BATCH_WIDTH`] packets. Echo ids
-    /// are assigned upfront in destination order — exactly the ids the
-    /// scalar loop would assign — and batch-safe outcomes are pure
-    /// per-packet, so the returned traces, the session counters and
-    /// the engine totals are byte-identical to calling
-    /// [`Session::traceroute`] per destination. Order-sensitive fault
-    /// plans fall back to exactly that scalar loop.
-    pub fn traceroute_batch(&mut self, dsts: &[Addr]) -> Vec<Trace> {
-        if !self.batch_safe() {
-            return dsts.iter().map(|&d| self.traceroute(d)).collect();
-        }
-        let snap = self.sink.is_some().then(|| self.eng.stats().clone());
-        let before = self.eng.stats().probes;
-        let mut machines: Vec<Option<TraceMachine>> = dsts
-            .iter()
-            .map(|&d| {
-                let id = self.next_id;
-                self.next_id = self.next_id.wrapping_add(1);
-                Some(TraceMachine::new(
-                    self.src,
-                    d,
-                    self.flow_for(d),
-                    id,
-                    self.opts.clone(),
-                ))
-            })
-            .collect();
-        let mut traces: Vec<Option<Trace>> = dsts.iter().map(|_| None).collect();
-        let mut pkts: Vec<Packet> = Vec::with_capacity(dsts.len());
-        let mut idxs: Vec<usize> = Vec::with_capacity(dsts.len());
-        let mut outs: Vec<SendOutcome> = Vec::with_capacity(dsts.len());
-        // Dense list of unfinished machines, always in ascending index
-        // order (`retain` compacts in place), so waits and probes are
-        // collected in exactly the scalar loop's order while finished
-        // machines cost nothing to skip.
-        let mut live: Vec<usize> = (0..machines.len()).collect();
-        while !live.is_empty() {
-            pkts.clear();
-            idxs.clear();
-            outs.clear();
-            let eng = &mut self.eng;
-            live.retain(|&i| {
-                let Some(m) = machines[i].as_mut() else {
-                    return false;
-                };
-                match m.next_request() {
-                    Some(req) => {
-                        if req.wait_ms > 0.0 {
-                            eng.wait(req.wait_ms);
-                        }
-                        pkts.push(req.pkt);
-                        idxs.push(i);
-                        true
-                    }
-                    None => {
-                        if let Some(m) = machines[i].take() {
-                            traces[i] = Some(m.finish());
-                        }
-                        false
-                    }
-                }
-            });
-            if pkts.is_empty() {
-                continue;
-            }
-            self.eng.send_batch(self.vp, &pkts, &mut outs);
-            for (k, &i) in idxs.iter().enumerate() {
-                if let Some(m) = machines[i].as_mut() {
-                    m.on_outcome(&outs[k]);
-                }
-            }
-        }
-        self.stats.traceroutes += dsts.len() as u64;
-        self.stats.probes += self.eng.stats().probes - before;
-        let out: Vec<Trace> = traces.into_iter().flatten().collect();
-        debug_assert_eq!(out.len(), dsts.len());
-        if let Some((tag, sink)) = self.sink.as_mut() {
-            for t in &out {
-                sink.on_trace(*tag, t);
-            }
-            if let Some(snap) = snap {
-                sink.on_stats(&stats_delta(&snap, self.eng.stats()));
-            }
-        }
-        out
-    }
-
-    /// Pings every destination in `dsts` (two attempts each),
-    /// returning one result per destination in input order. The batch
-    /// analogue of [`Session::ping`]; see [`Session::traceroute_batch`]
-    /// for the equivalence and fallback rules.
-    pub fn ping_batch(&mut self, dsts: &[Addr]) -> Vec<PingResult> {
-        if !self.batch_safe() {
-            return dsts.iter().map(|&d| self.ping(d)).collect();
-        }
-        let before = self.eng.stats().probes;
-        let mut machines: Vec<Option<PingMachine>> = dsts
-            .iter()
-            .map(|&d| {
-                let id = self.next_id;
-                self.next_id = self.next_id.wrapping_add(1);
-                Some(PingMachine::new(self.src, d, self.flow_for(d), id, 2))
-            })
-            .collect();
-        let mut results: Vec<Option<PingResult>> = dsts.iter().map(|_| None).collect();
-        let mut pkts: Vec<Packet> = Vec::with_capacity(dsts.len());
-        let mut idxs: Vec<usize> = Vec::with_capacity(dsts.len());
-        let mut outs: Vec<SendOutcome> = Vec::with_capacity(dsts.len());
-        let mut live: Vec<usize> = (0..machines.len()).collect();
-        while !live.is_empty() {
-            pkts.clear();
-            idxs.clear();
-            outs.clear();
-            live.retain(|&i| {
-                let Some(m) = machines[i].as_mut() else {
-                    return false;
-                };
-                match m.next_request() {
-                    Some(pkt) => {
-                        pkts.push(pkt);
-                        idxs.push(i);
-                        true
-                    }
-                    None => {
-                        if let Some(m) = machines[i].take() {
-                            results[i] = Some(m.finish());
-                        }
-                        false
-                    }
-                }
-            });
-            if pkts.is_empty() {
-                continue;
-            }
-            self.eng.send_batch(self.vp, &pkts, &mut outs);
-            for (k, &i) in idxs.iter().enumerate() {
-                if let Some(m) = machines[i].as_mut() {
-                    m.on_outcome(&outs[k]);
-                }
-            }
-        }
-        self.stats.pings += dsts.len() as u64;
-        self.stats.probes += self.eng.stats().probes - before;
-        let out: Vec<PingResult> = results.into_iter().flatten().collect();
-        debug_assert_eq!(out.len(), dsts.len());
-        out
-    }
 }
 
 #[cfg(test)]
@@ -384,47 +221,6 @@ mod tests {
     }
 
     #[test]
-    fn batched_session_matches_scalar() {
-        let s = gns3_fig2(Fig2Config::Default);
-        let dsts = [
-            s.target,
-            s.left_addr("PE2"),
-            Addr::new(9, 9, 9, 9),
-            s.target,
-        ];
-
-        let mut scalar = Session::new(&s.net, &s.cp, s.vp);
-        let straces: Vec<Trace> = dsts.iter().map(|&d| scalar.traceroute(d)).collect();
-        let spings: Vec<PingResult> = dsts.iter().map(|&d| scalar.ping(d)).collect();
-
-        let mut batched = Session::new(&s.net, &s.cp, s.vp);
-        let btraces = batched.traceroute_batch(&dsts);
-        let bpings = batched.ping_batch(&dsts);
-
-        assert_eq!(straces, btraces);
-        assert_eq!(spings, bpings);
-        assert_eq!(scalar.stats, batched.stats);
-        assert_eq!(scalar.engine_stats(), batched.engine_stats());
-        assert_eq!(batched.engine_stats().heap_allocs, 0);
-    }
-
-    #[test]
-    fn batched_session_falls_back_under_order_sensitive_faults() {
-        let s = gns3_fig2(Fig2Config::Default);
-        let dsts = [s.target, s.left_addr("PE2")];
-        let plan = FaultPlan::with_loss(0.4).unwrap();
-
-        let mut scalar = Session::with_faults(&s.net, &s.cp, s.vp, plan.clone(), 21);
-        let straces: Vec<Trace> = dsts.iter().map(|&d| scalar.traceroute(d)).collect();
-
-        let mut batched = Session::with_faults(&s.net, &s.cp, s.vp, plan, 21);
-        let btraces = batched.traceroute_batch(&dsts);
-
-        assert_eq!(straces, btraces);
-        assert_eq!(scalar.engine_stats(), batched.engine_stats());
-    }
-
-    #[test]
     fn sessions_stream_traces_to_an_attached_sink() {
         use crate::sink::TraceSink;
         use std::sync::{Arc, Mutex};
@@ -450,8 +246,8 @@ mod tests {
 
         let mut sess = Session::new(&s.net, &s.cp, s.vp);
         sess.set_sink(7, Box::new(Shared(captured.clone())));
-        let scalar = sess.traceroute(dsts[0]);
-        let batched = sess.traceroute_batch(&dsts);
+        let first = sess.traceroute(dsts[0]);
+        let rest: Vec<Trace> = dsts.iter().map(|&d| sess.traceroute(d)).collect();
         assert!(sess.take_sink().is_some());
         // Detached: no further streaming.
         let _ = sess.traceroute(dsts[0]);
@@ -460,11 +256,11 @@ mod tests {
         assert_eq!(
             cap.traces,
             vec![(7, dsts[0]), (7, dsts[0]), (7, dsts[1])],
-            "one emission per completed trace, batches in input order"
+            "one emission per completed trace, in probing order"
         );
         assert_eq!(
             cap.probe_delta,
-            u64::from(scalar.probes) + batched.iter().map(|t| u64::from(t.probes)).sum::<u64>(),
+            u64::from(first.probes) + rest.iter().map(|t| u64::from(t.probes)).sum::<u64>(),
             "stats deltas account for exactly the emitted traces"
         );
     }

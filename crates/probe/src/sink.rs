@@ -4,11 +4,10 @@
 //! them, so consumers (a JSONL emitter, a serving socket, an
 //! incremental aggregator) never need a whole phase buffered in front
 //! of them. [`crate::Session`] drives an attached sink directly —
-//! scalar traceroutes emit on completion, batched traceroutes emit a
-//! batch's traces in input order as each batch drains — and the
-//! campaign layer drives one with merged traces in global order, which
-//! is how the batch CLI's `--emit jsonl` mode and `wormhole-serve`
-//! share a single emission path.
+//! each traceroute emits on completion — and the campaign layer
+//! drives one with merged traces in global order, which is how the
+//! batch CLI's `--emit jsonl` mode and `wormhole-serve` share a
+//! single emission path.
 
 use crate::trace::{HopOutcome, Trace};
 use std::io::Write;
@@ -24,8 +23,8 @@ pub trait TraceSink {
     fn on_trace(&mut self, vp: usize, trace: &Trace);
 
     /// Engine counters accumulated since the previous `on_stats` call
-    /// (per trace for scalar probing, per batch for batched probing,
-    /// per phase at the campaign level).
+    /// (per trace for session probing, per phase at the campaign
+    /// level).
     fn on_stats(&mut self, delta: &EngineStats) {
         let _ = delta;
     }

@@ -88,12 +88,7 @@ pub struct ProbeRequest {
 /// A resumable Paris traceroute: the trace logic as an explicit state
 /// machine with at most one outstanding probe.
 ///
-/// [`traceroute`] drives a single machine to completion; the batched
-/// session walk drives many machines round-robin, pooling each sweep's
-/// probes into one engine batch. Both paths run *this* code, so a
-/// trace's hop records, retry policy, budget accounting and
-/// termination rules cannot diverge between the scalar and batched
-/// walks.
+/// [`traceroute`] drives a single machine to completion.
 #[derive(Clone, Debug)]
 pub struct TraceMachine {
     src: Addr,

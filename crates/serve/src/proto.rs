@@ -97,7 +97,7 @@ pub fn json_unescape(s: &str) -> String {
 /// clients are not required to send compact JSON. Occurrences of
 /// `"key"` not followed by a colon (i.e. as a string *value*) are
 /// skipped.
-fn after_key<'a>(line: &'a str, key: &str) -> Option<&'a str> {
+pub(crate) fn after_key<'a>(line: &'a str, key: &str) -> Option<&'a str> {
     let pat = format!("\"{key}\"");
     let mut from = 0;
     while let Some(at) = line[from..].find(&pat) {

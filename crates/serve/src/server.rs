@@ -53,6 +53,14 @@ const SCALES: [(&str, Scale); 4] = [
     ("thousandfold", Scale::ThousandFold),
 ];
 
+/// The raw value text following `"key":` in a request, up to the next
+/// `,` or `}` — present even when the value has the wrong type, so a
+/// malformed field is reported instead of defaulted.
+fn raw_field<'a>(req: &'a str, key: &str) -> Option<&'a str> {
+    let rest = crate::proto::after_key(req, key)?;
+    Some(rest.split([',', '}']).next().unwrap_or(rest).trim())
+}
+
 fn scale_by_name(name: &str) -> Option<(usize, Scale)> {
     SCALES
         .iter()
@@ -249,7 +257,21 @@ impl Server {
                 ),
             );
         };
-        let jobs = num_field(req, "jobs").map_or(1, |n| n as usize);
+        // An absent `jobs` means one worker; a present one must be a
+        // whole number (0 = all cores), never truncated or wrapped.
+        let jobs = match (raw_field(req, "jobs"), num_field(req, "jobs")) {
+            (None, _) => 1,
+            (Some(_), Some(n)) if n >= 0.0 && n.fract() == 0.0 => n as usize,
+            (Some(raw), _) => {
+                return write_frame(
+                    w,
+                    &format!(
+                        "{{\"type\":\"error\",\"error\":\"jobs must be a whole number >= 0, got {}\"}}",
+                        json_escape(raw)
+                    ),
+                );
+            }
+        };
         let faults = match str_field(req, "faults") {
             Some(name) => match FaultScenario::parse(&name) {
                 Some(sc) => sc,
@@ -265,9 +287,23 @@ impl Server {
             },
             None => FaultScenario::Clean,
         };
-        let scheduling = match str_field(req, "scheduling").as_deref() {
-            Some("stealing") => Scheduling::Stealing,
-            _ => Scheduling::VpBatches,
+        // The `WORMHOLE_SCHED` vocabulary; anything else is an error,
+        // never a silent fallback to VP batches.
+        let scheduling = match raw_field(req, "scheduling") {
+            None => Scheduling::VpBatches,
+            Some(raw) => match str_field(req, "scheduling").as_deref() {
+                Some("batches") => Scheduling::VpBatches,
+                Some("stealing") => Scheduling::Stealing,
+                _ => {
+                    return write_frame(
+                        w,
+                        &format!(
+                            "{{\"type\":\"error\",\"error\":\"unknown scheduling {} (expected batches or stealing)\"}}",
+                            json_escape(raw)
+                        ),
+                    );
+                }
+            },
         };
         let stream = crate::proto::bool_field(req, "stream").unwrap_or(true);
         let (internet, warm) = self.substrate(idx, scale);

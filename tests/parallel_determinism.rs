@@ -5,7 +5,7 @@
 //! its `(seed, vp_index)` RNG stream — a lossless run would pass even
 //! with broken per-worker seeding, because no randomness is drawn.
 
-use wormhole::core::{Campaign, CampaignConfig, CampaignReport, Scheduling};
+use wormhole::core::{Campaign, CampaignConfig, CampaignReport, CampaignResult, Scheduling};
 use wormhole::net::{FaultPlan, FaultScenario};
 use wormhole::topo::{generate, Internet, InternetConfig};
 
@@ -66,29 +66,55 @@ fn every_fault_scenario_is_identical_at_any_worker_count() {
     // The ISSUE's headline robustness guarantee: token buckets,
     // persistent silence, and link flaps all run on per-worker virtual
     // clocks, so even the hostile composite shards byte-identically.
+    // The aggregate engine counters must agree too, under both
+    // schedulers, and the recording-off walk must never touch the heap.
     let internet = generate(&InternetConfig::small(17));
     for scenario in FaultScenario::ALL {
-        let run = |jobs: usize| {
-            let cfg = CampaignConfig {
-                hdn_threshold: 6,
-                faults: scenario.plan(),
-                seed: 5,
-                jobs,
-                ..CampaignConfig::default()
+        for scheduling in [Scheduling::VpBatches, Scheduling::Stealing] {
+            let run = |jobs: usize| {
+                let cfg = CampaignConfig {
+                    hdn_threshold: 6,
+                    faults: scenario.plan(),
+                    seed: 5,
+                    jobs,
+                    scheduling,
+                    ..CampaignConfig::default()
+                };
+                Campaign::new(&internet.net, &internet.cp, internet.vps.clone(), cfg).run()
             };
-            Campaign::new(&internet.net, &internet.cp, internet.vps.clone(), cfg)
-                .run()
-                .report()
-        };
-        let serial = run(1);
-        for jobs in [2, 4] {
-            assert_eq!(
-                serial,
-                run(jobs),
-                "scenario {} diverged at jobs={jobs}",
-                scenario.name()
+            assert_jobs_identical(
+                &run,
+                &[2, 4],
+                &format!("{} {scheduling:?}", scenario.name()),
             );
         }
+    }
+}
+
+/// Runs `run` at one worker and at each of `jobs`, asserting identical
+/// reports and engine counters, and that no run's walk allocated.
+fn assert_jobs_identical(run: &dyn Fn(usize) -> CampaignResult, jobs: &[usize], what: &str) {
+    let serial = run(1);
+    assert_eq!(
+        serial.engine_stats.heap_allocs, 0,
+        "{what}: campaign walk allocated at jobs=1"
+    );
+    let report = serial.report();
+    for &j in jobs {
+        let parallel = run(j);
+        assert_eq!(
+            report,
+            parallel.report(),
+            "{what}: report diverged at jobs={j}"
+        );
+        assert_eq!(
+            serial.engine_stats, parallel.engine_stats,
+            "{what}: engine counters diverged at jobs={j}"
+        );
+        assert_eq!(
+            parallel.engine_stats.heap_allocs, 0,
+            "{what}: campaign walk allocated at jobs={j}"
+        );
     }
 }
 
@@ -155,108 +181,6 @@ fn stealing_survives_the_hostile_scenario_at_any_worker_count() {
     }
 }
 
-/// The batched-walk equivalence property (PR 7 pin): at a given
-/// `(topology, scheduling, faults, seed)`, every `(batch_width, jobs)`
-/// combination must produce a byte-identical [`CampaignReport`] *and*
-/// identical aggregate engine counters — with `heap_allocs == 0`, since
-/// campaign sessions keep path recording off and the SoA batch driver
-/// holds all lane state inline. `batch_width` 0/1 is the scalar walk,
-/// 64 the full-width batched walk; 8 exercises a partial batch.
-fn assert_batched_matches_scalar(
-    internet: &Internet,
-    faults: FaultPlan,
-    scheduling: Scheduling,
-    hdn_threshold: usize,
-) {
-    let run = |batch_width: usize, jobs: usize| {
-        let cfg = CampaignConfig {
-            hdn_threshold,
-            faults: faults.clone(),
-            seed: 11,
-            jobs,
-            scheduling,
-            batch_width,
-            ..CampaignConfig::default()
-        };
-        Campaign::new(&internet.net, &internet.cp, internet.vps.clone(), cfg).run()
-    };
-    let scalar = run(0, 1);
-    assert_eq!(
-        scalar.engine_stats.heap_allocs, 0,
-        "scalar campaign walk must stay allocation-free"
-    );
-    for (bw, jobs) in [(1, 2), (8, 1), (64, 1), (64, 2), (64, 4)] {
-        let batched = run(bw, jobs);
-        assert_eq!(
-            scalar.report(),
-            batched.report(),
-            "batch_width={bw} jobs={jobs} report diverged from scalar"
-        );
-        assert_eq!(
-            scalar.engine_stats, batched.engine_stats,
-            "batch_width={bw} jobs={jobs} engine counters diverged from scalar"
-        );
-        assert_eq!(
-            batched.engine_stats.heap_allocs, 0,
-            "batch_width={bw} jobs={jobs} batched walk allocated"
-        );
-    }
-}
-
-#[test]
-fn batched_walk_matches_scalar_quick_scale() {
-    // Quick scale, clean faults (the batched fast path runs for real)
-    // and the hostile composite (the order-sensitive plan exercises the
-    // scalar fallback), under both schedulers.
-    let internet = generate(&InternetConfig::small(17));
-    let hostile = FaultScenario::ALL
-        .iter()
-        .find(|s| s.name() == "hostile")
-        .expect("hostile scenario exists");
-    for scheduling in [Scheduling::VpBatches, Scheduling::Stealing] {
-        assert_batched_matches_scalar(&internet, FaultPlan::none(), scheduling, 6);
-        assert_batched_matches_scalar(&internet, hostile.plan(), scheduling, 6);
-    }
-}
-
-#[test]
-fn batched_walk_matches_scalar_paper_scale() {
-    let internet = generate(&InternetConfig {
-        seed: 8,
-        ..InternetConfig::default()
-    });
-    let hostile = FaultScenario::ALL
-        .iter()
-        .find(|s| s.name() == "hostile")
-        .expect("hostile scenario exists");
-    for scheduling in [Scheduling::VpBatches, Scheduling::Stealing] {
-        assert_batched_matches_scalar(&internet, FaultPlan::none(), scheduling, 9);
-        assert_batched_matches_scalar(&internet, hostile.plan(), scheduling, 9);
-    }
-}
-
-#[test]
-fn batched_walk_matches_scalar_under_deception() {
-    // The deceptive scenarios are excluded from the SoA batch fast
-    // path (`FaultPlan::batch_safe`), so a batched campaign config must
-    // take the scalar fallback and still land on the same bytes and
-    // engine counters at every (batch_width, jobs) combination.
-    let internet = generate(&InternetConfig::small(17));
-    for name in ["deceptive_ttl", "artifact_lb", "paranoid"] {
-        let scenario = FaultScenario::ALL
-            .iter()
-            .find(|s| s.name() == name)
-            .unwrap_or_else(|| panic!("{name} scenario exists"));
-        assert!(
-            !scenario.plan().batch_safe(),
-            "{name} must be excluded from the batched walk"
-        );
-        for scheduling in [Scheduling::VpBatches, Scheduling::Stealing] {
-            assert_batched_matches_scalar(&internet, scenario.plan(), scheduling, 6);
-        }
-    }
-}
-
 #[test]
 fn stealing_survives_the_paranoid_scenario_at_any_worker_count() {
     // The paranoid composite layers every deception (spoofed quoted
@@ -293,15 +217,27 @@ fn stealing_survives_the_paranoid_scenario_at_any_worker_count() {
 
 #[test]
 #[ignore = "tenfold scale: run in release CI via --include-ignored"]
-fn batched_walk_matches_scalar_tenfold_scale() {
+fn tenfold_campaign_is_identical_at_one_and_four_workers() {
     let internet = generate(&InternetConfig::tenfold(8));
     let hostile = FaultScenario::ALL
         .iter()
         .find(|s| s.name() == "hostile")
         .expect("hostile scenario exists");
-    for scheduling in [Scheduling::VpBatches, Scheduling::Stealing] {
-        assert_batched_matches_scalar(&internet, FaultPlan::none(), scheduling, 12);
-        assert_batched_matches_scalar(&internet, hostile.plan(), scheduling, 12);
+    for (what, faults) in [
+        ("tenfold clean", FaultPlan::none()),
+        ("tenfold hostile", hostile.plan()),
+    ] {
+        let run = |jobs: usize| {
+            let cfg = CampaignConfig {
+                hdn_threshold: 12,
+                faults: faults.clone(),
+                seed: 11,
+                jobs,
+                ..CampaignConfig::default()
+            };
+            Campaign::new(&internet.net, &internet.cp, internet.vps.clone(), cfg).run()
+        };
+        assert_jobs_identical(&run, &[4], what);
     }
 }
 

@@ -154,7 +154,39 @@ fn ping_trace_and_errors_round_trip() {
         Some("unknown fault scenario gremlins")
     );
 
-    // The connection is still usable after errors.
+    // Neither `scheduling` nor `jobs` may fall back silently: an
+    // unknown scheduler must not run VP batches, and a negative or
+    // fractional `jobs` must not be cast to 0 (all cores) or truncated.
+    for (req, message) in [
+        (
+            r#"{"cmd":"campaign","scale":"quick","scheduling":"steal"}"#,
+            r#"unknown scheduling "steal" (expected batches or stealing)"#,
+        ),
+        (
+            r#"{"cmd":"campaign","scale":"quick","jobs":-1}"#,
+            "jobs must be a whole number >= 0, got -1",
+        ),
+        (
+            r#"{"cmd":"campaign","scale":"quick","jobs":2.7}"#,
+            "jobs must be a whole number >= 0, got 2.7",
+        ),
+        (
+            r#"{"cmd":"campaign","scale":"quick","jobs":"2"}"#,
+            r#"jobs must be a whole number >= 0, got "2""#,
+        ),
+    ] {
+        let frames = c.request(req).expect("bad field");
+        assert_eq!(frames.len(), 1, "{req}: one error frame, no campaign");
+        assert_eq!(str_field(&frames[0], "type").as_deref(), Some("error"));
+        assert_eq!(str_field(&frames[0], "error").as_deref(), Some(message));
+    }
+
+    // The connection is still usable after errors, and the explicit
+    // `"batches"` spelling is accepted.
+    let frames = c
+        .request(r#"{"cmd":"campaign","scale":"quick","scheduling":"batches","stream":false}"#)
+        .expect("campaign after errors");
+    assert!(!parse_campaign(&frames).1.is_empty());
     let frames = c.request(r#"{"cmd":"ping"}"#).expect("ping after error");
     assert_eq!(str_field(&frames[0], "type").as_deref(), Some("pong"));
 
