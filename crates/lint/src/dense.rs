@@ -1,16 +1,21 @@
 //! `D5xx` — dense-plane verification.
 //!
 //! The packet-walk hot path runs on flattened control-plane tables
-//! (label-sorted LFIB rows over shared entry and branch pools,
-//! `te_heads`/`te_routes` CSR, `fib_base`/`fib_spans`/`fib_pool`,
-//! [`LdpBindings`] and [`AsIgp`] CSRs, build-time destination-resolution
-//! tables, the three-level address→owner index). These rules
-//! cross-check every flat table against the logical model it encodes —
-//! re-derived through the same oracles [`ControlPlane::build`] itself
-//! uses ([`logical_fib`], [`te_program`], [`ldp_label_action`],
-//! `LdpBindings::compute`) — and against its own structural invariants. The verifier shares *oracles* with the build,
-//! never outputs: every logical table is recomputed from the
-//! [`Network`] here, not read back from the plane under test.
+//! (label-sorted LFIB rows of `(label, tag)` records, `te_heads`/
+//! `te_routes` CSR, `fib_base`/`fib_spans`/`fib_pool`, [`LdpBindings`]
+//! and [`AsIgp`](wormhole_net::AsIgp) CSRs, build-time
+//! destination-resolution tables, the three-level address→owner index).
+//! These rules cross-check every flat table against the logical model
+//! it encodes — re-derived through the same per-router oracles
+//! [`ControlPlane::build`] itself loops over ([`FibOracle`],
+//! [`LdpBindings::window`], [`te_program`], [`ldp_label_action`]) — and
+//! against its own structural invariants. The verifier shares
+//! *oracles* with the build, never outputs: every logical row is
+//! recomputed from the [`Network`] here, not read back from the plane
+//! under test. The content rules D504, D507 and D508 run in one pass
+//! over the routers ([`router_pass`]), recomputing one router's rows at
+//! a time into reused buffers, so the check never holds a second copy
+//! of the forwarding state.
 //!
 //! The checks are *staged*: a malformed CSR shape (D501/D503/D505/D506/
 //! D508 structure, D509 trie) gates the content comparison that would
@@ -22,8 +27,8 @@ use crate::diag::{Diagnostic, Location, Severity};
 use std::collections::HashSet;
 use wormhole_net::igp::{edge_metric, INF};
 use wormhole_net::{
-    ldp_label_action, logical_fib, te_program, Addr, ControlPlane, FibTables, Label, LabelValue,
-    LdpBindings, LfibRef, Network, RouterId, OWNER_DIR_SIZE,
+    ldp_label_action, lfib_row, te_group, te_program, Addr, ControlPlane, FibOracle, Label,
+    LdpBindings, LfibHop, LfibSource, Network, RouterId, OWNER_DIR_SIZE,
 };
 
 fn err(code: &'static str, location: Location, message: String, hint: &str) -> Diagnostic {
@@ -182,33 +187,25 @@ fn ldp_csr_shape(net: &Network, cp: &ControlPlane, out: &mut Vec<Diagnostic>) ->
     ok
 }
 
-/// D504: the stored bindings must equal a fresh deterministic
-/// recomputation.
-fn ldp_agreement(net: &Network, cp: &ControlPlane, fresh: &LdpBindings, out: &mut Vec<Diagnostic>) {
-    let (base, pool) = cp.bindings.csr();
-    let (fbase, fpool) = fresh.csr();
-    if base != fbase {
+/// D504, offsets half: every stored advertisement window must be as
+/// wide as a fresh recomputation's. Returns `true` when they agree, so
+/// the content half (in [`router_pass`]) reads aligned windows.
+fn ldp_offsets(net: &Network, cp: &ControlPlane, out: &mut Vec<Diagnostic>) -> bool {
+    let (base, _) = cp.bindings.csr();
+    let mut end = 0;
+    let agrees = net.routers().iter().all(|r| {
+        end += LdpBindings::window_len(net, &cp.as_prefixes, r);
+        base[r.id.index() + 1] as usize == end
+    });
+    if !agrees {
         out.push(err(
             "D504",
             Location::Network,
             "stored LDP offsets disagree with a fresh recomputation".to_string(),
             "LdpBindings::compute is deterministic; the stored table was edited",
         ));
-        return;
     }
-    let mut reported = 0;
-    for r in net.routers() {
-        let (lo, hi) = (base[r.id.index()] as usize, base[r.id.index() + 1] as usize);
-        if pool[lo..hi] != fpool[lo..hi] && reported < 8 {
-            out.push(err(
-                "D504",
-                Location::Router(r.name.clone()),
-                "stored LDP advertisements disagree with a fresh recomputation".to_string(),
-                "a label or null-mode was flipped after build; LSPs through this router break",
-            ));
-            reported += 1;
-        }
-    }
+    agrees
 }
 
 /// D505: per-AS IGP first-hop CSR well-formedness and first-hop
@@ -340,22 +337,18 @@ fn igp_check(net: &Network, cp: &ControlPlane, out: &mut Vec<Diagnostic>) -> boo
     all_ok
 }
 
-/// D506: LFIB row shape. The row offsets must be a CSR over the entry
+/// D506: LFIB row shape. The row offsets must be a CSR over the record
 /// pool, each row's labels strictly increasing with its first label
-/// recorded in `lfib_lo` (the direct-index origin of every lookup), and
-/// the entries' branch runs must tile the branch pool, one or more
-/// branches each. Returns `true` when the whole LFIB is well-shaped.
+/// recorded in `lfib_lo` (the direct-index origin of every lookup). An
+/// LDP record's tag must be a slot of its router's AS table (its
+/// branches are read through that FIB row); explicit records must name
+/// the explicit entries in row order, one each, and the explicit
+/// entries' branch runs must tile the branch pool, one or more branches
+/// each. Returns `true` when the whole LFIB is well-shaped.
 fn lfib_shape(net: &Network, cp: &ControlPlane, out: &mut Vec<Diagnostic>) -> bool {
     let v = cp.dense_view();
     let n = net.num_routers();
-    let mut ok = check_csr_offsets(
-        "D506",
-        "lfib base",
-        v.lfib_base,
-        n,
-        v.lfib_entries.len(),
-        out,
-    );
+    let mut ok = check_csr_offsets("D506", "lfib base", v.lfib_base, n, v.lfib_rows.len(), out);
     if v.lfib_lo.len() != n {
         out.push(err(
             "D506",
@@ -366,9 +359,10 @@ fn lfib_shape(net: &Network, cp: &ControlPlane, out: &mut Vec<Diagnostic>) -> bo
         ok = false;
     }
     if ok {
+        let mut named = 0;
         for r in net.routers() {
             let i = r.id.index();
-            let row = &v.lfib_entries[v.lfib_base[i] as usize..v.lfib_base[i + 1] as usize];
+            let row = &v.lfib_rows[v.lfib_base[i] as usize..v.lfib_base[i + 1] as usize];
             let loc = || Location::Router(r.name.clone());
             if row.windows(2).any(|w| w[0].label >= w[1].label) {
                 out.push(err(
@@ -392,18 +386,62 @@ fn lfib_shape(net: &Network, cp: &ControlPlane, out: &mut Vec<Diagnostic>) -> bo
                 ));
                 ok = false;
             }
+            let slots = net.as_index(r.asn).map_or(0, |a| cp.as_prefixes[a].len());
+            for rec in row {
+                match rec.explicit() {
+                    Some(k) if k != named && ok => {
+                        out.push(err(
+                            "D506",
+                            loc(),
+                            format!(
+                                "LFIB record for label {} names explicit entry #{k} (want #{named})",
+                                Label(rec.label)
+                            ),
+                            "explicit entries are numbered in row order, one record each",
+                        ));
+                        ok = false;
+                    }
+                    Some(_) => named += 1,
+                    None if rec.tag as usize >= slots => {
+                        out.push(err(
+                            "D506",
+                            loc(),
+                            format!(
+                                "LFIB record for label {} names FEC slot {} of an AS table of {slots}",
+                                Label(rec.label),
+                                rec.tag
+                            ),
+                            "an LDP record's branches are its FEC's FIB span; this slot has none",
+                        ));
+                        ok = false;
+                    }
+                    None => {}
+                }
+            }
+        }
+        if ok && named != v.lfib_explicit.len() {
+            out.push(err(
+                "D506",
+                Location::Network,
+                format!(
+                    "{} explicit LFIB entries, {named} of them named by a row",
+                    v.lfib_explicit.len()
+                ),
+                "an orphan explicit entry is dead weight no lookup can reach",
+            ));
+            ok = false;
         }
     }
-    // Branch runs start at 0 and strictly increase: each entry owns at
-    // least one branch and no two entries share one.
+    // Branch runs start at 0 and strictly increase: each explicit entry
+    // owns at least one branch and no two entries share one.
     let mut prev: Option<u32> = None;
-    for (i, e) in v.lfib_entries.iter().enumerate() {
+    for (i, e) in v.lfib_explicit.iter().enumerate() {
         if prev.map_or(e.hops != 0, |p| e.hops <= p) {
             out.push(err(
                 "D506",
                 Location::Network,
                 format!(
-                    "LFIB entry #{i} starts its branches at {}, breaking the pool tiling after {prev:?}",
+                    "explicit LFIB entry #{i} starts its branches at {}, breaking the pool tiling after {prev:?}",
                     e.hops
                 ),
                 "branch runs must tile lfib_hops in order, at least one branch per entry",
@@ -413,7 +451,7 @@ fn lfib_shape(net: &Network, cp: &ControlPlane, out: &mut Vec<Diagnostic>) -> bo
         }
         prev = Some(e.hops);
     }
-    let closes = v.lfib_entries.last().map_or(v.lfib_hops.is_empty(), |e| {
+    let closes = v.lfib_explicit.last().map_or(v.lfib_hops.is_empty(), |e| {
         (e.hops as usize) < v.lfib_hops.len()
     });
     if ok && !closes {
@@ -421,7 +459,7 @@ fn lfib_shape(net: &Network, cp: &ControlPlane, out: &mut Vec<Diagnostic>) -> bo
             "D506",
             Location::Network,
             format!(
-                "the last LFIB entry's branches do not end inside the pool of {}",
+                "the last explicit LFIB entry's branches do not end inside the pool of {}",
                 v.lfib_hops.len()
             ),
             "the final entry needs at least one branch, and no pool slot may be orphaned",
@@ -431,127 +469,10 @@ fn lfib_shape(net: &Network, cp: &ControlPlane, out: &mut Vec<Diagnostic>) -> bo
     ok
 }
 
-/// Where an expected LFIB entry comes from.
-#[derive(Copy, Clone)]
-enum Want {
-    /// An LDP entry for this FEC slot, over the logical FIB's hops.
-    Ldp(u32),
-    /// This index of the TE transit program.
-    Te(usize),
-}
-
-/// True when `installed` is exactly the LDP entry a router derives for
-/// `slot` over the next-hop set `hops` — [`ldp_label_action`] per
-/// branch, compared in place.
-fn ldp_entry_matches(
-    fresh: &LdpBindings,
-    slot: u32,
-    hops: &[(u32, RouterId)],
-    installed: LfibRef<'_>,
-) -> bool {
-    installed.slot == slot
-        && installed.nexthops.len() == hops.len()
-        && installed
-            .nexthops
-            .iter()
-            .zip(hops)
-            .all(|(h, &(iface, next))| {
-                h.iface == iface
-                    && h.next == next
-                    && h.action == ldp_label_action(fresh, next, slot)
-            })
-}
-
-/// D507: the installed LFIB must equal the logical program — LDP
-/// entries derived from recomputed bindings over the logical FIB, plus
-/// the TE transit chain. Anything else is stale, missing, or rewritten.
-///
-/// Per router, the expected labels form a sorted want-list (a TE entry
-/// overrides an LDP one on the same label, a later tunnel an earlier
-/// one — the build's insertion order); the installed entries are then
-/// matched by binary search and compared in place.
-fn lfib_agreement(
-    net: &Network,
-    cp: &ControlPlane,
-    fresh: &LdpBindings,
-    fib: &FibTables,
-    out: &mut Vec<Diagnostic>,
-) {
-    let Ok((mut te_transit, _)) = te_program(net) else {
-        return;
-    };
-    // Grouped by router; the stable sort keeps tunnel order within each
-    // group.
-    te_transit.sort_by_key(|&(rid, _, _)| rid);
-    let mut te_next = 0;
-    // `(label, precedence, source)`: later precedence wins a label.
-    let mut want: Vec<(u32, usize, Want)> = Vec::new();
-    let mut seen: Vec<bool> = Vec::new();
-    for r in net.routers() {
-        want.clear();
-        for (slot, value) in fresh.advertisements(r.id) {
-            let LabelValue::Real(in_label) = value else {
-                continue;
-            };
-            if !fib.hops(r.id, slot).is_empty() {
-                want.push((in_label.0, want.len(), Want::Ldp(slot)));
-            }
-        }
-        while te_next < te_transit.len() && te_transit[te_next].0 == r.id {
-            want.push((te_transit[te_next].1 .0, want.len(), Want::Te(te_next)));
-            te_next += 1;
-        }
-        want.sort_unstable_by_key(|&(label, precedence, _)| (label, std::cmp::Reverse(precedence)));
-        want.dedup_by_key(|w| w.0);
-        seen.clear();
-        seen.resize(want.len(), false);
-        for (label, installed) in cp.lfib_entries(r.id) {
-            match want.binary_search_by_key(&label.0, |w| w.0) {
-                Err(_) => out.push(err(
-                    "D507",
-                    Location::Router(r.name.clone()),
-                    format!("stale LFIB entry for label {label}: no LDP binding or TE tunnel produces it"),
-                    "nothing can address this entry correctly; it was injected or left behind",
-                )),
-                Ok(i) => {
-                    seen[i] = true;
-                    let agrees = match want[i].2 {
-                        Want::Ldp(slot) => {
-                            ldp_entry_matches(fresh, slot, fib.hops(r.id, slot), installed)
-                        }
-                        Want::Te(t) => {
-                            let e = &te_transit[t].2;
-                            installed.slot == e.slot && installed.nexthops == e.nexthops
-                        }
-                    };
-                    if !agrees {
-                        out.push(err(
-                            "D507",
-                            Location::Router(r.name.clone()),
-                            format!("LFIB entry for label {label} disagrees with the logical program"),
-                            "the entry was rewritten after build; LSPs through it break mid-path",
-                        ));
-                    }
-                }
-            }
-        }
-        for (w, _) in want.iter().zip(&seen).filter(|&(_, &seen)| !seen) {
-            out.push(err(
-                "D507",
-                Location::Router(r.name.clone()),
-                format!(
-                    "missing LFIB entry for label {}: the logical program installs it",
-                    Label(w.0)
-                ),
-                "labeled packets for this FEC would die here with an unlabeled fallback",
-            ));
-        }
-    }
-}
-
-/// D508: FIB CSR shape (one span per slot, spans tiling the pool) and,
-/// when the structure holds, dense/logical content agreement.
-fn fib_check(net: &Network, cp: &ControlPlane, fib: Option<&FibTables>, out: &mut Vec<Diagnostic>) {
+/// D508, shape half: one FIB span per slot of each router's AS table,
+/// spans tiling the pool in order. Returns `true` when the CSR holds,
+/// so the content half (in [`router_pass`]) may read through it.
+fn fib_shape(net: &Network, cp: &ControlPlane, out: &mut Vec<Diagnostic>) -> bool {
     let v = cp.dense_view();
     let mut ok = check_csr_offsets(
         "D508",
@@ -602,24 +523,179 @@ fn fib_check(net: &Network, cp: &ControlPlane, fib: Option<&FibTables>, out: &mu
         ));
         ok = false;
     }
-    let Some(fib) = fib else { return };
-    if !ok {
-        return;
+    ok
+}
+
+/// Which content comparisons [`router_pass`] runs, as the shape stage
+/// left them.
+#[derive(Copy, Clone)]
+struct Gates {
+    /// D504 content: the LDP CSR (D503) and its offsets (D504) hold.
+    ldp: bool,
+    /// D508 content: the IGP views (D505) and the FIB CSR hold.
+    fib: bool,
+    /// D507: the IGP views (D505) and the LFIB rows (D506) hold.
+    lfib: bool,
+}
+
+/// Capped findings of one rule: the first [`Capped::CAP`] in router
+/// order are kept, but every miss counts against cleanliness.
+#[derive(Default)]
+struct Capped {
+    found: Vec<Diagnostic>,
+    misses: usize,
+}
+
+impl Capped {
+    const CAP: usize = 8;
+
+    fn push(&mut self, d: impl FnOnce() -> Diagnostic) {
+        if self.misses < Self::CAP {
+            self.found.push(d());
+        }
+        self.misses += 1;
     }
-    let mut reported = 0;
+}
+
+/// The content rules D504, D507 and D508 in one pass over the routers.
+///
+/// Each router's fresh advertisement window ([`LdpBindings::window`])
+/// and logical FIB row ([`FibOracle::row_into`]) are recomputed into
+/// reused scratch buffers — never larger than one AS's slots — and
+/// compared in place: the stored window (D504), the stored FIB spans
+/// (D508) and the installed LFIB row (D507). D507 expects the records
+/// the build's own [`lfib_row`] oracle yields over the fresh rows: one
+/// LDP record per freshly advertised real label whose logical FIB span
+/// is non-empty, tagged with that FEC, plus the TE transit program's
+/// explicit entries. An LDP
+/// record's branches are read through the FIB and the bindings, which
+/// D508 and D504 own, so its tag is all D507 compares; an explicit
+/// entry is compared branch by branch. D507 reads the stored bindings
+/// for that, so its findings stand only when D504 found nothing.
+fn router_pass(net: &Network, cp: &ControlPlane, gates: Gates, out: &mut Vec<Diagnostic>) {
+    // Invalid tunnel declarations are X205/W107 territory.
+    let te_transit = gates
+        .lfib
+        .then(|| te_program(net).ok())
+        .flatten()
+        .map(|(t, _)| t);
+    let (base, pool) = cp.bindings.csr();
+    let mut oracle = FibOracle::new(net, &cp.igp, &cp.as_prefixes);
+    let (mut window, mut spans, mut hops) = (Vec::new(), Vec::new(), Vec::new());
+    let mut want = Vec::new();
+    let mut seen: Vec<bool> = Vec::new();
+    let mut te_next = 0;
+    let (mut d504, mut d508) = (Capped::default(), Capped::default());
+    let mut d507 = Vec::new();
     for r in net.routers() {
-        for slot in 0..fib.slots(r.id) as u32 {
-            let dense = cp.fib_entry(r.id, slot).unwrap_or(&[]);
-            if dense != fib.hops(r.id, slot) && reported < 8 {
-                out.push(err(
-                    "D508",
-                    Location::Router(r.name.clone()),
-                    format!("dense FIB entry for slot {slot} disagrees with the logical FIB"),
-                    "rebuild the control plane; the flattened span was edited",
-                ));
-                reported += 1;
+        let loc = || Location::Router(r.name.clone());
+        window.clear();
+        if gates.ldp || te_transit.is_some() {
+            LdpBindings::window(net, &cp.as_prefixes, r, &mut window);
+        }
+        if gates.ldp {
+            let (lo, hi) = (base[r.id.index()] as usize, base[r.id.index() + 1] as usize);
+            if pool[lo..hi] != window[..] {
+                d504.push(|| {
+                    err(
+                        "D504",
+                        loc(),
+                        "stored LDP advertisements disagree with a fresh recomputation".to_string(),
+                        "a label or null-mode was flipped after build; LSPs through this router break",
+                    )
+                });
             }
         }
+        spans.clear();
+        hops.clear();
+        if gates.fib || te_transit.is_some() {
+            oracle.row_into(r.id, &mut spans, &mut hops);
+        }
+        let logical = |slot: usize| {
+            spans
+                .get(slot)
+                .map_or(&[][..], |&(s, l)| &hops[s as usize..(s + l) as usize])
+        };
+        if gates.fib {
+            for slot in 0..spans.len() {
+                if cp.fib_entry(r.id, slot as u32).unwrap_or(&[]) != logical(slot) {
+                    d508.push(|| {
+                        err(
+                            "D508",
+                            loc(),
+                            format!(
+                                "dense FIB entry for slot {slot} disagrees with the logical FIB"
+                            ),
+                            "rebuild the control plane; the flattened span was edited",
+                        )
+                    });
+                }
+            }
+        }
+        let Some(te_transit) = &te_transit else {
+            continue;
+        };
+        let te = te_group(te_transit, &mut te_next, r.id);
+        let routed = |slot: u32| !logical(slot as usize).is_empty();
+        lfib_row(LdpBindings::unpack_window(&window), routed, te, &mut want);
+        seen.clear();
+        seen.resize(want.len(), false);
+        for (label, installed) in cp.lfib_entries(r.id) {
+            match want.binary_search_by_key(&label.0, |w| w.0) {
+                Err(_) => d507.push(err(
+                    "D507",
+                    loc(),
+                    format!("stale LFIB entry for label {label}: no LDP binding or TE tunnel produces it"),
+                    "nothing can address this entry correctly; it was injected or left behind",
+                )),
+                Ok(i) => {
+                    seen[i] = true;
+                    let agrees = match want[i].2 {
+                        LfibSource::Ldp(slot) => {
+                            installed.slot == slot
+                                && (installed.is_derived()
+                                    || installed.branches().eq(logical(slot as usize).iter().map(
+                                        |&(iface, next)| LfibHop {
+                                            iface,
+                                            next,
+                                            action: ldp_label_action(&cp.bindings, next, slot),
+                                        },
+                                    )))
+                        }
+                        LfibSource::Te(k) => {
+                            let e = &te[k].2;
+                            installed.slot == e.slot
+                                && installed.branches().eq(e.nexthops.iter().copied())
+                        }
+                    };
+                    if !agrees {
+                        d507.push(err(
+                            "D507",
+                            loc(),
+                            format!("LFIB entry for label {label} disagrees with the logical program"),
+                            "the entry was rewritten after build; LSPs through it break mid-path",
+                        ));
+                    }
+                }
+            }
+        }
+        for (w, _) in want.iter().zip(&seen).filter(|&(_, &seen)| !seen) {
+            d507.push(err(
+                "D507",
+                loc(),
+                format!(
+                    "missing LFIB entry for label {}: the logical program installs it",
+                    Label(w.0)
+                ),
+                "labeled packets for this FEC would die here with an unlabeled fallback",
+            ));
+        }
+    }
+    let d504_clean = d504.misses == 0;
+    out.extend(d504.found);
+    out.extend(d508.found);
+    if gates.ldp && d504_clean {
+        out.extend(d507);
     }
 }
 
@@ -1003,24 +1079,20 @@ fn owner_index(net: &Network, cp: &ControlPlane, out: &mut Vec<Diagnostic>) {
 pub fn verify_dense(net: &Network, cp: &ControlPlane) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     let te_ok = te_csr_shape(net, cp, &mut out);
-    let ldp_ok = ldp_csr_shape(net, cp, &mut out);
+    let ldp_ok = ldp_csr_shape(net, cp, &mut out) && ldp_offsets(net, cp, &mut out);
     let igp_ok = igp_check(net, cp, &mut out);
     let lfib_ok = lfib_shape(net, cp, &mut out);
+    let fib_ok = fib_shape(net, cp, &mut out);
     let trie_ok = trie_roundtrip(cp, &mut out);
     if te_ok {
         te_agreement(net, cp, &mut out);
     }
-    let fresh = LdpBindings::compute(net, &cp.as_prefixes);
-    if ldp_ok {
-        ldp_agreement(net, cp, &fresh, &mut out);
-    }
-    let fib = igp_ok.then(|| logical_fib(net, &cp.igp, &cp.as_prefixes));
-    fib_check(net, cp, fib.as_ref(), &mut out);
-    if let Some(fib) = &fib {
-        if lfib_ok {
-            lfib_agreement(net, cp, &fresh, fib, &mut out);
-        }
-    }
+    let gates = Gates {
+        ldp: ldp_ok,
+        fib: igp_ok && fib_ok,
+        lfib: igp_ok && lfib_ok,
+    };
+    router_pass(net, cp, gates, &mut out);
     dst_resolution(net, cp, &trie_ok, &mut out);
     owner_hash(net, cp, &trie_ok, &mut out);
     owner_index(net, cp, &mut out);

@@ -258,7 +258,7 @@ pub fn unreachable_prefix(net: &Network, tables: &[AsPrefixes], out: &mut Vec<Di
 pub fn dangling_label_swap(net: &Network, cp: &ControlPlane, out: &mut Vec<Diagnostic>) {
     for r in net.routers() {
         for (label, entry) in cp.lfib_entries(r.id) {
-            for hop in entry.nexthops {
+            for hop in entry.branches() {
                 let LabelAction::Swap(next_label) = hop.action else {
                     continue;
                 };

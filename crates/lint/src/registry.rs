@@ -438,24 +438,28 @@ pub static RULES: &[RuleInfo] = &[
         family: Family::Dense,
         severity: Severity::Error,
         summary: "LFIB row shape broken",
-        explanation: "Every router's LFIB is one row of a shared entry pool, its labels \
+        explanation: "Every router's LFIB is one row of (label, tag) records, its labels \
                       strictly increasing, and lookups first index the row at `label - lo` \
                       before binary-searching it. Row offsets that are not a CSR over the \
-                      pool, a duplicated or unsorted label (one entry shadowing another), a \
-                      recorded row origin that is not the row's first label, or branch runs \
-                      that do not tile the branch pool (an entry with no branch, or two \
-                      entries sharing one) make lookups return another router's or another \
-                      label's entry.",
+                      records, a duplicated or unsorted label (one entry shadowing another), \
+                      a recorded row origin that is not the row's first label, an LDP tag \
+                      past its AS's slot table (its branches would be read from a FIB span \
+                      that does not exist), explicit records that do not name the explicit \
+                      entries in row order, or explicit branch runs that do not tile the \
+                      branch pool make lookups return another router's or another label's \
+                      entry.",
     },
     RuleInfo {
         code: "D507",
         family: Family::Dense,
         severity: Severity::Error,
         summary: "installed LFIB disagrees with the logical LDP/TE program",
-        explanation: "Re-deriving every expected LFIB entry — LDP entries from recomputed \
-                      bindings plus the logical FIB, TE transit entries from the tunnel \
-                      program — must match the installed table exactly. Extra entries are \
-                      stale or unreachable (nothing can ever address them correctly); \
+        explanation: "Per router, the installed LFIB row must hold exactly one LDP record \
+                      per freshly recomputed real advertisement whose logical FIB span is \
+                      non-empty, tagged with that FEC (its branches are then derived from the \
+                      FIB and the bindings, which D508 and D504 verify), plus the RSVP-TE \
+                      transit program's explicit entries, branch for branch. Extra entries \
+                      are stale or unreachable (nothing can ever address them correctly); \
                       missing or differing entries break LSPs mid-path.",
     },
     RuleInfo {

@@ -8,10 +8,13 @@
 //! coverage test proves every registered D5xx rule is fired by at
 //! least one class.
 //!
-//! Two further dense classes corrupt only *content*, with every shape
-//! intact: a rewritten LFIB swap label (`D507`) and a retargeted FIB
-//! pool hop (`D508`). They pin the in-place comparison paths, whose
-//! only other classes (a stale entry, a truncated span) change shape.
+//! Three further dense classes corrupt only *content*, with every
+//! shape intact: an LDP record retagged to another FEC and a rewritten
+//! RSVP-TE branch action (`D507`), and a retargeted FIB pool hop
+//! (`D508`). They pin the in-place comparison paths, whose only other
+//! classes (a stale entry, a truncated span) change shape. An LDP
+//! record tagged past its AS table (`D506`) pins the tag-range check
+//! of the row shape.
 //! Two more corrupt the *directories* of the row and block tables: a
 //! shifted LFIB row offset (`D506`) and a skewed owner-directory run
 //! (`D512`), next to their rules' label- and content-level classes.
@@ -53,34 +56,33 @@ fn te_plane() -> (Network, ControlPlane) {
     (s.net, s.cp)
 }
 
-/// The first installed LFIB branch that swaps labels:
-/// `(router, incoming label, branch pool index, outgoing label)`.
-fn first_swap(net: &Network, cp: &ControlPlane) -> (RouterId, Label, usize, Label) {
+/// The first LDP record (a FEC-slot tag, branches derived from the
+/// FIB) of a router whose AS table has at least two slots: `(router,
+/// record index, the AS table's slot count)`.
+fn first_ldp_record(net: &Network, cp: &ControlPlane) -> (RouterId, usize, u32) {
     let v = cp.dense_view();
     for r in net.routers() {
+        let slots = net
+            .as_index(r.asn)
+            .map_or(0, |a| cp.as_prefixes[a].len() as u32);
         let row = v.lfib_base[r.id.index()] as usize..v.lfib_base[r.id.index() + 1] as usize;
-        for i in row {
-            let e = v.lfib_entries[i];
-            let end = v
-                .lfib_entries
-                .get(i + 1)
-                .map_or(v.lfib_hops.len(), |n| n.hops as usize);
-            for k in e.hops as usize..end {
-                if let LabelAction::Swap(l) = v.lfib_hops[k].action {
-                    return (r.id, Label(e.label), k, l);
-                }
+        if let Some(i) = row.clone().find(|&i| v.lfib_rows[i].explicit().is_none()) {
+            if slots >= 2 {
+                return (r.id, i, slots);
             }
         }
     }
-    panic!("no swapping LFIB entry");
+    panic!("no LDP record");
 }
 
-/// Rewrites the outgoing label of [`first_swap`]'s branch, keeping the
-/// entry's shape; returns the router and the entry's incoming label.
-fn rewrite_first_swap(net: &Network, cp: &mut ControlPlane) -> (RouterId, Label) {
-    let (rid, label, k, out) = first_swap(net, cp);
-    cp.lfib_hops_mut()[k].action = LabelAction::Swap(Label(out.0 + 977));
-    (rid, label)
+/// Retags [`first_ldp_record`] with the next FEC slot of its AS table,
+/// keeping the row's shape; returns the router and the record's
+/// incoming label.
+fn retag_first_ldp_record(net: &Network, cp: &mut ControlPlane) -> (RouterId, Label) {
+    let (rid, i, slots) = first_ldp_record(net, cp);
+    let rec = &mut cp.lfib_rows_mut()[i];
+    rec.tag = (rec.tag + 1) % slots;
+    (rid, Label(rec.label))
 }
 
 /// The first router whose LFIB row holds at least two entries, with
@@ -175,8 +177,8 @@ fn classes() -> Vec<Class> {
                 // the row is no longer strictly sorted and one entry
                 // shadows the other.
                 let (_, row) = multi_entry_row(net, cp);
-                let entries = cp.lfib_entries_mut();
-                entries[row.start + 1].label = entries[row.start].label;
+                let rows = cp.lfib_rows_mut();
+                rows[row.start + 1].label = rows[row.start].label;
             },
         },
         Class {
@@ -189,6 +191,18 @@ fn classes() -> Vec<Class> {
                 // moves.
                 let (rid, _) = multi_entry_row(net, cp);
                 cp.lfib_base_mut()[rid.index()] += 1;
+            },
+        },
+        Class {
+            name: "tag-lfib-record-past-as-slots",
+            rule: "D506",
+            build: ldp_plane,
+            corrupt: |net, cp| {
+                // An LDP record names the slot just past its AS table:
+                // its branches would be read from a FIB span that does
+                // not exist. Labels and offsets stay as built.
+                let (_, i, slots) = first_ldp_record(net, cp);
+                cp.lfib_rows_mut()[i].tag = slots;
             },
         },
         Class {
@@ -223,7 +237,22 @@ fn classes() -> Vec<Class> {
             rule: "D507",
             build: ldp_plane,
             corrupt: |net, cp| {
-                rewrite_first_swap(net, cp);
+                retag_first_ldp_record(net, cp);
+            },
+        },
+        Class {
+            name: "rewrite-te-branch-action",
+            rule: "D507",
+            build: te_plane,
+            corrupt: |_, cp| {
+                // One explicit RSVP-TE transit branch changes its label
+                // operation; the explicit pool keeps its shape.
+                let hop = &mut cp.lfib_hops_mut()[0];
+                hop.action = match hop.action {
+                    LabelAction::Swap(l) => LabelAction::Swap(Label(l.0 + 977)),
+                    LabelAction::Pop => LabelAction::SwapExplicitNull,
+                    LabelAction::SwapExplicitNull => LabelAction::Pop,
+                };
             },
         },
         Class {
@@ -443,8 +472,8 @@ fn audit_corruption_caught_by_exactly_the_intended_rule() {
     );
     let info = lint::rule(class.rule).expect("class rule registered");
     assert_eq!(info.family, lint::Family::Audit, "{}", class.name);
-    // 16 dense classes + this one: the 17-class contract.
-    assert_eq!(classes().len() + 1, 17);
+    // 18 dense classes + this one: the 19-class contract.
+    assert_eq!(classes().len() + 1, 19);
 }
 
 /// A clean screened-campaign snapshot the V6xx classes corrupt: one
@@ -565,7 +594,7 @@ fn veracity_corruption_caught_by_exactly_the_intended_rule() {
 }
 
 /// Coverage: every registered V6xx rule is exercised by exactly one
-/// corruption class, bringing the suite to 23 classes in total.
+/// corruption class, bringing the suite to 25 classes in total.
 #[test]
 fn every_veracity_rule_fired_by_a_corruption_class() {
     let covered: BTreeSet<&str> = v6_classes().iter().map(|c| c.rule).collect();
@@ -579,7 +608,7 @@ fn every_veracity_rule_fired_by_a_corruption_class() {
         let info = lint::rule(c.rule).expect("class rule registered");
         assert_eq!(info.family, lint::Family::Veracity, "{}", c.name);
     }
-    assert_eq!(classes().len() + 1 + v6_classes().len(), 23);
+    assert_eq!(classes().len() + 1 + v6_classes().len(), 25);
 }
 
 /// Corrupted planes also fail the combined `check_plane` gate — the
@@ -647,9 +676,9 @@ fn d507_findings_render_stale_rewritten_and_missing_entries() {
         ) + "\n1 error(s), 0 warning(s), 0 info\n"
     );
 
-    // Rewritten: one branch swaps to the wrong label.
+    // Rewritten: one LDP record names the wrong FEC.
     let (net, mut cp) = ldp_plane();
-    let (rid, label) = rewrite_first_swap(&net, &mut cp);
+    let (rid, label) = retag_first_ldp_record(&net, &mut cp);
     assert_eq!(
         render(&net, &cp),
         d507_line(
@@ -665,7 +694,7 @@ fn d507_findings_render_stale_rewritten_and_missing_entries() {
     // with its origin intact, so D506 stays quiet).
     let (net, mut cp) = ldp_plane();
     let (rid, row) = multi_entry_row(&net, &cp);
-    let last = &mut cp.lfib_entries_mut()[row.end - 1];
+    let last = &mut cp.lfib_rows_mut()[row.end - 1];
     let (old, new) = (Label(last.label), Label(last.label + 1));
     last.label += 1;
     let stale = d507_line(

@@ -11,7 +11,9 @@
 //!    valley-free AS-level routes ([`Bgp`]);
 //! 4. LDP bindings ([`LdpBindings`]) and per-router LFIBs implementing
 //!    swap / PHP-pop / explicit-null-swap, stored as label-sorted rows
-//!    over shared entry and branch pools (see [`LfibRecord`]).
+//!    of `(label, tag)` records (see [`LfibRecord`]): an LDP entry's
+//!    branches are read through the FIB and the bindings, so only
+//!    RSVP-TE and injected entries keep branches of their own.
 //!
 //! Every table is sized to what it holds: [`ControlPlane::table_bytes`]
 //! reports the heap each one reserves.
@@ -137,45 +139,151 @@ pub struct LfibEntry {
     pub nexthops: Vec<LfibHop>,
 }
 
-/// An installed LFIB entry, borrowed from the plane's pools.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+/// An installed LFIB entry, borrowed from the plane: its FEC and a view
+/// of its ECMP branches. An LDP entry stores no branch of its own; its
+/// branches are its FEC's FIB next hops, each with the
+/// [`ldp_label_action`] its next router's advertisement implies, derived
+/// on every read. RSVP-TE transit entries and what-if injections read
+/// their explicitly installed branches. Both kinds answer the same
+/// [`LfibRef::len`] / [`LfibRef::branch`] view without allocating.
+#[derive(Copy, Clone)]
 pub struct LfibRef<'a> {
     /// The FEC (prefix slot in the router's AS table; `u32::MAX` for
     /// RSVP-TE entries).
     pub slot: u32,
-    /// ECMP branches.
-    pub nexthops: &'a [LfibHop],
+    branches: LfibBranches<'a>,
 }
 
-/// One installed LFIB entry in the shared entry pool. Router `r`'s
-/// entries are `entries[base[r]..base[r + 1]]`, sorted by strictly
-/// increasing label; an entry's branches run from its `hops` to the
-/// next entry's (the last entry's to the end of the branch pool).
+/// Where an [`LfibRef`]'s branches come from.
+#[derive(Copy, Clone)]
+enum LfibBranches<'a> {
+    /// An LDP entry: the FEC's FIB next-hop set, each hop's action
+    /// following its next router's advertisement.
+    Derived {
+        hops: &'a [(u32, RouterId)],
+        bindings: &'a LdpBindings,
+    },
+    /// Branches installed explicitly (RSVP-TE transit, injections).
+    Explicit(&'a [LfibHop]),
+}
+
+impl<'a> LfibRef<'a> {
+    /// Number of ECMP branches.
+    #[inline]
+    pub fn len(&self) -> usize {
+        match self.branches {
+            LfibBranches::Derived { hops, .. } => hops.len(),
+            LfibBranches::Explicit(hops) => hops.len(),
+        }
+    }
+
+    /// True for an entry with no branch (a corrupted plane, or an
+    /// injected entry without branches).
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Branch `i`. Panics when `i >= len()`.
+    #[inline]
+    pub fn branch(&self, i: usize) -> LfibHop {
+        match self.branches {
+            LfibBranches::Derived { hops, bindings } => {
+                let (iface, next) = hops[i];
+                LfibHop {
+                    iface,
+                    next,
+                    action: ldp_label_action(bindings, next, self.slot),
+                }
+            }
+            LfibBranches::Explicit(hops) => hops[i],
+        }
+    }
+
+    /// Every branch, in ECMP order.
+    pub fn branches(self) -> impl Iterator<Item = LfibHop> + 'a {
+        (0..self.len()).map(move |i| self.branch(i))
+    }
+
+    /// True for an LDP entry, whose branches are derived from the FIB.
+    pub fn is_derived(&self) -> bool {
+        matches!(self.branches, LfibBranches::Derived { .. })
+    }
+}
+
+impl PartialEq for LfibRef<'_> {
+    /// Entries are equal when they forward alike: same FEC and the same
+    /// branches in the same order, however each is stored.
+    fn eq(&self, other: &Self) -> bool {
+        self.slot == other.slot && self.branches().eq(other.branches())
+    }
+}
+
+impl Eq for LfibRef<'_> {}
+
+impl std::fmt::Debug for LfibRef<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("LfibRef")
+            .field("slot", &self.slot)
+            .field("derived", &self.is_derived())
+            .field("branches", &self.branches().collect::<Vec<_>>())
+            .finish()
+    }
+}
+
+/// One record of a router's LFIB row: incoming label → tag. Router
+/// `r`'s records are `rows[base[r]..base[r + 1]]`, sorted by strictly
+/// increasing label. The tag of an LDP entry is its FEC slot; with
+/// [`LfibRecord::EXPLICIT`] set, its low bits index the explicit entry
+/// pool instead ([`LfibExplicit`]).
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct LfibRecord {
     /// Incoming label value.
     pub label: u32,
+    /// FEC slot, or [`LfibRecord::EXPLICIT`] | explicit entry index.
+    pub tag: u32,
+}
+
+impl LfibRecord {
+    /// Tag bit marking an explicitly installed entry.
+    pub const EXPLICIT: u32 = 1 << 31;
+
+    /// The explicit pool index, for an explicitly installed entry.
+    #[inline]
+    pub fn explicit(self) -> Option<usize> {
+        (self.tag & Self::EXPLICIT != 0).then_some((self.tag & !Self::EXPLICIT) as usize)
+    }
+}
+
+/// One explicitly installed LFIB entry (RSVP-TE transit or a what-if
+/// injection) in the explicit pool: its branches run from `hops` to the
+/// next explicit entry's (the last entry's to the end of the branch
+/// pool).
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub struct LfibExplicit {
     /// The FEC slot (`u32::MAX` for RSVP-TE entries).
     pub slot: u32,
     /// Start of the entry's branches in the branch pool.
     pub hops: u32,
 }
 
-/// Every router's LFIB as label-sorted rows over one entry pool and
-/// one branch pool. LDP allocates each router's labels as one
-/// increasing run, so `label - lo[r]` is the entry's position in its
-/// row; a miss there (a gap, an RSVP-TE label at `500_000+`, an
-/// injected entry) falls back to a binary search of the row prefix
-/// the label can occupy.
+/// Every router's LFIB as label-sorted rows of `(label, tag)` records.
+/// LDP allocates each router's labels as one increasing run, so
+/// `label - lo[r]` is the entry's position in its row; a miss there (a
+/// gap, an RSVP-TE label at `500_000+`, an injected entry) falls back to
+/// a binary search of the row prefix the label can occupy. Only the
+/// explicit entries keep branches, in a pool of their own.
 #[derive(Debug, Clone, Default)]
 struct LfibTables {
-    /// Router → first entry of its row; length `num_routers + 1`.
+    /// Router → first record of its row; length `num_routers + 1`.
     base: Vec<u32>,
-    /// Label of each router's first entry (`0` for an empty row).
+    /// Label of each router's first record (`0` for an empty row).
     lo: Vec<u32>,
-    /// Installed entries, row after row.
-    entries: Vec<LfibRecord>,
-    /// Concatenated ECMP branches.
+    /// `(label, tag)` records, row after row.
+    rows: Vec<LfibRecord>,
+    /// Explicit entries, in row order.
+    explicit: Vec<LfibExplicit>,
+    /// Concatenated branches of the explicit entries.
     hops: Vec<LfibHop>,
 }
 
@@ -191,14 +299,19 @@ impl LfibTables {
         }
     }
 
-    /// Appends an entry to the open row; labels must increase.
-    fn push(&mut self, label: u32, slot: u32, hops: impl IntoIterator<Item = LfibHop>) {
+    /// Appends a record to the open row; labels must increase.
+    fn push(&mut self, label: u32, tag: u32) {
         let row_start = *self.base.last().expect("base starts at 0") as usize;
-        debug_assert!(self.entries[row_start..]
+        debug_assert!(self.rows[row_start..]
             .last()
             .is_none_or(|e| e.label < label));
-        self.entries.push(LfibRecord {
-            label,
+        self.rows.push(LfibRecord { label, tag });
+    }
+
+    /// Appends an explicit entry to the open row.
+    fn push_explicit(&mut self, label: u32, slot: u32, hops: impl IntoIterator<Item = LfibHop>) {
+        self.push(label, LfibRecord::EXPLICIT | self.explicit.len() as u32);
+        self.explicit.push(LfibExplicit {
             slot,
             hops: self.hops.len() as u32,
         });
@@ -208,88 +321,92 @@ impl LfibTables {
     /// Closes the open row (the next router's row starts after it).
     fn end_row(&mut self) {
         let start = *self.base.last().expect("base starts at 0") as usize;
-        self.lo.push(self.entries.get(start).map_or(0, |e| e.label));
-        self.base.push(self.entries.len() as u32);
+        self.lo.push(self.rows.get(start).map_or(0, |e| e.label));
+        self.base.push(self.rows.len() as u32);
     }
 
-    /// Releases the growth slack of the two pools.
+    /// Releases the growth slack of the pools.
     fn shrink(&mut self) {
-        self.entries.shrink_to_fit();
+        self.rows.shrink_to_fit();
+        self.explicit.shrink_to_fit();
         self.hops.shrink_to_fit();
     }
 
-    /// Entry `i` of the entry pool, with its branches.
+    /// Explicit entry `i`: its FEC slot and branches.
     #[inline]
-    fn entry(&self, i: usize) -> LfibRef<'_> {
-        let e = self.entries[i];
+    fn explicit_entry(&self, i: usize) -> (u32, &[LfibHop]) {
+        let e = self.explicit[i];
         let end = self
-            .entries
+            .explicit
             .get(i + 1)
             .map_or(self.hops.len(), |n| n.hops as usize);
-        LfibRef {
-            slot: e.slot,
-            nexthops: &self.hops[e.hops as usize..end],
-        }
+        (e.slot, &self.hops[e.hops as usize..end])
     }
 
-    /// The entry pool range of `router`'s row.
+    /// The record range of `router`'s row.
     #[inline]
     fn row(&self, router: RouterId) -> std::ops::Range<usize> {
         self.base[router.index()] as usize..self.base[router.index() + 1] as usize
     }
 
+    /// The record of `router`'s row for `label`.
     #[inline]
-    fn get(&self, router: RouterId, label: Label) -> Option<LfibRef<'_>> {
+    fn get(&self, router: RouterId, label: Label) -> Option<LfibRecord> {
         let r = router.index();
         let (start, end) = (self.base[r] as usize, self.base[r + 1] as usize);
         let guess = start + label.0.wrapping_sub(self.lo[r]) as usize;
-        let i = if guess < end && self.entries[guess].label == label.0 {
-            guess
-        } else {
-            self.search(start..end, label)?
-        };
-        Some(self.entry(i))
+        if guess < end && self.rows[guess].label == label.0 {
+            return Some(self.rows[guess]);
+        }
+        self.search(start..end, label).map(|i| self.rows[i])
     }
 
     /// The slow path of [`LfibTables::get`]: labels strictly increase
-    /// along a row, so `label` sits at most `label - lo` entries in.
+    /// along a row, so `label` sits at most `label - lo` records in.
     #[cold]
     fn search(&self, row: std::ops::Range<usize>, label: Label) -> Option<usize> {
-        let lo = self.entries.get(row.start)?.label;
+        let lo = self.rows.get(row.start)?.label;
         let upto = row.end.min(
             row.start
                 .saturating_add((label.0.checked_sub(lo)? as usize) + 1),
         );
-        self.entries[row.start..upto]
+        self.rows[row.start..upto]
             .binary_search_by_key(&label.0, |e| e.label)
             .ok()
             .map(|i| row.start + i)
     }
 
-    fn iter(&self, router: RouterId) -> impl Iterator<Item = (Label, LfibRef<'_>)> + '_ {
-        self.row(router)
-            .map(|i| (Label(self.entries[i].label), self.entry(i)))
+    /// Appends `rec`, read from `from`'s rows, to the open row.
+    fn copy_record(&mut self, from: &LfibTables, rec: LfibRecord) {
+        match rec.explicit() {
+            Some(i) => {
+                let (slot, hops) = from.explicit_entry(i);
+                self.push_explicit(rec.label, slot, hops.iter().copied());
+            }
+            None => self.push(rec.label, rec.tag),
+        }
     }
 
-    /// A copy of the tables with `entry` installed (or overwritten)
-    /// under `label` at `router`.
+    /// A copy of the tables with `entry` installed explicitly (or
+    /// overwriting the entry) under `label` at `router`.
     fn with_entry(&self, router: RouterId, label: Label, entry: &LfibEntry) -> LfibTables {
         let mut out = LfibTables::with_rows(self.lo.len());
         for r in 0..self.lo.len() {
             let rid = RouterId(r as u32);
             let mut pending = (rid == router).then_some(entry);
-            for (l, e) in self.iter(rid) {
-                if let Some(new) = pending.filter(|_| label <= l) {
-                    out.push(label.0, new.slot, new.nexthops.iter().copied());
+            for i in self.row(rid) {
+                let rec = self.rows[i];
+                if let Some(new) = pending.filter(|_| label.0 <= rec.label) {
+                    out.push_explicit(label.0, new.slot, new.nexthops.iter().copied());
                     pending = None;
-                    if label == l {
+                    if label.0 == rec.label {
                         continue; // overwritten
                     }
                 }
-                out.push(l.0, e.slot, e.nexthops.iter().copied());
+                out.copy_record(self, rec);
             }
             if let Some(new) = pending {
-                out.push(label.0, new.slot, new.nexthops.iter().copied());
+                out.push_explicit(label.0, new.slot, new.nexthops.iter().copied());
             }
             out.end_row();
         }
@@ -300,7 +417,8 @@ impl LfibTables {
     fn heap_bytes(&self) -> usize {
         vec_bytes(&self.base)
             + vec_bytes(&self.lo)
-            + vec_bytes(&self.entries)
+            + vec_bytes(&self.rows)
+            + vec_bytes(&self.explicit)
             + vec_bytes(&self.hops)
     }
 }
@@ -423,12 +541,12 @@ pub struct ControlPlane {
     walk_iface: Vec<WalkIface>,
 }
 
-/// Where an LFIB entry comes from while a router's row is assembled.
-#[derive(Copy, Clone)]
-enum LfibSource {
+/// Where an expected LFIB record comes from (see [`lfib_row`]).
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub enum LfibSource {
     /// The LDP entry for this FEC slot.
     Ldp(u32),
-    /// This index of the (router-grouped) TE transit program.
+    /// This index of the router's group of the TE transit program.
     Te(usize),
 }
 
@@ -483,61 +601,91 @@ impl FibTables {
     }
 }
 
-/// The *logical* intra-AS FIB: for every router, the per-slot ECMP
-/// next-hop set towards the nearest owner of each internal prefix of
-/// its own AS (empty for connected or unreachable prefixes), sorted by
-/// `(next router, iface)`. [`ControlPlane::build`] stores the result as
-/// its FIB; the `wormhole-lint` D5xx verifier re-derives it to
-/// cross-check the stored tables, so build and verifier stay in
-/// lockstep by construction.
+/// The per-router FIB oracle: the *logical* intra-AS FIB of one router
+/// at a time — per slot of its own AS's prefix table, the ECMP next-hop
+/// set towards the nearest owner of the prefix (empty for connected or
+/// unreachable prefixes), sorted by `(next router, iface)`.
+/// [`logical_fib`] loops it over every router to build the plane's FIB;
+/// the `wormhole-lint` D5xx verifier calls it router by router into
+/// reused buffers, so build and verifier stay in lockstep by
+/// construction.
 ///
-/// Every owner is mapped to its IGP local index once per AS, so the
+/// The oracle keeps one AS's slot owners, mapped to IGP local indices,
+/// and re-targets them when a router of another AS comes up: the
 /// per-`(router, slot)` loop reads distance rows and first-hop spans
-/// directly and writes each hop set straight into the pool: no hashing
-/// and no allocation per cell.
-pub fn logical_fib(net: &Network, igp: &[AsIgp], as_prefixes: &[AsPrefixes]) -> FibTables {
-    const NONE: u32 = u32::MAX;
-    let n = net.num_routers();
-    // Router → (AS index, local index in that AS's IGP view).
-    let mut home = vec![(NONE, NONE); n];
-    // Per AS: slot → its owners' local indices, as a CSR.
-    let mut owners: Vec<(Vec<u32>, Vec<u32>)> = Vec::with_capacity(as_prefixes.len());
-    for (as_idx, ap) in as_prefixes.iter().enumerate() {
-        let view = &igp[as_idx];
-        let local = |r: RouterId| view.local_index(r).map_or(NONE, |l| l as u32);
-        for &rid in net.as_members(ap.asn) {
-            home[rid.index()] = (as_idx as u32, local(rid));
+/// directly, with no hashing and no allocation per cell.
+#[derive(Debug)]
+pub struct FibOracle<'a> {
+    net: &'a Network,
+    igp: &'a [AsIgp],
+    as_prefixes: &'a [AsPrefixes],
+    /// The AS whose owners are loaded.
+    loaded: Option<usize>,
+    /// Slot → span of `owner_locals`; length `slots + 1`.
+    owner_base: Vec<u32>,
+    /// Each slot's owners as local indices (`u32::MAX` = outside the
+    /// IGP view).
+    owner_locals: Vec<u32>,
+}
+
+impl<'a> FibOracle<'a> {
+    /// An oracle over the given per-AS IGP views and prefix tables.
+    pub fn new(net: &'a Network, igp: &'a [AsIgp], as_prefixes: &'a [AsPrefixes]) -> Self {
+        FibOracle {
+            net,
+            igp,
+            as_prefixes,
+            loaded: None,
+            owner_base: Vec::new(),
+            owner_locals: Vec::new(),
         }
-        let mut base = Vec::with_capacity(ap.len() + 1);
-        let mut locals = Vec::new();
-        base.push(0u32);
-        for slot in 0..ap.len() as u32 {
-            locals.extend(ap.owners(slot).iter().map(|&o| local(o)));
-            base.push(locals.len() as u32);
-        }
-        owners.push((base, locals));
     }
-    let spans = home
-        .iter()
-        .filter(|&&(as_idx, _)| as_idx != NONE)
-        .map(|&(as_idx, _)| as_prefixes[as_idx as usize].len())
-        .sum();
-    let mut fib = FibTables {
-        base: Vec::with_capacity(n + 1),
-        spans: Vec::with_capacity(spans),
-        pool: Vec::new(),
-    };
-    for &(as_idx, ls) in &home {
-        fib.base.push(fib.spans.len() as u32);
-        if as_idx == NONE {
-            continue;
+
+    /// The AS index whose table `router` forwards over, if any.
+    fn home(&self, router: RouterId) -> Option<usize> {
+        self.net
+            .as_index(self.net.router(router).asn)
+            .filter(|&i| i < self.as_prefixes.len() && i < self.igp.len())
+    }
+
+    /// Number of spans [`FibOracle::row_into`] appends for `router`.
+    pub fn row_len(&self, router: RouterId) -> usize {
+        self.home(router).map_or(0, |i| self.as_prefixes[i].len())
+    }
+
+    /// Appends `router`'s logical FIB row — one `(start, len)` span per
+    /// slot of its AS table, none for a router outside every registered
+    /// AS — to `spans`, and the hop sets the spans index to `pool`.
+    pub fn row_into(
+        &mut self,
+        router: RouterId,
+        spans: &mut Vec<(u32, u32)>,
+        pool: &mut Vec<(u32, RouterId)>,
+    ) {
+        const NONE: u32 = u32::MAX;
+        let Some(as_idx) = self.home(router) else {
+            return;
+        };
+        let view = &self.igp[as_idx];
+        let ap = &self.as_prefixes[as_idx];
+        let local = |r: RouterId| view.local_index(r).map_or(NONE, |l| l as u32);
+        if self.loaded != Some(as_idx) {
+            self.owner_base.clear();
+            self.owner_locals.clear();
+            self.owner_base.push(0);
+            for slot in 0..ap.len() as u32 {
+                self.owner_locals
+                    .extend(ap.owners(slot).iter().map(|&o| local(o)));
+                self.owner_base.push(self.owner_locals.len() as u32);
+            }
+            self.loaded = Some(as_idx);
         }
-        let view = &igp[as_idx as usize];
-        let (obase, olocals) = &owners[as_idx as usize];
+        let ls = local(router);
         let row = (ls != NONE).then(|| &view.dist[ls as usize]);
-        for slot in 0..as_prefixes[as_idx as usize].len() {
-            let start = fib.pool.len();
-            let slot_owners = &olocals[obase[slot] as usize..obase[slot + 1] as usize];
+        for slot in 0..ap.len() {
+            let start = pool.len();
+            let slot_owners = &self.owner_locals
+                [self.owner_base[slot] as usize..self.owner_base[slot + 1] as usize];
             // Connected routes (the router owns the prefix) and routers
             // outside the IGP view keep an empty span.
             if let Some(row) = row.filter(|_| !slot_owners.contains(&ls)) {
@@ -549,17 +697,33 @@ pub fn logical_fib(net: &Network, igp: &[AsIgp], as_prefixes: &[AsPrefixes]) -> 
                             continue;
                         }
                         for &h in view.first_hops_local(ls as usize, o as usize) {
-                            if !fib.pool[start..].contains(&h) {
-                                fib.pool.push(h);
+                            if !pool[start..].contains(&h) {
+                                pool.push(h);
                             }
                         }
                     }
-                    fib.pool[start..].sort_unstable_by_key(|&(i, r)| (r, i));
+                    pool[start..].sort_unstable_by_key(|&(i, r)| (r, i));
                 }
             }
-            fib.spans
-                .push((start as u32, (fib.pool.len() - start) as u32));
+            spans.push((start as u32, (pool.len() - start) as u32));
         }
+    }
+}
+
+/// The *logical* intra-AS FIB of every router: [`FibOracle::row_into`]
+/// in router order, as the CSR [`ControlPlane::build`] stores.
+pub fn logical_fib(net: &Network, igp: &[AsIgp], as_prefixes: &[AsPrefixes]) -> FibTables {
+    let n = net.num_routers();
+    let mut oracle = FibOracle::new(net, igp, as_prefixes);
+    let spans = (0..n as u32).map(|r| oracle.row_len(RouterId(r))).sum();
+    let mut fib = FibTables {
+        base: Vec::with_capacity(n + 1),
+        spans: Vec::with_capacity(spans),
+        pool: Vec::new(),
+    };
+    for r in 0..n as u32 {
+        fib.base.push(fib.spans.len() as u32);
+        oracle.row_into(RouterId(r), &mut fib.spans, &mut fib.pool);
     }
     fib.base.push(fib.spans.len() as u32);
     fib.pool.shrink_to_fit();
@@ -569,7 +733,8 @@ pub fn logical_fib(net: &Network, igp: &[AsIgp], as_prefixes: &[AsPrefixes]) -> 
 /// The label operation a router applies on a branch towards `next` for
 /// FEC `slot`, following `next`'s LDP advertisement: swap to its real
 /// label, pop on implicit null or a missing binding (Cisco "untagged"),
-/// swap-to-explicit-null on UHP.
+/// swap-to-explicit-null on UHP. Every LDP entry's branches are derived
+/// through it on each read (see [`LfibRef`]).
 #[inline]
 pub fn ldp_label_action(bindings: &LdpBindings, next: RouterId, slot: u32) -> LabelAction {
     match bindings.advertised(next, slot) {
@@ -581,24 +746,9 @@ pub fn ldp_label_action(bindings: &LdpBindings, next: RouterId, slot: u32) -> La
     }
 }
 
-/// The LFIB branches a router installs for FEC `slot` given its ECMP
-/// next-hop set `hops`, each with its [`ldp_label_action`]. Used by
-/// [`ControlPlane::build`]; the D5xx verifier compares installed
-/// branches against [`ldp_label_action`] in place.
-pub fn ldp_lfib_hops<'a>(
-    bindings: &'a LdpBindings,
-    slot: u32,
-    hops: &'a [(u32, RouterId)],
-) -> impl Iterator<Item = LfibHop> + 'a {
-    hops.iter().map(move |&(iface, next)| LfibHop {
-        iface,
-        next,
-        action: ldp_label_action(bindings, next, slot),
-    })
-}
-
 /// The label program of every RSVP-TE tunnel: the transit LFIB entries
-/// to install (in tunnel-then-path order) and the per-`(head, tail)`
+/// to install (grouped by router, in tunnel-then-path order within each
+/// group, as [`lfib_row`] reads them) and the per-`(head, tail)`
 /// autoroute decisions sorted by `(head, tail)` (a later tunnel on the
 /// same pair wins, as in [`ControlPlane::build`]). Fails when a tunnel
 /// path is invalid or lacks a physical adjacency.
@@ -667,9 +817,55 @@ pub fn te_program(
         };
         te_autoroute.insert((t.head(), t.tail()), (iface, first, push));
     }
+    // The stable sort keeps tunnel order within each router's group.
+    transit.sort_by_key(|&(rid, _, _)| rid);
     let mut te_list: Vec<((RouterId, RouterId), TeRoute)> = te_autoroute.into_iter().collect();
     te_list.sort_by_key(|&((h, t), _)| (h, t));
     Ok((transit, te_list))
+}
+
+/// The per-router LFIB oracle: fills `row` with a router's expected
+/// records as `(label, precedence, source)` in strictly increasing label
+/// order — one LDP record per real advertisement in `advertised` whose
+/// FEC is `routed` (has FIB next hops), plus one per entry of `te`, the
+/// router's group of the TE transit program. A TE entry overrides an
+/// LDP one on the same label and a later tunnel an earlier one.
+/// [`ControlPlane::build`] writes the rows it yields; the D5xx verifier
+/// matches installed rows against it.
+pub fn lfib_row(
+    advertised: impl Iterator<Item = (u32, LabelValue)>,
+    routed: impl Fn(u32) -> bool,
+    te: &[(RouterId, Label, LfibEntry)],
+    row: &mut Vec<(u32, usize, LfibSource)>,
+) {
+    row.clear();
+    for (slot, value) in advertised {
+        if let LabelValue::Real(in_label) = value {
+            if routed(slot) {
+                row.push((in_label.0, row.len(), LfibSource::Ldp(slot)));
+            }
+        }
+    }
+    for (k, &(_, label, _)) in te.iter().enumerate() {
+        row.push((label.0, row.len(), LfibSource::Te(k)));
+    }
+    row.sort_unstable_by_key(|&(label, precedence, _)| (label, std::cmp::Reverse(precedence)));
+    row.dedup_by_key(|e| e.0);
+}
+
+/// The router-grouped slice of a TE transit program that belongs to
+/// `router`, starting at `*next` (advanced past it); call in router
+/// order.
+pub fn te_group<'a>(
+    transit: &'a [(RouterId, Label, LfibEntry)],
+    next: &mut usize,
+    router: RouterId,
+) -> &'a [(RouterId, Label, LfibEntry)] {
+    let start = *next;
+    while *next < transit.len() && transit[*next].0 == router {
+        *next += 1;
+    }
+    &transit[start..*next]
 }
 
 impl ControlPlane {
@@ -863,48 +1059,32 @@ impl ControlPlane {
             }
         }
 
-        // LFIBs: one entry per real incoming label with a next hop,
+        // LFIBs: one record per real incoming label with a next hop,
         // plus the RSVP-TE label chain at every transit LSR. Per router
         // the labels form a `(label, precedence, source)` list: a TE
         // entry overrides an LDP one on the same label and a later
         // tunnel an earlier one, then the row is written in label order.
-        let (mut te_transit, te_list) = te_program(net)?;
-        // Grouped by router; the stable sort keeps tunnel order.
-        te_transit.sort_by_key(|&(rid, _, _)| rid);
+        // An LDP record stores only its FEC slot; its branches are read
+        // through the FIB (see [`LfibRef`]).
+        let (te_transit, te_list) = te_program(net)?;
         let mut lfib = LfibTables::with_rows(net.num_routers());
-        // Upper bounds (an LDP entry is one FIB span and its hops), so
-        // the pools never regrow; `shrink` trims them afterwards.
-        lfib.entries.reserve(fib.spans.len() + te_transit.len());
-        lfib.hops.reserve(fib.pool.len() + te_transit.len());
-        let mut row: Vec<(u32, usize, LfibSource)> = Vec::new();
+        // Upper bounds (an LDP record is one FIB span), so the pools
+        // never regrow; `shrink` trims them afterwards.
+        lfib.rows.reserve(fib.spans.len() + te_transit.len());
+        lfib.explicit.reserve(te_transit.len());
+        lfib.hops.reserve(te_transit.len());
+        let mut row = Vec::new();
         let mut te_next = 0;
         for r in net.routers() {
-            row.clear();
-            for (slot, value) in bindings.advertisements(r.id) {
-                if let LabelValue::Real(in_label) = value {
-                    if !fib.hops(r.id, slot).is_empty() {
-                        row.push((in_label.0, row.len(), LfibSource::Ldp(slot)));
-                    }
-                }
-            }
-            while te_next < te_transit.len() && te_transit[te_next].0 == r.id {
-                row.push((te_transit[te_next].1 .0, row.len(), LfibSource::Te(te_next)));
-                te_next += 1;
-            }
-            row.sort_unstable_by_key(|&(label, precedence, _)| {
-                (label, std::cmp::Reverse(precedence))
-            });
-            row.dedup_by_key(|e| e.0);
+            let te = te_group(&te_transit, &mut te_next, r.id);
+            let routed = |slot| !fib.hops(r.id, slot).is_empty();
+            lfib_row(bindings.advertisements(r.id), routed, te, &mut row);
             for &(label, _, source) in &row {
                 match source {
-                    LfibSource::Ldp(slot) => lfib.push(
-                        label,
-                        slot,
-                        ldp_lfib_hops(&bindings, slot, fib.hops(r.id, slot)),
-                    ),
-                    LfibSource::Te(t) => {
-                        let entry = &te_transit[t].2;
-                        lfib.push(label, entry.slot, entry.nexthops.iter().copied())
+                    LfibSource::Ldp(slot) => lfib.push(label, slot),
+                    LfibSource::Te(k) => {
+                        let entry = &te[k].2;
+                        lfib.push_explicit(label, entry.slot, entry.nexthops.iter().copied())
                     }
                 }
             }
@@ -1174,7 +1354,29 @@ impl ControlPlane {
     /// The LFIB entry of `router` for incoming `label`.
     #[inline]
     pub fn lfib_entry(&self, router: RouterId, label: Label) -> Option<LfibRef<'_>> {
-        self.lfib.get(router, label)
+        let rec = self.lfib.get(router, label)?;
+        Some(self.lfib_ref(router, rec))
+    }
+
+    /// The entry view of `router`'s record `rec`.
+    #[inline]
+    fn lfib_ref(&self, router: RouterId, rec: LfibRecord) -> LfibRef<'_> {
+        match rec.explicit() {
+            Some(i) => {
+                let (slot, hops) = self.lfib.explicit_entry(i);
+                LfibRef {
+                    slot,
+                    branches: LfibBranches::Explicit(hops),
+                }
+            }
+            None => LfibRef {
+                slot: rec.tag,
+                branches: LfibBranches::Derived {
+                    hops: self.fib.hops(router, rec.tag),
+                    bindings: &self.bindings,
+                },
+            },
+        }
     }
 
     /// Number of LFIB entries installed at `router`.
@@ -1188,14 +1390,18 @@ impl ControlPlane {
         &self,
         router: RouterId,
     ) -> impl Iterator<Item = (Label, LfibRef<'_>)> + '_ {
-        self.lfib.iter(router)
+        self.lfib.row(router).map(move |i| {
+            let rec = self.lfib.rows[i];
+            (Label(rec.label), self.lfib_ref(router, rec))
+        })
     }
 
-    /// Installs (or overwrites) an LFIB entry at `router` — a what-if
-    /// mutator for fault-injection studies and for exercising the
-    /// static checks: `build` only ever produces consistent LFIBs, so
-    /// dangling label-swaps can only be created deliberately. Rewrites
-    /// the pools, so it costs a pass over every installed entry.
+    /// Installs (or overwrites) an LFIB entry at `router` with explicit
+    /// branches — a what-if mutator for fault-injection studies and for
+    /// exercising the static checks: `build` only ever produces
+    /// consistent LFIBs, so dangling label-swaps can only be created
+    /// deliberately. Rewrites the tables, so it costs a pass over every
+    /// installed entry.
     pub fn inject_lfib_entry(&mut self, router: RouterId, label: Label, entry: LfibEntry) {
         self.lfib = self.lfib.with_entry(router, label, &entry);
     }
@@ -1231,7 +1437,8 @@ impl ControlPlane {
             fib_pool: &self.fib.pool,
             lfib_base: &self.lfib.base,
             lfib_lo: &self.lfib.lo,
-            lfib_entries: &self.lfib.entries,
+            lfib_rows: &self.lfib.rows,
+            lfib_explicit: &self.lfib.explicit,
             lfib_hops: &self.lfib.hops,
             te_heads: &self.te_heads,
             te_routes: &self.te_routes,
@@ -1306,16 +1513,18 @@ pub struct DenseView<'a> {
     pub fib_spans: &'a [(u32, u32)],
     /// Concatenated ECMP next-hop sets `(iface index, next router)`.
     pub fib_pool: &'a [(u32, RouterId)],
-    /// Router → first entry of its LFIB row in `lfib_entries`; length
+    /// Router → first record of its LFIB row in `lfib_rows`; length
     /// `num_routers + 1`.
     pub lfib_base: &'a [u32],
-    /// Label of each router's first LFIB entry (`0` for an empty row).
+    /// Label of each router's first LFIB record (`0` for an empty row).
     pub lfib_lo: &'a [u32],
-    /// Installed LFIB entries, row after row, labels strictly
+    /// `(label, tag)` records, row after row, labels strictly
     /// increasing within a row.
-    pub lfib_entries: &'a [LfibRecord],
-    /// Concatenated LFIB branches; an entry's run ends where the next
-    /// entry's starts.
+    pub lfib_rows: &'a [LfibRecord],
+    /// Explicitly installed entries, in row order.
+    pub lfib_explicit: &'a [LfibExplicit],
+    /// Concatenated explicit branches; an explicit entry's run ends
+    /// where the next one's starts.
     pub lfib_hops: &'a [LfibHop],
     /// Router → span of `te_routes` headed there; length
     /// `num_routers + 1`.
@@ -1394,12 +1603,17 @@ impl ControlPlane {
         &mut self.lfib.base
     }
 
-    /// Mutable LFIB entry pool.
-    pub fn lfib_entries_mut(&mut self) -> &mut Vec<LfibRecord> {
-        &mut self.lfib.entries
+    /// Mutable LFIB row records.
+    pub fn lfib_rows_mut(&mut self) -> &mut Vec<LfibRecord> {
+        &mut self.lfib.rows
     }
 
-    /// Mutable LFIB branch pool.
+    /// Mutable explicit LFIB entry pool.
+    pub fn lfib_explicit_mut(&mut self) -> &mut Vec<LfibExplicit> {
+        &mut self.lfib.explicit
+    }
+
+    /// Mutable explicit LFIB branch pool.
     pub fn lfib_hops_mut(&mut self) -> &mut Vec<LfibHop> {
         &mut self.lfib.hops
     }
@@ -1553,15 +1767,16 @@ mod tests {
         };
         let entry = cp.lfib_entry(b, lb).unwrap();
         assert_eq!(entry.slot, slot);
-        assert_eq!(entry.nexthops.len(), 1);
-        assert_eq!(entry.nexthops[0].next, c);
-        assert_eq!(entry.nexthops[0].action, LabelAction::Pop);
+        assert!(entry.is_derived());
+        assert_eq!(entry.len(), 1);
+        assert_eq!(entry.branch(0).next, c);
+        assert_eq!(entry.branch(0).action, LabelAction::Pop);
         // a itself advertises a real label whose entry swaps to b's.
         let LabelValue::Real(la) = cp.bindings.advertised(a, slot).unwrap() else {
             panic!()
         };
         let entry_a = cp.lfib_entry(a, la).unwrap();
-        assert_eq!(entry_a.nexthops[0].action, LabelAction::Swap(lb));
+        assert_eq!(entry_a.branch(0).action, LabelAction::Swap(lb));
         assert!(cp.lfib_size(a) > 0);
     }
 
@@ -1569,7 +1784,8 @@ mod tests {
     fn lfib_rows_handle_sparse_and_injected_labels() {
         // A dense run with a gap, a far-away TE-style label, and
         // injected labels before, inside and after the run must all
-        // round-trip through the same rows.
+        // round-trip through the same rows; LDP records keep their
+        // slot tag and explicit entries their branches.
         let hop = |iface: u32| LfibHop {
             iface,
             next: RouterId(1),
@@ -1577,17 +1793,21 @@ mod tests {
         };
         let mut t = LfibTables::with_rows(2);
         t.end_row(); // router 0: empty
-        for v in [18u32, 19, 20, 22, 500_007] {
-            t.push(v, v, [hop(v), hop(v + 1)]);
+        for v in [18u32, 19, 20, 22] {
+            t.push(v, v);
         }
+        t.push_explicit(500_007, u32::MAX, [hop(7), hop(8)]);
         t.end_row();
         let r = RouterId(1);
         assert_eq!((t.row(RouterId(0)).len(), t.row(r).len()), (0, 5));
         assert!(t.get(RouterId(0), Label(18)).is_none());
-        for v in [18u32, 19, 20, 22, 500_007] {
-            let e = t.get(r, Label(v)).unwrap_or_else(|| panic!("label {v}"));
-            assert_eq!((e.slot, e.nexthops), (v, &[hop(v), hop(v + 1)][..]));
+        for v in [18u32, 19, 20, 22] {
+            let rec = t.get(r, Label(v)).unwrap_or_else(|| panic!("label {v}"));
+            assert_eq!((rec.tag, rec.explicit()), (v, None));
         }
+        let te = t.get(r, Label(500_007)).unwrap();
+        assert_eq!(te.explicit(), Some(0));
+        assert_eq!(t.explicit_entry(0), (u32::MAX, &[hop(7), hop(8)][..]));
         for v in [0u32, 17, 21, 23, 500_008] {
             assert!(t.get(r, Label(v)).is_none(), "label {v}");
         }
@@ -1600,14 +1820,17 @@ mod tests {
             .with_entry(r, Label(21), &entry(21)) // fills the gap
             .with_entry(r, Label(20), &entry(99)) // overwrites
             .with_entry(r, Label(700_000), &entry(7)); // after TE
-        let labels: Vec<u32> = t.iter(r).map(|(l, _)| l.0).collect();
+        let labels: Vec<u32> = t.row(r).map(|i| t.rows[i].label).collect();
         assert_eq!(labels, [16, 18, 19, 20, 21, 22, 500_007, 700_000]);
         assert_eq!(t.lo, [0, 16]);
-        let e = t.get(r, Label(20)).unwrap();
-        assert_eq!((e.slot, e.nexthops), (99, &[hop(99)][..]));
-        let e = t.get(r, Label(22)).unwrap();
-        assert_eq!(e.nexthops, &[hop(22), hop(23)][..]);
-        assert_eq!(t.get(r, Label(700_000)).unwrap().slot, 7);
+        let explicit = |l: u32| t.explicit_entry(t.get(r, Label(l)).unwrap().explicit().unwrap());
+        assert_eq!(explicit(20), (99, &[hop(99)][..]));
+        assert_eq!(explicit(500_007), (u32::MAX, &[hop(7), hop(8)][..]));
+        assert_eq!(explicit(700_000), (7, &[hop(7)][..]));
+        assert_eq!(t.get(r, Label(22)).unwrap().tag, 22);
+        // Explicit entries are numbered in row order, one each.
+        let order: Vec<usize> = t.row(r).filter_map(|i| t.rows[i].explicit()).collect();
+        assert_eq!(order, [0, 1, 2, 3, 4]);
     }
 
     #[test]
@@ -1669,7 +1892,7 @@ mod tests {
             panic!()
         };
         let entry = cp.lfib_entry(b, lb).unwrap();
-        assert_eq!(entry.nexthops[0].action, LabelAction::SwapExplicitNull);
+        assert_eq!(entry.branch(0).action, LabelAction::SwapExplicitNull);
         let _ = a;
     }
 }

@@ -664,11 +664,18 @@ impl<'a> Engine<'a> {
                 let Some(entry) = self.sub.cp.lfib_entry(cur, top.label) else {
                     return Some(f.drop_here(DropReason::BadLabel));
                 };
+                if entry.is_empty() {
+                    return Some(f.drop_here(DropReason::BadLabel));
+                }
+                let hop = entry.branch(pick_index(
+                    entry.len(),
+                    f.pkt.flow,
+                    self.ecmp_salt(cur, &f.pkt),
+                ));
                 if top.ttl <= 1 {
                     // LSE expiry: the reply is label-switched to the
                     // end of the LSP unless we are the penultimate
                     // hop (whose action pops the last label).
-                    let hop = pick(entry.nexthops, f.pkt.flow, self.ecmp_salt(cur, &f.pkt));
                     let downstream = match hop.action {
                         LabelAction::Swap(l) => Some((l, hop.iface, hop.next)),
                         LabelAction::SwapExplicitNull => {
@@ -679,7 +686,6 @@ impl<'a> Engine<'a> {
                     let path = std::mem::take(&mut f.path);
                     return Some(self.icmp_expired(cur, &f.pkt, f.in_iface_addr, downstream, path));
                 }
-                let hop = *pick(entry.nexthops, f.pkt.flow, self.ecmp_salt(cur, &f.pkt));
                 match hop.action {
                     LabelAction::Swap(l) => {
                         if let Some(lse) = f.pkt.stack.top_mut() {
@@ -1067,17 +1073,22 @@ fn probe_key(pkt: &Packet) -> u64 {
 
 /// Deterministic per-flow ECMP choice.
 fn pick<T>(options: &[T], flow: u16, salt: u32) -> &T {
-    debug_assert!(!options.is_empty());
-    if options.len() == 1 {
-        return &options[0];
+    &options[pick_index(options.len(), flow, salt)]
+}
+
+/// The index [`pick`] chooses among `len` ECMP options: FNV-1a over
+/// flow and salt, modulo `len`.
+fn pick_index(len: usize, flow: u16, salt: u32) -> usize {
+    debug_assert!(len > 0);
+    if len == 1 {
+        return 0;
     }
-    // FNV-1a over flow and salt.
     let mut h: u32 = 0x811c_9dc5;
     for b in flow.to_le_bytes().into_iter().chain(salt.to_le_bytes()) {
         h ^= b as u32;
         h = h.wrapping_mul(0x0100_0193);
     }
-    &options[h as usize % options.len()]
+    h as usize % len
 }
 
 #[cfg(test)]

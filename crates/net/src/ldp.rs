@@ -9,6 +9,7 @@
 use crate::ids::{Label, RouterId};
 use crate::net::Network;
 use crate::prefixes::AsPrefixes;
+use crate::router::Router;
 use crate::vendor::{LdpPolicy, PoppingMode};
 
 /// A label advertisement for a FEC.
@@ -77,49 +78,74 @@ impl LdpBindings {
         }
     }
 
-    /// Computes every router's advertisements.
+    /// Computes every router's advertisements: [`LdpBindings::window`]
+    /// for each router, in router order.
     pub fn compute(net: &Network, as_prefixes: &[AsPrefixes]) -> LdpBindings {
         let mut base = Vec::with_capacity(net.num_routers() + 1);
         let mut pool = Vec::new();
         base.push(0u32);
         for r in net.routers() {
-            let runs_ldp = r.config.mpls && r.config.ldp_policy != LdpPolicy::None;
-            let table = net.as_index(r.asn).and_then(|i| as_prefixes.get(i));
-            if let Some(ap) = table.filter(|_| runs_ldp) {
-                let rid = r.id;
-                // Offset the label space per router so adjacent LSRs
-                // quote visibly distinct labels (as real tables do).
-                let mut next_label = Label::FIRST_DYNAMIC.0 + (rid.0 % 61);
-                let start = pool.len();
-                pool.resize(start + ap.len(), Self::NONE);
-                let table = &mut pool[start..];
-                for slot in 0..ap.len() as u32 {
-                    let prefix = ap.prefix(slot);
-                    let advertise = match r.config.ldp_policy {
-                        LdpPolicy::AllPrefixes => true,
-                        LdpPolicy::LoopbackOnly => prefix.len == 32,
-                        LdpPolicy::None => false,
-                    };
-                    if !advertise {
-                        continue;
-                    }
-                    let value = if ap.owners(slot).contains(&rid) {
-                        match r.config.popping {
-                            PoppingMode::Php => LabelValue::ImplicitNull,
-                            PoppingMode::Uhp => LabelValue::ExplicitNull,
-                        }
-                    } else {
-                        let l = Label(next_label);
-                        next_label += 1;
-                        LabelValue::Real(l)
-                    };
-                    table[slot as usize] = Self::pack(value);
-                }
-            }
+            Self::window(net, as_prefixes, r, &mut pool);
             base.push(pool.len() as u32);
         }
         pool.shrink_to_fit();
         LdpBindings { base, pool }
+    }
+
+    /// The width of `router`'s advertisement window: its AS's slot
+    /// count when it runs LDP, else `0`.
+    pub fn window_len(net: &Network, as_prefixes: &[AsPrefixes], router: &Router) -> usize {
+        Self::table(net, as_prefixes, router).map_or(0, AsPrefixes::len)
+    }
+
+    /// The AS table `router` advertises over, when it runs LDP.
+    fn table<'a>(
+        net: &Network,
+        as_prefixes: &'a [AsPrefixes],
+        router: &Router,
+    ) -> Option<&'a AsPrefixes> {
+        let runs_ldp = router.config.mpls && router.config.ldp_policy != LdpPolicy::None;
+        let table = net.as_index(router.asn).and_then(|i| as_prefixes.get(i));
+        table.filter(|_| runs_ldp)
+    }
+
+    /// The per-router oracle: appends `router`'s advertisement window —
+    /// one packed word per slot of its AS table, or nothing when it
+    /// runs no LDP — to `out`. [`LdpBindings::compute`] concatenates the
+    /// windows; the D5xx verifier recomputes one router at a time into a
+    /// reused buffer.
+    pub fn window(net: &Network, as_prefixes: &[AsPrefixes], router: &Router, out: &mut Vec<u32>) {
+        let Some(ap) = Self::table(net, as_prefixes, router) else {
+            return;
+        };
+        let rid = router.id;
+        // Offset the label space per router so adjacent LSRs quote
+        // visibly distinct labels (as real tables do).
+        let mut next_label = Label::FIRST_DYNAMIC.0 + (rid.0 % 61);
+        let start = out.len();
+        out.resize(start + ap.len(), Self::NONE);
+        let table = &mut out[start..];
+        for slot in 0..ap.len() as u32 {
+            let advertise = match router.config.ldp_policy {
+                LdpPolicy::AllPrefixes => true,
+                LdpPolicy::LoopbackOnly => ap.prefix(slot).len == 32,
+                LdpPolicy::None => false,
+            };
+            if !advertise {
+                continue;
+            }
+            let value = if ap.owners(slot).contains(&rid) {
+                match router.config.popping {
+                    PoppingMode::Php => LabelValue::ImplicitNull,
+                    PoppingMode::Uhp => LabelValue::ExplicitNull,
+                }
+            } else {
+                let l = Label(next_label);
+                next_label += 1;
+                LabelValue::Real(l)
+            };
+            table[slot as usize] = Self::pack(value);
+        }
     }
 
     /// What `router` advertised for FEC `slot` (slot in its own AS's
@@ -140,7 +166,13 @@ impl LdpBindings {
     pub fn advertisements(&self, router: RouterId) -> impl Iterator<Item = (u32, LabelValue)> + '_ {
         let start = self.base[router.index()] as usize;
         let end = self.base[router.index() + 1] as usize;
-        self.pool[start..end]
+        Self::unpack_window(&self.pool[start..end])
+    }
+
+    /// Iterates over the `(slot, value)` advertisements of a window of
+    /// packed words (as [`LdpBindings::window`] writes them).
+    pub fn unpack_window(window: &[u32]) -> impl Iterator<Item = (u32, LabelValue)> + '_ {
+        window
             .iter()
             .enumerate()
             .filter_map(|(slot, &w)| Self::unpack(w).map(|v| (slot as u32, v)))

@@ -67,9 +67,9 @@ pub mod wire;
 pub use addr::{Addr, AddrAllocator, Prefix};
 pub use bgp::{Bgp, RouteClass};
 pub use control::{
-    ldp_label_action, ldp_lfib_hops, logical_fib, te_program, walk, CachePayloadError,
-    ControlPlane, DenseView, ExtRoute, FibTables, LabelAction, LfibEntry, LfibHop, LfibRecord,
-    LfibRef, TeRoute, WalkIface, OWNER_DIR_SIZE,
+    ldp_label_action, lfib_row, logical_fib, te_group, te_program, walk, CachePayloadError,
+    ControlPlane, DenseView, ExtRoute, FibOracle, FibTables, LabelAction, LfibEntry, LfibExplicit,
+    LfibHop, LfibRecord, LfibRef, LfibSource, TeRoute, WalkIface, OWNER_DIR_SIZE,
 };
 pub use engine::{DropReason, Engine, EngineOpts, EngineStats, ReplyInfo, ReplyKind, SendOutcome};
 pub use error::NetError;

@@ -7,12 +7,169 @@
 //! `RouterId`-keyed way. Both must agree exactly on the distance
 //! matrices, the first-hop CSRs and the FIB CSR. The tenfold row lives
 //! in `crates/lint/tests/dense_scales.rs` (`--include-ignored`).
+//!
+//! The LFIB stores an LDP entry as its FEC slot alone and derives the
+//! branches from the FIB on every read; the derived-branch rows check
+//! that view against the FIB span and `ldp_label_action`, and that
+//! explicitly installed entries (RSVP-TE transit, what-if injections)
+//! read back exactly as installed.
 
 #[path = "../crates/lint/tests/oracle/mod.rs"]
 mod oracle;
 
-use wormhole_net::{ControlPlane, RouterId};
-use wormhole_topo::{generate, InternetConfig};
+use wormhole_net::{
+    ldp_label_action, ControlPlane, Label, LabelAction, LabelValue, LfibEntry, LfibHop, Network,
+    PoppingMode, RouterId,
+};
+use wormhole_topo::{generate, gns3_fig2_te, InternetConfig};
+
+/// Every LDP entry's branches equal its FEC's FIB span — count, order
+/// and next hops — each with the `ldp_label_action` of its next router,
+/// and every real advertisement with a FIB span has exactly one entry.
+fn assert_ldp_branches_derived(net: &Network, cp: &ControlPlane, what: &str) {
+    let mut rows = 0;
+    for r in 0..net.num_routers() as u32 {
+        let rid = RouterId(r);
+        for (label, e) in cp.lfib_entries(rid) {
+            assert!(
+                e.is_derived(),
+                "{what}: router {r} label {label} is explicit"
+            );
+            let fib = cp.fib_entry(rid, e.slot).unwrap_or(&[]);
+            assert!(
+                !fib.is_empty(),
+                "{what}: router {r} label {label}: no FIB span"
+            );
+            assert_eq!(e.len(), fib.len(), "{what}: router {r} label {label}");
+            for (i, &(iface, next)) in fib.iter().enumerate() {
+                let want = LfibHop {
+                    iface,
+                    next,
+                    action: ldp_label_action(&cp.bindings, next, e.slot),
+                };
+                assert_eq!(e.branch(i), want, "{what}: router {r} label {label} #{i}");
+            }
+            assert_eq!(
+                cp.bindings.advertised(rid, e.slot),
+                Some(LabelValue::Real(label)),
+                "{what}: router {r} label {label} is not its FEC's advertisement"
+            );
+            rows += 1;
+        }
+    }
+    let advertised = (0..net.num_routers() as u32)
+        .flat_map(|r| {
+            cp.bindings
+                .advertisements(RouterId(r))
+                .filter(move |&(slot, v)| {
+                    matches!(v, LabelValue::Real(_)) && cp.fib_entry(RouterId(r), slot).is_some()
+                })
+        })
+        .count();
+    assert!(rows > 0, "{what}: no LDP entry");
+    assert_eq!(rows, advertised, "{what}: LDP entries vs advertisements");
+}
+
+#[test]
+fn ldp_branches_derive_from_the_fib_at_quick_scale() {
+    for seed in [1, 8, 42] {
+        let i = generate(&InternetConfig::small(seed));
+        assert_ldp_branches_derived(&i.net, &i.cp, &format!("quick/seed{seed}"));
+    }
+}
+
+#[test]
+fn ldp_branches_derive_from_the_fib_at_paper_scale() {
+    let i = generate(&InternetConfig {
+        seed: 8,
+        ..InternetConfig::default()
+    });
+    assert_ldp_branches_derived(&i.net, &i.cp, "paper/seed8");
+}
+
+#[test]
+#[ignore = "release-mode CI scale; run with --include-ignored"]
+fn ldp_branches_derive_from_the_fib_at_tenfold_scale() {
+    let i = generate(&InternetConfig::tenfold(8));
+    assert_ldp_branches_derived(&i.net, &i.cp, "tenfold/seed8");
+}
+
+/// RSVP-TE transit entries and injected what-ifs keep explicit branches
+/// that read back exactly as installed; an injection leaves every other
+/// entry as it was.
+#[test]
+fn explicit_branches_read_back_as_installed() {
+    for popping in [PoppingMode::Php, PoppingMode::Uhp] {
+        let s = gns3_fig2_te(popping, false);
+        let (transit, _) = wormhole_net::te_program(&s.net).expect("valid tunnels");
+        assert!(
+            !transit.is_empty(),
+            "{popping:?}: the fixture has transit LSRs"
+        );
+        // A later tunnel wins a (router, label) pair.
+        let mut seen = std::collections::HashSet::new();
+        for (rid, label, want) in transit.iter().rev() {
+            if !seen.insert((*rid, *label)) {
+                continue;
+            }
+            let e = s.cp.lfib_entry(*rid, *label).expect("TE entry installed");
+            assert!(!e.is_derived(), "{popping:?}: {label}");
+            assert_eq!(e.slot, want.slot, "{popping:?}: {label}");
+            assert!(
+                e.branches().eq(want.nexthops.iter().copied()),
+                "{popping:?}: {label}: {e:?} vs {want:?}"
+            );
+        }
+    }
+
+    let i = generate(&InternetConfig::small(8));
+    let r = i
+        .net
+        .routers()
+        .iter()
+        .find(|r| r.ifaces.len() >= 2 && i.cp.lfib_size(r.id) > 0)
+        .expect("an LSR with two interfaces");
+    let (existing, _) = i.cp.lfib_entries(r.id).next().expect("an LDP entry");
+    let hops = vec![
+        LfibHop {
+            iface: 1,
+            next: r.ifaces[1].peer,
+            action: LabelAction::Swap(Label(4242)),
+        },
+        LfibHop {
+            iface: 0,
+            next: r.ifaces[0].peer,
+            action: LabelAction::SwapExplicitNull,
+        },
+    ];
+    let mut cp = i.cp.clone();
+    for label in [existing, Label(700_001)] {
+        cp.inject_lfib_entry(
+            r.id,
+            label,
+            LfibEntry {
+                slot: 3,
+                nexthops: hops.clone(),
+            },
+        );
+    }
+    for label in [existing, Label(700_001)] {
+        let e = cp.lfib_entry(r.id, label).expect("injected");
+        assert!(!e.is_derived());
+        assert_eq!(e.slot, 3);
+        assert_eq!(e.branches().collect::<Vec<_>>(), hops);
+    }
+    for q in 0..i.net.num_routers() as u32 {
+        let q = RouterId(q);
+        let before =
+            i.cp.lfib_entries(q)
+                .filter(|&(l, _)| q != r.id || l != existing);
+        let after = cp
+            .lfib_entries(q)
+            .filter(|&(l, _)| q != r.id || (l != existing && l != Label(700_001)));
+        assert!(before.eq(after), "router {q:?}: untouched entries changed");
+    }
+}
 
 #[test]
 fn oracles_match_the_reference_at_quick_scale() {

@@ -67,7 +67,8 @@ fn assert_exactly_sized(i: &wormhole::topo::Internet, what: &str) {
         bytes(cp, "lfib"),
         size_of_val(v.lfib_base)
             + size_of_val(v.lfib_lo)
-            + size_of_val(v.lfib_entries)
+            + size_of_val(v.lfib_rows)
+            + size_of_val(v.lfib_explicit)
             + size_of_val(v.lfib_hops),
         "{what}: lfib"
     );
@@ -91,7 +92,13 @@ fn assert_exactly_sized(i: &wormhole::topo::Internet, what: &str) {
         v.owner_pool.len()
     );
     let installed: usize = (0..n as u32).map(|r| cp.lfib_size(RouterId(r))).sum();
-    assert_eq!(installed, v.lfib_entries.len(), "{what}");
+    assert_eq!(installed, v.lfib_rows.len(), "{what}");
+    // LDP records keep no branch: only RSVP-TE transit entries (none in
+    // a generated Internet) are explicit.
+    assert!(
+        v.lfib_explicit.is_empty() && v.lfib_hops.is_empty(),
+        "{what}"
+    );
 }
 
 fn report(what: &str, cp: &ControlPlane) {
@@ -133,7 +140,12 @@ fn tenfold_plane_footprint_within_ceiling() {
     let i = generate(&internet_config_for(Scale::Tenfold, 8));
     assert_exactly_sized(&i, "tenfold/seed8");
     report("tenfold", &i.cp);
-    assert!(total(&i.cp) <= 24 * MB, "tenfold: {} bytes", total(&i.cp));
+    assert!(total(&i.cp) <= 18 * MB, "tenfold: {} bytes", total(&i.cp));
+    assert!(
+        bytes(&i.cp, "lfib") <= 1_600_000,
+        "tenfold: lfib {} bytes",
+        bytes(&i.cp, "lfib")
+    );
 }
 
 #[test]
@@ -143,7 +155,7 @@ fn thousandfold_plane_footprint_within_ceiling() {
     assert_exactly_sized(&i, "thousandfold/seed8");
     report("thousandfold", &i.cp);
     assert!(
-        total(&i.cp) <= 140 * MB,
+        total(&i.cp) <= 110 * MB,
         "thousandfold: {} bytes",
         total(&i.cp)
     );
