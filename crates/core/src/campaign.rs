@@ -17,29 +17,33 @@
 //! # Execution model
 //!
 //! The campaign runs over an immutable, shared substrate
-//! ([`SubstrateRef`]: network + control plane + prefix tries) and one
-//! mutable [`Session`] per vantage point. Probing phases are sharded
-//! across up to [`CampaignConfig::jobs`] worker threads by the
-//! executor in [`crate::shard`]; every phase assigns work per VP from
-//! the merged output of the previous phase and merges its result
-//! shards back in a fixed global order, so the same `(seed, topology)`
-//! produces **byte-identical** results ([`CampaignResult::report`]) at
-//! any thread count. Each VP's fault RNG stream is derived from
-//! `(seed, vp_index)` via [`wormhole_net::worker_seed`].
+//! ([`SubstrateRef`]: network + control plane + prefix tries). Each
+//! probing phase is defined once (`crate::phase`) and run by one
+//! driver on the executor the run selected: per-VP batches or work
+//! stealing across up to [`CampaignConfig::jobs`] threads
+//! (`crate::shard`), or worker processes ([`crate::distributed`]).
+//! Every phase assigns work per VP from the merged output of the
+//! previous phase and merges its results back in a fixed global order,
+//! so the same `(seed, topology)` produces **byte-identical** results
+//! ([`CampaignResult::report`]) at any thread or worker count. Under
+//! [`Scheduling::VpBatches`] each VP's long-lived session draws its
+//! fault RNG from `(seed, vp_index)` via [`wormhole_net::worker_seed`];
+//! under [`Scheduling::Stealing`] each task's hermetic session draws
+//! from `(seed, vp_index, task key)` via [`wormhole_net::trace_seed`].
 
 use crate::distributed::{DistDispatcher, DistError, DistSummary, DistributedOpts};
 use crate::fingerprint::FingerprintTable;
-use crate::reveal::{reveal_between, AbandonReason, RevealOpts, RevelationOutcome};
+use crate::phase::{Bootstrap, Fingerprint, Phase, Probe, Reveal};
+use crate::reveal::{AbandonReason, RevealOpts, RevelationOutcome};
 use crate::shard;
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::fmt::Write as _;
 use std::time::Instant;
-use wormhole_net::wire::Wire;
 use wormhole_net::{
-    trace_seed, Addr, Asn, ControlPlane, EngineStats, FaultPlan, Network, ProbeState, ReplyKind,
-    RouterId, SubstrateRef,
+    Addr, Asn, ControlPlane, EngineStats, FaultPlan, Network, ProbeState, ReplyKind, RouterId,
+    SubstrateRef,
 };
-use wormhole_probe::{NullSink, PingResult, Session, Trace, TraceSink, TracerouteOpts};
+use wormhole_probe::{NullSink, Session, Trace, TraceSink, TracerouteOpts};
 use wormhole_topo::{ItdkBuilder, ItdkSnapshot, NodeInfo};
 
 /// Campaign parameters.
@@ -488,73 +492,104 @@ impl std::fmt::Display for CampaignReport {
     }
 }
 
-/// Folds a phase tag and up to two identifying addresses into the seed
-/// key of a stolen task, so a VP probing the same address in two
-/// different phases still draws from two distinct RNG streams. Shared
-/// with the distributed worker ([`crate::distributed`]), which must
-/// re-derive the exact keys the in-process executor would use.
-pub(crate) fn steal_key(tag: u64, a: u64, b: u64) -> u64 {
-    (tag << 56) ^ a.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(17) ^ b
+/// Which executor runs a campaign's probing phases.
+enum Executor<'s> {
+    /// One long-lived session per vantage point
+    /// ([`Scheduling::VpBatches`]), indexed by VP.
+    Batches(Vec<Session<'s>>),
+    /// Hermetic per-task sessions on worker threads
+    /// ([`Scheduling::Stealing`]).
+    Stealing,
+    /// Hermetic per-task sessions in worker processes
+    /// ([`Campaign::run_distributed`]).
+    Distributed(Box<DistDispatcher<'s>>),
 }
 
-/// What one revelation task produces: the candidate pair, the recursion
-/// outcome, and the echo-reply pings of any newly revealed hops.
-pub(crate) type RevealPayload = ((Addr, Addr), RevelationOutcome, Vec<(Addr, Option<u8>)>);
+/// Runs every probing phase of one campaign on its executor, and keeps
+/// what the phases share: which VPs are dead, the degraded-shard
+/// records, the probe tallies, the engine counters and the probing wall
+/// time.
+struct Driver<'s> {
+    exec: Executor<'s>,
+    hermetic: shard::Hermetic<'s>,
+    jobs: usize,
+    dead: Vec<bool>,
+    degraded: Vec<DegradedShard>,
+    probes: Vec<u64>,
+    engine: EngineStats,
+    probe_seconds: f64,
+}
 
-/// One revelation task: the DPR/BRPR recursion over `(x, y, d)` plus
-/// the echo-reply pings of hops phase 4 did not already discover. The
-/// already-pinged dedup is per task — a stolen (or remote) task cannot
-/// see what its VP's other tasks revealed without depending on
-/// execution order. Shared verbatim by the in-process stealing closure
-/// and the distributed worker so both produce identical payloads.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn reveal_one(
-    sess: &mut Session<'_>,
-    g: usize,
-    x: Addr,
-    y: Addr,
-    d: Addr,
-    opts: &RevealOpts,
-    discovered: &BTreeSet<Addr>,
-    fingerprint: bool,
-) -> (usize, RevealPayload) {
-    let out = reveal_between(sess, x, y, d, opts);
-    let mut ers: Vec<(Addr, Option<u8>)> = Vec::new();
-    if fingerprint {
-        let mut pinged: HashSet<Addr> = HashSet::new();
-        if let Some(t) = out.tunnel() {
-            for step in &t.steps {
-                for h in &step.new_hops {
-                    if !discovered.contains(&h.addr) && pinged.insert(h.addr) {
-                        ers.push((h.addr, sess.ping(h.addr).reply_ip_ttl()));
-                    }
-                }
-            }
+impl<'s> Driver<'s> {
+    fn new(campaign: &'s Campaign<'_>, dist: Option<DistDispatcher<'s>>) -> Driver<'s> {
+        let cfg = &campaign.cfg;
+        let exec = match (dist, cfg.scheduling) {
+            (Some(d), _) => Executor::Distributed(Box::new(d)),
+            (None, Scheduling::Stealing) => Executor::Stealing,
+            (None, Scheduling::VpBatches) => Executor::Batches(campaign.sessions()),
+        };
+        let n_vps = campaign.vps.len();
+        Driver {
+            exec,
+            hermetic: shard::Hermetic {
+                sub: campaign.sub,
+                vps: &campaign.vps,
+                faults: &cfg.faults,
+                opts: &cfg.trace_opts,
+                seed: cfg.seed,
+            },
+            jobs: campaign.resolved_jobs(),
+            dead: vec![false; n_vps],
+            degraded: Vec::new(),
+            probes: vec![0; n_vps],
+            engine: EngineStats::default(),
+            probe_seconds: 0.0,
         }
     }
-    (g, ((x, y), out, ers))
-}
 
-/// Splits per-VP shard results into the surviving batches, recording a
-/// [`DegradedShard`] (and marking the VP dead) for each panicked batch.
-fn split_shards<R>(
-    phase: &'static str,
-    results: Vec<Result<Vec<R>, String>>,
-    degraded: &mut Vec<DegradedShard>,
-    dead: &mut [bool],
-) -> Vec<Vec<R>> {
-    results
-        .into_iter()
-        .enumerate()
-        .filter_map(|(vp, r)| match r {
-            Ok(s) => Some(s),
-            Err(message) => {
-                dead[vp] = true;
-                degraded.push(DegradedShard { vp, phase, message });
-                None
+    /// Runs `phase` over `(vp, task)` entries in global order and
+    /// returns one result per entry. Entries of a VP that is dead, or
+    /// whose shard this phase loses (recorded as a [`DegradedShard`]),
+    /// come back `None`.
+    fn run<P: Phase>(&mut self, phase: &P, entries: &[(usize, P::Task)]) -> Vec<Option<P::Out>> {
+        let started = Instant::now();
+        let queue: Vec<(usize, P::Task)> = entries
+            .iter()
+            .filter(|&&(vp, _)| !self.dead[vp])
+            .copied()
+            .collect();
+        let (lanes, probes, engine) = match &mut self.exec {
+            Executor::Batches(sessions) => {
+                shard::run_vp_batches(sessions, phase, &queue, self.jobs)
             }
-        })
-        .collect()
+            Executor::Stealing => {
+                shard::run_stealing(&self.hermetic, phase, &queue, self.jobs, P::CHUNK)
+            }
+            Executor::Distributed(d) => d.dispatch(phase, &queue),
+        };
+        self.probe_seconds += started.elapsed().as_secs_f64();
+        self.engine.merge(&engine);
+        for (acc, p) in self.probes.iter_mut().zip(probes) {
+            *acc += p;
+        }
+        let mut lanes: Vec<_> = lanes
+            .into_iter()
+            .enumerate()
+            .map(|(vp, lane)| {
+                let lane = lane.unwrap_or_else(|message| {
+                    self.dead[vp] = true;
+                    let phase = P::LABEL;
+                    self.degraded.push(DegradedShard { vp, phase, message });
+                    Vec::new()
+                });
+                lane.into_iter()
+            })
+            .collect();
+        // Each entry takes the next result of its VP's lane: lanes keep
+        // queue order, and a VP that was dead or lost its shard this
+        // phase has an empty lane.
+        entries.iter().map(|&(vp, _)| lanes[vp].next()).collect()
+    }
 }
 
 /// A campaign bound to a substrate and its vantage points.
@@ -597,8 +632,9 @@ impl<'a> Campaign<'a> {
         self.sub.net
     }
 
-    /// One session per vantage point, linted once via the campaign gate
-    /// rather than per session. Worker `i` draws its fault RNG from the
+    /// One long-lived session per vantage point for
+    /// [`Scheduling::VpBatches`], linted once via the campaign gate
+    /// rather than per session. VP `i` draws its fault RNG from the
     /// `(seed, i)` stream.
     fn sessions(&self) -> Vec<Session<'a>> {
         self.vps
@@ -701,57 +737,30 @@ impl<'a> Campaign<'a> {
         if self.cfg.scheduling != Scheduling::Stealing {
             return Err(DistError::NotStealing);
         }
-        let mut dispatcher = DistDispatcher::new(
+        let dispatcher = DistDispatcher::new(
             opts,
             self.vps.len(),
             self.cfg.seed,
             self.cfg.faults.clone(),
             self.cfg.trace_opts.clone(),
         )?;
-        let mut result = self.run_inner(sink, Some(&mut dispatcher));
-        result.dist = Some(dispatcher.into_summary());
-        Ok(result)
+        Ok(self.run_inner(sink, Some(dispatcher)))
     }
 
     fn run_inner(
         &self,
         sink: &mut dyn TraceSink,
-        mut dist: Option<&mut DistDispatcher<'_>>,
+        dist: Option<DistDispatcher<'_>>,
     ) -> CampaignResult {
-        let stealing = self.cfg.scheduling == Scheduling::Stealing;
-        // Long-lived per-VP sessions only exist in batch mode; stealing
-        // builds a hermetic session per task instead.
-        let mut sessions = if stealing {
-            Vec::new()
-        } else {
-            self.sessions()
-        };
         let n_vps = self.vps.len();
-        let jobs = self.resolved_jobs();
-        // Merge buffers shared by every stealing phase of this run.
-        let mut merge_scratch = shard::MergeScratch::new(n_vps);
-        let mut degraded: Vec<DegradedShard> = Vec::new();
-        let mut dead = vec![false; n_vps];
-        let mut stolen_probes = vec![0u64; n_vps];
-        let mut engine_totals = EngineStats::default();
         let run_started = Instant::now();
-        let mut probe_seconds = 0.0f64;
-        let chaos: Option<(usize, RouterId)> = self.cfg.chaos_panic_vp.map(|i| {
-            assert!(i < n_vps, "chaos_panic_vp {i} out of range (0..{n_vps})");
-            (i, self.vps[i])
-        });
-        // The session factory for stolen tasks: the task's RNG stream
-        // is a pure function of `(seed, vp, key)`, so a task behaves
-        // identically no matter which worker claims it or when.
-        let make_session = |vp: usize, key: u64| {
-            let state = ProbeState::new(
-                self.cfg.faults.clone(),
-                trace_seed(self.cfg.seed, vp as u64, key),
-            );
-            let mut s = Session::over(self.sub, self.vps[vp], state);
-            s.set_opts(self.cfg.trace_opts.clone());
-            s
+        let probe = Probe {
+            chaos: self.cfg.chaos_panic_vp.map(|i| {
+                assert!(i < n_vps, "chaos_panic_vp {i} out of range (0..{n_vps})");
+                (i, self.vps[i])
+            }),
         };
+        let mut driver = Driver::new(self, dist);
 
         // Phase 1: bootstrap snapshot. Every VP traces a share of the
         // loopbacks — and every VP traces the borders-heavy transit
@@ -766,66 +775,17 @@ impl<'a> Campaign<'a> {
                 boot_assign.push((vp, t));
             }
         }
-        let phase_started = Instant::now();
-        let shards = if stealing {
-            let queue: Vec<shard::StealTask<(usize, Addr)>> = boot_assign
-                .iter()
-                .enumerate()
-                .map(|(g, &(vp, t))| shard::StealTask {
-                    vp,
-                    key: steal_key(1, u64::from(t.0), 0),
-                    task: (g, t),
-                })
-                .collect();
-            let (shards, probes, es) = match dist.as_deref_mut() {
-                Some(d) => d.dispatch(1, "bootstrap", &queue, &[]),
-                None => shard::run_stealing(
-                    n_vps,
-                    queue,
-                    jobs,
-                    shard::STEAL_CHUNK,
-                    &mut merge_scratch,
-                    &make_session,
-                    &|sess, (g, t)| (g, sess.traceroute(t).addr_path()),
-                ),
-            };
-            engine_totals.merge(&es);
-            for (acc, p) in stolen_probes.iter_mut().zip(probes) {
-                *acc += p;
-            }
-            shards
-        } else {
-            let mut tasks: Vec<Vec<(usize, Addr)>> = (0..n_vps)
-                .map(|_| Vec::with_capacity(boot_assign.len() / n_vps + 1))
-                .collect();
-            for (g, &(vp, t)) in boot_assign.iter().enumerate() {
-                tasks[vp].push((g, t));
-            }
-            shard::run_vp_batches(&mut sessions, tasks, jobs, &|sess, batch| {
-                let mut out = Vec::with_capacity(batch.len());
-                out.extend(
-                    batch
-                        .into_iter()
-                        .map(|(g, t)| (g, sess.traceroute(t).addr_path())),
-                );
-                out
-            })
-        };
-        probe_seconds += phase_started.elapsed().as_secs_f64();
-        let shards = split_shards("bootstrap", shards, &mut degraded, &mut dead);
-        // Feed the shard merges straight into the incremental builder —
-        // no materialized global path vector, no batch rebuild. Shard
-        // order is deterministic at any job count, and the canonical
-        // finish makes the snapshot independent of ingest order anyway.
+        let boot_paths = driver.run(&Bootstrap, &boot_assign);
+        // Feed the merged paths straight into the incremental builder —
+        // no batch rebuild. The canonical finish makes the snapshot
+        // independent of ingest order anyway.
         let analysis_started = Instant::now();
         let mut builder = ItdkBuilder::new();
         let mut bootstrap_paths: Vec<Vec<Option<Addr>>> = Vec::new();
-        for shard in shards {
-            for (_g, path) in shard {
-                builder.ingest(&path, |a| self.resolve(a));
-                if self.cfg.keep_bootstrap_paths {
-                    bootstrap_paths.push(path);
-                }
+        for path in boot_paths.into_iter().flatten() {
+            builder.ingest(&path, |a| self.resolve(a));
+            if self.cfg.keep_bootstrap_paths {
+                bootstrap_paths.push(path);
             }
         }
         let mut snapshot_deltas = vec![SnapshotDelta {
@@ -851,80 +811,32 @@ impl<'a> Campaign<'a> {
         let targets: Vec<Addr> = target_set.into_iter().collect();
         let hdn_nodes: HashSet<usize> = hdns.iter().copied().collect();
 
-        // Phase 4: probe each target from its team's vantage point.
-        // Workers return ordered trace shards; the scan that feeds the
-        // fingerprint table replays the merged traces in global order.
-        // A degraded VP's lost targets merge as empty unreached traces.
-        let phase_started = Instant::now();
-        let shards = if stealing {
-            let queue: Vec<shard::StealTask<(usize, Addr)>> = targets
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| !dead[i % n_vps])
-                .map(|(i, &t)| shard::StealTask {
-                    vp: i % n_vps,
-                    key: steal_key(2, u64::from(t.0), 0),
-                    task: (i, t),
-                })
-                .collect();
-            let (shards, probes, es) = match dist.as_deref_mut() {
-                Some(d) => d.dispatch(2, "probe", &queue, &[]),
-                None => shard::run_stealing(
-                    n_vps,
-                    queue,
-                    jobs,
-                    shard::STEAL_CHUNK,
-                    &mut merge_scratch,
-                    &make_session,
-                    &|sess, (g, t)| {
-                        if let Some((idx, vp)) = chaos {
-                            assert!(sess.vp() != vp, "chaos: injected worker panic (vp {idx})");
-                        }
-                        (g, sess.traceroute(t))
-                    },
-                ),
-            };
-            engine_totals.merge(&es);
-            for (acc, p) in stolen_probes.iter_mut().zip(probes) {
-                *acc += p;
-            }
-            shards
-        } else {
-            let mut tasks: Vec<Vec<(usize, Addr)>> = (0..n_vps)
-                .map(|_| Vec::with_capacity(targets.len() / n_vps + 1))
-                .collect();
-            for (i, &t) in targets.iter().enumerate() {
-                if !dead[i % n_vps] {
-                    tasks[i % n_vps].push((i, t));
-                }
-            }
-            shard::run_vp_batches(&mut sessions, tasks, jobs, &|sess, batch| {
-                if let Some((idx, vp)) = chaos {
-                    assert!(sess.vp() != vp, "chaos: injected worker panic (vp {idx})");
-                }
-                let mut out = Vec::with_capacity(batch.len());
-                out.extend(batch.into_iter().map(|(g, t)| (g, sess.traceroute(t))));
-                out
+        // Phase 4: probe each target from its team's vantage point. The
+        // scan that feeds the fingerprint table replays the merged
+        // traces in global order. A degraded VP's lost targets merge as
+        // empty unreached traces.
+        let probe_assign: Vec<(usize, Addr)> = targets
+            .iter()
+            .enumerate()
+            .map(|(i, &t)| (i % n_vps, t))
+            .collect();
+        let traced = driver.run(&probe, &probe_assign);
+        let traces: Vec<(usize, Trace)> = probe_assign
+            .iter()
+            .zip(traced)
+            .map(|(&(vp, dst), trace)| {
+                let trace = trace.unwrap_or_else(|| Trace {
+                    src: Addr::new(0, 0, 0, 0),
+                    dst,
+                    flow: 0,
+                    hops: Vec::new(),
+                    reached: false,
+                    probes: 0,
+                    truncated: false,
+                });
+                (vp, trace)
             })
-        };
-        probe_seconds += phase_started.elapsed().as_secs_f64();
-        let shards = split_shards("probe", shards, &mut degraded, &mut dead);
-        let traces: Vec<(usize, Trace)> = {
-            let merged = shard::merge_indexed_or(shards, targets.len(), |g| Trace {
-                src: Addr::new(0, 0, 0, 0),
-                dst: targets[g],
-                flow: 0,
-                hops: Vec::new(),
-                reached: false,
-                probes: 0,
-                truncated: false,
-            });
-            merged
-                .into_iter()
-                .enumerate()
-                .map(|(i, trace)| (i % n_vps, trace))
-                .collect()
-        };
+            .collect();
         // The probe traces extend the same builder incrementally —
         // the campaign never rebuilds aggregate state it already has.
         let analysis_started = Instant::now();
@@ -964,65 +876,17 @@ impl<'a> Campaign<'a> {
         // vantage point that observed the address where possible so the
         // RTLA gap compares replies over the same return path.
         if self.cfg.fingerprint {
-            let phase_started = Instant::now();
-            let shards = if stealing {
-                let queue: Vec<shard::StealTask<(usize, Addr)>> = discovered
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(i, &addr)| {
-                        let vp = te_obs.get(&addr).map(|&(vp, _)| vp).unwrap_or(i % n_vps);
-                        (!dead[vp]).then_some(shard::StealTask {
-                            vp,
-                            key: steal_key(3, u64::from(addr.0), 0),
-                            task: (i, addr),
-                        })
-                    })
-                    .collect();
-                let (shards, probes, es) = match dist.as_deref_mut() {
-                    Some(d) => d.dispatch(3, "fingerprint", &queue, &[]),
-                    None => shard::run_stealing(
-                        n_vps,
-                        queue,
-                        jobs,
-                        shard::STEAL_CHUNK,
-                        &mut merge_scratch,
-                        &make_session,
-                        &|sess, (g, addr)| (g, addr, sess.ping(addr)),
-                    ),
-                };
-                engine_totals.merge(&es);
-                for (acc, p) in stolen_probes.iter_mut().zip(probes) {
-                    *acc += p;
-                }
-                shards
-            } else {
-                let mut tasks: Vec<Vec<(usize, Addr)>> = (0..n_vps)
-                    .map(|_| Vec::with_capacity(discovered.len() / n_vps + 1))
-                    .collect();
-                for (i, &addr) in discovered.iter().enumerate() {
+            let ping_assign: Vec<(usize, Addr)> = discovered
+                .iter()
+                .enumerate()
+                .map(|(i, &addr)| {
                     let vp = te_obs.get(&addr).map(|&(vp, _)| vp).unwrap_or(i % n_vps);
-                    if !dead[vp] {
-                        tasks[vp].push((i, addr));
-                    }
-                }
-                shard::run_vp_batches(&mut sessions, tasks, jobs, &|sess, batch| {
-                    let mut out = Vec::with_capacity(batch.len());
-                    out.extend(batch.into_iter().map(|(g, a)| (g, a, sess.ping(a))));
-                    out
+                    (vp, addr)
                 })
-            };
-            probe_seconds += phase_started.elapsed().as_secs_f64();
-            let shards = split_shards("fingerprint", shards, &mut degraded, &mut dead);
-            // Shard outputs are already ordered by global index within
-            // each VP, so a linear scatter restores global order — no
-            // re-sort of results that were never out of order. Holes
-            // left by degraded VPs simply stay unset.
-            let mut slots: Vec<Option<(Addr, PingResult)>> = vec![None; discovered.len()];
-            for (g, addr, result) in shards.into_iter().flatten() {
-                slots[g] = Some((addr, result));
-            }
-            for (addr, result) in slots.into_iter().flatten() {
-                if let Some(r) = result.reply {
+                .collect();
+            let pings = driver.run(&Fingerprint, &ping_assign);
+            for (&(_, addr), ping) in ping_assign.iter().zip(pings) {
+                if let Some(r) = ping.and_then(|p| p.reply) {
                     fingerprints.observe_er(addr, r.reply_ip_ttl);
                     er_obs.insert(addr, r.reply_ip_ttl);
                 }
@@ -1040,7 +904,7 @@ impl<'a> Campaign<'a> {
         // order) claims the pair for its vantage point.
         let mut candidates = Vec::new();
         let mut pair_seen: HashSet<(Addr, Addr)> = HashSet::new();
-        let mut reveal_jobs: Vec<(usize, Addr, Addr, Addr)> = Vec::new();
+        let mut reveal_jobs: Vec<(usize, (Addr, Addr, Addr))> = Vec::new();
         for (trace_index, (vp, trace)) in traces.iter().enumerate() {
             let resp: Vec<(Addr, Option<usize>)> = trace
                 .hops
@@ -1081,136 +945,39 @@ impl<'a> Campaign<'a> {
                     trace_index,
                 });
                 if pair_seen.insert((x, y)) {
-                    reveal_jobs.push((*vp, x, y, d));
+                    reveal_jobs.push((*vp, (x, y, d)));
                 }
             }
         }
 
-        // Phase 5b: revelation, sharded like every probing phase. A
-        // worker pings newly revealed addresses unless phase 4 already
-        // discovered them or this VP already pinged them (the dedup is
-        // per vantage point, so it cannot depend on worker scheduling).
-        // Pairs owned by a dead VP merge as Abandoned(WorkerPanicked).
-        let cfg = &self.cfg;
-        // Deceptive fault plans earn the per-flow stability re-trace;
-        // honest plans keep their exact probe counts (and report bytes).
-        let reveal_opts = RevealOpts {
-            paris_check: cfg.screen_revelations && cfg.faults.is_deceptive(),
-            ..cfg.reveal.clone()
+        // Phase 5b: revelation. A session pings newly revealed addresses
+        // unless phase 4 already discovered them or the same session
+        // already pinged them. Pairs owned by a dead VP merge as
+        // Abandoned(WorkerPanicked).
+        let reveal = Reveal {
+            // Deceptive fault plans earn the per-flow stability
+            // re-trace; honest plans keep their exact probe counts (and
+            // report bytes).
+            opts: RevealOpts {
+                paris_check: self.cfg.screen_revelations && self.cfg.faults.is_deceptive(),
+                ..self.cfg.reveal.clone()
+            },
+            fingerprint: self.cfg.fingerprint,
+            discovered,
         };
-        let reveal_opts = &reveal_opts;
-        let discovered_ref = &discovered;
-        let phase_started = Instant::now();
-        let shards = if stealing {
-            // The already-pinged dedup narrows from per-VP to per-task:
-            // a stolen task cannot see what its VP's other tasks
-            // revealed without depending on execution order.
-            let queue: Vec<shard::StealTask<(usize, Addr, Addr, Addr)>> = reveal_jobs
-                .iter()
-                .enumerate()
-                .filter(|&(_, &(vp, ..))| !dead[vp])
-                .map(|(g, &(vp, x, y, d))| shard::StealTask {
-                    vp,
-                    key: steal_key(4, u64::from(x.0), u64::from(y.0)),
-                    task: (g, x, y, d),
-                })
-                .collect();
-            // Revelation pairs are few and individually heavy (a whole
-            // DPR/BRPR recursion each), so claims stay per-task: a
-            // batch-width chunk could hand one worker the entire phase.
-            // Last dispatcher use, so the option moves instead of
-            // reborrowing.
-            let (shards, probes, es) = match dist {
-                Some(d) => {
-                    // The worker re-runs `reveal_one` and needs the
-                    // phase context the closure below captures: the
-                    // resolved options, the fingerprint flag, and the
-                    // phase-4 discovered set.
-                    let mut extra = Vec::new();
-                    reveal_opts.put(&mut extra);
-                    cfg.fingerprint.put(&mut extra);
-                    let discovered_list: Vec<Addr> = discovered_ref.iter().copied().collect();
-                    discovered_list.put(&mut extra);
-                    d.dispatch(4, "revelation", &queue, &extra)
-                }
-                None => shard::run_stealing(
-                    n_vps,
-                    queue,
-                    jobs,
-                    1,
-                    &mut merge_scratch,
-                    &make_session,
-                    &|sess, (g, x, y, d)| {
-                        reveal_one(
-                            sess,
-                            g,
-                            x,
-                            y,
-                            d,
-                            reveal_opts,
-                            discovered_ref,
-                            cfg.fingerprint,
-                        )
-                    },
-                ),
-            };
-            engine_totals.merge(&es);
-            for (acc, p) in stolen_probes.iter_mut().zip(probes) {
-                *acc += p;
-            }
-            shards
-        } else {
-            let mut tasks: Vec<Vec<(usize, Addr, Addr, Addr)>> = vec![Vec::new(); n_vps];
-            for (g, &(vp, x, y, d)) in reveal_jobs.iter().enumerate() {
-                if !dead[vp] {
-                    tasks[vp].push((g, x, y, d));
-                }
-            }
-            shard::run_vp_batches(&mut sessions, tasks, jobs, &|sess, batch| {
-                let mut pinged: HashSet<Addr> = HashSet::new();
-                batch
-                    .into_iter()
-                    .map(|(g, x, y, d)| {
-                        let out = reveal_between(sess, x, y, d, reveal_opts);
-                        let mut ers: Vec<(Addr, Option<u8>)> = Vec::new();
-                        if cfg.fingerprint {
-                            if let Some(t) = out.tunnel() {
-                                for step in &t.steps {
-                                    for h in &step.new_hops {
-                                        if !discovered_ref.contains(&h.addr)
-                                            && pinged.insert(h.addr)
-                                        {
-                                            ers.push((h.addr, sess.ping(h.addr).reply_ip_ttl()));
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                        (g, ((x, y), out, ers))
-                    })
-                    .collect()
-            })
-        };
-        probe_seconds += phase_started.elapsed().as_secs_f64();
-        let shards = split_shards("revelation", shards, &mut degraded, &mut dead);
-        let merged = shard::merge_indexed_or(shards, reveal_jobs.len(), |g| {
-            let (_, x, y, _) = reveal_jobs[g];
-            (
-                (x, y),
-                RevelationOutcome::Abandoned {
-                    reason: AbandonReason::WorkerPanicked,
-                },
-                Vec::new(),
-            )
-        });
+        let revealed = driver.run(&reveal, &reveal_jobs);
         let mut revelations: HashMap<(Addr, Addr), RevelationOutcome> = HashMap::new();
-        for (pair, out, ers) in merged {
+        for (&(_, (x, y, _)), r) in reveal_jobs.iter().zip(revealed) {
+            let (out, ers) = r.unwrap_or_else(|| {
+                let reason = AbandonReason::WorkerPanicked;
+                (RevelationOutcome::Abandoned { reason }, Vec::new())
+            });
             for (addr, ttl) in ers {
                 if let Some(ttl) = ttl {
                     fingerprints.observe_er(addr, ttl);
                 }
             }
-            revelations.insert(pair, out);
+            revelations.insert((x, y), out);
         }
 
         // Veracity screening: grade every revelation against the merged
@@ -1237,20 +1004,12 @@ impl<'a> Campaign<'a> {
             }
         }
 
-        let probes_by_vp: Vec<u64> = if stealing {
-            stolen_probes
-        } else {
-            for s in &sessions {
-                engine_totals.merge(s.engine_stats());
-            }
-            sessions.iter().map(|s| s.stats.probes).collect()
-        };
-        let probes = probes_by_vp.iter().sum();
-        sink.on_stats(&engine_totals);
+        let probes = driver.probes.iter().sum();
+        sink.on_stats(&driver.engine);
         let (trace_vps, traces) = traces.into_iter().unzip();
         let timings = CampaignTimings {
-            probe_seconds,
-            merge_seconds: (run_started.elapsed().as_secs_f64() - probe_seconds).max(0.0),
+            probe_seconds: driver.probe_seconds,
+            merge_seconds: (run_started.elapsed().as_secs_f64() - driver.probe_seconds).max(0.0),
             analysis_seconds,
         };
         CampaignResult {
@@ -1265,10 +1024,10 @@ impl<'a> Campaign<'a> {
             candidates,
             revelations,
             probes,
-            probes_by_vp,
-            engine_stats: engine_totals,
+            probes_by_vp: driver.probes,
+            engine_stats: driver.engine,
             trace_budget: self.cfg.trace_opts.probe_budget,
-            degraded_shards: degraded,
+            degraded_shards: driver.degraded,
             scheduling: self.cfg.scheduling,
             screened: self.cfg.screen_revelations,
             deceptive_faults: self.cfg.faults.is_deceptive(),
@@ -1276,8 +1035,10 @@ impl<'a> Campaign<'a> {
             snapshot_deltas,
             snapshot_checksum,
             bootstrap_paths,
-            // `run_distributed` attaches the accounting after the run.
-            dist: None,
+            dist: match driver.exec {
+                Executor::Distributed(d) => Some(d.into_summary()),
+                _ => None,
+            },
         }
     }
 }

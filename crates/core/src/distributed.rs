@@ -19,52 +19,55 @@
 //!   sequence it would have seen in process.
 //! * Each task runs in a hermetic session whose RNG stream is a pure
 //!   function of `(campaign_seed, vp, task key)`
-//!   ([`wormhole_net::trace_seed`]); the worker re-derives the same
-//!   keys from the same phase tag, so a task's probe sequence is
-//!   independent of which *process* ran it.
+//!   ([`wormhole_net::trace_seed`]). The spec's phase tag selects the
+//!   same phase definition the master ran, whose key derivation and
+//!   task body the worker runs through the same stealing executor, so a
+//!   task's probe sequence is independent of which *process* ran it.
+//!   Global task indices never leave the master: each result lane
+//!   answers its VP's tasks in the order they were sent.
 //! * Every payload crosses the process boundary through the
 //!   [`wormhole_net::wire`] codec, which carries floats as raw IEEE
 //!   bits — a decoded result is *equal* to the encoded one.
 //!
 //! # Failure model
 //!
-//! A worker that dies, writes a corrupt file, or never writes one at
-//! all degrades **only its own vantage points**: the master records the
-//! worker in [`PhaseShardAccount::missing`] and synthesizes `Err`
+//! A worker that dies, writes a corrupt file, never writes one at all,
+//! or writes one whose lanes do not answer exactly the tasks it was
+//! sent degrades **only its own vantage points**: the master records
+//! the worker in [`PhaseShardAccount::missing`] and synthesizes `Err`
 //! entries for its tasked VPs, which flow into the campaign's existing
 //! degraded-shard handling ([`crate::DegradedShard`]). The merged
 //! result for every surviving VP is byte-identical to a run where the
 //! worker never died. The `A311`/`A312` audit rules cross-check the
 //! accounting kept in [`DistSummary`].
 
+use crate::phase::{Bootstrap, Fingerprint, Phase, Probe, Reveal};
 use crate::reveal::{
     AbandonReason, Confidence, MissingPart, RevealOpts, RevealStep, RevealedHop, RevealedTunnel,
     RevelationOutcome, Veracity,
 };
-use crate::shard::{self, MergeScratch, StealTask};
+use crate::shard::{self, Hermetic, PhaseOutput};
 use std::collections::HashSet;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use wormhole_net::wire::{checksum, Reader, Wire, WireError};
-use wormhole_net::{
-    trace_seed, Addr, ControlPlane, EngineStats, FaultPlan, Network, ProbeState, RouterId,
-    SubstrateRef,
-};
-use wormhole_probe::{Session, TracerouteOpts};
+use wormhole_net::{ControlPlane, EngineStats, FaultPlan, Network, RouterId, SubstrateRef};
+use wormhole_probe::TracerouteOpts;
 
 /// Shard-spec file magic (`WHSP`): what the master hands each worker.
 const SPEC_MAGIC: [u8; 4] = *b"WHSP";
 /// Shard file magic (`WHSH`): what each worker hands back.
 const SHARD_MAGIC: [u8; 4] = *b"WHSH";
 /// On-disk format version shared by both file kinds.
-const VERSION: u32 = 1;
+const VERSION: u32 = 2;
 
 /// The valid shard-spec layout, quoted by every worker-side decode
 /// error so a malformed spec names what a well-formed one contains.
 const SPEC_FIELDS: &str = "a shard spec is: magic \"WHSP\", version, phase tag \
-     (1=bootstrap 2=probe 3=fingerprint 4=revelation), worker, workers, n_vps, seed, \
+     (1=bootstrap 2=probe 3=fingerprint 4=revelation), worker, n_vps, seed, \
      substrate token, cache (path, config checksum), fault plan, traceroute opts, \
-     chaos-abort flag, output path, phase payload (tasks)";
+     chaos-abort flag, output path, phase context, tasks (vantage point index < n_vps, \
+     task), checksum";
 
 // ---------------------------------------------------------------------------
 // Wire codecs for the revelation payload (the other phases ship probe-
@@ -455,37 +458,20 @@ impl<'o> DistDispatcher<'o> {
 
     /// Dispatches one phase: partition `queue` by owning VP, spawn one
     /// worker process per non-empty partition, then merge the shard
-    /// files back into the exact shape [`shard::run_stealing`] returns.
-    /// `extra` carries phase-specific context (the revelation phase's
-    /// options and discovered set), spliced into each spec verbatim.
-    pub(crate) fn dispatch<T, R>(
+    /// files back into the exact shape the in-process executors return.
+    /// The phase value itself rides each spec as the phase context.
+    pub(crate) fn dispatch<P: Phase>(
         &mut self,
-        tag: u8,
-        label: &'static str,
-        queue: &[StealTask<T>],
-        extra: &[u8],
-    ) -> shard::StealOutput<R>
-    where
-        T: Copy + Wire,
-        R: Wire,
-    {
+        phase: &P,
+        queue: &[(usize, P::Task)],
+    ) -> PhaseOutput<P::Out> {
         let workers = self.opts.workers;
-        let mut buckets: Vec<Vec<(usize, T)>> = (0..workers).map(|_| Vec::new()).collect();
-        for t in queue {
-            buckets[t.vp % workers].push((t.vp, t.task));
+        let mut buckets: Vec<Vec<(usize, P::Task)>> = vec![Vec::new(); workers];
+        let mut sent = vec![0usize; self.n_vps];
+        for &(vp, t) in queue {
+            buckets[vp % workers].push((vp, t));
+            sent[vp] += 1;
         }
-        let mut out: Vec<Result<Vec<R>, String>> =
-            (0..self.n_vps).map(|_| Ok(Vec::new())).collect();
-        let mut probes = vec![0u64; self.n_vps];
-        let mut stats = EngineStats::default();
-        let mut account = PhaseShardAccount {
-            phase: label,
-            dispatched: 0,
-            received: 0,
-            missing: Vec::new(),
-            duplicates: Vec::new(),
-            shard_probes: 0,
-        };
         // Spawn every worker first, then join: the partitions run as
         // concurrent OS processes even on a single-threaded master.
         let mut children: Vec<(usize, PathBuf, PathBuf, Result<Child, String>)> = Vec::new();
@@ -493,7 +479,7 @@ impl<'o> DistDispatcher<'o> {
             if bucket.is_empty() {
                 continue;
             }
-            account.dispatched += 1;
+            let tag = P::TAG;
             let spec_path = self
                 .opts
                 .work_dir
@@ -502,8 +488,8 @@ impl<'o> DistDispatcher<'o> {
                 .opts
                 .work_dir
                 .join(format!("phase{tag}-worker{w}.shard"));
-            let chaos = tag == 2 && self.opts.chaos_abort_worker == Some(w);
-            let spec = self.encode_spec(tag, w, bucket, extra, &shard_path, chaos);
+            let chaos = tag == Probe::TAG && self.opts.chaos_abort_worker == Some(w);
+            let spec = self.encode_spec(phase, w, bucket, &shard_path, chaos);
             let spawn = std::fs::write(&spec_path, &spec)
                 .map_err(|e| format!("write spec: {e}"))
                 .and_then(|()| {
@@ -518,23 +504,59 @@ impl<'o> DistDispatcher<'o> {
                 });
             children.push((w, spec_path, shard_path, spawn));
         }
+        let files = children
+            .into_iter()
+            .map(|(w, spec_path, shard_path, spawn)| {
+                let file = spawn
+                    .and_then(|mut child| {
+                        let status = child.wait().map_err(|e| format!("wait: {e}"))?;
+                        if status.success() {
+                            Ok(())
+                        } else {
+                            Err(format!("worker exited with {status}"))
+                        }
+                    })
+                    .and_then(|()| {
+                        std::fs::read(&shard_path).map_err(|e| format!("read shard file: {e}"))
+                    });
+                if !self.opts.keep_files {
+                    let _ = std::fs::remove_file(&spec_path);
+                    let _ = std::fs::remove_file(&shard_path);
+                }
+                (w, file)
+            })
+            .collect();
+        self.merge(P::TAG, P::LABEL, &sent, files)
+    }
+
+    /// Merges one phase's shard files (or the reason a worker has none),
+    /// given the per-VP task counts `sent`. A file that fails
+    /// validation — including one whose lanes do not answer exactly the
+    /// tasks its worker was sent — counts as a missing worker and
+    /// degrades exactly the VPs that worker had tasks for.
+    fn merge<R: Wire>(
+        &mut self,
+        tag: u8,
+        label: &'static str,
+        sent: &[usize],
+        files: Vec<(usize, Result<Vec<u8>, String>)>,
+    ) -> PhaseOutput<R> {
+        let workers = self.opts.workers;
+        let mut out: Vec<Result<Vec<R>, String>> =
+            (0..self.n_vps).map(|_| Ok(Vec::new())).collect();
+        let mut probes = vec![0u64; self.n_vps];
+        let mut stats = EngineStats::default();
+        let mut account = PhaseShardAccount {
+            phase: label,
+            dispatched: files.len(),
+            received: 0,
+            missing: Vec::new(),
+            duplicates: Vec::new(),
+            shard_probes: 0,
+        };
         let mut seen: HashSet<usize> = HashSet::new();
-        for (w, spec_path, shard_path, spawn) in children {
-            let shard = spawn
-                .and_then(|mut child| {
-                    let status = child.wait().map_err(|e| format!("wait: {e}"))?;
-                    if status.success() {
-                        Ok(())
-                    } else {
-                        Err(format!("worker exited with {status}"))
-                    }
-                })
-                .and_then(|()| {
-                    let bytes =
-                        std::fs::read(&shard_path).map_err(|e| format!("read shard file: {e}"))?;
-                    decode_shard::<R>(&bytes, tag, w, self.n_vps)
-                });
-            match shard {
+        for (w, file) in files {
+            match file.and_then(|bytes| decode_shard::<R>(&bytes, tag, w, workers, sent)) {
                 Ok(file) => {
                     if !seen.insert(file.worker) {
                         account.duplicates.push(file.worker);
@@ -555,19 +577,14 @@ impl<'o> DistDispatcher<'o> {
                 }
                 Err(reason) => {
                     account.missing.push(w);
-                    // Degrade exactly the VPs this worker had tasks
-                    // for; untasked VPs keep their empty Ok shard,
-                    // matching the in-process executor.
-                    for &(vp, _) in &buckets[w] {
-                        if out[vp].is_ok() {
+                    // Untasked VPs keep their empty Ok shard, matching
+                    // the in-process executors.
+                    for vp in (w..self.n_vps).step_by(workers) {
+                        if sent[vp] > 0 {
                             out[vp] = Err(format!("worker {w} shard lost: {reason}"));
                         }
                     }
                 }
-            }
-            if !self.opts.keep_files {
-                let _ = std::fs::remove_file(&spec_path);
-                let _ = std::fs::remove_file(&shard_path);
             }
         }
         self.summary.phases.push(account);
@@ -575,21 +592,19 @@ impl<'o> DistDispatcher<'o> {
     }
 
     /// Encodes one worker's shard-spec file.
-    fn encode_spec<T: Wire>(
+    fn encode_spec<P: Phase>(
         &self,
-        tag: u8,
+        phase: &P,
         worker: usize,
-        tasks: &[(usize, T)],
-        extra: &[u8],
+        tasks: &[(usize, P::Task)],
         output: &Path,
         chaos_abort: bool,
     ) -> Vec<u8> {
         let mut out = Vec::new();
         out.extend_from_slice(&SPEC_MAGIC);
         VERSION.put(&mut out);
-        tag.put(&mut out);
+        P::TAG.put(&mut out);
         worker.put(&mut out);
-        self.opts.workers.put(&mut out);
         self.n_vps.put(&mut out);
         self.seed.put(&mut out);
         self.opts.substrate_token.put(&mut out);
@@ -602,10 +617,9 @@ impl<'o> DistDispatcher<'o> {
         self.trace_opts.put(&mut out);
         chaos_abort.put(&mut out);
         output.to_string_lossy().into_owned().put(&mut out);
-        out.extend_from_slice(extra);
-        (tasks.len() as u64).put(&mut out);
-        for (vp, task) in tasks {
-            vp.put(&mut out);
+        phase.put(&mut out);
+        tasks.len().put(&mut out);
+        for task in tasks {
             task.put(&mut out);
         }
         let c = checksum(&out);
@@ -614,13 +628,37 @@ impl<'o> DistDispatcher<'o> {
     }
 }
 
-/// Validates and decodes one shard file; any failure is a plain-string
+/// Encodes one shard file: worker `worker`'s output for phase `tag`.
+fn encode_shard<R: Wire>(
+    tag: u8,
+    worker: usize,
+    cache_checksum: Option<u64>,
+    output: &PhaseOutput<R>,
+) -> Vec<u8> {
+    let mut out = Vec::new();
+    out.extend_from_slice(&SHARD_MAGIC);
+    VERSION.put(&mut out);
+    tag.put(&mut out);
+    worker.put(&mut out);
+    cache_checksum.put(&mut out);
+    output.put(&mut out);
+    let c = checksum(&out);
+    c.put(&mut out);
+    out
+}
+
+/// Validates and decodes worker `worker`'s shard file for phase `tag`,
+/// given how many tasks each VP was sent (`sent`, one entry per VP) and
+/// that the worker owns VPs `worker, worker + workers, …`. Every lane
+/// must answer exactly the tasks its VP was sent through this worker
+/// (or carry the VP's panic message). Any failure is a plain-string
 /// reason the dispatcher turns into a missing shard, never a panic.
 fn decode_shard<R: Wire>(
     bytes: &[u8],
     tag: u8,
     worker: usize,
-    n_vps: usize,
+    workers: usize,
+    sent: &[usize],
 ) -> Result<ShardFile<R>, String> {
     if bytes.len() < SHARD_MAGIC.len() + 12 {
         return Err("shard file truncated".to_string());
@@ -642,9 +680,7 @@ fn decode_shard<R: Wire>(
     let file_tag = u8::take(&mut r).map_err(decode)?;
     let file_worker = usize::take(&mut r).map_err(decode)?;
     let cache_checksum = <Option<u64> as Wire>::take(&mut r).map_err(decode)?;
-    let results = Vec::<Result<Vec<R>, String>>::take(&mut r).map_err(decode)?;
-    let probes = Vec::<u64>::take(&mut r).map_err(decode)?;
-    let stats = EngineStats::take(&mut r).map_err(decode)?;
+    let (results, probes, stats) = PhaseOutput::<R>::take(&mut r).map_err(decode)?;
     if !r.is_empty() {
         return Err("trailing bytes after shard payload".to_string());
     }
@@ -656,12 +692,25 @@ fn decode_shard<R: Wire>(
             "shard from worker {file_worker} (expected {worker})"
         ));
     }
+    let n_vps = sent.len();
     if results.len() != n_vps || probes.len() != n_vps {
         return Err(format!(
             "shard carries {} result / {} probe lanes (expected {n_vps})",
             results.len(),
             probes.len()
         ));
+    }
+    for (vp, lane) in results.iter().enumerate() {
+        let want = if vp % workers == worker { sent[vp] } else { 0 };
+        let answered = match lane {
+            Ok(v) => v.len() == want,
+            Err(_) => want > 0,
+        };
+        if !answered {
+            return Err(format!(
+                "shard lane of vp {vp} does not answer the {want} task(s) it was sent"
+            ));
+        }
     }
     Ok(ShardFile {
         worker: file_worker,
@@ -709,6 +758,14 @@ struct SpecHeader {
 /// cache file and expected config checksum) back into a substrate.
 pub type SubstrateResolver = dyn Fn(&str, Option<(&Path, u64)>) -> Result<WorkerSubstrate, String>;
 
+/// A worker-side spec decode error; the reason quotes the valid layout.
+fn spec_error(spec: &Path, reason: impl std::fmt::Display) -> DistError {
+    DistError::Spec {
+        path: spec.to_path_buf(),
+        reason: format!("{reason}; {SPEC_FIELDS}"),
+    }
+}
+
 /// Runs one worker process end to end: decode the spec, resolve the
 /// substrate through `resolve` (token, optional cache file + expected
 /// checksum), execute the phase's task subset serially with the stock
@@ -719,34 +776,30 @@ pub type SubstrateResolver = dyn Fn(&str, Option<(&Path, u64)>) -> Result<Worker
 /// named; any `Err` it returns surfaces as [`DistError::Substrate`].
 pub fn worker_main(spec_path: &Path, resolve: &SubstrateResolver) -> Result<(), DistError> {
     let bytes = std::fs::read(spec_path)?;
-    let spec_err = |reason: String| DistError::Spec {
-        path: spec_path.to_path_buf(),
-        reason: format!("{reason}; {SPEC_FIELDS}"),
-    };
     if bytes.len() < SPEC_MAGIC.len() + 12 {
-        return Err(spec_err("file truncated".to_string()));
+        return Err(spec_error(spec_path, "file truncated"));
     }
     if bytes[..4] != SPEC_MAGIC {
-        return Err(spec_err("bad magic (expected WHSP)".to_string()));
+        return Err(spec_error(spec_path, "bad magic (expected WHSP)"));
     }
     let (body, tail) = bytes.split_at(bytes.len() - 8);
     let declared = u64::from_le_bytes(tail.try_into().expect("8-byte tail"));
     if checksum(body) != declared {
-        return Err(spec_err("checksum mismatch".to_string()));
+        return Err(spec_error(spec_path, "checksum mismatch"));
     }
     let mut r = Reader::new(&body[4..]);
-    let version = u32::take(&mut r).map_err(|e| spec_err(e.to_string()))?;
+    let version = u32::take(&mut r).map_err(|e| spec_error(spec_path, e))?;
     if version != VERSION {
-        return Err(spec_err(format!("version {version} (expected {VERSION})")));
+        return Err(spec_error(
+            spec_path,
+            format!("version {version} (expected {VERSION})"),
+        ));
     }
     let header = (|| -> Result<SpecHeader, WireError> {
         Ok(SpecHeader {
             tag: Wire::take(&mut r)?,
             worker: Wire::take(&mut r)?,
-            n_vps: {
-                let _workers = usize::take(&mut r)?;
-                Wire::take(&mut r)?
-            },
+            n_vps: Wire::take(&mut r)?,
             seed: Wire::take(&mut r)?,
             token: Wire::take(&mut r)?,
             cache: Wire::take(&mut r)?,
@@ -756,11 +809,51 @@ pub fn worker_main(spec_path: &Path, resolve: &SubstrateResolver) -> Result<(), 
             output: PathBuf::from(String::take(&mut r)?),
         })
     })()
-    .map_err(|e| spec_err(e.to_string()))?;
+    .map_err(|e| spec_error(spec_path, e))?;
     if header.chaos_abort {
         // The chaos hook dies the hard way — no shard file, no exit
         // status, exactly what a crashed worker looks like.
         std::process::abort();
+    }
+    let shard_bytes = match header.tag {
+        Bootstrap::TAG => run_phase::<Bootstrap>(spec_path, &header, &mut r, resolve),
+        Probe::TAG => run_phase::<Probe>(spec_path, &header, &mut r, resolve),
+        Fingerprint::TAG => run_phase::<Fingerprint>(spec_path, &header, &mut r, resolve),
+        Reveal::TAG => run_phase::<Reveal>(spec_path, &header, &mut r, resolve),
+        t => Err(spec_error(spec_path, format!("unknown phase tag {t}"))),
+    }?;
+    // Atomic publish: a worker killed mid-write leaves only a tmp file
+    // (or a truncated one whose checksum fails), never a silently
+    // partial shard.
+    let tmp = header.output.with_extension("shard.tmp");
+    std::fs::write(&tmp, &shard_bytes)?;
+    std::fs::rename(&tmp, &header.output)?;
+    Ok(())
+}
+
+/// Decodes the spec's phase context and tasks, resolves the substrate,
+/// runs the tasks serially with the stock stealing executor, and
+/// encodes the shard file.
+fn run_phase<P: Phase>(
+    spec_path: &Path,
+    header: &SpecHeader,
+    r: &mut Reader<'_>,
+    resolve: &SubstrateResolver,
+) -> Result<Vec<u8>, DistError> {
+    let payload = |e: WireError| spec_error(spec_path, format!("phase payload: {e}"));
+    let phase = P::take(r).map_err(payload)?;
+    let tasks = Vec::<(usize, P::Task)>::take(r).map_err(payload)?;
+    if !r.is_empty() {
+        return Err(spec_error(spec_path, "trailing bytes after task payload"));
+    }
+    if let Some(i) = tasks.iter().position(|&(vp, _)| vp >= header.n_vps) {
+        return Err(spec_error(
+            spec_path,
+            format!(
+                "task {i}: vantage point index {} is not below n_vps {}",
+                tasks[i].0, header.n_vps
+            ),
+        ));
     }
     let ws = resolve(
         &header.token,
@@ -777,137 +870,27 @@ pub fn worker_main(spec_path: &Path, resolve: &SubstrateResolver) -> Result<(), 
             header.n_vps
         )));
     }
-    let shard_bytes = match header.tag {
-        1 => run_phase(
-            &ws,
-            &header,
-            &mut r,
-            |&(_, t): &(usize, Addr)| crate::campaign::steal_key(1, u64::from(t.0), 0),
-            |sess, (g, t)| (g, sess.traceroute(t).addr_path()),
-        ),
-        2 => run_phase(
-            &ws,
-            &header,
-            &mut r,
-            |&(_, t): &(usize, Addr)| crate::campaign::steal_key(2, u64::from(t.0), 0),
-            |sess, (g, t)| (g, sess.traceroute(t)),
-        ),
-        3 => run_phase(
-            &ws,
-            &header,
-            &mut r,
-            |&(_, a): &(usize, Addr)| crate::campaign::steal_key(3, u64::from(a.0), 0),
-            |sess, (g, a)| (g, a, sess.ping(a)),
-        ),
-        4 => {
-            let ctx = (|| -> Result<(RevealOpts, bool, Vec<Addr>), WireError> {
-                Ok((
-                    Wire::take(&mut r)?,
-                    Wire::take(&mut r)?,
-                    Wire::take(&mut r)?,
-                ))
-            })()
-            .map_err(|e| spec_err(e.to_string()))?;
-            let (reveal_opts, fingerprint, discovered_list) = ctx;
-            let discovered: std::collections::BTreeSet<Addr> =
-                discovered_list.into_iter().collect();
-            run_phase(
-                &ws,
-                &header,
-                &mut r,
-                |&(_, x, y, _): &(usize, Addr, Addr, Addr)| {
-                    crate::campaign::steal_key(4, u64::from(x.0), u64::from(y.0))
-                },
-                |sess, (g, x, y, d)| {
-                    crate::campaign::reveal_one(
-                        sess,
-                        g,
-                        x,
-                        y,
-                        d,
-                        &reveal_opts,
-                        &discovered,
-                        fingerprint,
-                    )
-                },
-            )
-        }
-        t => Err(spec_err(format!("unknown phase tag {t}"))),
-    }?;
-    // Atomic publish: a worker killed mid-write leaves only a tmp file
-    // (or a truncated one whose checksum fails), never a silently
-    // partial shard.
-    let tmp = header.output.with_extension("shard.tmp");
-    std::fs::write(&tmp, &shard_bytes)?;
-    std::fs::rename(&tmp, &header.output)?;
-    Ok(())
-}
-
-/// Decodes the spec's task list, rebuilds the steal queue with the
-/// phase's key derivation, runs it serially, and encodes the shard
-/// file. Shared by all four phase tags.
-fn run_phase<T, R, K, F>(
-    ws: &WorkerSubstrate,
-    header: &SpecHeader,
-    r: &mut Reader<'_>,
-    key_of: K,
-    f: F,
-) -> Result<Vec<u8>, DistError>
-where
-    T: Copy + Sync + Wire,
-    R: Send + Wire,
-    K: Fn(&T) -> u64,
-    F: for<'n> Fn(&mut Session<'n>, T) -> R + Sync,
-{
-    let tasks = Vec::<(usize, T)>::take(r).map_err(|e| DistError::Spec {
-        path: header.output.clone(),
-        reason: format!("task payload: {e}; {SPEC_FIELDS}"),
-    })?;
-    if !r.is_empty() {
-        return Err(DistError::Spec {
-            path: header.output.clone(),
-            reason: format!("trailing bytes after task payload; {SPEC_FIELDS}"),
-        });
-    }
-    let sub = SubstrateRef::new(&ws.net, &ws.cp);
-    let make_session = |vp: usize, key: u64| {
-        let state = ProbeState::new(
-            header.faults.clone(),
-            trace_seed(header.seed, vp as u64, key),
-        );
-        let mut s = Session::over(sub, ws.vps[vp], state);
-        s.set_opts(header.trace_opts.clone());
-        s
+    let hermetic = Hermetic {
+        sub: SubstrateRef::new(&ws.net, &ws.cp),
+        vps: &ws.vps,
+        faults: &header.faults,
+        opts: &header.trace_opts,
+        seed: header.seed,
     };
-    let queue: Vec<StealTask<T>> = tasks
-        .into_iter()
-        .map(|(vp, task)| StealTask {
-            vp,
-            key: key_of(&task),
-            task,
-        })
-        .collect();
-    let mut scratch = MergeScratch::new(header.n_vps);
-    let (results, probes, stats) =
-        shard::run_stealing(header.n_vps, queue, 1, 1, &mut scratch, &make_session, &f);
-    let mut out = Vec::new();
-    out.extend_from_slice(&SHARD_MAGIC);
-    VERSION.put(&mut out);
-    header.tag.put(&mut out);
-    header.worker.put(&mut out);
-    ws.cache_checksum.put(&mut out);
-    results.put(&mut out);
-    probes.put(&mut out);
-    stats.put(&mut out);
-    let c = checksum(&out);
-    c.put(&mut out);
-    Ok(out)
+    let output = shard::run_stealing(&hermetic, &phase, &tasks, 1, P::CHUNK);
+    Ok(encode_shard(
+        P::TAG,
+        header.worker,
+        ws.cache_checksum,
+        &output,
+    ))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use wormhole_net::wire::{from_bytes, to_bytes};
+    use wormhole_net::Addr;
 
     /// The reveal types carry no `PartialEq`, so round-trip tests
     /// compare re-encoded bytes: decode(encode(v)) must re-encode to
@@ -973,6 +956,11 @@ mod tests {
             max_steps: 5,
             paris_check: true,
         });
+        byte_stable(&Reveal {
+            opts: RevealOpts::default(),
+            fingerprint: true,
+            discovered: [Addr(3), Addr(1)].into_iter().collect(),
+        });
     }
 
     #[test]
@@ -986,62 +974,135 @@ mod tests {
         }
     }
 
+    /// A two-worker dispatcher over four VPs whose worker command is
+    /// never run; the tests below drive its merge and spec encoder.
+    fn dispatcher(opts: &DistributedOpts) -> DistDispatcher<'_> {
+        DistDispatcher::new(opts, 4, 7, FaultPlan::none(), TracerouteOpts::default())
+            .expect("valid options")
+    }
+
+    fn opts(name: &str) -> DistributedOpts {
+        DistributedOpts {
+            workers: 2,
+            worker_cmd: vec!["unused".to_string()],
+            substrate_token: "quick:1".to_string(),
+            work_dir: std::env::temp_dir().join(format!("wormhole-{name}-{}", std::process::id())),
+            cache: None,
+            keep_files: false,
+            chaos_abort_worker: None,
+        }
+    }
+
+    /// Worker 1's lanes over four VPs (it owns VPs 1 and 3): two
+    /// results for VP 1, a panic on VP 3.
+    fn worker1_output() -> PhaseOutput<u64> {
+        let results = vec![
+            Ok(Vec::new()),
+            Ok(vec![7, 9]),
+            Ok(Vec::new()),
+            Err("worker panicked".to_string()),
+        ];
+        (results, vec![0, 3, 0, 1], EngineStats::default())
+    }
+
     #[test]
     fn shard_files_round_trip_and_reject_corruption() {
-        let results: Vec<Result<Vec<(usize, u64)>, String>> = vec![
-            Ok(vec![(0, 7), (2, 9)]),
-            Err("worker panicked".to_string()),
-            Ok(Vec::new()),
-        ];
-        let probes = vec![3u64, 1, 0];
-        let stats = EngineStats::default();
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&SHARD_MAGIC);
-        VERSION.put(&mut bytes);
-        2u8.put(&mut bytes);
-        1usize.put(&mut bytes);
-        Some(0xABCDu64).put(&mut bytes);
-        results.put(&mut bytes);
-        probes.put(&mut bytes);
-        stats.put(&mut bytes);
-        let c = checksum(&bytes);
-        c.put(&mut bytes);
-
-        let file = decode_shard::<(usize, u64)>(&bytes, 2, 1, 3).expect("valid shard");
+        let bytes = encode_shard(2, 1, Some(0xABCD), &worker1_output());
+        let sent = [0, 2, 5, 1];
+        let file = decode_shard::<u64>(&bytes, 2, 1, 2, &sent).expect("valid shard");
         assert_eq!(file.worker, 1);
         assert_eq!(file.cache_checksum, Some(0xABCD));
-        assert_eq!(file.probes, probes);
-        assert_eq!(file.results[0], Ok(vec![(0, 7), (2, 9)]));
-        assert!(file.results[1].is_err());
+        assert_eq!(file.probes, [0, 3, 0, 1]);
+        assert_eq!(file.results[1], Ok(vec![7, 9]));
+        assert!(file.results[3].is_err());
 
         // Wrong identity, wrong phase, wrong lane count: all rejected.
-        assert!(decode_shard::<(usize, u64)>(&bytes, 2, 0, 3).is_err());
-        assert!(decode_shard::<(usize, u64)>(&bytes, 1, 1, 3).is_err());
-        assert!(decode_shard::<(usize, u64)>(&bytes, 2, 1, 4).is_err());
+        assert!(decode_shard::<u64>(&bytes, 2, 0, 2, &sent).is_err());
+        assert!(decode_shard::<u64>(&bytes, 1, 1, 2, &sent).is_err());
+        assert!(decode_shard::<u64>(&bytes, 2, 1, 2, &[0, 2, 5, 1, 0]).is_err());
         // A flipped byte fails the trailing checksum.
         let mut corrupt = bytes.clone();
         let mid = corrupt.len() / 2;
         corrupt[mid] ^= 0x40;
-        let err = decode_shard::<(usize, u64)>(&corrupt, 2, 1, 3).unwrap_err();
+        let err = decode_shard::<u64>(&corrupt, 2, 1, 2, &sent).unwrap_err();
         assert!(err.contains("checksum"), "{err}");
         // Truncation too.
-        assert!(decode_shard::<(usize, u64)>(&bytes[..bytes.len() - 9], 2, 1, 3).is_err());
+        assert!(decode_shard::<u64>(&bytes[..bytes.len() - 9], 2, 1, 2, &sent).is_err());
+    }
+
+    /// A shard that passes its checksum but does not answer exactly the
+    /// tasks its worker was sent must degrade that worker's VPs, never
+    /// turn dropped tasks into empty results or index past a lane.
+    #[test]
+    fn a_forged_shard_degrades_only_its_workers_vps() {
+        let opts = opts("forged-shard");
+        let mut d = dispatcher(&opts);
+        let good0 = encode_shard(
+            2,
+            0,
+            None,
+            &(
+                vec![Ok(vec![1u64]), Ok(Vec::new()), Ok(vec![2]), Ok(Vec::new())],
+                vec![4, 0, 5, 0],
+                EngineStats::default(),
+            ),
+        );
+        // VP 1 was sent three tasks but its lane answers two; or a
+        // lane of VP 0, which worker 1 does not own, answers a task.
+        let short = ([1, 3, 1, 1], worker1_output());
+        let mut foreign = ([1, 2, 1, 1], worker1_output());
+        foreign.1 .0[0] = Ok(vec![5]);
+        for (sent, output) in [short, foreign] {
+            let files = vec![
+                (0, Ok(good0.clone())),
+                (1, Ok(encode_shard(2, 1, None, &output))),
+            ];
+            let (lanes, probes, _) = d.merge::<u64>(2, "probe", &sent, files);
+            assert_eq!(lanes[0], Ok(vec![1]));
+            assert_eq!(lanes[2], Ok(vec![2]));
+            for vp in [1, 3] {
+                let err = lanes[vp].as_ref().unwrap_err();
+                assert!(err.contains("worker 1 shard lost"), "{err}");
+            }
+            assert_eq!(probes, [4, 0, 5, 0]);
+            let account = d.summary.phases.last().expect("phase recorded");
+            assert_eq!((account.dispatched, account.received), (2, 1));
+            assert_eq!(account.missing, [1]);
+        }
+        let _ = std::fs::remove_dir_all(&opts.work_dir);
     }
 
     #[test]
     fn worker_rejects_a_malformed_spec_listing_the_fields() {
-        let dir = std::env::temp_dir().join(format!("wormhole-spec-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("bad.spec");
-        std::fs::write(&path, b"not a spec at all, far too short to parse").unwrap();
-        let err = worker_main(&path, &|_, _| {
-            Err("resolver must not be reached".to_string())
-        })
-        .unwrap_err();
-        let msg = err.to_string();
-        assert!(msg.contains("WHSP"), "{msg}");
-        assert!(msg.contains("substrate token"), "{msg}");
-        assert!(msg.contains("phase tag"), "{msg}");
-        let _ = std::fs::remove_dir_all(&dir);
+        let opts = opts("bad-spec");
+        std::fs::create_dir_all(&opts.work_dir).unwrap();
+        let path = opts.work_dir.join("bad.spec");
+        // A task naming VP 4 of four.
+        let out_of_range = dispatcher(&opts).encode_spec(
+            &Bootstrap,
+            0,
+            &[(0, Addr(1)), (4, Addr(2))],
+            &opts.work_dir.join("bad.shard"),
+            false,
+        );
+        for (spec, names) in [
+            (
+                b"not a spec at all, far too short to parse".to_vec(),
+                "WHSP",
+            ),
+            (out_of_range, "vantage point index 4 is not below n_vps 4"),
+        ] {
+            std::fs::write(&path, spec).unwrap();
+            let err = worker_main(&path, &|_, _| {
+                Err("resolver must not be reached".to_string())
+            })
+            .unwrap_err();
+            assert!(matches!(err, DistError::Spec { .. }), "{err}");
+            let msg = err.to_string();
+            assert!(msg.contains(names), "{msg}");
+            assert!(msg.contains("substrate token"), "{msg}");
+            assert!(msg.contains("phase tag"), "{msg}");
+        }
+        let _ = std::fs::remove_dir_all(&opts.work_dir);
     }
 }

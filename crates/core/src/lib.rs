@@ -23,6 +23,7 @@ pub mod campaign;
 pub mod distributed;
 pub mod fingerprint;
 pub mod frpla;
+mod phase;
 pub mod reveal;
 pub mod rtla;
 mod shard;

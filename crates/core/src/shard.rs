@@ -1,7 +1,13 @@
 //! Deterministic vantage-point sharding for the §4 campaign.
 //!
-//! The executor here is what makes `jobs = N` produce byte-identical
-//! campaign output for every `N`:
+//! Both in-process executors take the same input — a phase definition
+//! and its `(vp, task)` queue in global order — and hand back the same
+//! shape: one result lane per VP in queue order, per-VP probe counts,
+//! and the phase's engine counters, from which the campaign's driver
+//! restores global order.
+//!
+//! The batch executor ([`run_vp_batches`]) makes `jobs = N` produce
+//! byte-identical campaign output for every `N`:
 //!
 //! * work is assigned **per vantage point**, never per thread — the
 //!   task list of a VP is a pure function of the merged state of the
@@ -10,9 +16,9 @@
 //!   own [`Session`] (which owns its RNG stream and TTL bookkeeping),
 //!   so a session consumes exactly the same probe sequence no matter
 //!   which OS thread hosts it;
-//! * workers emit **ordered result shards** (one `Vec` per VP, aligned
-//!   with the VP's task list) that the caller merges back in VP order —
-//!   a deterministic merge with no cross-worker communication at all.
+//! * workers emit **ordered result lanes** (one `Vec` per VP, aligned
+//!   with the VP's tasks) — a deterministic merge with no cross-worker
+//!   communication at all.
 //!
 //! `jobs` only chooses how many contiguous VP ranges run concurrently;
 //! it can never change what any VP does.
@@ -36,19 +42,23 @@
 //! `(campaign_seed, vp, task key)` ([`wormhole_net::trace_seed`]), so
 //! the probe sequence of a task is a pure function of its identity, not
 //! of which worker ran it, what ran before it on that worker, or how
-//! many tasks the claim that won it covered. Results carry their queue
-//! index and are regrouped per VP in task order after the join, which
-//! makes the merged output byte-identical at any job count, any steal
-//! interleaving, and any chunk size.
+//! many tasks the claim that won it covered. Results are regrouped per
+//! VP in queue order after the join, which makes the merged output
+//! byte-identical at any job count, any steal interleaving, and any
+//! chunk size. The distributed worker runs its share of a phase through
+//! this same executor, so a task's hermetic session is built in one
+//! place ([`Hermetic::session`]) wherever it runs.
 //!
 //! Chunked claims amortize the queue's only shared cache line (the
 //! cursor) over several tasks; the campaign claims [`STEAL_CHUNK`]
-//! tasks at a time. A claim's size changes contention, never results.
+//! tasks at a time (one at a time for revelation). A claim's size
+//! changes contention, never results.
 
+use crate::phase::Phase;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use wormhole_net::EngineStats;
-use wormhole_probe::Session;
+use wormhole_net::{trace_seed, EngineStats, FaultPlan, ProbeState, RouterId, SubstrateRef};
+use wormhole_probe::{stats_delta, Session, TracerouteOpts};
 
 /// Tasks one stealing claim covers in a campaign. Only contention on
 /// the shared cursor depends on it: results are identical at every
@@ -66,157 +76,154 @@ fn panic_message(e: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Runs `f` once per vantage point over that VP's task batch, using up
-/// to `jobs` worker threads, and returns the per-VP result batches in
-/// VP order. `tasks` must be index-aligned with `sessions`.
+/// What one phase's executor hands back: per-VP result lanes (each in
+/// queue order, or the VP's panic message), per-VP probe counts, and the
+/// engine counter total of the phase.
+pub(crate) type PhaseOutput<R> = (Vec<Result<Vec<R>, String>>, Vec<u64>, EngineStats);
+
+/// Runs `phase` over `queue` once per vantage point, each VP's tasks in
+/// queue order on that VP's long-lived session, using up to `jobs`
+/// worker threads. `sessions` is indexed by VP; one
+/// [`Phase::Scratch`] value lives for each VP's whole batch.
 ///
-/// `f` receives the VP's whole batch (not one task at a time) so phases
-/// that need per-worker caches — e.g. the revelation phase's
-/// already-pinged set — can keep them across the batch without any
-/// shared mutable state.
-///
-/// A batch whose `f` panics yields `Err(panic message)` for that VP
-/// only; every other VP's batch is unaffected.
-pub(crate) fn run_vp_batches<'n, T, R, F>(
-    sessions: &mut [Session<'n>],
-    tasks: Vec<Vec<T>>,
+/// A batch that panics yields `Err(panic message)` for that VP only;
+/// every other VP's batch is unaffected. Probe counts and engine
+/// counters are the sessions' deltas over the phase, panicked batches
+/// included.
+pub(crate) fn run_vp_batches<P: Phase>(
+    sessions: &mut [Session<'_>],
+    phase: &P,
+    queue: &[(usize, P::Task)],
     jobs: usize,
-    f: &F,
-) -> Vec<Result<Vec<R>, String>>
-where
-    T: Send,
-    R: Send,
-    F: Fn(&mut Session<'n>, Vec<T>) -> Vec<R> + Sync,
-{
-    assert_eq!(
-        sessions.len(),
-        tasks.len(),
-        "one task batch per vantage point"
-    );
-    let run_one = |s: &mut Session<'n>, ts: Vec<T>| -> Result<Vec<R>, String> {
-        catch_unwind(AssertUnwindSafe(|| f(s, ts))).map_err(panic_message)
-    };
+) -> PhaseOutput<P::Out> {
     let n = sessions.len();
+    let mut batches: Vec<Vec<P::Task>> = (0..n)
+        .map(|_| Vec::with_capacity(queue.len() / n + 1))
+        .collect();
+    for &(vp, t) in queue {
+        batches[vp].push(t);
+    }
+    let run_one = |s: &mut Session<'_>, batch: Vec<P::Task>| {
+        let (probes, stats) = (s.stats.probes, s.engine_stats().clone());
+        let lane = catch_unwind(AssertUnwindSafe(|| {
+            let mut scratch = P::Scratch::default();
+            batch
+                .into_iter()
+                .map(|t| phase.run(s, &mut scratch, t))
+                .collect()
+        }))
+        .map_err(panic_message);
+        (
+            lane,
+            s.stats.probes - probes,
+            stats_delta(&stats, s.engine_stats()),
+        )
+    };
+    let mut work: Vec<_> = sessions.iter_mut().zip(batches).collect();
     let jobs = jobs.clamp(1, n.max(1));
-    if jobs <= 1 {
-        let mut out: Vec<Result<Vec<R>, String>> = Vec::with_capacity(n);
-        out.extend(sessions.iter_mut().zip(tasks).map(|(s, ts)| run_one(s, ts)));
-        return out;
-    }
-    // Contiguous VP ranges, one per worker. The partition only decides
-    // concurrency; per-VP results are reassembled in VP order below.
-    let chunk = n.div_ceil(jobs);
-    let mut task_chunks: Vec<Vec<Vec<T>>> = Vec::new();
-    let mut it = tasks.into_iter();
-    loop {
-        let c: Vec<Vec<T>> = it.by_ref().take(chunk).collect();
-        if c.is_empty() {
-            break;
-        }
-        task_chunks.push(c);
-    }
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = sessions
-            .chunks_mut(chunk)
-            .zip(task_chunks)
-            .map(|(s_chunk, t_chunk)| {
-                scope.spawn(move || {
-                    s_chunk
-                        .iter_mut()
-                        .zip(t_chunk)
-                        .map(|(s, ts)| run_one(s, ts))
-                        .collect::<Vec<Result<Vec<R>, String>>>()
+    let per_vp: Vec<_> = if jobs <= 1 {
+        work.into_iter().map(|(s, b)| run_one(s, b)).collect()
+    } else {
+        // Contiguous VP ranges, one per worker. The partition only
+        // decides concurrency; per-VP results come back in VP order.
+        let run_one = &run_one;
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = work
+                .chunks_mut(n.div_ceil(jobs))
+                .map(|range| {
+                    scope.spawn(move || {
+                        range
+                            .iter_mut()
+                            .map(|(s, b)| run_one(s, std::mem::take(b)))
+                            .collect::<Vec<_>>()
+                    })
                 })
-            })
-            .collect();
-        let mut out: Vec<Result<Vec<R>, String>> = Vec::with_capacity(n);
-        for h in handles {
-            out.extend(h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)));
-        }
-        out
-    })
+                .collect();
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+                .collect()
+        })
+    };
+    let mut out = (
+        Vec::with_capacity(n),
+        Vec::with_capacity(n),
+        EngineStats::default(),
+    );
+    for (lane, probes, stats) in per_vp {
+        out.0.push(lane);
+        out.1.push(probes);
+        out.2.merge(&stats);
+    }
+    out
 }
 
-/// One entry in the stealing injector queue: the owning vantage point,
-/// the per-trace seed key (folded into the RNG stream derivation), and
-/// the task payload itself.
-pub(crate) struct StealTask<T> {
-    /// Index of the vantage point this task belongs to.
-    pub vp: usize,
-    /// Seed key; the session factory folds it with `(campaign_seed,
-    /// vp)` into the task's private RNG stream.
-    pub key: u64,
-    /// The task payload.
-    pub task: T,
+/// What every hermetic task session is built from. The in-process
+/// stealing executor and the distributed worker both build their
+/// sessions through [`Hermetic::session`].
+pub(crate) struct Hermetic<'n> {
+    /// The shared substrate.
+    pub(crate) sub: SubstrateRef<'n>,
+    /// The vantage points, indexed by VP.
+    pub(crate) vps: &'n [RouterId],
+    /// The campaign's fault plan.
+    pub(crate) faults: &'n FaultPlan,
+    /// The campaign's traceroute options.
+    pub(crate) opts: &'n TracerouteOpts,
+    /// The campaign seed.
+    pub(crate) seed: u64,
+}
+
+impl<'n> Hermetic<'n> {
+    /// The session for one task: its fault RNG stream is a pure
+    /// function of `(seed, vp, key)`, so the task behaves identically
+    /// no matter which thread or process runs it, or when.
+    fn session(&self, vp: usize, key: u64) -> Session<'n> {
+        let state = ProbeState::new(self.faults.clone(), trace_seed(self.seed, vp as u64, key));
+        let mut s = Session::over(self.sub, self.vps[vp], state);
+        s.set_opts(self.opts.clone());
+        s
+    }
 }
 
 /// One stolen task's outcome: `(result, probes sent, engine counters)`
 /// or the panic message.
 type TaskResult<R> = Result<(R, u64, EngineStats), String>;
 
-/// Reusable merge buffers for the stealing regroup: the per-VP task
-/// counts the shard vectors are pre-sized from. A campaign allocates
-/// one of these and threads it through all of its probing phases, so
-/// the regroup never re-allocates the counting pass per phase.
-pub(crate) struct MergeScratch {
-    counts: Vec<usize>,
-}
-
-impl MergeScratch {
-    /// A scratch sized for `n_vps` vantage points.
-    pub(crate) fn new(n_vps: usize) -> MergeScratch {
-        MergeScratch {
-            counts: vec![0; n_vps],
-        }
-    }
-}
-
-/// What the stealing executor hands back: per-VP regrouped results,
-/// per-VP probe counts, and the engine counter total.
-pub(crate) type StealOutput<R> = (Vec<Result<Vec<R>, String>>, Vec<u64>, EngineStats);
-
-/// Runs `queue` under chunked work stealing with up to `jobs` worker
-/// threads and regroups the results per vantage point, in queue order.
+/// Runs `phase` over `queue` under chunked work stealing with up to
+/// `jobs` worker threads and regroups the results per vantage point, in
+/// queue order.
 ///
 /// Unlike [`run_vp_batches`], workers have no VP affinity: each claims
 /// the next unstarted *chunk* of up to `chunk` tasks from the shared
 /// queue (one atomic fetch-add on a cursor over the flat task list),
-/// then for each claimed task builds a hermetic [`Session`] via
-/// `make_session(vp, key)` and runs `f` on that session. Because every
-/// task owns its RNG stream and TTL bookkeeping, the result of a task
-/// does not depend on the claim order or the chunking, and the per-VP
-/// regrouping below restores a canonical order — the output is
-/// identical for every `jobs` and every `chunk` value.
+/// then runs each claimed task in its own hermetic session with a fresh
+/// [`Phase::Scratch`]. Because every task owns its RNG stream and TTL
+/// bookkeeping, the result of a task does not depend on the claim order
+/// or the chunking, and the per-VP regrouping below restores a
+/// canonical order — the output is identical for every `jobs` and every
+/// `chunk` value.
 ///
 /// Panic normalization matches the batch executor's contract: a VP with
 /// at least one panicked task yields `Err` (the message of its
 /// lowest-index panicked task) and its other results are discarded, so
 /// callers reuse the same degraded-shard handling for both executors.
 ///
-/// The second return value is the probe count per VP, summed over that
-/// VP's *completed* tasks (every task runs exactly once regardless of
-/// scheduling, so the sums are deterministic too — including for VPs
-/// that end up degraded). The third is the engine counter total over
-/// the same completed tasks — deterministic for the same reason.
-pub(crate) fn run_stealing<'n, T, R, F, S>(
-    n_vps: usize,
-    queue: Vec<StealTask<T>>,
+/// Probe counts are summed per VP over that VP's *completed* tasks
+/// (every task runs exactly once regardless of scheduling, so the sums
+/// are deterministic too — including for VPs that end up degraded); the
+/// engine counter total covers the same tasks.
+pub(crate) fn run_stealing<P: Phase>(
+    hermetic: &Hermetic<'_>,
+    phase: &P,
+    queue: &[(usize, P::Task)],
     jobs: usize,
     chunk: usize,
-    scratch: &mut MergeScratch,
-    make_session: &S,
-    f: &F,
-) -> StealOutput<R>
-where
-    T: Copy + Sync,
-    R: Send,
-    F: Fn(&mut Session<'n>, T) -> R + Sync,
-    S: Fn(usize, u64) -> Session<'n> + Sync,
-{
-    let run_task = |t: &StealTask<T>| -> TaskResult<R> {
+) -> PhaseOutput<P::Out> {
+    let run_task = |&(vp, task): &(usize, P::Task)| -> TaskResult<P::Out> {
         catch_unwind(AssertUnwindSafe(|| {
-            let mut sess = make_session(t.vp, t.key);
-            let r = f(&mut sess, t.task);
+            let mut sess = hermetic.session(vp, P::key(&task));
+            let r = phase.run(&mut sess, &mut P::Scratch::default(), task);
             let stats = sess.engine_stats().clone();
             (r, sess.stats.probes, stats)
         }))
@@ -224,13 +231,13 @@ where
     };
     let jobs = jobs.clamp(1, queue.len().max(1));
     let chunk = chunk.max(1);
-    let mut slots: Vec<Option<TaskResult<R>>> = if jobs <= 1 {
+    let mut slots: Vec<Option<TaskResult<P::Out>>> = if jobs <= 1 {
         queue.iter().map(|t| Some(run_task(t))).collect()
     } else {
         let cursor = AtomicUsize::new(0);
-        let produced: Vec<Vec<(usize, TaskResult<R>)>> = std::thread::scope(|scope| {
-            let queue = &queue;
+        let produced: Vec<Vec<(usize, TaskResult<P::Out>)>> = std::thread::scope(|scope| {
             let cursor = &cursor;
+            let run_task = &run_task;
             let handles: Vec<_> = (0..jobs)
                 .map(|_| {
                     scope.spawn(move || {
@@ -259,7 +266,7 @@ where
                 .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
                 .collect()
         });
-        let mut slots: Vec<Option<TaskResult<R>>> =
+        let mut slots: Vec<Option<TaskResult<P::Out>>> =
             std::iter::repeat_with(|| None).take(queue.len()).collect();
         for (i, r) in produced.into_iter().flatten() {
             slots[i] = Some(r);
@@ -267,32 +274,29 @@ where
         slots
     };
     // Regroup per VP in queue order: steal order is gone, the canonical
-    // order is back. Shard vectors are pre-sized from the queue's
-    // per-VP task counts so the pushes below never reallocate; the
-    // counts buffer itself lives in the caller's scratch, reused
-    // across every phase of a campaign.
-    let counts = &mut scratch.counts;
-    counts.clear();
-    counts.resize(n_vps, 0);
-    for t in &queue {
-        counts[t.vp] += 1;
+    // order is back. Lanes are pre-sized from the queue's per-VP task
+    // counts so the pushes below never reallocate.
+    let n_vps = hermetic.vps.len();
+    let mut counts = vec![0usize; n_vps];
+    for &(vp, _) in queue {
+        counts[vp] += 1;
     }
-    let mut out: Vec<Result<Vec<R>, String>> =
+    let mut out: Vec<Result<Vec<P::Out>, String>> =
         counts.iter().map(|&c| Ok(Vec::with_capacity(c))).collect();
     let mut probes = vec![0u64; n_vps];
     let mut engine_totals = EngineStats::default();
-    for (t, slot) in queue.iter().zip(slots.iter_mut()) {
+    for (&(vp, _), slot) in queue.iter().zip(slots.iter_mut()) {
         match slot.take().expect("every queued task was claimed") {
             Ok((r, p, stats)) => {
-                probes[t.vp] += p;
+                probes[vp] += p;
                 engine_totals.merge(&stats);
-                if let Ok(v) = &mut out[t.vp] {
+                if let Ok(v) = &mut out[vp] {
                     v.push(r);
                 }
             }
             Err(message) => {
-                if out[t.vp].is_ok() {
-                    out[t.vp] = Err(message);
+                if out[vp].is_ok() {
+                    out[vp] = Err(message);
                 }
             }
         }
@@ -300,123 +304,109 @@ where
     (out, probes, engine_totals)
 }
 
-/// Scatters per-VP `(global_index, value)` results back into one flat,
-/// globally-ordered vector. Every index in `0..len` must be produced
-/// exactly once across the shards.
-#[cfg(test)]
-pub(crate) fn merge_indexed<R>(shards: Vec<Vec<(usize, R)>>, len: usize) -> Vec<R> {
-    merge_indexed_or(shards, len, |g| panic!("no shard produced result {g}"))
-}
-
-/// Like [`merge_indexed`], but holes left by degraded (panicked) shards
-/// are filled with `missing(global_index)` instead of panicking.
-pub(crate) fn merge_indexed_or<R>(
-    shards: Vec<Vec<(usize, R)>>,
-    len: usize,
-    missing: impl Fn(usize) -> R,
-) -> Vec<R> {
-    let mut slots: Vec<Option<R>> = Vec::with_capacity(len);
-    slots.extend(std::iter::repeat_with(|| None).take(len));
-    for shard in shards {
-        for (g, r) in shard {
-            debug_assert!(slots[g].is_none(), "duplicate result for index {g}");
-            slots[g] = Some(r);
-        }
-    }
-    let mut out: Vec<R> = Vec::with_capacity(len);
-    out.extend(
-        slots
-            .into_iter()
-            .enumerate()
-            .map(|(g, s)| s.unwrap_or_else(|| missing(g))),
-    );
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wormhole_net::{FaultPlan, ProbeState, SubstrateRef};
-    use wormhole_topo::{generate, InternetConfig};
+    use wormhole_net::wire::{Reader, Wire, WireError};
+    use wormhole_net::Addr;
+    use wormhole_topo::{generate, Internet, InternetConfig};
+
+    /// Test phase: one traceroute per task, answering the session's
+    /// running probe count. Tasks from `poison_vp`, or to `poison_dst`,
+    /// panic instead.
+    #[derive(Default)]
+    struct Traced {
+        poison_vp: Option<RouterId>,
+        poison_dst: Option<Addr>,
+    }
+
+    impl Wire for Traced {
+        fn put(&self, _: &mut Vec<u8>) {}
+
+        fn take(_: &mut Reader<'_>) -> Result<Traced, WireError> {
+            Ok(Traced::default())
+        }
+    }
+
+    impl Phase for Traced {
+        const TAG: u8 = 0;
+        const LABEL: &'static str = "traced";
+        type Task = Addr;
+        type Out = u64;
+        type Scratch = ();
+
+        fn key(t: &Addr) -> u64 {
+            u64::from(t.0)
+        }
+
+        fn run(&self, s: &mut Session<'_>, _: &mut (), t: Addr) -> u64 {
+            assert!(
+                Some(s.vp()) != self.poison_vp,
+                "chaos: injected worker panic"
+            );
+            assert!(Some(t) != self.poison_dst, "chaos: injected task panic");
+            s.traceroute(t);
+            s.stats.probes
+        }
+    }
+
+    /// Every router loopback round-robined over the VPs.
+    fn queue(internet: &Internet) -> Vec<(usize, Addr)> {
+        let n_vps = internet.vps.len();
+        internet
+            .net
+            .routers()
+            .iter()
+            .enumerate()
+            .map(|(i, r)| (i % n_vps, r.loopback))
+            .collect()
+    }
+
+    fn batch_sessions(internet: &Internet) -> Vec<Session<'_>> {
+        let sub = SubstrateRef::new(&internet.net, &internet.cp);
+        internet
+            .vps
+            .iter()
+            .enumerate()
+            .map(|(i, &vp)| {
+                Session::over(
+                    sub,
+                    vp,
+                    ProbeState::for_worker(FaultPlan::none(), 9, i as u64),
+                )
+            })
+            .collect()
+    }
 
     #[test]
     fn batches_merge_in_vp_order_at_any_job_count() {
         let internet = generate(&InternetConfig::small(3));
-        let sub = SubstrateRef::new(&internet.net, &internet.cp);
-        let run = |jobs: usize| -> Vec<Vec<u64>> {
-            let mut sessions: Vec<Session> = internet
-                .vps
-                .iter()
-                .enumerate()
-                .map(|(i, &vp)| {
-                    Session::over(
-                        sub,
-                        vp,
-                        ProbeState::for_worker(FaultPlan::none(), 9, i as u64),
-                    )
-                })
-                .collect();
-            let targets: Vec<_> = internet.net.routers().iter().map(|r| r.loopback).collect();
-            let tasks: Vec<Vec<_>> = (0..sessions.len())
-                .map(|v| {
-                    targets
-                        .iter()
-                        .skip(v)
-                        .step_by(sessions.len())
-                        .copied()
-                        .collect()
-                })
-                .collect();
-            run_vp_batches(&mut sessions, tasks, jobs, &|s, ts| {
-                ts.into_iter()
-                    .map(|t| {
-                        s.traceroute(t);
-                        s.stats.probes
-                    })
-                    .collect()
-            })
-            .into_iter()
-            .map(|r| r.expect("no batch panics here"))
-            .collect()
+        let run = |jobs: usize| {
+            let mut sessions = batch_sessions(&internet);
+            run_vp_batches(&mut sessions, &Traced::default(), &queue(&internet), jobs)
         };
         let serial = run(1);
+        assert!(serial.0.iter().all(|r| r.is_ok()));
+        assert_eq!(serial.1.iter().sum::<u64>(), serial.2.probes);
         for jobs in [2, 3, 8] {
-            assert_eq!(serial, run(jobs), "jobs={jobs} diverged from serial");
+            let out = run(jobs);
+            assert_eq!(serial.0, out.0, "jobs={jobs} diverged from serial");
+            assert_eq!(serial.1, out.1, "jobs={jobs} probe accounting diverged");
         }
     }
 
     #[test]
     fn a_panicking_batch_degrades_only_its_own_vp() {
         let internet = generate(&InternetConfig::small(3));
-        let sub = SubstrateRef::new(&internet.net, &internet.cp);
-        let run = |jobs: usize| -> Vec<Result<Vec<u64>, String>> {
-            let mut sessions: Vec<Session> = internet
-                .vps
-                .iter()
-                .enumerate()
-                .map(|(i, &vp)| {
-                    Session::over(
-                        sub,
-                        vp,
-                        ProbeState::for_worker(FaultPlan::none(), 9, i as u64),
-                    )
-                })
-                .collect();
-            let poison = sessions[1].vp();
-            let targets: Vec<_> = internet.net.routers().iter().map(|r| r.loopback).collect();
-            let tasks: Vec<Vec<_>> = (0..sessions.len())
-                .map(|v| targets.iter().skip(v).step_by(3).copied().collect())
-                .collect();
-            run_vp_batches(&mut sessions, tasks, jobs, &|s, ts| {
-                assert!(s.vp() != poison, "chaos: injected worker panic");
-                ts.into_iter()
-                    .map(|t| {
-                        s.traceroute(t);
-                        s.stats.probes
-                    })
-                    .collect()
-            })
+        let run = |jobs: usize| {
+            let mut sessions = batch_sessions(&internet);
+            let phase = Traced {
+                poison_vp: Some(internet.vps[1]),
+                ..Traced::default()
+            };
+            run_vp_batches(&mut sessions, &phase, &queue(&internet), jobs).0
         };
+        let serial = run(1);
         for jobs in [1, 2, 3] {
             let out = run(jobs);
             assert_eq!(out.len(), 3);
@@ -425,76 +415,47 @@ mod tests {
             let err = out[1].as_ref().unwrap_err();
             assert!(err.contains("chaos"), "jobs={jobs}: {err}");
             // Survivors are byte-identical to the serial run.
-            assert_eq!(out[0], run(1)[0], "jobs={jobs}");
-            assert_eq!(out[2], run(1)[2], "jobs={jobs}");
+            assert_eq!(out[0], serial[0], "jobs={jobs}");
+            assert_eq!(out[2], serial[2], "jobs={jobs}");
         }
     }
 
-    /// Builds the stealing queue + session factory shared by the
-    /// stealing tests: every router loopback round-robined over the
-    /// VPs, keyed by target address, with lossy faults so the RNG
-    /// stream actually matters.
-    fn steal_fixture<'n>(
-        internet: &'n wormhole_topo::Internet,
-    ) -> (
-        Vec<StealTask<wormhole_net::Addr>>,
-        impl Fn(usize, u64) -> Session<'n> + Sync,
-    ) {
-        let sub = SubstrateRef::new(&internet.net, &internet.cp);
-        let n_vps = internet.vps.len();
-        let queue: Vec<StealTask<wormhole_net::Addr>> = internet
-            .net
-            .routers()
-            .iter()
-            .enumerate()
-            .map(|(i, r)| StealTask {
-                vp: i % n_vps,
-                key: u64::from(r.loopback.0),
-                task: r.loopback,
-            })
-            .collect();
-        let vps = internet.vps.clone();
-        let make = move |vp: usize, key: u64| {
-            let faults = FaultPlan {
-                loss: 0.2,
-                icmp_loss: 0.1,
-                ..FaultPlan::default()
-            };
-            Session::over(
-                sub,
-                vps[vp],
-                ProbeState::new(faults, wormhole_net::trace_seed(7, vp as u64, key)),
-            )
+    /// Runs `phase` over `queue` under stealing with lossy faults, so the
+    /// RNG stream actually matters.
+    fn steal(
+        internet: &Internet,
+        phase: &Traced,
+        queue: &[(usize, Addr)],
+        jobs: usize,
+        chunk: usize,
+    ) -> PhaseOutput<u64> {
+        let faults = FaultPlan {
+            loss: 0.2,
+            icmp_loss: 0.1,
+            ..FaultPlan::default()
         };
-        (queue, make)
+        let opts = TracerouteOpts::campaign();
+        let hermetic = Hermetic {
+            sub: SubstrateRef::new(&internet.net, &internet.cp),
+            vps: &internet.vps,
+            faults: &faults,
+            opts: &opts,
+            seed: 7,
+        };
+        run_stealing(&hermetic, phase, queue, jobs, chunk)
     }
 
     #[test]
     fn stealing_results_are_identical_at_any_job_and_chunk_count() {
         let internet = generate(&InternetConfig::small(3));
-        let run = |jobs: usize, chunk: usize| -> (Vec<Result<Vec<u64>, String>>, Vec<u64>) {
-            let (queue, make) = steal_fixture(&internet);
-            let mut scratch = MergeScratch::new(internet.vps.len());
-            let (out, probes, _) = run_stealing(
-                internet.vps.len(),
-                queue,
-                jobs,
-                chunk,
-                &mut scratch,
-                &make,
-                &|s, t| {
-                    s.traceroute(t);
-                    s.stats.probes
-                },
-            );
-            (out, probes)
-        };
-        let (serial, serial_probes) = run(1, 1);
+        let queue = queue(&internet);
+        let run = |jobs, chunk| steal(&internet, &Traced::default(), &queue, jobs, chunk);
+        let (serial, serial_probes, _) = run(1, 1);
         assert!(serial.iter().all(|r| r.is_ok()));
         assert!(serial_probes.iter().sum::<u64>() > 0);
         for jobs in [2, 4, 9] {
             for chunk in [1, 3, STEAL_CHUNK] {
-                let (out, probes) = run(jobs, chunk);
+                let (out, probes, _) = run(jobs, chunk);
                 assert_eq!(
                     serial, out,
                     "jobs={jobs} chunk={chunk} diverged from serial"
@@ -514,31 +475,17 @@ mod tests {
         // `(seed, vp, key)`, never of what ran before it.
         let internet = generate(&InternetConfig::small(3));
         let run = |reverse: bool| {
-            let (mut queue, make) = steal_fixture(&internet);
+            let mut queue = queue(&internet);
             if reverse {
                 queue.reverse();
             }
-            let keys: Vec<(usize, u64)> = queue.iter().map(|t| (t.vp, t.key)).collect();
-            let mut scratch = MergeScratch::new(internet.vps.len());
-            let (out, _, _) = run_stealing(
-                internet.vps.len(),
-                queue,
-                1,
-                1,
-                &mut scratch,
-                &make,
-                &|s, t| {
-                    s.traceroute(t);
-                    s.stats.probes
-                },
-            );
-            let mut flat: Vec<((usize, u64), u64)> = Vec::new();
-            let mut taken = vec![0usize; out.len()];
-            for &(vp, key) in &keys {
-                let shard = out[vp].as_ref().expect("no panics here");
-                flat.push(((vp, key), shard[taken[vp]]));
-                taken[vp] += 1;
-            }
+            let (out, _, _) = steal(&internet, &Traced::default(), &queue, 1, 1);
+            let lanes = out.into_iter().map(|r| r.expect("no panics here"));
+            let mut lanes: Vec<_> = lanes.map(Vec::into_iter).collect();
+            let mut flat: Vec<((usize, Addr), Option<u64>)> = queue
+                .into_iter()
+                .map(|(vp, t)| ((vp, t), lanes[vp].next()))
+                .collect();
             flat.sort_by_key(|&(id, _)| id);
             flat
         };
@@ -548,28 +495,19 @@ mod tests {
     #[test]
     fn stealing_normalizes_a_panicked_task_to_a_degraded_vp() {
         let internet = generate(&InternetConfig::small(3));
+        let queue = queue(&internet);
+        let poison = queue
+            .iter()
+            .filter(|&&(vp, _)| vp == 1)
+            .nth(1)
+            .map(|&(_, t)| t)
+            .expect("vp 1 has tasks");
+        let phase = Traced {
+            poison_dst: Some(poison),
+            ..Traced::default()
+        };
         for jobs in [1, 3] {
-            let (queue, make) = steal_fixture(&internet);
-            let poison = queue
-                .iter()
-                .filter(|t| t.vp == 1)
-                .nth(1)
-                .map(|t| t.key)
-                .expect("vp 1 has tasks");
-            let mut scratch = MergeScratch::new(internet.vps.len());
-            let (out, probes, _) = run_stealing(
-                internet.vps.len(),
-                queue,
-                jobs,
-                4,
-                &mut scratch,
-                &make,
-                &|s, t| {
-                    assert!(u64::from(t.0) != poison, "chaos: injected task panic");
-                    s.traceroute(t);
-                    s.stats.probes
-                },
-            );
+            let (out, probes, _) = steal(&internet, &phase, &queue, jobs, 4);
             assert!(out[0].is_ok(), "jobs={jobs}");
             assert!(out[2].is_ok(), "jobs={jobs}");
             let err = out[1].as_ref().unwrap_err();
@@ -578,23 +516,5 @@ mod tests {
             // they did run — and the sums stay deterministic.
             assert!(probes[1] > 0, "jobs={jobs}");
         }
-    }
-
-    #[test]
-    fn merge_indexed_restores_global_order() {
-        let shards = vec![vec![(2usize, 'c'), (0, 'a')], vec![(1, 'b')]];
-        assert_eq!(merge_indexed(shards, 3), vec!['a', 'b', 'c']);
-    }
-
-    #[test]
-    #[should_panic(expected = "no shard produced result")]
-    fn merge_indexed_rejects_holes() {
-        let _ = merge_indexed(vec![vec![(0usize, 'a')]], 2);
-    }
-
-    #[test]
-    fn merge_indexed_or_fills_holes_with_defaults() {
-        let shards = vec![vec![(0usize, 10)], vec![(2usize, 30)]];
-        assert_eq!(merge_indexed_or(shards, 3, |g| -(g as i32)), [10, -1, 30]);
     }
 }

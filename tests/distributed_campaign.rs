@@ -136,18 +136,22 @@ fn distributed_quick_with_cache_matches_serial_cold_and_warm() {
 }
 
 /// Tenfold-scale byte-identity — the acceptance bar. Expensive, so
-/// `#[ignore]`d out of tier 1 (CI runs it in its own job).
+/// `#[ignore]`d out of tier 1 (CI runs it in its own job). The
+/// paranoid plan is deceptive, so it is the only one under which the
+/// revelation phase's context carries `paris_check` across the wire.
 #[test]
 #[ignore = "tenfold scale: minutes of wall clock; run explicitly or in CI"]
 fn distributed_tenfold_matches_serial() {
-    let want = serial_report("tenfold", "clean");
-    let out = distributed_report("tenfold", "clean", "2", &[]);
-    assert!(out.status.success(), "{}", stderr(&out));
-    assert_eq!(
-        stdout(&out),
-        want,
-        "2-worker tenfold distributed report diverged from serial"
-    );
+    for faults in ["clean", "paranoid"] {
+        let want = serial_report("tenfold", faults);
+        let out = distributed_report("tenfold", faults, "2", &[]);
+        assert!(out.status.success(), "{faults}: {}", stderr(&out));
+        assert_eq!(
+            stdout(&out),
+            want,
+            "2-worker tenfold distributed report diverged from serial under '{faults}'"
+        );
+    }
 }
 
 /// A worker that dies mid-phase (the chaos hook aborts it before it
