@@ -1085,12 +1085,33 @@ mod tests {
             &opts.work_dir.join("bad.shard"),
             false,
         );
+        // Traceroute options starting at TTL 0, which the engine
+        // refuses to send.
+        let ttl_zero = DistDispatcher::new(
+            &opts,
+            4,
+            7,
+            FaultPlan::none(),
+            TracerouteOpts {
+                start_ttl: 0,
+                ..TracerouteOpts::default()
+            },
+        )
+        .expect("valid options")
+        .encode_spec(
+            &Bootstrap,
+            0,
+            &[(0, Addr(1))],
+            &opts.work_dir.join("bad.shard"),
+            false,
+        );
         for (spec, names) in [
             (
                 b"not a spec at all, far too short to parse".to_vec(),
                 "WHSP",
             ),
             (out_of_range, "vantage point index 4 is not below n_vps 4"),
+            (ttl_zero, "traceroute start TTL 0"),
         ] {
             std::fs::write(&path, spec).unwrap();
             let err = worker_main(&path, &|_, _| {

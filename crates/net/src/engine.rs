@@ -22,15 +22,17 @@
 //!
 //! # Execution model
 //!
-//! A probe's life — forward leg, ICMP generation, return leg — is a
-//! resumable state machine ([`Flight`]): one *step* advances a packet
-//! by exactly one router visit, and [`Engine::send`] steps a single
-//! flight to completion. That is the only walk; [`Engine::send_batch`]
-//! is a convenience loop over it. All per-hop state the machine
-//! consults lives in the [`ControlPlane`]'s dense walk tables — flag
-//! bytes, vendor TTLs, flat interface records, and a paged
-//! address→owner index — so the steady-state walk performs no hashing
-//! and never dereferences the heavyweight `Router` objects.
+//! [`Engine::send`] walks one probe through its round trip in three
+//! plain steps: the forward leg, building the reply the probe elicits
+//! (echo-reply, time-exceeded or unreachable), then the reply's return
+//! leg. Each leg is a loop over one router visit at a time until the
+//! packet is delivered, elicits an ICMP reply, or is dropped. That is
+//! the only walk; [`Engine::send_batch`] is a convenience loop over
+//! it. All per-hop state the walk consults lives in the
+//! [`ControlPlane`]'s dense walk tables — flag bytes, vendor TTLs, flat
+//! interface records, and a paged address→owner index — so the
+//! steady-state walk performs no hashing and never dereferences the
+//! heavyweight `Router` objects.
 
 use crate::addr::Addr;
 use crate::control::{walk, ControlPlane, ExtRoute, LabelAction};
@@ -202,8 +204,6 @@ enum Leg {
     Dropped {
         at: RouterId,
         reason: DropReason,
-        #[allow(dead_code)] // kept for debugging dumps
-        path: Vec<RouterId>,
     },
 }
 
@@ -289,9 +289,9 @@ impl DstCache {
     }
 }
 
-/// One leg of a flight: a packet in motion plus everything the per-hop
-/// step needs to resume where it left off.
-struct LegFlight {
+/// One leg of a probe's round trip (the probe out, or its reply back):
+/// the packet in motion plus everything the per-hop step reads.
+struct LegState {
     pkt: Packet,
     cur: RouterId,
     in_iface_addr: Option<Addr>,
@@ -301,33 +301,13 @@ struct LegFlight {
     path: Vec<RouterId>,
 }
 
-impl LegFlight {
-    fn drop_here(&mut self, reason: DropReason) -> Leg {
+impl LegState {
+    fn drop_here(&self, reason: DropReason) -> Leg {
         Leg::Dropped {
             at: self.cur,
             reason,
-            path: std::mem::take(&mut self.path),
         }
     }
-}
-
-/// Which leg a flight is on.
-enum Phase {
-    /// Forward leg: the probe travelling towards its destination.
-    Fwd,
-    /// Return leg: an ICMP reply travelling back to the prober.
-    Ret { kind: ReplyKind, from: Addr },
-}
-
-/// A probe in flight: the resumable state machine behind
-/// [`Engine::send`]. One [`Engine::step_flight`] call advances it by
-/// exactly one router visit.
-struct Flight {
-    leg: LegFlight,
-    phase: Phase,
-    probe_src: Addr,
-    replier: RouterId,
-    fwd_path: Vec<RouterId>,
 }
 
 /// The forwarding engine: an immutable [`SubstrateRef`] (shared
@@ -401,73 +381,32 @@ impl<'a> Engine<'a> {
         self.state.wait(ms);
     }
 
-    /// Sends `pkt` from `origin` and runs the simulation to completion,
-    /// including the reply's return trip.
+    /// Sends `pkt` from `origin` and runs the simulation to completion:
+    /// the forward leg, the reply it elicits, then the reply's return
+    /// leg.
     pub fn send(&mut self, origin: RouterId, pkt: Packet) -> SendOutcome {
-        let mut fl = self.launch(origin, pkt);
-        loop {
-            if let Some(out) = self.step_flight(&mut fl) {
-                return out;
-            }
-        }
-    }
-
-    /// Sends every packet in `pkts` from `origin`, appending one
-    /// outcome per packet (in input order) to `out`. Exactly a
-    /// [`Engine::send`] loop: outcomes, [`EngineStats`] and the virtual
-    /// clock are those of sending the packets one by one.
-    pub fn send_batch(&mut self, origin: RouterId, pkts: &[Packet], out: &mut Vec<SendOutcome>) {
-        out.extend(pkts.iter().map(|&p| self.send(origin, p)));
-    }
-
-    /// Starts a probe's flight: counts it, ticks the pacing clock, and
-    /// places the packet at its origin ready for the first step.
-    fn launch(&mut self, origin: RouterId, pkt: Packet) -> Flight {
         assert!(pkt.ip_ttl >= 1, "probes need a TTL of at least 1");
         self.state.stats.probes += 1;
         self.state.tick_probe();
         let probe_src = pkt.src;
-        let leg = self.leg_new(origin, pkt);
-        Flight {
-            leg,
-            phase: Phase::Fwd,
-            probe_src,
-            replier: origin,
-            fwd_path: Vec::new(),
-        }
-    }
 
-    /// Advances `fl` by one router visit; `Some` when the flight
-    /// completed on this step.
-    fn step_flight(&mut self, fl: &mut Flight) -> Option<SendOutcome> {
-        let end = self.leg_step(&mut fl.leg)?;
-        match fl.phase {
-            Phase::Fwd => self.fwd_transition(fl, end).err(),
-            Phase::Ret { kind, from } => Some(self.ret_outcome(fl, kind, from, end)),
-        }
-    }
-
-    /// Processes the end of the forward leg: either transitions the
-    /// flight onto its return leg or finishes it with a loss.
-    fn fwd_transition(&mut self, fl: &mut Flight, end: Leg) -> Result<(), SendOutcome> {
-        match end {
+        let mut fwd = self.leg_new(origin, pkt);
+        let (kind, at, reply, first_hop, fwd_path) = match self.run_leg(&mut fwd) {
             Leg::Delivered { at, pkt, path } => {
                 // Probe reached its destination: echo requests elicit an
                 // echo-reply; anything else just sinks.
                 let IcmpPayload::EchoRequest { id, seq } = pkt.payload else {
-                    return Err(self.lost(Some(at), DropReason::ReplyLost));
+                    return self.lost(Some(at), DropReason::ReplyLost);
                 };
                 let flags = self.sub.cp.router_flags(at);
                 if flags & walk::REPLIES == 0
                     || (flags & walk::IS_HOST == 0 && self.state.faults.is_persistently_silent(at))
+                    || self.hides_egress(at, pkt.dst)
                 {
-                    return Err(self.lost(Some(at), DropReason::Silent));
-                }
-                if self.hides_egress(at, pkt.dst) {
-                    return Err(self.lost(Some(at), DropReason::Silent));
+                    return self.lost(Some(at), DropReason::Silent);
                 }
                 if !self.state.allow_er(at, flags & walk::MPLS != 0) {
-                    return Err(self.lost(Some(at), DropReason::RateLimited));
+                    return self.lost(Some(at), DropReason::RateLimited);
                 }
                 let reply = Packet {
                     src: pkt.dst,
@@ -478,7 +417,7 @@ impl<'a> Engine<'a> {
                     stack: LabelStack::empty(),
                     elapsed_ms: pkt.elapsed_ms,
                 };
-                self.begin_return(fl, ReplyKind::EchoReply, at, reply, None, path)
+                (ReplyKind::EchoReply, at, reply, None, path)
             }
             Leg::Reply {
                 reply,
@@ -491,84 +430,64 @@ impl<'a> Engine<'a> {
                     IcmpPayload::DestUnreachable { .. } => ReplyKind::DestUnreachable,
                     // Error legs always carry ICMP errors; drop anything
                     // else rather than crash the probing session.
-                    _ => return Err(self.lost(Some(at), DropReason::ReplyLost)),
+                    _ => return self.lost(Some(at), DropReason::ReplyLost),
                 };
-                self.begin_return(fl, kind, at, reply, first_hop, path)
+                (kind, at, reply, first_hop, path)
             }
-            Leg::Dropped { at, reason, .. } => Err(self.lost(Some(at), reason)),
-        }
-    }
-
-    /// Launches the return leg at `at`, recording the forward path and
-    /// the replying router on the flight.
-    fn begin_return(
-        &mut self,
-        fl: &mut Flight,
-        kind: ReplyKind,
-        at: RouterId,
-        reply: Packet,
-        first_hop: Option<(u32, RouterId)>,
-        fwd_path: Vec<RouterId>,
-    ) -> Result<(), SendOutcome> {
-        let from = reply.src;
-        fl.fwd_path = fwd_path;
-        fl.replier = at;
-        match self.leg_launch(at, reply, first_hop) {
-            Ok(leg) => {
-                fl.leg = leg;
-                fl.phase = Phase::Ret { kind, from };
-                Ok(())
-            }
-            Err(Leg::Dropped {
-                at: died, reason, ..
-            }) => Err(self.lost(Some(died), reason)),
-            Err(_) => Err(self.lost(Some(at), DropReason::ReplyLost)),
-        }
-    }
-
-    /// Processes the end of the return leg into the probe's outcome.
-    fn ret_outcome(
-        &mut self,
-        fl: &mut Flight,
-        kind: ReplyKind,
-        from: Addr,
-        end: Leg,
-    ) -> SendOutcome {
-        let out = match end {
-            Leg::Delivered {
-                at: end_at,
-                pkt,
-                path,
-            } => {
-                if pkt.dst != fl.probe_src || self.sub.cp.owner_of(fl.probe_src) != Some(end_at) {
-                    self.lost(Some(end_at), DropReason::ReplyLost)
-                } else {
-                    // The quoted stack is inline `Copy` data — no clone.
-                    let mpls_ext = match pkt.payload {
-                        IcmpPayload::TimeExceeded { mpls_ext, .. } => mpls_ext,
-                        _ => LabelStack::empty(),
-                    };
-                    SendOutcome::Reply(ReplyInfo {
-                        kind,
-                        from,
-                        ip_ttl: pkt.ip_ttl,
-                        mpls_ext,
-                        rtt_ms: pkt.elapsed_ms,
-                        replier: fl.replier,
-                        fwd_path: std::mem::take(&mut fl.fwd_path),
-                        ret_path: path,
-                    })
-                }
-            }
-            Leg::Reply { at: died, .. } => self.lost(Some(died), DropReason::ReplyLost),
-            Leg::Dropped {
-                at: died, reason, ..
-            } => self.lost(Some(died), reason),
+            Leg::Dropped { at, reason } => return self.lost(Some(at), reason),
         };
-        if matches!(out, SendOutcome::Reply(_)) {
-            self.state.stats.replies += 1;
+
+        let from = reply.src;
+        let mut ret = self.leg_new(at, reply);
+        if let Some((iface, next)) = first_hop {
+            // Label-switched replies skip the replier's forwarding
+            // decision and go straight onto the wire.
+            match self.cross(at, iface, &mut ret.pkt) {
+                Ok(arrival) => {
+                    ret.cur = next;
+                    ret.in_iface_addr = Some(arrival);
+                    ret.via_wire = true;
+                    if self.opts.record_paths {
+                        ret.path.push(next);
+                    }
+                }
+                Err(reason) => return self.lost(Some(at), reason),
+            }
         }
-        out
+        match self.run_leg(&mut ret) {
+            Leg::Delivered { at: end, pkt, path }
+                if pkt.dst == probe_src && self.sub.cp.owner_of(probe_src) == Some(end) =>
+            {
+                self.state.stats.replies += 1;
+                // The quoted stack is inline `Copy` data — no clone.
+                let mpls_ext = match pkt.payload {
+                    IcmpPayload::TimeExceeded { mpls_ext, .. } => mpls_ext,
+                    _ => LabelStack::empty(),
+                };
+                SendOutcome::Reply(ReplyInfo {
+                    kind,
+                    from,
+                    ip_ttl: pkt.ip_ttl,
+                    mpls_ext,
+                    rtt_ms: pkt.elapsed_ms,
+                    replier: at,
+                    fwd_path,
+                    ret_path: path,
+                })
+            }
+            Leg::Delivered { at: died, .. } | Leg::Reply { at: died, .. } => {
+                self.lost(Some(died), DropReason::ReplyLost)
+            }
+            Leg::Dropped { at: died, reason } => self.lost(Some(died), reason),
+        }
+    }
+
+    /// Sends every packet in `pkts` from `origin`, appending one
+    /// outcome per packet (in input order) to `out`. Exactly a
+    /// [`Engine::send`] loop: outcomes, [`EngineStats`] and the virtual
+    /// clock are those of sending the packets one by one.
+    pub fn send_batch(&mut self, origin: RouterId, pkts: &[Packet], out: &mut Vec<SendOutcome>) {
+        out.extend(pkts.iter().map(|&p| self.send(origin, p)));
     }
 
     fn lost(&mut self, at: Option<RouterId>, reason: DropReason) -> SendOutcome {
@@ -577,10 +496,10 @@ impl<'a> Engine<'a> {
     }
 
     /// A fresh leg with the packet sitting at `origin`.
-    fn leg_new(&mut self, origin: RouterId, pkt: Packet) -> LegFlight {
+    fn leg_new(&mut self, origin: RouterId, pkt: Packet) -> LegState {
         // `Vec::new()` does not allocate; with recording off the path
         // buffer never grows, so the whole walk stays heap-free.
-        let mut f = LegFlight {
+        let mut f = LegState {
             pkt,
             cur: origin,
             in_iface_addr: None,
@@ -597,37 +516,18 @@ impl<'a> Engine<'a> {
         f
     }
 
-    /// A fresh leg, optionally injected directly on the wire (`inject`
-    /// skips the origin's forwarding decision — label-switched replies).
-    // A large `Err` is deliberate here: `Leg` stays inline `Copy`-ish
-    // stack data so the heap-free walk never boxes on the error path.
-    #[allow(clippy::result_large_err)]
-    fn leg_launch(
-        &mut self,
-        origin: RouterId,
-        pkt: Packet,
-        inject: Option<(u32, RouterId)>,
-    ) -> Result<LegFlight, Leg> {
-        let mut f = self.leg_new(origin, pkt);
-        if let Some((iface, next)) = inject {
-            match self.cross(origin, iface, &mut f.pkt) {
-                Ok(arrival) => {
-                    f.cur = next;
-                    f.in_iface_addr = Some(arrival);
-                    f.via_wire = true;
-                    if self.opts.record_paths {
-                        f.path.push(next);
-                    }
-                }
-                Err(reason) => return Err(f.drop_here(reason)),
+    /// Steps `f` one router visit at a time until its leg ends.
+    fn run_leg(&mut self, f: &mut LegState) -> Leg {
+        loop {
+            if let Some(end) = self.leg_step(f) {
+                return end;
             }
         }
-        Ok(f)
     }
 
     /// One router visit: moves the leg's packet forward by one hop, or
     /// ends the leg (`Some`) with delivery, an ICMP reply, or a drop.
-    fn leg_step(&mut self, f: &mut LegFlight) -> Option<Leg> {
+    fn leg_step(&mut self, f: &mut LegState) -> Option<Leg> {
         f.visits += 1;
         if f.visits > self.opts.max_visits {
             return Some(f.drop_here(DropReason::Loop));
@@ -864,7 +764,6 @@ impl<'a> Engine<'a> {
             return Leg::Dropped {
                 at: cur,
                 reason: DropReason::ReplyLost,
-                path,
             };
         }
         if flags & walk::REPLIES == 0
@@ -873,21 +772,18 @@ impl<'a> Engine<'a> {
             return Leg::Dropped {
                 at: cur,
                 reason: DropReason::Silent,
-                path,
             };
         }
         if self.hides_egress(cur, expired.dst) {
             return Leg::Dropped {
                 at: cur,
                 reason: DropReason::Silent,
-                path,
             };
         }
         if !self.state.allow_te(cur, flags & walk::MPLS != 0) {
             return Leg::Dropped {
                 at: cur,
                 reason: DropReason::RateLimited,
-                path,
             };
         }
         if self.state.faults.icmp_loss > 0.0
@@ -896,7 +792,6 @@ impl<'a> Engine<'a> {
             return Leg::Dropped {
                 at: cur,
                 reason: DropReason::IcmpSuppressed,
-                path,
             };
         }
         let (quoted_id, quoted_seq) = match expired.payload {
@@ -950,14 +845,12 @@ impl<'a> Engine<'a> {
             return Leg::Dropped {
                 at: cur,
                 reason: DropReason::NoRoute,
-                path,
             };
         }
         if !self.state.allow_te(cur, flags & walk::MPLS != 0) {
             return Leg::Dropped {
                 at: cur,
                 reason: DropReason::RateLimited,
-                path,
             };
         }
         let (quoted_id, quoted_seq) = match pkt.payload {

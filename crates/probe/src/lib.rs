@@ -23,8 +23,8 @@ pub mod traceroute;
 pub mod wire;
 
 pub use multipath::{enumerate_paths, MultipathResult};
-pub use ping::{ping, PingFailure, PingMachine, PingReply, PingResult};
+pub use ping::{ping, PingFailure, PingReply, PingResult};
 pub use session::{Session, SessionStats};
 pub use sink::{stats_delta, stats_jsonl, trace_jsonl, JsonlSink, NullSink, TraceSink};
 pub use trace::{HopOutcome, Trace, TraceHop};
-pub use traceroute::{traceroute, ProbeRequest, TraceMachine, TracerouteOpts};
+pub use traceroute::{traceroute, TracerouteOpts};

@@ -83,86 +83,9 @@ impl PingResult {
     }
 }
 
-/// A resumable ping: the retry loop as an explicit state machine with
-/// at most one outstanding probe, driven to completion by [`ping`].
-#[derive(Clone, Copy, Debug)]
-pub struct PingMachine {
-    src: Addr,
-    dst: Addr,
-    flow: u16,
-    id: u16,
-    max_attempts: u8,
-    result: PingResult,
-    done: bool,
-}
-
-impl PingMachine {
-    /// A machine that will ping `dst` up to `attempts` times.
-    pub fn new(src: Addr, dst: Addr, flow: u16, id: u16, attempts: u8) -> PingMachine {
-        PingMachine {
-            src,
-            dst,
-            flow,
-            id,
-            max_attempts: attempts.max(1),
-            result: PingResult::empty(),
-            done: false,
-        }
-    }
-
-    /// The next probe to send, or `None` when the ping is complete.
-    /// Every returned packet must be answered with
-    /// [`PingMachine::on_outcome`] before asking for the next one.
-    pub fn next_request(&mut self) -> Option<Packet> {
-        if self.done || self.result.attempts >= self.max_attempts {
-            self.done = true;
-            return None;
-        }
-        let seq = u16::from(self.result.attempts);
-        self.result.attempts += 1;
-        Some(Packet::echo_request(
-            self.src, self.dst, 64, self.flow, self.id, seq,
-        ))
-    }
-
-    /// Feeds the outcome of the last requested probe back into the
-    /// machine.
-    pub fn on_outcome(&mut self, out: &SendOutcome) {
-        if self.done {
-            return;
-        }
-        match out {
-            SendOutcome::Reply(r) if r.kind == ReplyKind::EchoReply => {
-                self.result.reply = Some(PingReply {
-                    from: r.from,
-                    reply_ip_ttl: r.ip_ttl,
-                    rtt_ms: r.rtt_ms,
-                });
-                self.done = true;
-            }
-            SendOutcome::Reply(_) => {
-                // An error reply (unreachable) instead of an echo-reply.
-                self.result.last_failure = Some(PingFailure::Unreachable);
-            }
-            SendOutcome::Lost { reason, .. } => {
-                self.result.last_failure = Some(PingFailure::from_drop(*reason));
-            }
-        }
-    }
-
-    /// Whether the ping is complete.
-    pub fn is_done(&self) -> bool {
-        self.done
-    }
-
-    /// Consumes the machine into its [`PingResult`].
-    pub fn finish(self) -> PingResult {
-        self.result
-    }
-}
-
-/// Pings `dst` from `vp`, retrying up to `attempts` times. The scalar
-/// driver over [`PingMachine`].
+/// Pings `dst` from `vp`: up to `attempts` echo requests (at least
+/// one), each sent with [`Engine::send`], stopping at the first
+/// echo-reply.
 pub fn ping(
     eng: &mut Engine<'_>,
     vp: RouterId,
@@ -172,12 +95,28 @@ pub fn ping(
     id: u16,
     attempts: u8,
 ) -> PingResult {
-    let mut m = PingMachine::new(src, dst, flow, id, attempts);
-    while let Some(probe) = m.next_request() {
-        let out = eng.send(vp, probe);
-        m.on_outcome(&out);
+    let mut result = PingResult::empty();
+    for seq in 0..u16::from(attempts.max(1)) {
+        result.attempts += 1;
+        match eng.send(vp, Packet::echo_request(src, dst, 64, flow, id, seq)) {
+            SendOutcome::Reply(r) if r.kind == ReplyKind::EchoReply => {
+                result.reply = Some(PingReply {
+                    from: r.from,
+                    reply_ip_ttl: r.ip_ttl,
+                    rtt_ms: r.rtt_ms,
+                });
+                break;
+            }
+            SendOutcome::Reply(_) => {
+                // An error reply (unreachable) instead of an echo-reply.
+                result.last_failure = Some(PingFailure::Unreachable);
+            }
+            SendOutcome::Lost { reason, .. } => {
+                result.last_failure = Some(PingFailure::from_drop(reason));
+            }
+        }
     }
-    m.finish()
+    result
 }
 
 #[cfg(test)]
@@ -221,6 +160,17 @@ mod tests {
         assert!(out.reply.is_none());
         assert_eq!(out.attempts, 3);
         assert_eq!(out.last_failure, Some(PingFailure::Lost));
+    }
+
+    #[test]
+    fn zero_attempts_still_sends_one_probe() {
+        let s = gns3_fig2(Fig2Config::Default);
+        let mut eng = Engine::with_faults(&s.net, &s.cp, FaultPlan::with_loss(1.0).unwrap(), 3);
+        let src = s.net.router(s.vp).loopback;
+        let out = ping(&mut eng, s.vp, src, s.target, 1, 7, 0);
+        assert!(out.reply.is_none());
+        assert_eq!(out.attempts, 1);
+        assert_eq!(eng.stats().probes, 1);
     }
 
     #[test]

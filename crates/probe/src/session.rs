@@ -6,7 +6,6 @@
 //! budget a real deployment would need.
 
 use crate::ping::{ping, PingResult};
-use crate::sink::{stats_delta, TraceSink};
 use crate::trace::Trace;
 use crate::traceroute::{traceroute, TracerouteOpts};
 use wormhole_net::{
@@ -47,7 +46,6 @@ pub struct Session<'a> {
     src: Addr,
     opts: TracerouteOpts,
     next_id: u16,
-    sink: Option<(usize, Box<dyn TraceSink + Send + 'a>)>,
     /// Counters.
     pub stats: SessionStats,
 }
@@ -103,7 +101,6 @@ impl<'a> Session<'a> {
             src,
             opts: TracerouteOpts::campaign(),
             next_id: 1,
-            sink: None,
             stats: SessionStats::default(),
         }
     }
@@ -112,20 +109,6 @@ impl<'a> Session<'a> {
     /// settings).
     pub fn set_opts(&mut self, opts: TracerouteOpts) {
         self.opts = opts;
-    }
-
-    /// Attaches a streaming [`TraceSink`]: every completed traceroute
-    /// is forwarded as it finishes, followed by the engine-stats delta
-    /// it cost — no phase-sized buffering anywhere. `tag` is the
-    /// attribution passed to [`TraceSink::on_trace`] (campaigns use the
-    /// vantage-point index).
-    pub fn set_sink(&mut self, tag: usize, sink: Box<dyn TraceSink + Send + 'a>) {
-        self.sink = Some((tag, sink));
-    }
-
-    /// Detaches and returns the streaming sink, if any.
-    pub fn take_sink(&mut self) -> Option<Box<dyn TraceSink + Send + 'a>> {
-        self.sink.take().map(|(_, s)| s)
     }
 
     /// The vantage point.
@@ -167,17 +150,10 @@ impl<'a> Session<'a> {
         let id = self.next_id;
         self.next_id = self.next_id.wrapping_add(1);
         let flow = self.flow_for(dst);
-        let snap = self.sink.is_some().then(|| self.eng.stats().clone());
         let before = self.eng.stats().probes;
         let t = traceroute(&mut self.eng, self.vp, self.src, dst, flow, id, &self.opts);
         self.stats.traceroutes += 1;
         self.stats.probes += self.eng.stats().probes - before;
-        if let Some((tag, sink)) = self.sink.as_mut() {
-            sink.on_trace(*tag, &t);
-            if let Some(snap) = snap {
-                sink.on_stats(&stats_delta(&snap, self.eng.stats()));
-            }
-        }
         t
     }
 
@@ -218,51 +194,6 @@ mod tests {
             "sessions keep path recording off, so the walk must not allocate"
         );
         assert!((sess.stats.wall_seconds_at(25.0) - 8.0 / 25.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn sessions_stream_traces_to_an_attached_sink() {
-        use crate::sink::TraceSink;
-        use std::sync::{Arc, Mutex};
-
-        #[derive(Default)]
-        struct Capture {
-            traces: Vec<(usize, Addr)>,
-            probe_delta: u64,
-        }
-        struct Shared(Arc<Mutex<Capture>>);
-        impl TraceSink for Shared {
-            fn on_trace(&mut self, vp: usize, trace: &Trace) {
-                self.0.lock().unwrap().traces.push((vp, trace.dst));
-            }
-            fn on_stats(&mut self, delta: &EngineStats) {
-                self.0.lock().unwrap().probe_delta += delta.probes;
-            }
-        }
-
-        let s = gns3_fig2(Fig2Config::Default);
-        let dsts = [s.target, s.left_addr("PE2")];
-        let captured = Arc::new(Mutex::new(Capture::default()));
-
-        let mut sess = Session::new(&s.net, &s.cp, s.vp);
-        sess.set_sink(7, Box::new(Shared(captured.clone())));
-        let first = sess.traceroute(dsts[0]);
-        let rest: Vec<Trace> = dsts.iter().map(|&d| sess.traceroute(d)).collect();
-        assert!(sess.take_sink().is_some());
-        // Detached: no further streaming.
-        let _ = sess.traceroute(dsts[0]);
-
-        let cap = captured.lock().unwrap();
-        assert_eq!(
-            cap.traces,
-            vec![(7, dsts[0]), (7, dsts[0]), (7, dsts[1])],
-            "one emission per completed trace, in probing order"
-        );
-        assert_eq!(
-            cap.probe_delta,
-            u64::from(first.probes) + rest.iter().map(|t| u64::from(t.probes)).sum::<u64>(),
-            "stats deltas account for exactly the emitted traces"
-        );
     }
 
     #[test]

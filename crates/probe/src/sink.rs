@@ -3,11 +3,9 @@
 //! A [`TraceSink`] receives traces one at a time as probing completes
 //! them, so consumers (a JSONL emitter, a serving socket, an
 //! incremental aggregator) never need a whole phase buffered in front
-//! of them. [`crate::Session`] drives an attached sink directly —
-//! each traceroute emits on completion — and the campaign layer
-//! drives one with merged traces in global order, which is how the
-//! batch CLI's `--emit jsonl` mode and `wormhole-serve` share a
-//! single emission path.
+//! of them. The campaign layer drives one with merged traces in
+//! global order, which is how the batch CLI's `--emit jsonl` mode and
+//! `wormhole-serve` share a single emission path.
 
 use crate::trace::{HopOutcome, Trace};
 use std::io::Write;
@@ -16,15 +14,13 @@ use wormhole_net::{EngineStats, ReplyKind};
 /// A consumer of completed traces and engine-counter deltas.
 ///
 /// `vp` is caller-defined attribution (the campaign passes the
-/// vantage-point index; sessions pass the tag given to
-/// [`crate::Session::set_sink`]).
+/// vantage-point index).
 pub trait TraceSink {
     /// One completed trace.
     fn on_trace(&mut self, vp: usize, trace: &Trace);
 
     /// Engine counters accumulated since the previous `on_stats` call
-    /// (per trace for session probing, per phase at the campaign
-    /// level).
+    /// (the campaign calls it once per phase).
     fn on_stats(&mut self, delta: &EngineStats) {
         let _ = delta;
     }

@@ -14,7 +14,7 @@
 //! virtual clock only.
 
 use crate::trace::{HopOutcome, Trace, TraceHop};
-use wormhole_net::{Addr, DropReason, Engine, Packet, ReplyKind, RouterId, SendOutcome};
+use wormhole_net::{Addr, Engine, Packet, ReplyKind, RouterId, SendOutcome};
 
 /// Extra attempts the adaptive policy may add when a hop's failures
 /// look like rate limiting (waiting + retrying is likely to succeed).
@@ -74,231 +74,17 @@ impl TracerouteOpts {
     }
 }
 
-/// The next probe a [`TraceMachine`] wants on the wire, plus the
-/// virtual-time backoff to apply before sending it.
-#[derive(Clone, Copy, Debug)]
-pub struct ProbeRequest {
-    /// The probe packet.
-    pub pkt: Packet,
-    /// Virtual milliseconds of retry backoff to wait before sending
-    /// (`0.0` = send immediately).
-    pub wait_ms: f64,
-}
-
-/// A resumable Paris traceroute: the trace logic as an explicit state
-/// machine with at most one outstanding probe.
-///
-/// [`traceroute`] drives a single machine to completion.
-#[derive(Clone, Debug)]
-pub struct TraceMachine {
-    src: Addr,
-    dst: Addr,
-    flow: u16,
-    id: u16,
-    opts: TracerouteOpts,
-    hops: Vec<TraceHop>,
-    reached: bool,
-    truncated: bool,
-    probes: u32,
-    gap: u8,
-    seq: u16,
-    ttl: u8,
-    hop: TraceHop,
-    last_drop: Option<DropReason>,
-    max_attempts: u8,
-    attempt: u8,
-    done: bool,
-}
-
-impl TraceMachine {
-    /// A machine ready to trace from `src` towards `dst`.
-    pub fn new(src: Addr, dst: Addr, flow: u16, id: u16, opts: TracerouteOpts) -> TraceMachine {
-        let ttl = opts.start_ttl;
-        let done = opts.start_ttl > opts.max_ttl;
-        let max_attempts = opts.attempts.max(1);
-        TraceMachine {
-            src,
-            dst,
-            flow,
-            id,
-            opts,
-            // Pre-sized for the common short trace; paths longer than
-            // this grow normally.
-            hops: Vec::with_capacity(8),
-            reached: false,
-            truncated: false,
-            probes: 0,
-            gap: 0,
-            seq: 0,
-            ttl,
-            hop: TraceHop::star(ttl),
-            last_drop: None,
-            max_attempts,
-            attempt: 0,
-            done,
-        }
-    }
-
-    fn base_attempts(&self) -> u8 {
-        self.opts.attempts.max(1)
-    }
-
-    /// The next probe to send, or `None` when the trace is complete.
-    /// Every returned request must be answered with
-    /// [`TraceMachine::on_outcome`] before asking for the next one.
-    pub fn next_request(&mut self) -> Option<ProbeRequest> {
-        if self.done {
-            return None;
-        }
-        if self.opts.probe_budget.is_some_and(|b| self.probes >= b) {
-            self.truncated = true;
-            self.hop.outcome = HopOutcome::BudgetExhausted;
-            self.hop.attempts = self.attempt;
-            let ttl = self.ttl;
-            self.hops
-                .push(std::mem::replace(&mut self.hop, TraceHop::star(ttl)));
-            self.done = true;
-            return None;
-        }
-        let wait_ms = if self.attempt > 0 && self.opts.backoff_ms > 0.0 {
-            let doublings = (self.attempt - 1).min(BACKOFF_MAX_DOUBLINGS);
-            self.opts.backoff_ms * f64::from(1u32 << doublings)
-        } else {
-            0.0
-        };
-        self.seq = self.seq.wrapping_add(1);
-        self.attempt += 1;
-        self.probes += 1;
-        Some(ProbeRequest {
-            pkt: Packet::echo_request(self.src, self.dst, self.ttl, self.flow, self.id, self.seq),
-            wait_ms,
-        })
-    }
-
-    /// Feeds the outcome of the last requested probe back into the
-    /// machine.
-    pub fn on_outcome(&mut self, out: &SendOutcome) {
-        if self.done {
-            return;
-        }
-        match out {
-            SendOutcome::Reply(r) => {
-                self.hop = TraceHop {
-                    ttl: self.ttl,
-                    addr: Some(r.from),
-                    reply_ip_ttl: Some(r.ip_ttl),
-                    rtt_ms: Some(r.rtt_ms),
-                    labels: r.mpls_ext.to_vec(),
-                    kind: Some(r.kind),
-                    outcome: HopOutcome::Replied,
-                    attempts: self.attempt,
-                    truth: Some(r.replier),
-                };
-                self.finish_hop();
-            }
-            SendOutcome::Lost { reason, .. } => {
-                self.last_drop = Some(*reason);
-                if self.opts.adaptive
-                    && HopOutcome::from_drop(*reason) == HopOutcome::RateLimited
-                    && self.max_attempts < self.base_attempts() + ADAPTIVE_EXTRA_ATTEMPTS
-                {
-                    // Backed-off retries give the bucket time to
-                    // refill; spend a couple extra attempts here.
-                    self.max_attempts += 1;
-                }
-                if self.attempt >= self.max_attempts {
-                    self.finish_hop();
-                }
-            }
-        }
-    }
-
-    /// Closes out the current TTL's hop record and either terminates
-    /// the trace or moves to the next TTL.
-    fn finish_hop(&mut self) {
-        if self.hop.addr.is_none() {
-            self.hop.attempts = self.attempt;
-            if let Some(reason) = self.last_drop {
-                self.hop.outcome = HopOutcome::from_drop(reason);
-            }
-        }
-        let responded = self.hop.addr.is_some();
-        let kind = self.hop.kind;
-        let from = self.hop.addr;
-        let ttl = self.ttl;
-        self.hops
-            .push(std::mem::replace(&mut self.hop, TraceHop::star(ttl)));
-        if responded {
-            self.gap = 0;
-        } else {
-            self.gap += 1;
-            if self.gap >= self.opts.gap_limit {
-                self.done = true;
-                return;
-            }
-            self.advance_ttl();
-            return;
-        }
-        match kind {
-            Some(ReplyKind::EchoReply) => {
-                // Echo replies are sourced from the probed address.
-                self.reached = true;
-                self.done = true;
-                return;
-            }
-            Some(ReplyKind::DestUnreachable) => {
-                self.done = true;
-                return;
-            }
-            _ => {}
-        }
-        if from == Some(self.dst) {
-            // A time-exceeded *from* the destination address still
-            // terminates the trace (the target was reached).
-            self.reached = true;
-            self.done = true;
-            return;
-        }
-        self.advance_ttl();
-    }
-
-    fn advance_ttl(&mut self) {
-        if self.ttl >= self.opts.max_ttl {
-            self.done = true;
-            return;
-        }
-        self.ttl += 1;
-        self.hop = TraceHop::star(self.ttl);
-        self.last_drop = None;
-        self.max_attempts = self.base_attempts();
-        self.attempt = 0;
-    }
-
-    /// Whether the trace is complete.
-    pub fn is_done(&self) -> bool {
-        self.done
-    }
-
-    /// Consumes the machine into its [`Trace`].
-    pub fn finish(self) -> Trace {
-        Trace {
-            src: self.src,
-            dst: self.dst,
-            flow: self.flow,
-            hops: self.hops,
-            reached: self.reached,
-            probes: self.probes,
-            truncated: self.truncated,
-        }
-    }
-}
-
-/// Runs a Paris traceroute from `vp` towards `dst`.
+/// Runs a Paris traceroute from `vp` towards `dst`: one probe at a
+/// time, each sent with [`Engine::send`] and its reply read before the
+/// next goes out.
 ///
 /// `flow` is held constant for every probe of the trace; `id` tags the
-/// echo identifier so replies can be matched in logs. This is the
-/// scalar driver over [`TraceMachine`]: one machine, one outstanding
-/// probe, driven to completion.
+/// echo identifier so replies can be matched in logs. TTLs run from
+/// `start_ttl` to `max_ttl`; each TTL gets up to `attempts` probes
+/// (more under the adaptive policy), backed off in virtual time after
+/// the first. The trace stops at an echo-reply, an unreachable, a
+/// reply from `dst` itself, `gap_limit` unanswered TTLs in a row, or
+/// an exhausted probe budget.
 pub fn traceroute(
     eng: &mut Engine<'_>,
     vp: RouterId,
@@ -308,15 +94,94 @@ pub fn traceroute(
     id: u16,
     opts: &TracerouteOpts,
 ) -> Trace {
-    let mut m = TraceMachine::new(src, dst, flow, id, opts.clone());
-    while let Some(req) = m.next_request() {
-        if req.wait_ms > 0.0 {
-            eng.wait(req.wait_ms);
+    let base_attempts = opts.attempts.max(1);
+    let mut t = Trace {
+        src,
+        dst,
+        flow,
+        // Pre-sized for the common short trace; paths longer than this
+        // grow normally.
+        hops: Vec::with_capacity(8),
+        reached: false,
+        probes: 0,
+        truncated: false,
+    };
+    let mut seq: u16 = 0;
+    let mut gap = 0u8;
+    for ttl in opts.start_ttl..=opts.max_ttl {
+        let mut hop = TraceHop::star(ttl);
+        let mut last_drop = None;
+        let mut max_attempts = base_attempts;
+        let mut attempt = 0u8;
+        while hop.addr.is_none() && attempt < max_attempts {
+            if opts.probe_budget.is_some_and(|b| t.probes >= b) {
+                hop.outcome = HopOutcome::BudgetExhausted;
+                hop.attempts = attempt;
+                t.hops.push(hop);
+                t.truncated = true;
+                return t;
+            }
+            if attempt > 0 && opts.backoff_ms > 0.0 {
+                let doublings = (attempt - 1).min(BACKOFF_MAX_DOUBLINGS);
+                eng.wait(opts.backoff_ms * f64::from(1u32 << doublings));
+            }
+            seq = seq.wrapping_add(1);
+            attempt += 1;
+            t.probes += 1;
+            match eng.send(vp, Packet::echo_request(src, dst, ttl, flow, id, seq)) {
+                SendOutcome::Reply(r) => {
+                    hop = TraceHop {
+                        ttl,
+                        addr: Some(r.from),
+                        reply_ip_ttl: Some(r.ip_ttl),
+                        rtt_ms: Some(r.rtt_ms),
+                        labels: r.mpls_ext.to_vec(),
+                        kind: Some(r.kind),
+                        outcome: HopOutcome::Replied,
+                        attempts: attempt,
+                        truth: Some(r.replier),
+                    }
+                }
+                SendOutcome::Lost { reason, .. } => {
+                    last_drop = Some(reason);
+                    if opts.adaptive
+                        && HopOutcome::from_drop(reason) == HopOutcome::RateLimited
+                        && max_attempts < base_attempts + ADAPTIVE_EXTRA_ATTEMPTS
+                    {
+                        // Backed-off retries give the bucket time to
+                        // refill; spend a couple extra attempts here.
+                        max_attempts += 1;
+                    }
+                }
+            }
         }
-        let out = eng.send(vp, req.pkt);
-        m.on_outcome(&out);
+        let Some(from) = hop.addr else {
+            hop.attempts = attempt;
+            if let Some(reason) = last_drop {
+                hop.outcome = HopOutcome::from_drop(reason);
+            }
+            t.hops.push(hop);
+            gap += 1;
+            if gap >= opts.gap_limit {
+                break;
+            }
+            continue;
+        };
+        gap = 0;
+        let kind = hop.kind;
+        t.hops.push(hop);
+        if kind == Some(ReplyKind::DestUnreachable) {
+            break;
+        }
+        // Echo replies are sourced from the probed address, and a
+        // time-exceeded *from* the destination still means the target
+        // was reached.
+        if kind == Some(ReplyKind::EchoReply) || from == dst {
+            t.reached = true;
+            break;
+        }
     }
-    m.finish()
+    t
 }
 
 #[cfg(test)]
@@ -456,6 +321,69 @@ mod tests {
             HopOutcome::BudgetExhausted,
             "trace: {t:?}"
         );
+    }
+
+    #[test]
+    fn start_past_max_sends_nothing() {
+        let s = gns3_fig2(Fig2Config::Default);
+        let mut eng = Engine::new(&s.net, &s.cp);
+        let src = s.net.router(s.vp).loopback;
+        let opts = TracerouteOpts {
+            start_ttl: 5,
+            max_ttl: 4,
+            ..TracerouteOpts::default()
+        };
+        let t = traceroute(&mut eng, s.vp, src, s.target, 5, 1, &opts);
+        assert!(t.hops.is_empty());
+        assert!(!t.reached && !t.truncated);
+        assert_eq!(t.probes, 0);
+        assert_eq!(eng.stats().probes, 0);
+    }
+
+    #[test]
+    fn max_ttl_stops_short_of_the_target() {
+        let s = gns3_fig2(Fig2Config::Default);
+        let mut eng = Engine::new(&s.net, &s.cp);
+        let src = s.net.router(s.vp).loopback;
+        let opts = TracerouteOpts {
+            max_ttl: 3,
+            ..TracerouteOpts::default()
+        };
+        let t = traceroute(&mut eng, s.vp, src, s.target, 5, 1, &opts);
+        assert_eq!(t.hops.len(), 3);
+        assert!(t.hops.iter().all(|h| h.outcome == HopOutcome::Replied));
+        assert!(!t.reached);
+        assert_eq!(t.probes, 3);
+    }
+
+    #[test]
+    fn budget_runs_out_between_hops() {
+        let s = gns3_fig2(Fig2Config::Default);
+        let mut eng =
+            wormhole_net::Engine::with_faults(&s.net, &s.cp, FaultPlan::with_loss(1.0).unwrap(), 9);
+        let src = s.net.router(s.vp).loopback;
+        let opts = TracerouteOpts {
+            attempts: 2,
+            probe_budget: Some(4),
+            ..TracerouteOpts::default()
+        };
+        let t = traceroute(&mut eng, s.vp, src, s.target, 5, 1, &opts);
+        let shape: Vec<(u8, HopOutcome, u8)> = t
+            .hops
+            .iter()
+            .map(|h| (h.ttl, h.outcome, h.attempts))
+            .collect();
+        assert_eq!(
+            shape,
+            [
+                (1, HopOutcome::Lost, 2),
+                (2, HopOutcome::Lost, 2),
+                (3, HopOutcome::BudgetExhausted, 0),
+            ]
+        );
+        assert!(t.truncated);
+        assert_eq!(t.probes, 4);
+        assert_eq!(eng.stats().probes, 4);
     }
 
     #[test]

@@ -25,8 +25,13 @@ impl Wire for TracerouteOpts {
     }
 
     fn take(r: &mut Reader<'_>) -> Result<TracerouteOpts, WireError> {
+        let start_ttl = Wire::take(r)?;
+        if start_ttl == 0 {
+            // The engine refuses TTL-0 probes; reject them at decode.
+            return Err(WireError::Corrupt("traceroute start TTL 0"));
+        }
         Ok(TracerouteOpts {
-            start_ttl: Wire::take(r)?,
+            start_ttl,
             max_ttl: Wire::take(r)?,
             attempts: Wire::take(r)?,
             gap_limit: Wire::take(r)?,
