@@ -338,19 +338,29 @@ impl CampaignResult {
     /// equal reports at **any** `jobs` setting — the determinism
     /// regression tests compare these byte for byte.
     pub fn report(&self) -> CampaignReport {
-        let mut out = String::new();
+        // Per-line sizes measured on the campaign rows (a hop line runs
+        // ~96 bytes, a trace header ~80), so the report is written with
+        // one allocation.
+        let hops: usize = self.traces.iter().map(|t| t.hops.len()).sum();
+        let mut out = String::with_capacity(
+            96 * hops
+                + 80 * (self.traces.len() + self.candidates.len())
+                + 16 * (self.targets.len() + self.hdns.len())
+                + 40 * (self.te_obs.len() + self.er_obs.len() + self.fingerprints.len())
+                + 120 * self.revelations.len()
+                + 256,
+        );
         let w = &mut out;
         let _ = writeln!(w, "snapshot nodes={}", self.snapshot.num_nodes());
         let _ = writeln!(w, "hdns={:?}", self.hdns);
-        let _ = writeln!(
-            w,
-            "targets=[{}]",
-            self.targets
-                .iter()
-                .map(Addr::to_string)
-                .collect::<Vec<_>>()
-                .join(" ")
-        );
+        w.push_str("targets=[");
+        for (i, a) in self.targets.iter().enumerate() {
+            if i > 0 {
+                w.push(' ');
+            }
+            let _ = write!(w, "{a}");
+        }
+        w.push_str("]\n");
         for (i, t) in self.traces.iter().enumerate() {
             let _ = writeln!(
                 w,
@@ -358,28 +368,29 @@ impl CampaignResult {
                 self.trace_vps[i], t.dst, t.flow, t.reached, t.probes, t.truncated
             );
             for h in &t.hops {
-                match h.addr {
-                    Some(a) => {
-                        let _ = writeln!(
-                            w,
-                            "  {} {} ttl={:?} kind={:?} rtt={} labels={:?} attempts={}",
-                            h.ttl,
-                            a,
-                            h.reply_ip_ttl,
-                            h.kind,
-                            h.rtt_ms.map(|r| format!("{r:.6}")).unwrap_or_default(),
-                            h.labels,
-                            h.attempts
-                        );
-                    }
-                    None => {
-                        let _ = writeln!(
-                            w,
-                            "  {} * outcome={:?} attempts={}",
-                            h.ttl, h.outcome, h.attempts
-                        );
-                    }
+                let Some(a) = h.addr else {
+                    let _ = writeln!(
+                        w,
+                        "  {} * outcome={:?} attempts={}",
+                        h.ttl, h.outcome, h.attempts
+                    );
+                    continue;
+                };
+                let _ = write!(w, "  {} {a} ttl=", h.ttl);
+                let _ = match h.reply_ip_ttl {
+                    Some(ttl) => write!(w, "Some({ttl})"),
+                    None => w.write_str("None"),
+                };
+                w.push_str(match h.kind {
+                    Some(ReplyKind::EchoReply) => " kind=Some(EchoReply) rtt=",
+                    Some(ReplyKind::TimeExceeded) => " kind=Some(TimeExceeded) rtt=",
+                    Some(ReplyKind::DestUnreachable) => " kind=Some(DestUnreachable) rtt=",
+                    None => " kind=None rtt=",
+                });
+                if let Some(rtt) = h.rtt_ms {
+                    let _ = write!(w, "{rtt:.6}");
                 }
+                let _ = writeln!(w, " labels={:?} attempts={}", h.labels, h.attempts);
             }
         }
         let mut te: Vec<_> = self.te_obs.iter().collect();
@@ -663,7 +674,7 @@ impl<'a> Campaign<'a> {
     /// Ground-truth alias resolution + node-to-AS mapping (the CAIDA /
     /// Team Cymru stand-in).
     fn resolve(&self, addr: Addr) -> NodeInfo {
-        match self.net().owner(addr) {
+        match self.sub.cp.owner_of(addr) {
             Some(r) => NodeInfo {
                 key: u64::from(r.0),
                 asn: Some(self.net().router(r).asn),
@@ -905,6 +916,7 @@ impl<'a> Campaign<'a> {
         let mut candidates = Vec::new();
         let mut pair_seen: HashSet<(Addr, Addr)> = HashSet::new();
         let mut reveal_jobs: Vec<(usize, (Addr, Addr, Addr))> = Vec::new();
+        let owner_asn = |a| self.sub.cp.owner_of(a).map(|r| self.net().router(r).asn);
         for (trace_index, (vp, trace)) in traces.iter().enumerate() {
             let resp: Vec<(Addr, Option<usize>)> = trace
                 .hops
@@ -919,8 +931,7 @@ impl<'a> Campaign<'a> {
                 if x == y || y == d {
                     continue;
                 }
-                let (Some(asn_x), Some(asn_y)) = (self.net().owner_asn(x), self.net().owner_asn(y))
-                else {
+                let (Some(asn_x), Some(asn_y)) = (owner_asn(x), owner_asn(y)) else {
                     continue;
                 };
                 if asn_x != asn_y {

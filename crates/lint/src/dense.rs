@@ -2,33 +2,35 @@
 //!
 //! The packet-walk hot path runs on flattened control-plane tables
 //! (label-sorted LFIB rows of `(label, tag)` records, `te_heads`/
-//! `te_routes` CSR, `fib_base`/`fib_spans`/`fib_pool`, [`LdpBindings`]
-//! and [`AsIgp`](wormhole_net::AsIgp) CSRs, build-time
+//! `te_routes` CSR, the FIB's per-router next-hop groups, the per-AS
+//! external-route classes, [`LdpBindings`] and
+//! [`AsIgp`](wormhole_net::AsIgp) CSRs, build-time
 //! destination-resolution tables, the three-level address→owner index).
 //! These rules cross-check every flat table against the logical model
-//! it encodes — re-derived through the same per-router oracles
+//! it encodes — re-derived through the same oracles
 //! [`ControlPlane::build`] itself loops over ([`FibOracle`],
-//! [`LdpBindings::window`], [`te_program`], [`ldp_label_action`]) — and
-//! against its own structural invariants. The verifier shares
-//! *oracles* with the build, never outputs: every logical row is
-//! recomputed from the [`Network`] here, not read back from the plane
-//! under test. The content rules D504, D507 and D508 run in one pass
-//! over the routers ([`router_pass`]), recomputing one router's rows at
-//! a time into reused buffers, so the check never holds a second copy
-//! of the forwarding state.
+//! [`ExtOracle`], [`LdpBindings::window`], [`te_program`],
+//! [`ldp_label_action`]) — and against its own structural invariants.
+//! The verifier shares *oracles* with the build, never outputs: every
+//! logical row is recomputed from the [`Network`] here, not read back
+//! from the plane under test. The content rules D504, D507 and D508 run
+//! in one pass over the routers ([`router_pass`]), recomputing one
+//! router's rows at a time into reused buffers, and D513 one AS at a
+//! time ([`ext_content`]), so the check never holds a second copy of
+//! the forwarding state.
 //!
-//! The checks are *staged*: a malformed CSR shape (D501/D503/D505/D506/
-//! D508 structure, D509 trie) gates the content comparison that would
-//! read through it, so one seeded corruption surfaces as exactly one
-//! rule — the property the mutation self-test in `tests/mutations.rs`
-//! pins for every corruption class.
+//! The checks are *staged*: a malformed shape (D501/D503/D505/D506/
+//! D508/D513 structure, D509 trie) gates the content comparison that
+//! would read through it, so one seeded corruption surfaces as exactly
+//! one rule — the property the mutation self-test in
+//! `tests/mutations.rs` pins for every corruption class.
 
 use crate::diag::{Diagnostic, Location, Severity};
 use std::collections::HashSet;
 use wormhole_net::igp::{edge_metric, INF};
 use wormhole_net::{
-    ldp_label_action, lfib_row, te_group, te_program, Addr, ControlPlane, FibOracle, Label,
-    LdpBindings, LfibHop, LfibSource, Network, RouterId, OWNER_DIR_SIZE,
+    ldp_label_action, lfib_row, te_group, te_program, Addr, ControlPlane, ExtOracle, ExtRoute,
+    FibOracle, Label, LdpBindings, LfibHop, LfibSource, Network, RouterId, OWNER_DIR_SIZE,
 };
 
 fn err(code: &'static str, location: Location, message: String, hint: &str) -> Diagnostic {
@@ -469,61 +471,267 @@ fn lfib_shape(net: &Network, cp: &ControlPlane, out: &mut Vec<Diagnostic>) -> bo
     ok
 }
 
-/// D508, shape half: one FIB span per slot of each router's AS table,
-/// spans tiling the pool in order. Returns `true` when the CSR holds,
-/// so the content half (in [`router_pass`]) may read through it.
+/// D508, shape half: one FIB cell per slot of each router's AS table,
+/// each naming one of the router's next-hop groups, the groups numbered
+/// by first appearance in slot order with none left unnamed, and the
+/// groups tiling the pool in order. Returns `true` when the tables
+/// hold, so the content half (in [`router_pass`]) may read through them.
 fn fib_shape(net: &Network, cp: &ControlPlane, out: &mut Vec<Diagnostic>) -> bool {
     let v = cp.dense_view();
-    let mut ok = check_csr_offsets(
+    let n = net.num_routers();
+    let groups = v.fib_groups.len().saturating_sub(1);
+    let mut ok = check_csr_offsets("D508", "fib_base", v.fib_base, n, v.fib_index.len(), out);
+    ok &= check_csr_offsets("D508", "fib_group_base", v.fib_group_base, n, groups, out);
+    ok &= check_csr_offsets(
         "D508",
-        "fib_base",
-        v.fib_base,
-        net.num_routers(),
-        v.fib_spans.len(),
+        "fib_groups",
+        v.fib_groups,
+        groups,
+        v.fib_pool.len(),
         out,
     );
-    if ok {
-        for r in net.routers() {
-            let slots = (v.fib_base[r.id.index() + 1] - v.fib_base[r.id.index()]) as usize;
-            let want = net.as_index(r.asn).map_or(0, |i| cp.as_prefixes[i].len());
-            if slots != want {
-                out.push(err(
-                    "D508",
-                    Location::Router(r.name.clone()),
-                    format!("{slots} FIB spans against an AS table of {want} slots"),
-                    "every router owns exactly one span per prefix slot of its AS",
-                ));
-                ok = false;
-            }
-        }
+    if !ok {
+        return false;
     }
-    let mut cursor = 0u32;
-    for (i, &(start, len)) in v.fib_spans.iter().enumerate() {
-        if start != cursor {
+    for r in net.routers() {
+        let i = r.id.index();
+        let cells = &v.fib_index[v.fib_base[i] as usize..v.fib_base[i + 1] as usize];
+        let want = net.as_index(r.asn).map_or(0, |a| cp.as_prefixes[a].len());
+        let loc = || Location::Router(r.name.clone());
+        if cells.len() != want {
             out.push(err(
                 "D508",
-                Location::Network,
-                format!("FIB span #{i} starts at {start}, breaking the pool tiling at {cursor}"),
-                "spans must tile fib_pool contiguously in order; a span was resized or moved",
+                loc(),
+                format!(
+                    "{} FIB cells against an AS table of {want} slots",
+                    cells.len()
+                ),
+                "every router owns exactly one cell per prefix slot of its AS",
+            ));
+            ok = false;
+            continue;
+        }
+        let count = (v.fib_group_base[i + 1] - v.fib_group_base[i]) as usize;
+        let mut next = 0;
+        if let Some((slot, g)) = cells.iter().enumerate().find_map(|(slot, &g)| {
+            let g = usize::from(g);
+            next += usize::from(g == next);
+            (g >= count || g >= next).then_some((slot, g))
+        }) {
+            out.push(err(
+                "D508",
+                loc(),
+                format!("FIB cell for slot {slot} names next-hop group {g} of {count}"),
+                "a router's groups are numbered by first appearance in slot order, below their count",
+            ));
+            ok = false;
+        } else if next != count {
+            out.push(err(
+                "D508",
+                loc(),
+                format!("{count} next-hop groups, {next} of them named by a FIB cell"),
+                "an orphan group is dead weight no lookup can reach",
+            ));
+            ok = false;
+        }
+    }
+    ok
+}
+
+/// D513, shape half: the external-route class table of every AS. One
+/// class cell per `(source AS, destination AS)`, each AS's class block
+/// a whole number of member-wide classes tiling the word pool in AS
+/// order, every router's local index its position among its AS's
+/// members, and every class cell below its AS's class count, classes
+/// numbered by first destination AS with none left unnamed. Every word
+/// must unpack, a `Direct` interface must be an inter-AS interface of
+/// the member it belongs to, and a `ViaEgress` egress a member of the
+/// same AS. Returns `true` when the tables hold, so the content half
+/// ([`ext_content`]) may read through them.
+fn ext_shape(net: &Network, cp: &ControlPlane, out: &mut Vec<Diagnostic>) -> bool {
+    let v = cp.dense_view();
+    let (n, as_list) = (net.num_routers(), net.as_list());
+    let n_as = as_list.len();
+    if v.ext_blocks.len() != n_as + 1 || v.ext_class.len() != n_as * n_as || v.ext_local.len() != n
+    {
+        out.push(err(
+            "D513",
+            Location::Network,
+            format!(
+                "{} class blocks, {} class cells and {} local indices for {n_as} ASes and {n} routers",
+                v.ext_blocks.len(),
+                v.ext_class.len(),
+                v.ext_local.len()
+            ),
+            "rebuild the control plane; the class tables lost or gained rows",
+        ));
+        return false;
+    }
+    let mut ok = true;
+    let mut cursor = 0;
+    for (s, &asn) in as_list.iter().enumerate() {
+        let members = net.as_members(asn);
+        let (first, width) = v.ext_blocks[s];
+        let end = v.ext_blocks[s + 1].0;
+        let tiles = first == cursor
+            && end >= first
+            && width as usize == members.len()
+            && (end - first).checked_rem(width).unwrap_or(end - first) == 0;
+        if !tiles {
+            out.push(err(
+                "D513",
+                Location::As(asn),
+                format!(
+                    "class block ({first}, {width}) up to {end} breaks the word tiling at {cursor} for {} members",
+                    members.len()
+                ),
+                "each AS's classes are member-wide and tile the word pool in AS order",
             ));
             ok = false;
             break;
         }
-        cursor += len;
+        cursor = end;
+        if let Some((i, m)) = members
+            .iter()
+            .enumerate()
+            .find(|&(i, m)| v.ext_local[m.index()] as usize != i)
+        {
+            out.push(err(
+                "D513",
+                Location::Router(net.router(*m).name.clone()),
+                format!(
+                    "external-route local index {} for member #{i} of {asn}",
+                    v.ext_local[m.index()]
+                ),
+                "ext_route() would read another member's decision",
+            ));
+            ok = false;
+        }
     }
-    if ok && cursor as usize != v.fib_pool.len() {
+    if ok && cursor as usize != v.ext_words.len() {
         out.push(err(
-            "D508",
+            "D513",
             Location::Network,
-            format!(
-                "FIB spans cover {cursor} pool entries of {}",
-                v.fib_pool.len()
-            ),
-            "orphan pool entries after the last span — the flattening drifted",
+            format!("class blocks cover {cursor} words of {}", v.ext_words.len()),
+            "orphan words after the last class block — the table drifted",
         ));
         ok = false;
     }
+    if !ok {
+        return false;
+    }
+    for (s, &asn) in as_list.iter().enumerate() {
+        let members = net.as_members(asn);
+        let (first, width) = v.ext_blocks[s];
+        let words = &v.ext_words[first as usize..v.ext_blocks[s + 1].0 as usize];
+        let count = words.len().checked_div(width as usize).unwrap_or(1);
+        let loc = || Location::As(asn);
+        let mut next = 0;
+        let row = &v.ext_class[s * n_as..(s + 1) * n_as];
+        if let Some((dst, c)) = as_list.iter().zip(row).find_map(|(dst, &c)| {
+            let c = usize::from(c);
+            next += usize::from(c == next);
+            (c >= count || c >= next).then_some((dst, c))
+        }) {
+            out.push(err(
+                "D513",
+                loc(),
+                format!("class cell towards {dst} names class {c} of {count}"),
+                "an AS's classes are numbered by first destination AS, below their count",
+            ));
+            ok = false;
+        } else if next != count {
+            out.push(err(
+                "D513",
+                loc(),
+                format!("{count} external-route classes, {next} of them named by a cell"),
+                "an orphan class is dead weight no lookup can reach",
+            ));
+            ok = false;
+        }
+        for (k, &w) in words.iter().enumerate() {
+            let member = net.router(members[k % members.len()]);
+            let bad = match ExtRoute::unpack(w) {
+                None => Some(format!("word {w:#x} packs no route")),
+                Some(ExtRoute::Direct { iface }) => member
+                    .ifaces
+                    .get(iface as usize)
+                    .is_none_or(|i| !net.link(i.link).inter_as)
+                    .then(|| format!("Direct over iface {iface}, not an inter-AS interface")),
+                Some(ExtRoute::ViaEgress { egress }) => (egress.index() >= n
+                    || net.router(egress).asn != asn)
+                    .then(|| format!("ViaEgress towards {egress}, not a member of {asn}")),
+                Some(ExtRoute::Unreachable) => None,
+            };
+            if let Some(what) = bad {
+                out.push(err(
+                    "D513",
+                    Location::Router(member.name.clone()),
+                    format!(
+                        "external-route class {} of {asn}: {what}",
+                        k / members.len()
+                    ),
+                    "the walk would leave over a wrong interface or towards a foreign egress",
+                ));
+                ok = false;
+                break;
+            }
+        }
+    }
     ok
+}
+
+/// D513, content half: every AS's stored classes against the build's
+/// own hot-potato oracle ([`ExtOracle`]). Each distinct candidate set
+/// of an AS is resolved once: the first cell with it must name a class
+/// equal to the recomputed one, and every later cell with it the same
+/// class.
+fn ext_content(net: &Network, cp: &ControlPlane, out: &mut Vec<Diagnostic>) {
+    let v = cp.dense_view();
+    let as_list = net.as_list();
+    let n_as = as_list.len();
+    if cp.igp.len() != n_as {
+        return; // the oracle needs one IGP view per AS
+    }
+    let mut oracle = ExtOracle::new(net, &cp.igp, &cp.bgp);
+    // The AS's candidate set numbers → the class their first cell names.
+    let mut class_of: Vec<u16> = Vec::new();
+    let mut found = Capped::default();
+    for (s, &asn) in as_list.iter().enumerate() {
+        if oracle.load(s).is_err() {
+            continue; // an unregistered peer AS is X2xx territory
+        }
+        class_of.clear();
+        let (first, width) = (v.ext_blocks[s].0 as usize, v.ext_blocks[s].1 as usize);
+        let row = &v.ext_class[s * n_as..(s + 1) * n_as];
+        for (d, (&dst, &c)) in as_list.iter().zip(row).enumerate() {
+            let wrong = match oracle.resolve(d) {
+                (_, Some(words)) => {
+                    class_of.push(c);
+                    let at = first + usize::from(c) * width;
+                    (v.ext_words[at..at + width] != *words)
+                        .then(|| format!("class {c}, which disagrees with the hot-potato oracle"))
+                }
+                (set, None) => (class_of[set] != c).then(|| {
+                    format!(
+                        "class {c}, where the same candidate borders have class {}",
+                        class_of[set]
+                    )
+                }),
+            };
+            if let Some(what) = wrong {
+                found.push(|| {
+                    err(
+                        "D513",
+                        Location::As(asn),
+                        format!("external routes towards {dst}: {what}"),
+                        "rebuild the control plane; a stored egress decision was edited",
+                    )
+                });
+            }
+        }
+    }
+    out.extend(found.found);
 }
 
 /// Which content comparisons [`router_pass`] runs, as the shape stage
@@ -1083,6 +1291,7 @@ pub fn verify_dense(net: &Network, cp: &ControlPlane) -> Vec<Diagnostic> {
     let igp_ok = igp_check(net, cp, &mut out);
     let lfib_ok = lfib_shape(net, cp, &mut out);
     let fib_ok = fib_shape(net, cp, &mut out);
+    let ext_ok = ext_shape(net, cp, &mut out);
     let trie_ok = trie_roundtrip(cp, &mut out);
     if te_ok {
         te_agreement(net, cp, &mut out);
@@ -1093,6 +1302,9 @@ pub fn verify_dense(net: &Network, cp: &ControlPlane) -> Vec<Diagnostic> {
         lfib: igp_ok && lfib_ok,
     };
     router_pass(net, cp, gates, &mut out);
+    if igp_ok && ext_ok {
+        ext_content(net, cp, &mut out);
+    }
     dst_resolution(net, cp, &trie_ok, &mut out);
     owner_hash(net, cp, &trie_ok, &mut out);
     owner_index(net, cp, &mut out);

@@ -466,12 +466,15 @@ pub static RULES: &[RuleInfo] = &[
         code: "D508",
         family: Family::Dense,
         severity: Severity::Error,
-        summary: "FIB CSR malformed or dense entry disagrees with the logical FIB",
-        explanation: "The flattened FIB must give every router one span per slot of its \
-                      AS's prefix table, spans must tile the pool contiguously in order, \
-                      and each span's next-hop set must equal the logical FIB re-derived \
-                      from IGP distances and prefix owners. A truncated or shifted span \
-                      silently drops ECMP branches for one FEC and corrupts neighbors.",
+        summary: "FIB next-hop groups malformed or dense entry disagrees with the logical FIB",
+        explanation: "The FIB stores each router's distinct ECMP next-hop sets once, as \
+                      groups tiling a shared pool, and one group number per slot of the \
+                      router's AS table. Every router must own exactly one cell per slot, \
+                      each naming one of its own groups, numbered by first appearance in \
+                      slot order with none orphaned, and each slot's next-hop set read \
+                      through its group must equal the logical FIB re-derived from IGP \
+                      distances and prefix owners. A truncated group or a mis-numbered \
+                      cell silently drops or swaps ECMP branches for every FEC sharing it.",
     },
     RuleInfo {
         code: "D509",
@@ -520,6 +523,22 @@ pub static RULES: &[RuleInfo] = &[
                       address resolves to its holder and every populated entry names a \
                       holder. Checked against the routers directly, never the owner hash, \
                       so D511 and D512 corruptions each fire exactly their own rule.",
+    },
+    RuleInfo {
+        code: "D513",
+        family: Family::Dense,
+        severity: Severity::Error,
+        summary: "external-route class table malformed or disagrees with the hot-potato oracle",
+        explanation: "External routes are stored per source AS as classes: one packed \
+                      route word per member, numbered by first destination AS, and one \
+                      class number per (source AS, destination AS). The class blocks must \
+                      tile the word pool member-wide in AS order, every router's local \
+                      index must be its position among its AS's members, every class \
+                      number must lie below its AS's class count with none orphaned, every \
+                      word must unpack, a Direct interface must be an inter-AS interface of \
+                      its member, and a ViaEgress egress a member of the same AS. Each \
+                      stored class must then equal the hot-potato choice the build's own \
+                      per-AS oracle recomputes for the destination's candidate borders.",
     },
     RuleInfo {
         code: "V601",

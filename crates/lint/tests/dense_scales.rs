@@ -7,6 +7,8 @@
 //! plain reference in `oracle/` (the quick and paper rows of that check
 //! run in the root package's `tests/control_plane_oracle.rs`).
 
+// The external-route reference rows run in the root package.
+#[allow(dead_code)]
 mod oracle;
 
 use wormhole_lint as lint;

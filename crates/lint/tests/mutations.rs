@@ -8,13 +8,16 @@
 //! coverage test proves every registered D5xx rule is fired by at
 //! least one class.
 //!
-//! Three further dense classes corrupt only *content*, with every
+//! Four further dense classes corrupt only *content*, with every
 //! shape intact: an LDP record retagged to another FEC and a rewritten
-//! RSVP-TE branch action (`D507`), and a retargeted FIB pool hop
-//! (`D508`). They pin the in-place comparison paths, whose only other
-//! classes (a stale entry, a truncated span) change shape. An LDP
-//! record tagged past its AS table (`D506`) pins the tag-range check
-//! of the row shape.
+//! RSVP-TE branch action (`D507`), a retargeted FIB pool hop (`D508`)
+//! and a member retargeted to another egress border of its AS
+//! (`D513`). They pin the in-place comparison paths, whose other
+//! classes (a stale entry, a truncated FIB group, a `Direct` route over
+//! an intra-AS interface) change shape. Three push an index past its
+//! range: an LDP record tagged past its AS table (`D506`), a FIB cell
+//! naming a group past its router's (`D508`) and a class cell naming a
+//! class past its AS's (`D513`).
 //! Two more corrupt the *directories* of the row and block tables: a
 //! shifted LFIB row offset (`D506`) and a skewed owner-directory run
 //! (`D512`), next to their rules' label- and content-level classes.
@@ -30,8 +33,8 @@
 use std::collections::BTreeSet;
 use wormhole_lint as lint;
 use wormhole_net::{
-    Addr, ControlPlane, Label, LabelAction, LabelValue, LdpBindings, LfibEntry, LfibHop, Network,
-    PoppingMode, RouterId,
+    Addr, ControlPlane, ExtRoute, Label, LabelAction, LabelValue, LdpBindings, LfibEntry, LfibHop,
+    Network, PoppingMode, RouterId,
 };
 use wormhole_topo::{gns3_fig2, gns3_fig2_te, Fig2Config};
 
@@ -97,6 +100,35 @@ fn multi_entry_row(net: &Network, cp: &ControlPlane) -> (RouterId, std::ops::Ran
         })
         .find(|(_, row)| row.len() >= 2)
         .expect("an LSR with two LFIB entries")
+}
+
+/// Drops the first hop of the first populated FIB group: the group
+/// offsets no longer close the pool.
+fn truncate_first_fib_group(cp: &mut ControlPlane) {
+    let groups = cp.dense_view().fib_groups;
+    let g = groups
+        .windows(2)
+        .position(|w| w[1] > w[0])
+        .expect("some FIB group is populated");
+    let at = groups[g] as usize;
+    cp.fib_pool_mut().remove(at);
+}
+
+/// Every stored external-route word as `(word index, the member it
+/// belongs to, its route)`, AS by AS.
+fn ext_words<'a>(
+    net: &'a Network,
+    cp: &'a ControlPlane,
+) -> impl Iterator<Item = (usize, RouterId, ExtRoute)> + 'a {
+    let v = cp.dense_view();
+    net.as_list().iter().enumerate().flat_map(move |(s, &asn)| {
+        let members = net.as_members(asn);
+        let (first, end) = (v.ext_blocks[s].0 as usize, v.ext_blocks[s + 1].0 as usize);
+        (first..end).map(move |k| {
+            let route = ExtRoute::unpack(v.ext_words[k]).expect("a clean word");
+            (k, members[(k - first) % members.len()], route)
+        })
+    })
 }
 
 /// The D5xx codes fired over `(net, cp)`, as a set.
@@ -256,17 +288,10 @@ fn classes() -> Vec<Class> {
             },
         },
         Class {
-            name: "truncate-fib-span",
+            name: "truncate-fib-group",
             rule: "D508",
             build: ldp_plane,
-            corrupt: |_, cp| {
-                let spans = cp.fib_spans_mut();
-                let j = spans
-                    .iter()
-                    .position(|&(_, len)| len >= 1)
-                    .expect("some FIB span is populated");
-                spans[j].1 -= 1; // drop an ECMP branch; the tiling breaks
-            },
+            corrupt: |_, cp| truncate_first_fib_group(cp),
         },
         Class {
             name: "retarget-fib-pool-hop",
@@ -275,26 +300,110 @@ fn classes() -> Vec<Class> {
             corrupt: |net, cp| {
                 // Point one populated hop out of a different interface of
                 // the same router (at that interface's real peer): every
-                // span keeps its (start, len), only the content lies.
+                // group keeps its offsets, only the content lies.
                 let v = cp.dense_view();
                 let (k, hop) = net
                     .routers()
                     .iter()
                     .filter(|r| r.ifaces.len() >= 2)
                     .find_map(|r| {
-                        let spans = v.fib_base[r.id.index()]..v.fib_base[r.id.index() + 1];
-                        spans
-                            .map(|s| v.fib_spans[s as usize])
-                            .find_map(|(start, len)| {
-                                (len >= 1).then(|| {
+                        let own =
+                            v.fib_group_base[r.id.index()]..v.fib_group_base[r.id.index() + 1];
+                        own.map(|g| (v.fib_groups[g as usize], v.fib_groups[g as usize + 1]))
+                            .find_map(|(start, end)| {
+                                (end > start).then(|| {
                                     let iface = v.fib_pool[start as usize].0 as usize;
                                     let other = (iface + 1) % r.ifaces.len();
                                     (start as usize, (other as u32, r.ifaces[other].peer))
                                 })
                             })
                     })
-                    .expect("a multi-interface router with a populated FIB span");
+                    .expect("a multi-interface router with a populated FIB group");
                 cp.fib_pool_mut()[k] = hop;
+            },
+        },
+        Class {
+            name: "index-fib-group-past-count",
+            rule: "D508",
+            build: ldp_plane,
+            corrupt: |net, cp| {
+                // One cell names the group just past its router's own:
+                // the lookup reads an empty set, the offsets stay intact.
+                let v = cp.dense_view();
+                let r = net
+                    .routers()
+                    .iter()
+                    .map(|r| r.id.index())
+                    .find(|&r| v.fib_base[r + 1] > v.fib_base[r])
+                    .expect("a router with FIB cells");
+                let (cell, count) = (
+                    v.fib_base[r] as usize,
+                    v.fib_group_base[r + 1] - v.fib_group_base[r],
+                );
+                cp.fib_index_mut()[cell] = count as u16;
+            },
+        },
+        Class {
+            name: "index-ext-class-past-count",
+            rule: "D513",
+            build: ldp_plane,
+            corrupt: |net, cp| {
+                // AS 0's cell towards the first destination names the class
+                // just past its AS's classes; words and blocks stay intact.
+                let v = cp.dense_view();
+                let (first, width) = v.ext_blocks[0];
+                assert!(width > 0, "AS 0 has members");
+                let count = (v.ext_blocks[1].0 - first) / width;
+                let cell = usize::from(net.as_list().len() > 1);
+                cp.ext_class_mut()[cell] = count as u16;
+            },
+        },
+        Class {
+            name: "direct-ext-over-intra-iface",
+            rule: "D513",
+            build: ldp_plane,
+            corrupt: |net, cp| {
+                // A border's Direct route leaves over one of its
+                // intra-AS interfaces instead: still a valid word.
+                let (k, route) = ext_words(net, cp)
+                    .find_map(|(k, member, route)| {
+                        let ExtRoute::Direct { .. } = route else {
+                            return None;
+                        };
+                        let r = net.router(member);
+                        let intra = r.ifaces.iter().position(|i| !net.link(i.link).inter_as)?;
+                        Some((
+                            k,
+                            ExtRoute::Direct {
+                                iface: intra as u32,
+                            },
+                        ))
+                    })
+                    .expect("a border with an intra-AS interface");
+                cp.ext_words_mut()[k] = route.pack();
+            },
+        },
+        Class {
+            name: "retarget-ext-egress",
+            rule: "D513",
+            build: ldp_plane,
+            corrupt: |net, cp| {
+                // A member heads for another border of its own AS than
+                // the nearest one: every shape check still holds.
+                let (k, route) = ext_words(net, cp)
+                    .find_map(|(k, member, route)| {
+                        let ExtRoute::ViaEgress { egress } = route else {
+                            return None;
+                        };
+                        let other = net
+                            .as_members(net.router(member).asn)
+                            .iter()
+                            .copied()
+                            .find(|&m| m != egress)?;
+                        Some((k, ExtRoute::ViaEgress { egress: other }))
+                    })
+                    .expect("a member routing via an egress border");
+                cp.ext_words_mut()[k] = route.pack();
             },
         },
         Class {
@@ -472,8 +581,8 @@ fn audit_corruption_caught_by_exactly_the_intended_rule() {
     );
     let info = lint::rule(class.rule).expect("class rule registered");
     assert_eq!(info.family, lint::Family::Audit, "{}", class.name);
-    // 18 dense classes + this one: the 19-class contract.
-    assert_eq!(classes().len() + 1, 19);
+    // 22 dense classes + this one: the 23-class contract.
+    assert_eq!(classes().len() + 1, 23);
 }
 
 /// A clean screened-campaign snapshot the V6xx classes corrupt: one
@@ -594,7 +703,7 @@ fn veracity_corruption_caught_by_exactly_the_intended_rule() {
 }
 
 /// Coverage: every registered V6xx rule is exercised by exactly one
-/// corruption class, bringing the suite to 25 classes in total.
+/// corruption class, bringing the suite to 29 classes in total.
 #[test]
 fn every_veracity_rule_fired_by_a_corruption_class() {
     let covered: BTreeSet<&str> = v6_classes().iter().map(|c| c.rule).collect();
@@ -608,7 +717,7 @@ fn every_veracity_rule_fired_by_a_corruption_class() {
         let info = lint::rule(c.rule).expect("class rule registered");
         assert_eq!(info.family, lint::Family::Veracity, "{}", c.name);
     }
-    assert_eq!(classes().len() + 1 + v6_classes().len(), 25);
+    assert_eq!(classes().len() + 1 + v6_classes().len(), 29);
 }
 
 /// Corrupted planes also fail the combined `check_plane` gate — the
@@ -616,9 +725,7 @@ fn every_veracity_rule_fired_by_a_corruption_class() {
 #[test]
 fn check_plane_carries_dense_findings() {
     let (net, mut cp) = ldp_plane();
-    let spans = cp.fib_spans_mut();
-    let j = spans.iter().position(|&(_, len)| len >= 1).unwrap();
-    spans[j].1 -= 1;
+    truncate_first_fib_group(&mut cp);
     let diags = lint::check_plane(&net, &cp);
     assert!(lint::has_errors(&diags));
     assert!(diags.iter().any(|d| d.code == "D508"));

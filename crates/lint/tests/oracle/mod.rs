@@ -1,18 +1,21 @@
 //! A test-only reference for the shared control-plane oracles: the
 //! plain `RouterId`-keyed formulation — members found through a hash
 //! map, one Dijkstra per member straight over the routers' interfaces,
-//! first hops re-derived per `(source, destination)` pair, and the
-//! logical FIB built as nested per-router tables then flattened.
+//! first hops re-derived per `(source, destination)` pair, the logical
+//! FIB built as nested per-router tables then grouped, and the
+//! hot-potato external route chosen per `(router, destination AS)`.
 //!
 //! [`assert_reference_equivalent`] checks that `AsIgp` (distance matrix
-//! and first-hop CSR) and `logical_fib` (the FIB CSR) produce exactly
-//! what this reference produces, and that the plane stores that FIB.
+//! and first-hop CSR) and `logical_fib` (the FIB's next-hop groups)
+//! produce exactly what this reference produces, and that the plane
+//! stores that FIB; [`assert_ext_reference_equivalent`] checks every
+//! external route the plane answers.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use wormhole_net::igp::{edge_metric, INF};
 use wormhole_net::prefixes::AsPrefixes;
-use wormhole_net::{logical_fib, Asn, ControlPlane, FibTables, Network, RouterId};
+use wormhole_net::{logical_fib, Asn, ControlPlane, ExtRoute, FibTables, Network, RouterId};
 
 /// The reference IGP view of one AS.
 struct RefIgp {
@@ -135,15 +138,29 @@ fn ref_logical_fib(net: &Network, igp: &[RefIgp], as_prefixes: &[AsPrefixes]) ->
             }
         }
     }
-    let mut fib = FibTables::default();
+    // Each router's distinct sets, numbered by first appearance in
+    // slot order.
+    let mut fib = FibTables {
+        groups: vec![0],
+        ..FibTables::default()
+    };
     for table in &tables {
-        fib.base.push(fib.spans.len() as u32);
+        fib.base.push(fib.index.len() as u32);
+        fib.group_base.push(fib.groups.len() as u32 - 1);
+        let mut distinct: Vec<&Vec<(u32, RouterId)>> = Vec::new();
         for hops in table {
-            fib.spans.push((fib.pool.len() as u32, hops.len() as u32));
-            fib.pool.extend_from_slice(hops);
+            let g = distinct.iter().position(|&d| d == hops).unwrap_or_else(|| {
+                distinct.push(hops);
+                fib.pool.extend_from_slice(hops);
+                fib.groups.push(fib.pool.len() as u32);
+                distinct.len() - 1
+            });
+            fib.index
+                .push(u16::try_from(g).expect("a router's groups fit a u16"));
         }
     }
-    fib.base.push(fib.spans.len() as u32);
+    fib.base.push(fib.index.len() as u32);
+    fib.group_base.push(fib.groups.len() as u32 - 1);
     fib
 }
 
@@ -161,20 +178,85 @@ pub fn assert_reference_equivalent(net: &Network, cp: &ControlPlane, what: &str)
             view.asn
         );
     }
-    let fib = logical_fib(net, &cp.igp, &cp.as_prefixes);
+    let fib = logical_fib(net, &cp.igp, &cp.as_prefixes).expect("groups fit");
     let want = ref_logical_fib(net, &reference, &cp.as_prefixes);
     assert!(
         fib == want,
-        "{what}: logical FIB CSR differs from the reference"
+        "{what}: logical FIB groups differ from the reference"
     );
     let v = cp.dense_view();
     assert!(
-        (v.fib_base, v.fib_spans, v.fib_pool)
-            == (
-                want.base.as_slice(),
-                want.spans.as_slice(),
-                want.pool.as_slice()
-            ),
+        (
+            v.fib_base,
+            v.fib_index,
+            v.fib_group_base,
+            v.fib_groups,
+            v.fib_pool
+        ) == (
+            want.base.as_slice(),
+            want.index.as_slice(),
+            want.group_base.as_slice(),
+            want.groups.as_slice(),
+            want.pool.as_slice()
+        ),
         "{what}: stored FIB differs from the reference"
     );
+}
+
+/// The reference hot-potato route of `router` (in AS `src`) towards
+/// AS `dst`: leave over the router's own first interface to a best next
+/// AS, else head for the IGP-nearest border holding one (ties to the
+/// lowest router id), else unreachable.
+fn ref_ext_route(
+    net: &Network,
+    cp: &ControlPlane,
+    igp: &RefIgp,
+    router: RouterId,
+    dst: usize,
+) -> ExtRoute {
+    let src_asn = net.router(router).asn;
+    let src = net.as_index(src_asn).expect("registered AS");
+    if src == dst {
+        return ExtRoute::Unreachable;
+    }
+    let best_next = cp.bgp.next_hops(dst, src);
+    let mut candidates: Vec<(RouterId, u32)> = Vec::new();
+    for &b in net.as_members(src_asn) {
+        for (idx, iface) in net.router(b).ifaces.iter().enumerate() {
+            let peer_as = net.as_index(net.router(iface.peer).asn);
+            if net.link(iface.link).inter_as
+                && peer_as.is_some_and(|p| best_next.contains(&(p as u32)))
+            {
+                candidates.push((b, idx as u32));
+            }
+        }
+    }
+    if let Some(&(_, iface)) = candidates.iter().find(|c| c.0 == router) {
+        return ExtRoute::Direct { iface };
+    }
+    match candidates
+        .iter()
+        .map(|&(b, _)| (igp.distance(router, b), b))
+        .min()
+    {
+        Some((d, egress)) if d < INF => ExtRoute::ViaEgress { egress },
+        _ => ExtRoute::Unreachable,
+    }
+}
+
+/// Asserts that `cp.ext_route` equals the reference on every `(router,
+/// destination AS)` cell.
+pub fn assert_ext_reference_equivalent(net: &Network, cp: &ControlPlane, what: &str) {
+    let reference: Vec<RefIgp> = net.as_list().iter().map(|&asn| ref_igp(net, asn)).collect();
+    for r in net.routers() {
+        let igp = &reference[net.as_index(r.asn).expect("registered AS")];
+        for dst in 0..net.as_list().len() {
+            assert_eq!(
+                cp.ext_route(r.id, dst),
+                ref_ext_route(net, cp, igp, r.id, dst),
+                "{what}: {} towards AS #{dst}",
+                r.name
+            );
+        }
+    }
 }

@@ -5,10 +5,13 @@
 //! 1. per-AS IGP distance matrices ([`AsIgp`]), in parallel across
 //!    ASes (`build_with_jobs`) with a deterministic AS-ordered merge;
 //! 2. per-router intra-AS FIBs (ECMP next-hop sets towards the nearest
-//!    owner of each internal prefix), emitted directly as one shared
-//!    pool with per-router offset tables ([`FibTables`]);
-//! 3. per-router external routes: hot-potato egress selection over the
-//!    valley-free AS-level routes ([`Bgp`]);
+//!    owner of each internal prefix), each router's distinct sets
+//!    stored once as next-hop groups with one `u16` group number per
+//!    prefix slot ([`FibTables`]);
+//! 3. external routes: hot-potato egress selection over the valley-free
+//!    AS-level routes ([`Bgp`]), each source AS's distinct vectors of
+//!    member decisions stored once as classes with one `u16` class
+//!    number per destination AS ([`ExtOracle`]);
 //! 4. LDP bindings ([`LdpBindings`]) and per-router LFIBs implementing
 //!    swap / PHP-pop / explicit-null-swap, stored as label-sorted rows
 //!    of `(label, tag)` records (see [`LfibRecord`]): an LDP entry's
@@ -21,6 +24,7 @@
 use crate::addr::Addr;
 use crate::bgp::Bgp;
 use crate::error::NetError;
+use crate::hash::WordMap;
 use crate::ids::{Asn, Label, LinkId, RouterId};
 use crate::igp::{AsIgp, INF};
 use crate::ldp::{LabelValue, LdpBindings};
@@ -54,7 +58,7 @@ impl ExtRoute {
     /// Packs the route into one `u32`: tag in the low two bits
     /// (`0` unreachable, `1` direct, `2` via egress), payload above.
     #[inline]
-    pub(crate) const fn pack(self) -> u32 {
+    pub const fn pack(self) -> u32 {
         match self {
             ExtRoute::Unreachable => 0,
             ExtRoute::Direct { iface } => 1 | (iface << 2),
@@ -65,7 +69,7 @@ impl ExtRoute {
     /// Unpacks a word written by [`ExtRoute::pack`]; `None` for a word
     /// no route packs to.
     #[inline]
-    pub(crate) const fn unpack(packed: u32) -> Option<ExtRoute> {
+    pub const fn unpack(packed: u32) -> Option<ExtRoute> {
         Some(match packed & 0b11 {
             0 if packed == 0 => ExtRoute::Unreachable,
             1 => ExtRoute::Direct { iface: packed >> 2 },
@@ -481,16 +485,11 @@ pub struct ControlPlane {
     pub bgp: Bgp,
     /// LDP advertisements.
     pub bindings: LdpBindings,
-    /// The intra-AS FIB CSR, as [`logical_fib`] emits it.
+    /// The intra-AS FIB's next-hop groups, as [`logical_fib`] emits
+    /// them.
     fib: FibTables,
-    /// External forwarding, flattened row-major and packed
-    /// ([`ExtRoute::pack`]): `ext[router.index() * ext_stride +
-    /// dst_as_index]`. One flat array instead of a `Vec<Vec<_>>` keeps
-    /// the per-hop inter-AS lookup a single indexed load with no
-    /// pointer chase.
-    ext: Vec<u32>,
-    /// Row stride of [`Self::ext`]: the number of ASes.
-    ext_stride: usize,
+    /// External forwarding as per-AS classes of member decisions.
+    ext: ExtTables,
     /// Per-router LFIB rows.
     lfib: LfibTables,
     /// Router → span of [`Self::te_routes`] headed there; length
@@ -568,36 +567,111 @@ fn compute_as(net: &Network, asn: Asn) -> Result<(AsIgp, AsPrefixes), NetError> 
     Ok((view, prefixes))
 }
 
-/// A per-router intra-AS FIB in CSR layout: router `r` owns the spans
-/// `base[r]..base[r + 1]` of [`FibTables::spans`], one per prefix slot
-/// of its own AS table, and each `(start, len)` span indexes the
-/// concatenated ECMP next-hop sets in [`FibTables::pool`].
+/// A per-router intra-AS FIB that stores each distinct ECMP next-hop
+/// set of a router once. Router `r` owns the cells `base[r]..base[r +
+/// 1]` of [`FibTables::index`], one per prefix slot of its own AS table,
+/// and the groups `group_base[r]..group_base[r + 1]` of
+/// [`FibTables::groups`]. A cell holds the router-local number of its
+/// slot's hop set, groups being numbered by first appearance in slot
+/// order (the empty set included); group `g`'s hops are
+/// `pool[groups[g]..groups[g + 1]]`, sorted by `(next router, iface)`.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FibTables {
-    /// Router → base index into `spans`; length `num_routers + 1`.
+    /// Router → first cell in `index`; length `num_routers + 1`.
     pub base: Vec<u32>,
-    /// `(start, len)` into `pool` per `(router, slot)`.
-    pub spans: Vec<(u32, u32)>,
+    /// Router-local group number per `(router, slot)`.
+    pub index: Vec<u16>,
+    /// Router → first group in `groups`; length `num_routers + 1`.
+    pub group_base: Vec<u32>,
+    /// Group → first hop in `pool`; one more entry than there are
+    /// groups, the last closing the pool.
+    pub groups: Vec<u32>,
     /// Concatenated ECMP next-hop sets `(iface index, next router)`.
     pub pool: Vec<(u32, RouterId)>,
 }
 
 impl FibTables {
-    /// Number of slot spans `router` owns.
-    #[inline]
-    pub fn slots(&self, router: RouterId) -> usize {
-        (self.base[router.index() + 1] - self.base[router.index()]) as usize
-    }
-
     /// The next-hop set of `router` for `slot`; empty for connected,
-    /// unreachable and out-of-table slots.
+    /// unreachable and out-of-table slots, and for a cell whose group
+    /// number is past the router's groups.
     #[inline]
     pub fn hops(&self, router: RouterId, slot: u32) -> &[(u32, RouterId)] {
-        if slot as usize >= self.slots(router) {
+        let r = router.index();
+        let cell = self.base[r] as usize + slot as usize;
+        if cell >= self.base[r + 1] as usize {
             return &[];
         }
-        let (start, len) = self.spans[self.base[router.index()] as usize + slot as usize];
-        &self.pool[start as usize..(start + len) as usize]
+        let g = self.group_base[r] as usize + usize::from(self.index[cell]);
+        if g >= self.group_base[r + 1] as usize {
+            return &[];
+        }
+        self.pool
+            .get(self.groups[g] as usize..self.groups[g + 1] as usize)
+            .unwrap_or(&[])
+    }
+
+    /// Appends one router's FIB: `spans` index its per-slot hop sets in
+    /// `hops`, as [`FibOracle::row_into`] writes them. A hop set's
+    /// interfaces are the router's own and each names one peer, so a
+    /// singleton set is found through `single` (interface → group); any
+    /// other by a scan of the router's `multi` groups. Both are scratch,
+    /// reset here.
+    fn push_row(
+        &mut self,
+        ifaces: usize,
+        spans: &[(u32, u32)],
+        hops: &[(u32, RouterId)],
+        single: &mut Vec<Option<u16>>,
+        multi: &mut Vec<u16>,
+    ) -> Result<(), NetError> {
+        let first = self.groups.len() - 1;
+        self.base.push(self.index.len() as u32);
+        self.group_base.push(first as u32);
+        single.clear();
+        single.resize(ifaces, None);
+        multi.clear();
+        for &(start, len) in spans {
+            let set = &hops[start as usize..(start + len) as usize];
+            let g = match set {
+                [(iface, _)] if (*iface as usize) < ifaces => match single[*iface as usize] {
+                    Some(g) => g,
+                    None => {
+                        let g = self.push_group(first, set)?;
+                        single[*iface as usize] = Some(g);
+                        g
+                    }
+                },
+                _ => {
+                    let found = multi.iter().copied().find(|&g| {
+                        let g = first + usize::from(g);
+                        self.pool[self.groups[g] as usize..self.groups[g + 1] as usize] == *set
+                    });
+                    match found {
+                        Some(g) => g,
+                        None => {
+                            let g = self.push_group(first, set)?;
+                            multi.push(g);
+                            g
+                        }
+                    }
+                }
+            };
+            self.index.push(g);
+        }
+        Ok(())
+    }
+
+    /// Appends `set` as the next group of the router whose groups start
+    /// at `first`; its router-local number.
+    fn push_group(&mut self, first: usize, set: &[(u32, RouterId)]) -> Result<u16, NetError> {
+        let g =
+            u16::try_from(self.groups.len() - 1 - first).map_err(|_| NetError::TableOverflow {
+                table: "FIB next-hop groups of one router",
+                entries: self.groups.len() - first,
+            })?;
+        self.pool.extend_from_slice(set);
+        self.groups.push(self.pool.len() as u32);
+        Ok(g)
     }
 }
 
@@ -711,23 +785,296 @@ impl<'a> FibOracle<'a> {
 }
 
 /// The *logical* intra-AS FIB of every router: [`FibOracle::row_into`]
-/// in router order, as the CSR [`ControlPlane::build`] stores.
-pub fn logical_fib(net: &Network, igp: &[AsIgp], as_prefixes: &[AsPrefixes]) -> FibTables {
+/// in router order, each row deduplicated into its next-hop groups as
+/// [`ControlPlane::build`] stores them. Fails when a router has more
+/// distinct next-hop sets than a `u16` numbers.
+pub fn logical_fib(
+    net: &Network,
+    igp: &[AsIgp],
+    as_prefixes: &[AsPrefixes],
+) -> Result<FibTables, NetError> {
     let n = net.num_routers();
     let mut oracle = FibOracle::new(net, igp, as_prefixes);
-    let spans = (0..n as u32).map(|r| oracle.row_len(RouterId(r))).sum();
+    let cells = (0..n as u32).map(|r| oracle.row_len(RouterId(r))).sum();
     let mut fib = FibTables {
         base: Vec::with_capacity(n + 1),
-        spans: Vec::with_capacity(spans),
+        index: Vec::with_capacity(cells),
+        group_base: Vec::with_capacity(n + 1),
+        groups: vec![0],
         pool: Vec::new(),
     };
-    for r in 0..n as u32 {
-        fib.base.push(fib.spans.len() as u32);
-        oracle.row_into(RouterId(r), &mut fib.spans, &mut fib.pool);
+    let (mut spans, mut hops) = (Vec::new(), Vec::new());
+    let (mut single, mut multi) = (Vec::new(), Vec::new());
+    for r in net.routers() {
+        spans.clear();
+        hops.clear();
+        oracle.row_into(r.id, &mut spans, &mut hops);
+        fib.push_row(r.ifaces.len(), &spans, &hops, &mut single, &mut multi)?;
     }
-    fib.base.push(fib.spans.len() as u32);
+    fib.base.push(fib.index.len() as u32);
+    fib.group_base.push(fib.groups.len() as u32 - 1);
+    fib.groups.shrink_to_fit();
     fib.pool.shrink_to_fit();
-    fib
+    Ok(fib)
+}
+
+/// External routes, storing each source AS's distinct decision
+/// vectors once. A *class* of a source AS is one packed [`ExtRoute`]
+/// word per member, in member order; the AS's classes are numbered by
+/// the first destination AS that uses them, so a build and a cache
+/// restore number them alike.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+struct ExtTables {
+    /// `class[src_as * n_as + dst_as]`: the source AS's class towards
+    /// the destination AS.
+    class: Vec<u16>,
+    /// Per AS, `(first word of its classes, members per class)`, then a
+    /// closing `(words.len(), 0)`; length `n_as + 1`.
+    blocks: Vec<(u32, u32)>,
+    /// The classes' packed words, AS after AS, class after class.
+    words: Vec<u32>,
+    /// Router → its position among its AS's members.
+    local: Vec<u32>,
+}
+
+impl ExtTables {
+    /// The packed route of `router`, a member of the AS with dense
+    /// index `src_as`, towards the AS with dense index `dst_as`; any
+    /// index out of range reads as [`ExtRoute::Unreachable`]'s word.
+    #[inline]
+    fn word(&self, src_as: usize, router: RouterId, dst_as: usize) -> u32 {
+        let n_as = self.blocks.len().saturating_sub(1);
+        if src_as >= n_as || dst_as >= n_as {
+            return ExtRoute::Unreachable.pack();
+        }
+        let class = usize::from(self.class[src_as * n_as + dst_as]);
+        let (first, width) = self.blocks[src_as];
+        let word = first as usize + class * width as usize + self.local[router.index()] as usize;
+        if word >= self.blocks[src_as + 1].0 as usize {
+            return ExtRoute::Unreachable.pack();
+        }
+        self.words[word]
+    }
+
+    fn heap_bytes(&self) -> usize {
+        vec_bytes(&self.class)
+            + vec_bytes(&self.blocks)
+            + vec_bytes(&self.words)
+            + vec_bytes(&self.local)
+    }
+}
+
+/// Fills [`ExtTables`] AS by AS in dense AS order: [`ExtBuilder::open`]
+/// an AS, then push its class towards each destination AS in order.
+struct ExtBuilder {
+    ext: ExtTables,
+    /// The open AS's classes → their numbers.
+    ids: WordMap<Vec<u32>, u16>,
+}
+
+impl ExtBuilder {
+    fn new(net: &Network) -> ExtBuilder {
+        let n_as = net.as_list().len();
+        let mut local = vec![0; net.num_routers()];
+        for &asn in net.as_list() {
+            for (i, r) in net.as_members(asn).iter().enumerate() {
+                local[r.index()] = i as u32;
+            }
+        }
+        ExtBuilder {
+            ext: ExtTables {
+                class: Vec::with_capacity(n_as * n_as),
+                blocks: Vec::with_capacity(n_as + 1),
+                words: Vec::new(),
+                local,
+            },
+            ids: WordMap::default(),
+        }
+    }
+
+    /// Starts the next AS, of `members` routers.
+    fn open(&mut self, members: usize) {
+        self.ids.clear();
+        self.ext
+            .blocks
+            .push((self.ext.words.len() as u32, members as u32));
+    }
+
+    /// The number of the open AS's class `words` (one per member),
+    /// appending it when it is new.
+    fn intern(&mut self, words: &[u32]) -> Result<u16, NetError> {
+        if let Some(&c) = self.ids.get(words) {
+            return Ok(c);
+        }
+        let c = u16::try_from(self.ids.len()).map_err(|_| NetError::TableOverflow {
+            table: "external-route classes of one AS",
+            entries: self.ids.len() + 1,
+        })?;
+        self.ext.words.extend_from_slice(words);
+        self.ids.insert(words.to_vec(), c);
+        Ok(c)
+    }
+
+    fn finish(mut self) -> ExtTables {
+        self.ext.blocks.push((self.ext.words.len() as u32, 0));
+        self.ext.words.shrink_to_fit();
+        self.ext
+    }
+}
+
+/// The per-AS hot-potato oracle: one source AS's external routes, a
+/// class at a time. Towards a destination AS, the *candidates* are the
+/// source AS's inter-AS interfaces reaching one of its best BGP next
+/// ASes; a member holding a candidate leaves over its own (the first
+/// in interface order), any other heads for the IGP-nearest candidate
+/// border (ties to the lowest router id). [`ExtOracle::resolve`]
+/// computes each distinct candidate set's class once.
+/// [`ControlPlane::build`] stores the classes it yields; the
+/// `wormhole-lint` D513 verifier recomputes the stored classes with the
+/// same oracle.
+#[derive(Debug)]
+pub struct ExtOracle<'a> {
+    net: &'a Network,
+    igp: &'a [AsIgp],
+    bgp: &'a Bgp,
+    /// The loaded source AS.
+    src_as: usize,
+    /// Its borders' inter-AS interfaces as `(border, iface, peer AS
+    /// index, border local index)`, in `(border, iface)` order.
+    links: Vec<(RouterId, u32, u32, usize)>,
+    /// Non-empty best-next-AS sets resolved so far → their candidate
+    /// set number.
+    by_next: WordMap<&'a [u32], usize>,
+    /// The candidate set number of the empty best-next-AS set (most
+    /// destinations of a stub AS), once resolved.
+    unreachable: Option<usize>,
+    /// Candidate sets (positions in `links`) → their number, by first
+    /// appearance.
+    by_cands: WordMap<Vec<u32>, usize>,
+    /// Scratch: one candidate set, then its class words.
+    cands: Vec<u32>,
+    words: Vec<u32>,
+}
+
+impl<'a> ExtOracle<'a> {
+    /// An oracle over the given per-AS IGP views and AS-level routes.
+    pub fn new(net: &'a Network, igp: &'a [AsIgp], bgp: &'a Bgp) -> Self {
+        ExtOracle {
+            net,
+            igp,
+            bgp,
+            src_as: 0,
+            links: Vec::new(),
+            by_next: WordMap::default(),
+            unreachable: None,
+            by_cands: WordMap::default(),
+            cands: Vec::new(),
+            words: Vec::new(),
+        }
+    }
+
+    /// Loads source AS `src_as` (a dense AS index below the IGP views'
+    /// count): its members' inter-AS interfaces. Fails when one leads
+    /// into an unregistered AS.
+    pub fn load(&mut self, src_as: usize) -> Result<(), NetError> {
+        self.src_as = src_as;
+        self.links.clear();
+        self.by_next.clear();
+        self.unreachable = None;
+        self.by_cands.clear();
+        for (lb, &b) in self.igp[src_as].members.iter().enumerate() {
+            for (idx, iface) in self.net.router(b).ifaces.iter().enumerate() {
+                if !self.net.link(iface.link).inter_as {
+                    continue;
+                }
+                let peer_as = self.net.router(iface.peer).asn;
+                let peer_idx = self
+                    .net
+                    .as_index(peer_as)
+                    .ok_or(NetError::UnregisteredAs { asn: peer_as })?;
+                self.links.push((b, idx as u32, peer_idx as u32, lb));
+            }
+        }
+        Ok(())
+    }
+
+    /// The loaded AS's candidate set towards `dst_as` (none towards
+    /// itself or an AS it has no route to), as its number among the
+    /// sets this AS has resolved so far, numbered by first appearance.
+    /// The first time a set appears, its class comes with it: one
+    /// packed [`ExtRoute`] word per member, in member order.
+    pub fn resolve(&mut self, dst_as: usize) -> (usize, Option<&[u32]>) {
+        let next: &'a [u32] = if dst_as == self.src_as {
+            &[]
+        } else {
+            self.bgp.next_hops(dst_as, self.src_as)
+        };
+        let known = match next {
+            [] => self.unreachable,
+            _ => self.by_next.get(next).copied(),
+        };
+        if let Some(set) = known {
+            return (set, None);
+        }
+        self.cands.clear();
+        self.cands.extend(
+            self.links
+                .iter()
+                .enumerate()
+                .filter(|(_, l)| next.contains(&l.2))
+                .map(|(i, _)| i as u32),
+        );
+        let fresh = self.by_cands.len();
+        let set = *self.by_cands.entry(self.cands.clone()).or_insert(fresh);
+        match next {
+            [] => self.unreachable = Some(set),
+            _ => {
+                self.by_next.insert(next, set);
+            }
+        }
+        if set != fresh {
+            return (set, None);
+        }
+        self.words.clear();
+        let view = &self.igp[self.src_as];
+        let cands = || self.cands.iter().map(|&i| self.links[i as usize]);
+        for (lr, &rid) in view.members.iter().enumerate() {
+            let route = match cands().find(|c| c.0 == rid) {
+                Some((_, iface, _, _)) => ExtRoute::Direct { iface },
+                None => match cands()
+                    .map(|(b, _, _, lb)| (view.distance_local(lr, lb), b))
+                    .min()
+                {
+                    Some((d, egress)) if d < INF => ExtRoute::ViaEgress { egress },
+                    _ => ExtRoute::Unreachable,
+                },
+            };
+            self.words.push(route.pack());
+        }
+        (set, Some(&self.words))
+    }
+}
+
+/// The external-route classes of every AS, each distinct candidate set
+/// resolved once through [`ExtOracle`].
+fn hot_potato_ext(net: &Network, igp: &[AsIgp], bgp: &Bgp) -> Result<ExtTables, NetError> {
+    let mut oracle = ExtOracle::new(net, igp, bgp);
+    let mut out = ExtBuilder::new(net);
+    // The open AS's candidate set numbers → their classes.
+    let mut class_of: Vec<u16> = Vec::new();
+    for (src_as, view) in igp.iter().enumerate() {
+        oracle.load(src_as)?;
+        out.open(view.members.len());
+        class_of.clear();
+        for dst_as in 0..igp.len() {
+            let (set, words) = oracle.resolve(dst_as);
+            if let Some(words) = words {
+                class_of.push(out.intern(words)?);
+            }
+            out.ext.class.push(class_of[set]);
+        }
+    }
+    Ok(out.finish())
 }
 
 /// The label operation a router applies on a branch towards `next` for
@@ -895,13 +1242,23 @@ impl ControlPlane {
     /// route table), encoded with [`crate::wire`]. Everything else in
     /// the plane is cheap to recompute from the network, so
     /// [`ControlPlane::from_cache_payload`] rebuilds it instead of
-    /// trusting more serialized state than necessary.
+    /// trusting more serialized state than necessary. The external
+    /// routes are written one packed word per `(router, destination AS)`
+    /// cell, router-major — exactly `Vec<ExtRoute>`'s encoding — with
+    /// the classes expanded on the fly.
     pub fn cache_payload(&self) -> Vec<u8> {
         use crate::wire::Wire as _;
         let mut out = Vec::new();
         self.bgp.put(&mut out);
-        // The packed words are exactly `Vec<ExtRoute>`'s encoding.
-        self.ext.put(&mut out);
+        let (n, n_as) = (self.router_as_idx.len(), self.ext.blocks.len() - 1);
+        (n * n_as).put(&mut out);
+        out.reserve(4 * n * n_as);
+        for r in (0..n as u32).map(RouterId) {
+            let src_as = self.router_as_raw(r) as usize;
+            for dst_as in 0..n_as {
+                out.extend_from_slice(&self.ext.word(src_as, r, dst_as).to_le_bytes());
+            }
+        }
         out
     }
 
@@ -919,38 +1276,61 @@ impl ControlPlane {
         payload: &[u8],
     ) -> Result<ControlPlane, CachePayloadError> {
         use crate::wire::{Reader, Wire as _, WireError};
+        let corrupt = |what| CachePayloadError::Decode(WireError::Corrupt(what));
         let mut r = Reader::new(payload);
         let bgp = Bgp::take(&mut r).map_err(CachePayloadError::Decode)?;
-        let ext: Vec<u32> = Vec::take(&mut r).map_err(CachePayloadError::Decode)?;
+        // The per-cell words are read in place from the payload.
+        let cells = usize::take(&mut r).map_err(CachePayloadError::Decode)?;
+        let bytes = cells
+            .checked_mul(4)
+            .ok_or(corrupt("ExtRoute table length"))
+            .and_then(|len| r.take_bytes(len).map_err(CachePayloadError::Decode))?;
         if !r.is_empty() {
-            return Err(CachePayloadError::Decode(WireError::Corrupt(
-                "trailing bytes",
-            )));
-        }
-        if ext.iter().any(|&w| ExtRoute::unpack(w).is_none()) {
-            return Err(CachePayloadError::Decode(WireError::Corrupt(
-                "ExtRoute tag",
-            )));
+            return Err(corrupt("trailing bytes"));
         }
         let n_as = net.as_list().len();
-        if ext.len() != n_as * net.num_routers() || bgp.num_as() != n_as {
-            return Err(CachePayloadError::Decode(WireError::Corrupt(
-                "cached table dimensions do not match the network",
-            )));
+        if cells != n_as * net.num_routers() || bgp.num_as() != n_as {
+            return Err(corrupt("cached table dimensions do not match the network"));
         }
-        ControlPlane::assemble(net, jobs, bgp, Some(ext)).map_err(CachePayloadError::Assemble)
+        // Per AS, its members' rows are copied in order into a
+        // destination-major scratch of that AS's cells only, so each
+        // class is a contiguous slice.
+        let mut ext = ExtBuilder::new(net);
+        let mut cols = Vec::new();
+        for &asn in net.as_list() {
+            let members = net.as_members(asn);
+            let k = members.len();
+            ext.open(k);
+            cols.clear();
+            cols.resize(n_as * k, 0u32);
+            for (i, m) in members.iter().enumerate() {
+                let row = &bytes[4 * m.index() * n_as..4 * (m.index() + 1) * n_as];
+                for (dst_as, w) in row.chunks_exact(4).enumerate() {
+                    let w = u32::from_le_bytes(w.try_into().expect("4 bytes"));
+                    ExtRoute::unpack(w).ok_or(corrupt("ExtRoute tag"))?;
+                    cols[dst_as * k + i] = w;
+                }
+            }
+            for dst_as in 0..n_as {
+                let c = ext
+                    .intern(&cols[dst_as * k..(dst_as + 1) * k])
+                    .map_err(CachePayloadError::Assemble)?;
+                ext.ext.class.push(c);
+            }
+        }
+        ControlPlane::assemble(net, jobs, bgp, Some(ext.finish()))
+            .map_err(CachePayloadError::Assemble)
     }
 
     /// The shared tail of [`ControlPlane::build_with_jobs`] and
     /// [`ControlPlane::from_cache_payload`]: everything after BGP.
-    /// `cached_ext` skips the hot-potato external-route loop (the
-    /// dominant single phase at thousandfold scale) when a cache
-    /// supplied the table.
+    /// `cached_ext` skips the hot-potato external-route pass when a
+    /// cache supplied the classes.
     fn assemble(
         net: &Network,
         jobs: usize,
         bgp: Bgp,
-        cached_ext: Option<Vec<u32>>,
+        cached_ext: Option<ExtTables>,
     ) -> Result<ControlPlane, NetError> {
         let as_list = net.as_list();
         let n_as = as_list.len();
@@ -984,80 +1364,15 @@ impl ControlPlane {
         }
         let bindings = LdpBindings::compute(net, &as_prefixes);
 
-        // Intra-AS FIBs, emitted directly in their stored CSR form.
-        let fib = logical_fib(net, &igp, &as_prefixes);
+        // Intra-AS FIBs, emitted directly as next-hop groups.
+        let fib = logical_fib(net, &igp, &as_prefixes)?;
 
         // External routes with hot-potato egress selection (or the
-        // cached table, which this loop produced on a previous build).
-        let compute_ext = cached_ext.is_none();
-        let mut ext = cached_ext
-            .unwrap_or_else(|| vec![ExtRoute::Unreachable.pack(); n_as * net.num_routers()]);
-        // Per source AS: its borders' inter-AS interfaces as
-        // `(border, iface, peer AS index, border local index)`, resolved
-        // once instead of per destination AS.
-        let mut links: Vec<(RouterId, u32, u32, usize)> = Vec::new();
-        // Per destination: the `(border, iface, border local index)`
-        // candidates reaching a best next AS.
-        let mut candidates: Vec<(RouterId, u32, usize)> = Vec::new();
-        for (src_as, &asn) in as_list.iter().enumerate() {
-            if !compute_ext {
-                break;
-            }
-            let view = &igp[src_as];
-            let members = net.as_members(asn);
-            links.clear();
-            for (lb, &b) in members.iter().enumerate() {
-                for (idx, iface) in net.router(b).ifaces.iter().enumerate() {
-                    if !net.link(iface.link).inter_as {
-                        continue;
-                    }
-                    let peer_as = net.router(iface.peer).asn;
-                    let peer_idx = net
-                        .as_index(peer_as)
-                        .ok_or(NetError::UnregisteredAs { asn: peer_as })?;
-                    links.push((b, idx as u32, peer_idx as u32, lb));
-                }
-            }
-            #[allow(clippy::needless_range_loop)] // dst_as indexes two tables
-            for dst_as in 0..n_as {
-                if dst_as == src_as {
-                    continue;
-                }
-                let best_next = bgp.next_hops(dst_as, src_as);
-                if best_next.is_empty() {
-                    continue;
-                }
-                // `links` is in (border, iface) order, so the
-                // candidates are too.
-                candidates.clear();
-                candidates.extend(
-                    links
-                        .iter()
-                        .filter(|l| best_next.contains(&l.2))
-                        .map(|&(b, iface, _, lb)| (b, iface, lb)),
-                );
-                if candidates.is_empty() {
-                    continue; // relationship without a physical link
-                }
-                for (lr, &rid) in members.iter().enumerate() {
-                    if let Some(&(_, iface, _)) = candidates.iter().find(|c| c.0 == rid) {
-                        ext[rid.index() * n_as + dst_as] = ExtRoute::Direct { iface }.pack();
-                        continue;
-                    }
-                    // Nearest candidate border (hot potato).
-                    let choice = candidates
-                        .iter()
-                        .map(|&(b, _, lb)| (view.distance_local(lr, lb), b))
-                        .min();
-                    if let Some((d, egress)) = choice {
-                        if d < crate::igp::INF {
-                            ext[rid.index() * n_as + dst_as] =
-                                ExtRoute::ViaEgress { egress }.pack();
-                        }
-                    }
-                }
-            }
-        }
+        // cached classes, which this pass produced on a previous build).
+        let ext = match cached_ext {
+            Some(ext) => ext,
+            None => hot_potato_ext(net, &igp, &bgp)?,
+        };
 
         // LFIBs: one record per real incoming label with a next hop,
         // plus the RSVP-TE label chain at every transit LSR. Per router
@@ -1068,9 +1383,9 @@ impl ControlPlane {
         // through the FIB (see [`LfibRef`]).
         let (te_transit, te_list) = te_program(net)?;
         let mut lfib = LfibTables::with_rows(net.num_routers());
-        // Upper bounds (an LDP record is one FIB span), so the pools
+        // Upper bounds (an LDP record is one FIB cell), so the pools
         // never regrow; `shrink` trims them afterwards.
-        lfib.rows.reserve(fib.spans.len() + te_transit.len());
+        lfib.rows.reserve(fib.index.len() + te_transit.len());
         lfib.explicit.reserve(te_transit.len());
         lfib.hops.reserve(te_transit.len());
         let mut row = Vec::new();
@@ -1224,7 +1539,6 @@ impl ControlPlane {
             bindings,
             fib,
             ext,
-            ext_stride: n_as,
             lfib,
             te_heads,
             te_routes,
@@ -1345,10 +1659,11 @@ impl ControlPlane {
     /// `dst_as`.
     #[inline]
     pub fn ext_route(&self, router: RouterId, dst_as: usize) -> ExtRoute {
-        // Every stored word unpacks: the build packs it, and a cached
-        // table is checked on load.
-        ExtRoute::unpack(self.ext[router.index() * self.ext_stride + dst_as])
-            .unwrap_or(ExtRoute::Unreachable)
+        let word = self
+            .ext
+            .word(self.router_as_raw(router) as usize, router, dst_as);
+        // A word no route packs to reads as unreachable.
+        ExtRoute::unpack(word).unwrap_or(ExtRoute::Unreachable)
     }
 
     /// The LFIB entry of `router` for incoming `label`.
@@ -1433,8 +1748,14 @@ impl ControlPlane {
     pub fn dense_view(&self) -> DenseView<'_> {
         DenseView {
             fib_base: &self.fib.base,
-            fib_spans: &self.fib.spans,
+            fib_index: &self.fib.index,
+            fib_group_base: &self.fib.group_base,
+            fib_groups: &self.fib.groups,
             fib_pool: &self.fib.pool,
+            ext_class: &self.ext.class,
+            ext_blocks: &self.ext.blocks,
+            ext_words: &self.ext.words,
+            ext_local: &self.ext.local,
             lfib_base: &self.lfib.base,
             lfib_lo: &self.lfib.lo,
             lfib_rows: &self.lfib.rows,
@@ -1475,9 +1796,13 @@ impl ControlPlane {
             ("ldp bindings", self.bindings.heap_bytes()),
             (
                 "fib",
-                vec_bytes(&self.fib.base) + vec_bytes(&self.fib.spans) + vec_bytes(&self.fib.pool),
+                vec_bytes(&self.fib.base)
+                    + vec_bytes(&self.fib.index)
+                    + vec_bytes(&self.fib.group_base)
+                    + vec_bytes(&self.fib.groups)
+                    + vec_bytes(&self.fib.pool),
             ),
-            ("ext", vec_bytes(&self.ext)),
+            ("ext", self.ext.heap_bytes()),
             ("lfib", self.lfib.heap_bytes()),
             ("te", vec_bytes(&self.te_heads) + vec_bytes(&self.te_routes)),
             (
@@ -1507,12 +1832,25 @@ impl ControlPlane {
 /// exposed for invariant verification (see [`ControlPlane::dense_view`]).
 #[derive(Copy, Clone, Debug, PartialEq)]
 pub struct DenseView<'a> {
-    /// Router → base index into `fib_spans`; length `num_routers + 1`.
+    /// Router → first cell in `fib_index`; length `num_routers + 1`.
     pub fib_base: &'a [u32],
-    /// `(start, len)` into `fib_pool` per `(router, slot)`.
-    pub fib_spans: &'a [(u32, u32)],
+    /// Router-local next-hop group number per `(router, slot)`.
+    pub fib_index: &'a [u16],
+    /// Router → first group in `fib_groups`; length `num_routers + 1`.
+    pub fib_group_base: &'a [u32],
+    /// Group → first hop in `fib_pool`, plus a closing offset.
+    pub fib_groups: &'a [u32],
     /// Concatenated ECMP next-hop sets `(iface index, next router)`.
     pub fib_pool: &'a [(u32, RouterId)],
+    /// Class of each `(source AS, destination AS)` cell, row-major.
+    pub ext_class: &'a [u16],
+    /// Per AS `(first word, members per class)`, plus a closing
+    /// `(words, 0)`.
+    pub ext_blocks: &'a [(u32, u32)],
+    /// Packed [`ExtRoute`] words, one per member per class.
+    pub ext_words: &'a [u32],
+    /// Router → its position among its AS's members.
+    pub ext_local: &'a [u32],
     /// Router → first record of its LFIB row in `lfib_rows`; length
     /// `num_routers + 1`.
     pub lfib_base: &'a [u32],
@@ -1568,14 +1906,24 @@ impl ControlPlane {
         &mut self.fib.base
     }
 
-    /// Mutable `fib_spans` table.
-    pub fn fib_spans_mut(&mut self) -> &mut Vec<(u32, u32)> {
-        &mut self.fib.spans
+    /// Mutable per-`(router, slot)` FIB group numbers.
+    pub fn fib_index_mut(&mut self) -> &mut Vec<u16> {
+        &mut self.fib.index
     }
 
     /// Mutable `fib_pool`.
     pub fn fib_pool_mut(&mut self) -> &mut Vec<(u32, RouterId)> {
         &mut self.fib.pool
+    }
+
+    /// Mutable per-`(source AS, destination AS)` external-route classes.
+    pub fn ext_class_mut(&mut self) -> &mut Vec<u16> {
+        &mut self.ext.class
+    }
+
+    /// Mutable packed external-route class words.
+    pub fn ext_words_mut(&mut self) -> &mut Vec<u32> {
+        &mut self.ext.words
     }
 
     /// Mutable per-router loopback slot table.
@@ -1725,6 +2073,18 @@ mod tests {
         // Truncation is caught by the decoder.
         let err = ControlPlane::from_cache_payload(&net, 1, &payload[..payload.len() - 3]);
         assert!(matches!(err, Err(CachePayloadError::Decode(_))));
+        // So is an external-route word no route packs to (the last
+        // cell's).
+        let mut bad = payload.clone();
+        let at = bad.len() - 4;
+        bad[at..].copy_from_slice(&3u32.to_le_bytes());
+        let err = ControlPlane::from_cache_payload(&net, 1, &bad);
+        assert!(matches!(
+            err,
+            Err(CachePayloadError::Decode(crate::wire::WireError::Corrupt(
+                "ExtRoute tag"
+            )))
+        ));
         // A payload built for a different network fails the dimension check.
         let mut bld = NetworkBuilder::new();
         let x = bld.add_router("x", Asn(1), RouterConfig::ip_router(Vendor::CiscoIos));
@@ -1751,6 +2111,49 @@ mod tests {
         // And t's route back to AS1.
         let as1 = net.as_index(Asn(1)).unwrap();
         assert!(matches!(cp.ext_route(t, as1), ExtRoute::Direct { .. }));
+    }
+
+    #[test]
+    fn out_of_range_group_and_class_read_as_no_route() {
+        let (net, [h, a, _, c, _]) = line_net();
+        let mut cp = ControlPlane::build(&net).unwrap();
+        let as2 = net.as_index(Asn(2)).unwrap();
+        let as3 = net.as_index(Asn(3)).unwrap();
+        let slot = cp.as_prefixes[as2].lookup(net.router(c).loopback).unwrap();
+        assert!(cp.fib_entry(a, slot).is_some());
+        let cell = cp.fib.base[a.index()] as usize + slot as usize;
+        cp.fib.index[cell] = u16::MAX;
+        assert_eq!(cp.fib_entry(a, slot), None);
+        assert_ne!(cp.ext_route(a, as3), ExtRoute::Unreachable);
+        cp.ext.class[as2 * net.as_list().len() + as3] = u16::MAX;
+        assert_eq!(cp.ext_route(a, as3), ExtRoute::Unreachable);
+        // Out-of-range AS indices too.
+        assert_eq!(cp.ext_route(h, usize::MAX), ExtRoute::Unreachable);
+    }
+
+    #[test]
+    fn u16_overflow_is_a_typed_error() {
+        // One router with 65,537 distinct singleton hop sets.
+        let n = usize::from(u16::MAX) + 2;
+        let spans: Vec<(u32, u32)> = (0..n as u32).map(|i| (i, 1)).collect();
+        let hops: Vec<(u32, RouterId)> = (0..n as u32).map(|i| (i, RouterId(0))).collect();
+        let mut fib = FibTables {
+            groups: vec![0],
+            ..FibTables::default()
+        };
+        let err = fib.push_row(n, &spans, &hops, &mut Vec::new(), &mut Vec::new());
+        assert!(matches!(err, Err(NetError::TableOverflow { entries, .. }) if entries == n));
+        // One AS with 65,537 distinct classes.
+        let (net, _) = line_net();
+        let mut ext = ExtBuilder::new(&net);
+        ext.open(1);
+        for w in 0..n as u32 - 1 {
+            assert_eq!(ext.intern(&[w]).unwrap(), w as u16);
+        }
+        assert!(matches!(
+            ext.intern(&[u32::MAX]),
+            Err(NetError::TableOverflow { entries, .. }) if entries == n
+        ));
     }
 
     #[test]

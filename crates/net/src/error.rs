@@ -53,6 +53,14 @@ pub enum NetError {
         /// Which field is wrong and why.
         reason: String,
     },
+    /// A control-plane table would number more entries than its
+    /// index type holds.
+    TableOverflow {
+        /// The table.
+        table: &'static str,
+        /// The entries it would need.
+        entries: usize,
+    },
 }
 
 impl fmt::Display for NetError {
@@ -80,6 +88,12 @@ impl fmt::Display for NetError {
             }
             NetError::InvalidFaultPlan { reason } => {
                 write!(f, "invalid fault plan: {reason}")
+            }
+            NetError::TableOverflow { table, entries } => {
+                write!(
+                    f,
+                    "{table} needs {entries} entries, more than its index holds"
+                )
             }
         }
     }
@@ -116,5 +130,10 @@ mod tests {
             to: RouterId(2),
         };
         assert!(e.to_string().contains("no link"));
+        let e = NetError::TableOverflow {
+            table: "FIB next-hop groups of one router",
+            entries: 65_537,
+        };
+        assert!(e.to_string().contains("65537"));
     }
 }

@@ -50,6 +50,7 @@ pub mod control;
 pub mod engine;
 pub mod error;
 pub mod fault;
+pub mod hash;
 pub mod ids;
 pub mod igp;
 pub mod ldp;
@@ -68,8 +69,8 @@ pub use addr::{Addr, AddrAllocator, Prefix};
 pub use bgp::{Bgp, RouteClass};
 pub use control::{
     ldp_label_action, lfib_row, logical_fib, te_group, te_program, walk, CachePayloadError,
-    ControlPlane, DenseView, ExtRoute, FibOracle, FibTables, LabelAction, LfibEntry, LfibExplicit,
-    LfibHop, LfibRecord, LfibRef, LfibSource, TeRoute, WalkIface, OWNER_DIR_SIZE,
+    ControlPlane, DenseView, ExtOracle, ExtRoute, FibOracle, FibTables, LabelAction, LfibEntry,
+    LfibExplicit, LfibHop, LfibRecord, LfibRef, LfibSource, TeRoute, WalkIface, OWNER_DIR_SIZE,
 };
 pub use engine::{DropReason, Engine, EngineOpts, EngineStats, ReplyInfo, ReplyKind, SendOutcome};
 pub use error::NetError;
@@ -77,6 +78,7 @@ pub use fault::{
     trace_seed, worker_seed, EgressHide, FaultPlan, FaultScenario, FlapSchedule, NonParisLb,
     RateLimit, SilentSet, TtlSpoof,
 };
+pub use hash::{WordHasher, WordMap};
 pub use ids::{Asn, Label, LinkId, PortRef, RouterId};
 pub use igp::AsIgp;
 pub use ldp::{LabelValue, LdpBindings};

@@ -21,8 +21,8 @@
 //! and campaigns use simulator ground truth; an imperfect resolver can
 //! be injected to study its effect).
 
-use std::collections::{BTreeSet, HashMap};
-use wormhole_net::{Addr, Asn};
+use std::collections::BTreeSet;
+use wormhole_net::{Addr, Asn, WordMap};
 
 /// An alias-resolved node key plus its AS annotation.
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
@@ -48,8 +48,8 @@ pub struct ItdkBuilder {
     keys: Vec<u64>,
     asns: Vec<Option<Asn>>,
     addrs: Vec<Vec<Addr>>,
-    addr_to_node: HashMap<Addr, usize>,
-    key_to_node: HashMap<u64, usize>,
+    addr_to_node: WordMap<Addr, usize>,
+    key_to_node: WordMap<u64, usize>,
     adj: Vec<BTreeSet<usize>>,
     links: usize,
     ingested: u64,
@@ -138,25 +138,29 @@ impl ItdkBuilder {
         let mut order: Vec<usize> = (0..self.keys.len()).collect();
         order.sort_by_key(|&n| self.keys[n]);
         let mut h = Fnv::new();
+        let (mut addrs, mut nkeys) = (Vec::new(), Vec::new());
         for &n in &order {
             h.word(self.keys[n]);
             h.word(match self.asns[n] {
                 Some(a) => 1 | (u64::from(a.0) << 1),
                 None => 0,
             });
-            let mut addrs = self.addrs[n].clone();
+            addrs.clear();
+            addrs.extend_from_slice(&self.addrs[n]);
             addrs.sort_unstable();
             h.word(addrs.len() as u64);
-            for a in addrs {
+            for a in &addrs {
                 h.word(u64::from(a.0));
             }
-            let mut nkeys: Vec<u64> = self.adj[n]
-                .iter()
-                .map(|&m| self.keys[m])
-                .filter(|&k| k > self.keys[n])
-                .collect();
+            nkeys.clear();
+            nkeys.extend(
+                self.adj[n]
+                    .iter()
+                    .map(|&m| self.keys[m])
+                    .filter(|&k| k > self.keys[n]),
+            );
             nkeys.sort_unstable();
-            for k in nkeys {
+            for &k in &nkeys {
                 h.word(self.keys[n]);
                 h.word(k);
             }
@@ -164,19 +168,20 @@ impl ItdkBuilder {
         h.finish()
     }
 
-    /// Finishes into a canonical snapshot *without* consuming the
-    /// builder, so a campaign can take the bootstrap snapshot at a
-    /// phase boundary and keep ingesting later-phase traces.
-    pub fn snapshot(&self) -> ItdkSnapshot {
-        self.clone().finish()
+    /// Finishes into the canonical snapshot (see
+    /// [`ItdkBuilder::snapshot`]), consuming the builder.
+    pub fn finish(self) -> ItdkSnapshot {
+        self.snapshot()
     }
 
-    /// Finishes into the canonical snapshot: nodes renumbered in
-    /// ascending resolver-key order, per-node address lists sorted,
-    /// adjacency re-indexed. Byte-identical for any ingest order of the
-    /// same path set — and therefore byte-identical to
+    /// The canonical snapshot of the graph so far, *without* consuming
+    /// the builder, so a campaign can take the bootstrap snapshot at a
+    /// phase boundary and keep ingesting later-phase traces: nodes
+    /// renumbered in ascending resolver-key order, per-node address
+    /// lists sorted, adjacency re-indexed. Byte-identical for any ingest
+    /// order of the same path set — and therefore byte-identical to
     /// [`ItdkSnapshot::build`] over those paths in any order.
-    pub fn finish(self) -> ItdkSnapshot {
+    pub fn snapshot(&self) -> ItdkSnapshot {
         let n = self.keys.len();
         let mut order: Vec<usize> = (0..n).collect();
         order.sort_by_key(|&i| self.keys[i]);
@@ -199,8 +204,8 @@ impl ItdkBuilder {
         }
         let addr_to_node = self
             .addr_to_node
-            .into_iter()
-            .map(|(a, old)| (a, rank[old]))
+            .iter()
+            .map(|(&a, &old)| (a, rank[old]))
             .collect();
         let key_to_node = keys.iter().enumerate().map(|(i, &k)| (k, i)).collect();
         ItdkSnapshot {
@@ -242,8 +247,8 @@ pub struct ItdkSnapshot {
     keys: Vec<u64>,
     asns: Vec<Option<Asn>>,
     addrs: Vec<Vec<Addr>>,
-    addr_to_node: HashMap<Addr, usize>,
-    key_to_node: HashMap<u64, usize>,
+    addr_to_node: WordMap<Addr, usize>,
+    key_to_node: WordMap<u64, usize>,
     adj: Vec<BTreeSet<usize>>,
 }
 

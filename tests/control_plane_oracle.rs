@@ -2,11 +2,13 @@
 //! equality across build paths.
 //!
 //! `AsIgp` and `logical_fib` resolve members through dense local
-//! indices and write the FIB CSR directly; the reference in
-//! `crates/lint/tests/oracle` re-derives the same tables the plain
+//! indices and write the FIB's next-hop groups directly; the reference
+//! in `crates/lint/tests/oracle` re-derives the same tables the plain
 //! `RouterId`-keyed way. Both must agree exactly on the distance
-//! matrices, the first-hop CSRs and the FIB CSR. The tenfold row lives
-//! in `crates/lint/tests/dense_scales.rs` (`--include-ignored`).
+//! matrices, the first-hop CSRs and the FIB groups. The tenfold row
+//! lives in `crates/lint/tests/dense_scales.rs` (`--include-ignored`).
+//! The external-route classes are checked through `ext_route` against
+//! the reference's per-cell hot-potato choice.
 //!
 //! The LFIB stores an LDP entry as its FEC slot alone and derives the
 //! branches from the FIB on every read; the derived-branch rows check
@@ -188,8 +190,34 @@ fn oracles_match_the_reference_at_paper_scale() {
     oracle::assert_reference_equivalent(&i.net, &i.cp, "paper/seed42");
 }
 
+#[test]
+fn ext_routes_match_the_reference_at_quick_scale() {
+    for seed in [1, 7, 42] {
+        let i = generate(&InternetConfig::small(seed));
+        oracle::assert_ext_reference_equivalent(&i.net, &i.cp, &format!("quick/seed{seed}"));
+    }
+}
+
+#[test]
+fn ext_routes_match_the_reference_at_paper_scale() {
+    let i = generate(&InternetConfig {
+        seed: 42,
+        ..InternetConfig::default()
+    });
+    oracle::assert_ext_reference_equivalent(&i.net, &i.cp, "paper/seed42");
+}
+
+#[test]
+#[ignore = "release-mode CI scale; run with --include-ignored"]
+fn ext_routes_match_the_reference_at_tenfold_scale() {
+    let i = generate(&InternetConfig::tenfold(8));
+    oracle::assert_ext_reference_equivalent(&i.net, &i.cp, "tenfold/seed8");
+}
+
 /// A serial build, a parallel build and a substrate-cache restore give
-/// the same dense tables, IGP views and LFIBs.
+/// the same dense tables — FIB next-hop groups and external-route
+/// classes included, numbered alike — IGP views and LFIBs, and the
+/// restored plane re-encodes to the payload it came from.
 #[test]
 fn jobs_and_cache_restore_give_equal_dense_tables() {
     let i = generate(&InternetConfig::small(42));
@@ -197,8 +225,24 @@ fn jobs_and_cache_restore_give_equal_dense_tables() {
     let parallel = ControlPlane::build_with_jobs(&i.net, 4).expect("parallel build");
     let cached = ControlPlane::from_cache_payload(&i.net, 1, &serial.cache_payload())
         .expect("cache restore");
+    assert_eq!(cached.cache_payload(), serial.cache_payload(), "re-encode");
     for (what, cp) in [("jobs=4", &parallel), ("cache", &cached)] {
         assert_eq!(serial.dense_view(), cp.dense_view(), "{what}: dense tables");
+        assert_eq!(
+            serial.table_bytes(),
+            cp.table_bytes(),
+            "{what}: table bytes"
+        );
+        for r in 0..i.net.num_routers() as u32 {
+            for dst in 0..i.net.as_list().len() {
+                let rid = RouterId(r);
+                assert_eq!(
+                    serial.ext_route(rid, dst),
+                    cp.ext_route(rid, dst),
+                    "{what}: router {r} towards AS #{dst}"
+                );
+            }
+        }
         for (a, b) in serial.igp.iter().zip(&cp.igp) {
             assert_eq!(a.dist, b.dist, "{what}: {:?} distances", a.asn);
             assert_eq!(a.first_hop_csr(), b.first_hop_csr(), "{what}: first hops");

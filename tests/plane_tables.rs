@@ -53,14 +53,39 @@ fn assert_exactly_sized(i: &wormhole::topo::Internet, what: &str) {
         ],
         "{what}"
     );
+    // One u16 class per (source AS, destination AS), one word per
+    // member per class, one local index per router.
+    assert_eq!(v.ext_class.len(), n_as * n_as, "{what}: ext classes");
+    assert_eq!(v.ext_local.len(), n, "{what}: ext local indices");
     assert_eq!(
         bytes(cp, "ext"),
-        n * n_as * 4,
-        "{what}: ext is one u32 per cell"
+        size_of_val(v.ext_class)
+            + size_of_val(v.ext_blocks)
+            + size_of_val(v.ext_words)
+            + size_of_val(v.ext_local),
+        "{what}: ext"
     );
+    assert!(
+        v.ext_words.len() < n * n_as,
+        "{what}: {} class words for {} cells",
+        v.ext_words.len(),
+        n * n_as
+    );
+    // One u16 group number per (router, slot).
+    let cells: usize = i
+        .net
+        .routers()
+        .iter()
+        .map(|r| i.net.as_index(r.asn).map_or(0, |a| cp.as_prefixes[a].len()))
+        .sum();
+    assert_eq!(v.fib_index.len(), cells, "{what}: fib cells");
     assert_eq!(
         bytes(cp, "fib"),
-        size_of_val(v.fib_base) + size_of_val(v.fib_spans) + size_of_val(v.fib_pool),
+        size_of_val(v.fib_base)
+            + size_of_val(v.fib_index)
+            + size_of_val(v.fib_group_base)
+            + size_of_val(v.fib_groups)
+            + size_of_val(v.fib_pool),
         "{what}: fib"
     );
     assert_eq!(
@@ -140,12 +165,14 @@ fn tenfold_plane_footprint_within_ceiling() {
     let i = generate(&internet_config_for(Scale::Tenfold, 8));
     assert_exactly_sized(&i, "tenfold/seed8");
     report("tenfold", &i.cp);
-    assert!(total(&i.cp) <= 18 * MB, "tenfold: {} bytes", total(&i.cp));
-    assert!(
-        bytes(&i.cp, "lfib") <= 1_600_000,
-        "tenfold: lfib {} bytes",
-        bytes(&i.cp, "lfib")
-    );
+    assert!(total(&i.cp) <= 11 * MB, "tenfold: {} bytes", total(&i.cp));
+    for (table, ceiling) in [("lfib", 1_600_000), ("fib", MB), ("ext", 300_000)] {
+        assert!(
+            bytes(&i.cp, table) <= ceiling,
+            "tenfold: {table} {} bytes",
+            bytes(&i.cp, table)
+        );
+    }
 }
 
 #[test]
@@ -155,7 +182,7 @@ fn thousandfold_plane_footprint_within_ceiling() {
     assert_exactly_sized(&i, "thousandfold/seed8");
     report("thousandfold", &i.cp);
     assert!(
-        total(&i.cp) <= 110 * MB,
+        total(&i.cp) <= 50 * MB,
         "thousandfold: {} bytes",
         total(&i.cp)
     );
