@@ -674,7 +674,7 @@ impl<'a> Campaign<'a> {
     /// Ground-truth alias resolution + node-to-AS mapping (the CAIDA /
     /// Team Cymru stand-in).
     fn resolve(&self, addr: Addr) -> NodeInfo {
-        match self.sub.cp.owner_of(addr) {
+        match self.net().owner(addr) {
             Some(r) => NodeInfo {
                 key: u64::from(r.0),
                 asn: Some(self.net().router(r).asn),
@@ -916,7 +916,7 @@ impl<'a> Campaign<'a> {
         let mut candidates = Vec::new();
         let mut pair_seen: HashSet<(Addr, Addr)> = HashSet::new();
         let mut reveal_jobs: Vec<(usize, (Addr, Addr, Addr))> = Vec::new();
-        let owner_asn = |a| self.sub.cp.owner_of(a).map(|r| self.net().router(r).asn);
+        let owner_asn = |a| self.net().owner_asn(a);
         for (trace_index, (vp, trace)) in traces.iter().enumerate() {
             let resp: Vec<(Addr, Option<usize>)> = trace
                 .hops

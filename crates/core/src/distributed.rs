@@ -4,7 +4,7 @@
 //! The master ([`crate::Campaign::run_distributed`]) runs the same
 //! serial analysis as an in-process campaign, but routes every
 //! [`crate::Scheduling::Stealing`] probing phase through a
-//! [`DistDispatcher`]: the phase's task queue is partitioned over `N`
+//! `DistDispatcher`: the phase's task queue is partitioned over `N`
 //! worker *processes* by owning vantage point (`vp % workers`), each
 //! worker receives one **shard-spec file** (`WHSP`), executes its
 //! subset with the stock stealing executor, and writes one canonical

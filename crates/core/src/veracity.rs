@@ -32,6 +32,8 @@
 //! rate limiting), never fabricate it, so an honest campaign can never
 //! produce `Contradicted` — which is what keeps honest campaign
 //! reports byte-identical with screening enabled.
+//!
+//! [`RevealedTunnel::retrace_mismatch`]: crate::reveal::RevealedTunnel::retrace_mismatch
 
 use crate::reveal::{Confidence, RevelationOutcome, Veracity};
 use std::collections::HashSet;

@@ -5,18 +5,18 @@
 //! `te_routes` CSR, the FIB's per-router next-hop groups, the per-AS
 //! external-route classes, [`LdpBindings`] and
 //! [`AsIgp`](wormhole_net::AsIgp) CSRs, build-time
-//! destination-resolution tables, the three-level address→owner index).
-//! These rules cross-check every flat table against the logical model
-//! it encodes — re-derived through the same oracles
-//! [`ControlPlane::build`] itself loops over ([`FibOracle`],
+//! destination-resolution tables) and on the network's three-level
+//! address→owner index. These rules cross-check every flat table
+//! against the logical model it encodes — re-derived through the same
+//! oracles [`ControlPlane::build`] itself loops over ([`FibOracle`],
 //! [`ExtOracle`], [`LdpBindings::window`], [`te_program`],
 //! [`ldp_label_action`]) — and against its own structural invariants.
 //! The verifier shares *oracles* with the build, never outputs: every
 //! logical row is recomputed from the [`Network`] here, not read back
 //! from the plane under test. The content rules D504, D507 and D508 run
-//! in one pass over the routers ([`router_pass`]), recomputing one
+//! in one pass over the routers (`router_pass`), recomputing one
 //! router's rows at a time into reused buffers, and D513 one AS at a
-//! time ([`ext_content`]), so the check never holds a second copy of
+//! time (`ext_content`), so the check never holds a second copy of
 //! the forwarding state.
 //!
 //! The checks are *staged*: a malformed shape (D501/D503/D505/D506/
@@ -981,8 +981,9 @@ fn trie_roundtrip(cp: &ControlPlane, out: &mut Vec<Diagnostic>) -> Vec<bool> {
 }
 
 /// D510: the memoized destination-resolution tables must round-trip
-/// through a live trie lookup (skipped per-AS when D509 fired — the
-/// trie itself is then the liar).
+/// through a live trie lookup, and the trie slot of every address a
+/// router holds must list that router among its owners (both skipped
+/// per-AS when D509 fired — the trie itself is then the liar).
 fn dst_resolution(net: &Network, cp: &ControlPlane, trie_ok: &[bool], out: &mut Vec<Diagnostic>) {
     let v = cp.dense_view();
     let n = net.num_routers();
@@ -1022,6 +1023,22 @@ fn dst_resolution(net: &Network, cp: &ControlPlane, trie_ok: &[bool], out: &mut 
             continue;
         }
         let ap = &cp.as_prefixes[idx];
+        for addr in r.addrs() {
+            let Some(slot) = ap.lookup(addr) else {
+                continue;
+            };
+            if !ap.owners(slot).contains(&r.id) {
+                out.push(err(
+                    "D510",
+                    Location::Addr(addr),
+                    format!(
+                        "trie slot {slot} of {}'s address does not list it among its owners",
+                        r.name
+                    ),
+                    "the FIB would route this address towards routers that do not hold it",
+                ));
+            }
+        }
         let want = ap.lookup(r.loopback).unwrap_or(u32::MAX);
         if v.loopback_slot[i] != want {
             out.push(err(
@@ -1068,70 +1085,11 @@ fn dst_resolution(net: &Network, cp: &ControlPlane, trie_ok: &[bool], out: &mut 
     }
 }
 
-/// D511: the memoized owner hash (`Network::owner`, the map `DstCache`
-/// resolves destinations through) must agree with the routers that
-/// actually hold each address, and with the owning AS's trie.
-fn owner_hash(net: &Network, cp: &ControlPlane, trie_ok: &[bool], out: &mut Vec<Diagnostic>) {
-    for (addr, rid) in net.addresses() {
-        let r = net.router(rid);
-        let holds = r.loopback == addr || r.ifaces.iter().any(|i| i.addr == addr);
-        if !holds {
-            out.push(err(
-                "D511",
-                Location::Addr(addr),
-                format!(
-                    "owner hash maps the address to {}, which does not hold it",
-                    r.name
-                ),
-                "DstCache would resolve probes here to the wrong router",
-            ));
-        }
-    }
-    for r in net.routers() {
-        let mut addrs = vec![r.loopback];
-        addrs.extend(r.ifaces.iter().map(|i| i.addr));
-        for addr in addrs {
-            if net.owner(addr) != Some(r.id) {
-                out.push(err(
-                    "D511",
-                    Location::Addr(addr),
-                    format!(
-                        "owner hash resolves {}'s address to {:?}",
-                        r.name,
-                        net.owner(addr).map(|o| net.router(o).name.clone())
-                    ),
-                    "every held address must map back to its holder",
-                ));
-                continue;
-            }
-            let Some(idx) = net.as_index(r.asn) else {
-                continue;
-            };
-            if !trie_ok.get(idx).copied().unwrap_or(false) {
-                continue;
-            }
-            let ap = &cp.as_prefixes[idx];
-            if let Some(slot) = ap.lookup(addr) {
-                if !ap.owners(slot).contains(&r.id) {
-                    out.push(err(
-                        "D511",
-                        Location::Addr(addr),
-                        format!(
-                            "owner hash says {} but the trie's slot owners disagree",
-                            r.name
-                        ),
-                        "the memoized owner hash can never disagree with the trie",
-                    ));
-                }
-            }
-        }
-    }
-}
-
-/// D512: the dense address→owner index (`ControlPlane::owner_of`, the
-/// three-level replacement for the owner hash the engine's `DstCache`
-/// resolves destinations through) must be well-shaped and must agree
-/// with the routers that actually hold each address.
+/// D512: the network's three-level address→owner index (what
+/// [`Network::owner`] reads for the engine's `DstCache`, the
+/// campaign's alias resolution and every ground-truth check) must be
+/// well-shaped and must agree with the routers that actually hold each
+/// address.
 ///
 /// Shape first: every /8's directory page must be page-aligned, in
 /// bounds and its own (two /8s sharing a page would alias each other's
@@ -1140,12 +1098,9 @@ fn owner_hash(net: &Network, cp: &ControlPlane, trie_ok: &[bool], out: &mut Vec<
 /// block. Only a well-shaped index is content-checked, in both
 /// directions: every held address resolves to its holder, and every
 /// populated pool entry names a router that holds the decoded address.
-/// The comparison runs against the routers directly — **not** the owner
-/// hash — so a poisoned hash (D511) and a poisoned dense index (D512)
-/// each fire exactly their own rule.
-fn owner_index(net: &Network, cp: &ControlPlane, out: &mut Vec<Diagnostic>) {
-    let v = cp.dense_view();
-    let dir_len = v.owner_dir.len();
+fn owner_index(net: &Network, out: &mut Vec<Diagnostic>) {
+    let ix = net.owner_index();
+    let dir_len = ix.dir.len();
     let mut ok = true;
     if !dir_len.is_multiple_of(OWNER_DIR_SIZE) {
         out.push(err(
@@ -1157,7 +1112,7 @@ fn owner_index(net: &Network, cp: &ControlPlane, out: &mut Vec<Diagnostic>) {
         ok = false;
     }
     let mut seen_pages: HashSet<u32> = HashSet::new();
-    for (top, &page) in v.owner_top.iter().enumerate() {
+    for (top, &page) in ix.top.iter().enumerate() {
         if page == u32::MAX {
             continue;
         }
@@ -1198,26 +1153,26 @@ fn owner_index(net: &Network, cp: &ControlPlane, out: &mut Vec<Diagnostic>) {
         ok = false;
     }
     let mut cursor = 0usize;
-    for (i, &(start, len)) in v.owner_dir.iter().enumerate() {
+    for (i, &(start, len)) in ix.dir.iter().enumerate() {
         if start as usize != cursor || len as usize > OWNER_DIR_SIZE {
             out.push(err(
                 "D512",
                 Location::Network,
                 format!("owner block run #{i} ({start}, {len}) breaks the pool tiling at {cursor}"),
-                "runs must tile owner_pool in directory order, each within its /20 block",
+                "runs must tile the owner pool in directory order, each within its /20 block",
             ));
             ok = false;
             break;
         }
         cursor += len as usize;
     }
-    if ok && cursor != v.owner_pool.len() {
+    if ok && cursor != ix.pool.len() {
         out.push(err(
             "D512",
             Location::Network,
             format!(
                 "owner block runs cover {cursor} pool entries of {}",
-                v.owner_pool.len()
+                ix.pool.len()
             ),
             "orphan pool entries after the last run — the index drifted",
         ));
@@ -1228,17 +1183,16 @@ fn owner_index(net: &Network, cp: &ControlPlane, out: &mut Vec<Diagnostic>) {
     }
     // Forward: every address a router holds resolves to that router.
     for r in net.routers() {
-        let mut addrs = vec![r.loopback];
-        addrs.extend(r.ifaces.iter().map(|i| i.addr));
-        for addr in addrs {
-            if cp.owner_of(addr) != Some(r.id) {
+        for addr in r.addrs() {
+            let got = net.owner(addr);
+            if got != Some(r.id) {
                 out.push(err(
                     "D512",
                     Location::Addr(addr),
                     format!(
                         "dense owner index resolves {}'s address to {:?}",
                         r.name,
-                        cp.owner_of(addr).map(|o| net.router(o).name.clone())
+                        got.map(|o| net.router(o).name.clone())
                     ),
                     "the engine's DstCache would resolve probes here to the wrong router",
                 ));
@@ -1247,23 +1201,20 @@ fn owner_index(net: &Network, cp: &ControlPlane, out: &mut Vec<Diagnostic>) {
     }
     // Reverse: every populated pool entry names a holder of the decoded
     // address — a poisoned entry for an unowned address is a lie too.
-    for (top, &page) in v.owner_top.iter().enumerate() {
+    for (top, &page) in ix.top.iter().enumerate() {
         if page == u32::MAX {
             continue;
         }
         for block in 0..OWNER_DIR_SIZE {
-            let (start, len) = v.owner_dir[page as usize + block];
+            let (start, len) = ix.dir[page as usize + block];
             for off in 0..len {
-                let raw = v.owner_pool[(start + off) as usize];
+                let raw = ix.pool[(start + off) as usize];
                 if raw == 0 {
                     continue;
                 }
                 let addr = Addr(((top as u32) << 24) | ((block as u32) << 12) | off);
                 let rid = RouterId(raw - 1);
-                let holds = (rid.index()) < net.num_routers() && {
-                    let r = net.router(rid);
-                    r.loopback == addr || r.ifaces.iter().any(|i| i.addr == addr)
-                };
+                let holds = rid.index() < net.num_routers() && net.router(rid).owns(addr);
                 if !holds {
                     let name =
                         (rid.index() < net.num_routers()).then(|| net.router(rid).name.clone());
@@ -1306,7 +1257,6 @@ pub fn verify_dense(net: &Network, cp: &ControlPlane) -> Vec<Diagnostic> {
         ext_content(net, cp, &mut out);
     }
     dst_resolution(net, cp, &trie_ok, &mut out);
-    owner_hash(net, cp, &trie_ok, &mut out);
-    owner_index(net, cp, &mut out);
+    owner_index(net, &mut out);
     out
 }

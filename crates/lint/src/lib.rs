@@ -15,20 +15,21 @@
 //!   against the net layer (vantage points that are not hosts,
 //!   unreachable targets, ground-truth tunnels the configuration cannot
 //!   produce, personas referencing missing routers);
-//! * **`A3xx`** ([`audit`]) — result audits over campaign outputs
-//!   (signatures outside the Table 1 taxonomy, revealed LSP length vs
-//!   RTLA gap, duplicate or foreign-AS revealed hops, dangling trace
-//!   indices, impossible probe accounting, method claims contradicting
-//!   their step transcripts);
-//! * **`A4xx`** ([`audit`]) — robustness audits over the same snapshot
-//!   (per-trace probe-budget overruns, partial/abandoned revelation
-//!   accounting, degraded-shard consistency);
+//! * **`A3xx`** ([`audit`](mod@audit)) — result audits over campaign
+//!   outputs (signatures outside the Table 1 taxonomy, revealed LSP
+//!   length vs RTLA gap, duplicate or foreign-AS revealed hops, dangling
+//!   trace indices, impossible probe accounting, method claims
+//!   contradicting their step transcripts);
+//! * **`A4xx`** ([`audit`](mod@audit)) — robustness audits over the same
+//!   snapshot (per-trace probe-budget overruns, partial/abandoned
+//!   revelation accounting, degraded-shard consistency);
 //! * **`D5xx`** ([`dense`]) — dense-plane verification: the flattened
 //!   control-plane tables the hot path runs on (CSR offset tables,
-//!   LFIB label rows, destination-resolution memos) cross-checked
-//!   against the logical model they encode and against themselves;
-//! * **`V6xx`** ([`audit`]) — revelation-veracity audits over the
-//!   campaign's evidence screens (RTLA lengths against non-`<255, 64>`
+//!   LFIB label rows, destination-resolution memos) and the network's
+//!   address→owner index, cross-checked against the logical model they
+//!   encode and against themselves;
+//! * **`V6xx`** ([`audit`](mod@audit)) — revelation-veracity audits over
+//!   the campaign's evidence screens (RTLA lengths against non-`<255, 64>`
 //!   signatures, loop/cycle artifacts that escaped a Contradicted
 //!   grade, corroboration without echo-reply evidence, tier/outcome
 //!   conservation, unscreened adversarial runs).

@@ -496,33 +496,24 @@ pub static RULES: &[RuleInfo] = &[
                       one trie lookup per address so the packet walk never pays it again; \
                       each memoized slot must round-trip through AsPrefixes::lookup, and \
                       router_as_idx must equal the network's dense AS index. A mis-slotted \
-                      entry steers every packet for that destination to the wrong FEC.",
-    },
-    RuleInfo {
-        code: "D511",
-        family: Family::Dense,
-        severity: Severity::Error,
-        summary: "memoized owner hash disagrees with router addresses or the trie",
-        explanation: "Network::owner (the hash DstCache leans on) must map every loopback \
-                      and interface address to the router that actually holds it, and the \
-                      owning AS's trie must list that router among the covering slot's \
-                      owners — otherwise the destination cache resolves probes to the \
-                      wrong router and every ground-truth comparison lies.",
+                      entry steers every packet for that destination to the wrong FEC. The \
+                      trie slot of every address a router holds must also list that router \
+                      among the slot's owners, or the FIB routes the address elsewhere.",
     },
     RuleInfo {
         code: "D512",
         family: Family::Dense,
         severity: Severity::Error,
         summary: "dense owner index malformed or disagrees with router addresses",
-        explanation: "The three-level address-to-owner index (/8 directory page, /20 block \
-                      run, pool entry) is what the engine's DstCache actually resolves \
-                      destinations through on the hot path instead of the owner hash. \
+        explanation: "The network's three-level address-to-owner index (/8 directory page, \
+                      /20 block run, pool entry) is the one map Network::owner reads: the \
+                      engine's DstCache resolves destinations through it on the hot path, \
+                      and alias resolution and every ground-truth check read it too. \
                       Directory pages must be aligned, in bounds, distinct and each owned by \
                       a /8, the block runs must tile the pool in directory order, and the \
                       mapping must agree with the routers in both directions: every held \
                       address resolves to its holder and every populated entry names a \
-                      holder. Checked against the routers directly, never the owner hash, \
-                      so D511 and D512 corruptions each fire exactly their own rule.",
+                      holder.",
     },
     RuleInfo {
         code: "D513",
@@ -667,7 +658,7 @@ mod tests {
         assert!(rule("Z999").is_none());
         assert!(family_rank("W101") < family_rank("D501"));
         let t = markdown_table();
-        assert!(t.contains("| D511 | dense | error |"));
+        assert!(t.contains("| D512 | dense | error |"));
         assert_eq!(t.lines().count(), 2 + RULES.len());
     }
 }

@@ -21,6 +21,10 @@
 //! Two more corrupt the *directories* of the row and block tables: a
 //! shifted LFIB row offset (`D506`) and a skewed owner-directory run
 //! (`D512`), next to their rules' label- and content-level classes.
+//! Three more give each half of `D512` a corruption only it can see: a
+//! held address left unowned (forward), an unheld address bound to a
+//! router (reverse, over a fixture whose block run has gaps) and an
+//! orphan directory page (shape).
 //!
 //! One more class corrupts the campaign-audit snapshot instead of the
 //! dense plane: the incremental-aggregation accounting that `A310`
@@ -33,8 +37,9 @@
 use std::collections::BTreeSet;
 use wormhole_lint as lint;
 use wormhole_net::{
-    Addr, ControlPlane, ExtRoute, Label, LabelAction, LabelValue, LdpBindings, LfibEntry, LfibHop,
-    Network, PoppingMode, RouterId,
+    Addr, Asn, ControlPlane, ExtRoute, Label, LabelAction, LabelValue, LdpBindings, LfibEntry,
+    LfibHop, LinkOpts, Network, NetworkBuilder, PoppingMode, RouterConfig, RouterId, Vendor,
+    OWNER_DIR_SIZE,
 };
 use wormhole_topo::{gns3_fig2, gns3_fig2_te, Fig2Config};
 
@@ -57,6 +62,23 @@ fn ldp_plane() -> (Network, ControlPlane) {
 fn te_plane() -> (Network, ControlPlane) {
     let s = gns3_fig2_te(PoppingMode::Php, false);
     (s.net, s.cp)
+}
+
+/// An unheld address inside [`gapped_plane`]'s one loopback run.
+const GAP: Addr = Addr::new(10, 0, 0, 3);
+
+/// Two linked routers with loopbacks `10.0.0.1` and `10.0.0.5`: the
+/// owner index's run for their block holds unowned entries, [`GAP`]
+/// among them.
+fn gapped_plane() -> (Network, ControlPlane) {
+    let mut b = NetworkBuilder::new();
+    let cfg = RouterConfig::mpls_router(Vendor::CiscoIos);
+    let x = b.add_router_with_loopback("X", Asn(1), cfg.clone(), Addr::new(10, 0, 0, 1));
+    let y = b.add_router_with_loopback("Y", Asn(1), cfg, Addr::new(10, 0, 0, 5));
+    b.link(x, y, LinkOpts::default());
+    let net = b.build().expect("distinct addresses");
+    let cp = ControlPlane::build(&net).expect("a connected AS");
+    (net, cp)
 }
 
 /// The first LDP record (a FEC-slot tag, branches derived from the
@@ -441,41 +463,64 @@ fn classes() -> Vec<Class> {
             },
         },
         Class {
-            name: "poison-owner-hash",
-            rule: "D511",
-            build: ldp_plane,
-            corrupt: |net, _| {
-                let victim = net.routers()[0].loopback;
-                let wrong = net.routers()[1].id;
-                net.poison_owner(victim, wrong);
-            },
-        },
-        Class {
             name: "poison-owner-index",
             rule: "D512",
             build: ldp_plane,
-            corrupt: |net, cp| {
-                // Same corruption as D511's class, seeded into the dense
-                // index instead of the hash: only D512 may notice.
+            corrupt: |net, _| {
+                // Rebind a held loopback to another router in the
+                // network's owner index, leaving the routers as they are.
                 let victim = net.routers()[0].loopback;
                 let wrong = net.routers()[1].id;
-                cp.poison_owner_index(victim, wrong);
+                net.poison_owner_index(victim, Some(wrong));
+            },
+        },
+        Class {
+            name: "unindex-held-address",
+            rule: "D512",
+            build: ldp_plane,
+            corrupt: |net, _| {
+                // A held loopback reads as unowned: only the forward
+                // half (held address → holder) can see it.
+                let victim = net.routers()[0].loopback;
+                net.poison_owner_index(victim, None);
+            },
+        },
+        Class {
+            name: "index-unheld-address",
+            rule: "D512",
+            build: gapped_plane,
+            corrupt: |net, _| {
+                // An unheld address inside a block run names a router:
+                // only the reverse half (entry → holder) can see it.
+                net.poison_owner_index(GAP, Some(RouterId(0)));
             },
         },
         Class {
             name: "skew-owner-directory-run",
             rule: "D512",
             build: ldp_plane,
-            corrupt: |_, cp| {
+            corrupt: |net, _| {
                 // Start a populated block's run one entry late: its
                 // addresses read their neighbours' owners and the runs
                 // no longer tile the pool.
-                let dir = cp.owner_dir_mut();
+                let dir = net.owner_dir_mut();
                 let k = dir
                     .iter()
                     .position(|&(_, len)| len > 0)
                     .expect("some block holds an address");
                 dir[k].0 += 1;
+            },
+        },
+        Class {
+            name: "orphan-owner-directory-page",
+            rule: "D512",
+            build: ldp_plane,
+            corrupt: |net, _| {
+                // A page no /8 reaches, its runs empty: every lookup
+                // still resolves, so only the shape half can see it.
+                let dir = net.owner_dir_mut();
+                let end = dir.last().map_or(0, |&(start, len)| start + len);
+                dir.extend(std::iter::repeat_n((end, 0), OWNER_DIR_SIZE));
             },
         },
     ]
@@ -581,8 +626,8 @@ fn audit_corruption_caught_by_exactly_the_intended_rule() {
     );
     let info = lint::rule(class.rule).expect("class rule registered");
     assert_eq!(info.family, lint::Family::Audit, "{}", class.name);
-    // 22 dense classes + this one: the 23-class contract.
-    assert_eq!(classes().len() + 1, 23);
+    // 24 dense classes + this one: the 25-class contract.
+    assert_eq!(classes().len() + 1, 25);
 }
 
 /// A clean screened-campaign snapshot the V6xx classes corrupt: one
@@ -703,7 +748,7 @@ fn veracity_corruption_caught_by_exactly_the_intended_rule() {
 }
 
 /// Coverage: every registered V6xx rule is exercised by exactly one
-/// corruption class, bringing the suite to 29 classes in total.
+/// corruption class, bringing the suite to 31 classes in total.
 #[test]
 fn every_veracity_rule_fired_by_a_corruption_class() {
     let covered: BTreeSet<&str> = v6_classes().iter().map(|c| c.rule).collect();
@@ -717,7 +762,7 @@ fn every_veracity_rule_fired_by_a_corruption_class() {
         let info = lint::rule(c.rule).expect("class rule registered");
         assert_eq!(info.family, lint::Family::Veracity, "{}", c.name);
     }
-    assert_eq!(classes().len() + 1 + v6_classes().len(), 29);
+    assert_eq!(classes().len() + 1 + v6_classes().len(), 31);
 }
 
 /// Corrupted planes also fail the combined `check_plane` gate — the

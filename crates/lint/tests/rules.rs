@@ -721,6 +721,26 @@ fn a403_degraded_shard_warns_and_invalid_index_errors() {
     );
 }
 
+// ---------------------------------------------------------------- D5xx
+
+#[test]
+fn d510_trie_slot_must_list_the_address_holder() {
+    // A one-router AS: its own loopback slot is connected, so the FIB
+    // reads the same with or without the owner and only D510 can tell.
+    let mut b = NetworkBuilder::new();
+    let a = b.add_router("a", Asn(1), RouterConfig::ip_router(Vendor::CiscoIos));
+    let net = b.build().unwrap();
+    let mut cp = ControlPlane::build(&net).unwrap();
+    assert!(lint::verify_dense(&net, &cp).is_empty());
+    let ap = &mut cp.as_prefixes[0];
+    let slot = ap
+        .lookup(net.router(a).loopback)
+        .expect("the loopback has a slot");
+    ap.owners[slot as usize].retain(|&o| o != a);
+    let diags = lint::verify_dense(&net, &cp);
+    assert_eq!(error_codes(&diags), ["D510"], "{}", lint::render(&diags));
+}
+
 // ------------------------------------------------- negative contract
 
 #[test]

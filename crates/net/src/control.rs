@@ -468,12 +468,6 @@ pub struct WalkIface {
     pub delay_ms: f64,
 }
 
-/// Blocks per directory page of the dense owner index, and addresses
-/// per block: an address's top 8 bits pick its /8's directory page, the
-/// next 12 its /20 block in that page, the low 12 its offset in the
-/// block.
-pub const OWNER_DIR_SIZE: usize = 1 << 12;
-
 /// The computed control plane of a network.
 #[derive(Debug, Clone)]
 pub struct ControlPlane {
@@ -513,20 +507,6 @@ pub struct ControlPlane {
     /// Dense AS index of each router's own AS (`u32::MAX` = the AS is
     /// unregistered, which `NetworkBuilder` never produces).
     router_as_idx: Vec<u32>,
-    /// First level of the dense address→owner index, inline so it
-    /// costs no pointer chase: `addr >> 24` → base of that /8's
-    /// [`OWNER_DIR_SIZE`]-entry page in [`Self::owner_dir`] (`u32::MAX`
-    /// = no address in the /8).
-    owner_top: [u32; 256],
-    /// Per used /8, one `(start, len)` run of [`Self::owner_pool`] per
-    /// /20 block: block offset `o` lives at `owner_pool[start + o]` when
-    /// `o < len`. The builder hands out addresses from the front of
-    /// each pool, so a run ends at the block's highest held address and
-    /// the runs tile the pool in directory order. Together the three
-    /// levels replace the per-leg owner hash with three array loads.
-    owner_dir: Vec<(u32, u32)>,
-    /// Concatenated runs: `owner router id + 1`, `0` = unowned.
-    owner_pool: Vec<u32>,
     /// Per-router configuration byte (see [`walk`]).
     walk_flags: Vec<u8>,
     /// Per-router vendor initial TTL for time-exceeded replies.
@@ -547,14 +527,6 @@ pub enum LfibSource {
     Ldp(u32),
     /// This index of the router's group of the TE transit program.
     Te(usize),
-}
-
-/// The `owner_dir` index of `addr`'s /20 block and its offset in the
-/// block, under a first level that covers `addr`'s /8.
-#[inline]
-fn owner_slot(owner_top: &[u32; 256], addr: Addr) -> (usize, u32) {
-    let block = owner_top[(addr.0 >> 24) as usize] as usize + ((addr.0 >> 12) & 0xFFF) as usize;
-    (block, addr.0 & 0xFFF)
 }
 
 /// Phase-1 output for one AS: its IGP view and prefix table.
@@ -1450,42 +1422,6 @@ impl ControlPlane {
             iface_slot_base.push(iface_slot.len() as u32);
         }
 
-        // Dense address→owner index, sized in three passes over the
-        // routers' addresses: mark the used /8s, stretch each /20
-        // block's run to its highest held offset, then fill the runs.
-        // Walking the routers (not the owner hash) keeps the table bytes
-        // deterministic across builds and job counts.
-        let addrs = || {
-            net.routers().iter().flat_map(|r| {
-                std::iter::once((r.loopback, r.id)).chain(r.ifaces.iter().map(|i| (i.addr, r.id)))
-            })
-        };
-        let mut owner_top = [u32::MAX; 256];
-        for (addr, _) in addrs() {
-            owner_top[(addr.0 >> 24) as usize] = 0;
-        }
-        let mut pages = 0u32;
-        for top in owner_top.iter_mut().filter(|t| **t == 0) {
-            *top = pages * OWNER_DIR_SIZE as u32;
-            pages += 1;
-        }
-        let mut owner_dir = vec![(0u32, 0u32); pages as usize * OWNER_DIR_SIZE];
-        for (addr, _) in addrs() {
-            let (block, off) = owner_slot(&owner_top, addr);
-            let run = &mut owner_dir[block];
-            run.1 = run.1.max(off + 1);
-        }
-        let mut cursor = 0u32;
-        for run in &mut owner_dir {
-            run.0 = cursor;
-            cursor += run.1;
-        }
-        let mut owner_pool = vec![0u32; cursor as usize];
-        for (addr, rid) in addrs() {
-            let (block, off) = owner_slot(&owner_top, addr);
-            owner_pool[(owner_dir[block].0 + off) as usize] = rid.0 + 1;
-        }
-
         // Flat walk tables: the per-router configuration byte, vendor
         // TTL signatures, loopbacks and interface records the engine's
         // hot loop reads — one cache-friendly row per router instead of
@@ -1546,40 +1482,12 @@ impl ControlPlane {
             iface_slot_base,
             iface_slot,
             router_as_idx,
-            owner_top,
-            owner_dir,
-            owner_pool,
             walk_flags,
             walk_te_ttl,
             walk_er_ttl,
             walk_loopback,
             walk_iface,
         })
-    }
-
-    /// The router owning `addr`, through the dense owner index — three
-    /// array loads, the first from the plane itself — the replacement
-    /// for the per-leg owner hash. Agrees with [`Network::owner`] by
-    /// construction (the D512 dense-plane rule cross-checks it against
-    /// the routers).
-    #[inline]
-    pub fn owner_of(&self, addr: Addr) -> Option<RouterId> {
-        match self.owner_pool[self.owner_pos(addr)?] {
-            0 => None,
-            v => Some(RouterId(v - 1)),
-        }
-    }
-
-    /// The position of `addr` in the owner pool, when its block run
-    /// covers it.
-    #[inline]
-    fn owner_pos(&self, addr: Addr) -> Option<usize> {
-        if self.owner_top[(addr.0 >> 24) as usize] == u32::MAX {
-            return None;
-        }
-        let (block, off) = owner_slot(&self.owner_top, addr);
-        let (start, len) = self.owner_dir[block];
-        (off < len).then_some((start + off) as usize)
     }
 
     /// The walk-table configuration byte of `router` (see [`walk`]).
@@ -1767,16 +1675,11 @@ impl ControlPlane {
             iface_slot_base: &self.iface_slot_base,
             iface_slot: &self.iface_slot,
             router_as_idx: &self.router_as_idx,
-            owner_top: &self.owner_top,
-            owner_dir: &self.owner_dir,
-            owner_pool: &self.owner_pool,
         }
     }
 
     /// The heap each table of the plane reserves, in bytes (capacity ×
     /// element size, nested vectors included), in a fixed table order.
-    /// The inline first level of the owner index is part of the plane
-    /// itself and not counted.
     pub fn table_bytes(&self) -> Vec<(&'static str, usize)> {
         vec![
             (
@@ -1811,10 +1714,6 @@ impl ControlPlane {
                     + vec_bytes(&self.iface_slot_base)
                     + vec_bytes(&self.iface_slot)
                     + vec_bytes(&self.router_as_idx),
-            ),
-            (
-                "owner index",
-                vec_bytes(&self.owner_dir) + vec_bytes(&self.owner_pool),
             ),
             (
                 "walk",
@@ -1877,12 +1776,6 @@ pub struct DenseView<'a> {
     pub iface_slot: &'a [u32],
     /// Dense AS index of each router's own AS (`u32::MAX` = none).
     pub router_as_idx: &'a [u32],
-    /// `/8` → base of its page in `owner_dir` (`u32::MAX` = none).
-    pub owner_top: &'a [u32; 256],
-    /// Per used /8, one `(start, len)` run of `owner_pool` per /20.
-    pub owner_dir: &'a [(u32, u32)],
-    /// Concatenated runs (`owner id + 1`, `0` = unowned).
-    pub owner_pool: &'a [u32],
 }
 
 /// Test-only mutation hooks (`mutation` cargo feature): `&mut` access
@@ -1941,11 +1834,6 @@ impl ControlPlane {
         &mut self.iface_slot_base
     }
 
-    /// Mutable router → AS index table.
-    pub fn router_as_idx_mut(&mut self) -> &mut Vec<u32> {
-        &mut self.router_as_idx
-    }
-
     /// Mutable LFIB row offsets.
     pub fn lfib_base_mut(&mut self) -> &mut Vec<u32> {
         &mut self.lfib.base
@@ -1964,22 +1852,6 @@ impl ControlPlane {
     /// Mutable explicit LFIB branch pool.
     pub fn lfib_hops_mut(&mut self) -> &mut Vec<LfibHop> {
         &mut self.lfib.hops
-    }
-
-    /// Mutable owner-index block directory.
-    pub fn owner_dir_mut(&mut self) -> &mut Vec<(u32, u32)> {
-        &mut self.owner_dir
-    }
-
-    /// Rebinds the indexed address `addr` to `owner` in the dense owner
-    /// index without touching the routers that actually hold it
-    /// (test-only mutation hook for the D512 owner-index invariant
-    /// check). Panics when the index does not cover `addr`.
-    pub fn poison_owner_index(&mut self, addr: Addr, owner: RouterId) {
-        let pos = self
-            .owner_pos(addr)
-            .expect("the owner index covers the address");
-        self.owner_pool[pos] = owner.0 + 1;
     }
 }
 
@@ -2234,32 +2106,6 @@ mod tests {
         // Explicit entries are numbered in row order, one each.
         let order: Vec<usize> = t.row(r).filter_map(|i| t.rows[i].explicit()).collect();
         assert_eq!(order, [0, 1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn owner_index_covers_exactly_the_held_addresses() {
-        let (net, _) = line_net();
-        let cp = ControlPlane::build(&net).unwrap();
-        for r in net.routers() {
-            assert_eq!(cp.owner_of(r.loopback), Some(r.id));
-            for i in &r.ifaces {
-                assert_eq!(cp.owner_of(i.addr), Some(r.id));
-                assert_eq!(cp.owner_of(Addr(i.addr.0 + 4096)), None);
-            }
-        }
-        assert_eq!(cp.owner_of(Addr::new(192, 0, 2, 1)), None);
-        // Each run ends at its block's highest held address.
-        let v = cp.dense_view();
-        let held = net
-            .routers()
-            .iter()
-            .map(|r| 1 + r.ifaces.len())
-            .sum::<usize>();
-        assert!(
-            v.owner_pool.len() < 2 * held + 8,
-            "{} entries",
-            v.owner_pool.len()
-        );
     }
 
     #[test]

@@ -29,10 +29,10 @@
 //! packet is delivered, elicits an ICMP reply, or is dropped. That is
 //! the only walk; [`Engine::send_batch`] is a convenience loop over
 //! it. All per-hop state the walk consults lives in the
-//! [`ControlPlane`]'s dense walk tables — flag bytes, vendor TTLs, flat
-//! interface records, and a paged address→owner index — so the
-//! steady-state walk performs no hashing and never dereferences the
-//! heavyweight `Router` objects.
+//! [`ControlPlane`]'s dense walk tables — flag bytes, vendor TTLs and
+//! flat interface records — and in the [`Network`]'s paged
+//! address→owner index, so the steady-state walk performs no hashing
+//! and never dereferences the heavyweight `Router` objects.
 
 use crate::addr::Addr;
 use crate::control::{walk, ControlPlane, ExtRoute, LabelAction};
@@ -216,8 +216,8 @@ struct NextHop {
 /// Per-leg destination route cache. A packet's destination is fixed
 /// for the whole leg, so everything derived from it is paid once per
 /// leg — not at every hop. Resolution is pure dense-table arithmetic:
-/// the owner comes from the [`ControlPlane`]'s paged address→owner
-/// index (two array loads, no hashing), and the one O(degree) scan the
+/// the owner comes from the [`Network`]'s paged address→owner index
+/// (three array loads, no hashing), and the one O(degree) scan the
 /// engine used to run *per hop* — "is the destination my directly
 /// connected neighbor's interface?" — collapses to a precomputed
 /// `(router, iface, next)` triple: a non-loopback destination address
@@ -266,7 +266,7 @@ impl DstCache {
     #[inline(never)]
     fn fill(&mut self, sub: SubstrateRef<'_>, dst: Addr) {
         self.resolved = true;
-        self.owner = sub.cp.owner_of(dst);
+        self.owner = sub.net.owner(dst);
         if let Some(o) = self.owner {
             self.dst_as_raw = sub.cp.router_as_raw(o);
             self.dst_idx = sub.cp.router_as_index(o);
@@ -456,7 +456,7 @@ impl<'a> Engine<'a> {
         }
         match self.run_leg(&mut ret) {
             Leg::Delivered { at: end, pkt, path }
-                if pkt.dst == probe_src && self.sub.cp.owner_of(probe_src) == Some(end) =>
+                if pkt.dst == probe_src && self.sub.net.owner(probe_src) == Some(end) =>
             {
                 self.state.stats.replies += 1;
                 // The quoted stack is inline `Copy` data — no clone.
@@ -555,7 +555,7 @@ impl<'a> Engine<'a> {
                     // Nested stacks are outside our LDP model.
                     return Some(f.drop_here(DropReason::BadLabel));
                 }
-                if self.sub.cp.owner_of(f.pkt.dst) != Some(cur) {
+                if self.sub.net.owner(f.pkt.dst) != Some(cur) {
                     f.pkt.ip_ttl = f.pkt.ip_ttl.saturating_sub(1);
                 }
                 skip_decrement = true;
@@ -738,7 +738,7 @@ impl<'a> Engine<'a> {
         if !eh.hides(asn) {
             return false;
         }
-        let Some(owner) = self.sub.cp.owner_of(dst) else {
+        let Some(owner) = self.sub.net.owner(dst) else {
             return false;
         };
         self.sub.cp.router_as_raw(owner) == asn

@@ -30,7 +30,7 @@ pub enum LabelValue {
 /// `pool[base[i]..base[i+1]]`, directly indexed by slot — because
 /// [`LdpBindings::advertised`] runs once per IP hop on the packet
 /// walk's hot path, where a per-router hash map lookup was measurable.
-/// Each advertisement is packed into one `u32` ([`LdpBindings::pack`]):
+/// Each advertisement is packed into one `u32` (`LdpBindings::pack`):
 /// labels are 20-bit values, so the top of the range holds the two
 /// null modes and the "not advertised" sentinel.
 #[derive(Debug, Clone)]
@@ -67,7 +67,7 @@ impl LdpBindings {
         }
     }
 
-    /// Unpacks a pool word written by [`LdpBindings::pack`].
+    /// Unpacks a pool word written by `LdpBindings::pack`.
     #[inline]
     pub fn unpack(word: u32) -> Option<LabelValue> {
         match word {

@@ -70,7 +70,7 @@ pub use bgp::{Bgp, RouteClass};
 pub use control::{
     ldp_label_action, lfib_row, logical_fib, te_group, te_program, walk, CachePayloadError,
     ControlPlane, DenseView, ExtOracle, ExtRoute, FibOracle, FibTables, LabelAction, LfibEntry,
-    LfibExplicit, LfibHop, LfibRecord, LfibRef, LfibSource, TeRoute, WalkIface, OWNER_DIR_SIZE,
+    LfibExplicit, LfibHop, LfibRecord, LfibRef, LfibSource, TeRoute, WalkIface,
 };
 pub use engine::{DropReason, Engine, EngineOpts, EngineStats, ReplyInfo, ReplyKind, SendOutcome};
 pub use error::NetError;
@@ -82,7 +82,9 @@ pub use hash::{WordHasher, WordMap};
 pub use ids::{Asn, Label, LinkId, PortRef, RouterId};
 pub use igp::AsIgp;
 pub use ldp::{LabelValue, LdpBindings};
-pub use net::{AsRel, Link, LinkOpts, Network, NetworkBuilder, RelKind};
+pub use net::{
+    AsRel, Link, LinkOpts, Network, NetworkBuilder, OwnerIndex, RelKind, OWNER_DIR_SIZE,
+};
 pub use packet::{IcmpPayload, LabelStack, Lse, Packet};
 pub use prefixes::AsPrefixes;
 pub use router::{Interface, Router, RouterConfig};

@@ -1,6 +1,7 @@
 //! The network container and its builder.
 
 use crate::addr::{Addr, AddrAllocator, Prefix};
+use crate::control::vec_bytes;
 use crate::error::NetError;
 use crate::ids::{Asn, LinkId, PortRef, RouterId};
 use crate::router::{Interface, Router, RouterConfig};
@@ -81,6 +82,119 @@ impl LinkOpts {
     }
 }
 
+/// Blocks per directory page of the owner index, and addresses per
+/// block: an address's top 8 bits pick its /8's directory page, the
+/// next 12 its /20 block in that page, the low 12 its offset in the
+/// block.
+pub const OWNER_DIR_SIZE: usize = 1 << 12;
+
+/// The dense address→owner index over the blocks in use: three array
+/// loads from an address to the router holding it, the first from the
+/// index itself. The builder hands out addresses from the front of each
+/// pool, so every level stays within a small factor of the addresses it
+/// indexes. Only [`NetworkBuilder::build`] makes one, so the levels
+/// always agree; the fields are public for reading.
+#[derive(Clone, Debug)]
+#[non_exhaustive]
+pub struct OwnerIndex {
+    /// First level, inline so it costs no pointer chase: `addr >> 24` →
+    /// base of that /8's [`OWNER_DIR_SIZE`]-entry page in
+    /// [`Self::dir`] (`u32::MAX` = no address in the /8).
+    pub top: [u32; 256],
+    /// Per used /8, one `(start, len)` run of [`Self::pool`] per /20
+    /// block: block offset `o` lives at `pool[start + o]` when `o <
+    /// len`. A run ends at the block's highest held address and the
+    /// runs tile the pool in directory order.
+    pub dir: Vec<(u32, u32)>,
+    /// Concatenated runs: `owner router id + 1`, `0` = unowned.
+    pub pool: Vec<u32>,
+}
+
+/// The `dir` index of `addr`'s /20 block and its offset in the block,
+/// under a first level that covers `addr`'s /8.
+#[inline]
+fn owner_slot(top: &[u32; 256], addr: Addr) -> (usize, u32) {
+    let block = top[(addr.0 >> 24) as usize] as usize + ((addr.0 >> 12) & 0xFFF) as usize;
+    (block, addr.0 & 0xFFF)
+}
+
+impl OwnerIndex {
+    /// Indexes every router address in three passes: mark the used
+    /// /8s, stretch each /20 block's run to its highest held offset,
+    /// then fill the runs. Walking the routers in id order keeps the
+    /// table bytes deterministic; an address met twice is a
+    /// [`NetError::DuplicateAddress`] naming its first holder (in
+    /// router order, loopback before interfaces) and the second.
+    fn build(routers: &[Router]) -> Result<OwnerIndex, NetError> {
+        let addrs = || {
+            routers
+                .iter()
+                .flat_map(|r| r.addrs().map(move |a| (a, r.id)))
+        };
+        let mut top = [u32::MAX; 256];
+        for (addr, _) in addrs() {
+            top[(addr.0 >> 24) as usize] = 0;
+        }
+        let mut pages = 0u32;
+        for t in top.iter_mut().filter(|t| **t == 0) {
+            *t = pages * OWNER_DIR_SIZE as u32;
+            pages += 1;
+        }
+        let mut dir = vec![(0u32, 0u32); pages as usize * OWNER_DIR_SIZE];
+        for (addr, _) in addrs() {
+            let (block, off) = owner_slot(&top, addr);
+            let run = &mut dir[block];
+            run.1 = run.1.max(off + 1);
+        }
+        let mut cursor = 0u32;
+        for run in &mut dir {
+            run.0 = cursor;
+            cursor += run.1;
+        }
+        let mut pool = vec![0u32; cursor as usize];
+        for (addr, rid) in addrs() {
+            let (block, off) = owner_slot(&top, addr);
+            let entry = &mut pool[(dir[block].0 + off) as usize];
+            if *entry != 0 {
+                return Err(NetError::DuplicateAddress {
+                    addr,
+                    first: RouterId(*entry - 1),
+                    second: rid,
+                });
+            }
+            *entry = rid.0 + 1;
+        }
+        Ok(OwnerIndex { top, dir, pool })
+    }
+
+    /// The router holding `addr`.
+    #[inline]
+    pub fn get(&self, addr: Addr) -> Option<RouterId> {
+        match self.pool[self.pos(addr)?] {
+            0 => None,
+            v => Some(RouterId(v - 1)),
+        }
+    }
+
+    /// The position of `addr` in the pool, when its block run covers
+    /// it.
+    #[inline]
+    fn pos(&self, addr: Addr) -> Option<usize> {
+        if self.top[(addr.0 >> 24) as usize] == u32::MAX {
+            return None;
+        }
+        let (block, off) = owner_slot(&self.top, addr);
+        let (start, len) = self.dir[block];
+        (off < len).then_some((start + off) as usize)
+    }
+
+    /// The heap the index reserves, in bytes; the inline first level is
+    /// not counted.
+    pub fn heap_bytes(&self) -> usize {
+        vec_bytes(&self.dir) + vec_bytes(&self.pool)
+    }
+}
+
 /// An immutable network: routers, links, AS relationships, and the
 /// address-ownership index. Built once through [`NetworkBuilder`]; the
 /// control plane ([`crate::control::ControlPlane`]) is computed from it.
@@ -90,7 +204,7 @@ pub struct Network {
     links: Vec<Link>,
     as_rels: Vec<AsRel>,
     te_tunnels: Vec<TeTunnel>,
-    addr_owner: HashMap<Addr, RouterId>,
+    owners: OwnerIndex,
     as_list: Vec<Asn>,
     as_index: HashMap<Asn, usize>,
     as_members: Vec<Vec<RouterId>>,
@@ -127,9 +241,11 @@ impl Network {
         &self.te_tunnels
     }
 
-    /// The router owning `addr` (loopback or interface address).
+    /// The router owning `addr` (loopback or interface address),
+    /// through the dense owner index.
+    #[inline]
     pub fn owner(&self, addr: Addr) -> Option<RouterId> {
-        self.addr_owner.get(&addr).copied()
+        self.owners.get(addr)
     }
 
     /// The AS owning `addr`, through its owner router.
@@ -170,17 +286,30 @@ impl Network {
         self.links.len()
     }
 
-    /// Iterates over every address in the network with its owner.
-    pub fn addresses(&self) -> impl Iterator<Item = (Addr, RouterId)> + '_ {
-        self.addr_owner.iter().map(|(a, r)| (*a, *r))
+    /// The address→owner index [`Self::owner`] reads, for the D512
+    /// invariant check and footprint accounting.
+    pub fn owner_index(&self) -> &OwnerIndex {
+        &self.owners
     }
 
-    /// Rebinds `addr` to `owner` in the memoized owner hash without
-    /// touching the routers that actually hold the address (test-only
-    /// mutation hook for the D511 owner-hash invariant check).
+    /// Mutable owner-index block directory (test-only mutation hook for
+    /// the D512 owner-index invariant check).
     #[cfg(feature = "mutation")]
-    pub fn poison_owner(&mut self, addr: Addr, owner: RouterId) {
-        self.addr_owner.insert(addr, owner);
+    pub fn owner_dir_mut(&mut self) -> &mut Vec<(u32, u32)> {
+        &mut self.owners.dir
+    }
+
+    /// Rebinds the indexed address `addr` to `owner` (`None` = unowned)
+    /// in the owner index without touching the routers that actually
+    /// hold it (test-only mutation hook for the D512 owner-index
+    /// invariant check). Panics when the index does not cover `addr`.
+    #[cfg(feature = "mutation")]
+    pub fn poison_owner_index(&mut self, addr: Addr, owner: Option<RouterId>) {
+        let pos = self
+            .owners
+            .pos(addr)
+            .expect("the owner index covers the address");
+        self.owners.pool[pos] = owner.map_or(0, |o| o.0 + 1);
     }
 
     /// Border routers of `asn`: members with at least one inter-AS link.
@@ -386,27 +515,10 @@ impl NetworkBuilder {
         id
     }
 
-    /// Finalises the network, validating address uniqueness.
+    /// Finalises the network, indexing every address and validating
+    /// that no two holders share one.
     pub fn build(self) -> Result<Network, NetError> {
-        let mut addr_owner = HashMap::new();
-        for r in &self.routers {
-            if let Some(prev) = addr_owner.insert(r.loopback, r.id) {
-                return Err(NetError::DuplicateAddress {
-                    addr: r.loopback,
-                    first: prev,
-                    second: r.id,
-                });
-            }
-            for i in &r.ifaces {
-                if let Some(prev) = addr_owner.insert(i.addr, r.id) {
-                    return Err(NetError::DuplicateAddress {
-                        addr: i.addr,
-                        first: prev,
-                        second: r.id,
-                    });
-                }
-            }
-        }
+        let owners = OwnerIndex::build(&self.routers)?;
         let mut as_members = vec![Vec::new(); self.as_list.len()];
         for r in &self.routers {
             as_members[self.as_index[&r.asn]].push(r.id);
@@ -416,7 +528,7 @@ impl NetworkBuilder {
             links: self.links,
             as_rels: self.as_rels,
             te_tunnels: self.te_tunnels,
-            addr_owner,
+            owners,
             as_list: self.as_list,
             as_index: self.as_index,
             as_members,
@@ -462,6 +574,145 @@ mod tests {
         assert_eq!(net.owner(a2.ifaces[0].addr), Some(a2.id));
         assert_eq!(net.owner_asn(a2.loopback), Some(Asn(1)));
         assert_eq!(net.owner(Addr::new(9, 9, 9, 9)), None);
+        for r in net.routers() {
+            assert_eq!(net.owner(r.loopback), Some(r.id));
+            for i in &r.ifaces {
+                assert_eq!(net.owner(i.addr), Some(r.id));
+                assert_eq!(net.owner(Addr(i.addr.0 + 4096)), None);
+            }
+        }
+        assert_eq!(net.owner(Addr::new(192, 0, 2, 1)), None);
+        // Each run ends at its block's highest held address.
+        let ix = net.owner_index();
+        let held = net
+            .routers()
+            .iter()
+            .map(|r| 1 + r.ifaces.len())
+            .sum::<usize>();
+        assert!(ix.pool.len() < 2 * held + 8, "{} entries", ix.pool.len());
+    }
+
+    /// Explicit loopbacks `10.0.0.1` and `10.0.0.5` (one /20 run with a
+    /// gap), `192.168.1.1`, and one link over `172.16.0.0/31`: three /8s.
+    fn three_slash8_net() -> Network {
+        let mut b = NetworkBuilder::new();
+        let cfg = RouterConfig::ip_router(Vendor::CiscoIos);
+        let x = b.add_router_with_loopback("X", Asn(1), cfg.clone(), Addr::new(10, 0, 0, 1));
+        let y = b.add_router_with_loopback("Y", Asn(1), cfg.clone(), Addr::new(10, 0, 0, 5));
+        let z = b.add_router_with_loopback("Z", Asn(2), cfg, Addr::new(192, 168, 1, 1));
+        b.link(x, y, LinkOpts::default());
+        let p = Prefix::new(Addr::new(172, 16, 0, 0), 31);
+        b.link_with_prefix(y, z, p, LinkOpts::default());
+        b.as_rel(Asn(1), Asn(2), RelKind::Peer);
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn owner_index_resolves_every_address_across_three_slash8s() {
+        let net = three_slash8_net();
+        let mut held = 0;
+        for r in net.routers() {
+            for addr in r.addrs() {
+                assert_eq!(net.owner(addr), Some(r.id), "{addr}");
+                held += 1;
+            }
+        }
+        let ix = net.owner_index();
+        let pages = ix.top.iter().filter(|&&t| t != u32::MAX).count();
+        assert_eq!(pages, 3);
+        assert_eq!(ix.dir.len(), 3 * OWNER_DIR_SIZE);
+        assert_eq!(ix.pool.iter().filter(|&&e| e != 0).count(), held);
+    }
+
+    #[test]
+    fn owner_index_misses_every_unheld_address() {
+        let net = three_slash8_net();
+        for addr in [
+            Addr::new(10, 0, 0, 3),        // a gap inside a used /20 run
+            Addr::new(10, 0, 0, 6),        // one past that run's end
+            Addr::new(10, 0, 16, 1),       // an unused /20 of a used /8
+            Addr::new(11, 0, 0, 1),        // an unused /8
+            Addr::new(0, 0, 0, 0),         // the lowest address
+            Addr::new(255, 255, 255, 255), // the highest address
+        ] {
+            assert_eq!(net.owner(addr), None, "{addr}");
+            assert_eq!(net.owner_asn(addr), None, "{addr}");
+        }
+    }
+
+    /// The clash the former owner hash reported: walking routers in id
+    /// order, loopback before interfaces, the first address inserted
+    /// twice with its earlier holder.
+    fn hash_clash(net: NetworkBuilder) -> (Addr, RouterId, RouterId) {
+        let mut seen = HashMap::new();
+        for r in &net.routers {
+            for addr in r.addrs() {
+                if let Some(prev) = seen.insert(addr, r.id) {
+                    return (addr, prev, r.id);
+                }
+            }
+        }
+        panic!("no clash")
+    }
+
+    fn build_clash(b: NetworkBuilder) -> (Addr, RouterId, RouterId) {
+        match b.build() {
+            Err(NetError::DuplicateAddress {
+                addr,
+                first,
+                second,
+            }) => (addr, first, second),
+            other => panic!("expected a duplicate address, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn duplicate_address_pairs_match_the_hash_era_pairs() {
+        let cfg = RouterConfig::ip_router(Vendor::CiscoIos);
+        // Routers R0.. with loopbacks 10.0.0.<100 + i>, linked pairwise
+        // over the given /31s, then one more router W with `w_loopback`.
+        let net = |links: &[(u32, u32, Addr)], w_loopback: Option<Addr>| {
+            let mut b = NetworkBuilder::new();
+            for i in 0..4u8 {
+                let lo = Addr::new(10, 0, 0, 100 + i);
+                b.add_router_with_loopback(&format!("R{i}"), Asn(1), cfg.clone(), lo);
+            }
+            for &(a, c, base) in links {
+                let p = Prefix::new(base, 31);
+                b.link_with_prefix(RouterId(a), RouterId(c), p, LinkOpts::default());
+            }
+            if let Some(lo) = w_loopback {
+                b.add_router_with_loopback("W", Asn(1), cfg.clone(), lo);
+            }
+            b
+        };
+        let cases = [
+            // R2's interface takes R0's loopback.
+            (
+                vec![(2, 3, Addr::new(10, 0, 0, 100))],
+                None,
+                (Addr::new(10, 0, 0, 100), RouterId(0), RouterId(2)),
+            ),
+            // W's loopback takes R0's interface.
+            (
+                vec![(0, 1, Addr::new(10, 9, 0, 0))],
+                Some(Addr::new(10, 9, 0, 0)),
+                (Addr::new(10, 9, 0, 0), RouterId(0), RouterId(4)),
+            ),
+            // Two links over one /31: R2's interface takes R0's.
+            (
+                vec![
+                    (0, 1, Addr::new(10, 9, 0, 0)),
+                    (2, 3, Addr::new(10, 9, 0, 0)),
+                ],
+                None,
+                (Addr::new(10, 9, 0, 0), RouterId(0), RouterId(2)),
+            ),
+        ];
+        for (links, w, want) in cases {
+            assert_eq!(hash_clash(net(&links, w)), want);
+            assert_eq!(build_clash(net(&links, w)), want);
+        }
     }
 
     #[test]

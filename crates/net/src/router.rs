@@ -141,6 +141,12 @@ impl Router {
         self.loopback == addr || self.ifaces.iter().any(|i| i.addr == addr)
     }
 
+    /// Every address the router holds: the loopback, then each
+    /// interface's in order.
+    pub fn addrs(&self) -> impl Iterator<Item = Addr> + '_ {
+        std::iter::once(self.loopback).chain(self.ifaces.iter().map(|i| i.addr))
+    }
+
     /// The interface (index) whose address is `addr`, if any.
     pub fn iface_by_addr(&self, addr: Addr) -> Option<usize> {
         self.ifaces.iter().position(|i| i.addr == addr)

@@ -1,8 +1,9 @@
 //! `wormhole-probe`: the measurement tool layer (scamper stand-in).
 //!
-//! * [`traceroute`] — ICMP-echo Paris traceroute with retries, gap
-//!   limits, and the paper's start-at-TTL-2 campaign preset;
-//! * [`ping`] — echo-request probing for TTL fingerprinting;
+//! * [`traceroute`](mod@traceroute) — ICMP-echo Paris traceroute with
+//!   retries, gap limits, and the paper's start-at-TTL-2 campaign
+//!   preset;
+//! * [`ping`](mod@ping) — echo-request probing for TTL fingerprinting;
 //! * [`multipath`] — ECMP branch enumeration by flow sweeping (MDA);
 //! * [`trace`] — trace/hop records, rendered in the paper's Fig. 4
 //!   listing style;

@@ -42,7 +42,7 @@ pub struct TracerouteOpts {
     /// retry. `0.0` disables backoff.
     pub backoff_ms: f64,
     /// When true, hops whose failures look rate-limited earn up to
-    /// [`ADAPTIVE_EXTRA_ATTEMPTS`] extra (backed-off) attempts.
+    /// `ADAPTIVE_EXTRA_ATTEMPTS` extra (backed-off) attempts.
     pub adaptive: bool,
 }
 

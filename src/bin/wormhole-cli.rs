@@ -199,9 +199,9 @@ enum Emit {
     /// produces them, then engine stats — the same emission path
     /// `wormhole-serve` streams over its socket.
     Jsonl,
-    /// The canonical [`CampaignReport`] text, byte-stable across
-    /// `--jobs`/scheduling and identical to a serve session's final
-    /// frame.
+    /// The canonical [`CampaignReport`](wormhole::core::CampaignReport)
+    /// text, byte-stable across `--jobs`/scheduling and identical to a
+    /// serve session's final frame.
     Report,
 }
 

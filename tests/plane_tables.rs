@@ -3,7 +3,8 @@
 //!
 //! Every flat table is sized to what it holds, so
 //! [`ControlPlane::table_bytes`] equals the element counts the dense
-//! view exposes, with no growth slack. The `#[ignore]`d rows hold the
+//! view exposes, with no growth slack; so does the network's owner
+//! index. The `#[ignore]`d rows hold the
 //! resident footprint of the tenfold and thousandfold planes under a
 //! ceiling (release CI runs them with `--include-ignored`).
 //!
@@ -13,7 +14,7 @@
 
 use std::mem::size_of_val;
 use wormhole::experiments::{internet_config_for, Scale};
-use wormhole::net::{wire, ControlPlane, RouterId};
+use wormhole::net::{wire, Addr, ControlPlane, RouterId, OWNER_DIR_SIZE};
 use wormhole::topo::{generate, InternetConfig};
 
 const MB: usize = 1_000_000;
@@ -48,7 +49,6 @@ fn assert_exactly_sized(i: &wormhole::topo::Internet, what: &str) {
             "lfib",
             "te",
             "dst resolution",
-            "owner index",
             "walk"
         ],
         "{what}"
@@ -97,9 +97,10 @@ fn assert_exactly_sized(i: &wormhole::topo::Internet, what: &str) {
             + size_of_val(v.lfib_hops),
         "{what}: lfib"
     );
+    let owners = i.net.owner_index();
     assert_eq!(
-        bytes(cp, "owner index"),
-        size_of_val(v.owner_dir) + size_of_val(v.owner_pool),
+        owners.heap_bytes(),
+        size_of_val(owners.dir.as_slice()) + size_of_val(owners.pool.as_slice()),
         "{what}: owner index"
     );
     let (base, pool) = cp.bindings.csr();
@@ -112,9 +113,9 @@ fn assert_exactly_sized(i: &wormhole::topo::Internet, what: &str) {
     // within a small factor of the addresses it indexes.
     let held: usize = i.net.routers().iter().map(|r| 1 + r.ifaces.len()).sum();
     assert!(
-        v.owner_pool.len() < 2 * held,
+        owners.pool.len() < 2 * held,
         "{what}: {} pool entries for {held} addresses",
-        v.owner_pool.len()
+        owners.pool.len()
     );
     let installed: usize = (0..n as u32).map(|r| cp.lfib_size(RouterId(r))).sum();
     assert_eq!(installed, v.lfib_rows.len(), "{what}");
@@ -124,6 +125,48 @@ fn assert_exactly_sized(i: &wormhole::topo::Internet, what: &str) {
         v.lfib_explicit.is_empty() && v.lfib_hops.is_empty(),
         "{what}"
     );
+}
+
+/// The network's owner index agrees with the routers' addresses both
+/// ways: every held address resolves to its holder, and every populated
+/// pool entry decodes to an address its router holds.
+#[test]
+fn owner_index_agrees_with_router_addresses_at_quick_scale() {
+    for seed in [1, 7, 42] {
+        let net = generate(&InternetConfig::small(seed)).net;
+        let mut held = 0;
+        for r in net.routers() {
+            for addr in r.addrs() {
+                assert_eq!(net.owner(addr), Some(r.id), "quick/seed{seed}: {addr}");
+                held += 1;
+            }
+        }
+        let ix = net.owner_index();
+        let mut populated = 0;
+        for (top, &page) in ix.top.iter().enumerate() {
+            if page == u32::MAX {
+                continue;
+            }
+            for block in 0..OWNER_DIR_SIZE {
+                let (start, len) = ix.dir[page as usize + block];
+                for off in 0..len {
+                    let raw = ix.pool[(start + off) as usize];
+                    if raw == 0 {
+                        continue;
+                    }
+                    let addr = Addr(((top as u32) << 24) | ((block as u32) << 12) | off);
+                    let r = net.router(RouterId(raw - 1));
+                    assert!(
+                        r.owns(addr),
+                        "quick/seed{seed}: {addr} indexed to {}",
+                        r.name
+                    );
+                    populated += 1;
+                }
+            }
+        }
+        assert_eq!(populated, held, "quick/seed{seed}");
+    }
 }
 
 fn report(what: &str, cp: &ControlPlane) {
