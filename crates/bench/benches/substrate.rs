@@ -1,42 +1,10 @@
-//! Substrate benchmarks: LPM trie, control-plane computation, and raw
-//! forwarding throughput.
+//! Substrate benchmarks: control-plane computation and raw forwarding
+//! throughput.
 
-use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use wormhole_bench::grid;
-use wormhole_net::{Addr, ControlPlane, Engine, Packet, Prefix, PrefixTrie};
+use wormhole_net::{ControlPlane, Engine, Packet};
 use wormhole_topo::{generate, gns3_fig2, Fig2Config, InternetConfig};
-
-fn trie_benches(c: &mut Criterion) {
-    let mut group = c.benchmark_group("trie");
-    for &n in &[100usize, 1_000, 10_000] {
-        // Deterministic pseudo-random prefix table.
-        let mut trie = PrefixTrie::new();
-        let mut x: u32 = 0x2545_F491;
-        let mut step = || {
-            x ^= x << 13;
-            x ^= x >> 17;
-            x ^= x << 5;
-            x
-        };
-        for i in 0..n {
-            let len = 8 + (step() % 25) as u8;
-            trie.insert(Prefix::new(Addr(step()), len), i);
-        }
-        let queries: Vec<Addr> = (0..1024).map(|_| Addr(step())).collect();
-        group.bench_with_input(BenchmarkId::new("lookup_1k", n), &trie, |b, trie| {
-            b.iter(|| {
-                let mut hits = 0usize;
-                for &q in &queries {
-                    if trie.lookup(q).is_some() {
-                        hits += 1;
-                    }
-                }
-                black_box(hits)
-            })
-        });
-    }
-    group.finish();
-}
 
 fn control_plane_benches(c: &mut Criterion) {
     let mut group = c.benchmark_group("control_plane");
@@ -82,10 +50,5 @@ fn forwarding_benches(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    trie_benches,
-    control_plane_benches,
-    forwarding_benches
-);
+criterion_group!(benches, control_plane_benches, forwarding_benches);
 criterion_main!(benches);

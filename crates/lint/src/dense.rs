@@ -20,7 +20,7 @@
 //! the forwarding state.
 //!
 //! The checks are *staged*: a malformed shape (D501/D503/D505/D506/
-//! D508/D513 structure, D509 trie) gates the content comparison that
+//! D508/D513 structure, D509 slot tables) gates the content comparison that
 //! would read through it, so one seeded corruption surfaces as exactly
 //! one rule — the property the mutation self-test in
 //! `tests/mutations.rs` pins for every corruption class.
@@ -30,7 +30,7 @@ use std::collections::HashSet;
 use wormhole_net::igp::{edge_metric, INF};
 use wormhole_net::{
     ldp_label_action, lfib_row, te_group, te_program, Addr, ControlPlane, ExtOracle, ExtRoute,
-    FibOracle, Label, LdpBindings, LfibHop, LfibSource, Network, RouterId, OWNER_DIR_SIZE,
+    FibOracle, Label, LdpBindings, LfibHop, LfibSource, Network, Prefix, RouterId, OWNER_DIR_SIZE,
 };
 
 fn err(code: &'static str, location: Location, message: String, hint: &str) -> Diagnostic {
@@ -222,7 +222,7 @@ fn igp_check(net: &Network, cp: &ControlPlane, out: &mut Vec<Diagnostic>) -> boo
         let n = view.members.len();
         let (fh_index, fh_data) = view.first_hop_csr();
         let loc = || Location::As(view.asn);
-        if view.dist.len() != n || view.dist.iter().any(|row| row.len() != n) {
+        if view.dist.len() != n * n {
             out.push(err(
                 "D505",
                 loc(),
@@ -232,7 +232,7 @@ fn igp_check(net: &Network, cp: &ControlPlane, out: &mut Vec<Diagnostic>) -> boo
             all_ok = false;
             continue;
         }
-        if (0..n).any(|i| view.dist[i][i] != 0) {
+        if (0..n).any(|i| view.distance_local(i, i) != 0) {
             out.push(err(
                 "D505",
                 loc(),
@@ -271,10 +271,9 @@ fn igp_check(net: &Network, cp: &ControlPlane, out: &mut Vec<Diagnostic>) -> boo
                     .enumerate()
                     .map(|(idx, iface)| (view.local_index(iface.peer), edge_metric(net, s, idx))),
             );
-            for ld in 0..n {
+            for (ld, &total) in view.row(ls).iter().enumerate() {
                 let cell = ls * n + ld;
                 let span = &fh_data[fh_index[cell] as usize..fh_index[cell + 1] as usize];
-                let total = view.dist[ls][ld];
                 if ls == ld || total >= INF {
                     if !span.is_empty() {
                         out.push(err(
@@ -316,7 +315,9 @@ fn igp_check(net: &Network, cp: &ControlPlane, out: &mut Vec<Diagnostic>) -> boo
                         Some(iface) => {
                             let (lp, w) = nbr[idx as usize];
                             iface.peer != peer
-                                || lp.is_none_or(|lp| w.saturating_add(view.dist[lp][ld]) != total)
+                                || lp.is_none_or(|lp| {
+                                    w.saturating_add(view.distance_local(lp, ld)) != total
+                                })
                         }
                     };
                     if bad {
@@ -735,7 +736,8 @@ fn ext_content(net: &Network, cp: &ControlPlane, out: &mut Vec<Diagnostic>) {
 }
 
 /// Which content comparisons [`router_pass`] runs, as the shape stage
-/// left them.
+/// left them. Every gate also needs the slot tables (D509): the oracles
+/// read slot owners through them.
 #[derive(Copy, Clone)]
 struct Gates {
     /// D504 content: the LDP CSR (D503) and its offsets (D504) hold.
@@ -907,84 +909,50 @@ fn router_pass(net: &Network, cp: &ControlPlane, gates: Gates, out: &mut Vec<Dia
     }
 }
 
-/// D509: prefix-trie round-trips per AS. Returns one clean flag per AS
-/// table (content checks that read through a corrupt trie are skipped).
-fn trie_roundtrip(cp: &ControlPlane, out: &mut Vec<Diagnostic>) -> Vec<bool> {
+/// D509: each AS's slot table — the owner CSR over its slots is
+/// well-formed and no prefix holds two slots. Returns one clean flag
+/// per AS table: the content checks that read owners or slots through
+/// a table (D504/D507/D508 through the oracles, D510 per AS) are
+/// skipped when it is not.
+fn slot_tables(cp: &ControlPlane, out: &mut Vec<Diagnostic>) -> Vec<bool> {
     let mut clean = Vec::with_capacity(cp.as_prefixes.len());
+    let mut sorted = Vec::new();
     for ap in &cp.as_prefixes {
-        let mut ok = true;
-        if ap.owners.len() != ap.prefixes.len() {
+        let mut ok = check_csr_offsets(
+            "D509",
+            &format!("{} owner offsets", ap.asn),
+            &ap.owner_base,
+            ap.prefixes.len(),
+            ap.owner_ids.len(),
+            out,
+        );
+        sorted.clear();
+        sorted.extend_from_slice(&ap.prefixes);
+        sorted.sort_unstable();
+        for run in sorted.chunk_by(|a, b| a == b).filter(|run| run.len() > 1) {
             out.push(err(
                 "D509",
-                Location::As(ap.asn),
-                format!(
-                    "{} prefixes but {} owner sets",
-                    ap.prefixes.len(),
-                    ap.owners.len()
-                ),
-                "slots index both tables; they must stay parallel",
+                Location::Prefix {
+                    asn: ap.asn,
+                    prefix: run[0],
+                },
+                format!("prefix holds {} slots in the AS table", run.len()),
+                "each slot is one FEC; two slots for one prefix split its labels and FIB entries",
             ));
             ok = false;
-        }
-        let mut seen = HashSet::new();
-        for (slot, &p) in ap.prefixes.iter().enumerate() {
-            if !seen.insert(p) {
-                out.push(err(
-                    "D509",
-                    Location::Prefix {
-                        asn: ap.asn,
-                        prefix: p,
-                    },
-                    "duplicate prefix in the AS table".to_string(),
-                    "two slots share one prefix; the trie can only resolve one of them",
-                ));
-                ok = false;
-                continue;
-            }
-            let probe = p.nth(0);
-            match ap.lookup(probe) {
-                None => {
-                    out.push(err(
-                        "D509",
-                        Location::Prefix {
-                            asn: ap.asn,
-                            prefix: p,
-                        },
-                        "trie lookup misses an address inside its own prefix".to_string(),
-                        "the LPM index lost this slot; FIB decisions for it blackhole",
-                    ));
-                    ok = false;
-                }
-                Some(got) => {
-                    let covering = (got as usize) < ap.prefixes.len() && {
-                        let q = ap.prefix(got);
-                        q.contains(probe) && q.len >= p.len
-                    };
-                    if got != slot as u32 && !covering {
-                        out.push(err(
-                            "D509",
-                            Location::Prefix {
-                                asn: ap.asn,
-                                prefix: p,
-                            },
-                            format!("trie resolves slot {slot} to non-covering slot {got}"),
-                            "the LPM index was remapped; lookups land in the wrong FEC",
-                        ));
-                        ok = false;
-                    }
-                }
-            }
         }
         clean.push(ok);
     }
     clean
 }
 
-/// D510: the memoized destination-resolution tables must round-trip
-/// through a live trie lookup, and the trie slot of every address a
-/// router holds must list that router among its owners (both skipped
-/// per-AS when D509 fired — the trie itself is then the liar).
-fn dst_resolution(net: &Network, cp: &ControlPlane, trie_ok: &[bool], out: &mut Vec<Diagnostic>) {
+/// D510: the memoized destination-resolution tables. `router_as_idx`
+/// must equal the network's dense AS index, and every memoized slot
+/// must hold the prefix of the address it resolves — the router's
+/// loopback `/32`, or that interface's prefix — and list the router
+/// among the slot's owners. Slots are checked in an AS only when its
+/// table passed D509 (a malformed table is then the liar).
+fn dst_resolution(net: &Network, cp: &ControlPlane, slots_ok: &[bool], out: &mut Vec<Diagnostic>) {
     let v = cp.dense_view();
     let n = net.num_routers();
     if v.loopback_slot.len() != n || v.router_as_idx.len() != n {
@@ -1019,37 +987,32 @@ fn dst_resolution(net: &Network, cp: &ControlPlane, trie_ok: &[bool], out: &mut 
             ));
         }
         let Some(idx) = logical_idx else { continue };
-        if !trie_ok.get(idx).copied().unwrap_or(false) {
+        if !slots_ok.get(idx).copied().unwrap_or(false) {
             continue;
         }
         let ap = &cp.as_prefixes[idx];
-        for addr in r.addrs() {
-            let Some(slot) = ap.lookup(addr) else {
-                continue;
-            };
-            if !ap.owners(slot).contains(&r.id) {
-                out.push(err(
-                    "D510",
-                    Location::Addr(addr),
+        // The finding for a memoized `slot` that should resolve an
+        // address of `r` inside `prefix`, if it does not.
+        let wrong = |slot: u32, prefix: Prefix| {
+            if slot as usize >= ap.len() || ap.prefix(slot) != prefix {
+                Some((
+                    format!("memoized slot {slot} does not hold {prefix}"),
+                    "packets addressed here resolve to the wrong FEC",
+                ))
+            } else if !ap.owners(slot).contains(&r.id) {
+                Some((
                     format!(
-                        "trie slot {slot} of {}'s address does not list it among its owners",
+                        "slot {slot} of {prefix} does not list {} among its owners",
                         r.name
                     ),
                     "the FIB would route this address towards routers that do not hold it",
-                ));
+                ))
+            } else {
+                None
             }
-        }
-        let want = ap.lookup(r.loopback).unwrap_or(u32::MAX);
-        if v.loopback_slot[i] != want {
-            out.push(err(
-                "D510",
-                Location::Router(r.name.clone()),
-                format!(
-                    "memoized loopback slot {} disagrees with trie lookup {want}",
-                    v.loopback_slot[i]
-                ),
-                "every packet addressed to this loopback resolves to the wrong FEC",
-            ));
+        };
+        if let Some((message, hint)) = wrong(v.loopback_slot[i], r.loopback.host_prefix()) {
+            out.push(err("D510", Location::Router(r.name.clone()), message, hint));
         }
         if !base_ok {
             continue;
@@ -1066,20 +1029,12 @@ fn dst_resolution(net: &Network, cp: &ControlPlane, trie_ok: &[bool], out: &mut 
             continue;
         }
         for (j, ifc) in r.ifaces.iter().enumerate() {
-            let want = ap.lookup(ifc.addr).unwrap_or(u32::MAX);
-            if v.iface_slot[base + j] != want {
-                out.push(err(
-                    "D510",
-                    Location::Interface {
-                        router: r.name.clone(),
-                        addr: ifc.addr,
-                    },
-                    format!(
-                        "memoized interface slot {} disagrees with trie lookup {want}",
-                        v.iface_slot[base + j]
-                    ),
-                    "probes addressed to this interface resolve to the wrong FEC",
-                ));
+            if let Some((message, hint)) = wrong(v.iface_slot[base + j], ifc.prefix) {
+                let at = Location::Interface {
+                    router: r.name.clone(),
+                    addr: ifc.addr,
+                };
+                out.push(err("D510", at, message, hint));
             }
         }
     }
@@ -1243,20 +1198,21 @@ pub fn verify_dense(net: &Network, cp: &ControlPlane) -> Vec<Diagnostic> {
     let lfib_ok = lfib_shape(net, cp, &mut out);
     let fib_ok = fib_shape(net, cp, &mut out);
     let ext_ok = ext_shape(net, cp, &mut out);
-    let trie_ok = trie_roundtrip(cp, &mut out);
+    let slots_ok = slot_tables(cp, &mut out);
+    let tables_ok = slots_ok.iter().all(|&ok| ok);
     if te_ok {
         te_agreement(net, cp, &mut out);
     }
     let gates = Gates {
-        ldp: ldp_ok,
-        fib: igp_ok && fib_ok,
-        lfib: igp_ok && lfib_ok,
+        ldp: ldp_ok && tables_ok,
+        fib: igp_ok && fib_ok && tables_ok,
+        lfib: igp_ok && lfib_ok && tables_ok,
     };
     router_pass(net, cp, gates, &mut out);
     if igp_ok && ext_ok {
         ext_content(net, cp, &mut out);
     }
-    dst_resolution(net, cp, &trie_ok, &mut out);
+    dst_resolution(net, cp, &slots_ok, &mut out);
     owner_index(net, &mut out);
     out
 }

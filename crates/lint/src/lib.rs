@@ -9,7 +9,7 @@
 //!   over a built [`Network`] and (optionally) its [`ControlPlane`]:
 //!   dangling LFIB label-swaps, asymmetric LDP sessions,
 //!   `ttl-propagate` mismatches between LERs, TE tunnels ending off the
-//!   LER edge, dead prefix-trie entries, and more;
+//!   LER edge, dead prefix-table slots, and more;
 //! * **`X2xx`** ([`cross`]) — cross-layer rules validating
 //!   `wormhole-topo` scenarios, personas and generated Internets
 //!   against the net layer (vantage points that are not hosts,

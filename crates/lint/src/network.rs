@@ -217,7 +217,12 @@ pub fn te_endpoint_not_ler(net: &Network, out: &mut Vec<Diagnostic>) {
 pub fn unreachable_prefix(net: &Network, tables: &[AsPrefixes], out: &mut Vec<Diagnostic>) {
     for table in tables {
         for (slot, prefix) in table.prefixes.iter().enumerate() {
-            let owners = table.owners(slot as u32);
+            // A malformed owner CSR is D509's finding; read around it.
+            let span = table.owner_base.get(slot..slot + 2);
+            let Some(owners) = span.and_then(|w| table.owner_ids.get(w[0] as usize..w[1] as usize))
+            else {
+                continue;
+            };
             let location = Location::Prefix {
                 asn: table.asn,
                 prefix: *prefix,
@@ -227,7 +232,7 @@ pub fn unreachable_prefix(net: &Network, tables: &[AsPrefixes], out: &mut Vec<Di
                     "W108",
                     Severity::Error,
                     location,
-                    "prefix-trie entry has no owner: no next hop can ever reach it",
+                    "prefix-table slot has no owner: no next hop can ever reach it",
                     "remove the slot or register the router owning an address in the prefix",
                 ));
                 continue;

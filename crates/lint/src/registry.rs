@@ -151,7 +151,7 @@ pub static RULES: &[RuleInfo] = &[
         code: "W108",
         family: Family::Network,
         severity: Severity::Error,
-        summary: "prefix-table entry no owner actually serves (dead trie entry)",
+        summary: "prefix-table slot no owner actually serves (dead slot)",
         explanation: "Every prefix slot in an AS table must be owned by at least one member \
                       that actually holds an address inside it; a dead entry would give LDP \
                       a FEC with no egress and the FIB a destination that blackholes.",
@@ -427,8 +427,9 @@ pub static RULES: &[RuleInfo] = &[
         family: Family::Dense,
         severity: Severity::Error,
         summary: "IGP first-hop CSR malformed or a first hop off the shortest path",
-        explanation: "Each AS's first-hop table is a CSR over (source, destination) member \
-                      pairs; offsets must be monotone with exactly n²+1 entries, the \
+        explanation: "Each AS's row-major distance matrix must hold n² entries with a zero \
+                      diagonal, and its first-hop table is a CSR over (source, destination) \
+                      member pairs; offsets must be monotone with exactly n²+1 entries, the \
                       diagonal spans empty, reachable off-diagonal spans non-empty, and \
                       every listed hop must satisfy edge_metric(s, iface) + dist(peer, d) = \
                       dist(s, d) — the defining equation of an ECMP first hop.",
@@ -480,25 +481,28 @@ pub static RULES: &[RuleInfo] = &[
         code: "D509",
         family: Family::Dense,
         severity: Severity::Error,
-        summary: "prefix-trie round-trip failure",
-        explanation: "For every slot of every AS table, looking up an address inside the \
-                      slot's prefix must return a slot whose prefix covers that address at \
-                      least as specifically; duplicate prefixes or owner/prefix length \
-                      mismatches break the longest-prefix-match contract every FIB \
-                      decision rests on.",
+        summary: "AS slot table malformed: owner CSR broken or a prefix in two slots",
+        explanation: "Each AS table numbers its prefixes into FEC slots as it is built, and \
+                      keeps each slot's owners as one CSR: the offsets must be one per slot \
+                      plus one, start at zero, never decrease and close the owner pool, and \
+                      no prefix may hold two slots. A broken offset hands a slot its \
+                      neighbour's owners; a repeated prefix splits one destination across \
+                      two FECs. The oracles read owners through this table, so the LDP, \
+                      LFIB and FIB content checks run only when it holds.",
     },
     RuleInfo {
         code: "D510",
         family: Family::Dense,
         severity: Severity::Error,
-        summary: "destination-resolution table disagrees with a trie lookup",
-        explanation: "The build-time loopback_slot/iface_slot/router_as_idx tables memoize \
-                      one trie lookup per address so the packet walk never pays it again; \
-                      each memoized slot must round-trip through AsPrefixes::lookup, and \
-                      router_as_idx must equal the network's dense AS index. A mis-slotted \
-                      entry steers every packet for that destination to the wrong FEC. The \
-                      trie slot of every address a router holds must also list that router \
-                      among the slot's owners, or the FIB routes the address elsewhere.",
+        summary: "destination-resolution table names the wrong slot",
+        explanation: "The build-time loopback_slot/iface_slot tables keep the slot the AS \
+                      table numbered for each address a router holds, so the packet walk \
+                      never resolves one at run time; each memoized slot must hold the \
+                      router's loopback /32 or that interface's prefix and list the router \
+                      among its owners, and router_as_idx must equal the network's dense AS \
+                      index. A mis-slotted entry steers every packet for that destination \
+                      to the wrong FEC; a slot that does not list its holder makes the FIB \
+                      route the address elsewhere.",
     },
     RuleInfo {
         code: "D512",

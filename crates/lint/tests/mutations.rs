@@ -25,6 +25,11 @@
 //! held address left unowned (forward), an unheld address bound to a
 //! router (reverse, over a fixture whose block run has gaps) and an
 //! orphan directory page (shape).
+//! Three break the per-AS slot tables or the slots memoized from them:
+//! a prefix given a second slot and owner offsets skewed past the pool
+//! (`D509`), and an interface pointed at its router's own loopback
+//! slot (`D510`) — the router owns both slots, so only the prefix the
+//! slot holds tells them apart.
 //!
 //! One more class corrupts the campaign-audit snapshot instead of the
 //! dense plane: the incremental-aggregation accounting that `A310`
@@ -429,24 +434,30 @@ fn classes() -> Vec<Class> {
             },
         },
         Class {
-            name: "remap-trie-slot",
+            name: "duplicate-slot-prefix",
             rule: "D509",
             build: ldp_plane,
             corrupt: |_, cp| {
+                // Give a second link /31 slot the first one's prefix:
+                // the slot count, the owners and the loopback-only LDP
+                // policy's view of both slots stay as they were.
                 let ap = &mut cp.as_prefixes[0];
-                let s31 = ap
-                    .prefixes
-                    .iter()
-                    .position(|p| p.len < 32)
-                    .expect("the AS has a link /31");
-                let probe = ap.prefixes[s31].nth(0);
-                let s32 = ap
-                    .prefixes
-                    .iter()
-                    .position(|p| p.len == 32 && !p.contains(probe))
-                    .expect("the AS has a loopback /32 elsewhere");
-                // Point the /31's trie entry at the loopback's slot.
-                ap.lpm.insert(ap.prefixes[s31], s32 as u32);
+                let mut links = (0..ap.len()).filter(|&s| ap.prefixes[s].len < 32);
+                let (first, second) = (links.next(), links.next());
+                let (first, second) = first.zip(second).expect("the AS has two link /31s");
+                ap.prefixes[second] = ap.prefixes[first];
+            },
+        },
+        Class {
+            name: "skew-owner-offsets",
+            rule: "D509",
+            build: ldp_plane,
+            corrupt: |_, cp| {
+                // Start every owner span one entry late: the offsets
+                // leave the pool origin and run past its end.
+                for o in &mut cp.as_prefixes[0].owner_base {
+                    *o += 1;
+                }
             },
         },
         Class {
@@ -460,6 +471,24 @@ fn classes() -> Vec<Class> {
                     .position(|&s| s != u32::MAX)
                     .expect("some loopback resolves");
                 table[i] += 1;
+            },
+        },
+        Class {
+            name: "mis-slot-interface",
+            rule: "D510",
+            build: ldp_plane,
+            corrupt: |net, cp| {
+                // Point an interface at its router's own loopback slot:
+                // the router owns both slots, so only the slot's prefix
+                // tells them apart.
+                let r = net
+                    .routers()
+                    .iter()
+                    .find(|r| !r.ifaces.is_empty())
+                    .expect("a router with an interface");
+                let lo = cp.loopback_slot(r.id).expect("the loopback has a slot");
+                let at = cp.dense_view().iface_slot_base[r.id.index()] as usize;
+                cp.iface_slot_mut()[at] = lo;
             },
         },
         Class {
@@ -626,8 +655,8 @@ fn audit_corruption_caught_by_exactly_the_intended_rule() {
     );
     let info = lint::rule(class.rule).expect("class rule registered");
     assert_eq!(info.family, lint::Family::Audit, "{}", class.name);
-    // 24 dense classes + this one: the 25-class contract.
-    assert_eq!(classes().len() + 1, 25);
+    // 26 dense classes + this one: the 27-class contract.
+    assert_eq!(classes().len() + 1, 27);
 }
 
 /// A clean screened-campaign snapshot the V6xx classes corrupt: one
@@ -748,7 +777,7 @@ fn veracity_corruption_caught_by_exactly_the_intended_rule() {
 }
 
 /// Coverage: every registered V6xx rule is exercised by exactly one
-/// corruption class, bringing the suite to 31 classes in total.
+/// corruption class, bringing the suite to 33 classes in total.
 #[test]
 fn every_veracity_rule_fired_by_a_corruption_class() {
     let covered: BTreeSet<&str> = v6_classes().iter().map(|c| c.rule).collect();
@@ -762,7 +791,7 @@ fn every_veracity_rule_fired_by_a_corruption_class() {
         let info = lint::rule(c.rule).expect("class rule registered");
         assert_eq!(info.family, lint::Family::Veracity, "{}", c.name);
     }
-    assert_eq!(classes().len() + 1 + v6_classes().len(), 31);
+    assert_eq!(classes().len() + 1 + v6_classes().len(), 33);
 }
 
 /// Corrupted planes also fail the combined `check_plane` gate — the
@@ -774,6 +803,16 @@ fn check_plane_carries_dense_findings() {
     let diags = lint::check_plane(&net, &cp);
     assert!(lint::has_errors(&diags));
     assert!(diags.iter().any(|d| d.code == "D508"));
+    // A malformed owner CSR is reported, not read through by W108.
+    let (net, mut cp) = ldp_plane();
+    for o in &mut cp.as_prefixes[0].owner_base {
+        *o += 1;
+    }
+    let codes: BTreeSet<&str> = lint::check_plane(&net, &cp)
+        .iter()
+        .map(|d| d.code)
+        .collect();
+    assert_eq!(codes, BTreeSet::from(["D509"]));
 }
 
 /// The rendered `D507` finding for `router`, exactly as `lint::render`

@@ -170,7 +170,15 @@ pub fn assert_reference_equivalent(net: &Network, cp: &ControlPlane, what: &str)
     let reference: Vec<RefIgp> = net.as_list().iter().map(|&asn| ref_igp(net, asn)).collect();
     assert_eq!(cp.igp.len(), reference.len(), "{what}: AS count");
     for (view, want) in cp.igp.iter().zip(&reference) {
-        assert_eq!(view.dist, want.dist, "{what}: {:?} distances", view.asn);
+        assert_eq!(
+            view.members.len(),
+            want.dist.len(),
+            "{what}: {:?}",
+            view.asn
+        );
+        for (ls, row) in want.dist.iter().enumerate() {
+            assert_eq!(view.row(ls), row, "{what}: {:?} distances", view.asn);
+        }
         assert_eq!(
             view.first_hop_csr(),
             (want.fh_index.as_slice(), want.fh_data.as_slice()),

@@ -148,7 +148,7 @@ fn tiny_as() -> (Network, [RouterId; 2]) {
 #[test]
 fn w108_prefix_entry_with_no_reachable_next_hop() {
     let (net, [a, _]) = tiny_as();
-    let mut table = AsPrefixes::build(&net, Asn(1));
+    let (mut table, _) = AsPrefixes::build(&net, Asn(1));
     assert!(
         {
             let mut out = Vec::new();
@@ -160,13 +160,12 @@ fn w108_prefix_entry_with_no_reachable_next_hop() {
     // What-if: an ownerless slot, as a fault-injection study would make.
     let bogus = Prefix::new(Addr::new(203, 0, 113, 0), 24);
     table.prefixes.push(bogus);
-    table.owners.push(Vec::new());
-    table.lpm.insert(bogus, (table.prefixes.len() - 1) as u32);
+    table.owner_base.push(table.owner_ids.len() as u32);
     // And a slot whose owner holds no address inside the prefix.
     let bogus2 = Prefix::new(Addr::new(198, 51, 100, 0), 24);
     table.prefixes.push(bogus2);
-    table.owners.push(vec![a]);
-    table.lpm.insert(bogus2, (table.prefixes.len() - 1) as u32);
+    table.owner_ids.push(a);
+    table.owner_base.push(table.owner_ids.len() as u32);
     let mut out = Vec::new();
     network::unreachable_prefix(&net, std::slice::from_ref(&table), &mut out);
     assert_eq!(error_codes(&out), ["W108", "W108"]);
@@ -724,7 +723,7 @@ fn a403_degraded_shard_warns_and_invalid_index_errors() {
 // ---------------------------------------------------------------- D5xx
 
 #[test]
-fn d510_trie_slot_must_list_the_address_holder() {
+fn d510_slot_must_list_the_address_holder() {
     // A one-router AS: its own loopback slot is connected, so the FIB
     // reads the same with or without the owner and only D510 can tell.
     let mut b = NetworkBuilder::new();
@@ -732,11 +731,14 @@ fn d510_trie_slot_must_list_the_address_holder() {
     let net = b.build().unwrap();
     let mut cp = ControlPlane::build(&net).unwrap();
     assert!(lint::verify_dense(&net, &cp).is_empty());
+    let slot = cp.loopback_slot(a).expect("the loopback has a slot") as usize;
+    // Drop the slot's one owner, keeping the owner CSR well-formed.
     let ap = &mut cp.as_prefixes[0];
-    let slot = ap
-        .lookup(net.router(a).loopback)
-        .expect("the loopback has a slot");
-    ap.owners[slot as usize].retain(|&o| o != a);
+    assert_eq!(ap.owners(slot as u32), &[a]);
+    ap.owner_ids.remove(ap.owner_base[slot] as usize);
+    for o in &mut ap.owner_base[slot + 1..] {
+        *o -= 1;
+    }
     let diags = lint::verify_dense(&net, &cp);
     assert_eq!(error_codes(&diags), ["D510"], "{}", lint::render(&diags));
 }

@@ -494,9 +494,10 @@ pub struct ControlPlane {
     /// router and sorted by tail within each group.
     te_routes: Vec<(RouterId, TeRoute)>,
     /// FIB slot of each router's loopback inside its own AS table
-    /// (`u32::MAX` = none). The packet walk only ever longest-prefix
-    /// matches addresses inside the AS that owns them, so these tables
-    /// pay every trie walk once at build time.
+    /// (`u32::MAX` = none). The packet walk only ever resolves
+    /// addresses inside the AS that owns them, and
+    /// [`AsPrefixes::build`] numbers each of those slots, so these
+    /// tables are written straight from the build.
     loopback_slot: Vec<u32>,
     /// Router → base index into [`Self::iface_slot`]; length
     /// `num_routers + 1`.
@@ -529,14 +530,18 @@ pub enum LfibSource {
     Te(usize),
 }
 
-/// Phase-1 output for one AS: its IGP view and prefix table.
-fn compute_as(net: &Network, asn: Asn) -> Result<(AsIgp, AsPrefixes), NetError> {
+/// Phase-1 output for one AS: its IGP view, its prefix table and the
+/// slot of every address its members hold (see [`AsPrefixes::build`]).
+type AsTables = (AsIgp, AsPrefixes, Vec<u32>);
+
+/// Computes one AS's [`AsTables`].
+fn compute_as(net: &Network, asn: Asn) -> Result<AsTables, NetError> {
     let view = AsIgp::compute(net, asn);
     if let Some(unreachable) = view.find_unreachable() {
         return Err(NetError::DisconnectedAs { asn, unreachable });
     }
-    let prefixes = AsPrefixes::build(net, asn);
-    Ok((view, prefixes))
+    let (prefixes, addr_slots) = AsPrefixes::build(net, asn);
+    Ok((view, prefixes, addr_slots))
 }
 
 /// A per-router intra-AS FIB that stores each distinct ECMP next-hop
@@ -656,10 +661,11 @@ impl FibTables {
 /// reused buffers, so build and verifier stay in lockstep by
 /// construction.
 ///
-/// The oracle keeps one AS's slot owners, mapped to IGP local indices,
-/// and re-targets them when a router of another AS comes up: the
-/// per-`(router, slot)` loop reads distance rows and first-hop spans
-/// directly, with no hashing and no allocation per cell.
+/// The oracle keeps one AS's slot owners, mapped to IGP local indices
+/// over the table's own owner offsets, and re-targets them when a
+/// router of another AS comes up: the per-`(router, slot)` loop reads
+/// distance rows and first-hop spans directly, with no hashing and no
+/// allocation per cell.
 #[derive(Debug)]
 pub struct FibOracle<'a> {
     net: &'a Network,
@@ -667,10 +673,8 @@ pub struct FibOracle<'a> {
     as_prefixes: &'a [AsPrefixes],
     /// The AS whose owners are loaded.
     loaded: Option<usize>,
-    /// Slot → span of `owner_locals`; length `slots + 1`.
-    owner_base: Vec<u32>,
-    /// Each slot's owners as local indices (`u32::MAX` = outside the
-    /// IGP view).
+    /// The loaded table's `owner_ids` as local indices (`u32::MAX` =
+    /// outside the IGP view), spanned by its `owner_base`.
     owner_locals: Vec<u32>,
 }
 
@@ -682,7 +686,6 @@ impl<'a> FibOracle<'a> {
             igp,
             as_prefixes,
             loaded: None,
-            owner_base: Vec::new(),
             owner_locals: Vec::new(),
         }
     }
@@ -716,22 +719,17 @@ impl<'a> FibOracle<'a> {
         let ap = &self.as_prefixes[as_idx];
         let local = |r: RouterId| view.local_index(r).map_or(NONE, |l| l as u32);
         if self.loaded != Some(as_idx) {
-            self.owner_base.clear();
             self.owner_locals.clear();
-            self.owner_base.push(0);
-            for slot in 0..ap.len() as u32 {
-                self.owner_locals
-                    .extend(ap.owners(slot).iter().map(|&o| local(o)));
-                self.owner_base.push(self.owner_locals.len() as u32);
-            }
+            self.owner_locals
+                .extend(ap.owner_ids.iter().map(|&o| local(o)));
             self.loaded = Some(as_idx);
         }
         let ls = local(router);
-        let row = (ls != NONE).then(|| &view.dist[ls as usize]);
+        let row = (ls != NONE).then(|| view.row(ls as usize));
         for slot in 0..ap.len() {
             let start = pool.len();
-            let slot_owners = &self.owner_locals
-                [self.owner_base[slot] as usize..self.owner_base[slot + 1] as usize];
+            let slot_owners =
+                &self.owner_locals[ap.owner_base[slot] as usize..ap.owner_base[slot + 1] as usize];
             // Connected routes (the router owns the prefix) and routers
             // outside the IGP view keep an empty span.
             if let Some(row) = row.filter(|_| !slot_owners.contains(&ls)) {
@@ -1308,7 +1306,7 @@ impl ControlPlane {
         let n_as = as_list.len();
         let jobs = jobs.max(1).min(n_as.max(1));
 
-        let mut slots: Vec<Option<Result<(AsIgp, AsPrefixes), NetError>>> = Vec::new();
+        let mut slots: Vec<Option<Result<AsTables, NetError>>> = Vec::new();
         slots.resize_with(n_as, || None);
         if jobs <= 1 {
             for (i, slot) in slots.iter_mut().enumerate() {
@@ -1329,10 +1327,12 @@ impl ControlPlane {
         }
         let mut as_prefixes = Vec::with_capacity(n_as);
         let mut igp = Vec::with_capacity(n_as);
+        let mut addr_slots = Vec::with_capacity(n_as);
         for slot in slots.into_iter().flatten() {
-            let (view, prefixes) = slot?;
+            let (view, prefixes, held) = slot?;
             igp.push(view);
             as_prefixes.push(prefixes);
+            addr_slots.push(held);
         }
         let bindings = LdpBindings::compute(net, &as_prefixes);
 
@@ -1395,38 +1395,38 @@ impl ControlPlane {
         te_heads.push(te_routes.len() as u32);
 
         // Dense destination-resolution tables: the forwarding decision
-        // only ever LPMs an address inside the AS that owns it (the
+        // only ever resolves an address inside the AS that owns it (the
         // destination's own table, or the egress border's loopback in
-        // the border's own table), so every slot the walk can ask for
-        // is resolved here, once, instead of per packet leg.
-        let mut loopback_slot = vec![u32::MAX; net.num_routers()];
-        let mut router_as_idx = vec![u32::MAX; net.num_routers()];
-        let num_ifaces = net.routers().iter().map(|r| r.ifaces.len()).sum();
-        let mut iface_slot_base = Vec::with_capacity(net.num_routers() + 1);
-        let mut iface_slot = Vec::with_capacity(num_ifaces);
+        // the border's own table), and the AS table numbered each such
+        // slot as it was built. They land here, router by router, so
+        // the walk reads one slot instead of resolving per packet leg.
+        let n = net.num_routers();
+        let mut loopback_slot = vec![u32::MAX; n];
+        let mut router_as_idx = vec![u32::MAX; n];
+        let mut iface_slot_base = Vec::with_capacity(n + 1);
         iface_slot_base.push(0u32);
-        for (i, r) in net.routers().iter().enumerate() {
-            match net.as_index(r.asn) {
-                Some(idx) => {
-                    let ap = &as_prefixes[idx];
-                    router_as_idx[i] = idx as u32;
-                    if let Some(s) = ap.lookup(r.loopback) {
-                        loopback_slot[i] = s;
-                    }
-                    for ifc in &r.ifaces {
-                        iface_slot.push(ap.lookup(ifc.addr).unwrap_or(u32::MAX));
-                    }
-                }
-                None => iface_slot.resize(iface_slot.len() + r.ifaces.len(), u32::MAX),
+        for r in net.routers() {
+            iface_slot_base.push(iface_slot_base[r.id.index()] + r.ifaces.len() as u32);
+        }
+        let mut iface_slot = vec![u32::MAX; iface_slot_base[n] as usize];
+        for (idx, held) in addr_slots.iter().enumerate() {
+            // `held` is member by member: the loopback, then each
+            // interface.
+            let mut k = 0;
+            for &rid in net.as_members(as_list[idx]) {
+                let i = rid.index();
+                let ifaces = iface_slot_base[i] as usize..iface_slot_base[i + 1] as usize;
+                router_as_idx[i] = idx as u32;
+                loopback_slot[i] = held[k];
+                iface_slot[ifaces.clone()].copy_from_slice(&held[k + 1..k + 1 + ifaces.len()]);
+                k += 1 + ifaces.len();
             }
-            iface_slot_base.push(iface_slot.len() as u32);
         }
 
         // Flat walk tables: the per-router configuration byte, vendor
         // TTL signatures, loopbacks and interface records the engine's
         // hot loop reads — one cache-friendly row per router instead of
         // the pointer-heavy `Router` struct.
-        let n = net.num_routers();
         let mut walk_flags = Vec::with_capacity(n);
         let mut walk_te_ttl = Vec::with_capacity(n);
         let mut walk_er_ttl = Vec::with_capacity(n);
@@ -1884,9 +1884,7 @@ mod tests {
     fn fib_points_to_nearest_owner() {
         let (net, [_, a, b, c, _]) = line_net();
         let cp = ControlPlane::build(&net).unwrap();
-        let as2 = net.as_index(Asn(2)).unwrap();
-        let ap = &cp.as_prefixes[as2];
-        let slot = ap.lookup(net.router(c).loopback).unwrap();
+        let slot = cp.loopback_slot(c).unwrap();
         let e = cp.fib_entry(a, slot).unwrap();
         assert_eq!(e.len(), 1);
         assert_eq!(e[0].1, b);
@@ -1899,10 +1897,8 @@ mod tests {
         let (net, [_, a, _, c, _]) = line_net();
         let serial = ControlPlane::build_with_jobs(&net, 1).unwrap();
         let par = ControlPlane::build_with_jobs(&net, 4).unwrap();
-        let as2 = net.as_index(Asn(2)).unwrap();
-        let slot = serial.as_prefixes[as2]
-            .lookup(net.router(c).loopback)
-            .unwrap();
+        let slot = serial.loopback_slot(c).unwrap();
+        assert_eq!(par.loopback_slot(c), Some(slot));
         assert_eq!(serial.fib_entry(a, slot), par.fib_entry(a, slot));
         for r in 0..net.num_routers() as u32 {
             let rid = RouterId(r);
@@ -1921,10 +1917,8 @@ mod tests {
         let cold = ControlPlane::build(&net).unwrap();
         let payload = cold.cache_payload();
         let warm = ControlPlane::from_cache_payload(&net, 1, &payload).unwrap();
-        let as2 = net.as_index(Asn(2)).unwrap();
-        let slot = cold.as_prefixes[as2]
-            .lookup(net.router(c).loopback)
-            .unwrap();
+        let slot = cold.loopback_slot(c).unwrap();
+        assert_eq!(warm.loopback_slot(c), Some(slot));
         assert_eq!(cold.fib_entry(a, slot), warm.fib_entry(a, slot));
         for r in 0..net.num_routers() as u32 {
             let rid = RouterId(r);
@@ -1991,7 +1985,7 @@ mod tests {
         let mut cp = ControlPlane::build(&net).unwrap();
         let as2 = net.as_index(Asn(2)).unwrap();
         let as3 = net.as_index(Asn(3)).unwrap();
-        let slot = cp.as_prefixes[as2].lookup(net.router(c).loopback).unwrap();
+        let slot = cp.loopback_slot(c).unwrap();
         assert!(cp.fib_entry(a, slot).is_some());
         let cell = cp.fib.base[a.index()] as usize + slot as usize;
         cp.fib.index[cell] = u16::MAX;
@@ -2032,9 +2026,7 @@ mod tests {
     fn lfib_swap_then_pop() {
         let (net, [_, a, b, c, _]) = line_net();
         let cp = ControlPlane::build(&net).unwrap();
-        let as2 = net.as_index(Asn(2)).unwrap();
-        let ap = &cp.as_prefixes[as2];
-        let slot = ap.lookup(net.router(c).loopback).unwrap();
+        let slot = cp.loopback_slot(c).unwrap();
         // a pushes b's label; b's LFIB entry for it pops (c advertised
         // implicit null for its own loopback): a 2-hop LSP a -> b -> c.
         let LabelValue::Real(lb) = cp.bindings.advertised(b, slot).unwrap() else {
@@ -2135,8 +2127,7 @@ mod tests {
         bld.link(b, c, LinkOpts::default());
         let net = bld.build().unwrap();
         let cp = ControlPlane::build(&net).unwrap();
-        let ap = &cp.as_prefixes[0];
-        let slot = ap.lookup(net.router(c).loopback).unwrap();
+        let slot = cp.loopback_slot(c).unwrap();
         let LabelValue::Real(lb) = cp.bindings.advertised(b, slot).unwrap() else {
             panic!()
         };

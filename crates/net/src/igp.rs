@@ -24,9 +24,10 @@ pub struct AsIgp {
     /// router id, so a member's local index is its rank and
     /// [`AsIgp::local_index`] is a binary search, not a hash.
     pub members: Vec<RouterId>,
-    /// `dist[s][d]`: shortest metric from member `s` to member `d`
-    /// (local indices).
-    pub dist: Vec<Vec<u32>>,
+    /// Row-major `n × n` distance matrix: `dist[s * n + d]` is the
+    /// shortest metric from member `s` to member `d` (local indices);
+    /// [`AsIgp::row`] reads one source's row.
+    pub dist: Vec<u32>,
     /// CSR offsets into [`Self::fh_data`]: pair `(s, d)` owns the span
     /// `fh_index[s * n + d] .. fh_index[s * n + d + 1]`.
     fh_index: Vec<u32>,
@@ -76,9 +77,16 @@ impl AsIgp {
         let rows = |u: usize| &adj[adj_base[u] as usize..adj_base[u + 1] as usize];
 
         let mut heap = BinaryHeap::new();
-        let dist: Vec<Vec<u32>> = (0..n)
-            .map(|src| dijkstra(&adj_base, &adj, src, &mut heap))
-            .collect();
+        let mut dist = vec![INF; n * n];
+        for src in 0..n {
+            dijkstra(
+                &adj_base,
+                &adj,
+                src,
+                &mut dist[src * n..(src + 1) * n],
+                &mut heap,
+            );
+        }
 
         // Precompute every (s, d) ECMP first-hop set once, so per-hop
         // forwarding decisions borrow a slice instead of re-deriving
@@ -86,12 +94,12 @@ impl AsIgp {
         let mut fh_index = Vec::with_capacity(n * n + 1);
         let mut fh_data = Vec::new();
         fh_index.push(0u32);
-        for (ls, row) in dist.iter().enumerate() {
+        for ls in 0..n {
             let out = rows(ls);
-            for (ld, &total) in row.iter().enumerate() {
+            for (ld, &total) in dist[ls * n..(ls + 1) * n].iter().enumerate() {
                 if total < INF && ls != ld {
                     for a in out {
-                        if a.metric.saturating_add(dist[a.local as usize][ld]) == total {
+                        if a.metric.saturating_add(dist[a.local as usize * n + ld]) == total {
                             fh_data.push((a.iface, a.peer));
                         }
                     }
@@ -115,10 +123,18 @@ impl AsIgp {
         self.members.binary_search(&r).ok()
     }
 
+    /// The shortest metrics from local member `ls` to every member, in
+    /// local-index order.
+    #[inline]
+    pub fn row(&self, ls: usize) -> &[u32] {
+        let n = self.members.len();
+        &self.dist[ls * n..(ls + 1) * n]
+    }
+
     /// Shortest metric from local member `ls` to local member `ld`.
     #[inline]
     pub fn distance_local(&self, ls: usize, ld: usize) -> u32 {
-        self.dist[ls][ld]
+        self.dist[ls * self.members.len() + ld]
     }
 
     /// The ECMP first-hop set from local member `ls` towards local
@@ -135,7 +151,7 @@ impl AsIgp {
     /// not a member or unreachable).
     pub fn distance(&self, s: RouterId, d: RouterId) -> u32 {
         match (self.local_index(s), self.local_index(d)) {
-            (Some(ls), Some(ld)) => self.dist[ls][ld],
+            (Some(ls), Some(ld)) => self.distance_local(ls, ld),
             _ => INF,
         }
     }
@@ -153,13 +169,15 @@ impl AsIgp {
 
     /// True when every member can reach every other member.
     pub fn connected(&self) -> bool {
-        self.dist.iter().all(|row| row.iter().all(|&d| d < INF))
+        self.dist.iter().all(|&d| d < INF)
     }
 
     /// A member unreachable from the first member, if any.
     pub fn find_unreachable(&self) -> Option<RouterId> {
-        let row = self.dist.first()?;
-        row.iter().position(|&d| d >= INF).map(|i| self.members[i])
+        self.row(0)
+            .iter()
+            .position(|&d| d >= INF)
+            .map(|i| self.members[i])
     }
 
     /// Heap bytes reserved by the view's tables.
@@ -167,7 +185,6 @@ impl AsIgp {
         use crate::control::vec_bytes;
         vec_bytes(&self.members)
             + vec_bytes(&self.dist)
-            + self.dist.iter().map(vec_bytes).sum::<usize>()
             + vec_bytes(&self.fh_index)
             + vec_bytes(&self.fh_data)
     }
@@ -198,14 +215,15 @@ pub fn edge_metric(net: &Network, router: RouterId, iface_idx: usize) -> u32 {
 }
 
 /// Single-source shortest metrics over the adjacency CSR
-/// `(adj_base, adj)`; `heap` is scratch reused across sources.
+/// `(adj_base, adj)` into `dist` (one entry per member, all `INF` on
+/// entry); `heap` is scratch reused across sources.
 fn dijkstra(
     adj_base: &[u32],
     adj: &[Adj],
     src: usize,
+    dist: &mut [u32],
     heap: &mut BinaryHeap<Reverse<(u32, usize)>>,
-) -> Vec<u32> {
-    let mut dist = vec![INF; adj_base.len() - 1];
+) {
     dist[src] = 0;
     heap.clear();
     heap.push(Reverse((0u32, src)));
@@ -222,7 +240,6 @@ fn dijkstra(
             }
         }
     }
-    dist
 }
 
 #[cfg(test)]

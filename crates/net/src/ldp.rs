@@ -210,6 +210,7 @@ impl LdpBindings {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::control::ControlPlane;
     use crate::ids::Asn;
     use crate::net::{LinkOpts, NetworkBuilder};
     use crate::router::RouterConfig;
@@ -229,7 +230,7 @@ mod tests {
     fn prefixes(net: &Network) -> Vec<AsPrefixes> {
         net.as_list()
             .iter()
-            .map(|&asn| AsPrefixes::build(net, asn))
+            .map(|&asn| AsPrefixes::build(net, asn).0)
             .collect()
     }
 
@@ -249,13 +250,12 @@ mod tests {
     #[test]
     fn owners_advertise_null() {
         let (net, [x, _, _]) = mixed_as();
-        let aps = prefixes(&net);
-        let ldp = LdpBindings::compute(&net, &aps);
-        let ap = &aps[0];
-        let own_slot = ap.lookup(net.router(x).loopback).unwrap();
+        let cp = ControlPlane::build(&net).unwrap();
+        let ldp = &cp.bindings;
+        let own_slot = cp.loopback_slot(x).unwrap();
         assert_eq!(ldp.advertised(x, own_slot), Some(LabelValue::ImplicitNull));
         // A prefix x does not own gets a real, dynamic label.
-        let other_slot = ap.lookup(net.router(RouterId(2)).loopback).unwrap();
+        let other_slot = cp.loopback_slot(RouterId(2)).unwrap();
         match ldp.advertised(x, other_slot) {
             Some(LabelValue::Real(l)) => assert!(!l.is_reserved()),
             other => panic!("expected real label, got {other:?}"),
@@ -273,12 +273,12 @@ mod tests {
         let y = b.add_router("y", Asn(1), RouterConfig::mpls_router(Vendor::CiscoIos));
         b.link(x, y, LinkOpts::default());
         let net = b.build().unwrap();
-        let aps = prefixes(&net);
-        let ldp = LdpBindings::compute(&net, &aps);
-        let slot = aps[0].lookup(net.router(x).loopback).unwrap();
+        let cp = ControlPlane::build(&net).unwrap();
+        let ldp = &cp.bindings;
+        let slot = cp.loopback_slot(x).unwrap();
         assert_eq!(ldp.advertised(x, slot), Some(LabelValue::ExplicitNull));
         // y still uses PHP for its own prefixes.
-        let slot_y = aps[0].lookup(net.router(y).loopback).unwrap();
+        let slot_y = cp.loopback_slot(y).unwrap();
         assert_eq!(ldp.advertised(y, slot_y), Some(LabelValue::ImplicitNull));
     }
 

@@ -5,7 +5,8 @@
 //! *"Through the Wormhole: Tracking Invisible MPLS Tunnels"* (IMC 2017).
 //! It models:
 //!
-//! * IPv4 forwarding with longest-prefix-match FIBs ([`trie`]);
+//! * IPv4 forwarding over per-AS prefix tables whose FEC slots are
+//!   numbered at build time ([`prefixes`]);
 //! * per-AS IGP shortest paths with ECMP ([`igp`]);
 //! * valley-free inter-domain routing with hot-potato egress selection
 //!   ([`bgp`]);
@@ -61,7 +62,6 @@ pub mod router;
 pub mod state;
 pub mod substrate;
 pub mod te;
-pub mod trie;
 pub mod vendor;
 pub mod wire;
 
@@ -91,5 +91,4 @@ pub use router::{Interface, Router, RouterConfig};
 pub use state::{ProbeState, PROBE_PACING_MS};
 pub use substrate::{Substrate, SubstrateRef};
 pub use te::TeTunnel;
-pub use trie::PrefixTrie;
 pub use vendor::{LdpPolicy, PoppingMode, Vendor};

@@ -15,13 +15,18 @@
 //! that view against the FIB span and `ldp_label_action`, and that
 //! explicitly installed entries (RSVP-TE transit, what-if injections)
 //! read back exactly as installed.
+//!
+//! The AS tables number each loopback's and interface's FEC slot as
+//! they are built, and nothing looks an address up by prefix; the slot
+//! rows check every numbered slot against a test-only linear-scan
+//! longest-prefix match over the router's own AS table.
 
 #[path = "../crates/lint/tests/oracle/mod.rs"]
 mod oracle;
 
 use wormhole_net::{
-    ldp_label_action, ControlPlane, Label, LabelAction, LabelValue, LfibEntry, LfibHop, Network,
-    PoppingMode, RouterId,
+    ldp_label_action, Addr, ControlPlane, Label, LabelAction, LabelValue, LfibEntry, LfibHop,
+    Network, PoppingMode, RouterId,
 };
 use wormhole_topo::{generate, gns3_fig2_te, InternetConfig};
 
@@ -94,6 +99,75 @@ fn ldp_branches_derive_from_the_fib_at_paper_scale() {
 fn ldp_branches_derive_from_the_fib_at_tenfold_scale() {
     let i = generate(&InternetConfig::tenfold(8));
     assert_ldp_branches_derived(&i.net, &i.cp, "tenfold/seed8");
+}
+
+/// The slot a plain longest-prefix match gives `addr` in `router`'s own
+/// AS table: a linear scan for the longest prefix containing it.
+fn reference_lpm(net: &Network, cp: &ControlPlane, router: RouterId, addr: Addr) -> Option<u32> {
+    let ap = &cp.as_prefixes[net.as_index(net.router(router).asn)?];
+    (0..ap.len() as u32)
+        .filter(|&s| ap.prefix(s).contains(addr))
+        .max_by_key(|&s| ap.prefix(s).len)
+}
+
+/// Every loopback and interface slot the AS tables numbered at build
+/// time is the one a longest-prefix match over the router's own AS
+/// table finds for that address.
+fn assert_slots_match_reference_lpm(net: &Network, cp: &ControlPlane, what: &str) {
+    for r in net.routers() {
+        let want = reference_lpm(net, cp, r.id, r.loopback);
+        assert!(want.is_some(), "{what}: {} loopback has no slot", r.name);
+        assert_eq!(cp.loopback_slot(r.id), want, "{what}: {} loopback", r.name);
+        for (k, ifc) in r.ifaces.iter().enumerate() {
+            let want = reference_lpm(net, cp, r.id, ifc.addr);
+            assert!(
+                want.is_some(),
+                "{what}: {} {} has no slot",
+                r.name,
+                ifc.addr
+            );
+            assert_eq!(
+                cp.iface_slot(r.id, k),
+                want,
+                "{what}: {} {}",
+                r.name,
+                ifc.addr
+            );
+        }
+    }
+}
+
+#[test]
+fn fec_slots_match_a_reference_lpm_at_quick_scale() {
+    for seed in [1, 7, 42] {
+        let i = generate(&InternetConfig::small(seed));
+        assert_slots_match_reference_lpm(&i.net, &i.cp, &format!("quick/seed{seed}"));
+    }
+}
+
+#[test]
+fn fec_slots_match_a_reference_lpm_at_paper_scale() {
+    for seed in [1, 7, 42] {
+        let i = generate(&InternetConfig {
+            seed,
+            ..InternetConfig::default()
+        });
+        assert_slots_match_reference_lpm(&i.net, &i.cp, &format!("paper/seed{seed}"));
+    }
+}
+
+#[test]
+#[ignore = "release-mode CI scale; run with --include-ignored"]
+fn fec_slots_match_a_reference_lpm_at_tenfold_scale() {
+    let i = generate(&InternetConfig::tenfold(8));
+    assert_slots_match_reference_lpm(&i.net, &i.cp, "tenfold/seed8");
+}
+
+#[test]
+#[ignore = "release-mode CI scale; run with --include-ignored"]
+fn fec_slots_match_a_reference_lpm_at_thousandfold_scale() {
+    let i = generate(&InternetConfig::thousandfold(8));
+    assert_slots_match_reference_lpm(&i.net, &i.cp, "thousandfold/seed8");
 }
 
 /// RSVP-TE transit entries and injected what-ifs keep explicit branches

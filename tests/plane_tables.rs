@@ -97,6 +97,22 @@ fn assert_exactly_sized(i: &wormhole::topo::Internet, what: &str) {
             + size_of_val(v.lfib_hops),
         "{what}: lfib"
     );
+    // Per AS: one prefix per slot, one owner offset per slot plus one,
+    // one entry per (slot, owner).
+    let slot_bytes: usize = cp
+        .as_prefixes
+        .iter()
+        .map(|ap| {
+            size_of_val(ap.prefixes.as_slice())
+                + size_of_val(ap.owner_base.as_slice())
+                + size_of_val(ap.owner_ids.as_slice())
+        })
+        .sum();
+    assert_eq!(
+        bytes(cp, "prefixes"),
+        size_of_val(cp.as_prefixes.as_slice()) + slot_bytes,
+        "{what}: prefixes"
+    );
     let owners = i.net.owner_index();
     assert_eq!(
         owners.heap_bytes(),
@@ -208,8 +224,13 @@ fn tenfold_plane_footprint_within_ceiling() {
     let i = generate(&internet_config_for(Scale::Tenfold, 8));
     assert_exactly_sized(&i, "tenfold/seed8");
     report("tenfold", &i.cp);
-    assert!(total(&i.cp) <= 11 * MB, "tenfold: {} bytes", total(&i.cp));
-    for (table, ceiling) in [("lfib", 1_600_000), ("fib", MB), ("ext", 300_000)] {
+    assert!(total(&i.cp) <= 8 * MB, "tenfold: {} bytes", total(&i.cp));
+    for (table, ceiling) in [
+        ("lfib", 1_600_000),
+        ("fib", MB),
+        ("ext", 300_000),
+        ("prefixes", 300_000),
+    ] {
         assert!(
             bytes(&i.cp, table) <= ceiling,
             "tenfold: {table} {} bytes",
@@ -225,7 +246,7 @@ fn thousandfold_plane_footprint_within_ceiling() {
     assert_exactly_sized(&i, "thousandfold/seed8");
     report("thousandfold", &i.cp);
     assert!(
-        total(&i.cp) <= 50 * MB,
+        total(&i.cp) <= 40 * MB,
         "thousandfold: {} bytes",
         total(&i.cp)
     );

@@ -7,36 +7,9 @@ use common::{line, LineOpts};
 use proptest::prelude::*;
 use wormhole::analysis::Histogram;
 use wormhole::core::{infer_initial_ttl, return_path_len};
-use wormhole::net::{Addr, Prefix, PrefixTrie};
 use wormhole::probe::{Session, TracerouteOpts};
 
 proptest! {
-    /// The trie agrees with a brute-force longest-prefix scan.
-    #[test]
-    fn trie_matches_linear_scan(
-        entries in proptest::collection::vec((any::<u32>(), 0u8..=32), 1..64),
-        queries in proptest::collection::vec(any::<u32>(), 32),
-    ) {
-        let mut trie = PrefixTrie::new();
-        let mut table: Vec<(Prefix, usize)> = Vec::new();
-        for (i, &(addr, len)) in entries.iter().enumerate() {
-            let p = Prefix::new(Addr(addr), len);
-            trie.insert(p, i);
-            table.retain(|&(q, _)| q != p);
-            table.push((p, i));
-        }
-        for q in queries {
-            let q = Addr(q);
-            let want = table
-                .iter()
-                .filter(|(p, _)| p.contains(q))
-                .max_by_key(|(p, _)| p.len)
-                .map(|&(p, v)| (p, v));
-            let got = trie.lookup(q).map(|(p, &v)| (p, v));
-            prop_assert_eq!(got, want);
-        }
-    }
-
     /// Inferred initial TTLs are the smallest standard initial ≥ the
     /// observation, and the return length stays within (0, init].
     #[test]
