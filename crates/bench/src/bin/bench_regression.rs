@@ -1,6 +1,9 @@
 //! `bench-regression` — re-measure campaign and engine throughput and
 //! fail when any run regresses more than 20% against the committed
-//! `BENCH_campaign.json` / `BENCH_engine.json` baselines.
+//! `BENCH_campaign.json` / `BENCH_engine.json` baselines. It also fails
+//! when either side has a row the other lacks: a committed row with no
+//! fresh run (the matrix shrank) or a fresh run with no committed row
+//! (the baseline is incomplete, so that run would go ungated).
 //!
 //! ```text
 //! bench-regression            compare fresh numbers to the baselines
@@ -21,7 +24,7 @@
 //! built.
 
 use std::process::ExitCode;
-use wormhole_bench::measure;
+use wormhole_bench::measure::{self, Gate};
 use wormhole_topo::{cache_file, config_checksum, generate_cached, InternetConfig};
 
 /// Largest tolerated throughput drop versus a committed baseline.
@@ -167,10 +170,7 @@ fn main() -> ExitCode {
             w.name, w.probes_per_sec, w.probes, w.traces, w.routers, w.heap_allocs
         );
     }
-    println!(
-        "plane build: {:.3}s serial, {:.3}s at {} workers",
-        engine.plane_serial_seconds, engine.plane_parallel_seconds, engine.plane_jobs
-    );
+    println!("plane build: {:.3}s", engine.plane_seconds);
 
     if write {
         measure::write_baseline(
@@ -211,101 +211,23 @@ fn main() -> ExitCode {
         }
     }
 
-    match measure::read_baseline("BENCH_campaign.json") {
-        Some(json) => {
-            for base in measure::parse_campaign_baseline(&json) {
-                let name = format!(
-                    "campaign {} jobs={} faults={} sched={}",
-                    base.scale, base.jobs, base.faults, base.scheduling
-                );
-                let fresh = scales
-                    .iter()
-                    .filter(|s| s.scale == base.scale)
-                    .flat_map(|s| &s.runs)
-                    .find(|r| {
-                        r.jobs == base.jobs
-                            && r.faults == base.faults
-                            && r.scheduling == base.scheduling
-                    });
-                match fresh {
-                    Some(r) => {
-                        check(&name, base.probes_per_sec, r.probes_per_sec, &mut failures);
-                        if let Some(base_analysis) = base.analysis_seconds {
-                            check_seconds(
-                                &name,
-                                "analysis",
-                                base_analysis,
-                                r.analysis_seconds,
-                                &mut failures,
-                            );
-                        }
-                    }
-                    None => failures.push(format!(
-                        "{name}: committed baseline has no fresh measurement — the run matrix \
-                         shrank; refresh the baseline with --write if that was intended"
-                    )),
-                }
-            }
-            for base in measure::parse_distributed_baseline(&json) {
-                let name = format!(
-                    "campaign {} distributed workers={}",
-                    base.scale, base.workers
-                );
-                match dist
-                    .iter()
-                    .find(|d| d.scale == base.scale && d.workers == base.workers)
-                {
-                    Some(d) => check(&name, base.probes_per_sec, d.probes_per_sec, &mut failures),
-                    None => failures.push(format!(
-                        "{name}: committed baseline has no fresh measurement — the distributed \
-                         matrix shrank; refresh the baseline with --write if that was intended"
-                    )),
-                }
-            }
-            for base in measure::parse_cache_baseline(&json) {
-                let name = format!("substrate cache {}", base.scale);
-                match cache.iter().find(|c| c.scale == base.scale) {
-                    Some(c) => check_seconds(
-                        &name,
-                        "warm restore",
-                        base.warm_seconds,
-                        c.warm_seconds,
-                        &mut failures,
-                    ),
-                    None => failures.push(format!(
-                        "{name}: committed baseline has no fresh measurement — the cache matrix \
-                         shrank; refresh the baseline with --write if that was intended"
-                    )),
-                }
-            }
-        }
-        None => {
-            failures.push("BENCH_campaign.json missing — commit a baseline via --write".to_string())
+    let campaign_base = measure::read_baseline("BENCH_campaign.json");
+    let engine_base = measure::read_baseline("BENCH_engine.json");
+    let pairing = measure::pair_with_baselines(
+        &scales,
+        &dist,
+        &cache,
+        &engine.walks,
+        campaign_base.as_deref(),
+        engine_base.as_deref(),
+    );
+    for p in &pairing.paired {
+        match p.gate {
+            Gate::Throughput => check(&p.name, p.baseline, p.fresh, &mut failures),
+            Gate::Seconds(what) => check_seconds(&p.name, what, p.baseline, p.fresh, &mut failures),
         }
     }
-    match measure::read_baseline("BENCH_engine.json").as_deref() {
-        Some(json) => {
-            let rows = measure::parse_engine_baseline(json);
-            if rows.is_empty() {
-                failures.push(
-                    "BENCH_engine.json has no walk entry — refresh it via --write".to_string(),
-                );
-            }
-            for base in rows {
-                let name = format!("engine {}", base.name);
-                match engine.walks.iter().find(|w| w.name == base.name) {
-                    Some(w) => check(&name, base.probes_per_sec, w.probes_per_sec, &mut failures),
-                    None => failures.push(format!(
-                        "{name}: committed baseline has no fresh measurement — the walk matrix \
-                         shrank; refresh the baseline with --write if that was intended"
-                    )),
-                }
-            }
-        }
-        None => {
-            failures.push("BENCH_engine.json missing — commit a baseline via --write".to_string())
-        }
-    }
+    failures.extend(pairing.unpaired);
 
     if failures.is_empty() {
         println!(

@@ -1,44 +1,14 @@
-//! `wormhole-bench`: shared fixtures for the Criterion benchmarks.
+//! `wormhole-bench`: the `bench-regression` gate and the measurements
+//! behind it.
 //!
-//! The benches cover every pipeline stage (substrate forwarding,
-//! control-plane computation, probing, the four techniques, the full
-//! campaign) and one benchmark per experiment family, so `cargo bench`
-//! both measures performance and regenerates the paper's artefacts.
+//! [`measure`] times campaigns, the distributed executor, the substrate
+//! cache, the engine walk and the control-plane build, renders them as
+//! the committed `BENCH_campaign.json` / `BENCH_engine.json` baselines,
+//! and pairs a fresh run with those baselines row by row. The
+//! `bench-regression` binary is the only writer of those files (with
+//! `--write`) and gates every paired row otherwise.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod measure;
-
-use wormhole_net::{
-    Asn, ControlPlane, LinkOpts, Network, NetworkBuilder, RelKind, RouterConfig, Vendor,
-};
-
-/// A grid-ish single-AS IP network of `n × n` routers plus a host, for
-/// raw forwarding benchmarks.
-pub fn grid(n: usize) -> (Network, ControlPlane) {
-    let mut b = NetworkBuilder::new();
-    let cfg = RouterConfig::ip_router(Vendor::CiscoIos);
-    let mut ids = Vec::with_capacity(n * n);
-    for i in 0..n {
-        for j in 0..n {
-            ids.push(b.add_router(&format!("g{i}.{j}"), Asn(1), cfg.clone()));
-        }
-    }
-    for i in 0..n {
-        for j in 0..n {
-            if j + 1 < n {
-                b.link(ids[i * n + j], ids[i * n + j + 1], LinkOpts::default());
-            }
-            if i + 1 < n {
-                b.link(ids[i * n + j], ids[(i + 1) * n + j], LinkOpts::default());
-            }
-        }
-    }
-    let vp = b.add_router("VP", Asn(2), RouterConfig::host());
-    b.link(vp, ids[0], LinkOpts::default());
-    b.as_rel(Asn(1), Asn(2), RelKind::ProviderCustomer);
-    let net = b.build().expect("grid builds");
-    let cp = ControlPlane::build(&net).expect("grid control plane");
-    (net, cp)
-}

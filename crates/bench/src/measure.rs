@@ -1,11 +1,9 @@
-//! Shared measurement routines behind the repo-root benchmark
-//! artefacts (`BENCH_campaign.json`, `BENCH_engine.json`).
-//!
-//! Both the Criterion benches and the `bench-regression` gate binary
-//! run the same timed code paths through this module, so the committed
-//! baselines mean the same thing no matter which tool wrote them. The
-//! JSON is emitted (and re-parsed) by hand — one run object per line —
-//! to keep the bench crate free of serialisation dependencies.
+//! The measurements behind the repo-root benchmark artefacts
+//! (`BENCH_campaign.json`, `BENCH_engine.json`): the timed runs, their
+//! JSON rendering and parsing, and the pairing of a fresh run with the
+//! committed rows that `bench-regression` gates on. The JSON is emitted
+//! (and re-parsed) by hand — one run object per line — to keep the
+//! bench crate free of serialisation dependencies.
 
 use std::path::PathBuf;
 use std::time::Instant;
@@ -304,44 +302,28 @@ pub fn summary_lines(scales: &[ScaleBench]) -> Vec<String> {
 }
 
 /// Renders campaign measurements as the `BENCH_campaign.json` document.
-/// Distributed and substrate-cache rows are optional sections — an
-/// emitter with nothing to report (the Criterion bench, which has no
-/// worker binary on hand) omits them rather than writing empty arrays,
-/// and each row carries its scale inline so the one-line parsers stay
-/// line-local.
+/// Each distributed and substrate-cache row carries its scale inline so
+/// the one-line parsers stay line-local.
 pub fn campaign_json(scales: &[ScaleBench], dist: &[DistRun], cache: &[CacheBench]) -> String {
-    let mut tail = String::new();
-    if !dist.is_empty() {
-        let rows: Vec<String> = dist
-            .iter()
-            .map(|d| {
-                format!(
-                    "    {{\"scale\": \"{}\", \"workers\": {}, \"probes\": {}, \
-                     \"seconds\": {:.6}, \"probes_per_sec\": {:.1}}}",
-                    d.scale, d.workers, d.probes, d.seconds, d.probes_per_sec
-                )
-            })
-            .collect();
-        tail.push_str(&format!(
-            ",\n  \"distributed\": [\n{}\n  ]",
-            rows.join(",\n")
-        ));
-    }
-    if !cache.is_empty() {
-        let rows: Vec<String> = cache
-            .iter()
-            .map(|c| {
-                format!(
-                    "    {{\"scale\": \"{}\", \"cold_seconds\": {:.6}, \"warm_seconds\": {:.6}}}",
-                    c.scale, c.cold_seconds, c.warm_seconds
-                )
-            })
-            .collect();
-        tail.push_str(&format!(
-            ",\n  \"substrate_cache\": [\n{}\n  ]",
-            rows.join(",\n")
-        ));
-    }
+    let dist: Vec<String> = dist
+        .iter()
+        .map(|d| {
+            format!(
+                "    {{\"scale\": \"{}\", \"workers\": {}, \"probes\": {}, \
+                 \"seconds\": {:.6}, \"probes_per_sec\": {:.1}}}",
+                d.scale, d.workers, d.probes, d.seconds, d.probes_per_sec
+            )
+        })
+        .collect();
+    let cache: Vec<String> = cache
+        .iter()
+        .map(|c| {
+            format!(
+                "    {{\"scale\": \"{}\", \"cold_seconds\": {:.6}, \"warm_seconds\": {:.6}}}",
+                c.scale, c.cold_seconds, c.warm_seconds
+            )
+        })
+        .collect();
     let sections: Vec<String> = scales
         .iter()
         .map(|s| {
@@ -379,9 +361,12 @@ pub fn campaign_json(scales: &[ScaleBench], dist: &[DistRun], cache: &[CacheBenc
         })
         .collect();
     format!(
-        "{{\n  \"bench\": \"campaign\",\n  \"cores\": {},\n  \"scales\": [\n{}\n  ]{tail}\n}}\n",
+        "{{\n  \"bench\": \"campaign\",\n  \"cores\": {},\n  \"scales\": [\n{}\n  ],\n  \
+         \"distributed\": [\n{}\n  ],\n  \"substrate_cache\": [\n{}\n  ]\n}}\n",
         cores(),
-        sections.join(",\n")
+        sections.join(",\n"),
+        dist.join(",\n"),
+        cache.join(",\n")
     )
 }
 
@@ -407,19 +392,14 @@ pub struct WalkRun {
 }
 
 /// Engine-level microbench results: the allocation-free packet walk at
-/// tenfold and thousandfold, and the serial-vs-parallel control-plane
-/// build.
+/// tenfold and thousandfold, and the tenfold control-plane build.
 pub struct EngineBench {
     /// Router count of the tenfold Internet (the headline scale).
     pub routers: usize,
     /// The timed walks, one `BENCH_engine.json` row each.
     pub walks: Vec<WalkRun>,
-    /// Control-plane build wall seconds at one worker.
-    pub plane_serial_seconds: f64,
-    /// Worker count of the parallel build (the runner's core count).
-    pub plane_jobs: usize,
-    /// Control-plane build wall seconds at `plane_jobs` workers.
-    pub plane_parallel_seconds: f64,
+    /// Control-plane build wall seconds.
+    pub plane_seconds: f64,
 }
 
 /// Times one loopback sweep: one `Session::traceroute` per router
@@ -456,7 +436,7 @@ pub fn time_walk(name: &'static str, internet: &Internet) -> WalkRun {
 }
 
 /// Measures the two walk rows — tenfold, then thousandfold — and times
-/// the tenfold control-plane build serially and with every core.
+/// the tenfold control-plane build.
 pub fn measure_engine(tenfold: &Internet, thousandfold: &Internet) -> EngineBench {
     let walks = vec![
         time_walk("walk_scalar", tenfold),
@@ -464,23 +444,16 @@ pub fn measure_engine(tenfold: &Internet, thousandfold: &Internet) -> EngineBenc
     ];
 
     // Untimed warmup build: the first build pays the allocator's page
-    // faults, which would otherwise be billed to the serial timing and
-    // fake a parallel speedup.
-    ControlPlane::build_with_jobs(&tenfold.net, 1).expect("warmup plane build");
+    // faults, which would otherwise be billed to the timing.
+    ControlPlane::build(&tenfold.net).expect("warmup plane build");
     let t1 = Instant::now();
-    ControlPlane::build_with_jobs(&tenfold.net, 1).expect("serial plane build");
-    let plane_serial_seconds = t1.elapsed().as_secs_f64();
-    let plane_jobs = cores();
-    let t2 = Instant::now();
-    ControlPlane::build_with_jobs(&tenfold.net, plane_jobs).expect("parallel plane build");
-    let plane_parallel_seconds = t2.elapsed().as_secs_f64();
+    ControlPlane::build(&tenfold.net).expect("plane build");
+    let plane_seconds = t1.elapsed().as_secs_f64();
 
     EngineBench {
         routers: tenfold.net.num_routers(),
         walks,
-        plane_serial_seconds,
-        plane_jobs,
-        plane_parallel_seconds,
+        plane_seconds,
     }
 }
 
@@ -501,14 +474,11 @@ pub fn engine_json(e: &EngineBench) -> String {
         .collect();
     format!(
         "{{\n  \"bench\": \"engine\",\n  \"cores\": {},\n  \"scale\": \"tenfold\",\n  \
-         \"routers\": {},\n{}\n  \"plane_build\": \
-         {{\"serial_seconds\": {:.6}, \"parallel_jobs\": {}, \"parallel_seconds\": {:.6}}}\n}}\n",
+         \"routers\": {},\n{}\n  \"plane_build\": {{\"serial_seconds\": {:.6}}}\n}}\n",
         cores(),
         e.routers,
         walks.join("\n"),
-        e.plane_serial_seconds,
-        e.plane_jobs,
-        e.plane_parallel_seconds
+        e.plane_seconds
     )
 }
 
@@ -641,8 +611,7 @@ pub struct EngineRow {
 /// Extracts every `walk*` throughput row from a `BENCH_engine.json`
 /// document. Leans on the emitter's one-object-per-line layout; the
 /// committed format is the two-row matrix (`walk_scalar`,
-/// `walk_thousandfold`) — a baseline with fewer rows simply gates
-/// fewer walks, and `bench-regression --write` refreshes it.
+/// `walk_thousandfold`).
 pub fn parse_engine_baseline(json: &str) -> Vec<EngineRow> {
     json.lines()
         .filter_map(|line| {
@@ -657,6 +626,168 @@ pub fn parse_engine_baseline(json: &str) -> Vec<EngineRow> {
             })
         })
         .collect()
+}
+
+/// What a paired row is gated on.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum Gate {
+    /// Probes/sec, which may not fall.
+    Throughput,
+    /// Wall seconds of the named quantity, which may not grow.
+    Seconds(&'static str),
+}
+
+/// One fresh measurement next to the committed value it is gated on.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Paired {
+    /// Row name, as printed (`campaign tenfold jobs=1 …`, `engine walk_scalar`).
+    pub name: String,
+    /// The quantity compared.
+    pub gate: Gate,
+    /// Committed value.
+    pub baseline: f64,
+    /// Freshly measured value.
+    pub fresh: f64,
+}
+
+/// A fresh run matched against the committed baselines, in both
+/// directions.
+#[derive(Debug, Default)]
+pub struct Pairing {
+    /// Every row present on both sides, in baseline order.
+    pub paired: Vec<Paired>,
+    /// One message per row present on one side only, and per missing
+    /// baseline file. Each one fails the gate: a committed row with no
+    /// fresh run means the matrix shrank, a fresh run with no committed
+    /// row means the baseline is incomplete and that run is ungated.
+    pub unpaired: Vec<String>,
+}
+
+impl Pairing {
+    /// Pairs `fresh` and `base` rows by name; `gates` lists one pair's
+    /// gated `(gate, baseline, fresh)` values.
+    fn rows<F, B>(
+        &mut self,
+        matrix: &str,
+        fresh: &[(String, F)],
+        base: &[(String, B)],
+        gates: impl Fn(&F, &B) -> Vec<(Gate, f64, f64)>,
+    ) {
+        for (name, b) in base {
+            match fresh.iter().find(|(n, _)| n == name) {
+                Some((_, f)) => {
+                    for (gate, baseline, fresh) in gates(f, b) {
+                        let name = name.clone();
+                        self.paired.push(Paired {
+                            name,
+                            gate,
+                            baseline,
+                            fresh,
+                        });
+                    }
+                }
+                None => self.unpaired.push(format!(
+                    "{name}: committed baseline has no fresh measurement — the {matrix} matrix \
+                     shrank; refresh the baseline with --write if that was intended"
+                )),
+            }
+        }
+        for (name, _) in fresh {
+            if !base.iter().any(|(n, _)| n == name) {
+                self.unpaired.push(format!(
+                    "{name}: fresh measurement has no committed row — the baseline is \
+                     incomplete; refresh it with --write"
+                ));
+            }
+        }
+    }
+}
+
+fn campaign_row_name(scale: &str, jobs: usize, faults: &str, scheduling: &str) -> String {
+    format!("campaign {scale} jobs={jobs} faults={faults} sched={scheduling}")
+}
+
+/// Pairs one run's measurements with the committed `BENCH_campaign.json`
+/// and `BENCH_engine.json` documents (`None` when a file is missing).
+pub fn pair_with_baselines(
+    scales: &[ScaleBench],
+    dist: &[DistRun],
+    cache: &[CacheBench],
+    walks: &[WalkRun],
+    campaign: Option<&str>,
+    engine: Option<&str>,
+) -> Pairing {
+    let mut out = Pairing::default();
+    match campaign {
+        Some(json) => {
+            let fresh: Vec<_> = scales
+                .iter()
+                .flat_map(|s| s.runs.iter().map(move |r| (s.scale, r)))
+                .map(|(scale, r)| (campaign_row_name(scale, r.jobs, r.faults, r.scheduling), r))
+                .collect();
+            let base: Vec<_> = parse_campaign_baseline(json)
+                .into_iter()
+                .map(|b| {
+                    (
+                        campaign_row_name(&b.scale, b.jobs, &b.faults, &b.scheduling),
+                        b,
+                    )
+                })
+                .collect();
+            out.rows("run", &fresh, &base, |r, b| {
+                let mut gates = vec![(Gate::Throughput, b.probes_per_sec, r.probes_per_sec)];
+                if let Some(analysis) = b.analysis_seconds {
+                    gates.push((Gate::Seconds("analysis"), analysis, r.analysis_seconds));
+                }
+                gates
+            });
+
+            let name =
+                |scale: &str, workers| format!("campaign {scale} distributed workers={workers}");
+            let fresh: Vec<_> = dist.iter().map(|d| (name(d.scale, d.workers), d)).collect();
+            let base: Vec<_> = parse_distributed_baseline(json)
+                .into_iter()
+                .map(|b| (name(&b.scale, b.workers), b))
+                .collect();
+            out.rows("distributed", &fresh, &base, |d, b| {
+                vec![(Gate::Throughput, b.probes_per_sec, d.probes_per_sec)]
+            });
+
+            let name = |scale: &str| format!("substrate cache {scale}");
+            let fresh: Vec<_> = cache.iter().map(|c| (name(c.scale), c)).collect();
+            let base: Vec<_> = parse_cache_baseline(json)
+                .into_iter()
+                .map(|b| (name(&b.scale), b))
+                .collect();
+            out.rows("cache", &fresh, &base, |c, b| {
+                vec![(
+                    Gate::Seconds("warm restore"),
+                    b.warm_seconds,
+                    c.warm_seconds,
+                )]
+            });
+        }
+        None => out
+            .unpaired
+            .push("BENCH_campaign.json missing — commit a baseline via --write".to_string()),
+    }
+    match engine {
+        Some(json) => {
+            let name = |walk: &str| format!("engine {walk}");
+            let fresh: Vec<_> = walks.iter().map(|w| (name(w.name), w)).collect();
+            let base: Vec<_> = parse_engine_baseline(json)
+                .into_iter()
+                .map(|b| (name(&b.name), b))
+                .collect();
+            out.rows("walk", &fresh, &base, |w, b| {
+                vec![(Gate::Throughput, b.probes_per_sec, w.probes_per_sec)]
+            });
+        }
+        None => out
+            .unpaired
+            .push("BENCH_engine.json missing — commit a baseline via --write".to_string()),
+    }
+    out
 }
 
 /// The number following `"key":` on `line`, if present.
@@ -811,9 +942,7 @@ mod tests {
                 walk("walk_scalar", 3694, 1_833_333.3),
                 walk("walk_thousandfold", 14201, 11_000_000.5),
             ],
-            plane_serial_seconds: 1.2,
-            plane_jobs: 4,
-            plane_parallel_seconds: 0.4,
+            plane_seconds: 1.2,
         };
         let json = engine_json(&e);
         let rows = parse_engine_baseline(&json);
@@ -822,5 +951,108 @@ mod tests {
         assert_eq!(rows[1].name, "walk_thousandfold");
         assert!((rows[1].probes_per_sec - 11_000_000.5).abs() < 0.2);
         assert!(json.contains("\"heap_allocs\": 0"));
+    }
+
+    fn sample_walks() -> Vec<WalkRun> {
+        vec![WalkRun {
+            name: "walk_scalar",
+            routers: 3694,
+            traces: 3694,
+            probes: 6011,
+            seconds: 0.003,
+            probes_per_sec: 2_003_666.7,
+            heap_allocs: 0,
+        }]
+    }
+
+    fn sample_engine_json() -> String {
+        engine_json(&EngineBench {
+            routers: 3694,
+            walks: sample_walks(),
+            plane_seconds: 0.03,
+        })
+    }
+
+    #[test]
+    fn a_complete_baseline_pairs_every_row() {
+        let campaign = campaign_json(&sample_scales(), &sample_dist(), &sample_cache());
+        let p = pair_with_baselines(
+            &sample_scales(),
+            &sample_dist(),
+            &sample_cache(),
+            &sample_walks(),
+            Some(&campaign),
+            Some(&sample_engine_json()),
+        );
+        assert!(p.unpaired.is_empty(), "{:?}", p.unpaired);
+        let names: Vec<(&str, Gate)> = p.paired.iter().map(|x| (x.name.as_str(), x.gate)).collect();
+        assert_eq!(
+            names,
+            [
+                (
+                    "campaign tenfold jobs=1 faults=clean sched=batches",
+                    Gate::Throughput
+                ),
+                (
+                    "campaign tenfold jobs=1 faults=clean sched=batches",
+                    Gate::Seconds("analysis")
+                ),
+                (
+                    "campaign tenfold jobs=4 faults=hostile sched=stealing",
+                    Gate::Throughput
+                ),
+                (
+                    "campaign tenfold jobs=4 faults=hostile sched=stealing",
+                    Gate::Seconds("analysis")
+                ),
+                ("campaign tenfold distributed workers=2", Gate::Throughput),
+                (
+                    "substrate cache thousandfold",
+                    Gate::Seconds("warm restore")
+                ),
+                ("engine walk_scalar", Gate::Throughput),
+            ]
+        );
+    }
+
+    #[test]
+    fn a_baseline_without_the_distributed_and_cache_sections_is_reported() {
+        let bare = campaign_json(&sample_scales(), &[], &[]);
+        let p = pair_with_baselines(
+            &sample_scales(),
+            &sample_dist(),
+            &sample_cache(),
+            &sample_walks(),
+            Some(&bare),
+            Some(&sample_engine_json()),
+        );
+        assert_eq!(p.unpaired.len(), 2, "{:?}", p.unpaired);
+        assert!(p.unpaired[0].starts_with("campaign tenfold distributed workers=2: fresh"));
+        assert!(p.unpaired[1].starts_with("substrate cache thousandfold: fresh"));
+        assert!(p
+            .unpaired
+            .iter()
+            .all(|m| m.contains("baseline is incomplete")));
+        // The rows both sides have are still gated.
+        assert_eq!(p.paired.len(), 5);
+    }
+
+    #[test]
+    fn shrunk_runs_and_missing_files_are_reported() {
+        let campaign = campaign_json(&sample_scales(), &sample_dist(), &sample_cache());
+        let mut scales = sample_scales();
+        scales[0].runs.truncate(1);
+        let p = pair_with_baselines(
+            &scales,
+            &sample_dist(),
+            &sample_cache(),
+            &sample_walks(),
+            Some(&campaign),
+            None,
+        );
+        assert_eq!(p.unpaired.len(), 2, "{:?}", p.unpaired);
+        assert!(p.unpaired[0]
+            .starts_with("campaign tenfold jobs=4 faults=hostile sched=stealing: committed"));
+        assert!(p.unpaired[1].starts_with("BENCH_engine.json missing"));
     }
 }

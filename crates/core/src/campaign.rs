@@ -82,9 +82,9 @@ pub struct CampaignConfig {
     pub scheduling: Scheduling,
     /// Run the lint-before-simulate gate (deny `Error`-level static
     /// analysis findings, including the `D5xx` dense-plane verifier
-    /// over the flat tables the walk runs on — so a plane built with
-    /// `build_with_jobs` is checked against serial semantics before
-    /// any probing) regardless of build profile. Defaults to on in
+    /// over the flat tables the walk runs on, so the plane is checked
+    /// against its recomputed logical model before any probing)
+    /// regardless of build profile. Defaults to on in
     /// debug builds only, preserving release-build throughput unless
     /// explicitly requested.
     pub lint_gate: bool,

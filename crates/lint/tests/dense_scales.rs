@@ -1,7 +1,6 @@
 //! Clean-plane property tests for the dense verifier at the paper's
-//! three scales: a correct build must produce **zero** D5xx findings,
-//! and the parallel builder must pass the same verifier as the serial
-//! one — the evidence behind the `build_with_jobs` lint gate.
+//! three scales: a correct build must produce **zero** D5xx findings —
+//! the evidence behind the campaign's lint-before-simulate gate.
 //!
 //! The tenfold row also checks the control-plane oracles against the
 //! plain reference in `oracle/` (the quick and paper rows of that check
@@ -64,16 +63,13 @@ fn tenfold_oracles_match_the_reference() {
     oracle::assert_reference_equivalent(&i.net, &i.cp, "tenfold/seed42");
 }
 
-/// The parallel plane builder must satisfy the same invariants as the
-/// serial one — the property the campaign's debug gate relies on when
-/// it verifies `build_with_jobs` output before sharding.
+/// A plane built directly with [`ControlPlane::build`] passes the
+/// verifier — the property the campaign's debug gate relies on when it
+/// verifies the plane before sharding.
 #[test]
-fn parallel_build_passes_the_same_verifier_as_serial() {
+fn plane_build_passes_the_verifier() {
     let i = generate(&InternetConfig::small(42));
-    for jobs in [1, 4] {
-        let cp = ControlPlane::build_with_jobs(&i.net, jobs)
-            .expect("generated network has a control plane");
-        let dense = lint::verify_dense(&i.net, &cp);
-        assert!(dense.is_empty(), "jobs={jobs}: {}", lint::render(&dense));
-    }
+    let cp = ControlPlane::build(&i.net).expect("generated network has a control plane");
+    let dense = lint::verify_dense(&i.net, &cp);
+    assert!(dense.is_empty(), "{}", lint::render(&dense));
 }

@@ -1,9 +1,9 @@
 //! Control-plane assembly: FIBs, BGP external routes, and LFIBs.
 //!
-//! [`ControlPlane::build`] computes, from an immutable [`Network`]:
+//! [`ControlPlane::build`] computes, from an immutable [`Network`], in
+//! one serial pass:
 //!
-//! 1. per-AS IGP distance matrices ([`AsIgp`]), in parallel across
-//!    ASes (`build_with_jobs`) with a deterministic AS-ordered merge;
+//! 1. per-AS IGP distance matrices ([`AsIgp`]), AS by AS;
 //! 2. per-router intra-AS FIBs (ECMP next-hop sets towards the nearest
 //!    owner of each internal prefix), each router's distinct sets
 //!    stored once as next-hop groups with one `u16` group number per
@@ -25,7 +25,7 @@ use crate::addr::Addr;
 use crate::bgp::Bgp;
 use crate::error::NetError;
 use crate::hash::WordMap;
-use crate::ids::{Asn, Label, LinkId, RouterId};
+use crate::ids::{Label, LinkId, RouterId};
 use crate::igp::{AsIgp, INF};
 use crate::ldp::{LabelValue, LdpBindings};
 use crate::net::Network;
@@ -93,7 +93,7 @@ pub enum CachePayloadError {
     /// dimensions do not match the network they were paired with.
     Decode(crate::wire::WireError),
     /// The plane could not be assembled over this network (the same
-    /// errors a cold [`ControlPlane::build_with_jobs`] can hit).
+    /// errors a cold [`ControlPlane::build`] can hit).
     Assemble(NetError),
 }
 
@@ -528,20 +528,6 @@ pub enum LfibSource {
     Ldp(u32),
     /// This index of the router's group of the TE transit program.
     Te(usize),
-}
-
-/// Phase-1 output for one AS: its IGP view, its prefix table and the
-/// slot of every address its members hold (see [`AsPrefixes::build`]).
-type AsTables = (AsIgp, AsPrefixes, Vec<u32>);
-
-/// Computes one AS's [`AsTables`].
-fn compute_as(net: &Network, asn: Asn) -> Result<AsTables, NetError> {
-    let view = AsIgp::compute(net, asn);
-    if let Some(unreachable) = view.find_unreachable() {
-        return Err(NetError::DisconnectedAs { asn, unreachable });
-    }
-    let (prefixes, addr_slots) = AsPrefixes::build(net, asn);
-    Ok((view, prefixes, addr_slots))
 }
 
 /// A per-router intra-AS FIB that stores each distinct ECMP next-hop
@@ -1186,25 +1172,12 @@ pub fn te_group<'a>(
 }
 
 impl ControlPlane {
-    /// Computes the full control plane, using every available core for
-    /// the per-AS phase. Fails when an AS is internally disconnected or
-    /// an inter-AS link lacks a declared relationship.
+    /// Computes the full control plane in one serial pass. Fails when an
+    /// AS is internally disconnected or an inter-AS link lacks a
+    /// declared relationship; the first failing AS in AS order wins.
     pub fn build(net: &Network) -> Result<ControlPlane, NetError> {
-        let jobs = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        ControlPlane::build_with_jobs(net, jobs)
-    }
-
-    /// Computes the full control plane with at most `jobs` worker
-    /// threads for the per-AS IGP/prefix phase (one Dijkstra per AS
-    /// member — the dominant build cost at scale). The result is
-    /// byte-identical at any job count: workers fill disjoint AS-index
-    /// slots and the merge walks them in AS order, so the first error
-    /// by AS index wins deterministically.
-    pub fn build_with_jobs(net: &Network, jobs: usize) -> Result<ControlPlane, NetError> {
         let bgp = Bgp::compute(net)?;
-        ControlPlane::assemble(net, jobs, bgp, None)
+        ControlPlane::assemble(net, bgp, None)
     }
 
     /// The substrate-cache payload: the two build phases whose cost
@@ -1235,14 +1208,13 @@ impl ControlPlane {
     /// Rebuilds the control plane from a [`ControlPlane::cache_payload`]
     /// over the *same* network. The cached BGP table and external-route
     /// table skip the expensive phases; every other table is assembled
-    /// from `net` exactly as [`ControlPlane::build_with_jobs`] would, so
+    /// from `net` exactly as [`ControlPlane::build`] would, so
     /// the result is byte-identical to a cold build. A payload whose
     /// external-route table does not match the network's dimensions is
     /// rejected as corrupt (the caller's config checksum should have
     /// caught the mismatch earlier).
     pub fn from_cache_payload(
         net: &Network,
-        jobs: usize,
         payload: &[u8],
     ) -> Result<ControlPlane, CachePayloadError> {
         use crate::wire::{Reader, Wire as _, WireError};
@@ -1288,48 +1260,29 @@ impl ControlPlane {
                 ext.ext.class.push(c);
             }
         }
-        ControlPlane::assemble(net, jobs, bgp, Some(ext.finish()))
-            .map_err(CachePayloadError::Assemble)
+        ControlPlane::assemble(net, bgp, Some(ext.finish())).map_err(CachePayloadError::Assemble)
     }
 
-    /// The shared tail of [`ControlPlane::build_with_jobs`] and
+    /// The shared tail of [`ControlPlane::build`] and
     /// [`ControlPlane::from_cache_payload`]: everything after BGP.
     /// `cached_ext` skips the hot-potato external-route pass when a
     /// cache supplied the classes.
     fn assemble(
         net: &Network,
-        jobs: usize,
         bgp: Bgp,
         cached_ext: Option<ExtTables>,
     ) -> Result<ControlPlane, NetError> {
         let as_list = net.as_list();
         let n_as = as_list.len();
-        let jobs = jobs.max(1).min(n_as.max(1));
-
-        let mut slots: Vec<Option<Result<AsTables, NetError>>> = Vec::new();
-        slots.resize_with(n_as, || None);
-        if jobs <= 1 {
-            for (i, slot) in slots.iter_mut().enumerate() {
-                *slot = Some(compute_as(net, as_list[i]));
-            }
-        } else {
-            let chunk = n_as.div_ceil(jobs);
-            std::thread::scope(|scope| {
-                for (ci, chunk_slots) in slots.chunks_mut(chunk).enumerate() {
-                    let base = ci * chunk;
-                    scope.spawn(move || {
-                        for (j, slot) in chunk_slots.iter_mut().enumerate() {
-                            *slot = Some(compute_as(net, as_list[base + j]));
-                        }
-                    });
-                }
-            });
-        }
         let mut as_prefixes = Vec::with_capacity(n_as);
         let mut igp = Vec::with_capacity(n_as);
         let mut addr_slots = Vec::with_capacity(n_as);
-        for slot in slots.into_iter().flatten() {
-            let (view, prefixes, held) = slot?;
+        for &asn in as_list {
+            let view = AsIgp::compute(net, asn);
+            if let Some(unreachable) = view.find_unreachable() {
+                return Err(NetError::DisconnectedAs { asn, unreachable });
+            }
+            let (prefixes, held) = AsPrefixes::build(net, asn);
             igp.push(view);
             as_prefixes.push(prefixes);
             addr_slots.push(held);
@@ -1794,11 +1747,6 @@ impl ControlPlane {
         &mut self.te_routes
     }
 
-    /// Mutable `fib_base` CSR offsets.
-    pub fn fib_base_mut(&mut self) -> &mut Vec<u32> {
-        &mut self.fib.base
-    }
-
     /// Mutable per-`(router, slot)` FIB group numbers.
     pub fn fib_index_mut(&mut self) -> &mut Vec<u16> {
         &mut self.fib.index
@@ -1829,11 +1777,6 @@ impl ControlPlane {
         &mut self.iface_slot
     }
 
-    /// Mutable interface slot CSR offsets.
-    pub fn iface_slot_base_mut(&mut self) -> &mut Vec<u32> {
-        &mut self.iface_slot_base
-    }
-
     /// Mutable LFIB row offsets.
     pub fn lfib_base_mut(&mut self) -> &mut Vec<u32> {
         &mut self.lfib.base
@@ -1842,11 +1785,6 @@ impl ControlPlane {
     /// Mutable LFIB row records.
     pub fn lfib_rows_mut(&mut self) -> &mut Vec<LfibRecord> {
         &mut self.lfib.rows
-    }
-
-    /// Mutable explicit LFIB entry pool.
-    pub fn lfib_explicit_mut(&mut self) -> &mut Vec<LfibExplicit> {
-        &mut self.lfib.explicit
     }
 
     /// Mutable explicit LFIB branch pool.
@@ -1893,30 +1831,11 @@ mod tests {
     }
 
     #[test]
-    fn parallel_build_matches_serial() {
-        let (net, [_, a, _, c, _]) = line_net();
-        let serial = ControlPlane::build_with_jobs(&net, 1).unwrap();
-        let par = ControlPlane::build_with_jobs(&net, 4).unwrap();
-        let slot = serial.loopback_slot(c).unwrap();
-        assert_eq!(par.loopback_slot(c), Some(slot));
-        assert_eq!(serial.fib_entry(a, slot), par.fib_entry(a, slot));
-        for r in 0..net.num_routers() as u32 {
-            let rid = RouterId(r);
-            assert_eq!(serial.lfib_size(rid), par.lfib_size(rid));
-        }
-        assert_eq!(serial.igp.len(), par.igp.len());
-        for (s, p) in serial.igp.iter().zip(par.igp.iter()) {
-            assert_eq!(s.asn, p.asn);
-            assert_eq!(s.dist, p.dist);
-        }
-    }
-
-    #[test]
     fn cache_payload_round_trips() {
         let (net, [_, a, _, c, _]) = line_net();
         let cold = ControlPlane::build(&net).unwrap();
         let payload = cold.cache_payload();
-        let warm = ControlPlane::from_cache_payload(&net, 1, &payload).unwrap();
+        let warm = ControlPlane::from_cache_payload(&net, &payload).unwrap();
         let slot = cold.loopback_slot(c).unwrap();
         assert_eq!(warm.loopback_slot(c), Some(slot));
         assert_eq!(cold.fib_entry(a, slot), warm.fib_entry(a, slot));
@@ -1937,14 +1856,14 @@ mod tests {
         let cp = ControlPlane::build(&net).unwrap();
         let payload = cp.cache_payload();
         // Truncation is caught by the decoder.
-        let err = ControlPlane::from_cache_payload(&net, 1, &payload[..payload.len() - 3]);
+        let err = ControlPlane::from_cache_payload(&net, &payload[..payload.len() - 3]);
         assert!(matches!(err, Err(CachePayloadError::Decode(_))));
         // So is an external-route word no route packs to (the last
         // cell's).
         let mut bad = payload.clone();
         let at = bad.len() - 4;
         bad[at..].copy_from_slice(&3u32.to_le_bytes());
-        let err = ControlPlane::from_cache_payload(&net, 1, &bad);
+        let err = ControlPlane::from_cache_payload(&net, &bad);
         assert!(matches!(
             err,
             Err(CachePayloadError::Decode(crate::wire::WireError::Corrupt(
@@ -1958,7 +1877,7 @@ mod tests {
         bld.link(x, y, LinkOpts::default());
         bld.as_rel(Asn(1), Asn(2), RelKind::Peer);
         let other = bld.build().unwrap();
-        let err = ControlPlane::from_cache_payload(&other, 1, &payload);
+        let err = ControlPlane::from_cache_payload(&other, &payload);
         assert!(matches!(err, Err(CachePayloadError::Decode(_))));
     }
 

@@ -241,7 +241,7 @@ pub fn generate_cached(
     let topo = generate_topology(config);
     let (cp, status) = match payload {
         Some(p) => (
-            ControlPlane::from_cache_payload(&topo.net, 1, &p).map_err(CacheError::Payload)?,
+            ControlPlane::from_cache_payload(&topo.net, &p).map_err(CacheError::Payload)?,
             CacheStatus::Warm,
         ),
         None => {

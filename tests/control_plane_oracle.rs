@@ -288,45 +288,38 @@ fn ext_routes_match_the_reference_at_tenfold_scale() {
     oracle::assert_ext_reference_equivalent(&i.net, &i.cp, "tenfold/seed8");
 }
 
-/// A serial build, a parallel build and a substrate-cache restore give
-/// the same dense tables — FIB next-hop groups and external-route
-/// classes included, numbered alike — IGP views and LFIBs, and the
-/// restored plane re-encodes to the payload it came from.
+/// A cold build and a substrate-cache restore give the same dense
+/// tables — FIB next-hop groups and external-route classes included,
+/// numbered alike — IGP views and LFIBs, and the restored plane
+/// re-encodes to the payload it came from.
 #[test]
 fn jobs_and_cache_restore_give_equal_dense_tables() {
     let i = generate(&InternetConfig::small(42));
-    let serial = ControlPlane::build_with_jobs(&i.net, 1).expect("serial build");
-    let parallel = ControlPlane::build_with_jobs(&i.net, 4).expect("parallel build");
-    let cached = ControlPlane::from_cache_payload(&i.net, 1, &serial.cache_payload())
-        .expect("cache restore");
-    assert_eq!(cached.cache_payload(), serial.cache_payload(), "re-encode");
-    for (what, cp) in [("jobs=4", &parallel), ("cache", &cached)] {
-        assert_eq!(serial.dense_view(), cp.dense_view(), "{what}: dense tables");
-        assert_eq!(
-            serial.table_bytes(),
-            cp.table_bytes(),
-            "{what}: table bytes"
-        );
-        for r in 0..i.net.num_routers() as u32 {
-            for dst in 0..i.net.as_list().len() {
-                let rid = RouterId(r);
-                assert_eq!(
-                    serial.ext_route(rid, dst),
-                    cp.ext_route(rid, dst),
-                    "{what}: router {r} towards AS #{dst}"
-                );
-            }
-        }
-        for (a, b) in serial.igp.iter().zip(&cp.igp) {
-            assert_eq!(a.dist, b.dist, "{what}: {:?} distances", a.asn);
-            assert_eq!(a.first_hop_csr(), b.first_hop_csr(), "{what}: first hops");
-        }
-        for r in 0..i.net.num_routers() as u32 {
+    let cold = ControlPlane::build(&i.net).expect("cold build");
+    let cached =
+        ControlPlane::from_cache_payload(&i.net, &cold.cache_payload()).expect("cache restore");
+    assert_eq!(cached.cache_payload(), cold.cache_payload(), "re-encode");
+    assert_eq!(cold.dense_view(), cached.dense_view(), "dense tables");
+    assert_eq!(cold.table_bytes(), cached.table_bytes(), "table bytes");
+    for r in 0..i.net.num_routers() as u32 {
+        for dst in 0..i.net.as_list().len() {
             let rid = RouterId(r);
-            assert!(
-                serial.lfib_entries(rid).eq(cp.lfib_entries(rid)),
-                "{what}: LFIB of router {r}"
+            assert_eq!(
+                cold.ext_route(rid, dst),
+                cached.ext_route(rid, dst),
+                "router {r} towards AS #{dst}"
             );
         }
+    }
+    for (a, b) in cold.igp.iter().zip(&cached.igp) {
+        assert_eq!(a.dist, b.dist, "{:?} distances", a.asn);
+        assert_eq!(a.first_hop_csr(), b.first_hop_csr(), "first hops");
+    }
+    for r in 0..i.net.num_routers() as u32 {
+        let rid = RouterId(r);
+        assert!(
+            cold.lfib_entries(rid).eq(cached.lfib_entries(rid)),
+            "LFIB of router {r}"
+        );
     }
 }

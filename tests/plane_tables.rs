@@ -269,7 +269,7 @@ fn quick_cache_payload_bytes_are_pinned() {
             (len, fnv),
             "quick/seed{seed}"
         );
-        let warm = ControlPlane::from_cache_payload(&i.net, 1, &payload).expect("restores");
+        let warm = ControlPlane::from_cache_payload(&i.net, &payload).expect("restores");
         assert_eq!(warm.cache_payload(), payload, "quick/seed{seed}: re-encode");
     }
 }
