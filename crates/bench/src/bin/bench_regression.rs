@@ -170,7 +170,6 @@ fn main() -> ExitCode {
             w.name, w.probes_per_sec, w.probes, w.traces, w.routers, w.heap_allocs
         );
     }
-    println!("plane build: {:.3}s", engine.plane_seconds);
 
     if write {
         measure::write_baseline(

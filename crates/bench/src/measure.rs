@@ -8,7 +8,7 @@
 use std::path::PathBuf;
 use std::time::Instant;
 use wormhole_core::{Campaign, CampaignConfig, DistributedOpts, Scheduling};
-use wormhole_net::{Addr, ControlPlane, FaultPlan, FaultScenario, ProbeState, SubstrateRef};
+use wormhole_net::{Addr, FaultPlan, FaultScenario, ProbeState, SubstrateRef};
 use wormhole_probe::{NullSink, Session};
 use wormhole_topo::{generate, generate_cached, CacheStatus, Internet, InternetConfig};
 
@@ -392,14 +392,12 @@ pub struct WalkRun {
 }
 
 /// Engine-level microbench results: the allocation-free packet walk at
-/// tenfold and thousandfold, and the tenfold control-plane build.
+/// tenfold and thousandfold.
 pub struct EngineBench {
     /// Router count of the tenfold Internet (the headline scale).
     pub routers: usize,
     /// The timed walks, one `BENCH_engine.json` row each.
     pub walks: Vec<WalkRun>,
-    /// Control-plane build wall seconds.
-    pub plane_seconds: f64,
 }
 
 /// Times one loopback sweep: one `Session::traceroute` per router
@@ -412,7 +410,6 @@ pub fn time_walk(name: &'static str, internet: &Internet) -> WalkRun {
     let dsts: Vec<Addr> = internet.net.routers().iter().map(|r| r.loopback).collect();
     let mut seconds = f64::INFINITY;
     let mut probes = 0;
-    let mut traces = 0;
     for sweep in 0..3 {
         let t0 = Instant::now();
         for &d in &dsts {
@@ -421,13 +418,12 @@ pub fn time_walk(name: &'static str, internet: &Internet) -> WalkRun {
         seconds = seconds.min(t0.elapsed().as_secs_f64());
         if sweep == 0 {
             probes = sess.stats.probes;
-            traces = sess.stats.traceroutes;
         }
     }
     WalkRun {
         name,
         routers: internet.net.num_routers(),
-        traces,
+        traces: dsts.len() as u64,
         probes,
         seconds,
         probes_per_sec: probes as f64 / seconds,
@@ -435,25 +431,14 @@ pub fn time_walk(name: &'static str, internet: &Internet) -> WalkRun {
     }
 }
 
-/// Measures the two walk rows — tenfold, then thousandfold — and times
-/// the tenfold control-plane build.
+/// Measures the two walk rows — tenfold, then thousandfold.
 pub fn measure_engine(tenfold: &Internet, thousandfold: &Internet) -> EngineBench {
-    let walks = vec![
-        time_walk("walk_scalar", tenfold),
-        time_walk("walk_thousandfold", thousandfold),
-    ];
-
-    // Untimed warmup build: the first build pays the allocator's page
-    // faults, which would otherwise be billed to the timing.
-    ControlPlane::build(&tenfold.net).expect("warmup plane build");
-    let t1 = Instant::now();
-    ControlPlane::build(&tenfold.net).expect("plane build");
-    let plane_seconds = t1.elapsed().as_secs_f64();
-
     EngineBench {
         routers: tenfold.net.num_routers(),
-        walks,
-        plane_seconds,
+        walks: vec![
+            time_walk("walk_scalar", tenfold),
+            time_walk("walk_thousandfold", thousandfold),
+        ],
     }
 }
 
@@ -467,18 +452,17 @@ pub fn engine_json(e: &EngineBench) -> String {
         .map(|w| {
             format!(
                 "  \"{}\": {{\"routers\": {}, \"traces\": {}, \"probes\": {}, \
-                 \"seconds\": {:.6}, \"probes_per_sec\": {:.1}, \"heap_allocs\": {}}},",
+                 \"seconds\": {:.6}, \"probes_per_sec\": {:.1}, \"heap_allocs\": {}}}",
                 w.name, w.routers, w.traces, w.probes, w.seconds, w.probes_per_sec, w.heap_allocs
             )
         })
         .collect();
     format!(
         "{{\n  \"bench\": \"engine\",\n  \"cores\": {},\n  \"scale\": \"tenfold\",\n  \
-         \"routers\": {},\n{}\n  \"plane_build\": {{\"serial_seconds\": {:.6}}}\n}}\n",
+         \"routers\": {},\n{}\n}}\n",
         cores(),
         e.routers,
-        walks.join("\n"),
-        e.plane_seconds
+        walks.join(",\n")
     )
 }
 
@@ -942,7 +926,6 @@ mod tests {
                 walk("walk_scalar", 3694, 1_833_333.3),
                 walk("walk_thousandfold", 14201, 11_000_000.5),
             ],
-            plane_seconds: 1.2,
         };
         let json = engine_json(&e);
         let rows = parse_engine_baseline(&json);
@@ -969,7 +952,6 @@ mod tests {
         engine_json(&EngineBench {
             routers: 3694,
             walks: sample_walks(),
-            plane_seconds: 0.03,
         })
     }
 

@@ -53,18 +53,10 @@ pub struct CampaignConfig {
     /// for the synthetic topologies, same role: flag routers whose
     /// apparent degree outruns plausible physical fan-out).
     pub hdn_threshold: usize,
-    /// How HDN membership gates candidate pairs. The paper requires
-    /// *both* endpoints at Internet scale; at simulator scale egress
-    /// degrees stay diluted, so the default keeps the HDN trigger on at
-    /// least one endpoint.
-    pub hdn_rule: HdnRule,
     /// Revelation recursion options.
     pub reveal: RevealOpts,
     /// Traceroute options (default: the §4 campaign preset).
     pub trace_opts: TracerouteOpts,
-    /// Ping every discovered address for the echo-reply half of the
-    /// signature.
-    pub fingerprint: bool,
     /// Fault injection for every session.
     pub faults: FaultPlan,
     /// Seed for fault randomness. Under [`Scheduling::VpBatches`] each
@@ -115,10 +107,8 @@ impl Default for CampaignConfig {
     fn default() -> CampaignConfig {
         CampaignConfig {
             hdn_threshold: 12,
-            hdn_rule: HdnRule::Either,
             reveal: RevealOpts::default(),
             trace_opts: TracerouteOpts::campaign(),
-            fingerprint: true,
             faults: FaultPlan::none(),
             seed: 0,
             jobs: 1,
@@ -207,17 +197,6 @@ pub struct DegradedShard {
     pub phase: &'static str,
     /// The panic message.
     pub message: String,
-}
-
-/// How candidate pairs are gated on HDN membership.
-#[derive(Copy, Clone, PartialEq, Eq, Debug)]
-pub enum HdnRule {
-    /// Both endpoints must be HDN nodes (the paper's §4 rule).
-    Both,
-    /// At least one endpoint must be an HDN node (scale adaptation).
-    Either,
-    /// No gating: every same-AS adjacent pair is a candidate.
-    None,
 }
 
 /// A candidate Ingress–Egress pair observed at the end of a trace.
@@ -518,16 +497,17 @@ enum Executor<'s> {
 
 /// Runs every probing phase of one campaign on its executor, and keeps
 /// what the phases share: which VPs are dead, the degraded-shard
-/// records, the probe tallies, the engine counters and the probing wall
-/// time.
+/// records, the engine counters per VP and the probing wall time.
 struct Driver<'s> {
     exec: Executor<'s>,
     hermetic: shard::Hermetic<'s>,
     jobs: usize,
     dead: Vec<bool>,
     degraded: Vec<DegradedShard>,
-    probes: Vec<u64>,
-    engine: EngineStats,
+    /// Engine counters per VP, summed over every phase: the one probe
+    /// tally the result's `probes`, `probes_by_vp` and `engine_stats`
+    /// are derived from.
+    stats: Vec<EngineStats>,
     probe_seconds: f64,
 }
 
@@ -552,8 +532,7 @@ impl<'s> Driver<'s> {
             jobs: campaign.resolved_jobs(),
             dead: vec![false; n_vps],
             degraded: Vec::new(),
-            probes: vec![0; n_vps],
-            engine: EngineStats::default(),
+            stats: vec![EngineStats::default(); n_vps],
             probe_seconds: 0.0,
         }
     }
@@ -569,7 +548,7 @@ impl<'s> Driver<'s> {
             .filter(|&&(vp, _)| !self.dead[vp])
             .copied()
             .collect();
-        let (lanes, probes, engine) = match &mut self.exec {
+        let (lanes, stats) = match &mut self.exec {
             Executor::Batches(sessions) => {
                 shard::run_vp_batches(sessions, phase, &queue, self.jobs)
             }
@@ -579,9 +558,8 @@ impl<'s> Driver<'s> {
             Executor::Distributed(d) => d.dispatch(phase, &queue),
         };
         self.probe_seconds += started.elapsed().as_secs_f64();
-        self.engine.merge(&engine);
-        for (acc, p) in self.probes.iter_mut().zip(probes) {
-            *acc += p;
+        for (acc, s) in self.stats.iter_mut().zip(&stats) {
+            acc.merge(s);
         }
         let mut lanes: Vec<_> = lanes
             .into_iter()
@@ -886,21 +864,19 @@ impl<'a> Campaign<'a> {
         // Fingerprint pings (echo-reply initial TTLs), issued from the
         // vantage point that observed the address where possible so the
         // RTLA gap compares replies over the same return path.
-        if self.cfg.fingerprint {
-            let ping_assign: Vec<(usize, Addr)> = discovered
-                .iter()
-                .enumerate()
-                .map(|(i, &addr)| {
-                    let vp = te_obs.get(&addr).map(|&(vp, _)| vp).unwrap_or(i % n_vps);
-                    (vp, addr)
-                })
-                .collect();
-            let pings = driver.run(&Fingerprint, &ping_assign);
-            for (&(_, addr), ping) in ping_assign.iter().zip(pings) {
-                if let Some(r) = ping.and_then(|p| p.reply) {
-                    fingerprints.observe_er(addr, r.reply_ip_ttl);
-                    er_obs.insert(addr, r.reply_ip_ttl);
-                }
+        let ping_assign: Vec<(usize, Addr)> = discovered
+            .iter()
+            .enumerate()
+            .map(|(i, &addr)| {
+                let vp = te_obs.get(&addr).map(|&(vp, _)| vp).unwrap_or(i % n_vps);
+                (vp, addr)
+            })
+            .collect();
+        let pings = driver.run(&Fingerprint, &ping_assign);
+        for (&(_, addr), ping) in ping_assign.iter().zip(pings) {
+            if let Some(r) = ping.and_then(|p| p.reply) {
+                fingerprints.observe_er(addr, r.reply_ip_ttl);
+                er_obs.insert(addr, r.reply_ip_ttl);
             }
         }
 
@@ -917,6 +893,7 @@ impl<'a> Campaign<'a> {
         let mut pair_seen: HashSet<(Addr, Addr)> = HashSet::new();
         let mut reveal_jobs: Vec<(usize, (Addr, Addr, Addr))> = Vec::new();
         let owner_asn = |a| self.net().owner_asn(a);
+        let is_hdn = |n: Option<usize>| n.is_some_and(|n| hdn_nodes.contains(&n));
         for (trace_index, (vp, trace)) in traces.iter().enumerate() {
             let resp: Vec<(Addr, Option<usize>)> = trace
                 .hops
@@ -937,14 +914,10 @@ impl<'a> Campaign<'a> {
                 if asn_x != asn_y {
                     continue;
                 }
-                let x_hdn = node_x.is_some_and(|n| hdn_nodes.contains(&n));
-                let y_hdn = node_y.is_some_and(|n| hdn_nodes.contains(&n));
-                let pass = match self.cfg.hdn_rule {
-                    HdnRule::Both => x_hdn && y_hdn,
-                    HdnRule::Either => x_hdn || y_hdn,
-                    HdnRule::None => true,
-                };
-                if !pass {
+                // The paper's §4 rule requires *both* endpoints to be
+                // HDNs at Internet scale; at simulator scale egress
+                // degrees stay diluted, so one HDN endpoint suffices.
+                if !is_hdn(node_x) && !is_hdn(node_y) {
                     continue;
                 }
                 candidates.push(CandidatePair {
@@ -973,7 +946,6 @@ impl<'a> Campaign<'a> {
                 paris_check: self.cfg.screen_revelations && self.cfg.faults.is_deceptive(),
                 ..self.cfg.reveal.clone()
             },
-            fingerprint: self.cfg.fingerprint,
             discovered,
         };
         let revealed = driver.run(&reveal, &reveal_jobs);
@@ -1015,8 +987,12 @@ impl<'a> Campaign<'a> {
             }
         }
 
-        let probes = driver.probes.iter().sum();
-        sink.on_stats(&driver.engine);
+        let probes_by_vp: Vec<u64> = driver.stats.iter().map(|s| s.probes).collect();
+        let mut engine_stats = EngineStats::default();
+        for s in &driver.stats {
+            engine_stats.merge(s);
+        }
+        sink.on_stats(&engine_stats);
         let (trace_vps, traces) = traces.into_iter().unzip();
         let timings = CampaignTimings {
             probe_seconds: driver.probe_seconds,
@@ -1034,9 +1010,9 @@ impl<'a> Campaign<'a> {
             er_obs,
             candidates,
             revelations,
-            probes,
-            probes_by_vp: driver.probes,
-            engine_stats: driver.engine,
+            probes: engine_stats.probes,
+            probes_by_vp,
+            engine_stats,
             trace_budget: self.cfg.trace_opts.probe_budget,
             degraded_shards: driver.degraded,
             scheduling: self.cfg.scheduling,
@@ -1381,6 +1357,55 @@ mod tests {
         let serial = run(1);
         assert_eq!(serial, run(2), "stealing jobs=2 diverged from serial");
         assert_eq!(serial, run(4), "stealing jobs=4 diverged from serial");
+    }
+
+    /// `probes`, `probes_by_vp` and `engine_stats` all derive from the
+    /// driver's one per-VP counter record: they must agree with each
+    /// other, cover every phase-4 trace, and not move with the job
+    /// count under either scheduler.
+    #[test]
+    fn per_vp_counters_sum_to_the_engine_stats_at_any_job_count() {
+        let internet = generate(&InternetConfig::small(11));
+        for scheduling in [Scheduling::VpBatches, Scheduling::Stealing] {
+            let run = |jobs: usize| {
+                let cfg = CampaignConfig {
+                    hdn_threshold: 6,
+                    faults: wormhole_net::FaultScenario::Hostile.plan(),
+                    seed: 42,
+                    jobs,
+                    scheduling,
+                    ..CampaignConfig::default()
+                };
+                Campaign::new(&internet.net, &internet.cp, internet.vps.clone(), cfg).run()
+            };
+            let serial = run(1);
+            let by_vp = &serial.probes_by_vp;
+            assert_eq!(by_vp.len(), internet.vps.len());
+            assert_eq!(by_vp.iter().sum::<u64>(), serial.engine_stats.probes);
+            assert_eq!(serial.probes, serial.engine_stats.probes);
+            assert!(
+                serial.engine_stats.lost > 0,
+                "{scheduling:?}: hostile run lost nothing"
+            );
+            let mut traced = vec![0u64; by_vp.len()];
+            for (&vp, t) in serial.trace_vps.iter().zip(&serial.traces) {
+                traced[vp] += u64::from(t.probes);
+            }
+            for (vp, (&all, &phase4)) in by_vp.iter().zip(&traced).enumerate() {
+                assert!(all > phase4, "{scheduling:?} vp {vp}: {all} <= {phase4}");
+            }
+            for jobs in [2, 4] {
+                let out = run(jobs);
+                assert_eq!(
+                    out.probes_by_vp, serial.probes_by_vp,
+                    "{scheduling:?} jobs={jobs}"
+                );
+                assert_eq!(
+                    out.engine_stats, serial.engine_stats,
+                    "{scheduling:?} jobs={jobs}"
+                );
+            }
+        }
     }
 
     #[test]

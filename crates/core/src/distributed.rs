@@ -59,15 +59,15 @@ const SPEC_MAGIC: [u8; 4] = *b"WHSP";
 /// Shard file magic (`WHSH`): what each worker hands back.
 const SHARD_MAGIC: [u8; 4] = *b"WHSH";
 /// On-disk format version shared by both file kinds.
-const VERSION: u32 = 2;
+const VERSION: u32 = 3;
 
 /// The valid shard-spec layout, quoted by every worker-side decode
 /// error so a malformed spec names what a well-formed one contains.
 const SPEC_FIELDS: &str = "a shard spec is: magic \"WHSP\", version, phase tag \
      (1=bootstrap 2=probe 3=fingerprint 4=revelation), worker, n_vps, seed, \
      substrate token, cache (path, config checksum), fault plan, traceroute opts, \
-     chaos-abort flag, output path, phase context, tasks (vantage point index < n_vps, \
-     task), checksum";
+     chaos-abort flag, output path, phase context (revelation: reveal options, \
+     discovered addresses), tasks (vantage point index < n_vps, task), checksum";
 
 // ---------------------------------------------------------------------------
 // Wire codecs for the revelation payload (the other phases ship probe-
@@ -381,7 +381,7 @@ pub struct PhaseShardAccount {
     /// Worker indices that appeared more than once among the received
     /// shards — impossible in a healthy run, audited by `A311`.
     pub duplicates: Vec<usize>,
-    /// Sum of per-VP probe counts over the received shard files.
+    /// Sum of the per-VP probe counters over the received shard files.
     pub shard_probes: u64,
 }
 
@@ -408,8 +408,7 @@ struct ShardFile<R> {
     worker: usize,
     cache_checksum: Option<u64>,
     results: Vec<Result<Vec<R>, String>>,
-    probes: Vec<u64>,
-    stats: EngineStats,
+    stats: Vec<EngineStats>,
 }
 
 /// Routes the campaign's stealing phases to worker processes. Owned by
@@ -544,8 +543,7 @@ impl<'o> DistDispatcher<'o> {
         let workers = self.opts.workers;
         let mut out: Vec<Result<Vec<R>, String>> =
             (0..self.n_vps).map(|_| Ok(Vec::new())).collect();
-        let mut probes = vec![0u64; self.n_vps];
-        let mut stats = EngineStats::default();
+        let mut stats = vec![EngineStats::default(); self.n_vps];
         let mut account = PhaseShardAccount {
             phase: label,
             dispatched: files.len(),
@@ -562,7 +560,7 @@ impl<'o> DistDispatcher<'o> {
                         account.duplicates.push(file.worker);
                     }
                     account.received += 1;
-                    account.shard_probes += file.probes.iter().sum::<u64>();
+                    account.shard_probes += file.stats.iter().map(|s| s.probes).sum::<u64>();
                     if let Some(c) = file.cache_checksum {
                         if !self.summary.worker_cache_checksums.contains(&(w, c)) {
                             self.summary.worker_cache_checksums.push((w, c));
@@ -571,9 +569,8 @@ impl<'o> DistDispatcher<'o> {
                     let mut results = file.results;
                     for vp in (w..self.n_vps).step_by(workers) {
                         out[vp] = std::mem::replace(&mut results[vp], Ok(Vec::new()));
-                        probes[vp] += file.probes[vp];
+                        stats[vp] = file.stats[vp].clone();
                     }
-                    stats.merge(&file.stats);
                 }
                 Err(reason) => {
                     account.missing.push(w);
@@ -588,7 +585,7 @@ impl<'o> DistDispatcher<'o> {
             }
         }
         self.summary.phases.push(account);
-        (out, probes, stats)
+        (out, stats)
     }
 
     /// Encodes one worker's shard-spec file.
@@ -680,7 +677,7 @@ fn decode_shard<R: Wire>(
     let file_tag = u8::take(&mut r).map_err(decode)?;
     let file_worker = usize::take(&mut r).map_err(decode)?;
     let cache_checksum = <Option<u64> as Wire>::take(&mut r).map_err(decode)?;
-    let (results, probes, stats) = PhaseOutput::<R>::take(&mut r).map_err(decode)?;
+    let (results, stats) = PhaseOutput::<R>::take(&mut r).map_err(decode)?;
     if !r.is_empty() {
         return Err("trailing bytes after shard payload".to_string());
     }
@@ -693,11 +690,11 @@ fn decode_shard<R: Wire>(
         ));
     }
     let n_vps = sent.len();
-    if results.len() != n_vps || probes.len() != n_vps {
+    if results.len() != n_vps || stats.len() != n_vps {
         return Err(format!(
-            "shard carries {} result / {} probe lanes (expected {n_vps})",
+            "shard carries {} result / {} counter lanes (expected {n_vps})",
             results.len(),
-            probes.len()
+            stats.len()
         ));
     }
     for (vp, lane) in results.iter().enumerate() {
@@ -716,7 +713,6 @@ fn decode_shard<R: Wire>(
         worker: file_worker,
         cache_checksum,
         results,
-        probes,
         stats,
     })
 }
@@ -958,7 +954,6 @@ mod tests {
         });
         byte_stable(&Reveal {
             opts: RevealOpts::default(),
-            fingerprint: true,
             discovered: [Addr(3), Addr(1)].into_iter().collect(),
         });
     }
@@ -993,6 +988,15 @@ mod tests {
         }
     }
 
+    /// One counter record per VP, carrying only the given probe counts.
+    fn counters(probes: &[u64]) -> Vec<EngineStats> {
+        let record = |&probes: &u64| EngineStats {
+            probes,
+            ..EngineStats::default()
+        };
+        probes.iter().map(record).collect()
+    }
+
     /// Worker 1's lanes over four VPs (it owns VPs 1 and 3): two
     /// results for VP 1, a panic on VP 3.
     fn worker1_output() -> PhaseOutput<u64> {
@@ -1002,7 +1006,7 @@ mod tests {
             Ok(Vec::new()),
             Err("worker panicked".to_string()),
         ];
-        (results, vec![0, 3, 0, 1], EngineStats::default())
+        (results, counters(&[0, 3, 0, 1]))
     }
 
     #[test]
@@ -1012,7 +1016,7 @@ mod tests {
         let file = decode_shard::<u64>(&bytes, 2, 1, 2, &sent).expect("valid shard");
         assert_eq!(file.worker, 1);
         assert_eq!(file.cache_checksum, Some(0xABCD));
-        assert_eq!(file.probes, [0, 3, 0, 1]);
+        assert_eq!(file.stats, counters(&[0, 3, 0, 1]));
         assert_eq!(file.results[1], Ok(vec![7, 9]));
         assert!(file.results[3].is_err());
 
@@ -1030,6 +1034,19 @@ mod tests {
         assert!(decode_shard::<u64>(&bytes[..bytes.len() - 9], 2, 1, 2, &sent).is_err());
     }
 
+    /// A shard whose counter lanes do not number `n_vps` is rejected
+    /// with a reason, whether it carries too few or too many.
+    #[test]
+    fn a_shard_with_the_wrong_counter_lane_count_is_rejected() {
+        let sent = [0, 2, 5, 1];
+        for probes in [&[0, 3, 0][..], &[0, 3, 0, 1, 0][..]] {
+            let (results, _) = worker1_output();
+            let bytes = encode_shard(2, 1, None, &(results, counters(probes)));
+            let err = decode_shard::<u64>(&bytes, 2, 1, 2, &sent).unwrap_err();
+            assert!(err.contains("counter lanes (expected 4)"), "{err}");
+        }
+    }
+
     /// A shard that passes its checksum but does not answer exactly the
     /// tasks its worker was sent must degrade that worker's VPs, never
     /// turn dropped tasks into empty results or index past a lane.
@@ -1043,8 +1060,7 @@ mod tests {
             None,
             &(
                 vec![Ok(vec![1u64]), Ok(Vec::new()), Ok(vec![2]), Ok(Vec::new())],
-                vec![4, 0, 5, 0],
-                EngineStats::default(),
+                counters(&[4, 0, 5, 0]),
             ),
         );
         // VP 1 was sent three tasks but its lane answers two; or a
@@ -1057,14 +1073,14 @@ mod tests {
                 (0, Ok(good0.clone())),
                 (1, Ok(encode_shard(2, 1, None, &output))),
             ];
-            let (lanes, probes, _) = d.merge::<u64>(2, "probe", &sent, files);
+            let (lanes, stats) = d.merge::<u64>(2, "probe", &sent, files);
             assert_eq!(lanes[0], Ok(vec![1]));
             assert_eq!(lanes[2], Ok(vec![2]));
             for vp in [1, 3] {
                 let err = lanes[vp].as_ref().unwrap_err();
                 assert!(err.contains("worker 1 shard lost"), "{err}");
             }
-            assert_eq!(probes, [4, 0, 5, 0]);
+            assert_eq!(stats, counters(&[4, 0, 5, 0]));
             let account = d.summary.phases.last().expect("phase recorded");
             assert_eq!((account.dispatched, account.received), (2, 1));
             assert_eq!(account.missing, [1]);

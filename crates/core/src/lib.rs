@@ -32,8 +32,7 @@ pub mod veracity;
 
 pub use campaign::{
     audit_campaign, audit_input, snapshot_oracle, Campaign, CampaignConfig, CampaignReport,
-    CampaignResult, CampaignTimings, CandidatePair, DegradedShard, HdnRule, Scheduling,
-    SnapshotDelta,
+    CampaignResult, CampaignTimings, CandidatePair, DegradedShard, Scheduling, SnapshotDelta,
 };
 pub use distributed::{
     worker_main, DistError, DistSummary, DistributedOpts, PhaseShardAccount, SubstrateResolver,

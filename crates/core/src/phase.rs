@@ -72,8 +72,6 @@ pub(crate) struct Fingerprint;
 pub(crate) struct Reveal {
     /// The recursion options, with `paris_check` already resolved.
     pub(crate) opts: RevealOpts,
-    /// Whether revealed hops are pinged at all.
-    pub(crate) fingerprint: bool,
     /// Every address phase 4 discovered (and so already pinged).
     pub(crate) discovered: BTreeSet<Addr>,
 }
@@ -153,13 +151,11 @@ impl Phase for Reveal {
     ) -> Self::Out {
         let out = reveal_between(sess, x, y, d, &self.opts);
         let mut ers: Vec<(Addr, Option<u8>)> = Vec::new();
-        if self.fingerprint {
-            if let Some(t) = out.tunnel() {
-                for step in &t.steps {
-                    for h in &step.new_hops {
-                        if !self.discovered.contains(&h.addr) && pinged.insert(h.addr) {
-                            ers.push((h.addr, sess.ping(h.addr).reply_ip_ttl()));
-                        }
+        if let Some(t) = out.tunnel() {
+            for step in &t.steps {
+                for h in &step.new_hops {
+                    if !self.discovered.contains(&h.addr) && pinged.insert(h.addr) {
+                        ers.push((h.addr, sess.ping(h.addr).reply_ip_ttl()));
                     }
                 }
             }
@@ -194,7 +190,6 @@ impl Wire for Probe {
 impl Wire for Reveal {
     fn put(&self, out: &mut Vec<u8>) {
         self.opts.put(out);
-        self.fingerprint.put(out);
         // Encoded as a `Vec<Addr>`, in ascending order.
         self.discovered.len().put(out);
         for a in &self.discovered {
@@ -205,7 +200,6 @@ impl Wire for Reveal {
     fn take(r: &mut Reader<'_>) -> Result<Reveal, WireError> {
         Ok(Reveal {
             opts: Wire::take(r)?,
-            fingerprint: Wire::take(r)?,
             discovered: Vec::<Addr>::take(r)?.into_iter().collect(),
         })
     }

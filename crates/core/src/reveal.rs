@@ -432,7 +432,7 @@ pub fn reveal_between(
     target: Addr,
     opts: &RevealOpts,
 ) -> RevelationOutcome {
-    let probes_before = sess.stats.probes;
+    let probes_before = sess.engine_stats().probes;
     let mut steps: Vec<RevealStep> = Vec::new();
     let mut known: std::collections::HashSet<Addr> = [x, y, target].into_iter().collect();
     let mut cur = y;
@@ -501,7 +501,7 @@ pub fn reveal_between(
         Some(ref path) => sess.traceroute(y).addr_path() != *path,
         None => false,
     };
-    let extra_probes = sess.stats.probes - probes_before;
+    let extra_probes = sess.engine_stats().probes - probes_before;
     let confidence = Confidence::grade(degraded_hops);
     let tunnel = RevealedTunnel {
         ingress: x,

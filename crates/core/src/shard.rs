@@ -2,9 +2,9 @@
 //!
 //! Both in-process executors take the same input — a phase definition
 //! and its `(vp, task)` queue in global order — and hand back the same
-//! shape: one result lane per VP in queue order, per-VP probe counts,
-//! and the phase's engine counters, from which the campaign's driver
-//! restores global order.
+//! shape: one result lane per VP in queue order and one engine counter
+//! record per VP, from which the campaign's driver restores global
+//! order.
 //!
 //! The batch executor ([`run_vp_batches`]) makes `jobs = N` produce
 //! byte-identical campaign output for every `N`:
@@ -76,10 +76,10 @@ fn panic_message(e: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// What one phase's executor hands back: per-VP result lanes (each in
-/// queue order, or the VP's panic message), per-VP probe counts, and the
-/// engine counter total of the phase.
-pub(crate) type PhaseOutput<R> = (Vec<Result<Vec<R>, String>>, Vec<u64>, EngineStats);
+/// What one phase's executor hands back, both indexed by VP: the result
+/// lanes (each in queue order, or the VP's panic message) and the
+/// engine counters of the VP's sessions over the phase.
+pub(crate) type PhaseOutput<R> = (Vec<Result<Vec<R>, String>>, Vec<EngineStats>);
 
 /// Runs `phase` over `queue` once per vantage point, each VP's tasks in
 /// queue order on that VP's long-lived session, using up to `jobs`
@@ -87,9 +87,8 @@ pub(crate) type PhaseOutput<R> = (Vec<Result<Vec<R>, String>>, Vec<u64>, EngineS
 /// [`Phase::Scratch`] value lives for each VP's whole batch.
 ///
 /// A batch that panics yields `Err(panic message)` for that VP only;
-/// every other VP's batch is unaffected. Probe counts and engine
-/// counters are the sessions' deltas over the phase, panicked batches
-/// included.
+/// every other VP's batch is unaffected. Engine counters are the
+/// sessions' deltas over the phase, panicked batches included.
 pub(crate) fn run_vp_batches<P: Phase>(
     sessions: &mut [Session<'_>],
     phase: &P,
@@ -104,7 +103,7 @@ pub(crate) fn run_vp_batches<P: Phase>(
         batches[vp].push(t);
     }
     let run_one = |s: &mut Session<'_>, batch: Vec<P::Task>| {
-        let (probes, stats) = (s.stats.probes, s.engine_stats().clone());
+        let before = s.engine_stats().clone();
         let lane = catch_unwind(AssertUnwindSafe(|| {
             let mut scratch = P::Scratch::default();
             batch
@@ -113,11 +112,7 @@ pub(crate) fn run_vp_batches<P: Phase>(
                 .collect()
         }))
         .map_err(panic_message);
-        (
-            lane,
-            s.stats.probes - probes,
-            stats_delta(&stats, s.engine_stats()),
-        )
+        (lane, stats_delta(&before, s.engine_stats()))
     };
     let mut work: Vec<_> = sessions.iter_mut().zip(batches).collect();
     let jobs = jobs.clamp(1, n.max(1));
@@ -145,17 +140,7 @@ pub(crate) fn run_vp_batches<P: Phase>(
                 .collect()
         })
     };
-    let mut out = (
-        Vec::with_capacity(n),
-        Vec::with_capacity(n),
-        EngineStats::default(),
-    );
-    for (lane, probes, stats) in per_vp {
-        out.0.push(lane);
-        out.1.push(probes);
-        out.2.merge(&stats);
-    }
-    out
+    per_vp.into_iter().unzip()
 }
 
 /// What every hermetic task session is built from. The in-process
@@ -186,9 +171,9 @@ impl<'n> Hermetic<'n> {
     }
 }
 
-/// One stolen task's outcome: `(result, probes sent, engine counters)`
-/// or the panic message.
-type TaskResult<R> = Result<(R, u64, EngineStats), String>;
+/// One stolen task's outcome: `(result, engine counters)` or the panic
+/// message.
+type TaskResult<R> = Result<(R, EngineStats), String>;
 
 /// Runs `phase` over `queue` under chunked work stealing with up to
 /// `jobs` worker threads and regroups the results per vantage point, in
@@ -209,10 +194,9 @@ type TaskResult<R> = Result<(R, u64, EngineStats), String>;
 /// lowest-index panicked task) and its other results are discarded, so
 /// callers reuse the same degraded-shard handling for both executors.
 ///
-/// Probe counts are summed per VP over that VP's *completed* tasks
+/// Engine counters are summed per VP over that VP's *completed* tasks
 /// (every task runs exactly once regardless of scheduling, so the sums
-/// are deterministic too — including for VPs that end up degraded); the
-/// engine counter total covers the same tasks.
+/// are deterministic too — including for VPs that end up degraded).
 pub(crate) fn run_stealing<P: Phase>(
     hermetic: &Hermetic<'_>,
     phase: &P,
@@ -224,8 +208,7 @@ pub(crate) fn run_stealing<P: Phase>(
         catch_unwind(AssertUnwindSafe(|| {
             let mut sess = hermetic.session(vp, P::key(&task));
             let r = phase.run(&mut sess, &mut P::Scratch::default(), task);
-            let stats = sess.engine_stats().clone();
-            (r, sess.stats.probes, stats)
+            (r, sess.engine_stats().clone())
         }))
         .map_err(panic_message)
     };
@@ -283,13 +266,11 @@ pub(crate) fn run_stealing<P: Phase>(
     }
     let mut out: Vec<Result<Vec<P::Out>, String>> =
         counts.iter().map(|&c| Ok(Vec::with_capacity(c))).collect();
-    let mut probes = vec![0u64; n_vps];
-    let mut engine_totals = EngineStats::default();
+    let mut stats = vec![EngineStats::default(); n_vps];
     for (&(vp, _), slot) in queue.iter().zip(slots.iter_mut()) {
         match slot.take().expect("every queued task was claimed") {
-            Ok((r, p, stats)) => {
-                probes[vp] += p;
-                engine_totals.merge(&stats);
+            Ok((r, task_stats)) => {
+                stats[vp].merge(&task_stats);
                 if let Ok(v) = &mut out[vp] {
                     v.push(r);
                 }
@@ -301,7 +282,7 @@ pub(crate) fn run_stealing<P: Phase>(
             }
         }
     }
-    (out, probes, engine_totals)
+    (out, stats)
 }
 
 #[cfg(test)]
@@ -346,7 +327,7 @@ mod tests {
             );
             assert!(Some(t) != self.poison_dst, "chaos: injected task panic");
             s.traceroute(t);
-            s.stats.probes
+            s.engine_stats().probes
         }
     }
 
@@ -387,7 +368,12 @@ mod tests {
         };
         let serial = run(1);
         assert!(serial.0.iter().all(|r| r.is_ok()));
-        assert_eq!(serial.1.iter().sum::<u64>(), serial.2.probes);
+        // Each VP's last answer is its session's running probe count,
+        // which its counter record must match.
+        for (lane, stats) in serial.0.iter().zip(&serial.1) {
+            let last = lane.as_ref().unwrap().last().copied().unwrap_or(0);
+            assert_eq!(last, stats.probes);
+        }
         for jobs in [2, 3, 8] {
             let out = run(jobs);
             assert_eq!(serial.0, out.0, "jobs={jobs} diverged from serial");
@@ -450,18 +436,18 @@ mod tests {
         let internet = generate(&InternetConfig::small(3));
         let queue = queue(&internet);
         let run = |jobs, chunk| steal(&internet, &Traced::default(), &queue, jobs, chunk);
-        let (serial, serial_probes, _) = run(1, 1);
+        let (serial, serial_stats) = run(1, 1);
         assert!(serial.iter().all(|r| r.is_ok()));
-        assert!(serial_probes.iter().sum::<u64>() > 0);
+        assert!(serial_stats.iter().map(|s| s.probes).sum::<u64>() > 0);
         for jobs in [2, 4, 9] {
             for chunk in [1, 3, STEAL_CHUNK] {
-                let (out, probes, _) = run(jobs, chunk);
+                let (out, stats) = run(jobs, chunk);
                 assert_eq!(
                     serial, out,
                     "jobs={jobs} chunk={chunk} diverged from serial"
                 );
                 assert_eq!(
-                    serial_probes, probes,
+                    serial_stats, stats,
                     "jobs={jobs} chunk={chunk} probe accounting diverged"
                 );
             }
@@ -479,7 +465,7 @@ mod tests {
             if reverse {
                 queue.reverse();
             }
-            let (out, _, _) = steal(&internet, &Traced::default(), &queue, 1, 1);
+            let (out, _) = steal(&internet, &Traced::default(), &queue, 1, 1);
             let lanes = out.into_iter().map(|r| r.expect("no panics here"));
             let mut lanes: Vec<_> = lanes.map(Vec::into_iter).collect();
             let mut flat: Vec<((usize, Addr), Option<u64>)> = queue
@@ -507,14 +493,14 @@ mod tests {
             ..Traced::default()
         };
         for jobs in [1, 3] {
-            let (out, probes, _) = steal(&internet, &phase, &queue, jobs, 4);
+            let (out, stats) = steal(&internet, &phase, &queue, jobs, 4);
             assert!(out[0].is_ok(), "jobs={jobs}");
             assert!(out[2].is_ok(), "jobs={jobs}");
             let err = out[1].as_ref().unwrap_err();
             assert!(err.contains("chaos"), "jobs={jobs}: {err}");
             // Completed tasks of the degraded VP still count probes —
             // they did run — and the sums stay deterministic.
-            assert!(probes[1] > 0, "jobs={jobs}");
+            assert!(stats[1].probes > 0, "jobs={jobs}");
         }
     }
 }

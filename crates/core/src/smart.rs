@@ -134,7 +134,7 @@ pub fn smart_traceroute<F>(
 where
     F: FnMut(Addr) -> Option<Asn>,
 {
-    let probes_before = sess.stats.probes;
+    let probes_before = sess.engine_stats().probes;
     let base = sess.traceroute(dst);
     let responsive: Vec<(Addr, TraceHop)> = base
         .hops
@@ -189,7 +189,7 @@ where
         hops,
         base,
         unrevealed_triggers: unrevealed,
-        extra_probes: sess.stats.probes - probes_before,
+        extra_probes: sess.engine_stats().probes - probes_before,
     }
 }
 

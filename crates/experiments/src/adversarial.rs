@@ -26,7 +26,7 @@
 //! tier.
 
 use crate::context::{campaign_config_for, campaign_over, internet_for, jobs_from_env, Scale};
-use crate::table3::{explicit_tunnels, visible_internet, ExplicitTunnel};
+use crate::table3::{explicit_tunnels, replay_sessions, visible_internet, ExplicitTunnel};
 use crate::util::Report;
 use wormhole_core::{
     audit_campaign, reveal_between, screen_revelation, FingerprintTable, RevealOpts,
@@ -34,7 +34,7 @@ use wormhole_core::{
 };
 use wormhole_lint::SIGNATURE_TAXONOMY;
 use wormhole_net::{Addr, EgressHide, FaultPlan, FaultScenario, NonParisLb, ReplyKind, TtlSpoof};
-use wormhole_probe::{NullSink, Session, TracerouteOpts};
+use wormhole_probe::NullSink;
 use wormhole_topo::Internet;
 
 /// One deceptive router behavior, swept in isolation.
@@ -149,22 +149,7 @@ pub fn sweep_level(
     seed: u64,
 ) -> AdversarialPoint {
     let faults = deception.plan(share);
-    let mut sessions: Vec<Session<'_>> = internet
-        .vps
-        .iter()
-        .enumerate()
-        .map(|(i, &vp)| {
-            let mut s = Session::with_faults(
-                &internet.net,
-                &internet.cp,
-                vp,
-                faults.clone(),
-                seed + i as u64,
-            );
-            s.set_opts(TracerouteOpts::campaign());
-            s
-        })
-        .collect();
+    let mut sessions = replay_sessions(internet, &faults, seed);
     let opts = RevealOpts {
         paris_check: true,
         ..RevealOpts::default()

@@ -29,14 +29,18 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Reads `WORMHOLE_SCALE=quick|paper|tenfold|thousandfold`
-    /// (default `paper`).
+    /// Reads `WORMHOLE_SCALE=quick|paper|tenfold|thousandfold`, in any
+    /// case (default `paper`). Unknown names abort loudly — listing the
+    /// valid scales — rather than silently running paper scale.
     pub fn from_env() -> Scale {
-        match std::env::var("WORMHOLE_SCALE").as_deref() {
-            Ok("quick") | Ok("QUICK") => Scale::Quick,
-            Ok("tenfold") | Ok("TENFOLD") => Scale::Tenfold,
-            Ok("thousandfold") | Ok("THOUSANDFOLD") => Scale::ThousandFold,
-            _ => Scale::Paper,
+        match std::env::var("WORMHOLE_SCALE") {
+            Ok(name) => Scale::parse(&name.to_ascii_lowercase()).unwrap_or_else(|| {
+                panic!(
+                    "WORMHOLE_SCALE={name}: unknown scale \
+                     (expected quick, paper, tenfold, thousandfold)"
+                )
+            }),
+            Err(_) => Scale::Paper,
         }
     }
 
@@ -354,10 +358,32 @@ mod tests {
         assert_eq!(ctx.persona_asn("Tinet"), Asn(3257));
     }
 
+    /// The only test that touches `WORMHOLE_SCALE`, so no two tests
+    /// race on the variable.
     #[test]
-    fn scale_from_env_defaults_to_paper() {
+    fn scale_from_env_parses_any_case_and_rejects_unknown_names() {
         std::env::remove_var("WORMHOLE_SCALE");
         assert_eq!(Scale::from_env(), Scale::Paper);
+        for scale in [
+            Scale::Quick,
+            Scale::Paper,
+            Scale::Tenfold,
+            Scale::ThousandFold,
+        ] {
+            for name in [scale.name().to_string(), scale.name().to_uppercase()] {
+                std::env::set_var("WORMHOLE_SCALE", &name);
+                assert_eq!(Scale::from_env(), scale, "{name}");
+            }
+        }
+        std::env::set_var("WORMHOLE_SCALE", "tenfld");
+        let err = std::panic::catch_unwind(Scale::from_env).unwrap_err();
+        std::env::remove_var("WORMHOLE_SCALE");
+        let msg = err.downcast_ref::<String>().expect("formatted panic");
+        assert!(msg.contains("WORMHOLE_SCALE=tenfld"), "{msg}");
+        assert!(
+            msg.contains("expected quick, paper, tenfold, thousandfold"),
+            "{msg}"
+        );
     }
 
     #[test]

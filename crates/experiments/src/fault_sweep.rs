@@ -10,12 +10,13 @@
 //! from `Complete` into `Partial`/`Abandoned` — gracefully, never by
 //! panicking.
 
-use crate::table3::{classify, explicit_tunnels, visible_internet, Bucket, ExplicitTunnel};
+use crate::table3::{
+    classify, explicit_tunnels, replay_sessions, visible_internet, Bucket, ExplicitTunnel,
+};
 use crate::util::{pct, Report};
 use std::collections::BTreeMap;
 use wormhole_core::{reveal_between, RevealOpts, RevelationOutcome};
 use wormhole_net::FaultPlan;
-use wormhole_probe::{Session, TracerouteOpts};
 use wormhole_topo::Internet;
 
 /// One sweep level: the Table 3 buckets plus the typed-outcome tally.
@@ -52,22 +53,7 @@ pub fn sweep_level(
         icmp_loss: loss / 2.0,
         ..FaultPlan::default()
     };
-    let mut sessions: Vec<Session<'_>> = internet
-        .vps
-        .iter()
-        .enumerate()
-        .map(|(i, &vp)| {
-            let mut s = Session::with_faults(
-                &internet.net,
-                &internet.cp,
-                vp,
-                faults.clone(),
-                seed + i as u64,
-            );
-            s.set_opts(TracerouteOpts::campaign());
-            s
-        })
-        .collect();
+    let mut sessions = replay_sessions(internet, &faults, seed);
     let mut point = SweepPoint {
         loss,
         buckets: BTreeMap::new(),

@@ -214,18 +214,16 @@ pub fn cross_validate(
     cross_validate_with(internet, tunnels, &faults, 99)
 }
 
-/// Runs the cross-validation under an arbitrary [`FaultPlan`] — the
-/// fault-sweep experiment re-runs Table 3 through this entry point at
-/// increasing loss levels.
-pub fn cross_validate_with(
-    internet: &Internet,
-    tunnels: &[ExplicitTunnel],
+/// One session per vantage point of `internet`, with the campaign's
+/// traceroute options and VP `i` drawing its fault RNG from `seed + i`:
+/// the sessions every explicit-tunnel replay (Table 3, the fault sweep,
+/// the adversarial sweep) runs its revelations on.
+pub fn replay_sessions<'a>(
+    internet: &'a Internet,
     faults: &FaultPlan,
     seed: u64,
-) -> (BTreeMap<Bucket, usize>, usize) {
-    let mut counts: BTreeMap<Bucket, usize> = BTreeMap::new();
-    let mut excluded = 0usize;
-    let mut sessions: Vec<Session<'_>> = internet
+) -> Vec<Session<'a>> {
+    internet
         .vps
         .iter()
         .enumerate()
@@ -240,7 +238,19 @@ pub fn cross_validate_with(
             s.set_opts(TracerouteOpts::campaign());
             s
         })
-        .collect();
+        .collect()
+}
+
+/// Runs the cross-validation under an arbitrary [`FaultPlan`].
+pub fn cross_validate_with(
+    internet: &Internet,
+    tunnels: &[ExplicitTunnel],
+    faults: &FaultPlan,
+    seed: u64,
+) -> (BTreeMap<Bucket, usize>, usize) {
+    let mut counts: BTreeMap<Bucket, usize> = BTreeMap::new();
+    let mut excluded = 0usize;
+    let mut sessions = replay_sessions(internet, faults, seed);
     for tun in tunnels {
         let sess = &mut sessions[tun.vp];
         let outcome = reveal_between(

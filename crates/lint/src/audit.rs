@@ -314,7 +314,7 @@ pub fn probe_accounting(a: &CampaignAudit, out: &mut Vec<Diagnostic>) {
             Severity::Error,
             Location::Network,
             format!("{} probes accounted for {} traces", a.probes, a.num_traces),
-            "sum per-session SessionStats::probes into the campaign total",
+            "sum the per-VP EngineStats::probes counters into the campaign total",
         ));
     }
 }
@@ -337,7 +337,7 @@ pub fn shard_accounting(a: &CampaignAudit, out: &mut Vec<Diagnostic>) {
                 "per-shard probe counters sum to {sum} but the campaign total is {}",
                 a.probes
             ),
-            "derive the campaign total by summing per-session SessionStats::probes",
+            "derive the campaign total by summing the per-VP EngineStats::probes counters",
         ));
     }
     for (shard, &p) in a.probes_by_shard.iter().enumerate() {

@@ -44,26 +44,8 @@ use crate::state::ProbeState;
 use crate::substrate::SubstrateRef;
 use rand::Rng;
 
-/// Engine options.
-#[derive(Clone, Debug)]
-pub struct EngineOpts {
-    /// Hard cap on router visits per packet (loop guard).
-    pub max_visits: usize,
-    /// Record ground-truth router paths (`fwd_path`/`ret_path` on
-    /// [`ReplyInfo`]). On by default for validation; measurement
-    /// sessions turn it off, which makes the steady-state packet walk
-    /// allocation-free (see [`EngineStats::heap_allocs`]).
-    pub record_paths: bool,
-}
-
-impl Default for EngineOpts {
-    fn default() -> EngineOpts {
-        EngineOpts {
-            max_visits: 255,
-            record_paths: true,
-        }
-    }
-}
+/// Hard cap on router visits per packet (loop guard).
+const MAX_VISITS: usize = 255;
 
 /// Counters kept by the engine.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -78,8 +60,8 @@ pub struct EngineStats {
     pub lost: u64,
     /// Heap allocations the engine performed on behalf of packets —
     /// charged once per path-recording buffer. Packets, label stacks
-    /// and ICMP payloads are inline `Copy` data, so with
-    /// [`EngineOpts::record_paths`] off this stays at zero: the
+    /// and ICMP payloads are inline `Copy` data, so with path recording
+    /// off ([`Engine::set_record_paths`]) this stays at zero: the
     /// steady-state walk never touches the heap.
     pub heap_allocs: u64,
 }
@@ -131,10 +113,10 @@ pub struct ReplyInfo {
     pub replier: RouterId,
     /// Ground truth: routers the probe traversed (starting at the
     /// origin, ending at the replying/delivering router). Empty when
-    /// [`EngineOpts::record_paths`] is off.
+    /// path recording is off ([`Engine::set_record_paths`]).
     pub fwd_path: Vec<RouterId>,
-    /// Ground truth: routers the reply traversed. Empty when
-    /// [`EngineOpts::record_paths`] is off.
+    /// Ground truth: routers the reply traversed. Empty when path
+    /// recording is off ([`Engine::set_record_paths`]).
     pub ret_path: Vec<RouterId>,
 }
 
@@ -316,7 +298,11 @@ impl LegState {
 /// workers run engines concurrently over one substrate with no locks.
 pub struct Engine<'a> {
     sub: SubstrateRef<'a>,
-    opts: EngineOpts,
+    /// Record ground-truth router paths (`fwd_path`/`ret_path` on
+    /// [`ReplyInfo`]). On by default for validation; measurement
+    /// sessions turn it off, which makes the steady-state packet walk
+    /// allocation-free (see [`EngineStats::heap_allocs`]).
+    record_paths: bool,
     /// The mutable half: fault plan, RNG stream, counters.
     pub state: ProbeState,
 }
@@ -342,15 +328,15 @@ impl<'a> Engine<'a> {
     pub fn over(sub: SubstrateRef<'a>, state: ProbeState) -> Engine<'a> {
         Engine {
             sub,
-            opts: EngineOpts::default(),
+            record_paths: true,
             state,
         }
     }
 
-    /// Turns ground-truth path recording on or off (see
-    /// [`EngineOpts::record_paths`]).
+    /// Turns ground-truth path recording (`fwd_path`/`ret_path` on
+    /// [`ReplyInfo`]) on or off. It is on by default.
     pub fn set_record_paths(&mut self, record: bool) {
-        self.opts.record_paths = record;
+        self.record_paths = record;
     }
 
     /// The network this engine forwards over.
@@ -447,7 +433,7 @@ impl<'a> Engine<'a> {
                     ret.cur = next;
                     ret.in_iface_addr = Some(arrival);
                     ret.via_wire = true;
-                    if self.opts.record_paths {
+                    if self.record_paths {
                         ret.path.push(next);
                     }
                 }
@@ -508,7 +494,7 @@ impl<'a> Engine<'a> {
             dst: DstCache::new(),
             path: Vec::new(),
         };
-        if self.opts.record_paths {
+        if self.record_paths {
             self.state.stats.heap_allocs += 1;
             f.path.reserve(8);
             f.path.push(origin);
@@ -529,7 +515,7 @@ impl<'a> Engine<'a> {
     /// ends the leg (`Some`) with delivery, an ICMP reply, or a drop.
     fn leg_step(&mut self, f: &mut LegState) -> Option<Leg> {
         f.visits += 1;
-        if f.visits > self.opts.max_visits {
+        if f.visits > MAX_VISITS {
             return Some(f.drop_here(DropReason::Loop));
         }
         let cur = f.cur;
@@ -612,7 +598,7 @@ impl<'a> Engine<'a> {
                         f.cur = hop.next;
                         f.in_iface_addr = Some(arrival);
                         f.via_wire = true;
-                        if self.opts.record_paths {
+                        if self.record_paths {
                             f.path.push(f.cur);
                         }
                         None
@@ -661,7 +647,7 @@ impl<'a> Engine<'a> {
                 f.cur = nh.next;
                 f.in_iface_addr = Some(arrival);
                 f.via_wire = true;
-                if self.opts.record_paths {
+                if self.record_paths {
                     f.path.push(f.cur);
                 }
                 None

@@ -72,7 +72,7 @@ pub use control::{
     ControlPlane, DenseView, ExtOracle, ExtRoute, FibOracle, FibTables, LabelAction, LfibEntry,
     LfibExplicit, LfibHop, LfibRecord, LfibRef, LfibSource, TeRoute, WalkIface,
 };
-pub use engine::{DropReason, Engine, EngineOpts, EngineStats, ReplyInfo, ReplyKind, SendOutcome};
+pub use engine::{DropReason, Engine, EngineStats, ReplyInfo, ReplyKind, SendOutcome};
 pub use error::NetError;
 pub use fault::{
     trace_seed, worker_seed, EgressHide, FaultPlan, FaultScenario, FlapSchedule, NonParisLb,

@@ -4,7 +4,6 @@
 //!   retries, gap limits, and the paper's start-at-TTL-2 campaign
 //!   preset;
 //! * [`ping`](mod@ping) — echo-request probing for TTL fingerprinting;
-//! * [`multipath`] — ECMP branch enumeration by flow sweeping (MDA);
 //! * [`trace`] — trace/hop records, rendered in the paper's Fig. 4
 //!   listing style;
 //! * [`session`] — per-vantage-point sessions with probe budget
@@ -15,7 +14,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod multipath;
 pub mod ping;
 pub mod session;
 pub mod sink;
@@ -23,7 +21,6 @@ pub mod trace;
 pub mod traceroute;
 pub mod wire;
 
-pub use multipath::{enumerate_paths, MultipathResult};
 pub use ping::{ping, PingFailure, PingReply, PingResult};
 pub use session::{Session, SessionStats};
 pub use sink::{stats_delta, stats_jsonl, trace_jsonl, JsonlSink, NullSink, TraceSink};

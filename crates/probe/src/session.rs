@@ -1,9 +1,8 @@
 //! Vantage-point probing sessions with budget accounting.
 //!
 //! The paper's campaign ran five VP teams at 25 packets/s for weeks; our
-//! sessions track the equivalent cost (probes sent, traces run, wall
-//! time at a configured rate) so experiments can report the probing
-//! budget a real deployment would need.
+//! sessions count the probe packets they send so experiments can report
+//! the probing budget a real deployment would need.
 
 use crate::ping::{ping, PingResult};
 use crate::trace::Trace;
@@ -15,21 +14,9 @@ use wormhole_net::{
 /// Session counters.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct SessionStats {
-    /// Traceroutes run.
-    pub traceroutes: u64,
-    /// Pings run.
-    pub pings: u64,
-    /// Individual probe packets injected.
+    /// Individual probe packets injected; equal to
+    /// [`Session::engine_stats`]`.probes`.
     pub probes: u64,
-}
-
-impl SessionStats {
-    /// Wall-clock seconds a real prober would need at `rate` packets/s
-    /// (the paper used 25 pps).
-    pub fn wall_seconds_at(&self, rate: f64) -> f64 {
-        assert!(rate > 0.0);
-        self.probes as f64 / rate
-    }
 }
 
 /// A probing session bound to one vantage point.
@@ -152,7 +139,6 @@ impl<'a> Session<'a> {
         let flow = self.flow_for(dst);
         let before = self.eng.stats().probes;
         let t = traceroute(&mut self.eng, self.vp, self.src, dst, flow, id, &self.opts);
-        self.stats.traceroutes += 1;
         self.stats.probes += self.eng.stats().probes - before;
         t
     }
@@ -165,7 +151,6 @@ impl<'a> Session<'a> {
         let flow = self.flow_for(dst);
         let before = self.eng.stats().probes;
         let r = ping(&mut self.eng, self.vp, self.src, dst, flow, id, 2);
-        self.stats.pings += 1;
         self.stats.probes += self.eng.stats().probes - before;
         r
     }
@@ -183,17 +168,15 @@ mod tests {
         sess.set_opts(TracerouteOpts::default());
         let t = sess.traceroute(s.target);
         assert!(t.reached);
-        assert_eq!(sess.stats.traceroutes, 1);
         assert_eq!(sess.stats.probes, 7);
         assert!(sess.ping(s.target).is_reply());
-        assert_eq!(sess.stats.pings, 1);
         assert_eq!(sess.stats.probes, 8);
+        assert_eq!(sess.engine_stats().probes, 8);
         assert_eq!(
             sess.engine_stats().heap_allocs,
             0,
             "sessions keep path recording off, so the walk must not allocate"
         );
-        assert!((sess.stats.wall_seconds_at(25.0) - 8.0 / 25.0).abs() < 1e-9);
     }
 
     #[test]

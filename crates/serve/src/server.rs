@@ -377,7 +377,7 @@ impl Server {
             w,
             &format!(
                 "{{\"type\":\"done\",\"warm\":{warm},\"probes\":{}}}",
-                sess.stats.probes
+                sess.engine_stats().probes
             ),
         )
     }
