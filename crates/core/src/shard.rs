@@ -187,7 +187,9 @@ type TaskResult<R> = Result<(R, EngineStats), String>;
 /// bookkeeping, the result of a task does not depend on the claim order
 /// or the chunking, and the per-VP regrouping below restores a
 /// canonical order — the output is identical for every `jobs` and every
-/// `chunk` value.
+/// `chunk` value. With one job, tasks run in queue order and each result
+/// goes straight into its VP's lane; only threaded runs park results in
+/// a per-task table to undo the steal order.
 ///
 /// Panic normalization matches the batch executor's contract: a VP with
 /// at least one panicked task yields `Err` (the message of its
@@ -214,8 +216,35 @@ pub(crate) fn run_stealing<P: Phase>(
     };
     let jobs = jobs.clamp(1, queue.len().max(1));
     let chunk = chunk.max(1);
-    let mut slots: Vec<Option<TaskResult<P::Out>>> = if jobs <= 1 {
-        queue.iter().map(|t| Some(run_task(t))).collect()
+    // Per-VP lanes in queue order, pre-sized from the queue's per-VP
+    // task counts so placing a result never reallocates.
+    let n_vps = hermetic.vps.len();
+    let mut counts = vec![0usize; n_vps];
+    for &(vp, _) in queue {
+        counts[vp] += 1;
+    }
+    let mut out: Vec<Result<Vec<P::Out>, String>> =
+        counts.iter().map(|&c| Ok(Vec::with_capacity(c))).collect();
+    let mut stats = vec![EngineStats::default(); n_vps];
+    // Results must be placed in queue order: a VP's first panic then
+    // is its lowest-index one, and it discards the VP's other results.
+    let mut place = |vp: usize, result: TaskResult<P::Out>| match result {
+        Ok((r, task_stats)) => {
+            stats[vp].merge(&task_stats);
+            if let Ok(v) = &mut out[vp] {
+                v.push(r);
+            }
+        }
+        Err(message) => {
+            if out[vp].is_ok() {
+                out[vp] = Err(message);
+            }
+        }
+    };
+    if jobs <= 1 {
+        for t in queue {
+            place(t.0, run_task(t));
+        }
     } else {
         let cursor = AtomicUsize::new(0);
         let produced: Vec<Vec<(usize, TaskResult<P::Out>)>> = std::thread::scope(|scope| {
@@ -249,37 +278,14 @@ pub(crate) fn run_stealing<P: Phase>(
                 .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
                 .collect()
         });
+        // Steal order is gone; restore queue order before placing.
         let mut slots: Vec<Option<TaskResult<P::Out>>> =
             std::iter::repeat_with(|| None).take(queue.len()).collect();
         for (i, r) in produced.into_iter().flatten() {
             slots[i] = Some(r);
         }
-        slots
-    };
-    // Regroup per VP in queue order: steal order is gone, the canonical
-    // order is back. Lanes are pre-sized from the queue's per-VP task
-    // counts so the pushes below never reallocate.
-    let n_vps = hermetic.vps.len();
-    let mut counts = vec![0usize; n_vps];
-    for &(vp, _) in queue {
-        counts[vp] += 1;
-    }
-    let mut out: Vec<Result<Vec<P::Out>, String>> =
-        counts.iter().map(|&c| Ok(Vec::with_capacity(c))).collect();
-    let mut stats = vec![EngineStats::default(); n_vps];
-    for (&(vp, _), slot) in queue.iter().zip(slots.iter_mut()) {
-        match slot.take().expect("every queued task was claimed") {
-            Ok((r, task_stats)) => {
-                stats[vp].merge(&task_stats);
-                if let Ok(v) = &mut out[vp] {
-                    v.push(r);
-                }
-            }
-            Err(message) => {
-                if out[vp].is_ok() {
-                    out[vp] = Err(message);
-                }
-            }
+        for (&(vp, _), slot) in queue.iter().zip(slots) {
+            place(vp, slot.expect("every queued task was claimed"));
         }
     }
     (out, stats)

@@ -10,7 +10,7 @@ use crate::context::PaperContext;
 use crate::util::{pct, Report};
 use std::collections::{BTreeMap, BTreeSet, HashSet};
 use wormhole_analysis::{before_after_snapshots, density_before_after};
-use wormhole_net::{Addr, Asn};
+use wormhole_net::{Addr, Asn, FaultPlan};
 use wormhole_topo::NodeInfo;
 
 /// One Table 4 row.
@@ -147,11 +147,11 @@ pub fn run(ctx: &PaperContext) -> Report {
     report.table(&table);
 
     // Paper-shape assertions (on personas present in this context).
-    // They describe honest routers: a deceptive plan hides egresses
-    // and forks paths on purpose, so under one the table is reported
-    // but the shape is not asserted.
-    let honest = !ctx.config.faults.is_deceptive();
-    if honest {
+    // They describe a clean run: loss, rate limits and deception all
+    // cost revelations or fork paths, so under any fault plan the
+    // table is reported but the shape is not asserted.
+    let clean = ctx.config.faults == FaultPlan::none();
+    if clean {
         if let Some(bt) = by_asn.get(&2856) {
             // BT persona (UHP): essentially nothing revealed.
             assert_eq!(bt.revealed_pairs, 0, "UHP persona must resist revelation");
@@ -174,16 +174,16 @@ pub fn run(ctx: &PaperContext) -> Report {
         }
     }
     let total_revealed: usize = data.iter().map(|d| d.revealed_pairs).sum();
-    if honest {
+    if clean {
         assert!(total_revealed > 0, "campaign must reveal tunnels");
     }
     report.line(format!(
         "total revealed pairs across personas: {total_revealed}"
     ));
-    report.line(if honest {
+    report.line(if clean {
         "UHP persona resists; invisible personas reveal; densities deflate."
     } else {
-        "deceptive plan: paper-shape assertions skipped; see the veracity screen."
+        "faulted plan: paper-shape assertions skipped; they hold for clean runs."
     });
     ctx.append_lint(&mut report);
     report

@@ -3,8 +3,8 @@
 //! The packet-walk hot path runs on flattened control-plane tables
 //! (label-sorted LFIB rows of `(label, tag)` records, `te_heads`/
 //! `te_routes` CSR, the FIB's per-router next-hop groups, the per-AS
-//! external-route classes, [`LdpBindings`] and
-//! [`AsIgp`](wormhole_net::AsIgp) CSRs, build-time
+//! external-route classes, the [`LdpBindings`] CSR, the
+//! [`AsIgp`](wormhole_net::AsIgp) distance matrices, build-time
 //! destination-resolution tables) and on the network's three-level
 //! address→owner index. These rules cross-check every flat table
 //! against the logical model it encodes — re-derived through the same
@@ -27,7 +27,7 @@
 
 use crate::diag::{Diagnostic, Location, Severity};
 use std::collections::HashSet;
-use wormhole_net::igp::{edge_metric, INF};
+use wormhole_net::igp::{adjacencies_into, INF};
 use wormhole_net::{
     ldp_label_action, lfib_row, te_group, te_program, Addr, ControlPlane, ExtOracle, ExtRoute,
     FibOracle, Label, LdpBindings, LfibHop, LfibSource, Network, Prefix, RouterId, OWNER_DIR_SIZE,
@@ -210,17 +210,19 @@ fn ldp_offsets(net: &Network, cp: &ControlPlane, out: &mut Vec<Diagnostic>) -> b
     agrees
 }
 
-/// D505: per-AS IGP first-hop CSR well-formedness and first-hop
-/// optimality. Returns `true` only when every AS is clean (the logical
-/// FIB is only trusted then).
+/// D505: per-AS IGP distance matrices. Each must be `n × n` with a
+/// zero diagonal, and every off-diagonal cell the Bellman fixed point
+/// over the source's intra-AS adjacencies: a finite distance is the
+/// minimum of edge + remaining over the neighbors that reach the
+/// destination, and a distance is [`INF`] exactly when none does. The
+/// FIB's first hops are derived from these distances, so this is what
+/// makes them shortest. Returns `true` only when every AS is clean
+/// (the logical FIB is only trusted then).
 fn igp_check(net: &Network, cp: &ControlPlane, out: &mut Vec<Diagnostic>) -> bool {
     let mut all_ok = true;
-    // Per source: each interface's peer as a local index and its
-    // outgoing metric, resolved once instead of per listed hop.
-    let mut nbr: Vec<(Option<usize>, u32)> = Vec::new();
+    let mut adj = Vec::new();
     for view in &cp.igp {
         let n = view.members.len();
-        let (fh_index, fh_data) = view.first_hop_csr();
         let loc = || Location::As(view.asn);
         if view.dist.len() != n * n {
             out.push(err(
@@ -242,97 +244,44 @@ fn igp_check(net: &Network, cp: &ControlPlane, out: &mut Vec<Diagnostic>) -> boo
             all_ok = false;
             continue;
         }
-        let mut shape_ok = true;
-        if fh_index.len() != n * n + 1
-            || fh_index[0] != 0
-            || fh_index.windows(2).any(|w| w[1] < w[0])
-            || *fh_index.last().unwrap_or(&0) as usize != fh_data.len()
-        {
-            out.push(err(
-                "D505",
-                loc(),
-                "first-hop CSR offsets are malformed".to_string(),
-                "offsets must be n²+1 monotone values closing the data pool",
-            ));
-            shape_ok = false;
-        }
-        if !shape_ok {
-            all_ok = false;
-            continue;
-        }
-        for ls in 0..n {
-            let s = view.members[ls];
-            let router = net.router(s);
-            nbr.clear();
-            nbr.extend(
-                router
-                    .ifaces
-                    .iter()
-                    .enumerate()
-                    .map(|(idx, iface)| (view.local_index(iface.peer), edge_metric(net, s, idx))),
-            );
-            for (ld, &total) in view.row(ls).iter().enumerate() {
-                let cell = ls * n + ld;
-                let span = &fh_data[fh_index[cell] as usize..fh_index[cell + 1] as usize];
-                if ls == ld || total >= INF {
-                    if !span.is_empty() {
-                        out.push(err(
-                            "D505",
-                            loc(),
-                            format!(
-                                "{} lists first hops towards {} despite {}",
-                                router.name,
-                                net.router(view.members[ld]).name,
-                                if ls == ld {
-                                    "being it"
-                                } else {
-                                    "unreachability"
-                                }
-                            ),
-                            "self and unreachable spans must be empty",
-                        ));
-                        all_ok = false;
-                    }
+        for (ls, &s) in view.members.iter().enumerate() {
+            adj.clear();
+            adjacencies_into(net, &view.members, s, &mut adj);
+            for (ld, &stored) in view.row(ls).iter().enumerate() {
+                if ls == ld {
                     continue;
                 }
-                if span.is_empty() {
+                let best = adj
+                    .iter()
+                    .filter_map(|a| {
+                        let rest = view.distance_local(a.local as usize, ld);
+                        (rest < INF).then(|| a.metric.saturating_add(rest))
+                    })
+                    .min()
+                    .filter(|&d| d < INF)
+                    .unwrap_or(INF);
+                if stored != best {
+                    let show = |d: u32| {
+                        if d >= INF {
+                            "unreachable".to_string()
+                        } else {
+                            d.to_string()
+                        }
+                    };
                     out.push(err(
                         "D505",
                         loc(),
                         format!(
-                            "{} has no first hop towards reachable {}",
-                            router.name,
-                            net.router(view.members[ld]).name
+                            "distance {} → {} is {}, its neighbors give {}",
+                            net.router(s).name,
+                            net.router(view.members[ld]).name,
+                            show(stored),
+                            show(best)
                         ),
-                        "every reachable destination needs at least one ECMP first hop",
+                        "every distance must be the minimum of edge + remaining over the \
+                         source's neighbors — the shortest-path fixed point",
                     ));
                     all_ok = false;
-                    continue;
-                }
-                for &(idx, peer) in span {
-                    let bad = match router.ifaces.get(idx as usize) {
-                        None => true,
-                        Some(iface) => {
-                            let (lp, w) = nbr[idx as usize];
-                            iface.peer != peer
-                                || lp.is_none_or(|lp| {
-                                    w.saturating_add(view.distance_local(lp, ld)) != total
-                                })
-                        }
-                    };
-                    if bad {
-                        out.push(err(
-                            "D505",
-                            loc(),
-                            format!(
-                                "first hop ({idx}, {}) from {} is not on a shortest path",
-                                net.router(peer).name,
-                                router.name
-                            ),
-                            "every listed hop must satisfy edge + remaining = total distance",
-                        ));
-                        all_ok = false;
-                    }
                 }
             }
         }

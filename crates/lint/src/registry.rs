@@ -426,13 +426,14 @@ pub static RULES: &[RuleInfo] = &[
         code: "D505",
         family: Family::Dense,
         severity: Severity::Error,
-        summary: "IGP first-hop CSR malformed or a first hop off the shortest path",
+        summary: "IGP distance matrix malformed or not the shortest-path fixed point",
         explanation: "Each AS's row-major distance matrix must hold n² entries with a zero \
-                      diagonal, and its first-hop table is a CSR over (source, destination) \
-                      member pairs; offsets must be monotone with exactly n²+1 entries, the \
-                      diagonal spans empty, reachable off-diagonal spans non-empty, and \
-                      every listed hop must satisfy edge_metric(s, iface) + dist(peer, d) = \
-                      dist(s, d) — the defining equation of an ECMP first hop.",
+                      diagonal, and every off-diagonal cell must be the Bellman fixed point \
+                      over the source's intra-AS links: a finite dist(s, d) equals the minimum \
+                      of edge_metric(s, iface) + dist(peer, d) over the neighbors that reach \
+                      d, and dist(s, d) is INF exactly when no neighbor does. The FIB's ECMP \
+                      first hops are derived from these distances, so this is what makes them \
+                      shortest.",
     },
     RuleInfo {
         code: "D506",

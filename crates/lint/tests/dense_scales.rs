@@ -3,8 +3,9 @@
 //! the evidence behind the campaign's lint-before-simulate gate.
 //!
 //! The tenfold row also checks the control-plane oracles against the
-//! plain reference in `oracle/` (the quick and paper rows of that check
-//! run in the root package's `tests/control_plane_oracle.rs`).
+//! plain reference in `oracle/`, and the thousandfold row its IGP half
+//! (the quick and paper rows of that check run in the root package's
+//! `tests/control_plane_oracle.rs`).
 
 // The external-route reference rows run in the root package.
 #[allow(dead_code)]
@@ -61,6 +62,15 @@ fn tenfold_scale_builds_clean() {
 fn tenfold_oracles_match_the_reference() {
     let i = generate(&InternetConfig::tenfold(42));
     oracle::assert_reference_equivalent(&i.net, &i.cp, "tenfold/seed42");
+}
+
+/// `AsIgp`'s distances and the first hops derived from them equal the
+/// plain reference at thousandfold.
+#[test]
+#[ignore = "release-mode CI scale; run with --include-ignored"]
+fn thousandfold_igp_matches_the_reference() {
+    let i = generate(&InternetConfig::thousandfold(8));
+    oracle::assert_igp_reference_equivalent(&i.net, &i.cp, "thousandfold/seed8");
 }
 
 /// A plane built directly with [`ControlPlane::build`] passes the

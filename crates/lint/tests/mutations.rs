@@ -215,16 +215,18 @@ fn classes() -> Vec<Class> {
             },
         },
         Class {
-            name: "skew-igp-first-hop-offset",
+            name: "shorten-igp-distance",
             rule: "D505",
             build: ldp_plane,
             corrupt: |_, cp| {
-                let fh = cp.igp[0].fh_index_mut();
-                let i = fh
-                    .windows(2)
-                    .position(|w| w[0] != w[1])
-                    .expect("the AS has first hops");
-                fh.swap(i, i + 1);
+                // Off-diagonal cells of a built AS are finite: lowering
+                // one breaks the shortest-path fixed point at that cell.
+                let view = &mut cp.igp[0];
+                let n = view.members.len();
+                let cell = (0..n * n)
+                    .find(|&c| c / n != c % n && view.dist[c] > 0)
+                    .expect("the AS has two members a positive metric apart");
+                view.dist[cell] -= 1;
             },
         },
         Class {

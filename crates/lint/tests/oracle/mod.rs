@@ -5,20 +5,21 @@
 //! FIB built as nested per-router tables then grouped, and the
 //! hot-potato external route chosen per `(router, destination AS)`.
 //!
-//! [`assert_reference_equivalent`] checks that `AsIgp` (distance matrix
-//! and first-hop CSR) and `logical_fib` (the FIB's next-hop groups)
-//! produce exactly what this reference produces, and that the plane
-//! stores that FIB; [`assert_ext_reference_equivalent`] checks every
+//! [`assert_reference_equivalent`] checks that `AsIgp`'s distance
+//! matrix, the first hops `AsIgp::first_hops_over` derives from it
+//! (against the reference's all-pairs first-hop CSR) and `logical_fib`
+//! (the FIB's next-hop groups) are exactly what this reference
+//! produces, and that the plane stores that FIB; [`assert_ext_reference_equivalent`] checks every
 //! external route the plane answers.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
-use wormhole_net::igp::{edge_metric, INF};
+use wormhole_net::igp::{adjacencies_into, edge_metric, INF};
 use wormhole_net::prefixes::AsPrefixes;
 use wormhole_net::{logical_fib, Asn, ControlPlane, ExtRoute, FibTables, Network, RouterId};
 
 /// The reference IGP view of one AS.
-struct RefIgp {
+pub struct RefIgp {
     local: HashMap<RouterId, usize>,
     dist: Vec<Vec<u32>>,
     fh_index: Vec<u32>,
@@ -164,9 +165,13 @@ fn ref_logical_fib(net: &Network, igp: &[RefIgp], as_prefixes: &[AsPrefixes]) ->
     fib
 }
 
-/// Asserts that `cp`'s IGP views and the logical FIB derived from them
-/// equal the reference, and that `cp` stores exactly that FIB.
-pub fn assert_reference_equivalent(net: &Network, cp: &ControlPlane, what: &str) {
+/// Asserts that `cp`'s distance matrices, and the first hops derived
+/// from them, equal the reference; returns the reference.
+pub fn assert_igp_reference_equivalent(
+    net: &Network,
+    cp: &ControlPlane,
+    what: &str,
+) -> Vec<RefIgp> {
     let reference: Vec<RefIgp> = net.as_list().iter().map(|&asn| ref_igp(net, asn)).collect();
     assert_eq!(cp.igp.len(), reference.len(), "{what}: AS count");
     for (view, want) in cp.igp.iter().zip(&reference) {
@@ -179,13 +184,27 @@ pub fn assert_reference_equivalent(net: &Network, cp: &ControlPlane, what: &str)
         for (ls, row) in want.dist.iter().enumerate() {
             assert_eq!(view.row(ls), row, "{what}: {:?} distances", view.asn);
         }
-        assert_eq!(
-            view.first_hop_csr(),
-            (want.fh_index.as_slice(), want.fh_data.as_slice()),
-            "{what}: {:?} first-hop CSR",
-            view.asn
-        );
+        let mut adj = Vec::new();
+        for (ls, &s) in view.members.iter().enumerate() {
+            adj.clear();
+            adjacencies_into(net, &view.members, s, &mut adj);
+            for (ld, &d) in view.members.iter().enumerate() {
+                assert!(
+                    view.first_hops_over(&adj, ls, ld)
+                        .eq(want.first_hops(s, d).iter().copied()),
+                    "{what}: {:?} first hops {s:?} → {d:?}",
+                    view.asn
+                );
+            }
+        }
     }
+    reference
+}
+
+/// Asserts that `cp`'s IGP views and the logical FIB derived from them
+/// equal the reference, and that `cp` stores exactly that FIB.
+pub fn assert_reference_equivalent(net: &Network, cp: &ControlPlane, what: &str) {
+    let reference = assert_igp_reference_equivalent(net, cp, what);
     let fib = logical_fib(net, &cp.igp, &cp.as_prefixes).expect("groups fit");
     let want = ref_logical_fib(net, &reference, &cp.as_prefixes);
     assert!(

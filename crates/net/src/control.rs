@@ -5,9 +5,10 @@
 //!
 //! 1. per-AS IGP distance matrices ([`AsIgp`]), AS by AS;
 //! 2. per-router intra-AS FIBs (ECMP next-hop sets towards the nearest
-//!    owner of each internal prefix), each router's distinct sets
-//!    stored once as next-hop groups with one `u16` group number per
-//!    prefix slot ([`FibTables`]);
+//!    owner of each internal prefix, the first hops derived router by
+//!    router from the distance matrix by [`FibOracle`]), each router's
+//!    distinct sets stored once as next-hop groups with one `u16` group
+//!    number per prefix slot ([`FibTables`]);
 //! 3. external routes: hot-potato egress selection over the valley-free
 //!    AS-level routes ([`Bgp`]), each source AS's distinct vectors of
 //!    member decisions stored once as classes with one `u16` class
@@ -26,7 +27,7 @@ use crate::bgp::Bgp;
 use crate::error::NetError;
 use crate::hash::WordMap;
 use crate::ids::{Label, LinkId, RouterId};
-use crate::igp::{AsIgp, INF};
+use crate::igp::{adjacencies_into, Adj, AsIgp, INF};
 use crate::ldp::{LabelValue, LdpBindings};
 use crate::net::Network;
 use crate::prefixes::AsPrefixes;
@@ -649,9 +650,11 @@ impl FibTables {
 ///
 /// The oracle keeps one AS's slot owners, mapped to IGP local indices
 /// over the table's own owner offsets, and re-targets them when a
-/// router of another AS comes up: the per-`(router, slot)` loop reads
-/// distance rows and first-hop spans directly, with no hashing and no
-/// allocation per cell.
+/// router of another AS comes up. Per row it resolves the router's
+/// intra-AS adjacencies once; the per-`(router, slot)` loop then
+/// derives the first hops towards each nearest owner from the distance
+/// matrix ([`AsIgp::first_hops_over`]), with no hashing and no
+/// allocation per cell, so no all-pairs first-hop table is ever kept.
 #[derive(Debug)]
 pub struct FibOracle<'a> {
     net: &'a Network,
@@ -662,6 +665,8 @@ pub struct FibOracle<'a> {
     /// The loaded table's `owner_ids` as local indices (`u32::MAX` =
     /// outside the IGP view), spanned by its `owner_base`.
     owner_locals: Vec<u32>,
+    /// The adjacencies of the router whose row is being emitted.
+    adj: Vec<Adj>,
 }
 
 impl<'a> FibOracle<'a> {
@@ -673,6 +678,7 @@ impl<'a> FibOracle<'a> {
             as_prefixes,
             loaded: None,
             owner_locals: Vec::new(),
+            adj: Vec::new(),
         }
     }
 
@@ -712,6 +718,10 @@ impl<'a> FibOracle<'a> {
         }
         let ls = local(router);
         let row = (ls != NONE).then(|| view.row(ls as usize));
+        self.adj.clear();
+        if row.is_some() {
+            adjacencies_into(self.net, &view.members, router, &mut self.adj);
+        }
         for slot in 0..ap.len() {
             let start = pool.len();
             let slot_owners =
@@ -726,7 +736,7 @@ impl<'a> FibOracle<'a> {
                         if dist(o) != best {
                             continue;
                         }
-                        for &h in view.first_hops_local(ls as usize, o as usize) {
+                        for h in view.first_hops_over(&self.adj, ls as usize, o as usize) {
                             if !pool[start..].contains(&h) {
                                 pool.push(h);
                             }

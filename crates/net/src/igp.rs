@@ -2,9 +2,11 @@
 //!
 //! Each AS's interior routing is an ECMP-aware shortest-path computation
 //! over its intra-AS links with per-direction metrics. The control plane
-//! runs one Dijkstra per member and keeps the distance matrix: FIB next
-//! hops, LDP LSP construction and BGP hot-potato egress selection all
-//! derive from it.
+//! runs one Dijkstra per member and keeps only the distance matrix: FIB
+//! next hops, LDP LSP construction and BGP hot-potato egress selection
+//! all derive from it. The ECMP first hops of a member are not stored;
+//! [`AsIgp::first_hops_over`] re-derives them from the matrix and the
+//! member's [`Adj`] list whenever the plane is built or verified.
 
 use crate::ids::{Asn, RouterId};
 use crate::net::Network;
@@ -14,8 +16,8 @@ use std::collections::BinaryHeap;
 /// "Unreachable" distance sentinel.
 pub const INF: u32 = u32::MAX / 2;
 
-/// The IGP view of one AS: members, the all-pairs distance matrix, and
-/// the precomputed all-pairs ECMP first-hop sets in CSR layout.
+/// The IGP view of one AS: its members and the all-pairs distance
+/// matrix.
 #[derive(Debug, Clone)]
 pub struct AsIgp {
     /// The AS.
@@ -28,22 +30,41 @@ pub struct AsIgp {
     /// shortest metric from member `s` to member `d` (local indices);
     /// [`AsIgp::row`] reads one source's row.
     pub dist: Vec<u32>,
-    /// CSR offsets into [`Self::fh_data`]: pair `(s, d)` owns the span
-    /// `fh_index[s * n + d] .. fh_index[s * n + d + 1]`.
-    fh_index: Vec<u32>,
-    /// Concatenated `(iface index, neighbor)` first-hop sets.
-    fh_data: Vec<(u32, RouterId)>,
 }
 
-/// One resolved intra-AS adjacency of a member: the interface, the
-/// neighbor, the neighbor's local index and the outgoing metric — read
-/// by both Dijkstra and the first-hop precompute.
-#[derive(Copy, Clone)]
-struct Adj {
-    iface: u32,
-    peer: RouterId,
-    local: u32,
-    metric: u32,
+/// One intra-AS adjacency of a member: the interface, the neighbor,
+/// the neighbor's local index and the outgoing metric — read by
+/// Dijkstra, by [`AsIgp::first_hops_over`] and by the `D505` verifier.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub struct Adj {
+    /// Interface index on the member.
+    pub iface: u32,
+    /// The neighbor across it.
+    pub peer: RouterId,
+    /// The neighbor's local index.
+    pub local: u32,
+    /// [`edge_metric`] of the interface.
+    pub metric: u32,
+}
+
+/// Appends `router`'s adjacencies to the routers of `members` (an
+/// AS's members, ascending) to `out`, in interface order; links to
+/// other ASes are skipped.
+pub fn adjacencies_into(net: &Network, members: &[RouterId], router: RouterId, out: &mut Vec<Adj>) {
+    for (idx, iface) in net.router(router).ifaces.iter().enumerate() {
+        if net.link(iface.link).inter_as {
+            continue;
+        }
+        let Ok(local) = members.binary_search(&iface.peer) else {
+            continue;
+        };
+        out.push(Adj {
+            iface: idx as u32,
+            peer: iface.peer,
+            local: local as u32,
+            metric: edge_metric(net, router, idx),
+        });
+    }
 }
 
 impl AsIgp {
@@ -52,29 +73,15 @@ impl AsIgp {
         let members: Vec<RouterId> = net.as_members(asn).to_vec();
         debug_assert!(members.windows(2).all(|w| w[0] < w[1]));
         let n = members.len();
-        // Resolve every member's intra-AS neighbors once, in interface
-        // order, as a CSR over local indices.
+        // Resolve every member's neighbors once, as a CSR over local
+        // indices.
         let mut adj_base = Vec::with_capacity(n + 1);
         let mut adj: Vec<Adj> = Vec::new();
         adj_base.push(0u32);
         for &s in &members {
-            for (idx, iface) in net.router(s).ifaces.iter().enumerate() {
-                if net.link(iface.link).inter_as {
-                    continue;
-                }
-                let Ok(local) = members.binary_search(&iface.peer) else {
-                    continue;
-                };
-                adj.push(Adj {
-                    iface: idx as u32,
-                    peer: iface.peer,
-                    local: local as u32,
-                    metric: edge_metric(net, s, idx),
-                });
-            }
+            adjacencies_into(net, &members, s, &mut adj);
             adj_base.push(adj.len() as u32);
         }
-        let rows = |u: usize| &adj[adj_base[u] as usize..adj_base[u + 1] as usize];
 
         let mut heap = BinaryHeap::new();
         let mut dist = vec![INF; n * n];
@@ -87,34 +94,7 @@ impl AsIgp {
                 &mut heap,
             );
         }
-
-        // Precompute every (s, d) ECMP first-hop set once, so per-hop
-        // forwarding decisions borrow a slice instead of re-deriving
-        // (and allocating) the set on every packet.
-        let mut fh_index = Vec::with_capacity(n * n + 1);
-        let mut fh_data = Vec::new();
-        fh_index.push(0u32);
-        for ls in 0..n {
-            let out = rows(ls);
-            for (ld, &total) in dist[ls * n..(ls + 1) * n].iter().enumerate() {
-                if total < INF && ls != ld {
-                    for a in out {
-                        if a.metric.saturating_add(dist[a.local as usize * n + ld]) == total {
-                            fh_data.push((a.iface, a.peer));
-                        }
-                    }
-                }
-                fh_index.push(fh_data.len() as u32);
-            }
-        }
-        fh_data.shrink_to_fit();
-        AsIgp {
-            asn,
-            members,
-            dist,
-            fh_index,
-            fh_data,
-        }
+        AsIgp { asn, members, dist }
     }
 
     /// The local (dense) index of member `r`, if it is one.
@@ -137,16 +117,6 @@ impl AsIgp {
         self.dist[ls * self.members.len() + ld]
     }
 
-    /// The ECMP first-hop set from local member `ls` towards local
-    /// member `ld` (see [`AsIgp::first_hops`]).
-    #[inline]
-    pub fn first_hops_local(&self, ls: usize, ld: usize) -> &[(u32, RouterId)] {
-        let cell = ls * self.members.len() + ld;
-        let lo = self.fh_index[cell] as usize;
-        let hi = self.fh_index[cell + 1] as usize;
-        &self.fh_data[lo..hi]
-    }
-
     /// Shortest metric from `s` to `d` (router ids; `INF` if either is
     /// not a member or unreachable).
     pub fn distance(&self, s: RouterId, d: RouterId) -> u32 {
@@ -156,15 +126,27 @@ impl AsIgp {
         }
     }
 
-    /// The ECMP first-hop set from `s` towards `d`: every
-    /// `(iface index, neighbor)` of `s` lying on a shortest path.
-    /// Empty when `d` is unreachable or `s == d`. Borrowed from the
-    /// table precomputed by [`AsIgp::compute`]; no per-call allocation.
-    pub fn first_hops(&self, s: RouterId, d: RouterId) -> &[(u32, RouterId)] {
-        match (self.local_index(s), self.local_index(d)) {
-            (Some(ls), Some(ld)) => self.first_hops_local(ls, ld),
-            _ => &[],
-        }
+    /// The ECMP first hops from local member `ls` towards local member
+    /// `ld`: every `(iface index, neighbor)` of `adj` — `ls`'s
+    /// adjacencies as [`adjacencies_into`] lists them — with
+    /// `metric + dist(neighbor, ld) == dist(ls, ld)`, in interface
+    /// order. Empty when `ld` is unreachable or `ls == ld`.
+    pub fn first_hops_over<'s>(
+        &'s self,
+        adj: &'s [Adj],
+        ls: usize,
+        ld: usize,
+    ) -> impl Iterator<Item = (u32, RouterId)> + 's {
+        let total = self.distance_local(ls, ld);
+        let live = total < INF && ls != ld;
+        adj.iter()
+            .filter(move |a| {
+                live && a
+                    .metric
+                    .saturating_add(self.distance_local(a.local as usize, ld))
+                    == total
+            })
+            .map(|a| (a.iface, a.peer))
     }
 
     /// True when every member can reach every other member.
@@ -183,22 +165,7 @@ impl AsIgp {
     /// Heap bytes reserved by the view's tables.
     pub(crate) fn heap_bytes(&self) -> usize {
         use crate::control::vec_bytes;
-        vec_bytes(&self.members)
-            + vec_bytes(&self.dist)
-            + vec_bytes(&self.fh_index)
-            + vec_bytes(&self.fh_data)
-    }
-
-    /// The raw first-hop CSR `(fh_index, fh_data)`, for the D5xx
-    /// dense-plane verifier's well-formedness checks.
-    pub fn first_hop_csr(&self) -> (&[u32], &[(u32, RouterId)]) {
-        (&self.fh_index, &self.fh_data)
-    }
-
-    /// Mutable first-hop CSR offsets (test-only mutation hook).
-    #[cfg(feature = "mutation")]
-    pub fn fh_index_mut(&mut self) -> &mut Vec<u32> {
-        &mut self.fh_index
+        vec_bytes(&self.members) + vec_bytes(&self.dist)
     }
 }
 
@@ -249,6 +216,16 @@ mod tests {
     use crate::router::RouterConfig;
     use crate::vendor::Vendor;
 
+    /// The derived ECMP first hops from `s` towards `d`.
+    fn hops(net: &Network, igp: &AsIgp, s: RouterId, d: RouterId) -> Vec<(u32, RouterId)> {
+        let mut adj = Vec::new();
+        adjacencies_into(net, &igp.members, s, &mut adj);
+        match (igp.local_index(s), igp.local_index(d)) {
+            (Some(ls), Some(ld)) => igp.first_hops_over(&adj, ls, ld).collect(),
+            _ => Vec::new(),
+        }
+    }
+
     /// Square AS: a-b, b-d, a-c, c-d, plus an expensive direct a-d.
     fn square() -> (Network, [RouterId; 4]) {
         let mut b = NetworkBuilder::new();
@@ -282,15 +259,15 @@ mod tests {
     fn ecmp_first_hops() {
         let (net, [a, bb, c, d]) = square();
         let igp = AsIgp::compute(&net, Asn(1));
-        let mut fh: Vec<RouterId> = igp.first_hops(a, d).iter().map(|&(_, r)| r).collect();
+        let mut fh: Vec<RouterId> = hops(&net, &igp, a, d).iter().map(|&(_, r)| r).collect();
         fh.sort();
         assert_eq!(fh, vec![bb, c]);
         // Direct expensive edge not part of the set.
         assert!(!fh.contains(&d));
         // Single path a->b.
-        assert_eq!(igp.first_hops(a, bb).len(), 1);
+        assert_eq!(hops(&net, &igp, a, bb).len(), 1);
         // Self: empty.
-        assert!(igp.first_hops(a, a).is_empty());
+        assert!(hops(&net, &igp, a, a).is_empty());
     }
 
     #[test]
@@ -316,7 +293,7 @@ mod tests {
         let igp = AsIgp::compute(&net, Asn(1));
         assert_eq!(igp.distance(x, y), 1);
         assert_eq!(igp.distance(y, x), 4); // via z
-        let fh = igp.first_hops(y, x);
+        let fh = hops(&net, &igp, y, x);
         assert_eq!(fh.len(), 1);
         assert_eq!(fh[0].1, z);
     }
@@ -345,6 +322,8 @@ mod tests {
         let net = b.build().unwrap();
         let igp = AsIgp::compute(&net, Asn(1));
         assert_eq!(igp.members.len(), 1);
-        assert!(igp.first_hops(x, y).is_empty());
+        let mut adj = Vec::new();
+        adjacencies_into(&net, &igp.members, x, &mut adj);
+        assert!(adj.is_empty());
     }
 }

@@ -5,8 +5,10 @@
 //! indices and write the FIB's next-hop groups directly; the reference
 //! in `crates/lint/tests/oracle` re-derives the same tables the plain
 //! `RouterId`-keyed way. Both must agree exactly on the distance
-//! matrices, the first-hop CSRs and the FIB groups. The tenfold row
-//! lives in `crates/lint/tests/dense_scales.rs` (`--include-ignored`).
+//! matrices, on the first hops derived from them (against the
+//! reference's all-pairs first-hop CSR) and on the FIB groups. The
+//! tenfold and thousandfold rows live in
+//! `crates/lint/tests/dense_scales.rs` (`--include-ignored`).
 //! The external-route classes are checked through `ext_route` against
 //! the reference's per-cell hot-potato choice.
 //!
@@ -312,8 +314,8 @@ fn jobs_and_cache_restore_give_equal_dense_tables() {
         }
     }
     for (a, b) in cold.igp.iter().zip(&cached.igp) {
+        assert_eq!(a.members, b.members, "{:?} members", a.asn);
         assert_eq!(a.dist, b.dist, "{:?} distances", a.asn);
-        assert_eq!(a.first_hop_csr(), b.first_hop_csr(), "first hops");
     }
     for r in 0..i.net.num_routers() as u32 {
         let rid = RouterId(r);

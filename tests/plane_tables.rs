@@ -71,6 +71,20 @@ fn assert_exactly_sized(i: &wormhole::topo::Internet, what: &str) {
         v.ext_words.len(),
         n * n_as
     );
+    // Per AS: its members and one distance per (member, member).
+    let igp_bytes: usize = cp
+        .igp
+        .iter()
+        .map(|view| {
+            assert_eq!(view.dist.len(), view.members.len().pow(2), "{what}: igp");
+            size_of_val(view.members.as_slice()) + size_of_val(view.dist.as_slice())
+        })
+        .sum();
+    assert_eq!(
+        bytes(cp, "igp"),
+        size_of_val(cp.igp.as_slice()) + igp_bytes,
+        "{what}: igp"
+    );
     // One u16 group number per (router, slot).
     let cells: usize = i
         .net
@@ -224,8 +238,9 @@ fn tenfold_plane_footprint_within_ceiling() {
     let i = generate(&internet_config_for(Scale::Tenfold, 8));
     assert_exactly_sized(&i, "tenfold/seed8");
     report("tenfold", &i.cp);
-    assert!(total(&i.cp) <= 8 * MB, "tenfold: {} bytes", total(&i.cp));
+    assert!(total(&i.cp) <= 6 * MB, "tenfold: {} bytes", total(&i.cp));
     for (table, ceiling) in [
+        ("igp", 600_000),
         ("lfib", 1_600_000),
         ("fib", MB),
         ("ext", 300_000),
@@ -246,7 +261,7 @@ fn thousandfold_plane_footprint_within_ceiling() {
     assert_exactly_sized(&i, "thousandfold/seed8");
     report("thousandfold", &i.cp);
     assert!(
-        total(&i.cp) <= 40 * MB,
+        total(&i.cp) <= 34 * MB,
         "thousandfold: {} bytes",
         total(&i.cp)
     );
