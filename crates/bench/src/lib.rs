@@ -1,12 +1,13 @@
-//! `wormhole-bench`: the `bench-regression` gate and the measurements
-//! behind it.
+//! `wormhole-bench`: the `bench-regression` gate and the rows behind it.
 //!
-//! [`measure`] times campaigns, the distributed executor, the substrate
-//! cache, the engine walk and the control-plane build, renders them as
-//! the committed `BENCH_campaign.json` / `BENCH_engine.json` baselines,
-//! and pairs a fresh run with those baselines row by row. The
-//! `bench-regression` binary is the only writer of those files (with
-//! `--write`) and gates every paired row otherwise.
+//! [`measure`] runs the campaign matrix, the distributed executor, the
+//! engine walk and the control-plane tables, renders their
+//! deterministic counters as the committed `BENCH_campaign.json` /
+//! `BENCH_engine.json` rows, and compares a fresh rendering with those
+//! files byte for byte. The `bench-regression` binary is the only
+//! writer of those files (with `--write`) and fails on any differing,
+//! missing or extra row otherwise. Wall-clock timing of the same layers
+//! lives in `perfbench`, paced and with median and spread.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

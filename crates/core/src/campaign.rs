@@ -160,8 +160,8 @@ pub struct CampaignTimings {
     /// The snapshot-aggregation share of `merge_seconds`: incremental
     /// [`ItdkBuilder`] ingestion at every shard-merge point plus the
     /// canonicalizing finish at the bootstrap phase boundary. This is
-    /// the row `bench-regression` gates — the incremental pipeline
-    /// keeps it O(new traces) instead of O(rebuild).
+    /// what perfbench's `core.analysis_ms` times — the incremental
+    /// pipeline keeps it O(new traces) instead of O(rebuild).
     pub analysis_seconds: f64,
 }
 
@@ -649,21 +649,6 @@ impl<'a> Campaign<'a> {
         }
     }
 
-    /// Ground-truth alias resolution + node-to-AS mapping (the CAIDA /
-    /// Team Cymru stand-in).
-    fn resolve(&self, addr: Addr) -> NodeInfo {
-        match self.net().owner(addr) {
-            Some(r) => NodeInfo {
-                key: u64::from(r.0),
-                asn: Some(self.net().router(r).asn),
-            },
-            None => NodeInfo {
-                key: 0xFFFF_0000_0000_0000 | u64::from(addr.0),
-                asn: None,
-            },
-        }
-    }
-
     /// The bootstrap target list: every non-host router loopback plus
     /// the interface addresses of inter-AS borders (transit traffic in
     /// the paper's dataset enters and leaves through exactly those).
@@ -772,7 +757,7 @@ impl<'a> Campaign<'a> {
         let mut builder = ItdkBuilder::new();
         let mut bootstrap_paths: Vec<Vec<Option<Addr>>> = Vec::new();
         for path in boot_paths.into_iter().flatten() {
-            builder.ingest(&path, |a| self.resolve(a));
+            builder.ingest(&path, |a| NodeInfo::resolve(self.net(), a));
             if self.cfg.keep_bootstrap_paths {
                 bootstrap_paths.push(path);
             }
@@ -830,7 +815,7 @@ impl<'a> Campaign<'a> {
         // the campaign never rebuilds aggregate state it already has.
         let analysis_started = Instant::now();
         for (_vp, trace) in &traces {
-            builder.ingest(&trace.addr_path(), |a| self.resolve(a));
+            builder.ingest(&trace.addr_path(), |a| NodeInfo::resolve(self.net(), a));
         }
         snapshot_deltas.push(SnapshotDelta {
             phase: "probe",
@@ -1203,16 +1188,7 @@ pub fn snapshot_oracle(
     if result.bootstrap_paths.is_empty() {
         return None;
     }
-    let resolve = |addr: Addr| match net.owner(addr) {
-        Some(r) => NodeInfo {
-            key: u64::from(r.0),
-            asn: Some(net.router(r).asn),
-        },
-        None => NodeInfo {
-            key: 0xFFFF_0000_0000_0000 | u64::from(addr.0),
-            asn: None,
-        },
-    };
+    let resolve = |addr| NodeInfo::resolve(net, addr);
     let mut builder = ItdkBuilder::new();
     for path in &result.bootstrap_paths {
         builder.ingest(path, resolve);
@@ -1527,16 +1503,7 @@ mod tests {
         // shuffled order: the canonical rebuild must reproduce the
         // incremental checksum exactly.
         let net = &internet.net;
-        let resolve = |addr: wormhole_net::Addr| match net.owner(addr) {
-            Some(r) => NodeInfo {
-                key: u64::from(r.0),
-                asn: Some(net.router(r).asn),
-            },
-            None => NodeInfo {
-                key: 0xFFFF_0000_0000_0000 | u64::from(addr.0),
-                asn: None,
-            },
-        };
+        let resolve = |addr| NodeInfo::resolve(net, addr);
         let mut all_paths = result.bootstrap_paths.clone();
         assert_eq!(all_paths.len() as u64, boot.ingested);
         all_paths.extend(result.traces.iter().map(Trace::addr_path));

@@ -13,19 +13,6 @@ use wormhole_analysis::{before_after_snapshots, degree_histogram_of};
 use wormhole_net::Asn;
 use wormhole_topo::{ItdkSnapshot, NodeInfo};
 
-fn resolver(ctx: &PaperContext) -> impl Fn(wormhole_net::Addr) -> NodeInfo + Copy + '_ {
-    move |addr| match ctx.internet.net.owner(addr) {
-        Some(r) => NodeInfo {
-            key: u64::from(r.0),
-            asn: Some(ctx.internet.net.router(r).asn),
-        },
-        None => NodeInfo {
-            key: 0xFFFF_0000_0000_0000 | u64::from(addr.0),
-            asn: None,
-        },
-    }
-}
-
 /// Nodes of interest: everything that appears as a candidate ingress or
 /// egress (optionally restricted to one AS), in the given snapshot.
 fn pair_nodes(ctx: &PaperContext, snap: &ItdkSnapshot, only_asn: Option<Asn>) -> BTreeSet<usize> {
@@ -62,7 +49,9 @@ pub struct DegreeCorrection {
 /// Computes the correction over the campaign traces.
 pub fn correction(ctx: &PaperContext, only_asn: Option<Asn>) -> (DegreeCorrection, String, String) {
     let (before, after) =
-        before_after_snapshots(&ctx.result.traces, &ctx.result.revelations, resolver(ctx));
+        before_after_snapshots(&ctx.result.traces, &ctx.result.revelations, |a| {
+            NodeInfo::resolve(&ctx.internet.net, a)
+        });
     let nb = pair_nodes(ctx, &before, only_asn);
     let na = pair_nodes(ctx, &after, only_asn);
     let hb = degree_histogram_of(&before, &nb);

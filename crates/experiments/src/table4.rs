@@ -43,16 +43,7 @@ pub struct AsDiscovery {
 /// Computes all rows.
 pub fn rows(ctx: &PaperContext) -> Vec<AsDiscovery> {
     let net = &ctx.internet.net;
-    let resolve = |addr: Addr| match net.owner(addr) {
-        Some(r) => NodeInfo {
-            key: u64::from(r.0),
-            asn: Some(net.router(r).asn),
-        },
-        None => NodeInfo {
-            key: 0xFFFF_0000_0000_0000 | u64::from(addr.0),
-            asn: None,
-        },
-    };
+    let resolve = |addr| NodeInfo::resolve(net, addr);
     let (before, after) =
         before_after_snapshots(&ctx.result.traces, &ctx.result.revelations, resolve);
 

@@ -9,7 +9,7 @@
 //! testable) from outside.
 
 use crate::history::History;
-use crate::proto::{json_escape, num_field, read_frame, str_field, write_frame};
+use crate::proto::{json_escape, read_frame, str_field, write_frame};
 use std::io::{self, BufReader, BufWriter, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
@@ -59,6 +59,19 @@ const SCALES: [(&str, Scale); 4] = [
 fn raw_field<'a>(req: &'a str, key: &str) -> Option<&'a str> {
     let rest = crate::proto::after_key(req, key)?;
     Some(rest.split([',', '}']).next().unwrap_or(rest).trim())
+}
+
+/// A present `key` as a whole number `>= 0`. A present but malformed
+/// value comes back as its raw text, to be reported — never truncated,
+/// wrapped or replaced by the default.
+fn whole_field<'a>(req: &'a str, key: &str) -> Result<Option<usize>, &'a str> {
+    match raw_field(req, key) {
+        None => Ok(None),
+        Some(raw) => match raw.parse::<f64>() {
+            Ok(n) if n >= 0.0 && n.fract() == 0.0 => Ok(Some(n as usize)),
+            _ => Err(raw),
+        },
+    }
 }
 
 fn scale_by_name(name: &str) -> Option<(usize, Scale)> {
@@ -257,12 +270,10 @@ impl Server {
                 ),
             );
         };
-        // An absent `jobs` means one worker; a present one must be a
-        // whole number (0 = all cores), never truncated or wrapped.
-        let jobs = match (raw_field(req, "jobs"), num_field(req, "jobs")) {
-            (None, _) => 1,
-            (Some(_), Some(n)) if n >= 0.0 && n.fract() == 0.0 => n as usize,
-            (Some(raw), _) => {
+        // An absent `jobs` means one worker (0 = all cores).
+        let jobs = match whole_field(req, "jobs") {
+            Ok(n) => n.unwrap_or(1),
+            Err(raw) => {
                 return write_frame(
                     w,
                     &format!(
@@ -305,7 +316,19 @@ impl Server {
                 }
             },
         };
-        let stream = crate::proto::bool_field(req, "stream").unwrap_or(true);
+        let stream = match raw_field(req, "stream") {
+            None | Some("true") => true,
+            Some("false") => false,
+            Some(raw) => {
+                return write_frame(
+                    w,
+                    &format!(
+                        "{{\"type\":\"error\",\"error\":\"stream must be true or false, got {}\"}}",
+                        json_escape(raw)
+                    ),
+                );
+            }
+        };
         let (internet, warm) = self.substrate(idx, scale);
         write_frame(
             w,
@@ -358,7 +381,18 @@ impl Server {
                 "{\"type\":\"error\",\"error\":\"trace needs a dst address\"}",
             );
         };
-        let vp = num_field(req, "vp").map_or(0, |n| n as usize);
+        let vp = match whole_field(req, "vp") {
+            Ok(n) => n.unwrap_or(0),
+            Err(raw) => {
+                return write_frame(
+                    w,
+                    &format!(
+                        "{{\"type\":\"error\",\"error\":\"vp must be a whole number >= 0, got {}\"}}",
+                        json_escape(raw)
+                    ),
+                );
+            }
+        };
         let (internet, warm) = self.substrate(idx, scale);
         if vp >= internet.vps.len() {
             return write_frame(

@@ -22,7 +22,7 @@
 //! be injected to study its effect).
 
 use std::collections::BTreeSet;
-use wormhole_net::{Addr, Asn, WordMap};
+use wormhole_net::{Addr, Asn, Network, WordMap};
 
 /// An alias-resolved node key plus its AS annotation.
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
@@ -31,6 +31,26 @@ pub struct NodeInfo {
     pub key: u64,
     /// The node's AS, when known.
     pub asn: Option<Asn>,
+}
+
+impl NodeInfo {
+    /// Ground-truth alias resolution and node-to-AS mapping over `net`
+    /// (the CAIDA / Team Cymru stand-in): an address a router owns
+    /// resolves to that router and its AS; any other address stays a
+    /// node of its own under a sentinel key, with no AS.
+    #[inline]
+    pub fn resolve(net: &Network, addr: Addr) -> NodeInfo {
+        match net.owner(addr) {
+            Some(r) => NodeInfo {
+                key: u64::from(r.0),
+                asn: Some(net.router(r).asn),
+            },
+            None => NodeInfo {
+                key: 0xFFFF_0000_0000_0000 | u64::from(addr.0),
+                asn: None,
+            },
+        }
+    }
 }
 
 /// Incrementally aggregates IP paths into a router-level graph.

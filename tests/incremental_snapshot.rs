@@ -15,24 +15,8 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use wormhole::core::{snapshot_oracle, Campaign, CampaignConfig, CampaignResult, Scheduling};
-use wormhole::net::{Addr, FaultScenario, Network};
+use wormhole::net::{Addr, FaultScenario};
 use wormhole::topo::{generate, Internet, InternetConfig, ItdkBuilder, ItdkSnapshot, NodeInfo};
-
-/// The campaign's address resolver, replicated for replay: router
-/// addresses collapse to the owning router, unknown addresses stay
-/// distinct under a sentinel key.
-fn resolver(net: &Network) -> impl Fn(Addr) -> NodeInfo + '_ {
-    |addr| match net.owner(addr) {
-        Some(r) => NodeInfo {
-            key: u64::from(r.0),
-            asn: Some(net.router(r).asn),
-        },
-        None => NodeInfo {
-            key: 0xFFFF_0000_0000_0000 | u64::from(addr.0),
-            asn: None,
-        },
-    }
-}
 
 /// A seeded Fisher–Yates permutation of `0..n` (the vendored `rand`
 /// has no `shuffle`).
@@ -79,7 +63,7 @@ fn assert_order_independent(
     paths: &[Vec<Option<Addr>>],
     hdn_threshold: usize,
 ) {
-    let resolve = resolver(&internet.net);
+    let resolve = |addr| NodeInfo::resolve(&internet.net, addr);
     let batch = ItdkSnapshot::build(paths, &resolve);
     assert_eq!(
         batch.checksum(),
@@ -254,7 +238,7 @@ proptest! {
     #[test]
     fn any_ingest_order_matches_the_incremental_checksum(seed in any::<u64>()) {
         let (internet, result, paths) = shared_corpus();
-        let resolve = resolver(&internet.net);
+        let resolve = |addr| NodeInfo::resolve(&internet.net, addr);
         let order = shuffled(paths.len(), seed);
         let cut = (seed % paths.len() as u64) as usize;
         let mut b = ItdkBuilder::new();

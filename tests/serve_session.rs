@@ -154,9 +154,10 @@ fn ping_trace_and_errors_round_trip() {
         Some("unknown fault scenario gremlins")
     );
 
-    // Neither `scheduling` nor `jobs` may fall back silently: an
-    // unknown scheduler must not run VP batches, and a negative or
-    // fractional `jobs` must not be cast to 0 (all cores) or truncated.
+    // No present field may fall back silently: an unknown scheduler must
+    // not run VP batches, a negative or fractional `jobs` must not be
+    // cast to 0 (all cores) or truncated, a malformed `vp` must not run
+    // VP 0 or a truncated VP, and a non-boolean `stream` must not stream.
     for (req, message) in [
         (
             r#"{"cmd":"campaign","scale":"quick","scheduling":"steal"}"#,
@@ -174,9 +175,25 @@ fn ping_trace_and_errors_round_trip() {
             r#"{"cmd":"campaign","scale":"quick","jobs":"2"}"#,
             r#"jobs must be a whole number >= 0, got "2""#,
         ),
+        (
+            r#"{"cmd":"trace","scale":"quick","dst":"10.1.0.0","vp":-1}"#,
+            "vp must be a whole number >= 0, got -1",
+        ),
+        (
+            r#"{"cmd":"trace","scale":"quick","dst":"10.1.0.0","vp":"x"}"#,
+            r#"vp must be a whole number >= 0, got "x""#,
+        ),
+        (
+            r#"{"cmd":"trace","scale":"quick","dst":"10.1.0.0","vp":1.9}"#,
+            "vp must be a whole number >= 0, got 1.9",
+        ),
+        (
+            r#"{"cmd":"campaign","scale":"quick","stream":"no"}"#,
+            r#"stream must be true or false, got "no""#,
+        ),
     ] {
         let frames = c.request(req).expect("bad field");
-        assert_eq!(frames.len(), 1, "{req}: one error frame, no campaign");
+        assert_eq!(frames.len(), 1, "{req}: one error frame, nothing run");
         assert_eq!(str_field(&frames[0], "type").as_deref(), Some("error"));
         assert_eq!(str_field(&frames[0], "error").as_deref(), Some(message));
     }
