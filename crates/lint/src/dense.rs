@@ -1,23 +1,25 @@
 //! `D5xx` — dense-plane verification.
 //!
 //! The packet-walk hot path runs on flattened control-plane tables
-//! (label-sorted LFIB rows of `(label, tag)` records, `te_heads`/
-//! `te_routes` CSR, the FIB's per-router next-hop groups, the per-AS
-//! external-route classes, the [`LdpBindings`] CSR, the
+//! (label-sorted explicit LFIB rows, `te_heads`/`te_routes` CSR, the
+//! FIB's per-router next-hop groups, the per-AS external-route classes,
+//! the two [`LdpBindings`] tables LDP labels are computed from, the
 //! [`AsIgp`](wormhole_net::AsIgp) distance matrices, build-time
 //! destination-resolution tables) and on the network's three-level
 //! address→owner index. These rules cross-check every flat table
 //! against the logical model it encodes — re-derived through the same
 //! oracles [`ControlPlane::build`] itself loops over ([`FibOracle`],
-//! [`ExtOracle`], [`LdpBindings::window`], [`te_program`],
-//! [`ldp_label_action`]) — and against its own structural invariants.
-//! The verifier shares *oracles* with the build, never outputs: every
-//! logical row is recomputed from the [`Network`] here, not read back
-//! from the plane under test. The content rules D504, D507 and D508 run
-//! in one pass over the routers (`router_pass`), recomputing one
-//! router's rows at a time into reused buffers, and D513 one AS at a
-//! time (`ext_content`), so the check never holds a second copy of
-//! the forwarding state.
+//! [`ExtOracle`], [`te_program`], [`te_row`], [`ldp_label_action`]),
+//! or recounted from the AS tables (the LDP tables) — and against its
+//! own structural invariants. The verifier shares *oracles* with the
+//! build, never outputs: every logical row is recomputed from the
+//! [`Network`] here, not read back from the plane under test. The
+//! content rules D507 and D508 run in one pass over the routers
+//! (`router_pass`), recomputing one router's rows at a time into
+//! reused buffers, and D513 one AS at a time (`ext_content`), so the
+//! check never holds a second copy of the forwarding state. No LDP
+//! label is stored, so none is compared: D504 checks the tables every
+//! label is computed from, in one pass over the slots and owners.
 //!
 //! The checks are *staged*: a malformed shape (D501/D503/D505/D506/
 //! D508/D513 structure, D509 slot tables) gates the content comparison that
@@ -29,8 +31,8 @@ use crate::diag::{Diagnostic, Location, Severity};
 use std::collections::HashSet;
 use wormhole_net::igp::{adjacencies_into, INF};
 use wormhole_net::{
-    ldp_label_action, lfib_row, te_group, te_program, Addr, ControlPlane, ExtOracle, ExtRoute,
-    FibOracle, Label, LdpBindings, LfibHop, LfibSource, Network, Prefix, RouterId, OWNER_DIR_SIZE,
+    ldp_label_action, te_group, te_program, te_row, Addr, ControlPlane, ExtOracle, ExtRoute,
+    FibOracle, Label, LdpBindings, LdpPolicy, LfibHop, Network, Prefix, RouterId, OWNER_DIR_SIZE,
 };
 
 fn err(code: &'static str, location: Location, message: String, hint: &str) -> Diagnostic {
@@ -166,48 +168,171 @@ fn te_agreement(net: &Network, cp: &ControlPlane, out: &mut Vec<Diagnostic>) {
     }
 }
 
-/// D503: [`LdpBindings`] CSR well-formedness: every router's window is
-/// empty or exactly its AS's prefix count.
-fn ldp_csr_shape(net: &Network, cp: &ControlPlane, out: &mut Vec<Diagnostic>) -> bool {
-    let (base, pool) = cp.bindings.csr();
-    let mut ok = check_csr_offsets("D503", "ldp base", base, net.num_routers(), pool.len(), out);
+/// D503: the shape of the [`LdpBindings`] tables. The per-AS `/32`
+/// numbers must be a CSR with one entry per slot of each AS table, the
+/// `/32` slots a CSR over the ASes, and the own rows a CSR over the
+/// routers, each row strictly increasing below the number of slots its
+/// router counts. Returns `true` when all hold, so [`ldp_content`] may
+/// read them.
+fn ldp_shape(net: &Network, cp: &ControlPlane, out: &mut Vec<Diagnostic>) -> bool {
+    let v = cp.dense_view();
+    let n_as = cp.as_prefixes.len();
+    let (numbers, hosts) = (v.ldp_host_number_base, v.ldp_host_slot_base);
+    let mut ok = check_csr_offsets(
+        "D503",
+        "ldp /32 number base",
+        numbers,
+        n_as,
+        v.ldp_host_number.len(),
+        out,
+    ) & check_csr_offsets(
+        "D503",
+        "ldp /32 slot base",
+        hosts,
+        n_as,
+        v.ldp_host_slot.len(),
+        out,
+    );
     if ok {
-        for r in net.routers() {
-            let window = (base[r.id.index() + 1] - base[r.id.index()]) as usize;
-            let want = net.as_index(r.asn).map_or(0, |i| cp.as_prefixes[i].len());
-            if window != 0 && window != want {
+        for (a, ap) in cp.as_prefixes.iter().enumerate() {
+            let window = (numbers[a + 1] - numbers[a]) as usize;
+            if window != ap.len() {
                 out.push(err(
                     "D503",
-                    Location::Router(r.name.clone()),
-                    format!("LDP window of {window} slots against an AS table of {want}"),
-                    "slot-indexed lookups would read a neighbor's advertisements",
+                    Location::As(ap.asn),
+                    format!("{window} /32 numbers for an AS table of {} slots", ap.len()),
+                    "every LDP label of the AS would be computed from a neighbor AS's numbers",
                 ));
                 ok = false;
             }
         }
     }
+    let n = net.num_routers();
+    if !check_csr_offsets(
+        "D503",
+        "ldp own base",
+        v.ldp_own_base,
+        n,
+        v.ldp_own.len(),
+        out,
+    ) {
+        return false;
+    }
+    let windows_ok = ok;
+    for r in net.routers() {
+        let i = r.id.index();
+        let row = &v.ldp_own[v.ldp_own_base[i] as usize..v.ldp_own_base[i + 1] as usize];
+        // Positions number the slots, or a loopback-only router's /32s.
+        let counted = match net.as_index(r.asn) {
+            _ if !windows_ok => usize::MAX,
+            None => 0,
+            Some(a) if r.config.ldp_policy == LdpPolicy::LoopbackOnly => {
+                (hosts[a + 1] - hosts[a]) as usize
+            }
+            Some(a) => cp.as_prefixes[a].len(),
+        };
+        if row.windows(2).any(|w| w[0] >= w[1]) || row.iter().any(|&p| p as usize >= counted) {
+            out.push(err(
+                "D503",
+                Location::Router(r.name.clone()),
+                format!("own row {row:?} is not strictly increasing below {counted}"),
+                "labels are ranked past the own positions in order; the row must be a sorted set",
+            ));
+            ok = false;
+        }
+    }
     ok
 }
 
-/// D504, offsets half: every stored advertisement window must be as
-/// wide as a fresh recomputation's. Returns `true` when they agree, so
-/// the content half (in [`router_pass`]) reads aligned windows.
-fn ldp_offsets(net: &Network, cp: &ControlPlane, out: &mut Vec<Diagnostic>) -> bool {
-    let (base, _) = cp.bindings.csr();
-    let mut end = 0;
-    let agrees = net.routers().iter().all(|r| {
-        end += LdpBindings::window_len(net, &cp.as_prefixes, r);
-        base[r.id.index() + 1] as usize == end
-    });
-    if !agrees {
-        out.push(err(
-            "D504",
-            Location::Network,
-            "stored LDP offsets disagree with a fresh recomputation".to_string(),
-            "LdpBindings::compute is deterministic; the stored table was edited",
-        ));
+/// D504: the [`LdpBindings`] tables against a recount from the AS
+/// tables, in one pass over the slots and their owners. Each AS's
+/// `/32` numbers and `/32` slots must number its `/32` slots in slot
+/// order, and each router that runs LDP must list exactly the counted
+/// positions of the slots of its AS table that list it as an owner (a
+/// router that runs none, nothing). Every LDP label is computed from
+/// these tables, so they are all there is to compare. Returns `true`
+/// when they agree.
+fn ldp_content(net: &Network, cp: &ControlPlane, out: &mut Vec<Diagnostic>) -> bool {
+    let v = cp.dense_view();
+    let mut found = Capped::default();
+    let (mut numbers, mut hosts) = (Vec::new(), Vec::new());
+    for (a, ap) in cp.as_prefixes.iter().enumerate() {
+        numbers.clear();
+        hosts.clear();
+        for (s, p) in ap.prefixes.iter().enumerate() {
+            if p.len == 32 {
+                numbers.push(hosts.len() as u32);
+                hosts.push(s as u32);
+            } else {
+                numbers.push(LdpBindings::NOT_HOST);
+            }
+        }
+        let (nb, hb) = (v.ldp_host_number_base, v.ldp_host_slot_base);
+        let stored_numbers = &v.ldp_host_number[nb[a] as usize..nb[a + 1] as usize];
+        let stored_hosts = &v.ldp_host_slot[hb[a] as usize..hb[a + 1] as usize];
+        if stored_numbers != numbers || stored_hosts != hosts {
+            found.push(|| {
+                err(
+                    "D504",
+                    Location::As(ap.asn),
+                    "stored /32 numbering disagrees with the AS table".to_string(),
+                    "every label a loopback-only router computes past the first wrong slot is shifted",
+                )
+            });
+        }
     }
-    agrees
+    let home: Vec<Option<usize>> = net.routers().iter().map(|r| net.as_index(r.asn)).collect();
+    let loopback_only: Vec<bool> = net
+        .routers()
+        .iter()
+        .map(|r| r.config.ldp_policy == LdpPolicy::LoopbackOnly)
+        .collect();
+    let mut owned = vec![0usize; net.num_routers()];
+    for (a, ap) in cp.as_prefixes.iter().enumerate() {
+        for s in 0..ap.len() as u32 {
+            for o in ap.owners(s) {
+                let member = home.get(o.index()) == Some(&Some(a));
+                if member && (!loopback_only[o.index()] || ap.prefix(s).len == 32) {
+                    owned[o.index()] += 1;
+                }
+            }
+        }
+    }
+    for r in net.routers() {
+        let i = r.id.index();
+        let row = &v.ldp_own[v.ldp_own_base[i] as usize..v.ldp_own_base[i + 1] as usize];
+        let want = if LdpBindings::runs_ldp(r) {
+            owned[i]
+        } else {
+            0
+        };
+        let agrees = row.len() == want
+            && home[i].is_none_or(|a| {
+                let ap = &cp.as_prefixes[a];
+                let hosts = &v.ldp_host_slot[v.ldp_host_slot_base[a] as usize..];
+                row.iter().all(|&p| {
+                    let slot = if loopback_only[i] {
+                        hosts[p as usize]
+                    } else {
+                        p
+                    };
+                    ap.owners(slot).contains(&r.id)
+                })
+            });
+        if !agrees {
+            found.push(|| {
+                err(
+                    "D504",
+                    Location::Router(r.name.clone()),
+                    format!("own row {row:?} disagrees with the slots the AS table gives it"),
+                    "a flipped null advertisement: LSPs through this router swap to labels nobody computes",
+                )
+            });
+        }
+    }
+    let clean = found.misses == 0;
+    out.extend(found.found);
+    clean
 }
 
 /// D505: per-AS IGP distance matrices. Each must be `n × n` with a
@@ -289,103 +414,27 @@ fn igp_check(net: &Network, cp: &ControlPlane, out: &mut Vec<Diagnostic>) -> boo
     all_ok
 }
 
-/// D506: LFIB row shape. The row offsets must be a CSR over the record
-/// pool, each row's labels strictly increasing with its first label
-/// recorded in `lfib_lo` (the direct-index origin of every lookup). An
-/// LDP record's tag must be a slot of its router's AS table (its
-/// branches are read through that FIB row); explicit records must name
-/// the explicit entries in row order, one each, and the explicit
-/// entries' branch runs must tile the branch pool, one or more branches
-/// each. Returns `true` when the whole LFIB is well-shaped.
+/// D506: explicit LFIB row shape. The row offsets must be a CSR over
+/// the entries, each row's labels strictly increasing (lookups
+/// binary-search the row) and each entry's FEC a slot of its router's
+/// AS table, or none for RSVP-TE. The entries' branch runs must tile
+/// the branch pool, one or more branches each, and every branch leave
+/// over an interface of its row's router towards that interface's
+/// peer. Returns `true` when the whole LFIB is well-shaped.
 fn lfib_shape(net: &Network, cp: &ControlPlane, out: &mut Vec<Diagnostic>) -> bool {
     let v = cp.dense_view();
     let n = net.num_routers();
-    let mut ok = check_csr_offsets("D506", "lfib base", v.lfib_base, n, v.lfib_rows.len(), out);
-    if v.lfib_lo.len() != n {
-        out.push(err(
-            "D506",
-            Location::Network,
-            format!("{} LFIB row origins for {n} routers", v.lfib_lo.len()),
-            "lfib_lo must hold one label per router",
-        ));
-        ok = false;
-    }
-    if ok {
-        let mut named = 0;
-        for r in net.routers() {
-            let i = r.id.index();
-            let row = &v.lfib_rows[v.lfib_base[i] as usize..v.lfib_base[i + 1] as usize];
-            let loc = || Location::Router(r.name.clone());
-            if row.windows(2).any(|w| w[0].label >= w[1].label) {
-                out.push(err(
-                    "D506",
-                    loc(),
-                    "LFIB row labels are not strictly increasing".to_string(),
-                    "lfib_entry() indexes and binary-searches the row; duplicates shadow each other",
-                ));
-                ok = false;
-            }
-            let first = row.first().map_or(0, |e| e.label);
-            if v.lfib_lo[i] != first {
-                out.push(err(
-                    "D506",
-                    loc(),
-                    format!(
-                        "LFIB row origin {} disagrees with the row's first label {first}",
-                        v.lfib_lo[i]
-                    ),
-                    "direct-indexed lookups would land on the wrong entry",
-                ));
-                ok = false;
-            }
-            let slots = net.as_index(r.asn).map_or(0, |a| cp.as_prefixes[a].len());
-            for rec in row {
-                match rec.explicit() {
-                    Some(k) if k != named && ok => {
-                        out.push(err(
-                            "D506",
-                            loc(),
-                            format!(
-                                "LFIB record for label {} names explicit entry #{k} (want #{named})",
-                                Label(rec.label)
-                            ),
-                            "explicit entries are numbered in row order, one record each",
-                        ));
-                        ok = false;
-                    }
-                    Some(_) => named += 1,
-                    None if rec.tag as usize >= slots => {
-                        out.push(err(
-                            "D506",
-                            loc(),
-                            format!(
-                                "LFIB record for label {} names FEC slot {} of an AS table of {slots}",
-                                Label(rec.label),
-                                rec.tag
-                            ),
-                            "an LDP record's branches are its FEC's FIB span; this slot has none",
-                        ));
-                        ok = false;
-                    }
-                    None => {}
-                }
-            }
-        }
-        if ok && named != v.lfib_explicit.len() {
-            out.push(err(
-                "D506",
-                Location::Network,
-                format!(
-                    "{} explicit LFIB entries, {named} of them named by a row",
-                    v.lfib_explicit.len()
-                ),
-                "an orphan explicit entry is dead weight no lookup can reach",
-            ));
-            ok = false;
-        }
-    }
-    // Branch runs start at 0 and strictly increase: each explicit entry
-    // owns at least one branch and no two entries share one.
+    let rows_ok = check_csr_offsets(
+        "D506",
+        "lfib base",
+        v.lfib_base,
+        n,
+        v.lfib_explicit.len(),
+        out,
+    );
+    // Branch runs start at 0 and strictly increase: each entry owns at
+    // least one branch and no two entries share one.
+    let mut tiles = true;
     let mut prev: Option<u32> = None;
     for (i, e) in v.lfib_explicit.iter().enumerate() {
         if prev.map_or(e.hops != 0, |p| e.hops <= p) {
@@ -398,7 +447,7 @@ fn lfib_shape(net: &Network, cp: &ControlPlane, out: &mut Vec<Diagnostic>) -> bo
                 ),
                 "branch runs must tile lfib_hops in order, at least one branch per entry",
             ));
-            ok = false;
+            tiles = false;
             break;
         }
         prev = Some(e.hops);
@@ -406,7 +455,7 @@ fn lfib_shape(net: &Network, cp: &ControlPlane, out: &mut Vec<Diagnostic>) -> bo
     let closes = v.lfib_explicit.last().map_or(v.lfib_hops.is_empty(), |e| {
         (e.hops as usize) < v.lfib_hops.len()
     });
-    if ok && !closes {
+    if tiles && !closes {
         out.push(err(
             "D506",
             Location::Network,
@@ -416,7 +465,66 @@ fn lfib_shape(net: &Network, cp: &ControlPlane, out: &mut Vec<Diagnostic>) -> bo
             ),
             "the final entry needs at least one branch, and no pool slot may be orphaned",
         ));
-        ok = false;
+        tiles = false;
+    }
+    let mut ok = rows_ok && tiles;
+    if !rows_ok {
+        return false;
+    }
+    for r in net.routers() {
+        let i = r.id.index();
+        let (start, end) = (v.lfib_base[i] as usize, v.lfib_base[i + 1] as usize);
+        let row = &v.lfib_explicit[start..end];
+        let loc = || Location::Router(r.name.clone());
+        if row.windows(2).any(|w| w[0].label >= w[1].label) {
+            out.push(err(
+                "D506",
+                loc(),
+                "LFIB row labels are not strictly increasing".to_string(),
+                "lfib_entry() binary-searches the row; duplicates shadow each other",
+            ));
+            ok = false;
+        }
+        let slots = net.as_index(r.asn).map_or(0, |a| cp.as_prefixes[a].len());
+        for (k, e) in row.iter().enumerate() {
+            let label = Label(e.label);
+            if e.slot != u32::MAX && e.slot as usize >= slots {
+                out.push(err(
+                    "D506",
+                    loc(),
+                    format!(
+                        "LFIB entry for label {label} names FEC slot {} of an AS table of {slots}",
+                        e.slot
+                    ),
+                    "an entry's FEC is a slot of its router's AS table, or none for RSVP-TE",
+                ));
+                ok = false;
+            }
+            if !tiles {
+                continue;
+            }
+            let hops_end = v
+                .lfib_explicit
+                .get(start + k + 1)
+                .map_or(v.lfib_hops.len(), |n| n.hops as usize);
+            let stray = v.lfib_hops[e.hops as usize..hops_end].iter().find(|h| {
+                r.ifaces
+                    .get(h.iface as usize)
+                    .is_none_or(|f| f.peer != h.next)
+            });
+            if let Some(h) = stray {
+                out.push(err(
+                    "D506",
+                    loc(),
+                    format!(
+                        "LFIB entry for label {label} leaves over interface {} towards {}, not a link of this router",
+                        h.iface, h.next
+                    ),
+                    "the entry sits in another router's row, or names a link its router lacks",
+                ));
+                ok = false;
+            }
+        }
     }
     ok
 }
@@ -689,11 +797,10 @@ fn ext_content(net: &Network, cp: &ControlPlane, out: &mut Vec<Diagnostic>) {
 /// read slot owners through them.
 #[derive(Copy, Clone)]
 struct Gates {
-    /// D504 content: the LDP CSR (D503) and its offsets (D504) hold.
-    ldp: bool,
     /// D508 content: the IGP views (D505) and the FIB CSR hold.
     fib: bool,
-    /// D507: the IGP views (D505) and the LFIB rows (D506) hold.
+    /// D507: the IGP views (D505), the explicit LFIB rows (D506) and
+    /// the LDP tables (D503/D504) hold.
     lfib: bool,
 }
 
@@ -716,21 +823,20 @@ impl Capped {
     }
 }
 
-/// The content rules D504, D507 and D508 in one pass over the routers.
+/// The content rules D507 and D508 in one pass over the routers.
 ///
-/// Each router's fresh advertisement window ([`LdpBindings::window`])
-/// and logical FIB row ([`FibOracle::row_into`]) are recomputed into
-/// reused scratch buffers — never larger than one AS's slots — and
-/// compared in place: the stored window (D504), the stored FIB spans
-/// (D508) and the installed LFIB row (D507). D507 expects the records
-/// the build's own [`lfib_row`] oracle yields over the fresh rows: one
-/// LDP record per freshly advertised real label whose logical FIB span
-/// is non-empty, tagged with that FEC, plus the TE transit program's
-/// explicit entries. An LDP
-/// record's branches are read through the FIB and the bindings, which
-/// D508 and D504 own, so its tag is all D507 compares; an explicit
-/// entry is compared branch by branch. D507 reads the stored bindings
-/// for that, so its findings stand only when D504 found nothing.
+/// Each router's logical FIB row ([`FibOracle::row_into`]) is
+/// recomputed into reused scratch buffers — never larger than one AS's
+/// slots — and compared in place with the stored FIB spans (D508). D507
+/// matches the router's explicit LFIB entries against the row the
+/// build's own [`te_row`] oracle yields over the TE transit program:
+/// each program entry must be installed branch for branch. An installed
+/// entry the program lacks must override an LDP label whose FEC is
+/// routed, with exactly the branches LDP computes (the logical FIB
+/// span, each hop's [`ldp_label_action`]); any other is stale. LDP
+/// entries are computed, not installed, so they cannot drift; D507 runs
+/// only over clean LDP tables (D503/D504), which the override check
+/// inverts labels through.
 fn router_pass(net: &Network, cp: &ControlPlane, gates: Gates, out: &mut Vec<Diagnostic>) {
     // Invalid tunnel declarations are X205/W107 territory.
     let te_transit = gates
@@ -738,33 +844,14 @@ fn router_pass(net: &Network, cp: &ControlPlane, gates: Gates, out: &mut Vec<Dia
         .then(|| te_program(net).ok())
         .flatten()
         .map(|(t, _)| t);
-    let (base, pool) = cp.bindings.csr();
     let mut oracle = FibOracle::new(net, &cp.igp, &cp.as_prefixes);
-    let (mut window, mut spans, mut hops) = (Vec::new(), Vec::new(), Vec::new());
-    let mut want = Vec::new();
+    let (mut spans, mut hops, mut want) = (Vec::new(), Vec::new(), Vec::new());
     let mut seen: Vec<bool> = Vec::new();
     let mut te_next = 0;
-    let (mut d504, mut d508) = (Capped::default(), Capped::default());
+    let mut d508 = Capped::default();
     let mut d507 = Vec::new();
     for r in net.routers() {
         let loc = || Location::Router(r.name.clone());
-        window.clear();
-        if gates.ldp || te_transit.is_some() {
-            LdpBindings::window(net, &cp.as_prefixes, r, &mut window);
-        }
-        if gates.ldp {
-            let (lo, hi) = (base[r.id.index()] as usize, base[r.id.index() + 1] as usize);
-            if pool[lo..hi] != window[..] {
-                d504.push(|| {
-                    err(
-                        "D504",
-                        loc(),
-                        "stored LDP advertisements disagree with a fresh recomputation".to_string(),
-                        "a label or null-mode was flipped after build; LSPs through this router break",
-                    )
-                });
-            }
-        }
         spans.clear();
         hops.clear();
         if gates.fib || te_transit.is_some() {
@@ -795,67 +882,62 @@ fn router_pass(net: &Network, cp: &ControlPlane, gates: Gates, out: &mut Vec<Dia
             continue;
         };
         let te = te_group(te_transit, &mut te_next, r.id);
-        let routed = |slot: u32| !logical(slot as usize).is_empty();
-        lfib_row(LdpBindings::unpack_window(&window), routed, te, &mut want);
+        te_row(te, &mut want);
         seen.clear();
         seen.resize(want.len(), false);
-        for (label, installed) in cp.lfib_entries(r.id) {
-            match want.binary_search_by_key(&label.0, |w| w.0) {
-                Err(_) => d507.push(err(
-                    "D507",
-                    loc(),
-                    format!("stale LFIB entry for label {label}: no LDP binding or TE tunnel produces it"),
-                    "nothing can address this entry correctly; it was injected or left behind",
-                )),
+        for (label, installed) in cp.lfib_explicit(r.id) {
+            let agrees = match want.binary_search_by_key(&label, |&k| te[k].1) {
                 Ok(i) => {
                     seen[i] = true;
-                    let agrees = match want[i].2 {
-                        LfibSource::Ldp(slot) => {
-                            installed.slot == slot
-                                && (installed.is_derived()
-                                    || installed.branches().eq(logical(slot as usize).iter().map(
-                                        |&(iface, next)| LfibHop {
-                                            iface,
-                                            next,
-                                            action: ldp_label_action(&cp.bindings, next, slot),
-                                        },
-                                    )))
-                        }
-                        LfibSource::Te(k) => {
-                            let e = &te[k].2;
-                            installed.slot == e.slot
-                                && installed.branches().eq(e.nexthops.iter().copied())
-                        }
-                    };
-                    if !agrees {
+                    let e = &te[want[i]].2;
+                    installed.slot == e.slot && installed.branches().eq(e.nexthops.iter().copied())
+                }
+                Err(_) => {
+                    let routed = cp
+                        .ldp_fec(r.id, label)
+                        .filter(|&slot| !logical(slot as usize).is_empty());
+                    let Some(slot) = routed else {
                         d507.push(err(
                             "D507",
                             loc(),
-                            format!("LFIB entry for label {label} disagrees with the logical program"),
-                            "the entry was rewritten after build; LSPs through it break mid-path",
+                            format!("stale LFIB entry for label {label}: no LDP binding or TE tunnel produces it"),
+                            "nothing can address this entry correctly; it was injected or left behind",
                         ));
-                    }
+                        continue;
+                    };
+                    installed.slot == slot
+                        && installed.branches().eq(logical(slot as usize).iter().map(
+                            |&(iface, next)| LfibHop {
+                                iface,
+                                next,
+                                action: ldp_label_action(cp, next, slot),
+                            },
+                        ))
                 }
+            };
+            if !agrees {
+                d507.push(err(
+                    "D507",
+                    loc(),
+                    format!("LFIB entry for label {label} disagrees with the logical program"),
+                    "the entry was rewritten after build; LSPs through it break mid-path",
+                ));
             }
         }
-        for (w, _) in want.iter().zip(&seen).filter(|&(_, &seen)| !seen) {
+        for (&k, _) in want.iter().zip(&seen).filter(|&(_, &seen)| !seen) {
             d507.push(err(
                 "D507",
                 loc(),
                 format!(
                     "missing LFIB entry for label {}: the logical program installs it",
-                    Label(w.0)
+                    te[k].1
                 ),
                 "labeled packets for this FEC would die here with an unlabeled fallback",
             ));
         }
     }
-    let d504_clean = d504.misses == 0;
-    out.extend(d504.found);
     out.extend(d508.found);
-    if gates.ldp && d504_clean {
-        out.extend(d507);
-    }
+    out.extend(d507);
 }
 
 /// D509: each AS's slot table — the owner CSR over its slots is
@@ -1142,7 +1224,7 @@ fn owner_index(net: &Network, out: &mut Vec<Diagnostic>) {
 pub fn verify_dense(net: &Network, cp: &ControlPlane) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     let te_ok = te_csr_shape(net, cp, &mut out);
-    let ldp_ok = ldp_csr_shape(net, cp, &mut out) && ldp_offsets(net, cp, &mut out);
+    let ldp_ok = ldp_shape(net, cp, &mut out);
     let igp_ok = igp_check(net, cp, &mut out);
     let lfib_ok = lfib_shape(net, cp, &mut out);
     let fib_ok = fib_shape(net, cp, &mut out);
@@ -1152,10 +1234,10 @@ pub fn verify_dense(net: &Network, cp: &ControlPlane) -> Vec<Diagnostic> {
     if te_ok {
         te_agreement(net, cp, &mut out);
     }
+    let ldp_clean = ldp_ok && tables_ok && ldp_content(net, cp, &mut out);
     let gates = Gates {
-        ldp: ldp_ok && tables_ok,
         fib: igp_ok && fib_ok && tables_ok,
-        lfib: igp_ok && lfib_ok && tables_ok,
+        lfib: igp_ok && lfib_ok && ldp_clean,
     };
     router_pass(net, cp, gates, &mut out);
     if igp_ok && ext_ok {

@@ -259,10 +259,13 @@ pub fn unreachable_prefix(net: &Network, tables: &[AsPrefixes], out: &mut Vec<Di
 /// taking that branch are dropped mid-LSP with no ICMP trail.
 ///
 /// As with W108, `ControlPlane::build` cannot produce this; it guards
-/// entries installed through `ControlPlane::inject_lfib_entry`.
+/// entries installed through `ControlPlane::inject_lfib_entry`, so only
+/// explicit entries are checked. A computed LDP entry swaps to the label
+/// its next router advertises for the same FEC, and that router, in the
+/// same connected AS and not owning the FEC, routes it.
 pub fn dangling_label_swap(net: &Network, cp: &ControlPlane, out: &mut Vec<Diagnostic>) {
     for r in net.routers() {
-        for (label, entry) in cp.lfib_entries(r.id) {
+        for (label, entry) in cp.lfib_explicit(r.id) {
             for hop in entry.branches() {
                 let LabelAction::Swap(next_label) = hop.action else {
                     continue;

@@ -164,7 +164,8 @@ pub static RULES: &[RuleInfo] = &[
         explanation: "A swap action must name a label the downstream router installed, or \
                       labeled packets die mid-LSP with an unlabeled-lookup fallback the \
                       vendor model does not define. build() never produces this; it appears \
-                      only through what-if injection (inject_lfib_entry).",
+                      only through what-if injection (inject_lfib_entry), so only explicit \
+                      entries are checked.",
     },
     RuleInfo {
         code: "W110",
@@ -405,22 +406,26 @@ pub static RULES: &[RuleInfo] = &[
         code: "D503",
         family: Family::Dense,
         severity: Severity::Error,
-        summary: "LdpBindings CSR malformed",
-        explanation: "The binding table's offsets must start at 0, rise monotonically to \
-                      the pool length, and give every router a window of exactly its AS's \
-                      prefix count (or zero). A skewed offset silently shifts every slot \
-                      lookup of two routers at once — the hot-path advertised() has no \
-                      bounds to catch it.",
+        summary: "LDP tables malformed",
+        explanation: "LDP labels are computed from small tables, never stored. The per-AS \
+                      /32 numbers must be a CSR with exactly one entry per slot of each AS \
+                      table, the per-AS /32 slots a CSR over the ASes, and the own-position \
+                      rows a CSR over the routers, each row strictly increasing below the \
+                      number of slots its router counts. A skewed offset makes every label \
+                      of an AS or a router come from a neighbor's entries — the hot-path \
+                      advertised() has no bounds to catch it.",
     },
     RuleInfo {
         code: "D504",
         family: Family::Dense,
         severity: Severity::Error,
-        summary: "stored LDP advertisement disagrees with recomputed bindings",
-        explanation: "LdpBindings::compute is deterministic, so recomputing it from the \
-                      network and prefix tables must reproduce the stored pool slot for \
-                      slot: a flipped label or null-mode here means every LSP through the \
-                      router swaps to a label nobody installed.",
+        summary: "LDP tables disagree with a recount from the AS tables",
+        explanation: "Each AS's /32 numbers and /32 slots must number its /32 slots in slot \
+                      order, and each router that runs LDP must list exactly the positions \
+                      of the counted slots of its AS table that name it as an owner (one that \
+                      runs none, nothing). Every label is a closed form over these tables, \
+                      so a wrong number or own position shifts or flips labels: LSPs \
+                      through the router swap to labels nobody computes.",
     },
     RuleInfo {
         code: "D505",
@@ -439,30 +444,27 @@ pub static RULES: &[RuleInfo] = &[
         code: "D506",
         family: Family::Dense,
         severity: Severity::Error,
-        summary: "LFIB row shape broken",
-        explanation: "Every router's LFIB is one row of (label, tag) records, its labels \
-                      strictly increasing, and lookups first index the row at `label - lo` \
-                      before binary-searching it. Row offsets that are not a CSR over the \
-                      records, a duplicated or unsorted label (one entry shadowing another), \
-                      a recorded row origin that is not the row's first label, an LDP tag \
-                      past its AS's slot table (its branches would be read from a FIB span \
-                      that does not exist), explicit records that do not name the explicit \
-                      entries in row order, or explicit branch runs that do not tile the \
-                      branch pool make lookups return another router's or another label's \
-                      entry.",
+        summary: "explicit LFIB row shape broken",
+        explanation: "Only explicit entries (RSVP-TE transit, what-if injections) are \
+                      stored, one label-sorted row per router that lookups binary-search. \
+                      Row offsets that are not a CSR over the entries, a duplicated or \
+                      unsorted label (one entry shadowing another), a FEC past the router's \
+                      AS table, branch runs that do not tile the branch pool, or a branch \
+                      that does not leave over one of the row's router's links towards its \
+                      peer make lookups return another router's or another label's entry.",
     },
     RuleInfo {
         code: "D507",
         family: Family::Dense,
         severity: Severity::Error,
         summary: "installed LFIB disagrees with the logical LDP/TE program",
-        explanation: "Per router, the installed LFIB row must hold exactly one LDP record \
-                      per freshly recomputed real advertisement whose logical FIB span is \
-                      non-empty, tagged with that FEC (its branches are then derived from the \
-                      FIB and the bindings, which D508 and D504 verify), plus the RSVP-TE \
-                      transit program's explicit entries, branch for branch. Extra entries \
-                      are stale or unreachable (nothing can ever address them correctly); \
-                      missing or differing entries break LSPs mid-path.",
+        explanation: "Per router, the explicit LFIB row must hold the RSVP-TE transit \
+                      program's entries, branch for branch. Any other explicit entry must \
+                      override an LDP label whose FEC is routed with exactly the branches LDP \
+                      computes for it (the logical FIB span and each next router's \
+                      advertisement). Extra entries are stale or unreachable (nothing can \
+                      ever address them correctly); missing or differing entries break LSPs \
+                      mid-path.",
     },
     RuleInfo {
         code: "D508",

@@ -8,19 +8,25 @@
 //! coverage test proves every registered D5xx rule is fired by at
 //! least one class.
 //!
-//! Four further dense classes corrupt only *content*, with every
-//! shape intact: an LDP record retagged to another FEC and a rewritten
-//! RSVP-TE branch action (`D507`), a retargeted FIB pool hop (`D508`)
-//! and a member retargeted to another egress border of its AS
-//! (`D513`). They pin the in-place comparison paths, whose other
-//! classes (a stale entry, a truncated FIB group, a `Direct` route over
-//! an intra-AS interface) change shape. Three push an index past its
-//! range: an LDP record tagged past its AS table (`D506`), a FIB cell
-//! naming a group past its router's (`D508`) and a class cell naming a
-//! class past its AS's (`D513`).
-//! Two more corrupt the *directories* of the row and block tables: a
-//! shifted LFIB row offset (`D506`) and a skewed owner-directory run
-//! (`D512`), next to their rules' label- and content-level classes.
+//! The LDP classes corrupt the tables every label is computed from: a
+//! skewed per-AS offset of the `/32` numbers (`D503`) and an own slot
+//! moved to its unowned neighbor, sorted order intact (`D504`).
+//! The explicit-LFIB classes run over a quick plane where one LSR's
+//! first two LDP entries were re-installed as explicit copies of
+//! themselves (what-if injections that agree with LDP, so the plane is
+//! clean): a shadowed label, a shifted row offset that hands an entry to
+//! another router and an entry tagged past its AS table (`D506`), and a
+//! rewritten override branch (`D507`), next to a stale injected label
+//! and a rewritten RSVP-TE branch (`D507`).
+//! Three further dense classes corrupt only *content*, with every
+//! shape intact: a retargeted FIB pool hop (`D508`) and a member
+//! retargeted to another egress border of its AS (`D513`), next to
+//! their shape-changing siblings (a truncated FIB group, a `Direct`
+//! route over an intra-AS interface). Two push an index past its
+//! range: a FIB cell naming a group past its router's (`D508`) and a
+//! class cell naming a class past its AS's (`D513`).
+//! One more corrupts the *directories* of the block tables: a skewed
+//! owner-directory run (`D512`).
 //! Three more give each half of `D512` a corruption only it can see: a
 //! held address left unowned (forward), an unheld address bound to a
 //! router (reverse, over a fixture whose block run has gaps) and an
@@ -40,13 +46,13 @@
 //! one per `V6xx` rule, under the same exactly-one-rule contract.
 
 use std::collections::BTreeSet;
+use std::sync::OnceLock;
 use wormhole_lint as lint;
 use wormhole_net::{
-    Addr, Asn, ControlPlane, ExtRoute, Label, LabelAction, LabelValue, LdpBindings, LfibEntry,
-    LfibHop, LinkOpts, Network, NetworkBuilder, PoppingMode, RouterConfig, RouterId, Vendor,
-    OWNER_DIR_SIZE,
+    Addr, Asn, ControlPlane, ExtRoute, Label, LabelAction, LdpPolicy, LfibEntry, LfibHop, LinkOpts,
+    Network, NetworkBuilder, PoppingMode, RouterConfig, RouterId, Vendor, OWNER_DIR_SIZE,
 };
-use wormhole_topo::{gns3_fig2, gns3_fig2_te, Fig2Config};
+use wormhole_topo::{generate, gns3_fig2, gns3_fig2_te, Fig2Config, InternetConfig};
 
 /// One seeded corruption class.
 struct Class {
@@ -86,47 +92,70 @@ fn gapped_plane() -> (Network, ControlPlane) {
     (net, cp)
 }
 
-/// The first LDP record (a FEC-slot tag, branches derived from the
-/// FIB) of a router whose AS table has at least two slots: `(router,
-/// record index, the AS table's slot count)`.
-fn first_ldp_record(net: &Network, cp: &ControlPlane) -> (RouterId, usize, u32) {
-    let v = cp.dense_view();
-    for r in net.routers() {
-        let slots = net
-            .as_index(r.asn)
-            .map_or(0, |a| cp.as_prefixes[a].len() as u32);
-        let row = v.lfib_base[r.id.index()] as usize..v.lfib_base[r.id.index() + 1] as usize;
-        if let Some(i) = row.clone().find(|&i| v.lfib_rows[i].explicit().is_none()) {
-            if slots >= 2 {
-                return (r.id, i, slots);
+/// Quick-scale fixture with explicit LFIB rows: the first LSR with two
+/// LDP entries gets both re-installed as explicit copies of themselves,
+/// so they override LDP without changing a branch and the plane
+/// verifies clean.
+fn injected_plane() -> (Network, ControlPlane) {
+    static PLANE: OnceLock<(Network, ControlPlane)> = OnceLock::new();
+    PLANE
+        .get_or_init(|| {
+            let i = generate(&InternetConfig::small(8));
+            let mut cp = i.cp;
+            let (rid, copies) = i
+                .net
+                .routers()
+                .iter()
+                .find_map(|r| {
+                    let copies: Vec<(Label, LfibEntry)> = cp
+                        .lfib_entries(r.id)
+                        .take(2)
+                        .map(|(label, e)| {
+                            let nexthops = e.branches().collect();
+                            (
+                                label,
+                                LfibEntry {
+                                    slot: e.slot,
+                                    nexthops,
+                                },
+                            )
+                        })
+                        .collect();
+                    (copies.len() == 2).then_some((r.id, copies))
+                })
+                .expect("an LSR with two LDP entries");
+            for (label, entry) in copies {
+                cp.inject_lfib_entry(rid, label, entry);
             }
-        }
-    }
-    panic!("no LDP record");
-}
-
-/// Retags [`first_ldp_record`] with the next FEC slot of its AS table,
-/// keeping the row's shape; returns the router and the record's
-/// incoming label.
-fn retag_first_ldp_record(net: &Network, cp: &mut ControlPlane) -> (RouterId, Label) {
-    let (rid, i, slots) = first_ldp_record(net, cp);
-    let rec = &mut cp.lfib_rows_mut()[i];
-    rec.tag = (rec.tag + 1) % slots;
-    (rid, Label(rec.label))
-}
-
-/// The first router whose LFIB row holds at least two entries, with
-/// the entry-pool range of that row.
-fn multi_entry_row(net: &Network, cp: &ControlPlane) -> (RouterId, std::ops::Range<usize>) {
-    let base = cp.dense_view().lfib_base;
-    net.routers()
-        .iter()
-        .map(|r| {
-            let i = r.id.index();
-            (r.id, base[i] as usize..base[i + 1] as usize)
+            (i.net, cp)
         })
-        .find(|(_, row)| row.len() >= 2)
-        .expect("an LSR with two LFIB entries")
+        .clone()
+}
+
+/// The router holding [`injected_plane`]'s two explicit entries, with
+/// the range of its row in the explicit entry pool.
+fn injected_row(cp: &ControlPlane) -> (RouterId, std::ops::Range<usize>) {
+    let base = cp.dense_view().lfib_base;
+    base.windows(2)
+        .enumerate()
+        .find(|(_, w)| w[1] - w[0] >= 2)
+        .map(|(r, w)| (RouterId(r as u32), w[0] as usize..w[1] as usize))
+        .expect("a router with two explicit entries")
+}
+
+/// Rewrites the label operation of the first branch of
+/// [`injected_row`]'s first entry, keeping every shape; returns the
+/// router and the entry's label.
+fn rewrite_first_override(cp: &mut ControlPlane) -> (RouterId, Label) {
+    let (rid, row) = injected_row(cp);
+    let entry = cp.dense_view().lfib_explicit[row.start];
+    let hop = &mut cp.lfib_hops_mut()[entry.hops as usize];
+    hop.action = match hop.action {
+        LabelAction::Swap(l) => LabelAction::Swap(Label(l.0 + 977)),
+        LabelAction::Pop => LabelAction::SwapExplicitNull,
+        LabelAction::SwapExplicitNull => LabelAction::Pop,
+    };
+    (rid, Label(entry.label))
 }
 
 /// Drops the first hop of the first populated FIB group: the group
@@ -192,26 +221,37 @@ fn classes() -> Vec<Class> {
             rule: "D503",
             build: ldp_plane,
             corrupt: |_, cp| {
-                let base = cp.bindings.base_mut();
-                let k = base
-                    .windows(2)
-                    .position(|w| w[1] > w[0])
-                    .expect("some router advertises labels")
-                    + 1;
-                base[k] += 1; // widen one window, narrow its neighbor
+                // Widen the first AS's window of /32 numbers and narrow
+                // the second's.
+                cp.bindings.host_number_base_mut()[1] += 1;
             },
         },
         Class {
             name: "flip-ldp-advertisement",
             rule: "D504",
             build: ldp_plane,
-            corrupt: |_, cp| {
-                let pool = cp.bindings.pool_mut();
-                let slot = pool
+            corrupt: |net, cp| {
+                // The last own position of an LDP router's row moves up
+                // by one, to a FEC it does not own: the row stays sorted
+                // below the router's counted slots, but the router now
+                // advertises a real label where it owned the prefix,
+                // and null where it did not.
+                let v = cp.dense_view();
+                let j = net
+                    .routers()
                     .iter()
-                    .position(|&w| matches!(LdpBindings::unpack(w), Some(LabelValue::Real(_))))
-                    .expect("some real label is advertised");
-                pool[slot] += 977;
+                    .find_map(|r| {
+                        let slots = net.as_index(r.asn).map(|a| cp.as_prefixes[a].len())?;
+                        let (start, end) = (
+                            v.ldp_own_base[r.id.index()] as usize,
+                            v.ldp_own_base[r.id.index() + 1] as usize,
+                        );
+                        let all = r.config.ldp_policy == LdpPolicy::AllPrefixes;
+                        (all && end > start && (v.ldp_own[end - 1] as usize + 1) < slots)
+                            .then(|| end - 1)
+                    })
+                    .expect("an all-prefixes LDP router below its AS table's last slot");
+                cp.bindings.own_mut()[j] += 1;
             },
         },
         Class {
@@ -232,38 +272,42 @@ fn classes() -> Vec<Class> {
         Class {
             name: "shadow-lfib-label",
             rule: "D506",
-            build: ldp_plane,
-            corrupt: |net, cp| {
-                // The second entry of a row takes the first one's label:
-                // the row is no longer strictly sorted and one entry
-                // shadows the other.
-                let (_, row) = multi_entry_row(net, cp);
-                let rows = cp.lfib_rows_mut();
+            build: injected_plane,
+            corrupt: |_, cp| {
+                // The second entry of the row takes the first one's
+                // label: the row is no longer strictly sorted and one
+                // entry shadows the other.
+                let (_, row) = injected_row(cp);
+                let rows = cp.lfib_explicit_mut();
                 rows[row.start + 1].label = rows[row.start].label;
             },
         },
         Class {
             name: "shift-lfib-row-offset",
             rule: "D506",
-            build: ldp_plane,
-            corrupt: |net, cp| {
-                // Hand a row's first entry to the previous router: every
+            build: injected_plane,
+            corrupt: |_, cp| {
+                // Hand the row's last entry to the next router: every
                 // entry and label stays as built, only the row boundary
-                // moves.
-                let (rid, _) = multi_entry_row(net, cp);
-                cp.lfib_base_mut()[rid.index()] += 1;
+                // moves — and the entry's branches name links that
+                // router does not have.
+                let (rid, _) = injected_row(cp);
+                cp.lfib_base_mut()[rid.index() + 1] -= 1;
             },
         },
         Class {
             name: "tag-lfib-record-past-as-slots",
             rule: "D506",
-            build: ldp_plane,
+            build: injected_plane,
             corrupt: |net, cp| {
-                // An LDP record names the slot just past its AS table:
-                // its branches would be read from a FIB span that does
-                // not exist. Labels and offsets stay as built.
-                let (_, i, slots) = first_ldp_record(net, cp);
-                cp.lfib_rows_mut()[i].tag = slots;
+                // An explicit entry names the slot just past its AS
+                // table. Labels, offsets and branches stay as built.
+                let (rid, row) = injected_row(cp);
+                let slots = net
+                    .as_index(net.router(rid).asn)
+                    .map(|a| cp.as_prefixes[a].len() as u32)
+                    .expect("a registered AS");
+                cp.lfib_explicit_mut()[row.start].slot = slots;
             },
         },
         Class {
@@ -296,9 +340,11 @@ fn classes() -> Vec<Class> {
         Class {
             name: "rewrite-lfib-action",
             rule: "D507",
-            build: ldp_plane,
-            corrupt: |net, cp| {
-                retag_first_ldp_record(net, cp);
+            build: injected_plane,
+            corrupt: |_, cp| {
+                // An explicit override of an LDP label changes one
+                // branch's label operation; its shape stays as built.
+                rewrite_first_override(cp);
             },
         },
         Class {
@@ -869,9 +915,10 @@ fn d507_findings_render_stale_rewritten_and_missing_entries() {
         ) + "\n1 error(s), 0 warning(s), 0 info\n"
     );
 
-    // Rewritten: one LDP record names the wrong FEC.
-    let (net, mut cp) = ldp_plane();
-    let (rid, label) = retag_first_ldp_record(&net, &mut cp);
+    // Rewritten: an explicit override of an LDP label changes a
+    // branch.
+    let (net, mut cp) = injected_plane();
+    let (rid, label) = rewrite_first_override(&mut cp);
     assert_eq!(
         render(&net, &cp),
         d507_line(
@@ -882,12 +929,19 @@ fn d507_findings_render_stale_rewritten_and_missing_entries() {
         ) + "\n1 error(s), 0 warning(s), 0 info\n"
     );
 
-    // Missing: the last entry of a row moves one label up, so its own
-    // label is missing and the new one is stale (the row stays sorted
-    // with its origin intact, so D506 stays quiet).
-    let (net, mut cp) = ldp_plane();
-    let (rid, row) = multi_entry_row(&net, &cp);
-    let last = &mut cp.lfib_rows_mut()[row.end - 1];
+    // Missing: the last RSVP-TE entry of a row moves one label up, so
+    // its own label is missing and the new one is stale (the row stays
+    // sorted, so D506 stays quiet).
+    let (net, mut cp) = te_plane();
+    let base = cp.dense_view().lfib_base;
+    let (r, end) = base
+        .windows(2)
+        .enumerate()
+        .find(|(_, w)| w[1] > w[0])
+        .map(|(r, w)| (r, w[1] as usize))
+        .expect("a transit LSR");
+    let rid = RouterId(r as u32);
+    let last = &mut cp.lfib_explicit_mut()[end - 1];
     let (old, new) = (Label(last.label), Label(last.label + 1));
     last.label += 1;
     let stale = d507_line(

@@ -11,12 +11,22 @@
 //! (the FIB's next-hop groups) are exactly what this reference
 //! produces, and that the plane stores that FIB; [`assert_ext_reference_equivalent`] checks every
 //! external route the plane answers.
+//!
+//! [`assert_ldp_reference_equivalent`] pins the plane's closed-form LDP
+//! labels against the sequential allocator the plane once stored per
+//! `(router, slot)` ([`ref_ldp_window`]), and every LFIB entry — LDP
+//! and explicit — against the per-router row that allocator and the
+//! RSVP-TE program yield ([`ref_lfib_row`]).
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use wormhole_net::igp::{adjacencies_into, edge_metric, INF};
 use wormhole_net::prefixes::AsPrefixes;
-use wormhole_net::{logical_fib, Asn, ControlPlane, ExtRoute, FibTables, Network, RouterId};
+use wormhole_net::router::Router;
+use wormhole_net::{
+    logical_fib, te_group, te_program, Asn, ControlPlane, ExtRoute, FibTables, Label, LabelAction,
+    LabelValue, LdpPolicy, LfibEntry, LfibHop, Network, PoppingMode, RouterId,
+};
 
 /// The reference IGP view of one AS.
 pub struct RefIgp {
@@ -286,4 +296,152 @@ pub fn assert_ext_reference_equivalent(net: &Network, cp: &ControlPlane, what: &
             );
         }
     }
+}
+
+/// The reference LDP allocator: `router`'s advertisement for every slot
+/// of its AS table, in slot order, allocated sequentially (empty when
+/// it runs no LDP). Labels run from `16 + router % 61` up over the FECs
+/// it advertises and does not own; owned ones take the null label its
+/// popping mode asks for.
+pub fn ref_ldp_window(
+    net: &Network,
+    cp: &ControlPlane,
+    router: &Router,
+) -> Vec<Option<LabelValue>> {
+    let c = &router.config;
+    let table = net.as_index(router.asn).map(|i| &cp.as_prefixes[i]);
+    let Some(ap) = table.filter(|_| c.mpls && c.ldp_policy != LdpPolicy::None) else {
+        return Vec::new();
+    };
+    let mut next_label = Label::FIRST_DYNAMIC.0 + router.id.0 % 61;
+    (0..ap.len() as u32)
+        .map(|slot| {
+            let advertise = match c.ldp_policy {
+                LdpPolicy::AllPrefixes => true,
+                LdpPolicy::LoopbackOnly => ap.prefix(slot).len == 32,
+                LdpPolicy::None => false,
+            };
+            if !advertise {
+                return None;
+            }
+            Some(if ap.owners(slot).contains(&router.id) {
+                match c.popping {
+                    PoppingMode::Php => LabelValue::ImplicitNull,
+                    PoppingMode::Uhp => LabelValue::ExplicitNull,
+                }
+            } else {
+                next_label += 1;
+                LabelValue::Real(Label(next_label - 1))
+            })
+        })
+        .collect()
+}
+
+/// Where a reference LFIB record comes from.
+#[derive(Copy, Clone, Debug)]
+pub enum RefSource {
+    /// The LDP entry for this FEC slot.
+    Ldp(u32),
+    /// This index of the router's group of the TE transit program.
+    Te(usize),
+}
+
+/// The reference LFIB row of one router, as `(label, source)` in
+/// strictly increasing label order: one LDP record per real label in
+/// `window` whose FEC is `routed`, plus one per entry of `te` (the
+/// router's group of the TE transit program). A TE entry overrides an
+/// LDP one on the same label, and a later tunnel an earlier one.
+pub fn ref_lfib_row(
+    window: &[Option<LabelValue>],
+    routed: impl Fn(u32) -> bool,
+    te: &[(RouterId, Label, LfibEntry)],
+) -> Vec<(u32, RefSource)> {
+    let mut row: Vec<(u32, usize, RefSource)> = Vec::new();
+    for (slot, value) in window.iter().enumerate() {
+        if let Some(LabelValue::Real(label)) = value {
+            if routed(slot as u32) {
+                row.push((label.0, row.len(), RefSource::Ldp(slot as u32)));
+            }
+        }
+    }
+    for (k, &(_, label, _)) in te.iter().enumerate() {
+        row.push((label.0, row.len(), RefSource::Te(k)));
+    }
+    row.sort_unstable_by_key(|&(label, precedence, _)| (label, Reverse(precedence)));
+    row.dedup_by_key(|e| e.0);
+    row.into_iter()
+        .map(|(label, _, src)| (label, src))
+        .collect()
+}
+
+/// Asserts that `cp.advertised` equals [`ref_ldp_window`] on every
+/// `(router, slot)` (and advertises nothing past the AS table), and
+/// that `cp.lfib_entries` of every router equals [`ref_lfib_row`]
+/// entry for entry: label, FEC and branches, an LDP entry's branches
+/// being its FIB span with the action the reference window of each
+/// next router implies.
+pub fn assert_ldp_reference_equivalent(net: &Network, cp: &ControlPlane, what: &str) {
+    let windows: Vec<Vec<Option<LabelValue>>> = net
+        .routers()
+        .iter()
+        .map(|r| ref_ldp_window(net, cp, r))
+        .collect();
+    let (transit, _) = te_program(net).expect("valid tunnels");
+    let mut te_next = 0;
+    let mut real = 0;
+    for r in net.routers() {
+        let window = &windows[r.id.index()];
+        let slots = net.as_index(r.asn).map_or(0, |a| cp.as_prefixes[a].len());
+        for slot in 0..=slots as u32 {
+            let want = window.get(slot as usize).copied().flatten();
+            assert_eq!(
+                cp.advertised(r.id, slot),
+                want,
+                "{what}: {} slot {slot}",
+                r.name
+            );
+            if let Some(LabelValue::Real(label)) = want {
+                assert_eq!(
+                    cp.ldp_fec(r.id, label),
+                    Some(slot),
+                    "{what}: {} {label}",
+                    r.name
+                );
+                real += 1;
+            }
+        }
+        let te = te_group(&transit, &mut te_next, r.id);
+        let routed = |slot| cp.fib_entry(r.id, slot).is_some();
+        let want: Vec<(Label, u32, Vec<LfibHop>)> = ref_lfib_row(window, routed, te)
+            .into_iter()
+            .map(|(label, source)| match source {
+                RefSource::Ldp(slot) => {
+                    let hops = cp.fib_entry(r.id, slot).unwrap_or(&[]);
+                    let branches = hops.iter().map(|&(iface, next)| {
+                        let action = match windows[next.index()].get(slot as usize) {
+                            Some(Some(LabelValue::Real(l))) => LabelAction::Swap(*l),
+                            Some(Some(LabelValue::ExplicitNull)) => LabelAction::SwapExplicitNull,
+                            _ => LabelAction::Pop,
+                        };
+                        LfibHop {
+                            iface,
+                            next,
+                            action,
+                        }
+                    });
+                    (Label(label), slot, branches.collect())
+                }
+                RefSource::Te(k) => (Label(label), te[k].2.slot, te[k].2.nexthops.clone()),
+            })
+            .collect();
+        let got: Vec<(Label, u32, Vec<LfibHop>)> = cp
+            .lfib_entries(r.id)
+            .map(|(label, e)| (label, e.slot, e.branches().collect()))
+            .collect();
+        assert_eq!(got, want, "{what}: LFIB of {}", r.name);
+    }
+    assert!(
+        real > 0 || windows.iter().all(Vec::is_empty),
+        "{what}: LDP runs but advertises no real label"
+    );
 }

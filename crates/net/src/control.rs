@@ -13,11 +13,12 @@
 //!    AS-level routes ([`Bgp`]), each source AS's distinct vectors of
 //!    member decisions stored once as classes with one `u16` class
 //!    number per destination AS ([`ExtOracle`]);
-//! 4. LDP bindings ([`LdpBindings`]) and per-router LFIBs implementing
-//!    swap / PHP-pop / explicit-null-swap, stored as label-sorted rows
-//!    of `(label, tag)` records (see [`LfibRecord`]): an LDP entry's
-//!    branches are read through the FIB and the bindings, so only
-//!    RSVP-TE and injected entries keep branches of their own.
+//! 4. LDP and the LFIBs implementing swap / PHP-pop /
+//!    explicit-null-swap. LDP labels are a closed form over two small
+//!    tables ([`LdpBindings`]), so an LDP entry is computed on each
+//!    lookup: the label inverts to its FEC, whose FIB next hops are the
+//!    branches. Only RSVP-TE transit entries and what-if injections are
+//!    stored, as label-sorted explicit rows ([`LfibExplicit`]).
 //!
 //! Every table is sized to what it holds: [`ControlPlane::table_bytes`]
 //! reports the heap each one reserves.
@@ -31,7 +32,7 @@ use crate::igp::{adjacencies_into, Adj, AsIgp, INF};
 use crate::ldp::{LabelValue, LdpBindings};
 use crate::net::Network;
 use crate::prefixes::AsPrefixes;
-use crate::vendor::PoppingMode;
+use crate::vendor::{LdpPolicy, PoppingMode};
 use std::collections::HashMap;
 
 /// A route towards an external AS. The plane stores each one packed
@@ -144,13 +145,13 @@ pub struct LfibEntry {
     pub nexthops: Vec<LfibHop>,
 }
 
-/// An installed LFIB entry, borrowed from the plane: its FEC and a view
-/// of its ECMP branches. An LDP entry stores no branch of its own; its
-/// branches are its FEC's FIB next hops, each with the
-/// [`ldp_label_action`] its next router's advertisement implies, derived
-/// on every read. RSVP-TE transit entries and what-if injections read
-/// their explicitly installed branches. Both kinds answer the same
-/// [`LfibRef::len`] / [`LfibRef::branch`] view without allocating.
+/// An LFIB entry, borrowed from the plane: its FEC and a view of its
+/// ECMP branches. An LDP entry is not stored; its branches are its
+/// FEC's FIB next hops, each with the [`ldp_label_action`] its next
+/// router's advertisement implies, derived on every read. RSVP-TE
+/// transit entries and what-if injections read their explicitly
+/// installed branches. Both kinds answer the same [`LfibRef::len`] /
+/// [`LfibRef::branch`] view without allocating.
 #[derive(Copy, Clone)]
 pub struct LfibRef<'a> {
     /// The FEC (prefix slot in the router's AS table; `u32::MAX` for
@@ -166,7 +167,7 @@ enum LfibBranches<'a> {
     /// following its next router's advertisement.
     Derived {
         hops: &'a [(u32, RouterId)],
-        bindings: &'a LdpBindings,
+        cp: &'a ControlPlane,
     },
     /// Branches installed explicitly (RSVP-TE transit, injections).
     Explicit(&'a [LfibHop]),
@@ -193,12 +194,12 @@ impl<'a> LfibRef<'a> {
     #[inline]
     pub fn branch(&self, i: usize) -> LfibHop {
         match self.branches {
-            LfibBranches::Derived { hops, bindings } => {
+            LfibBranches::Derived { hops, cp } => {
                 let (iface, next) = hops[i];
                 LfibHop {
                     iface,
                     next,
-                    action: ldp_label_action(bindings, next, self.slot),
+                    action: ldp_label_action(cp, next, self.slot),
                 }
             }
             LfibBranches::Explicit(hops) => hops[i],
@@ -236,59 +237,31 @@ impl std::fmt::Debug for LfibRef<'_> {
     }
 }
 
-/// One record of a router's LFIB row: incoming label → tag. Router
-/// `r`'s records are `rows[base[r]..base[r + 1]]`, sorted by strictly
-/// increasing label. The tag of an LDP entry is its FEC slot; with
-/// [`LfibRecord::EXPLICIT`] set, its low bits index the explicit entry
-/// pool instead ([`LfibExplicit`]).
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub struct LfibRecord {
-    /// Incoming label value.
-    pub label: u32,
-    /// FEC slot, or [`LfibRecord::EXPLICIT`] | explicit entry index.
-    pub tag: u32,
-}
-
-impl LfibRecord {
-    /// Tag bit marking an explicitly installed entry.
-    pub const EXPLICIT: u32 = 1 << 31;
-
-    /// The explicit pool index, for an explicitly installed entry.
-    #[inline]
-    pub fn explicit(self) -> Option<usize> {
-        (self.tag & Self::EXPLICIT != 0).then_some((self.tag & !Self::EXPLICIT) as usize)
-    }
-}
-
 /// One explicitly installed LFIB entry (RSVP-TE transit or a what-if
-/// injection) in the explicit pool: its branches run from `hops` to the
-/// next explicit entry's (the last entry's to the end of the branch
-/// pool).
+/// injection): its incoming label and FEC, and where its branches start
+/// in the branch pool. They run to the next entry's start (the last
+/// entry's to the end of the pool).
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct LfibExplicit {
+    /// Incoming label value.
+    pub label: u32,
     /// The FEC slot (`u32::MAX` for RSVP-TE entries).
     pub slot: u32,
     /// Start of the entry's branches in the branch pool.
     pub hops: u32,
 }
 
-/// Every router's LFIB as label-sorted rows of `(label, tag)` records.
-/// LDP allocates each router's labels as one increasing run, so
-/// `label - lo[r]` is the entry's position in its row; a miss there (a
-/// gap, an RSVP-TE label at `500_000+`, an injected entry) falls back to
-/// a binary search of the row prefix the label can occupy. Only the
-/// explicit entries keep branches, in a pool of their own.
+/// Every router's explicit LFIB entries as label-sorted rows: router
+/// `r`'s are `entries[base[r]..base[r + 1]]`, labels strictly
+/// increasing, their branches concatenated in one pool. A generated
+/// Internet installs none, so a lookup's miss is two adjacent loads.
 #[derive(Debug, Clone, Default)]
 struct LfibTables {
-    /// Router → first record of its row; length `num_routers + 1`.
+    /// Router → first entry of its row; length `num_routers + 1`.
     base: Vec<u32>,
-    /// Label of each router's first record (`0` for an empty row).
-    lo: Vec<u32>,
-    /// `(label, tag)` records, row after row.
-    rows: Vec<LfibRecord>,
-    /// Explicit entries, in row order.
-    explicit: Vec<LfibExplicit>,
-    /// Concatenated branches of the explicit entries.
+    /// Explicit entries, row after row.
+    entries: Vec<LfibExplicit>,
+    /// Concatenated branches of the entries.
     hops: Vec<LfibHop>,
 }
 
@@ -299,24 +272,18 @@ impl LfibTables {
         base.push(0);
         LfibTables {
             base,
-            lo: Vec::with_capacity(routers),
             ..LfibTables::default()
         }
     }
 
-    /// Appends a record to the open row; labels must increase.
-    fn push(&mut self, label: u32, tag: u32) {
+    /// Appends an entry to the open row; labels must increase.
+    fn push(&mut self, label: u32, slot: u32, hops: impl IntoIterator<Item = LfibHop>) {
         let row_start = *self.base.last().expect("base starts at 0") as usize;
-        debug_assert!(self.rows[row_start..]
+        debug_assert!(self.entries[row_start..]
             .last()
             .is_none_or(|e| e.label < label));
-        self.rows.push(LfibRecord { label, tag });
-    }
-
-    /// Appends an explicit entry to the open row.
-    fn push_explicit(&mut self, label: u32, slot: u32, hops: impl IntoIterator<Item = LfibHop>) {
-        self.push(label, LfibRecord::EXPLICIT | self.explicit.len() as u32);
-        self.explicit.push(LfibExplicit {
+        self.entries.push(LfibExplicit {
+            label,
             slot,
             hops: self.hops.len() as u32,
         });
@@ -325,93 +292,61 @@ impl LfibTables {
 
     /// Closes the open row (the next router's row starts after it).
     fn end_row(&mut self) {
-        let start = *self.base.last().expect("base starts at 0") as usize;
-        self.lo.push(self.rows.get(start).map_or(0, |e| e.label));
-        self.base.push(self.rows.len() as u32);
+        self.base.push(self.entries.len() as u32);
     }
 
     /// Releases the growth slack of the pools.
     fn shrink(&mut self) {
-        self.rows.shrink_to_fit();
-        self.explicit.shrink_to_fit();
+        self.entries.shrink_to_fit();
         self.hops.shrink_to_fit();
     }
 
-    /// Explicit entry `i`: its FEC slot and branches.
+    /// The branches of entry `i`.
     #[inline]
-    fn explicit_entry(&self, i: usize) -> (u32, &[LfibHop]) {
-        let e = self.explicit[i];
+    fn branches(&self, i: usize) -> &[LfibHop] {
         let end = self
-            .explicit
+            .entries
             .get(i + 1)
             .map_or(self.hops.len(), |n| n.hops as usize);
-        (e.slot, &self.hops[e.hops as usize..end])
+        &self.hops[self.entries[i].hops as usize..end]
     }
 
-    /// The record range of `router`'s row.
+    /// The entries of `router`'s row.
     #[inline]
-    fn row(&self, router: RouterId) -> std::ops::Range<usize> {
-        self.base[router.index()] as usize..self.base[router.index() + 1] as usize
+    fn row(&self, router: RouterId) -> &[LfibExplicit] {
+        &self.entries[self.base[router.index()] as usize..self.base[router.index() + 1] as usize]
     }
 
-    /// The record of `router`'s row for `label`.
+    /// The index of `router`'s entry for `label`.
     #[inline]
-    fn get(&self, router: RouterId, label: Label) -> Option<LfibRecord> {
-        let r = router.index();
-        let (start, end) = (self.base[r] as usize, self.base[r + 1] as usize);
-        let guess = start + label.0.wrapping_sub(self.lo[r]) as usize;
-        if guess < end && self.rows[guess].label == label.0 {
-            return Some(self.rows[guess]);
-        }
-        self.search(start..end, label).map(|i| self.rows[i])
-    }
-
-    /// The slow path of [`LfibTables::get`]: labels strictly increase
-    /// along a row, so `label` sits at most `label - lo` records in.
-    #[cold]
-    fn search(&self, row: std::ops::Range<usize>, label: Label) -> Option<usize> {
-        let lo = self.rows.get(row.start)?.label;
-        let upto = row.end.min(
-            row.start
-                .saturating_add((label.0.checked_sub(lo)? as usize) + 1),
-        );
-        self.rows[row.start..upto]
+    fn find(&self, router: RouterId, label: Label) -> Option<usize> {
+        let start = self.base[router.index()] as usize;
+        self.row(router)
             .binary_search_by_key(&label.0, |e| e.label)
             .ok()
-            .map(|i| row.start + i)
+            .map(|i| start + i)
     }
 
-    /// Appends `rec`, read from `from`'s rows, to the open row.
-    fn copy_record(&mut self, from: &LfibTables, rec: LfibRecord) {
-        match rec.explicit() {
-            Some(i) => {
-                let (slot, hops) = from.explicit_entry(i);
-                self.push_explicit(rec.label, slot, hops.iter().copied());
-            }
-            None => self.push(rec.label, rec.tag),
-        }
-    }
-
-    /// A copy of the tables with `entry` installed explicitly (or
-    /// overwriting the entry) under `label` at `router`.
+    /// A copy of the tables with `entry` installed (or overwriting the
+    /// entry) under `label` at `router`.
     fn with_entry(&self, router: RouterId, label: Label, entry: &LfibEntry) -> LfibTables {
-        let mut out = LfibTables::with_rows(self.lo.len());
-        for r in 0..self.lo.len() {
-            let rid = RouterId(r as u32);
-            let mut pending = (rid == router).then_some(entry);
-            for i in self.row(rid) {
-                let rec = self.rows[i];
-                if let Some(new) = pending.filter(|_| label.0 <= rec.label) {
-                    out.push_explicit(label.0, new.slot, new.nexthops.iter().copied());
+        let routers = self.base.len() - 1;
+        let mut out = LfibTables::with_rows(routers);
+        for r in (0..routers as u32).map(RouterId) {
+            let mut pending = (r == router).then_some(entry);
+            let start = self.base[r.index()] as usize;
+            for (i, e) in self.row(r).iter().enumerate() {
+                if let Some(new) = pending.filter(|_| label.0 <= e.label) {
+                    out.push(label.0, new.slot, new.nexthops.iter().copied());
                     pending = None;
-                    if label.0 == rec.label {
+                    if label.0 == e.label {
                         continue; // overwritten
                     }
                 }
-                out.copy_record(self, rec);
+                out.push(e.label, e.slot, self.branches(start + i).iter().copied());
             }
             if let Some(new) = pending {
-                out.push_explicit(label.0, new.slot, new.nexthops.iter().copied());
+                out.push(label.0, new.slot, new.nexthops.iter().copied());
             }
             out.end_row();
         }
@@ -420,11 +355,7 @@ impl LfibTables {
     }
 
     fn heap_bytes(&self) -> usize {
-        vec_bytes(&self.base)
-            + vec_bytes(&self.lo)
-            + vec_bytes(&self.rows)
-            + vec_bytes(&self.explicit)
-            + vec_bytes(&self.hops)
+        vec_bytes(&self.base) + vec_bytes(&self.entries) + vec_bytes(&self.hops)
     }
 }
 
@@ -449,6 +380,12 @@ pub mod walk {
     pub const REPLIES: u8 = 1 << 4;
     /// The router is a measurement host.
     pub const IS_HOST: u8 = 1 << 5;
+    /// LDP advertises `/32` loopback routes only
+    /// ([`LdpPolicy::LoopbackOnly`](crate::vendor::LdpPolicy::LoopbackOnly)).
+    pub const LOOPBACK_ONLY: u8 = 1 << 6;
+    /// The router requests Ultimate Hop Popping: it advertises explicit
+    /// null for the prefixes it owns.
+    pub const UHP: u8 = 1 << 7;
 }
 
 /// One flat interface record of the walk tables: everything the
@@ -478,14 +415,14 @@ pub struct ControlPlane {
     pub igp: Vec<AsIgp>,
     /// AS-level routes.
     pub bgp: Bgp,
-    /// LDP advertisements.
+    /// The tables LDP advertisements are computed from.
     pub bindings: LdpBindings,
     /// The intra-AS FIB's next-hop groups, as [`logical_fib`] emits
     /// them.
     fib: FibTables,
     /// External forwarding as per-AS classes of member decisions.
     ext: ExtTables,
-    /// Per-router LFIB rows.
+    /// Per-router explicit LFIB rows.
     lfib: LfibTables,
     /// Router → span of [`Self::te_routes`] headed there; length
     /// `num_routers + 1`. Almost every router heads no tunnel, so the
@@ -520,15 +457,6 @@ pub struct ControlPlane {
     /// Flat interface records in router-then-interface order, indexed
     /// through [`Self::iface_slot_base`] (same CSR as `iface_slot`).
     walk_iface: Vec<WalkIface>,
-}
-
-/// Where an expected LFIB record comes from (see [`lfib_row`]).
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum LfibSource {
-    /// The LDP entry for this FEC slot.
-    Ldp(u32),
-    /// This index of the router's group of the TE transit program.
-    Te(usize),
 }
 
 /// A per-router intra-AS FIB that stores each distinct ECMP next-hop
@@ -1049,8 +977,8 @@ fn hot_potato_ext(net: &Network, igp: &[AsIgp], bgp: &Bgp) -> Result<ExtTables, 
 /// swap-to-explicit-null on UHP. Every LDP entry's branches are derived
 /// through it on each read (see [`LfibRef`]).
 #[inline]
-pub fn ldp_label_action(bindings: &LdpBindings, next: RouterId, slot: u32) -> LabelAction {
-    match bindings.advertised(next, slot) {
+pub fn ldp_label_action(cp: &ControlPlane, next: RouterId, slot: u32) -> LabelAction {
+    match cp.advertised(next, slot) {
         Some(LabelValue::Real(out_label)) => LabelAction::Swap(out_label),
         Some(LabelValue::ImplicitNull) => LabelAction::Pop,
         Some(LabelValue::ExplicitNull) => LabelAction::SwapExplicitNull,
@@ -1061,7 +989,7 @@ pub fn ldp_label_action(bindings: &LdpBindings, next: RouterId, slot: u32) -> La
 
 /// The label program of every RSVP-TE tunnel: the transit LFIB entries
 /// to install (grouped by router, in tunnel-then-path order within each
-/// group, as [`lfib_row`] reads them) and the per-`(head, tail)`
+/// group, as [`te_row`] reads them) and the per-`(head, tail)`
 /// autoroute decisions sorted by `(head, tail)` (a later tunnel on the
 /// same pair wins, as in [`ControlPlane::build`]). Fails when a tunnel
 /// path is invalid or lacks a physical adjacency.
@@ -1137,33 +1065,17 @@ pub fn te_program(
     Ok((transit, te_list))
 }
 
-/// The per-router LFIB oracle: fills `row` with a router's expected
-/// records as `(label, precedence, source)` in strictly increasing label
-/// order — one LDP record per real advertisement in `advertised` whose
-/// FEC is `routed` (has FIB next hops), plus one per entry of `te`, the
-/// router's group of the TE transit program. A TE entry overrides an
-/// LDP one on the same label and a later tunnel an earlier one.
-/// [`ControlPlane::build`] writes the rows it yields; the D5xx verifier
-/// matches installed rows against it.
-pub fn lfib_row(
-    advertised: impl Iterator<Item = (u32, LabelValue)>,
-    routed: impl Fn(u32) -> bool,
-    te: &[(RouterId, Label, LfibEntry)],
-    row: &mut Vec<(u32, usize, LfibSource)>,
-) {
+/// The explicit LFIB row a router's group `te` of the TE transit program
+/// installs: fills `row` with the indices into `te` of the entries that
+/// win their labels, in strictly increasing label order. A later tunnel
+/// overrides an earlier one on the same label. [`ControlPlane::build`]
+/// writes the rows it yields; the D5xx verifier matches installed rows
+/// against it.
+pub fn te_row(te: &[(RouterId, Label, LfibEntry)], row: &mut Vec<usize>) {
     row.clear();
-    for (slot, value) in advertised {
-        if let LabelValue::Real(in_label) = value {
-            if routed(slot) {
-                row.push((in_label.0, row.len(), LfibSource::Ldp(slot)));
-            }
-        }
-    }
-    for (k, &(_, label, _)) in te.iter().enumerate() {
-        row.push((label.0, row.len(), LfibSource::Te(k)));
-    }
-    row.sort_unstable_by_key(|&(label, precedence, _)| (label, std::cmp::Reverse(precedence)));
-    row.dedup_by_key(|e| e.0);
+    row.extend(0..te.len());
+    row.sort_unstable_by_key(|&k| (te[k].1, std::cmp::Reverse(k)));
+    row.dedup_by_key(|&mut k| te[k].1);
 }
 
 /// The router-grouped slice of a TE transit program that belongs to
@@ -1297,8 +1209,6 @@ impl ControlPlane {
             as_prefixes.push(prefixes);
             addr_slots.push(held);
         }
-        let bindings = LdpBindings::compute(net, &as_prefixes);
-
         // Intra-AS FIBs, emitted directly as next-hop groups.
         let fib = logical_fib(net, &igp, &as_prefixes)?;
 
@@ -1309,34 +1219,20 @@ impl ControlPlane {
             None => hot_potato_ext(net, &igp, &bgp)?,
         };
 
-        // LFIBs: one record per real incoming label with a next hop,
-        // plus the RSVP-TE label chain at every transit LSR. Per router
-        // the labels form a `(label, precedence, source)` list: a TE
-        // entry overrides an LDP one on the same label and a later
-        // tunnel an earlier one, then the row is written in label order.
-        // An LDP record stores only its FEC slot; its branches are read
-        // through the FIB (see [`LfibRef`]).
+        // Explicit LFIB rows: the RSVP-TE label chain at every transit
+        // LSR, in label order. LDP entries are computed on lookup.
         let (te_transit, te_list) = te_program(net)?;
         let mut lfib = LfibTables::with_rows(net.num_routers());
-        // Upper bounds (an LDP record is one FIB cell), so the pools
-        // never regrow; `shrink` trims them afterwards.
-        lfib.rows.reserve(fib.index.len() + te_transit.len());
-        lfib.explicit.reserve(te_transit.len());
-        lfib.hops.reserve(te_transit.len());
+        lfib.entries.reserve_exact(te_transit.len());
+        lfib.hops.reserve_exact(te_transit.len());
         let mut row = Vec::new();
         let mut te_next = 0;
         for r in net.routers() {
             let te = te_group(&te_transit, &mut te_next, r.id);
-            let routed = |slot| !fib.hops(r.id, slot).is_empty();
-            lfib_row(bindings.advertisements(r.id), routed, te, &mut row);
-            for &(label, _, source) in &row {
-                match source {
-                    LfibSource::Ldp(slot) => lfib.push(label, slot),
-                    LfibSource::Te(k) => {
-                        let entry = &te[k].2;
-                        lfib.push_explicit(label, entry.slot, entry.nexthops.iter().copied())
-                    }
-                }
+            te_row(te, &mut row);
+            for &k in &row {
+                let (_, label, entry) = &te[k];
+                lfib.push(label.0, entry.slot, entry.nexthops.iter().copied());
             }
             lfib.end_row();
         }
@@ -1416,6 +1312,12 @@ impl ControlPlane {
             if c.is_host {
                 f |= walk::IS_HOST;
             }
+            if c.ldp_policy == LdpPolicy::LoopbackOnly {
+                f |= walk::LOOPBACK_ONLY;
+            }
+            if c.popping == PoppingMode::Uhp {
+                f |= walk::UHP;
+            }
             walk_flags.push(f);
             walk_te_ttl.push(c.vendor.te_init_ttl());
             walk_er_ttl.push(c.vendor.er_init_ttl());
@@ -1431,6 +1333,13 @@ impl ControlPlane {
             }
         }
 
+        let bindings = LdpBindings::build(
+            net,
+            &as_prefixes,
+            &loopback_slot,
+            &iface_slot_base,
+            &iface_slot,
+        );
         Ok(ControlPlane {
             as_prefixes,
             igp,
@@ -1537,48 +1446,119 @@ impl ControlPlane {
         ExtRoute::unpack(word).unwrap_or(ExtRoute::Unreachable)
     }
 
-    /// The LFIB entry of `router` for incoming `label`.
+    /// What `router` advertises for FEC `slot` (a slot in its own AS's
+    /// prefix table), if anything: the closed form over
+    /// [`LdpBindings`].
     #[inline]
-    pub fn lfib_entry(&self, router: RouterId, label: Label) -> Option<LfibRef<'_>> {
-        let rec = self.lfib.get(router, label)?;
-        Some(self.lfib_ref(router, rec))
+    pub fn advertised(&self, router: RouterId, slot: u32) -> Option<LabelValue> {
+        let i = router.index();
+        self.bindings
+            .advertised(router, self.router_as_idx[i], self.walk_flags[i], slot)
     }
 
-    /// The entry view of `router`'s record `rec`.
+    /// The FEC slot `router` advertises the real label `label` for, if
+    /// any: the inverse of [`ControlPlane::advertised`].
     #[inline]
-    fn lfib_ref(&self, router: RouterId, rec: LfibRecord) -> LfibRef<'_> {
-        match rec.explicit() {
-            Some(i) => {
-                let (slot, hops) = self.lfib.explicit_entry(i);
-                LfibRef {
-                    slot,
-                    branches: LfibBranches::Explicit(hops),
-                }
-            }
-            None => LfibRef {
-                slot: rec.tag,
-                branches: LfibBranches::Derived {
-                    hops: self.fib.hops(router, rec.tag),
-                    bindings: &self.bindings,
-                },
-            },
+    pub fn ldp_fec(&self, router: RouterId, label: Label) -> Option<u32> {
+        let i = router.index();
+        self.bindings
+            .fec(router, self.router_as_idx[i], self.walk_flags[i], label)
+    }
+
+    /// The LDP entry of `router` for FEC `slot`: its FIB next hops, when
+    /// it has any.
+    #[inline]
+    fn ldp_entry(&self, router: RouterId, slot: u32) -> Option<LfibRef<'_>> {
+        let hops = self.fib_entry(router, slot)?;
+        Some(LfibRef {
+            slot,
+            branches: LfibBranches::Derived { hops, cp: self },
+        })
+    }
+
+    /// The view of explicit entry `i`.
+    #[inline]
+    fn explicit_ref(&self, i: usize) -> LfibRef<'_> {
+        LfibRef {
+            slot: self.lfib.entries[i].slot,
+            branches: LfibBranches::Explicit(self.lfib.branches(i)),
         }
     }
 
-    /// Number of LFIB entries installed at `router`.
-    pub fn lfib_size(&self, router: RouterId) -> usize {
-        self.lfib.row(router).len()
+    /// The LFIB entry of `router` for incoming `label`: an explicit
+    /// entry when one is installed, else the LDP entry of the FEC the
+    /// label was advertised for, when that FEC is routed.
+    #[inline]
+    pub fn lfib_entry(&self, router: RouterId, label: Label) -> Option<LfibRef<'_>> {
+        if let Some(i) = self.lfib.find(router, label) {
+            return Some(self.explicit_ref(i));
+        }
+        self.ldp_entry(router, self.ldp_fec(router, label)?)
     }
 
-    /// Iterates over every LFIB entry installed at `router`, as
-    /// `(incoming label, entry)` pairs in increasing label order.
+    /// [`ControlPlane::lfib_entry`] for a `label` the caller computed as
+    /// `router`'s advertisement for FEC `slot` (`advertised(router, slot)
+    /// == Real(label)`): the explicit row still wins, but the label is not
+    /// inverted. The walk carries the FEC from the hop that chose the
+    /// label.
+    #[inline]
+    pub(crate) fn lfib_entry_for(
+        &self,
+        router: RouterId,
+        label: Label,
+        slot: u32,
+    ) -> Option<LfibRef<'_>> {
+        debug_assert_eq!(self.ldp_fec(router, label), Some(slot));
+        if let Some(i) = self.lfib.find(router, label) {
+            return Some(self.explicit_ref(i));
+        }
+        self.ldp_entry(router, slot)
+    }
+
+    /// Number of LFIB entries at `router`.
+    pub fn lfib_size(&self, router: RouterId) -> usize {
+        self.lfib_entries(router).count()
+    }
+
+    /// The explicit entries installed at `router` (RSVP-TE transit and
+    /// injections), as `(incoming label, entry)` pairs in increasing
+    /// label order.
+    pub fn lfib_explicit(
+        &self,
+        router: RouterId,
+    ) -> impl Iterator<Item = (Label, LfibRef<'_>)> + '_ {
+        let start = self.lfib.base[router.index()] as usize;
+        (start..start + self.lfib.row(router).len())
+            .map(move |i| (Label(self.lfib.entries[i].label), self.explicit_ref(i)))
+    }
+
+    /// Iterates over every LFIB entry of `router`, as `(incoming label,
+    /// entry)` pairs in increasing label order: its LDP entries merged
+    /// with its explicit ones, an explicit entry winning its label.
     pub fn lfib_entries(
         &self,
         router: RouterId,
     ) -> impl Iterator<Item = (Label, LfibRef<'_>)> + '_ {
-        self.lfib.row(router).map(move |i| {
-            let rec = self.lfib.rows[i];
-            (Label(rec.label), self.lfib_ref(router, rec))
+        let slots = self
+            .router_as_index(router)
+            .map_or(0, |a| self.as_prefixes[a].len() as u32);
+        let mut ldp = (0..slots)
+            .filter_map(move |slot| match self.advertised(router, slot) {
+                Some(LabelValue::Real(label)) => Some((label, self.ldp_entry(router, slot)?)),
+                _ => None,
+            })
+            .peekable();
+        let mut explicit = self.lfib_explicit(router).peekable();
+        std::iter::from_fn(move || match (ldp.peek(), explicit.peek()) {
+            (Some(&(a, _)), Some(&(b, _))) if a < b => ldp.next(),
+            (Some(&(a, _)), Some(&(b, _))) => {
+                if a == b {
+                    ldp.next(); // overridden
+                }
+                explicit.next()
+            }
+            (Some(_), None) => ldp.next(),
+            (None, _) => explicit.next(),
         })
     }
 
@@ -1586,8 +1566,9 @@ impl ControlPlane {
     /// branches — a what-if mutator for fault-injection studies and for
     /// exercising the static checks: `build` only ever produces
     /// consistent LFIBs, so dangling label-swaps can only be created
-    /// deliberately. Rewrites the tables, so it costs a pass over every
-    /// installed entry.
+    /// deliberately. An entry on an LDP label overrides the computed one.
+    /// Rewrites the explicit tables, so it costs a pass over every
+    /// explicit entry.
     pub fn inject_lfib_entry(&mut self, router: RouterId, label: Label, entry: LfibEntry) {
         self.lfib = self.lfib.with_entry(router, label, &entry);
     }
@@ -1627,10 +1608,14 @@ impl ControlPlane {
             ext_blocks: &self.ext.blocks,
             ext_words: &self.ext.words,
             ext_local: &self.ext.local,
+            ldp_host_number_base: &self.bindings.host_number_base,
+            ldp_host_number: &self.bindings.host_number,
+            ldp_host_slot_base: &self.bindings.host_slot_base,
+            ldp_host_slot: &self.bindings.host_slot,
+            ldp_own_base: &self.bindings.own_base,
+            ldp_own: &self.bindings.own,
             lfib_base: &self.lfib.base,
-            lfib_lo: &self.lfib.lo,
-            lfib_rows: &self.lfib.rows,
-            lfib_explicit: &self.lfib.explicit,
+            lfib_explicit: &self.lfib.entries,
             lfib_hops: &self.lfib.hops,
             te_heads: &self.te_heads,
             te_routes: &self.te_routes,
@@ -1713,15 +1698,28 @@ pub struct DenseView<'a> {
     pub ext_words: &'a [u32],
     /// Router → its position among its AS's members.
     pub ext_local: &'a [u32],
-    /// Router → first record of its LFIB row in `lfib_rows`; length
+    /// AS → first entry of its window in `ldp_host_number`; length
+    /// `num_as + 1`.
+    pub ldp_host_number_base: &'a [u32],
+    /// Per AS, each slot's `/32` number (`u32::MAX` = not a `/32`).
+    pub ldp_host_number: &'a [u32],
+    /// AS → first entry of its window in `ldp_host_slot`; length
+    /// `num_as + 1`.
+    pub ldp_host_slot_base: &'a [u32],
+    /// Per AS, its `/32` slots in slot order (the slot of each `/32`
+    /// number).
+    pub ldp_host_slot: &'a [u32],
+    /// Router → first entry of its row in `ldp_own`; length
     /// `num_routers + 1`.
+    pub ldp_own_base: &'a [u32],
+    /// Per LDP router, the counted positions of the slots it owns,
+    /// strictly increasing (see [`LdpBindings`]).
+    pub ldp_own: &'a [u32],
+    /// Router → first entry of its explicit LFIB row in
+    /// `lfib_explicit`; length `num_routers + 1`.
     pub lfib_base: &'a [u32],
-    /// Label of each router's first LFIB record (`0` for an empty row).
-    pub lfib_lo: &'a [u32],
-    /// `(label, tag)` records, row after row, labels strictly
+    /// Explicitly installed entries, row after row, labels strictly
     /// increasing within a row.
-    pub lfib_rows: &'a [LfibRecord],
-    /// Explicitly installed entries, in row order.
     pub lfib_explicit: &'a [LfibExplicit],
     /// Concatenated explicit branches; an explicit entry's run ends
     /// where the next one's starts.
@@ -1787,14 +1785,14 @@ impl ControlPlane {
         &mut self.iface_slot
     }
 
-    /// Mutable LFIB row offsets.
+    /// Mutable explicit LFIB row offsets.
     pub fn lfib_base_mut(&mut self) -> &mut Vec<u32> {
         &mut self.lfib.base
     }
 
-    /// Mutable LFIB row records.
-    pub fn lfib_rows_mut(&mut self) -> &mut Vec<LfibRecord> {
-        &mut self.lfib.rows
+    /// Mutable explicit LFIB entries.
+    pub fn lfib_explicit_mut(&mut self) -> &mut Vec<LfibExplicit> {
+        &mut self.lfib.entries
     }
 
     /// Mutable explicit LFIB branch pool.
@@ -1958,7 +1956,7 @@ mod tests {
         let slot = cp.loopback_slot(c).unwrap();
         // a pushes b's label; b's LFIB entry for it pops (c advertised
         // implicit null for its own loopback): a 2-hop LSP a -> b -> c.
-        let LabelValue::Real(lb) = cp.bindings.advertised(b, slot).unwrap() else {
+        let LabelValue::Real(lb) = cp.advertised(b, slot).unwrap() else {
             panic!("b should advertise a real label");
         };
         let entry = cp.lfib_entry(b, lb).unwrap();
@@ -1968,7 +1966,7 @@ mod tests {
         assert_eq!(entry.branch(0).next, c);
         assert_eq!(entry.branch(0).action, LabelAction::Pop);
         // a itself advertises a real label whose entry swaps to b's.
-        let LabelValue::Real(la) = cp.bindings.advertised(a, slot).unwrap() else {
+        let LabelValue::Real(la) = cp.advertised(a, slot).unwrap() else {
             panic!()
         };
         let entry_a = cp.lfib_entry(a, la).unwrap();
@@ -1977,11 +1975,10 @@ mod tests {
     }
 
     #[test]
-    fn lfib_rows_handle_sparse_and_injected_labels() {
-        // A dense run with a gap, a far-away TE-style label, and
-        // injected labels before, inside and after the run must all
-        // round-trip through the same rows; LDP records keep their
-        // slot tag and explicit entries their branches.
+    fn explicit_rows_keep_label_order_through_injections() {
+        // Injected labels before, between and after a row's entries,
+        // and over one of them, keep the row sorted; each entry keeps
+        // its slot and branches.
         let hop = |iface: u32| LfibHop {
             iface,
             next: RouterId(1),
@@ -1989,44 +1986,62 @@ mod tests {
         };
         let mut t = LfibTables::with_rows(2);
         t.end_row(); // router 0: empty
-        for v in [18u32, 19, 20, 22] {
-            t.push(v, v);
-        }
-        t.push_explicit(500_007, u32::MAX, [hop(7), hop(8)]);
+        t.push(20, 20, [hop(20)]);
+        t.push(500_007, u32::MAX, [hop(7), hop(8)]);
         t.end_row();
         let r = RouterId(1);
-        assert_eq!((t.row(RouterId(0)).len(), t.row(r).len()), (0, 5));
-        assert!(t.get(RouterId(0), Label(18)).is_none());
-        for v in [18u32, 19, 20, 22] {
-            let rec = t.get(r, Label(v)).unwrap_or_else(|| panic!("label {v}"));
-            assert_eq!((rec.tag, rec.explicit()), (v, None));
-        }
-        let te = t.get(r, Label(500_007)).unwrap();
-        assert_eq!(te.explicit(), Some(0));
-        assert_eq!(t.explicit_entry(0), (u32::MAX, &[hop(7), hop(8)][..]));
-        for v in [0u32, 17, 21, 23, 500_008] {
-            assert!(t.get(r, Label(v)).is_none(), "label {v}");
-        }
+        assert_eq!((t.row(RouterId(0)).len(), t.row(r).len()), (0, 2));
+        assert!(t.find(RouterId(0), Label(20)).is_none());
         let entry = |slot: u32| LfibEntry {
             slot,
             nexthops: vec![hop(slot)],
         };
         let t = t
-            .with_entry(r, Label(16), &entry(16)) // before the run
-            .with_entry(r, Label(21), &entry(21)) // fills the gap
+            .with_entry(r, Label(16), &entry(16)) // before the row
+            .with_entry(r, Label(21), &entry(21)) // between
             .with_entry(r, Label(20), &entry(99)) // overwrites
-            .with_entry(r, Label(700_000), &entry(7)); // after TE
-        let labels: Vec<u32> = t.row(r).map(|i| t.rows[i].label).collect();
-        assert_eq!(labels, [16, 18, 19, 20, 21, 22, 500_007, 700_000]);
-        assert_eq!(t.lo, [0, 16]);
-        let explicit = |l: u32| t.explicit_entry(t.get(r, Label(l)).unwrap().explicit().unwrap());
+            .with_entry(r, Label(700_000), &entry(7)); // after
+        let labels: Vec<u32> = t.row(r).iter().map(|e| e.label).collect();
+        assert_eq!(labels, [16, 20, 21, 500_007, 700_000]);
+        let explicit = |l: u32| {
+            let i = t.find(r, Label(l)).unwrap_or_else(|| panic!("label {l}"));
+            (t.entries[i].slot, t.branches(i))
+        };
+        assert_eq!(explicit(16), (16, &[hop(16)][..]));
         assert_eq!(explicit(20), (99, &[hop(99)][..]));
         assert_eq!(explicit(500_007), (u32::MAX, &[hop(7), hop(8)][..]));
         assert_eq!(explicit(700_000), (7, &[hop(7)][..]));
-        assert_eq!(t.get(r, Label(22)).unwrap().tag, 22);
-        // Explicit entries are numbered in row order, one each.
-        let order: Vec<usize> = t.row(r).filter_map(|i| t.rows[i].explicit()).collect();
-        assert_eq!(order, [0, 1, 2, 3, 4]);
+        for l in [0u32, 17, 22, 500_008] {
+            assert!(t.find(r, Label(l)).is_none(), "label {l}");
+        }
+    }
+
+    #[test]
+    fn explicit_entry_overrides_the_computed_one() {
+        let (net, [_, a, _, c, _]) = line_net();
+        let mut cp = ControlPlane::build(&net).unwrap();
+        let slot = cp.loopback_slot(c).unwrap();
+        let Some(LabelValue::Real(la)) = cp.advertised(a, slot) else {
+            panic!("a should advertise a real label");
+        };
+        assert_eq!(cp.ldp_fec(a, la), Some(slot));
+        let before: Vec<Label> = cp.lfib_entries(a).map(|(l, _)| l).collect();
+        let nexthops = vec![LfibHop {
+            iface: 0,
+            next: net.router(a).ifaces[0].peer,
+            action: LabelAction::Pop,
+        }];
+        cp.inject_lfib_entry(a, la, LfibEntry { slot: 7, nexthops });
+        let e = cp.lfib_entry(a, la).unwrap();
+        assert!(!e.is_derived());
+        assert_eq!(e.slot, 7);
+        // Same labels, the overridden one now explicit.
+        let after: Vec<(Label, bool)> = cp
+            .lfib_entries(a)
+            .map(|(l, e)| (l, e.is_derived()))
+            .collect();
+        let want: Vec<(Label, bool)> = before.iter().map(|&l| (l, l != la)).collect();
+        assert_eq!(after, want);
     }
 
     #[test]
@@ -2057,7 +2072,7 @@ mod tests {
         let net = bld.build().unwrap();
         let cp = ControlPlane::build(&net).unwrap();
         let slot = cp.loopback_slot(c).unwrap();
-        let LabelValue::Real(lb) = cp.bindings.advertised(b, slot).unwrap() else {
+        let LabelValue::Real(lb) = cp.advertised(b, slot).unwrap() else {
             panic!()
         };
         let entry = cp.lfib_entry(b, lb).unwrap();

@@ -193,6 +193,8 @@ struct NextHop {
     iface: u32,
     next: RouterId,
     push: Option<Label>,
+    /// The FEC `next` advertised `push` for, when LDP chose the label.
+    fec: Option<u32>,
 }
 
 /// Per-leg destination route cache. A packet's destination is fixed
@@ -275,6 +277,10 @@ impl DstCache {
 /// the packet in motion plus everything the per-hop step reads.
 struct LegState {
     pkt: Packet,
+    /// The FEC slot `cur` advertised the top label for, when this walk
+    /// took that label from LDP one hop back: the LFIB lookup at `cur`
+    /// then skips inverting the label.
+    fec: Option<(Label, u32)>,
     cur: RouterId,
     in_iface_addr: Option<Addr>,
     via_wire: bool,
@@ -487,6 +493,7 @@ impl<'a> Engine<'a> {
         // buffer never grows, so the whole walk stays heap-free.
         let mut f = LegState {
             pkt,
+            fec: None,
             cur: origin,
             in_iface_addr: None,
             via_wire: false,
@@ -547,7 +554,13 @@ impl<'a> Engine<'a> {
                 skip_decrement = true;
                 // fall through to IP processing
             } else {
-                let Some(entry) = self.sub.cp.lfib_entry(cur, top.label) else {
+                let entry = match f.fec.take() {
+                    Some((label, slot)) if label == top.label => {
+                        self.sub.cp.lfib_entry_for(cur, label, slot)
+                    }
+                    _ => self.sub.cp.lfib_entry(cur, top.label),
+                };
+                let Some(entry) = entry else {
                     return Some(f.drop_here(DropReason::BadLabel));
                 };
                 if entry.is_empty() {
@@ -577,6 +590,9 @@ impl<'a> Engine<'a> {
                         if let Some(lse) = f.pkt.stack.top_mut() {
                             lse.ttl -= 1;
                             lse.label = l;
+                        }
+                        if entry.is_derived() {
+                            f.fec = Some((l, entry.slot));
                         }
                     }
                     LabelAction::SwapExplicitNull => {
@@ -641,6 +657,7 @@ impl<'a> Engine<'a> {
                 255
             };
             f.pkt.stack.push(Lse::new(label, lse_ttl));
+            f.fec = nh.fec.map(|slot| (label, slot));
         }
         match self.cross(cur, nh.iface, &mut f.pkt) {
             Ok(arrival) => {
@@ -876,6 +893,7 @@ impl<'a> Engine<'a> {
                     iface,
                     next,
                     push: None,
+                    fec: None,
                 });
             }
         }
@@ -884,7 +902,12 @@ impl<'a> Engine<'a> {
             // RSVP-TE autoroute: destinations owned by a tunnel tail
             // enter the tunnel at its head.
             if let Some((iface, next, push)) = self.sub.cp.te_route(cur, owner) {
-                return Some(NextHop { iface, next, push });
+                return Some(NextHop {
+                    iface,
+                    next,
+                    push,
+                    fec: None,
+                });
             }
             // The destination's slot in its own AS table — which is
             // exactly this AS — resolved once at plane-build time.
@@ -898,11 +921,17 @@ impl<'a> Engine<'a> {
                     iface,
                     next: self.sub.cp.walk_ifaces(cur)[iface as usize].peer,
                     push: None,
+                    fec: None,
                 }),
                 ExtRoute::ViaEgress { egress } => {
                     // RSVP-TE autoroute towards the BGP next hop.
                     if let Some((iface, next, push)) = self.sub.cp.te_route(cur, egress) {
-                        return Some(NextHop { iface, next, push });
+                        return Some(NextHop {
+                            iface,
+                            next,
+                            push,
+                            fec: None,
+                        });
                     }
                     // Otherwise route (and LDP-label-switch) towards
                     // the egress border's loopback; the egress is a
@@ -918,16 +947,21 @@ impl<'a> Engine<'a> {
     fn intra_hop(&self, cur: RouterId, slot: u32, pkt: &Packet) -> Option<NextHop> {
         let entry = self.sub.cp.fib_entry(cur, slot)?;
         let &(iface, next) = pick(entry, pkt.flow, self.ecmp_salt(cur, pkt));
-        let push = if self.sub.cp.router_flags(cur) & walk::MPLS != 0 {
-            match self.sub.cp.bindings.advertised(next, slot) {
-                Some(crate::ldp::LabelValue::Real(l)) => Some(l),
-                Some(crate::ldp::LabelValue::ExplicitNull) => Some(Label::EXPLICIT_NULL),
-                Some(crate::ldp::LabelValue::ImplicitNull) | None => None,
+        let (push, fec) = if self.sub.cp.router_flags(cur) & walk::MPLS != 0 {
+            match self.sub.cp.advertised(next, slot) {
+                Some(crate::ldp::LabelValue::Real(l)) => (Some(l), Some(slot)),
+                Some(crate::ldp::LabelValue::ExplicitNull) => (Some(Label::EXPLICIT_NULL), None),
+                Some(crate::ldp::LabelValue::ImplicitNull) | None => (None, None),
             }
         } else {
-            None
+            (None, None)
         };
-        Some(NextHop { iface, next, push })
+        Some(NextHop {
+            iface,
+            next,
+            push,
+            fec,
+        })
     }
 }
 

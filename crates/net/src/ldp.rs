@@ -5,12 +5,22 @@
 //! — and advertises the *null* labels for prefixes it owns: implicit
 //! null requests Penultimate Hop Popping, explicit null requests
 //! Ultimate Hop Popping (paper §2.1).
+//!
+//! Allocation is a closed form, so no per-`(router, slot)` label is
+//! stored. A router numbers the FECs it advertises a real label for in
+//! slot order, from `16 + router % 61` up (adjacent LSRs quote visibly
+//! distinct labels, as real tables do). The FECs it *counts* are every
+//! slot of its AS table, or only the `/32` slots under
+//! [`LdpPolicy::LoopbackOnly`]; the counted ones it owns take a null
+//! label and no number. So the label of a counted slot is its position
+//! among the counted slots, less the router's own counted slots below
+//! it, and the inverse walks the same small tables ([`LdpBindings`]).
 
+use crate::control::walk;
 use crate::ids::{Label, RouterId};
 use crate::net::Network;
 use crate::prefixes::AsPrefixes;
-use crate::router::Router;
-use crate::vendor::{LdpPolicy, PoppingMode};
+use crate::vendor::LdpPolicy;
 
 /// A label advertisement for a FEC.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
@@ -23,187 +33,233 @@ pub enum LabelValue {
     ExplicitNull,
 }
 
-/// The complete set of LDP bindings: per router, FEC slot → advertised
-/// label. Slots index the router's own AS's [`AsPrefixes`] table.
-///
-/// Stored as a CSR-style dense table — router `i`'s slot window is
-/// `pool[base[i]..base[i+1]]`, directly indexed by slot — because
-/// [`LdpBindings::advertised`] runs once per IP hop on the packet
-/// walk's hot path, where a per-router hash map lookup was measurable.
-/// Each advertisement is packed into one `u32` (`LdpBindings::pack`):
-/// labels are 20-bit values, so the top of the range holds the two
-/// null modes and the "not advertised" sentinel.
+/// The tables every LDP advertisement is computed from. Per AS, the
+/// `/32` slots are numbered in slot order, both ways (slot → number,
+/// number → slot); per LDP router, the positions among its counted
+/// slots of the slots it owns. A slot's position among the counted
+/// slots is the slot itself under [`LdpPolicy::AllPrefixes`] and its
+/// `/32` number under [`LdpPolicy::LoopbackOnly`]. The advertising
+/// policy and popping mode come from the router's walk flags
+/// ([`walk::LOOPBACK_ONLY`], [`walk::UHP`]) and its AS from the plane's
+/// AS index, so
+/// [`ControlPlane::advertised`](crate::control::ControlPlane::advertised)
+/// and its inverse never read the `Router` struct.
 #[derive(Debug, Clone)]
 pub struct LdpBindings {
-    /// `num_routers + 1` offsets into `pool`.
-    base: Vec<u32>,
-    /// Slot-indexed packed advertisements; [`LdpBindings::NONE`] marks
-    /// a slot the router does not advertise (e.g. non-/32 prefixes
-    /// under `LoopbackOnly`).
-    pool: Vec<u32>,
+    /// AS → first entry of its window in `host_number`; length
+    /// `num_as + 1`.
+    pub(crate) host_number_base: Vec<u32>,
+    /// Per AS, one entry per slot: its `/32` number, or `u32::MAX` for
+    /// a slot that is not a `/32`.
+    pub(crate) host_number: Vec<u32>,
+    /// AS → first entry of its window in `host_slot`; length
+    /// `num_as + 1`.
+    pub(crate) host_slot_base: Vec<u32>,
+    /// Per AS, the slot of each `/32` number: its `/32` slots in slot
+    /// order.
+    pub(crate) host_slot: Vec<u32>,
+    /// Router → first entry of its row in `own`; length
+    /// `num_routers + 1`.
+    pub(crate) own_base: Vec<u32>,
+    /// Per LDP router, the counted positions of the slots it owns
+    /// (those of its loopback and interface prefixes that it counts),
+    /// strictly increasing. A router that runs no LDP has an empty row;
+    /// one that does counts at least its loopback's slot.
+    pub(crate) own: Vec<u32>,
 }
 
 impl LdpBindings {
-    /// Packed "not advertised" slot.
-    const NONE: u32 = u32::MAX;
-    /// Packed implicit null.
-    const IMPLICIT_NULL: u32 = u32::MAX - 1;
-    /// Packed explicit null.
-    const EXPLICIT_NULL: u32 = u32::MAX - 2;
+    /// Marks a slot that is not a `/32` in `host_number`.
+    pub const NOT_HOST: u32 = u32::MAX;
 
-    /// Packs an advertisement into its pool word.
-    #[inline]
-    fn pack(value: LabelValue) -> u32 {
-        match value {
-            LabelValue::ImplicitNull => Self::IMPLICIT_NULL,
-            LabelValue::ExplicitNull => Self::EXPLICIT_NULL,
-            LabelValue::Real(l) => {
-                debug_assert!(
-                    l.0 < Self::EXPLICIT_NULL,
-                    "label {l} collides with a sentinel"
-                );
-                l.0
-            }
-        }
-    }
-
-    /// Unpacks a pool word written by `LdpBindings::pack`.
-    #[inline]
-    pub fn unpack(word: u32) -> Option<LabelValue> {
-        match word {
-            Self::NONE => None,
-            Self::IMPLICIT_NULL => Some(LabelValue::ImplicitNull),
-            Self::EXPLICIT_NULL => Some(LabelValue::ExplicitNull),
-            l => Some(LabelValue::Real(Label(l))),
-        }
-    }
-
-    /// Computes every router's advertisements: [`LdpBindings::window`]
-    /// for each router, in router order.
-    pub fn compute(net: &Network, as_prefixes: &[AsPrefixes]) -> LdpBindings {
-        let mut base = Vec::with_capacity(net.num_routers() + 1);
-        let mut pool = Vec::new();
-        base.push(0u32);
-        for r in net.routers() {
-            Self::window(net, as_prefixes, r, &mut pool);
-            base.push(pool.len() as u32);
-        }
-        pool.shrink_to_fit();
-        LdpBindings { base, pool }
-    }
-
-    /// The width of `router`'s advertisement window: its AS's slot
-    /// count when it runs LDP, else `0`.
-    pub fn window_len(net: &Network, as_prefixes: &[AsPrefixes], router: &Router) -> usize {
-        Self::table(net, as_prefixes, router).map_or(0, AsPrefixes::len)
-    }
-
-    /// The AS table `router` advertises over, when it runs LDP.
-    fn table<'a>(
+    /// Builds the tables from the AS tables and the router-indexed
+    /// slot tables the plane writes during its build (`loopback_slot`,
+    /// and `iface_slot` in the `iface_slot_base` CSR).
+    pub(crate) fn build(
         net: &Network,
-        as_prefixes: &'a [AsPrefixes],
-        router: &Router,
-    ) -> Option<&'a AsPrefixes> {
-        let runs_ldp = router.config.mpls && router.config.ldp_policy != LdpPolicy::None;
-        let table = net.as_index(router.asn).and_then(|i| as_prefixes.get(i));
-        table.filter(|_| runs_ldp)
-    }
-
-    /// The per-router oracle: appends `router`'s advertisement window —
-    /// one packed word per slot of its AS table, or nothing when it
-    /// runs no LDP — to `out`. [`LdpBindings::compute`] concatenates the
-    /// windows; the D5xx verifier recomputes one router at a time into a
-    /// reused buffer.
-    pub fn window(net: &Network, as_prefixes: &[AsPrefixes], router: &Router, out: &mut Vec<u32>) {
-        let Some(ap) = Self::table(net, as_prefixes, router) else {
-            return;
-        };
-        let rid = router.id;
-        // Offset the label space per router so adjacent LSRs quote
-        // visibly distinct labels (as real tables do).
-        let mut next_label = Label::FIRST_DYNAMIC.0 + (rid.0 % 61);
-        let start = out.len();
-        out.resize(start + ap.len(), Self::NONE);
-        let table = &mut out[start..];
-        for slot in 0..ap.len() as u32 {
-            let advertise = match router.config.ldp_policy {
-                LdpPolicy::AllPrefixes => true,
-                LdpPolicy::LoopbackOnly => ap.prefix(slot).len == 32,
-                LdpPolicy::None => false,
-            };
-            if !advertise {
-                continue;
-            }
-            let value = if ap.owners(slot).contains(&rid) {
-                match router.config.popping {
-                    PoppingMode::Php => LabelValue::ImplicitNull,
-                    PoppingMode::Uhp => LabelValue::ExplicitNull,
+        as_prefixes: &[AsPrefixes],
+        loopback_slot: &[u32],
+        iface_slot_base: &[u32],
+        iface_slot: &[u32],
+    ) -> LdpBindings {
+        let mut host_number_base = Vec::with_capacity(as_prefixes.len() + 1);
+        let mut host_slot_base = Vec::with_capacity(as_prefixes.len() + 1);
+        let slots: usize = as_prefixes.iter().map(AsPrefixes::len).sum();
+        let (mut host_number, mut host_slot) = (Vec::with_capacity(slots), Vec::new());
+        for ap in as_prefixes {
+            host_number_base.push(host_number.len() as u32);
+            host_slot_base.push(host_slot.len() as u32);
+            let first = host_slot.len();
+            for (s, p) in ap.prefixes.iter().enumerate() {
+                if p.len == 32 {
+                    host_number.push((host_slot.len() - first) as u32);
+                    host_slot.push(s as u32);
+                } else {
+                    host_number.push(Self::NOT_HOST);
                 }
-            } else {
-                let l = Label(next_label);
-                next_label += 1;
-                LabelValue::Real(l)
-            };
-            table[slot as usize] = Self::pack(value);
+            }
+        }
+        host_number_base.push(host_number.len() as u32);
+        host_slot_base.push(host_slot.len() as u32);
+        host_slot.shrink_to_fit();
+
+        let mut own_base = Vec::with_capacity(net.num_routers() + 1);
+        let (mut own, mut row) = (Vec::new(), Vec::new());
+        own_base.push(0);
+        for r in net.routers() {
+            if let Some(a) = net.as_index(r.asn).filter(|_| Self::runs_ldp(r)) {
+                let i = r.id.index();
+                let numbers =
+                    &host_number[host_number_base[a] as usize..host_number_base[a + 1] as usize];
+                let loopback_only = r.config.ldp_policy == LdpPolicy::LoopbackOnly;
+                row.clear();
+                row.push(loopback_slot[i]);
+                row.extend_from_slice(
+                    &iface_slot[iface_slot_base[i] as usize..iface_slot_base[i + 1] as usize],
+                );
+                row.retain(|&s| s != u32::MAX);
+                if loopback_only {
+                    row.retain_mut(|s| {
+                        *s = numbers[*s as usize];
+                        *s != Self::NOT_HOST
+                    });
+                }
+                row.sort_unstable();
+                row.dedup();
+                own.extend_from_slice(&row);
+            }
+            own_base.push(own.len() as u32);
+        }
+        own.shrink_to_fit();
+        LdpBindings {
+            host_number_base,
+            host_number,
+            host_slot_base,
+            host_slot,
+            own_base,
+            own,
         }
     }
 
-    /// What `router` advertised for FEC `slot` (slot in its own AS's
-    /// prefix table), if anything.
+    /// True when `router` runs LDP: MPLS on and an advertising policy.
+    pub fn runs_ldp(router: &crate::router::Router) -> bool {
+        router.config.mpls && router.config.ldp_policy != LdpPolicy::None
+    }
+
+    /// The first label `router` allocates.
     #[inline]
-    pub fn advertised(&self, router: RouterId, slot: u32) -> Option<LabelValue> {
-        let start = self.base[router.index()] as usize;
-        let end = self.base[router.index() + 1] as usize;
-        let i = start + slot as usize;
-        if i < end {
-            Self::unpack(self.pool[i])
+    fn first_label(router: RouterId) -> u32 {
+        Label::FIRST_DYNAMIC.0 + router.0 % 61
+    }
+
+    /// `router`'s row of own counted positions; `None` when it runs no
+    /// LDP (or its row is out of range).
+    #[inline]
+    fn own(&self, router: RouterId) -> Option<&[u32]> {
+        let i = router.index();
+        let (lo, hi) = (*self.own_base.get(i)?, *self.own_base.get(i + 1)?);
+        self.own
+            .get(lo as usize..hi as usize)
+            .filter(|row| !row.is_empty())
+    }
+
+    /// The window of AS `home` (dense index) in a per-AS table.
+    #[inline]
+    fn window<'a>(base: &[u32], pool: &'a [u32], home: u32) -> Option<&'a [u32]> {
+        let a = home as usize;
+        let (lo, hi) = (*base.get(a)?, *base.get(a + 1)?);
+        pool.get(lo as usize..hi as usize)
+    }
+
+    /// What `router` (AS index `home`, walk flags `flags`) advertises
+    /// for FEC `slot` of its AS table, if anything.
+    #[inline]
+    pub(crate) fn advertised(
+        &self,
+        router: RouterId,
+        home: u32,
+        flags: u8,
+        slot: u32,
+    ) -> Option<LabelValue> {
+        let own = self.own(router)?;
+        let numbers = Self::window(&self.host_number_base, &self.host_number, home)?;
+        let number = *numbers.get(slot as usize)?;
+        let position = if flags & walk::LOOPBACK_ONLY == 0 {
+            slot
+        } else if number != Self::NOT_HOST {
+            number
         } else {
-            None
+            return None; // a loopback-only router counts /32s only
+        };
+        // Rows are a few entries long: a branch-free pass counts the own
+        // positions below and spots an own one.
+        let (mut own_below, mut owned) = (0, false);
+        for &o in own {
+            own_below += u32::from(o < position);
+            owned |= o == position;
+        }
+        if owned {
+            return Some(if flags & walk::UHP != 0 {
+                LabelValue::ExplicitNull
+            } else {
+                LabelValue::ImplicitNull
+            });
+        }
+        let rank = position.checked_sub(own_below)?; // a malformed row
+        Some(LabelValue::Real(Label(Self::first_label(router) + rank)))
+    }
+
+    /// The inverse of [`LdpBindings::advertised`]: the slot `router`
+    /// advertises the real label `label` for, if any.
+    #[inline]
+    pub(crate) fn fec(&self, router: RouterId, home: u32, flags: u8, label: Label) -> Option<u32> {
+        let own = self.own(router)?;
+        let loopback_only = flags & walk::LOOPBACK_ONLY != 0;
+        let counted = if loopback_only {
+            Self::window(&self.host_slot_base, &self.host_slot, home)?
+        } else {
+            Self::window(&self.host_number_base, &self.host_number, home)?
+        };
+        // The label's rank among the router's real labels, moved past
+        // the positions it owns up to there, is the FEC's position.
+        let mut position = label.0.checked_sub(Self::first_label(router))?;
+        if position as usize >= counted.len() {
+            return None;
+        }
+        // Sorted rows: once an own position lies past `position`, so
+        // do the rest, so a branch-free pass over the row suffices.
+        for &o in own {
+            position += u32::from(o <= position);
+        }
+        if loopback_only {
+            counted.get(position as usize).copied()
+        } else {
+            ((position as usize) < counted.len()).then_some(position)
         }
     }
 
-    /// Iterates over `(slot, value)` advertised by `router`.
-    pub fn advertisements(&self, router: RouterId) -> impl Iterator<Item = (u32, LabelValue)> + '_ {
-        let start = self.base[router.index()] as usize;
-        let end = self.base[router.index() + 1] as usize;
-        Self::unpack_window(&self.pool[start..end])
-    }
-
-    /// Iterates over the `(slot, value)` advertisements of a window of
-    /// packed words (as [`LdpBindings::window`] writes them).
-    pub fn unpack_window(window: &[u32]) -> impl Iterator<Item = (u32, LabelValue)> + '_ {
-        window
-            .iter()
-            .enumerate()
-            .filter_map(|(slot, &w)| Self::unpack(w).map(|v| (slot as u32, v)))
-    }
-
-    /// Number of FECs `router` advertises.
-    pub fn count(&self, router: RouterId) -> usize {
-        self.advertisements(router).count()
-    }
-
-    /// The raw CSR representation `(base, packed pool)`, for the D5xx
-    /// dense-plane verifier's well-formedness checks.
-    pub fn csr(&self) -> (&[u32], &[u32]) {
-        (&self.base, &self.pool)
-    }
-
-    /// Heap bytes reserved by the two tables.
+    /// Heap bytes reserved by the tables.
     pub(crate) fn heap_bytes(&self) -> usize {
-        crate::control::vec_bytes(&self.base) + crate::control::vec_bytes(&self.pool)
+        use crate::control::vec_bytes;
+        vec_bytes(&self.host_number_base)
+            + vec_bytes(&self.host_number)
+            + vec_bytes(&self.host_slot_base)
+            + vec_bytes(&self.host_slot)
+            + vec_bytes(&self.own_base)
+            + vec_bytes(&self.own)
     }
 
-    /// Mutable CSR offsets (test-only mutation hook).
+    /// Mutable per-AS window offsets into the `/32` numbers (test-only
+    /// mutation hook).
     #[cfg(feature = "mutation")]
-    pub fn base_mut(&mut self) -> &mut Vec<u32> {
-        &mut self.base
+    pub fn host_number_base_mut(&mut self) -> &mut Vec<u32> {
+        &mut self.host_number_base
     }
 
-    /// Mutable advertisement pool (test-only mutation hook).
+    /// Mutable own-position rows (test-only mutation hook).
     #[cfg(feature = "mutation")]
-    pub fn pool_mut(&mut self) -> &mut Vec<u32> {
-        &mut self.pool
+    pub fn own_mut(&mut self) -> &mut Vec<u32> {
+        &mut self.own
     }
 }
 
@@ -217,46 +273,46 @@ mod tests {
     use crate::vendor::Vendor;
 
     /// x - y - z in one AS; x is MPLS Cisco, y MPLS Juniper, z IP-only.
-    fn mixed_as() -> (Network, [RouterId; 3]) {
+    fn mixed_as() -> (Network, ControlPlane, [RouterId; 3]) {
         let mut b = NetworkBuilder::new();
         let x = b.add_router("x", Asn(1), RouterConfig::mpls_router(Vendor::CiscoIos));
         let y = b.add_router("y", Asn(1), RouterConfig::mpls_router(Vendor::JuniperJunos));
         let z = b.add_router("z", Asn(1), RouterConfig::ip_router(Vendor::CiscoIos));
         b.link(x, y, LinkOpts::default());
         b.link(y, z, LinkOpts::default());
-        (b.build().unwrap(), [x, y, z])
+        let net = b.build().unwrap();
+        let cp = ControlPlane::build(&net).unwrap();
+        (net, cp, [x, y, z])
     }
 
-    fn prefixes(net: &Network) -> Vec<AsPrefixes> {
-        net.as_list()
-            .iter()
-            .map(|&asn| AsPrefixes::build(net, asn).0)
+    /// `(slot, value)` of every advertisement of `router`.
+    fn advertisements(cp: &ControlPlane, router: RouterId) -> Vec<(u32, LabelValue)> {
+        (0..cp.as_prefixes[0].len() as u32)
+            .filter_map(|s| cp.advertised(router, s).map(|v| (s, v)))
             .collect()
     }
 
     #[test]
     fn cisco_advertises_all_juniper_loopbacks_only() {
-        let (net, [x, y, z]) = mixed_as();
-        let aps = prefixes(&net);
-        let ldp = LdpBindings::compute(&net, &aps);
+        let (_, cp, [x, y, z]) = mixed_as();
         // 3 loopbacks + 2 /31s = 5 prefixes; Cisco advertises all.
-        assert_eq!(ldp.count(x), 5);
+        assert_eq!(advertisements(&cp, x).len(), 5);
         // Juniper: only the three /32 loopbacks.
-        assert_eq!(ldp.count(y), 3);
+        assert_eq!(advertisements(&cp, y).len(), 3);
         // IP-only router: nothing.
-        assert_eq!(ldp.count(z), 0);
+        assert!(advertisements(&cp, z).is_empty());
+        // Past the AS table: nothing.
+        assert_eq!(cp.advertised(x, 5), None);
     }
 
     #[test]
     fn owners_advertise_null() {
-        let (net, [x, _, _]) = mixed_as();
-        let cp = ControlPlane::build(&net).unwrap();
-        let ldp = &cp.bindings;
+        let (_, cp, [x, _, z]) = mixed_as();
         let own_slot = cp.loopback_slot(x).unwrap();
-        assert_eq!(ldp.advertised(x, own_slot), Some(LabelValue::ImplicitNull));
+        assert_eq!(cp.advertised(x, own_slot), Some(LabelValue::ImplicitNull));
         // A prefix x does not own gets a real, dynamic label.
-        let other_slot = cp.loopback_slot(RouterId(2)).unwrap();
-        match ldp.advertised(x, other_slot) {
+        let other_slot = cp.loopback_slot(z).unwrap();
+        match cp.advertised(x, other_slot) {
             Some(LabelValue::Real(l)) => assert!(!l.is_reserved()),
             other => panic!("expected real label, got {other:?}"),
         }
@@ -274,25 +330,34 @@ mod tests {
         b.link(x, y, LinkOpts::default());
         let net = b.build().unwrap();
         let cp = ControlPlane::build(&net).unwrap();
-        let ldp = &cp.bindings;
         let slot = cp.loopback_slot(x).unwrap();
-        assert_eq!(ldp.advertised(x, slot), Some(LabelValue::ExplicitNull));
+        assert_eq!(cp.advertised(x, slot), Some(LabelValue::ExplicitNull));
         // y still uses PHP for its own prefixes.
         let slot_y = cp.loopback_slot(y).unwrap();
-        assert_eq!(ldp.advertised(y, slot_y), Some(LabelValue::ImplicitNull));
+        assert_eq!(cp.advertised(y, slot_y), Some(LabelValue::ImplicitNull));
     }
 
     #[test]
-    fn labels_unique_per_router() {
-        let (net, [x, _, _]) = mixed_as();
-        let aps = prefixes(&net);
-        let ldp = LdpBindings::compute(&net, &aps);
-        let mut seen = std::collections::HashSet::new();
-        for (_, v) in ldp.advertisements(x) {
-            if let LabelValue::Real(l) = v {
-                assert!(seen.insert(l), "duplicate incoming label {l}");
+    fn labels_run_in_slot_order_and_invert() {
+        let (_, cp, [x, y, z]) = mixed_as();
+        for r in [x, y] {
+            let real: Vec<(u32, Label)> = advertisements(&cp, r)
+                .into_iter()
+                .filter_map(|(s, v)| match v {
+                    LabelValue::Real(l) => Some((s, l)),
+                    _ => None,
+                })
+                .collect();
+            assert!(!real.is_empty());
+            // One increasing run from the router's first label.
+            for (k, &(slot, l)) in real.iter().enumerate() {
+                assert_eq!(l.0, LdpBindings::first_label(r) + k as u32);
+                assert_eq!(cp.ldp_fec(r, l), Some(slot));
             }
+            let past = Label(real.last().unwrap().1 .0 + 1);
+            assert_eq!(cp.ldp_fec(r, past), None);
+            assert_eq!(cp.ldp_fec(r, Label(LdpBindings::first_label(r) - 1)), None);
         }
-        assert!(!seen.is_empty());
+        assert_eq!(cp.ldp_fec(z, Label(LdpBindings::first_label(z))), None);
     }
 }

@@ -68,9 +68,9 @@ pub mod wire;
 pub use addr::{Addr, AddrAllocator, Prefix};
 pub use bgp::{Bgp, RouteClass};
 pub use control::{
-    ldp_label_action, lfib_row, logical_fib, te_group, te_program, walk, CachePayloadError,
+    ldp_label_action, logical_fib, te_group, te_program, te_row, walk, CachePayloadError,
     ControlPlane, DenseView, ExtOracle, ExtRoute, FibOracle, FibTables, LabelAction, LfibEntry,
-    LfibExplicit, LfibHop, LfibRecord, LfibRef, LfibSource, TeRoute, WalkIface,
+    LfibExplicit, LfibHop, LfibRef, TeRoute, WalkIface,
 };
 pub use engine::{DropReason, Engine, EngineStats, ReplyInfo, ReplyKind, SendOutcome};
 pub use error::NetError;

@@ -74,11 +74,39 @@ fn whole_field<'a>(req: &'a str, key: &str) -> Result<Option<usize>, &'a str> {
     }
 }
 
-fn scale_by_name(name: &str) -> Option<(usize, Scale)> {
+/// A present `key` as a string. A present value of another type comes
+/// back as its raw text, to be reported — never read as absent.
+fn string_field<'a>(req: &'a str, key: &str) -> Result<Option<String>, &'a str> {
+    match raw_field(req, key) {
+        None => Ok(None),
+        Some(raw) => str_field(req, key).map(Some).ok_or(raw),
+    }
+}
+
+/// The request's `scale` (`quick` when absent) with its store index.
+/// A value that names no scale, a non-string included, comes back as
+/// its text, to be reported.
+fn scale_field(req: &str) -> Result<(&'static str, usize, Scale), String> {
+    let name = string_field(req, "scale")
+        .map_err(str::to_string)?
+        .unwrap_or_else(|| "quick".into());
     SCALES
         .iter()
-        .position(|&(n, _)| n == name)
-        .map(|i| (i, SCALES[i].1))
+        .enumerate()
+        .find(|(_, &(n, _))| n == name)
+        .map(|(i, &(n, scale))| (n, i, scale))
+        .ok_or(name)
+}
+
+/// Writes an error frame carrying `message`.
+fn error_frame(w: &mut impl Write, message: &str) -> io::Result<()> {
+    write_frame(
+        w,
+        &format!(
+            "{{\"type\":\"error\",\"error\":\"{}\"}}",
+            json_escape(message)
+        ),
+    )
 }
 
 /// The resident server. Create with [`Server::new`], run the accept
@@ -242,13 +270,7 @@ impl Server {
                 Ok(false)
             }
             other => {
-                write_frame(
-                    w,
-                    &format!(
-                        "{{\"type\":\"error\",\"error\":\"unknown cmd {}\"}}",
-                        json_escape(other.unwrap_or("<none>"))
-                    ),
-                )?;
+                error_frame(w, &format!("unknown cmd {}", other.unwrap_or("<none>")))?;
                 Ok(true)
             }
         }
@@ -260,43 +282,24 @@ impl Server {
     /// `"stream":false`), then the `report` frame with the canonical
     /// byte-stable report text.
     fn run_campaign(&self, req: &str, w: &mut impl Write) -> io::Result<()> {
-        let scale_name = str_field(req, "scale").unwrap_or_else(|| "quick".into());
-        let Some((idx, scale)) = scale_by_name(&scale_name) else {
-            return write_frame(
-                w,
-                &format!(
-                    "{{\"type\":\"error\",\"error\":\"unknown scale {}\"}}",
-                    json_escape(&scale_name)
-                ),
-            );
+        let (scale_name, idx, scale) = match scale_field(req) {
+            Ok(found) => found,
+            Err(what) => return error_frame(w, &format!("unknown scale {what}")),
         };
         // An absent `jobs` means one worker (0 = all cores).
         let jobs = match whole_field(req, "jobs") {
             Ok(n) => n.unwrap_or(1),
             Err(raw) => {
-                return write_frame(
-                    w,
-                    &format!(
-                        "{{\"type\":\"error\",\"error\":\"jobs must be a whole number >= 0, got {}\"}}",
-                        json_escape(raw)
-                    ),
-                );
+                return error_frame(w, &format!("jobs must be a whole number >= 0, got {raw}"));
             }
         };
-        let faults = match str_field(req, "faults") {
-            Some(name) => match FaultScenario::parse(&name) {
+        let faults = match string_field(req, "faults") {
+            Ok(None) => FaultScenario::Clean,
+            Ok(Some(name)) => match FaultScenario::parse(&name) {
                 Some(sc) => sc,
-                None => {
-                    return write_frame(
-                        w,
-                        &format!(
-                            "{{\"type\":\"error\",\"error\":\"unknown fault scenario {}\"}}",
-                            json_escape(&name)
-                        ),
-                    );
-                }
+                None => return error_frame(w, &format!("unknown fault scenario {name}")),
             },
-            None => FaultScenario::Clean,
+            Err(raw) => return error_frame(w, &format!("unknown fault scenario {raw}")),
         };
         // The `WORMHOLE_SCHED` vocabulary; anything else is an error,
         // never a silent fallback to VP batches.
@@ -306,12 +309,9 @@ impl Server {
                 Some("batches") => Scheduling::VpBatches,
                 Some("stealing") => Scheduling::Stealing,
                 _ => {
-                    return write_frame(
+                    return error_frame(
                         w,
-                        &format!(
-                            "{{\"type\":\"error\",\"error\":\"unknown scheduling {} (expected batches or stealing)\"}}",
-                            json_escape(raw)
-                        ),
+                        &format!("unknown scheduling {raw} (expected batches or stealing)"),
                     );
                 }
             },
@@ -320,13 +320,7 @@ impl Server {
             None | Some("true") => true,
             Some("false") => false,
             Some(raw) => {
-                return write_frame(
-                    w,
-                    &format!(
-                        "{{\"type\":\"error\",\"error\":\"stream must be true or false, got {}\"}}",
-                        json_escape(raw)
-                    ),
-                );
+                return error_frame(w, &format!("stream must be true or false, got {raw}"));
             }
         };
         let (internet, warm) = self.substrate(idx, scale);
@@ -365,40 +359,25 @@ impl Server {
     /// `trace`: one traceroute over the warm substrate, from vantage
     /// point `vp` (default 0) to `dst`.
     fn run_trace(&self, req: &str, w: &mut impl Write) -> io::Result<()> {
-        let scale_name = str_field(req, "scale").unwrap_or_else(|| "quick".into());
-        let Some((idx, scale)) = scale_by_name(&scale_name) else {
-            return write_frame(
-                w,
-                &format!(
-                    "{{\"type\":\"error\",\"error\":\"unknown scale {}\"}}",
-                    json_escape(&scale_name)
-                ),
-            );
+        let (_, idx, scale) = match scale_field(req) {
+            Ok(found) => found,
+            Err(what) => return error_frame(w, &format!("unknown scale {what}")),
         };
         let Some(dst) = str_field(req, "dst").and_then(|d| d.parse().ok()) else {
-            return write_frame(
-                w,
-                "{\"type\":\"error\",\"error\":\"trace needs a dst address\"}",
-            );
+            return error_frame(w, "trace needs a dst address");
         };
         let vp = match whole_field(req, "vp") {
             Ok(n) => n.unwrap_or(0),
             Err(raw) => {
-                return write_frame(
-                    w,
-                    &format!(
-                        "{{\"type\":\"error\",\"error\":\"vp must be a whole number >= 0, got {}\"}}",
-                        json_escape(raw)
-                    ),
-                );
+                return error_frame(w, &format!("vp must be a whole number >= 0, got {raw}"));
             }
         };
         let (internet, warm) = self.substrate(idx, scale);
         if vp >= internet.vps.len() {
-            return write_frame(
+            return error_frame(
                 w,
                 &format!(
-                    "{{\"type\":\"error\",\"error\":\"vp {vp} out of range ({} vantage points)\"}}",
+                    "vp {vp} out of range ({} vantage points)",
                     internet.vps.len()
                 ),
             );
@@ -418,15 +397,9 @@ impl Server {
 
     /// `lint`: static analysis of the scale's warm substrate.
     fn run_lint(&self, req: &str, w: &mut impl Write) -> io::Result<()> {
-        let scale_name = str_field(req, "scale").unwrap_or_else(|| "quick".into());
-        let Some((idx, scale)) = scale_by_name(&scale_name) else {
-            return write_frame(
-                w,
-                &format!(
-                    "{{\"type\":\"error\",\"error\":\"unknown scale {}\"}}",
-                    json_escape(&scale_name)
-                ),
-            );
+        let (_, idx, scale) = match scale_field(req) {
+            Ok(found) => found,
+            Err(what) => return error_frame(w, &format!("unknown scale {what}")),
         };
         let (internet, warm) = self.substrate(idx, scale);
         let diags = wormhole_lint::check_internet(&internet);

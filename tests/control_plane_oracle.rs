@@ -12,11 +12,15 @@
 //! The external-route classes are checked through `ext_route` against
 //! the reference's per-cell hot-potato choice.
 //!
-//! The LFIB stores an LDP entry as its FEC slot alone and derives the
-//! branches from the FIB on every read; the derived-branch rows check
-//! that view against the FIB span and `ldp_label_action`, and that
-//! explicitly installed entries (RSVP-TE transit, what-if injections)
-//! read back exactly as installed.
+//! LDP labels are a closed form and the LFIB stores no LDP entry: a
+//! lookup inverts the label to its FEC and derives the branches from
+//! the FIB on every read. The LDP reference rows pin `advertised` on
+//! every `(router, slot)` against the sequential allocator the plane
+//! once stored, and every router's `lfib_entries` against the
+//! reference LFIB row; the derived-branch rows check each entry against
+//! its FIB span and `ldp_label_action`; and explicitly installed
+//! entries (RSVP-TE transit, what-if injections) read back exactly as
+//! installed.
 //!
 //! The AS tables number each loopback's and interface's FEC slot as
 //! they are built, and nothing looks an address up by prefix; the slot
@@ -30,7 +34,7 @@ use wormhole_net::{
     ldp_label_action, Addr, ControlPlane, Label, LabelAction, LabelValue, LfibEntry, LfibHop,
     Network, PoppingMode, RouterId,
 };
-use wormhole_topo::{generate, gns3_fig2_te, InternetConfig};
+use wormhole_topo::{generate, gns3_fig2, gns3_fig2_te, Fig2Config, InternetConfig};
 
 /// Every LDP entry's branches equal its FEC's FIB span — count, order
 /// and next hops — each with the `ldp_label_action` of its next router,
@@ -54,25 +58,27 @@ fn assert_ldp_branches_derived(net: &Network, cp: &ControlPlane, what: &str) {
                 let want = LfibHop {
                     iface,
                     next,
-                    action: ldp_label_action(&cp.bindings, next, e.slot),
+                    action: ldp_label_action(cp, next, e.slot),
                 };
                 assert_eq!(e.branch(i), want, "{what}: router {r} label {label} #{i}");
             }
             assert_eq!(
-                cp.bindings.advertised(rid, e.slot),
+                cp.advertised(rid, e.slot),
                 Some(LabelValue::Real(label)),
                 "{what}: router {r} label {label} is not its FEC's advertisement"
             );
             rows += 1;
         }
     }
-    let advertised = (0..net.num_routers() as u32)
+    let advertised = net
+        .routers()
+        .iter()
         .flat_map(|r| {
-            cp.bindings
-                .advertisements(RouterId(r))
-                .filter(move |&(slot, v)| {
-                    matches!(v, LabelValue::Real(_)) && cp.fib_entry(RouterId(r), slot).is_some()
-                })
+            let slots = net.as_index(r.asn).map_or(0, |a| cp.as_prefixes[a].len());
+            (0..slots as u32).filter(move |&slot| {
+                matches!(cp.advertised(r.id, slot), Some(LabelValue::Real(_)))
+                    && cp.fib_entry(r.id, slot).is_some()
+            })
         })
         .count();
     assert!(rows > 0, "{what}: no LDP entry");
@@ -101,6 +107,52 @@ fn ldp_branches_derive_from_the_fib_at_paper_scale() {
 fn ldp_branches_derive_from_the_fib_at_tenfold_scale() {
     let i = generate(&InternetConfig::tenfold(8));
     assert_ldp_branches_derived(&i.net, &i.cp, "tenfold/seed8");
+}
+
+#[test]
+fn ldp_labels_match_the_reference_allocator_at_quick_scale() {
+    for seed in [1, 7, 42] {
+        let i = generate(&InternetConfig::small(seed));
+        oracle::assert_ldp_reference_equivalent(&i.net, &i.cp, &format!("quick/seed{seed}"));
+    }
+}
+
+#[test]
+fn ldp_labels_match_the_reference_allocator_at_paper_scale() {
+    let i = generate(&InternetConfig {
+        seed: 8,
+        ..InternetConfig::default()
+    });
+    oracle::assert_ldp_reference_equivalent(&i.net, &i.cp, "paper/seed8");
+}
+
+#[test]
+#[ignore = "release-mode CI scale; run with --include-ignored"]
+fn ldp_labels_match_the_reference_allocator_at_tenfold_scale() {
+    let i = generate(&InternetConfig::tenfold(8));
+    oracle::assert_ldp_reference_equivalent(&i.net, &i.cp, "tenfold/seed8");
+}
+
+#[test]
+#[ignore = "release-mode CI scale; run with --include-ignored"]
+fn ldp_labels_match_the_reference_allocator_at_thousandfold_scale() {
+    let i = generate(&InternetConfig::thousandfold(8));
+    oracle::assert_ldp_reference_equivalent(&i.net, &i.cp, "thousandfold/seed8");
+}
+
+/// The reference rows also hold on the testbeds: the RSVP-TE fixture's
+/// explicit rows (no LDP, PHP and UHP tunnels) and the LDP testbed
+/// under every Fig. 2 preset.
+#[test]
+fn lfib_rows_match_the_reference_on_the_testbeds() {
+    for popping in [PoppingMode::Php, PoppingMode::Uhp] {
+        let s = gns3_fig2_te(popping, false);
+        oracle::assert_ldp_reference_equivalent(&s.net, &s.cp, &format!("te/{popping:?}"));
+    }
+    for config in Fig2Config::ALL {
+        let s = gns3_fig2(config);
+        oracle::assert_ldp_reference_equivalent(&s.net, &s.cp, &format!("fig2/{config:?}"));
+    }
 }
 
 /// The slot a plain longest-prefix match gives `addr` in `router`'s own

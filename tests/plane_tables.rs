@@ -4,7 +4,8 @@
 //! Every flat table is sized to what it holds, so
 //! [`ControlPlane::table_bytes`] equals the element counts the dense
 //! view exposes, with no growth slack; so does the network's owner
-//! index. The `#[ignore]`d rows hold the
+//! index. The LDP tables and the explicit LFIB rows are pinned to the
+//! byte at every scale. The `#[ignore]`d rows hold the
 //! resident footprint of the tenfold and thousandfold planes under a
 //! ceiling (release CI runs them with `--include-ignored`).
 //!
@@ -14,7 +15,7 @@
 
 use std::mem::size_of_val;
 use wormhole::experiments::{internet_config_for, Scale};
-use wormhole::net::{wire, Addr, ControlPlane, RouterId, OWNER_DIR_SIZE};
+use wormhole::net::{wire, Addr, ControlPlane, LdpBindings, RouterId, OWNER_DIR_SIZE};
 use wormhole::topo::{generate, InternetConfig};
 
 const MB: usize = 1_000_000;
@@ -102,13 +103,12 @@ fn assert_exactly_sized(i: &wormhole::topo::Internet, what: &str) {
             + size_of_val(v.fib_pool),
         "{what}: fib"
     );
+    // LDP entries are computed: only the explicit rows' offsets are
+    // stored, one per router plus one.
+    assert_eq!(v.lfib_base.len(), n + 1, "{what}: lfib rows");
     assert_eq!(
         bytes(cp, "lfib"),
-        size_of_val(v.lfib_base)
-            + size_of_val(v.lfib_lo)
-            + size_of_val(v.lfib_rows)
-            + size_of_val(v.lfib_explicit)
-            + size_of_val(v.lfib_hops),
+        size_of_val(v.lfib_base) + size_of_val(v.lfib_explicit) + size_of_val(v.lfib_hops),
         "{what}: lfib"
     );
     // Per AS: one prefix per slot, one owner offset per slot plus one,
@@ -133,10 +133,42 @@ fn assert_exactly_sized(i: &wormhole::topo::Internet, what: &str) {
         size_of_val(owners.dir.as_slice()) + size_of_val(owners.pool.as_slice()),
         "{what}: owner index"
     );
-    let (base, pool) = cp.bindings.csr();
+    // Per AS one /32 number per slot and one slot per /32; per router
+    // one offset plus one, and one position per counted slot an LDP
+    // router owns.
+    let slots: usize = cp.as_prefixes.iter().map(|ap| ap.len()).sum();
+    let hosts = i.net.num_routers(); // every loopback is a /32
+    assert_eq!(
+        (
+            v.ldp_host_number_base.len(),
+            v.ldp_host_number.len(),
+            v.ldp_host_slot_base.len(),
+            v.ldp_host_slot.len(),
+            v.ldp_own_base.len()
+        ),
+        (n_as + 1, slots, n_as + 1, hosts, n + 1),
+        "{what}: ldp"
+    );
+    let held: usize = i
+        .net
+        .routers()
+        .iter()
+        .filter(|r| LdpBindings::runs_ldp(r))
+        .map(|r| 1 + r.ifaces.len())
+        .sum();
+    assert!(
+        v.ldp_own.len() <= held,
+        "{what}: {} own positions",
+        v.ldp_own.len()
+    );
     assert_eq!(
         bytes(cp, "ldp bindings"),
-        size_of_val(base) + size_of_val(pool),
+        size_of_val(v.ldp_host_number_base)
+            + size_of_val(v.ldp_host_number)
+            + size_of_val(v.ldp_host_slot_base)
+            + size_of_val(v.ldp_host_slot)
+            + size_of_val(v.ldp_own_base)
+            + size_of_val(v.ldp_own),
         "{what}: ldp"
     );
     // Each block run ends at its highest held address: the pool is
@@ -147,10 +179,8 @@ fn assert_exactly_sized(i: &wormhole::topo::Internet, what: &str) {
         "{what}: {} pool entries for {held} addresses",
         owners.pool.len()
     );
-    let installed: usize = (0..n as u32).map(|r| cp.lfib_size(RouterId(r))).sum();
-    assert_eq!(installed, v.lfib_rows.len(), "{what}");
-    // LDP records keep no branch: only RSVP-TE transit entries (none in
-    // a generated Internet) are explicit.
+    // LDP entries are not stored: only RSVP-TE transit entries (none
+    // in a generated Internet) are explicit.
     assert!(
         v.lfib_explicit.is_empty() && v.lfib_hops.is_empty(),
         "{what}"
@@ -199,9 +229,23 @@ fn owner_index_agrees_with_router_addresses_at_quick_scale() {
     }
 }
 
+/// The exact `(ldp bindings, lfib)` bytes: the two tables LDP labels
+/// are computed from, and the explicit rows (one offset per router plus
+/// one, no entry).
+fn assert_ldp_and_lfib_bytes(cp: &ControlPlane, what: &str, want: (usize, usize)) {
+    assert_eq!(
+        (bytes(cp, "ldp bindings"), bytes(cp, "lfib")),
+        want,
+        "{what}: ldp bindings, lfib"
+    );
+}
+
 fn report(what: &str, cp: &ControlPlane) {
     for (name, b) in cp.table_bytes() {
-        eprintln!("{what}: {name:>15} {:>9.2} MB", b as f64 / MB as f64);
+        eprintln!(
+            "{what}: {name:>15} {:>9.2} MB {b:>10} B",
+            b as f64 / MB as f64
+        );
     }
     eprintln!(
         "{what}: {:>15} {:>9.2} MB",
@@ -212,9 +256,10 @@ fn report(what: &str, cp: &ControlPlane) {
 
 #[test]
 fn tables_are_exactly_sized_at_quick_scale() {
-    for seed in [1, 8, 42] {
+    for (seed, ldp_lfib) in [(1, (2992, 572)), (8, (3036, 580)), (42, (3040, 584))] {
         let i = generate(&InternetConfig::small(seed));
         assert_exactly_sized(&i, &format!("quick/seed{seed}"));
+        assert_ldp_and_lfib_bytes(&i.cp, &format!("quick/seed{seed}"), ldp_lfib);
         report("quick", &i.cp);
         assert!(
             total(&i.cp) < MB,
@@ -228,6 +273,7 @@ fn tables_are_exactly_sized_at_quick_scale() {
 fn tables_are_exactly_sized_at_paper_scale() {
     let i = generate(&internet_config_for(Scale::Paper, 8));
     assert_exactly_sized(&i, "paper/seed8");
+    assert_ldp_and_lfib_bytes(&i.cp, "paper/seed8", (10_484, 1_632));
     report("paper", &i.cp);
     assert!(total(&i.cp) < 4 * MB, "paper: {} bytes", total(&i.cp));
 }
@@ -237,11 +283,13 @@ fn tables_are_exactly_sized_at_paper_scale() {
 fn tenfold_plane_footprint_within_ceiling() {
     let i = generate(&internet_config_for(Scale::Tenfold, 8));
     assert_exactly_sized(&i, "tenfold/seed8");
+    assert_ldp_and_lfib_bytes(&i.cp, "tenfold/seed8", (92_796, 14_780));
     report("tenfold", &i.cp);
-    assert!(total(&i.cp) <= 6 * MB, "tenfold: {} bytes", total(&i.cp));
+    assert!(total(&i.cp) <= 3 * MB, "tenfold: {} bytes", total(&i.cp));
     for (table, ceiling) in [
         ("igp", 600_000),
-        ("lfib", 1_600_000),
+        ("ldp bindings", 100_000),
+        ("lfib", 50_000),
         ("fib", MB),
         ("ext", 300_000),
         ("prefixes", 300_000),
@@ -259,9 +307,10 @@ fn tenfold_plane_footprint_within_ceiling() {
 fn thousandfold_plane_footprint_within_ceiling() {
     let i = generate(&internet_config_for(Scale::ThousandFold, 8));
     assert_exactly_sized(&i, "thousandfold/seed8");
+    assert_ldp_and_lfib_bytes(&i.cp, "thousandfold/seed8", (310_340, 49_828));
     report("thousandfold", &i.cp);
     assert!(
-        total(&i.cp) <= 34 * MB,
+        total(&i.cp) <= 30 * MB,
         "thousandfold: {} bytes",
         total(&i.cp)
     );

@@ -157,7 +157,9 @@ fn ping_trace_and_errors_round_trip() {
     // No present field may fall back silently: an unknown scheduler must
     // not run VP batches, a negative or fractional `jobs` must not be
     // cast to 0 (all cores) or truncated, a malformed `vp` must not run
-    // VP 0 or a truncated VP, and a non-boolean `stream` must not stream.
+    // VP 0 or a truncated VP, a non-boolean `stream` must not stream,
+    // and a non-string `scale` or `faults` must not run the quick scale
+    // or the clean scenario.
     for (req, message) in [
         (
             r#"{"cmd":"campaign","scale":"quick","scheduling":"steal"}"#,
@@ -191,6 +193,16 @@ fn ping_trace_and_errors_round_trip() {
             r#"{"cmd":"campaign","scale":"quick","stream":"no"}"#,
             r#"stream must be true or false, got "no""#,
         ),
+        (r#"{"cmd":"campaign","scale":7}"#, "unknown scale 7"),
+        (
+            r#"{"cmd":"campaign","scale":"quick","faults":7,"stream":false}"#,
+            "unknown fault scenario 7",
+        ),
+        (
+            r#"{"cmd":"trace","scale":7,"dst":"10.1.0.0"}"#,
+            "unknown scale 7",
+        ),
+        (r#"{"cmd":"lint","scale":null}"#, "unknown scale null"),
     ] {
         let frames = c.request(req).expect("bad field");
         assert_eq!(frames.len(), 1, "{req}: one error frame, nothing run");
