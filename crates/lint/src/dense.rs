@@ -9,7 +9,8 @@
 //! address→owner index. These rules cross-check every flat table
 //! against the logical model it encodes — re-derived through the same
 //! oracles [`ControlPlane::build`] itself loops over ([`FibOracle`],
-//! [`ExtOracle`], [`te_program`], [`te_row`], [`ldp_label_action`]),
+//! [`Bgp::compute`] and [`ExtOracle`], [`te_program`], [`te_row`],
+//! [`ldp_label_action`]),
 //! or recounted from the AS tables (the LDP tables) — and against its
 //! own structural invariants. The verifier shares *oracles* with the
 //! build, never outputs: every logical row is recomputed from the
@@ -31,7 +32,7 @@ use crate::diag::{Diagnostic, Location, Severity};
 use std::collections::HashSet;
 use wormhole_net::igp::{adjacencies_into, INF};
 use wormhole_net::{
-    ldp_label_action, te_group, te_program, te_row, Addr, ControlPlane, ExtOracle, ExtRoute,
+    ldp_label_action, te_group, te_program, te_row, Addr, Bgp, ControlPlane, ExtOracle, ExtRoute,
     FibOracle, Label, LdpBindings, LdpPolicy, LfibHop, Network, Prefix, RouterId, OWNER_DIR_SIZE,
 };
 
@@ -740,10 +741,11 @@ fn ext_shape(net: &Network, cp: &ControlPlane, out: &mut Vec<Diagnostic>) -> boo
 }
 
 /// D513, content half: every AS's stored classes against the build's
-/// own hot-potato oracle ([`ExtOracle`]). Each distinct candidate set
-/// of an AS is resolved once: the first cell with it must name a class
-/// equal to the recomputed one, and every later cell with it the same
-/// class.
+/// own hot-potato oracle ([`ExtOracle`]) over AS-level routes
+/// recomputed from the network ([`Bgp::compute`]). Each distinct
+/// candidate set of an AS is resolved once: the first cell with it must
+/// name a class equal to the recomputed one, and every later cell with
+/// it the same class.
 fn ext_content(net: &Network, cp: &ControlPlane, out: &mut Vec<Diagnostic>) {
     let v = cp.dense_view();
     let as_list = net.as_list();
@@ -751,7 +753,10 @@ fn ext_content(net: &Network, cp: &ControlPlane, out: &mut Vec<Diagnostic>) {
     if cp.igp.len() != n_as {
         return; // the oracle needs one IGP view per AS
     }
-    let mut oracle = ExtOracle::new(net, &cp.igp, &cp.bgp);
+    let Ok(bgp) = Bgp::compute(net) else {
+        return; // a network BGP rejects is W103 / X2xx territory
+    };
+    let mut oracle = ExtOracle::new(net, &cp.igp, &bgp);
     // The AS's candidate set numbers → the class their first cell names.
     let mut class_of: Vec<u16> = Vec::new();
     let mut found = Capped::default();

@@ -12,6 +12,11 @@
 //! produces, and that the plane stores that FIB; [`assert_ext_reference_equivalent`] checks every
 //! external route the plane answers.
 //!
+//! [`ref_bgp`] is a valley-free solver of its own, a synchronous
+//! relaxation to a fixed point instead of `Bgp::compute`'s heap search:
+//! [`assert_bgp_reference_equivalent`] pins `Bgp::compute`'s next-hop
+//! sets against it, and the hot-potato reference routes over it.
+//!
 //! [`assert_ldp_reference_equivalent`] pins the plane's closed-form LDP
 //! labels against the sequential allocator the plane once stored per
 //! `(router, slot)` ([`ref_ldp_window`]), and every LFIB entry — LDP
@@ -24,8 +29,9 @@ use wormhole_net::igp::{adjacencies_into, edge_metric, INF};
 use wormhole_net::prefixes::AsPrefixes;
 use wormhole_net::router::Router;
 use wormhole_net::{
-    logical_fib, te_group, te_program, Asn, ControlPlane, ExtRoute, FibTables, Label, LabelAction,
-    LabelValue, LdpPolicy, LfibEntry, LfibHop, Network, PoppingMode, RouterId,
+    logical_fib, te_group, te_program, Asn, Bgp, ControlPlane, ExtRoute, FibTables, Label,
+    LabelAction, LabelValue, LdpPolicy, LfibEntry, LfibHop, Network, PoppingMode, RelKind,
+    RouterId,
 };
 
 /// The reference IGP view of one AS.
@@ -240,13 +246,99 @@ pub fn assert_reference_equivalent(net: &Network, cp: &ControlPlane, what: &str)
     );
 }
 
+/// Route classes of [`ref_bgp`], lower is better.
+const CUSTOMER: u8 = 0;
+const PEER: u8 = 1;
+const PROVIDER: u8 = 2;
+
+/// The reference valley-free routes: `next[dst][src]`, the sorted
+/// dense indices of the equally-best next-hop ASes from `src` towards
+/// `dst` (empty when unreachable, and for `src == dst`).
+///
+/// Per destination, every AS's route is recomputed in rounds from its
+/// neighbours' current routes until no route changes: the best
+/// `(class, length)` on offer, classes ranking customer < peer <
+/// provider, then shorter. An AS offers its route to a customer always,
+/// and to a peer or provider only when it is customer-learned or its
+/// own. Each round starts from scratch, so an AS only ever offers the
+/// route it currently selects; a route it has since replaced leaves no
+/// trace. The next hops are every neighbour whose offer equals the
+/// selected route.
+pub fn ref_bgp(net: &Network) -> Vec<Vec<Vec<u32>>> {
+    let n = net.as_list().len();
+    // (from, to, the class `to` gives a route learned from `from`).
+    let mut edges = Vec::new();
+    for rel in net.as_rels() {
+        let (Some(a), Some(b)) = (net.as_index(rel.a), net.as_index(rel.b)) else {
+            continue;
+        };
+        match rel.kind {
+            RelKind::ProviderCustomer => edges.extend([(a, b, PROVIDER), (b, a, CUSTOMER)]),
+            RelKind::Peer => edges.extend([(a, b, PEER), (b, a, PEER)]),
+        }
+    }
+    let offer = |route: &[Option<(u8, u32)>], (from, _, class): (usize, usize, u8)| {
+        let (held, len) = route[from]?;
+        (class == PROVIDER || held == CUSTOMER).then_some((class, len + 1))
+    };
+    (0..n)
+        .map(|dst| {
+            let mut route: Vec<Option<(u8, u32)>> = vec![None; n];
+            route[dst] = Some((CUSTOMER, 0));
+            for round in 0.. {
+                assert!(
+                    round <= 2 * n,
+                    "valley-free routes towards AS #{dst} oscillate"
+                );
+                let mut fresh: Vec<Option<(u8, u32)>> = vec![None; n];
+                fresh[dst] = Some((CUSTOMER, 0));
+                for &e in &edges {
+                    if let Some(o) = offer(&route, e) {
+                        if e.1 != dst && fresh[e.1].is_none_or(|r| o < r) {
+                            fresh[e.1] = Some(o);
+                        }
+                    }
+                }
+                if fresh == route {
+                    break;
+                }
+                route = fresh;
+            }
+            let mut next = vec![Vec::new(); n];
+            for &e in &edges {
+                if e.1 != dst && offer(&route, e).is_some_and(|o| route[e.1] == Some(o)) {
+                    next[e.1].push(e.0 as u32);
+                }
+            }
+            for set in &mut next {
+                set.sort_unstable();
+                set.dedup();
+            }
+            next
+        })
+        .collect()
+}
+
+/// Asserts that `Bgp::compute`'s next-hop set equals [`ref_bgp`]'s, as
+/// a set, on every `(destination, source)` AS pair.
+pub fn assert_bgp_reference_equivalent(net: &Network, what: &str) {
+    let bgp = Bgp::compute(net).expect("valley-free routes");
+    for (dst, column) in ref_bgp(net).iter().enumerate() {
+        for (src, want) in column.iter().enumerate() {
+            let mut got = bgp.next_hops(dst, src).to_vec();
+            got.sort_unstable();
+            assert_eq!(&got, want, "{what}: AS #{src} towards AS #{dst}");
+        }
+    }
+}
+
 /// The reference hot-potato route of `router` (in AS `src`) towards
 /// AS `dst`: leave over the router's own first interface to a best next
-/// AS, else head for the IGP-nearest border holding one (ties to the
-/// lowest router id), else unreachable.
+/// AS ([`ref_bgp`]'s `best_next`), else head for the IGP-nearest border
+/// holding one (ties to the lowest router id), else unreachable.
 fn ref_ext_route(
     net: &Network,
-    cp: &ControlPlane,
+    best_next: &[u32],
     igp: &RefIgp,
     router: RouterId,
     dst: usize,
@@ -256,7 +348,6 @@ fn ref_ext_route(
     if src == dst {
         return ExtRoute::Unreachable;
     }
-    let best_next = cp.bgp.next_hops(dst, src);
     let mut candidates: Vec<(RouterId, u32)> = Vec::new();
     for &b in net.as_members(src_asn) {
         for (idx, iface) in net.router(b).ifaces.iter().enumerate() {
@@ -285,12 +376,13 @@ fn ref_ext_route(
 /// destination AS)` cell.
 pub fn assert_ext_reference_equivalent(net: &Network, cp: &ControlPlane, what: &str) {
     let reference: Vec<RefIgp> = net.as_list().iter().map(|&asn| ref_igp(net, asn)).collect();
+    let bgp = ref_bgp(net);
     for r in net.routers() {
-        let igp = &reference[net.as_index(r.asn).expect("registered AS")];
-        for dst in 0..net.as_list().len() {
+        let src = net.as_index(r.asn).expect("registered AS");
+        for (dst, column) in bgp.iter().enumerate() {
             assert_eq!(
                 cp.ext_route(r.id, dst),
-                ref_ext_route(net, cp, igp, r.id, dst),
+                ref_ext_route(net, &column[src], &reference[src], r.id, dst),
                 "{what}: {} towards AS #{dst}",
                 r.name
             );

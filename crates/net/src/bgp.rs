@@ -7,18 +7,13 @@
 //! paths asymmetric — the noise FRPLA must average out (§3.4, Fig 7).
 
 use crate::error::NetError;
-use crate::ids::Asn;
 use crate::net::{Network, RelKind};
 use std::collections::{BinaryHeap, HashMap};
-
-/// One destination's column of the routing table: each AS's selected
-/// `(class, AS-path length)`, when reachable.
-pub type RouteColumn = Vec<Option<(RouteClass, u32)>>;
 
 /// Preference class of an AS-level route, lower is better
 /// (customer > peer > provider in operator revenue terms).
 #[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Debug)]
-pub enum RouteClass {
+enum RouteClass {
     /// Learned from a customer (or the origin itself).
     Customer = 0,
     /// Learned from a settlement-free peer.
@@ -28,7 +23,9 @@ pub enum RouteClass {
 }
 
 /// The AS-level routing table: for every destination AS, each AS's set
-/// of equally-best next-hop ASes.
+/// of equally-best next-hop ASes. [`crate::ControlPlane::build`]
+/// computes it for the hot-potato external-route pass and drops it;
+/// the plane stores only the classes that pass yields.
 ///
 /// The next-hop sets live in one `u32` CSR: pair `(dst, src)` owns the
 /// span `next_base[dst * n + src] .. next_base[dst * n + src + 1]` of
@@ -36,14 +33,14 @@ pub enum RouteClass {
 /// small heap vectors.
 #[derive(Debug, Clone)]
 pub struct Bgp {
+    /// Number of ASes the table covers.
+    n: usize,
     /// CSR offsets into `next_pool`; length `n * n + 1`.
-    pub(crate) next_base: Vec<u32>,
+    next_base: Vec<u32>,
     /// Concatenated dense AS indices of the best next-hop ASes from
     /// `src` towards `dst` (an empty span ⇒ unreachable; `src == dst` ⇒
     /// empty by convention).
-    pub(crate) next_pool: Vec<u32>,
-    /// `route[dst][src]`: the selected route's (class, AS-path length).
-    pub route: Vec<RouteColumn>,
+    next_pool: Vec<u32>,
 }
 
 /// Neighbor view used during route computation.
@@ -102,46 +99,30 @@ impl Bgp {
     pub fn compute(net: &Network) -> Result<Bgp, NetError> {
         let adj = build_adj(net)?;
         let n = net.as_list().len();
-        let mut route = Vec::with_capacity(n);
         let mut next_base = Vec::with_capacity(n * n + 1);
         let mut next_pool = Vec::new();
         next_base.push(0u32);
         for dst in 0..n {
-            let (nexts, routes) = Self::single_dest(&adj, n, dst);
-            for set in &nexts {
+            for set in &Self::single_dest(&adj, n, dst) {
                 next_pool.extend(set.iter().map(|&x| x as u32));
                 next_base.push(next_pool.len() as u32);
             }
-            route.push(routes);
         }
         next_pool.shrink_to_fit();
         Ok(Bgp {
+            n,
             next_base,
             next_pool,
-            route,
         })
     }
 
-    /// Number of ASes the table covers.
-    pub fn num_as(&self) -> usize {
-        self.route.len()
-    }
-
-    /// Heap bytes reserved by the next-hop CSR and the route columns.
-    pub(crate) fn heap_bytes(&self) -> usize {
-        use crate::control::vec_bytes;
-        vec_bytes(&self.next_base)
-            + vec_bytes(&self.next_pool)
-            + vec_bytes(&self.route)
-            + self.route.iter().map(vec_bytes).sum::<usize>()
-    }
-
-    /// Dijkstra over the `(class, hops)` lattice for one destination.
+    /// Dijkstra over the `(class, hops)` lattice for one destination:
+    /// each AS's set of best next-hop ASes.
     ///
     /// An AS `x` exports its route to neighbor `y` only when `y` is its
     /// customer, or when `x`'s own route is customer-learned / originated
     /// — the classic valley-free export rule.
-    fn single_dest(adj: &AsAdj, n: usize, dst: usize) -> (Vec<Vec<usize>>, RouteColumn) {
+    fn single_dest(adj: &AsAdj, n: usize, dst: usize) -> Vec<Vec<usize>> {
         use std::cmp::Reverse;
         let mut best: Vec<Option<(RouteClass, u32)>> = vec![None; n];
         let mut nexts: Vec<Vec<usize>> = vec![Vec::new(); n];
@@ -176,31 +157,15 @@ impl Bgp {
                 }
             }
         }
-        (nexts, best)
+        nexts
     }
 
     /// The best next-hop AS indices from `src` towards `dst` (dense
     /// indices).
     #[inline]
     pub fn next_hops(&self, dst: usize, src: usize) -> &[u32] {
-        let cell = dst * self.num_as() + src;
+        let cell = dst * self.n + src;
         &self.next_pool[self.next_base[cell] as usize..self.next_base[cell + 1] as usize]
-    }
-
-    /// Whether `src` has any route to `dst`.
-    pub fn reachable(&self, dst: usize, src: usize) -> bool {
-        src == dst || !self.next_hops(dst, src).is_empty()
-    }
-
-    /// Convenience: resolves through [`Network::as_index`].
-    pub fn next_hop_asns(&self, net: &Network, dst: Asn, src: Asn) -> Vec<Asn> {
-        let (Some(d), Some(s)) = (net.as_index(dst), net.as_index(src)) else {
-            return Vec::new();
-        };
-        self.next_hops(d, s)
-            .iter()
-            .map(|&i| net.as_list()[i as usize])
-            .collect()
     }
 }
 
@@ -210,6 +175,18 @@ mod tests {
     use crate::net::{LinkOpts, NetworkBuilder};
     use crate::router::RouterConfig;
     use crate::vendor::Vendor;
+    use crate::Asn;
+
+    /// `bgp.next_hops` resolved through [`Network::as_index`].
+    fn next_hop_asns(bgp: &Bgp, net: &Network, dst: Asn, src: Asn) -> Vec<Asn> {
+        let (Some(d), Some(s)) = (net.as_index(dst), net.as_index(src)) else {
+            return Vec::new();
+        };
+        bgp.next_hops(d, s)
+            .iter()
+            .map(|&i| net.as_list()[i as usize])
+            .collect()
+    }
 
     /// AS1 --customer-of--> AS2 (transit) <--customer-- AS3;
     /// AS2 peers with AS4; AS4 provides AS5.
@@ -237,9 +214,9 @@ mod tests {
         let net = net5();
         let bgp = Bgp::compute(&net).unwrap();
         // AS1 reaches AS3 via its provider AS2.
-        assert_eq!(bgp.next_hop_asns(&net, Asn(3), Asn(1)), vec![Asn(2)]);
+        assert_eq!(next_hop_asns(&bgp, &net, Asn(3), Asn(1)), vec![Asn(2)]);
         // AS3 reaches AS1 via AS2 as well.
-        assert_eq!(bgp.next_hop_asns(&net, Asn(1), Asn(3)), vec![Asn(2)]);
+        assert_eq!(next_hop_asns(&bgp, &net, Asn(1), Asn(3)), vec![Asn(2)]);
     }
 
     #[test]
@@ -247,11 +224,11 @@ mod tests {
         let net = net5();
         let bgp = Bgp::compute(&net).unwrap();
         // AS2 reaches AS5 through its peer AS4 (AS4 exports its customer).
-        assert_eq!(bgp.next_hop_asns(&net, Asn(5), Asn(2)), vec![Asn(4)]);
+        assert_eq!(next_hop_asns(&bgp, &net, Asn(5), Asn(2)), vec![Asn(4)]);
         // And AS1 (customer of AS2) reaches AS5 via AS2.
-        assert_eq!(bgp.next_hop_asns(&net, Asn(5), Asn(1)), vec![Asn(2)]);
+        assert_eq!(next_hop_asns(&bgp, &net, Asn(5), Asn(1)), vec![Asn(2)]);
         // AS5 reaches AS1: AS5 -> AS4 (provider) -> peer AS2 -> customer.
-        assert_eq!(bgp.next_hop_asns(&net, Asn(1), Asn(5)), vec![Asn(4)]);
+        assert_eq!(next_hop_asns(&bgp, &net, Asn(1), Asn(5)), vec![Asn(4)]);
     }
 
     #[test]
@@ -275,7 +252,7 @@ mod tests {
         b.as_rel(Asn(4), Asn(6), RelKind::ProviderCustomer);
         let net = b.build().unwrap();
         let bgp = Bgp::compute(&net).unwrap();
-        assert_eq!(bgp.next_hop_asns(&net, Asn(6), Asn(2)), vec![Asn(3)]);
+        assert_eq!(next_hop_asns(&bgp, &net, Asn(6), Asn(2)), vec![Asn(3)]);
     }
 
     #[test]
@@ -297,7 +274,7 @@ mod tests {
         b.as_rel(Asn(3), Asn(4), RelKind::ProviderCustomer);
         let net = b.build().unwrap();
         let bgp = Bgp::compute(&net).unwrap();
-        let mut nh = bgp.next_hop_asns(&net, Asn(4), Asn(1));
+        let mut nh = next_hop_asns(&bgp, &net, Asn(4), Asn(1));
         nh.sort();
         assert_eq!(nh, vec![Asn(2), Asn(3)]);
     }
@@ -332,8 +309,8 @@ mod tests {
         b.as_rel(Asn(2), Asn(3), RelKind::Peer);
         let net = b.build().unwrap();
         let bgp = Bgp::compute(&net).unwrap();
-        assert!(bgp.next_hop_asns(&net, Asn(3), Asn(1)).is_empty());
+        assert!(next_hop_asns(&bgp, &net, Asn(3), Asn(1)).is_empty());
         // Direct peers still reach each other.
-        assert_eq!(bgp.next_hop_asns(&net, Asn(2), Asn(1)), vec![Asn(2)]);
+        assert_eq!(next_hop_asns(&bgp, &net, Asn(2), Asn(1)), vec![Asn(2)]);
     }
 }

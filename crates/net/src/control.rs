@@ -10,7 +10,8 @@
 //!    distinct sets stored once as next-hop groups with one `u16` group
 //!    number per prefix slot ([`FibTables`]);
 //! 3. external routes: hot-potato egress selection over the valley-free
-//!    AS-level routes ([`Bgp`]), each source AS's distinct vectors of
+//!    AS-level routes ([`Bgp`], computed before step 1 and dropped once
+//!    this step has read it), each source AS's distinct vectors of
 //!    member decisions stored once as classes with one `u16` class
 //!    number per destination AS ([`ExtOracle`]);
 //! 4. LDP and the LFIBs implementing swap / PHP-pop /
@@ -413,8 +414,6 @@ pub struct ControlPlane {
     pub as_prefixes: Vec<AsPrefixes>,
     /// Per-AS IGP views.
     pub igp: Vec<AsIgp>,
-    /// AS-level routes.
-    pub bgp: Bgp,
     /// The tables LDP advertisements are computed from.
     pub bindings: LdpBindings,
     /// The intra-AS FIB's next-hop groups, as [`logical_fib`] emits
@@ -830,7 +829,7 @@ impl ExtBuilder {
 pub struct ExtOracle<'a> {
     net: &'a Network,
     igp: &'a [AsIgp],
-    bgp: &'a Bgp,
+    routes: &'a Bgp,
     /// The loaded source AS.
     src_as: usize,
     /// Its borders' inter-AS interfaces as `(border, iface, peer AS
@@ -852,11 +851,11 @@ pub struct ExtOracle<'a> {
 
 impl<'a> ExtOracle<'a> {
     /// An oracle over the given per-AS IGP views and AS-level routes.
-    pub fn new(net: &'a Network, igp: &'a [AsIgp], bgp: &'a Bgp) -> Self {
+    pub fn new(net: &'a Network, igp: &'a [AsIgp], routes: &'a Bgp) -> Self {
         ExtOracle {
             net,
             igp,
-            bgp,
+            routes,
             src_as: 0,
             links: Vec::new(),
             by_next: WordMap::default(),
@@ -901,7 +900,7 @@ impl<'a> ExtOracle<'a> {
         let next: &'a [u32] = if dst_as == self.src_as {
             &[]
         } else {
-            self.bgp.next_hops(dst_as, self.src_as)
+            self.routes.next_hops(dst_as, self.src_as)
         };
         let known = match next {
             [] => self.unreachable,
@@ -1099,22 +1098,23 @@ impl ControlPlane {
     /// declared relationship; the first failing AS in AS order wins.
     pub fn build(net: &Network) -> Result<ControlPlane, NetError> {
         let bgp = Bgp::compute(net)?;
-        ControlPlane::assemble(net, bgp, None)
+        // The AS-level routes live only as long as the pass reading them.
+        ControlPlane::assemble(net, move |igp| hot_potato_ext(net, igp, &bgp))
     }
 
-    /// The substrate-cache payload: the two build phases whose cost
-    /// dominates at scale (valley-free BGP and the hot-potato external
-    /// route table), encoded with [`crate::wire`]. Everything else in
-    /// the plane is cheap to recompute from the network, so
+    /// The substrate-cache payload: the external-route table, the
+    /// output of the build phases whose cost dominates at scale
+    /// (valley-free BGP and the hot-potato egress pass), encoded with
+    /// [`crate::wire`]. Everything else in the plane is cheap to
+    /// recompute from the network, so
     /// [`ControlPlane::from_cache_payload`] rebuilds it instead of
-    /// trusting more serialized state than necessary. The external
-    /// routes are written one packed word per `(router, destination AS)`
-    /// cell, router-major — exactly `Vec<ExtRoute>`'s encoding — with
-    /// the classes expanded on the fly.
+    /// trusting more serialized state than necessary. The routes are
+    /// written one packed word per `(router, destination AS)` cell,
+    /// router-major — exactly `Vec<ExtRoute>`'s encoding — with the
+    /// classes expanded on the fly.
     pub fn cache_payload(&self) -> Vec<u8> {
         use crate::wire::Wire as _;
         let mut out = Vec::new();
-        self.bgp.put(&mut out);
         let (n, n_as) = (self.router_as_idx.len(), self.ext.blocks.len() - 1);
         (n * n_as).put(&mut out);
         out.reserve(4 * n * n_as);
@@ -1128,8 +1128,8 @@ impl ControlPlane {
     }
 
     /// Rebuilds the control plane from a [`ControlPlane::cache_payload`]
-    /// over the *same* network. The cached BGP table and external-route
-    /// table skip the expensive phases; every other table is assembled
+    /// over the *same* network. The cached external-route table skips
+    /// the expensive phases; every other table is assembled
     /// from `net` exactly as [`ControlPlane::build`] would, so
     /// the result is byte-identical to a cold build. A payload whose
     /// external-route table does not match the network's dimensions is
@@ -1142,7 +1142,6 @@ impl ControlPlane {
         use crate::wire::{Reader, Wire as _, WireError};
         let corrupt = |what| CachePayloadError::Decode(WireError::Corrupt(what));
         let mut r = Reader::new(payload);
-        let bgp = Bgp::take(&mut r).map_err(CachePayloadError::Decode)?;
         // The per-cell words are read in place from the payload.
         let cells = usize::take(&mut r).map_err(CachePayloadError::Decode)?;
         let bytes = cells
@@ -1153,7 +1152,7 @@ impl ControlPlane {
             return Err(corrupt("trailing bytes"));
         }
         let n_as = net.as_list().len();
-        if cells != n_as * net.num_routers() || bgp.num_as() != n_as {
+        if cells != n_as * net.num_routers() {
             return Err(corrupt("cached table dimensions do not match the network"));
         }
         // Per AS, its members' rows are copied in order into a
@@ -1182,17 +1181,17 @@ impl ControlPlane {
                 ext.ext.class.push(c);
             }
         }
-        ControlPlane::assemble(net, bgp, Some(ext.finish())).map_err(CachePayloadError::Assemble)
+        ControlPlane::assemble(net, |_| Ok(ext.finish())).map_err(CachePayloadError::Assemble)
     }
 
     /// The shared tail of [`ControlPlane::build`] and
     /// [`ControlPlane::from_cache_payload`]: everything after BGP.
-    /// `cached_ext` skips the hot-potato external-route pass when a
-    /// cache supplied the classes.
+    /// `ext` yields the external-route classes from the IGP views, once
+    /// the FIBs are built: the hot-potato pass on a cold build, the
+    /// restored classes on a cache hit.
     fn assemble(
         net: &Network,
-        bgp: Bgp,
-        cached_ext: Option<ExtTables>,
+        ext: impl FnOnce(&[AsIgp]) -> Result<ExtTables, NetError>,
     ) -> Result<ControlPlane, NetError> {
         let as_list = net.as_list();
         let n_as = as_list.len();
@@ -1214,10 +1213,7 @@ impl ControlPlane {
 
         // External routes with hot-potato egress selection (or the
         // cached classes, which this pass produced on a previous build).
-        let ext = match cached_ext {
-            Some(ext) => ext,
-            None => hot_potato_ext(net, &igp, &bgp)?,
-        };
+        let ext = ext(&igp)?;
 
         // Explicit LFIB rows: the RSVP-TE label chain at every transit
         // LSR, in label order. LDP entries are computed on lookup.
@@ -1343,7 +1339,6 @@ impl ControlPlane {
         Ok(ControlPlane {
             as_prefixes,
             igp,
-            bgp,
             bindings,
             fib,
             ext,
@@ -1643,7 +1638,6 @@ impl ControlPlane {
                         .map(AsPrefixes::heap_bytes)
                         .sum::<usize>(),
             ),
-            ("bgp", self.bgp.heap_bytes()),
             ("ldp bindings", self.bindings.heap_bytes()),
             (
                 "fib",

@@ -66,7 +66,7 @@ pub mod vendor;
 pub mod wire;
 
 pub use addr::{Addr, AddrAllocator, Prefix};
-pub use bgp::{Bgp, RouteClass};
+pub use bgp::Bgp;
 pub use control::{
     ldp_label_action, logical_fib, te_group, te_program, te_row, walk, CachePayloadError,
     ControlPlane, DenseView, ExtOracle, ExtRoute, FibOracle, FibTables, LabelAction, LfibEntry,

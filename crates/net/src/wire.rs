@@ -289,88 +289,6 @@ impl Wire for crate::ReplyKind {
     }
 }
 
-impl Wire for crate::RouteClass {
-    fn put(&self, out: &mut Vec<u8>) {
-        out.push(match self {
-            crate::RouteClass::Customer => 0,
-            crate::RouteClass::Peer => 1,
-            crate::RouteClass::Provider => 2,
-        });
-    }
-    fn take(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(match u8::take(r)? {
-            0 => crate::RouteClass::Customer,
-            1 => crate::RouteClass::Peer,
-            2 => crate::RouteClass::Provider,
-            _ => return Err(WireError::Corrupt("RouteClass tag")),
-        })
-    }
-}
-
-impl Wire for crate::Bgp {
-    /// The next-hop CSR travels as the nested `next_as[dst][src]` list
-    /// of `usize` AS indices it flattens, so the substrate-cache bytes
-    /// do not depend on the in-memory layout.
-    fn put(&self, out: &mut Vec<u8>) {
-        let n = self.num_as();
-        n.put(out);
-        for dst in 0..n {
-            n.put(out);
-            for src in 0..n {
-                let set = self.next_hops(dst, src);
-                set.len().put(out);
-                for &x in set {
-                    (x as usize).put(out);
-                }
-            }
-        }
-        self.route.put(out);
-    }
-    fn take(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let n = usize::take(r)?;
-        // Every row header is 8 bytes: a lying `n` dies here, before the
-        // `n²` offset table is allocated.
-        if n > r.remaining() / 8 {
-            return Err(WireError::Truncated);
-        }
-        let cells = n.saturating_mul(n).saturating_add(1);
-        let mut next_base = Vec::with_capacity(cells.min(r.remaining() / 8 + 1));
-        let mut next_pool = Vec::new();
-        next_base.push(0u32);
-        for _ in 0..n {
-            if usize::take(r)? != n {
-                return Err(WireError::Corrupt("BGP next-hop table is not square"));
-            }
-            for _ in 0..n {
-                let len = usize::take(r)?;
-                if len > r.remaining() / 8 {
-                    return Err(WireError::Truncated);
-                }
-                for _ in 0..len {
-                    let x = usize::take(r)?;
-                    if x >= n {
-                        return Err(WireError::Corrupt("BGP next-hop AS index out of range"));
-                    }
-                    next_pool.push(x as u32);
-                }
-                next_base.push(next_pool.len() as u32);
-            }
-        }
-        next_pool.shrink_to_fit();
-        let route: Vec<crate::bgp::RouteColumn> = Wire::take(r)?;
-        if route.len() != n {
-            return Err(WireError::Corrupt(
-                "BGP route table does not match its next hops",
-            ));
-        }
-        Ok(crate::Bgp {
-            next_base,
-            next_pool,
-            route,
-        })
-    }
-}
-
 impl Wire for crate::ExtRoute {
     /// Packed into one `u32` ([`crate::ExtRoute::pack`]): the
     /// external-route table is the bulk of the substrate cache
@@ -602,7 +520,6 @@ mod tests {
         round_trip(crate::ExtRoute::ViaEgress {
             egress: crate::RouterId(14_000),
         });
-        round_trip(crate::RouteClass::Peer);
         round_trip(EngineStats {
             probes: 1,
             crossings: 2,

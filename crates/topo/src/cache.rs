@@ -4,12 +4,12 @@
 //! generation (seeded RNG walk over [`InternetConfig`], cheap) and
 //! control-plane computation (BGP decision process plus the hot-potato
 //! external-route scan, the dominant cost at thousandfold scale). The
-//! cache persists only the expensive half — the [`ControlPlane`]'s
-//! BGP tables and packed external routes, exactly the
+//! cache persists only the expensive half's output — the
+//! [`ControlPlane`]'s packed external routes, exactly the
 //! [`ControlPlane::cache_payload`] bytes — and regenerates the
 //! topology deterministically on every load.
 //!
-//! # File format (version 1)
+//! # File format (version 2)
 //!
 //! ```text
 //! magic      b"WHSC"                      4 bytes
@@ -18,6 +18,11 @@
 //! payload    length-prefixed Vec<u8>      8 + n bytes
 //! checksum   u64 FNV-1a of payload        8 bytes
 //! ```
+//!
+//! The payload is the `(router, destination AS)` cell count as a `u64`,
+//! then one packed [`wormhole_net::ExtRoute`] `u32` per cell,
+//! router-major. A version 1 file, whose payload also held the BGP
+//! tables, is a [`CacheError::Version`].
 //!
 //! All integers little-endian via [`wormhole_net::wire`]. The config
 //! checksum covers every [`InternetConfig`] field including the full
@@ -35,7 +40,7 @@ use wormhole_net::wire::{checksum, Reader, Wire, WireError};
 use wormhole_net::{CachePayloadError, ControlPlane, LdpPolicy, Vendor};
 
 const MAGIC: [u8; 4] = *b"WHSC";
-const VERSION: u32 = 1;
+const VERSION: u32 = 2;
 
 /// Why a cache file could not be used.
 #[derive(Debug)]
@@ -339,6 +344,22 @@ mod tests {
         match generate_cached(&cfg, &dir) {
             Err(CacheError::CorruptPayload) => {}
             other => panic!("expected CorruptPayload, got {other:?}"),
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn version_1_file_is_a_typed_error() {
+        let dir = tmp_dir("version");
+        let cfg = InternetConfig::small(19);
+        generate_cached(&cfg, &dir).unwrap();
+        let path = cache_file(&dir, &cfg);
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[MAGIC.len()..MAGIC.len() + 4].copy_from_slice(&1u32.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        match generate_cached(&cfg, &dir) {
+            Err(CacheError::Version(1)) => {}
+            o => panic!("expected Version(1), got {o:?}"),
         }
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -10,7 +10,10 @@
 //! tenfold and thousandfold rows live in
 //! `crates/lint/tests/dense_scales.rs` (`--include-ignored`).
 //! The external-route classes are checked through `ext_route` against
-//! the reference's per-cell hot-potato choice.
+//! the reference's per-cell hot-potato choice, over the reference's own
+//! valley-free routes; the BGP rows pin `Bgp::compute`'s next-hop sets
+//! against those routes, so a wrong set cannot be built into `ext` and
+//! then agreed with.
 //!
 //! LDP labels are a closed form and the LFIB stores no LDP entry: a
 //! lookup inverts the label to its FEC and derives the branches from
@@ -31,8 +34,9 @@
 mod oracle;
 
 use wormhole_net::{
-    ldp_label_action, Addr, ControlPlane, Label, LabelAction, LabelValue, LfibEntry, LfibHop,
-    Network, PoppingMode, RouterId,
+    ldp_label_action, Addr, Asn, Bgp, ControlPlane, Label, LabelAction, LabelValue, LfibEntry,
+    LfibHop, LinkOpts, Network, NetworkBuilder, PoppingMode, RelKind, RouterConfig, RouterId,
+    Vendor,
 };
 use wormhole_topo::{generate, gns3_fig2, gns3_fig2_te, Fig2Config, InternetConfig};
 
@@ -316,6 +320,66 @@ fn oracles_match_the_reference_at_paper_scale() {
         ..InternetConfig::default()
     });
     oracle::assert_reference_equivalent(&i.net, &i.cp, "paper/seed42");
+}
+
+#[test]
+fn bgp_next_hops_match_the_reference_at_quick_scale() {
+    for seed in [1, 7, 42] {
+        let i = generate(&InternetConfig::small(seed));
+        oracle::assert_bgp_reference_equivalent(&i.net, &format!("quick/seed{seed}"));
+    }
+}
+
+/// AS2 first hears AS1 from its peer AS1 (one hop), then from its
+/// customer AS3 (two hops), and prefers the customer route. AS2's
+/// customer AS4 must then learn the three-hop route through AS2: the
+/// two-hop one AS2 offered while it still held the peer route is gone.
+#[test]
+fn bgp_next_hops_match_the_reference_on_a_replaced_peer_route() {
+    let mut b = NetworkBuilder::new();
+    let cfg = RouterConfig::ip_router(Vendor::CiscoIos);
+    let r: Vec<RouterId> = (1..=4)
+        .map(|a| b.add_router(&format!("r{a}"), Asn(a), cfg.clone()))
+        .collect();
+    for (x, y) in [(1, 0), (1, 2), (2, 0), (1, 3)] {
+        b.link(r[x], r[y], LinkOpts::default());
+    }
+    b.as_rel(Asn(2), Asn(1), RelKind::Peer);
+    b.as_rel(Asn(2), Asn(3), RelKind::ProviderCustomer);
+    b.as_rel(Asn(3), Asn(1), RelKind::ProviderCustomer);
+    b.as_rel(Asn(2), Asn(4), RelKind::ProviderCustomer);
+    let net = b.build().expect("valid fixture");
+    let (as1, as2, as4) = (0, 1, 3);
+    assert_eq!(
+        Bgp::compute(&net)
+            .expect("valley-free routes")
+            .next_hops(as1, as4),
+        [as2 as u32]
+    );
+    oracle::assert_bgp_reference_equivalent(&net, "replaced peer route");
+}
+
+#[test]
+fn bgp_next_hops_match_the_reference_at_paper_scale() {
+    let i = generate(&InternetConfig {
+        seed: 8,
+        ..InternetConfig::default()
+    });
+    oracle::assert_bgp_reference_equivalent(&i.net, "paper/seed8");
+}
+
+#[test]
+#[ignore = "release-mode CI scale; run with --include-ignored"]
+fn bgp_next_hops_match_the_reference_at_tenfold_scale() {
+    let i = generate(&InternetConfig::tenfold(8));
+    oracle::assert_bgp_reference_equivalent(&i.net, "tenfold/seed8");
+}
+
+#[test]
+#[ignore = "release-mode CI scale; run with --include-ignored"]
+fn bgp_next_hops_match_the_reference_at_thousandfold_scale() {
+    let i = generate(&InternetConfig::thousandfold(8));
+    oracle::assert_bgp_reference_equivalent(&i.net, "thousandfold/seed8");
 }
 
 #[test]

@@ -9,7 +9,7 @@ use std::thread;
 
 use wormhole::experiments::{campaign_config_for, campaign_over, internet_for, Scale};
 use wormhole::probe::NullSink;
-use wormhole::serve::proto::{bool_field, json_unescape, num_field, str_field};
+use wormhole::serve::proto::{bool_field, num_field, str_field};
 use wormhole::serve::{Client, ServeConfig, Server, ServerHandle};
 
 /// A unique socket path per test so parallel tests never collide.
@@ -32,9 +32,7 @@ fn parse_campaign(frames: &[String]) -> (bool, String) {
         "campaign must end in a report frame: {last}"
     );
     let warm = bool_field(last, "warm").expect("report carries warm flag");
-    let report = str_field(last, "report")
-        .map(|r| json_unescape(&r))
-        .unwrap();
+    let report = str_field(last, "report").expect("report carries its text");
     (warm, report)
 }
 
