@@ -8,11 +8,12 @@
 //! JSON protocol on a local Unix socket:
 //!
 //! * [`proto`] — the framing (4-byte big-endian length + JSON text)
-//!   and the flat-object field extractors;
+//!   and the crate's one JSON reader, [`proto::Object`];
 //! * [`history`] — a bounded circular buffer of recent campaign
 //!   reports;
-//! * [`server`] — the accept loop, the per-scale warm-substrate store,
-//!   the streaming campaign handler, and a blocking [`Client`].
+//! * [`server`] — the typed [`Request`] decoder, the accept loop, the
+//!   per-scale warm-substrate store, the streaming campaign handler,
+//!   and a blocking [`Client`].
 //!
 //! Campaign responses stream incrementally — one frame per merged
 //! trace, emitted through the same [`wormhole_probe::TraceSink`] path
@@ -30,4 +31,4 @@ pub mod server;
 
 pub use history::{History, HistoryEntry};
 pub use proto::{read_frame, write_frame};
-pub use server::{Client, ServeConfig, Server, ServerHandle};
+pub use server::{Client, Request, ServeConfig, Server, ServerHandle};

@@ -7,17 +7,21 @@
 //! with no rebuild, which is the entire point of staying resident. The
 //! `warm` flag on every campaign response makes that observable (and
 //! testable) from outside.
+//!
+//! Every request frame goes through [`Request::decode`] first; a frame
+//! that does not decode is answered with one error frame, and only a
+//! typed [`Request`] reaches a handler.
 
 use crate::history::History;
-use crate::proto::{json_escape, read_frame, str_field, write_frame};
+use crate::proto::{json_escape, read_frame, str_field, write_frame, JsonStr, Object, Value};
 use std::io::{self, BufReader, BufWriter, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
-use wormhole_core::Scheduling;
+use wormhole_core::{CampaignConfig, Scheduling};
 use wormhole_experiments::{campaign_config_for, campaign_over, internet_for, Scale};
-use wormhole_net::FaultScenario;
+use wormhole_net::{Addr, FaultScenario};
 use wormhole_probe::{trace_jsonl, Session, TraceSink, TracerouteOpts};
 use wormhole_topo::Internet;
 
@@ -45,57 +49,143 @@ impl ServeConfig {
     }
 }
 
-/// Every scale the store holds a slot for, in protocol-name order.
-const SCALES: [(&str, Scale); 4] = [
-    ("quick", Scale::Quick),
-    ("paper", Scale::Paper),
-    ("tenfold", Scale::Tenfold),
-    ("thousandfold", Scale::ThousandFold),
-];
-
-/// The raw value text following `"key":` in a request, up to the next
-/// `,` or `}` — present even when the value has the wrong type, so a
-/// malformed field is reported instead of defaulted.
-fn raw_field<'a>(req: &'a str, key: &str) -> Option<&'a str> {
-    let rest = crate::proto::after_key(req, key)?;
-    Some(rest.split([',', '}']).next().unwrap_or(rest).trim())
+/// One decoded request: a command and its typed arguments, every
+/// default filled in.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Request {
+    /// `{"cmd":"ping"}`: liveness; the reply counts served campaigns.
+    Ping,
+    /// `{"cmd":"history"}`: the retained recent reports.
+    History,
+    /// `{"cmd":"shutdown"}`: stop the server.
+    Shutdown,
+    /// `{"cmd":"campaign"}`: one §4 campaign over the scale's warm
+    /// substrate.
+    Campaign {
+        /// `scale`, default `quick`.
+        scale: Scale,
+        /// `jobs`, a whole number, default 1 (0 = all cores).
+        jobs: usize,
+        /// `faults`, a [`FaultScenario`] name, default `clean`.
+        faults: FaultScenario,
+        /// `scheduling`, `batches` (the default) or `stealing`.
+        scheduling: Scheduling,
+        /// `stream`: send per-trace frames before the report, default
+        /// true.
+        stream: bool,
+    },
+    /// `{"cmd":"trace"}`: one traceroute over the scale's warm
+    /// substrate.
+    Trace {
+        /// `scale`, default `quick`.
+        scale: Scale,
+        /// `dst`, a dotted-quad string; required.
+        dst: Addr,
+        /// `vp`, the vantage-point index, default 0.
+        vp: usize,
+    },
+    /// `{"cmd":"lint"}`: static analysis of the scale's warm substrate.
+    Lint {
+        /// `scale`, default `quick`.
+        scale: Scale,
+    },
 }
 
-/// A present `key` as a whole number `>= 0`. A present but malformed
-/// value comes back as its raw text, to be reported — never truncated,
-/// wrapped or replaced by the default.
-fn whole_field<'a>(req: &'a str, key: &str) -> Result<Option<usize>, &'a str> {
-    match raw_field(req, key) {
-        None => Ok(None),
-        Some(raw) => match raw.parse::<f64>() {
-            Ok(n) if n >= 0.0 && n.fract() == 0.0 => Ok(Some(n as usize)),
-            _ => Err(raw),
-        },
+impl Request {
+    /// Decodes one request frame. Every key, type and default of the
+    /// protocol is decided here. Each command accepts only its own
+    /// keys; an unknown or duplicate key, a value of the wrong type or
+    /// a malformed frame is an `Err` carrying the error frame's text.
+    pub fn decode(frame: &str) -> Result<Request, String> {
+        let obj = Object::parse(frame).map_err(|e| format!("malformed request: {e}"))?;
+        let get = |key: &str| obj.get(key).map(|f| (f.value, f.raw));
+        let cmd = match get("cmd") {
+            Some((Value::Str(cmd), _)) => cmd.to_string(),
+            Some((_, raw)) => return Err(format!("unknown cmd {raw}")),
+            None => return Err("request has no cmd".into()),
+        };
+        let keys: &[&str] = match cmd.as_str() {
+            "ping" | "history" | "shutdown" => &[],
+            "campaign" => &["scale", "jobs", "faults", "scheduling", "stream"],
+            "trace" => &["scale", "dst", "vp"],
+            "lint" => &["scale"],
+            _ => return Err(format!("unknown cmd {cmd}")),
+        };
+        let known = |key: JsonStr<'_>| key.is("cmd") || keys.iter().any(|&k| key.is(k));
+        if let Some(f) = obj.fields().iter().find(|f| !known(f.key)) {
+            return Err(format!("unknown key \"{}\" in a {cmd} request", f.key));
+        }
+        let whole = |key: &str, default: usize| match get(key) {
+            None => Ok(default),
+            Some((Value::Num(n), _)) if n >= 0.0 && n.fract() == 0.0 => Ok(n as usize),
+            Some((_, raw)) => Err(format!("{key} must be a whole number >= 0, got {raw}")),
+        };
+        let scale = named(get("scale"), "scale", Scale::Quick, Scale::parse)?;
+        Ok(match cmd.as_str() {
+            "ping" => Request::Ping,
+            "history" => Request::History,
+            "shutdown" => Request::Shutdown,
+            "lint" => Request::Lint { scale },
+            "trace" => Request::Trace {
+                scale,
+                dst: match get("dst") {
+                    None => return Err("trace needs a dst address".into()),
+                    Some((value, raw)) => match value {
+                        Value::Str(dst) => dst.to_string().parse().ok(),
+                        _ => None,
+                    }
+                    .ok_or_else(|| format!("dst must be an IPv4 address string, got {raw}"))?,
+                },
+                vp: whole("vp", 0)?,
+            },
+            _ => Request::Campaign {
+                scale,
+                jobs: whole("jobs", 1)?,
+                faults: named(
+                    get("faults"),
+                    "fault scenario",
+                    FaultScenario::Clean,
+                    FaultScenario::parse,
+                )?,
+                // The `WORMHOLE_SCHED` vocabulary; anything else is an
+                // error, never a silent fallback to VP batches.
+                scheduling: match get("scheduling") {
+                    None => Scheduling::VpBatches,
+                    Some((Value::Str(s), _)) if s.is("batches") => Scheduling::VpBatches,
+                    Some((Value::Str(s), _)) if s.is("stealing") => Scheduling::Stealing,
+                    Some((_, raw)) => {
+                        let expected = "(expected batches or stealing)";
+                        return Err(format!("unknown scheduling {raw} {expected}"));
+                    }
+                },
+                stream: match get("stream") {
+                    None => true,
+                    Some((Value::Bool(stream), _)) => stream,
+                    Some((_, raw)) => {
+                        return Err(format!("stream must be true or false, got {raw}"))
+                    }
+                },
+            },
+        })
     }
 }
 
-/// A present `key` as a string. A present value of another type comes
-/// back as its raw text, to be reported — never read as absent.
-fn string_field<'a>(req: &'a str, key: &str) -> Result<Option<String>, &'a str> {
-    match raw_field(req, key) {
-        None => Ok(None),
-        Some(raw) => str_field(req, key).map(Some).ok_or(raw),
+/// A string value (with its raw text) that `parse` reads as a `what`
+/// name, `default` when absent. A value that names none, a non-string
+/// included, is an error quoting it.
+fn named<T>(
+    field: Option<(Value<'_>, &str)>,
+    what: &str,
+    default: T,
+    parse: impl Fn(&str) -> Option<T>,
+) -> Result<T, String> {
+    match field {
+        None => Ok(default),
+        Some((Value::Str(name), _)) => {
+            parse(&name.to_string()).ok_or_else(|| format!("unknown {what} {name}"))
+        }
+        Some((_, raw)) => Err(format!("unknown {what} {raw}")),
     }
-}
-
-/// The request's `scale` (`quick` when absent) with its store index.
-/// A value that names no scale, a non-string included, comes back as
-/// its text, to be reported.
-fn scale_field(req: &str) -> Result<(&'static str, usize, Scale), String> {
-    let name = string_field(req, "scale")
-        .map_err(str::to_string)?
-        .unwrap_or_else(|| "quick".into());
-    SCALES
-        .iter()
-        .enumerate()
-        .find(|(_, &(n, _))| n == name)
-        .map(|(i, &(n, scale))| (n, i, scale))
-        .ok_or(name)
 }
 
 /// Writes an error frame carrying `message`.
@@ -113,8 +203,9 @@ fn error_frame(w: &mut impl Write, message: &str) -> io::Result<()> {
 /// loop with [`Server::run`] (or [`Server::spawn`] for tests).
 pub struct Server {
     cfg: ServeConfig,
-    /// One warm-substrate slot per scale. Per-scale locks: building
-    /// the thousandfold Internet must not block a quick campaign.
+    /// One warm-substrate slot per [`Scale`], indexed by the scale
+    /// itself. Per-scale locks: building the thousandfold Internet
+    /// must not block a quick campaign.
     store: [Mutex<Option<Arc<Internet>>>; 4],
     history: Mutex<History>,
     shutdown: AtomicBool,
@@ -154,8 +245,8 @@ impl Server {
     /// found the substrate already built. The per-scale lock is held
     /// across the build, so concurrent first requests at one scale
     /// build exactly once (the loser of the race reports `warm`).
-    pub fn substrate(&self, idx: usize, scale: Scale) -> (Arc<Internet>, bool) {
-        let mut slot = self.store[idx].lock().expect("store lock poisoned");
+    pub fn substrate(&self, scale: Scale) -> (Arc<Internet>, bool) {
+        let mut slot = self.store[scale as usize].lock().expect("store lock");
         match slot.as_ref() {
             Some(warm) => (Arc::clone(warm), true),
             None => {
@@ -218,27 +309,28 @@ impl Server {
     }
 
     /// Handles one request; returns false when the connection (and for
-    /// `shutdown`, the whole server) should wind down.
+    /// `shutdown`, the whole server) should wind down. A request that
+    /// does not decode gets one error frame and runs nothing.
     fn dispatch(&self, req: &str, w: &mut impl Write) -> io::Result<bool> {
-        match str_field(req, "cmd").as_deref() {
-            Some("ping") => {
+        match Request::decode(req) {
+            Err(message) => error_frame(w, &message)?,
+            Ok(Request::Ping) => {
                 let served = self.history.lock().expect("history lock").served();
                 write_frame(w, &format!("{{\"type\":\"pong\",\"served\":{served}}}"))?;
-                Ok(true)
             }
-            Some("campaign") => {
-                self.run_campaign(req, w)?;
-                Ok(true)
+            Ok(Request::Campaign {
+                scale,
+                jobs,
+                faults,
+                scheduling,
+                stream,
+            }) => {
+                let cfg = campaign_config_for(scale, jobs, faults, scheduling);
+                self.run_campaign(req, scale, &cfg, stream, w)?;
             }
-            Some("trace") => {
-                self.run_trace(req, w)?;
-                Ok(true)
-            }
-            Some("lint") => {
-                self.run_lint(req, w)?;
-                Ok(true)
-            }
-            Some("history") => {
+            Ok(Request::Trace { scale, dst, vp }) => self.run_trace(scale, dst, vp, w)?,
+            Ok(Request::Lint { scale }) => self.run_lint(scale, w)?,
+            Ok(Request::History) => {
                 let history = self.history.lock().expect("history lock");
                 for e in history.entries() {
                     write_frame(
@@ -259,82 +351,44 @@ impl Server {
                         history.len()
                     ),
                 )?;
-                Ok(true)
             }
-            Some("shutdown") => {
+            Ok(Request::Shutdown) => {
                 write_frame(w, "{\"type\":\"bye\"}")?;
                 w.flush()?;
                 self.shutdown.store(true, Ordering::SeqCst);
                 // Wake the accept loop so it observes the flag.
                 let _ = UnixStream::connect(&self.cfg.socket);
-                Ok(false)
-            }
-            other => {
-                error_frame(w, &format!("unknown cmd {}", other.unwrap_or("<none>")))?;
-                Ok(true)
+                return Ok(false);
             }
         }
+        Ok(true)
     }
 
     /// `campaign`: stream one §4 campaign over the scale's warm
     /// substrate. Frames: `start` (carries the `warm` flag), then one
-    /// frame per merged trace plus engine stats (suppress with
-    /// `"stream":false`), then the `report` frame with the canonical
-    /// byte-stable report text.
-    fn run_campaign(&self, req: &str, w: &mut impl Write) -> io::Result<()> {
-        let (scale_name, idx, scale) = match scale_field(req) {
-            Ok(found) => found,
-            Err(what) => return error_frame(w, &format!("unknown scale {what}")),
-        };
-        // An absent `jobs` means one worker (0 = all cores).
-        let jobs = match whole_field(req, "jobs") {
-            Ok(n) => n.unwrap_or(1),
-            Err(raw) => {
-                return error_frame(w, &format!("jobs must be a whole number >= 0, got {raw}"));
-            }
-        };
-        let faults = match string_field(req, "faults") {
-            Ok(None) => FaultScenario::Clean,
-            Ok(Some(name)) => match FaultScenario::parse(&name) {
-                Some(sc) => sc,
-                None => return error_frame(w, &format!("unknown fault scenario {name}")),
-            },
-            Err(raw) => return error_frame(w, &format!("unknown fault scenario {raw}")),
-        };
-        // The `WORMHOLE_SCHED` vocabulary; anything else is an error,
-        // never a silent fallback to VP batches.
-        let scheduling = match raw_field(req, "scheduling") {
-            None => Scheduling::VpBatches,
-            Some(raw) => match str_field(req, "scheduling").as_deref() {
-                Some("batches") => Scheduling::VpBatches,
-                Some("stealing") => Scheduling::Stealing,
-                _ => {
-                    return error_frame(
-                        w,
-                        &format!("unknown scheduling {raw} (expected batches or stealing)"),
-                    );
-                }
-            },
-        };
-        let stream = match raw_field(req, "stream") {
-            None | Some("true") => true,
-            Some("false") => false,
-            Some(raw) => {
-                return error_frame(w, &format!("stream must be true or false, got {raw}"));
-            }
-        };
-        let (internet, warm) = self.substrate(idx, scale);
+    /// frame per merged trace plus engine stats (only when `stream`),
+    /// then the `report` frame with the canonical byte-stable report
+    /// text. The history keeps `req`, the request as sent.
+    fn run_campaign(
+        &self,
+        req: &str,
+        scale: Scale,
+        cfg: &CampaignConfig,
+        stream: bool,
+        w: &mut impl Write,
+    ) -> io::Result<()> {
+        let (internet, warm) = self.substrate(scale);
+        let name = scale.name();
         write_frame(
             w,
-            &format!("{{\"type\":\"start\",\"scale\":\"{scale_name}\",\"warm\":{warm}}}"),
+            &format!("{{\"type\":\"start\",\"scale\":\"{name}\",\"warm\":{warm}}}"),
         )?;
         w.flush()?;
-        let cfg = campaign_config_for(scale, jobs, faults, scheduling);
         let result = if stream {
             let mut sink = FrameSink { out: w };
-            campaign_over(&internet, &cfg, &mut sink)
+            campaign_over(&internet, cfg, &mut sink)
         } else {
-            campaign_over(&internet, &cfg, &mut wormhole_probe::NullSink)
+            campaign_over(&internet, cfg, &mut wormhole_probe::NullSink)
         };
         let report = result.report().text().to_string();
         write_frame(
@@ -357,22 +411,9 @@ impl Server {
     }
 
     /// `trace`: one traceroute over the warm substrate, from vantage
-    /// point `vp` (default 0) to `dst`.
-    fn run_trace(&self, req: &str, w: &mut impl Write) -> io::Result<()> {
-        let (_, idx, scale) = match scale_field(req) {
-            Ok(found) => found,
-            Err(what) => return error_frame(w, &format!("unknown scale {what}")),
-        };
-        let Some(dst) = str_field(req, "dst").and_then(|d| d.parse().ok()) else {
-            return error_frame(w, "trace needs a dst address");
-        };
-        let vp = match whole_field(req, "vp") {
-            Ok(n) => n.unwrap_or(0),
-            Err(raw) => {
-                return error_frame(w, &format!("vp must be a whole number >= 0, got {raw}"));
-            }
-        };
-        let (internet, warm) = self.substrate(idx, scale);
+    /// point `vp` to `dst`.
+    fn run_trace(&self, scale: Scale, dst: Addr, vp: usize, w: &mut impl Write) -> io::Result<()> {
+        let (internet, warm) = self.substrate(scale);
         if vp >= internet.vps.len() {
             return error_frame(
                 w,
@@ -396,12 +437,8 @@ impl Server {
     }
 
     /// `lint`: static analysis of the scale's warm substrate.
-    fn run_lint(&self, req: &str, w: &mut impl Write) -> io::Result<()> {
-        let (_, idx, scale) = match scale_field(req) {
-            Ok(found) => found,
-            Err(what) => return error_frame(w, &format!("unknown scale {what}")),
-        };
-        let (internet, warm) = self.substrate(idx, scale);
+    fn run_lint(&self, scale: Scale, w: &mut impl Write) -> io::Result<()> {
+        let (internet, warm) = self.substrate(scale);
         let diags = wormhole_lint::check_internet(&internet);
         let (errors, warns, infos) = wormhole_lint::count(&diags);
         write_frame(

@@ -223,10 +223,6 @@ fn cmd_campaign(args: &[String]) -> ExitCode {
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "quick" => scale = Scale::Quick,
-            "paper" => scale = Scale::Paper,
-            "tenfold" => scale = Scale::Tenfold,
-            "thousandfold" => scale = Scale::ThousandFold,
             "--stealing" => scheduling = wormhole::core::Scheduling::Stealing,
             "--jobs" => match it.next().and_then(|v| v.parse().ok()) {
                 Some(n) => jobs = n,
@@ -288,10 +284,13 @@ fn cmd_campaign(args: &[String]) -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             },
-            other => {
-                eprintln!("unknown campaign argument {other}");
-                return usage();
-            }
+            other => match Scale::parse(other) {
+                Some(s) => scale = s,
+                None => {
+                    eprintln!("unknown campaign argument {other}");
+                    return usage();
+                }
+            },
         }
     }
     if let Some(workers) = distributed {

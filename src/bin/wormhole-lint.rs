@@ -15,11 +15,10 @@
 //! ```
 
 use std::process::ExitCode;
+use wormhole::experiments::{internet_config_for, Scale};
 use wormhole::lint::{self, LintConfig};
 use wormhole::net::PoppingMode;
-use wormhole::topo::{
-    generate, gns3_fig2, gns3_fig2_te, paper_personas, Fig2Config, InternetConfig, Scenario,
-};
+use wormhole::topo::{generate, gns3_fig2, gns3_fig2_te, paper_personas, Fig2Config, Scenario};
 
 const USAGE: &str = "usage: wormhole-lint [--scale quick|paper|tenfold|thousandfold] \
                      [--format text|json] [--deny LEVEL] [--severity CODE=LEVEL]... \
@@ -60,7 +59,7 @@ fn explain(code: &str) -> ExitCode {
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut cfg = LintConfig::default();
-    let mut scale = "quick".to_string();
+    let mut scale = Scale::Quick;
     let mut format = Format::Text;
 
     let mut it = args.iter();
@@ -77,12 +76,10 @@ fn main() -> ExitCode {
                 };
                 return explain(code);
             }
-            "--scale" => match it.next().map(String::as_str) {
-                Some(s @ ("quick" | "paper" | "tenfold" | "thousandfold")) => {
-                    scale = s.to_string();
-                }
+            "--scale" => match it.next().map(|s| (s, Scale::parse(s))) {
+                Some((_, Some(s))) => scale = s,
                 other => {
-                    eprintln!("bad --scale {other:?}\n{USAGE}");
+                    eprintln!("bad --scale {:?}\n{USAGE}", other.map(|(s, _)| s));
                     return ExitCode::FAILURE;
                 }
             },
@@ -133,16 +130,6 @@ fn main() -> ExitCode {
         ])
         .collect();
 
-    let net_cfg = match scale.as_str() {
-        "quick" => InternetConfig::small(8),
-        "paper" => InternetConfig {
-            seed: 8,
-            ..InternetConfig::default()
-        },
-        "tenfold" => InternetConfig::tenfold(8),
-        _ => InternetConfig::thousandfold(8),
-    };
-
     // (input name, findings with overrides applied)
     let mut runs: Vec<(String, Vec<lint::Diagnostic>)> = Vec::new();
     for (name, s) in &scenarios {
@@ -151,8 +138,8 @@ fn main() -> ExitCode {
     for p in paper_personas() {
         runs.push((format!("persona/{}", p.name), lint::check_persona(&p)));
     }
-    let internet = generate(&net_cfg);
-    runs.push((format!("internet/{scale}"), lint::check_internet(&internet)));
+    let diags = lint::check_internet(&generate(&internet_config_for(scale, 8)));
+    runs.push((format!("internet/{}", scale.name()), diags));
 
     let mut failed = false;
     for (_, diags) in &mut runs {

@@ -23,6 +23,19 @@
 //! {"cmd":"ping"}
 //! {"cmd":"shutdown"}
 //! ```
+//!
+//! Each command accepts only its own keys besides `cmd` (defaults in
+//! parentheses):
+//!
+//! - `campaign`: `scale` (`quick`), `jobs` (1; 0 = all cores), `faults`
+//!   (`clean`), `scheduling` (`batches`), `stream` (`true`);
+//! - `trace`: `scale` (`quick`), `dst` (required: a dotted-quad
+//!   string), `vp` (0);
+//! - `lint`: `scale` (`quick`);
+//! - `ping`, `history`, `shutdown`: none.
+//!
+//! An unknown key, a repeated key, a value of the wrong type or a
+//! malformed frame is answered with one error frame, and nothing runs.
 
 use std::process::ExitCode;
 use std::sync::Arc;

@@ -9,7 +9,7 @@ use std::thread;
 
 use wormhole::experiments::{campaign_config_for, campaign_over, internet_for, Scale};
 use wormhole::probe::NullSink;
-use wormhole::serve::proto::{bool_field, num_field, str_field};
+use wormhole::serve::proto::{str_field, Object, Value};
 use wormhole::serve::{Client, ServeConfig, Server, ServerHandle};
 
 /// A unique socket path per test so parallel tests never collide.
@@ -23,6 +23,11 @@ fn spawn(tag: &str) -> ServerHandle {
     Server::spawn(ServeConfig::at(&sock))
 }
 
+/// The value of `key` in a response frame.
+fn value<'a>(frame: &'a str, key: &str) -> Option<Value<'a>> {
+    Some(Object::parse(frame).ok()?.get(key)?.value)
+}
+
 /// Extracts `(warm, report text)` from a campaign frame sequence.
 fn parse_campaign(frames: &[String]) -> (bool, String) {
     let last = frames.last().expect("at least one frame");
@@ -31,7 +36,9 @@ fn parse_campaign(frames: &[String]) -> (bool, String) {
         Some("report"),
         "campaign must end in a report frame: {last}"
     );
-    let warm = bool_field(last, "warm").expect("report carries warm flag");
+    let Some(Value::Bool(warm)) = value(last, "warm") else {
+        panic!("report carries no warm flag: {last}");
+    };
     let report = str_field(last, "report").expect("report carries its text");
     (warm, report)
 }
@@ -104,7 +111,7 @@ fn concurrent_sessions_share_one_warm_substrate() {
     let frames = c.request(r#"{"cmd":"history"}"#).expect("history");
     let end = frames.last().unwrap();
     assert_eq!(str_field(end, "type").as_deref(), Some("history-end"));
-    assert_eq!(num_field(end, "served").map(|n| n as u64), Some(3));
+    assert_eq!(value(end, "served"), Some(Value::Num(3.0)));
 
     c.shutdown().expect("shutdown");
     handle
@@ -130,7 +137,7 @@ fn ping_trace_and_errors_round_trip() {
     assert_eq!(str_field(&frames[0], "type").as_deref(), Some("trace"));
     let done = frames.last().unwrap();
     assert_eq!(str_field(done, "type").as_deref(), Some("done"));
-    assert!(num_field(done, "probes").unwrap() > 0.0);
+    assert!(matches!(value(done, "probes"), Some(Value::Num(n)) if n > 0.0));
 
     // Unknown commands and malformed scales answer with error frames
     // instead of dropping the connection.
@@ -157,7 +164,10 @@ fn ping_trace_and_errors_round_trip() {
     // cast to 0 (all cores) or truncated, a malformed `vp` must not run
     // VP 0 or a truncated VP, a non-boolean `stream` must not stream,
     // and a non-string `scale` or `faults` must not run the quick scale
-    // or the clean scenario.
+    // or the clean scenario. Nor may a misspelled or repeated key, a
+    // malformed frame, or a value of the wrong type pick a default:
+    // each answers with one error frame naming the key or the fault,
+    // and runs nothing.
     for (req, message) in [
         (
             r#"{"cmd":"campaign","scale":"quick","scheduling":"steal"}"#,
@@ -201,11 +211,52 @@ fn ping_trace_and_errors_round_trip() {
             "unknown scale 7",
         ),
         (r#"{"cmd":"lint","scale":null}"#, "unknown scale null"),
+        (
+            r#"{"cmd":"campaign","scael":"tenfold"}"#,
+            r#"unknown key "scael" in a campaign request"#,
+        ),
+        (
+            r#"{"cmd":"campaign","scale":"quick","fualts":"hostile","stream":false}"#,
+            r#"unknown key "fualts" in a campaign request"#,
+        ),
+        (
+            r#"{"cmd":"campaign","scale":"quick","scale":"tenfold"}"#,
+            r#"malformed request: duplicate key "scale""#,
+        ),
+        (
+            r#"{"cmd":"ping","cmd":"shutdown"}"#,
+            r#"malformed request: duplicate key "cmd""#,
+        ),
+        (
+            r#"{"cmd":"campaign","scale":"quick""#,
+            "malformed request: truncated: expected , or }",
+        ),
+        (
+            r#"{"cmd":"campaign","scale":"quick"}garbage"#,
+            "malformed request: expected the end of the frame, found garbage",
+        ),
+        (r#"{"cmd":7}"#, "unknown cmd 7"),
+        (
+            r#"{"cmd":"trace","scale":"quick","dst":167837696}"#,
+            "dst must be an IPv4 address string, got 167837696",
+        ),
+        (
+            r#"{"cmd":"campaign","scale":["quick"],"stream":false}"#,
+            r#"unknown scale ["quick"]"#,
+        ),
+        (
+            r#"{"cmd":"campaign","scale":"qu\ick"}"#,
+            r"malformed request: bad escape \i",
+        ),
     ] {
         let frames = c.request(req).expect("bad field");
         assert_eq!(frames.len(), 1, "{req}: one error frame, nothing run");
         assert_eq!(str_field(&frames[0], "type").as_deref(), Some("error"));
         assert_eq!(str_field(&frames[0], "error").as_deref(), Some(message));
+        // No campaign ran, and no stray frame waits behind the error.
+        let frames = c.request(r#"{"cmd":"ping"}"#).expect("ping after error");
+        assert_eq!(frames.len(), 1, "{req}: one pong");
+        assert_eq!(value(&frames[0], "served"), Some(Value::Num(0.0)), "{req}");
     }
 
     // The connection is still usable after errors, and the explicit
