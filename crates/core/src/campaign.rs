@@ -1140,7 +1140,6 @@ pub fn audit_input(result: &CampaignResult) -> wormhole_lint::CampaignAudit {
             .iter()
             .map(|d| (d.vp, d.phase.to_string()))
             .collect(),
-        stealing: result.scheduling == Scheduling::Stealing,
         snapshot_deltas: result
             .snapshot_deltas
             .iter()
@@ -1404,7 +1403,7 @@ mod tests {
             wormhole_lint::render(&diags)
         );
         assert!(
-            !diags.iter().any(|d| d.code == "A309"),
+            !diags.iter().any(|d| d.code == "A307"),
             "no idle shard expected: {}",
             wormhole_lint::render(&diags)
         );

@@ -136,9 +136,6 @@ pub struct CampaignAudit {
     /// Vantage-point shards lost to worker panics, as `(vp index,
     /// phase)`.
     pub degraded_shards: Vec<(usize, String)>,
-    /// Whether the campaign ran under per-trace work stealing (enables
-    /// the A309 idle-shard cross-check).
-    pub stealing: bool,
     /// Per-phase rows of the incremental snapshot builder as `(phase,
     /// IP paths ingested during the phase, cumulative nodes, cumulative
     /// links, cumulative addresses)`. Empty disables A310.
@@ -348,32 +345,6 @@ pub fn shard_accounting(a: &CampaignAudit, out: &mut Vec<Diagnostic>) {
                 Location::Network,
                 format!("vantage-point shard #{shard} sent zero probes"),
                 "check the per-VP work assignment; an idle VP wastes a worker slot",
-            ));
-        }
-    }
-}
-
-/// A309: a zero-probe vantage-point shard in a campaign that ran under
-/// per-trace work stealing. The stealing injector hands every task to
-/// whichever worker is idle, so a shard that never probed means its
-/// vantage point was never *enqueued* any work — a hole in the task
-/// assignment, not a scheduling artifact. Degraded shards are exempt
-/// (their work was lost to a panic, which A403 already reports).
-pub fn stealing_idle_shard(a: &CampaignAudit, out: &mut Vec<Diagnostic>) {
-    if !a.stealing || a.probes == 0 {
-        return;
-    }
-    let degraded: HashSet<usize> = a.degraded_shards.iter().map(|&(vp, _)| vp).collect();
-    for (shard, &p) in a.probes_by_shard.iter().enumerate() {
-        if p == 0 && !degraded.contains(&shard) {
-            out.push(Diagnostic::new(
-                "A309",
-                Severity::Warn,
-                Location::Network,
-                format!(
-                    "shard #{shard} sent zero probes despite work stealing being enabled"
-                ),
-                "stealing balances queued tasks, not empty queues — check the per-VP task assignment",
             ));
         }
     }
@@ -872,7 +843,6 @@ pub fn audit(net: &Network, a: &CampaignAudit) -> Vec<Diagnostic> {
     dangling_trace_index(a, &mut out);
     probe_accounting(a, &mut out);
     shard_accounting(a, &mut out);
-    stealing_idle_shard(a, &mut out);
     method_claim_consistency(a, &mut out);
     incremental_aggregation(a, &mut out);
     distributed_accounting(a, &mut out);

@@ -83,23 +83,6 @@ pub fn persona_empty_topology(p: &AsPersona, out: &mut Vec<Diagnostic>) {
     }
 }
 
-/// X205: a declared RSVP-TE tunnel the configuration cannot produce —
-/// non-adjacent hops, AS-crossing paths, revisited routers, or
-/// MPLS-disabled routers on the path.
-pub fn impossible_tunnel(net: &Network, out: &mut Vec<Diagnostic>) {
-    for t in net.te_tunnels() {
-        if let Err(reason) = t.validate(net) {
-            out.push(Diagnostic::new(
-                "X205",
-                Severity::Error,
-                Location::Tunnel(t.id),
-                format!("ground-truth tunnel cannot exist: {reason}"),
-                "pin TE paths along adjacent MPLS routers of a single AS",
-            ));
-        }
-    }
-}
-
 /// X206: a persona referencing routers the generated network does not
 /// contain — its AS is absent or its member count does not match the
 /// persona's PoP arithmetic.
@@ -142,27 +125,24 @@ pub fn check_persona(p: &AsPersona) -> Vec<Diagnostic> {
     out
 }
 
-/// Lints a Fig. 2-style scenario: every network/control-plane rule, the
-/// `D5xx` dense-plane verifier, plus the scenario-level cross checks
-/// (X201, X202, X205).
+/// Lints a Fig. 2-style scenario: every network rule, the `D5xx`
+/// dense-plane verifier, plus the scenario-level cross checks (X201,
+/// X202).
 pub fn check_scenario(s: &Scenario) -> Vec<Diagnostic> {
     let mut out = crate::check_plane(&s.net, &s.cp);
     vp_not_host(&s.net, s.vp, &mut out);
     target_unreachable(s, &mut out);
-    impossible_tunnel(&s.net, &mut out);
     crate::normalize(&mut out);
     out
 }
 
-/// Lints a generated Internet: every network/control-plane rule, the
-/// `D5xx` dense-plane verifier, plus vantage-point, tunnel and persona
-/// cross checks.
+/// Lints a generated Internet: every network rule, the `D5xx`
+/// dense-plane verifier, plus vantage-point and persona cross checks.
 pub fn check_internet(i: &Internet) -> Vec<Diagnostic> {
     let mut out = crate::check_plane(&i.net, &i.cp);
     for &vp in &i.vps {
         vp_not_host(&i.net, vp, &mut out);
     }
-    impossible_tunnel(&i.net, &mut out);
     for p in &i.personas {
         persona_bad_vendor_mix(p, &mut out);
         persona_empty_topology(p, &mut out);

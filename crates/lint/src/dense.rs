@@ -133,7 +133,7 @@ fn te_csr_shape(net: &Network, cp: &ControlPlane, out: &mut Vec<Diagnostic>) -> 
 /// program re-derived from the declared tunnels.
 fn te_agreement(net: &Network, cp: &ControlPlane, out: &mut Vec<Diagnostic>) {
     let Ok((_, expected)) = te_program(net) else {
-        return; // invalid tunnel declarations are X205/W107 territory
+        return; // ControlPlane::build rejects these (NetError::InvalidTeTunnel)
     };
     let v = cp.dense_view();
     let mut actual = Vec::with_capacity(v.te_routes.len());
@@ -754,7 +754,7 @@ fn ext_content(net: &Network, cp: &ControlPlane, out: &mut Vec<Diagnostic>) {
         return; // the oracle needs one IGP view per AS
     }
     let Ok(bgp) = Bgp::compute(net) else {
-        return; // a network BGP rejects is W103 / X2xx territory
+        return; // ControlPlane::build rejects it too (NetError::MissingAsRel)
     };
     let mut oracle = ExtOracle::new(net, &cp.igp, &bgp);
     // The AS's candidate set numbers → the class their first cell names.
@@ -762,7 +762,7 @@ fn ext_content(net: &Network, cp: &ControlPlane, out: &mut Vec<Diagnostic>) {
     let mut found = Capped::default();
     for (s, &asn) in as_list.iter().enumerate() {
         if oracle.load(s).is_err() {
-            continue; // an unregistered peer AS is X2xx territory
+            continue; // ControlPlane::build rejects it too (NetError::UnregisteredAs)
         }
         class_of.clear();
         let (first, width) = (v.ext_blocks[s].0 as usize, v.ext_blocks[s].1 as usize);
@@ -843,7 +843,8 @@ impl Capped {
 /// only over clean LDP tables (D503/D504), which the override check
 /// inverts labels through.
 fn router_pass(net: &Network, cp: &ControlPlane, gates: Gates, out: &mut Vec<Diagnostic>) {
-    // Invalid tunnel declarations are X205/W107 territory.
+    // ControlPlane::build rejects invalid tunnel declarations
+    // (NetError::InvalidTeTunnel).
     let te_transit = gates
         .lfib
         .then(|| te_program(net).ok())

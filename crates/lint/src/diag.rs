@@ -265,7 +265,7 @@ mod tests {
 
     #[test]
     fn normalize_is_order_insensitive_and_dedups() {
-        let a = Diagnostic::new("W104", Severity::Error, Location::Network, "broken", "fix");
+        let a = Diagnostic::new("W107", Severity::Error, Location::Network, "broken", "fix");
         let b = Diagnostic::new(
             "D501",
             Severity::Error,
@@ -290,7 +290,7 @@ mod tests {
         // Family order (W before D), then code, regardless of severity.
         assert_eq!(
             one.iter().map(|d| d.code).collect::<Vec<_>>(),
-            ["W102", "W104", "D501"]
+            ["W102", "W107", "D501"]
         );
         assert_eq!(render(&one), render(&two));
     }
@@ -298,7 +298,7 @@ mod tests {
     #[test]
     fn json_output_escapes_and_counts() {
         let d = Diagnostic::new(
-            "W104",
+            "W107",
             Severity::Error,
             Location::Router("a\"b".into()),
             "line1\nline2",
@@ -315,9 +315,9 @@ mod tests {
     #[test]
     fn render_sorts_worst_first() {
         let info = Diagnostic::new("W110", Severity::Info, Location::Network, "i", "h");
-        let err = Diagnostic::new("W104", Severity::Error, Location::Network, "e", "h");
+        let err = Diagnostic::new("W107", Severity::Error, Location::Network, "e", "h");
         let r = render(&[info, err]);
         let first = r.lines().next().unwrap();
-        assert!(first.starts_with("error[W104]"));
+        assert!(first.starts_with("error[W107]"));
     }
 }

@@ -6,15 +6,14 @@
 //! explanation):
 //!
 //! * **`W1xx`** ([`network`]) — topology and MPLS-configuration rules
-//!   over a built [`Network`] and (optionally) its [`ControlPlane`]:
-//!   dangling LFIB label-swaps, asymmetric LDP sessions,
-//!   `ttl-propagate` mismatches between LERs, TE tunnels ending off the
-//!   LER edge, dead prefix-table slots, and more;
+//!   over a built [`Network`]: MPLS on hosts, unlinked routers,
+//!   asymmetric LDP sessions, `ttl-propagate` mismatches between LERs,
+//!   TE tunnels ending off the LER edge, mixed popping modes;
 //! * **`X2xx`** ([`cross`]) — cross-layer rules validating
 //!   `wormhole-topo` scenarios, personas and generated Internets
 //!   against the net layer (vantage points that are not hosts,
-//!   unreachable targets, ground-truth tunnels the configuration cannot
-//!   produce, personas referencing missing routers);
+//!   unreachable targets, unusable personas, personas referencing
+//!   missing routers);
 //! * **`A3xx`** ([`audit`](mod@audit)) — result audits over campaign
 //!   outputs (signatures outside the Table 1 taxonomy, revealed LSP
 //!   length vs RTLA gap, duplicate or foreign-AS revealed hops, dangling
@@ -78,30 +77,13 @@ pub use registry::{markdown_table, rule, Family, RuleInfo, RULES};
 
 use wormhole_net::{ControlPlane, Network};
 
-/// Lints a network with topology/config rules only (W101–W107, W110).
-pub fn check(net: &Network) -> Vec<Diagnostic> {
-    let mut out = network::check(net);
-    normalize(&mut out);
-    out
-}
-
-/// Lints a network together with its control plane — every `W1xx`
-/// rule, including the LFIB and prefix-table checks. Does *not* run the
-/// `D5xx` dense-plane verifier (see [`check_plane`]), so what-if LFIB
-/// injections can be linted for semantic rules alone.
-pub fn check_full(net: &Network, cp: &ControlPlane) -> Vec<Diagnostic> {
-    let mut out = network::check_full(net, cp);
-    normalize(&mut out);
-    out
-}
-
 /// Lints a network, its control plane, *and* the dense tables the hot
 /// path runs on: every `W1xx` rule plus the `D5xx` dense-plane
 /// verifier. This is the lint-before-simulate gate `Session` and
 /// `Campaign` run — a drift between the flat tables and the logical
 /// model would silently corrupt every walk.
 pub fn check_plane(net: &Network, cp: &ControlPlane) -> Vec<Diagnostic> {
-    let mut out = network::check_full(net, cp);
+    let mut out = network::check(net);
     out.extend(dense::verify_dense(net, cp));
     normalize(&mut out);
     out
@@ -130,7 +112,7 @@ mod tests {
     #[test]
     fn clean_scenario_has_no_errors() {
         let s = gns3_fig2(Fig2Config::Default);
-        let diags = check_full(&s.net, &s.cp);
+        let diags = check_plane(&s.net, &s.cp);
         assert!(!has_errors(&diags), "{}", render(&diags));
         deny_errors("test", &diags); // must not panic
     }
@@ -139,7 +121,7 @@ mod tests {
     #[should_panic(expected = "refused to start")]
     fn deny_errors_panics_on_error_diagnostics() {
         let d = Diagnostic::new(
-            "W104",
+            "W101",
             Severity::Error,
             Location::Network,
             "synthetic",

@@ -99,26 +99,6 @@ pub static RULES: &[RuleInfo] = &[
                       skewing campaign-level numbers.",
     },
     RuleInfo {
-        code: "W103",
-        family: Family::Network,
-        severity: Severity::Error,
-        summary: "inter-AS link without a declared AS relationship",
-        explanation: "BGP route computation is valley-free over declared relationships; a \
-                      physical inter-AS link with no relationship would carry traffic the \
-                      AS-level model cannot explain, so control-plane construction would \
-                      diverge from the topology.",
-    },
-    RuleInfo {
-        code: "W104",
-        family: Family::Network,
-        severity: Severity::Error,
-        summary: "an AS's intra-AS graph is disconnected",
-        explanation: "Every IGP in the simulator assumes a connected intra-AS graph; a \
-                      disconnected member would have infinite distances, no LDP LSPs, and \
-                      undefined hot-potato egress choices. ControlPlane::build rejects such \
-                      networks with the same condition this rule reports.",
-    },
-    RuleInfo {
         code: "W105",
         family: Family::Network,
         severity: Severity::Warn,
@@ -146,26 +126,6 @@ pub static RULES: &[RuleInfo] = &[
         explanation: "TE tunnels must start and end on label-edge routers of the AS they \
                       traverse; an endpoint deeper in the core could never receive unlabeled \
                       traffic to steer, so the declared tunnel would be dead configuration.",
-    },
-    RuleInfo {
-        code: "W108",
-        family: Family::Network,
-        severity: Severity::Error,
-        summary: "prefix-table slot no owner actually serves (dead slot)",
-        explanation: "Every prefix slot in an AS table must be owned by at least one member \
-                      that actually holds an address inside it; a dead entry would give LDP \
-                      a FEC with no egress and the FIB a destination that blackholes.",
-    },
-    RuleInfo {
-        code: "W109",
-        family: Family::Network,
-        severity: Severity::Error,
-        summary: "LFIB swap targets a label its next hop never installed",
-        explanation: "A swap action must name a label the downstream router installed, or \
-                      labeled packets die mid-LSP with an unlabeled-lookup fallback the \
-                      vendor model does not define. build() never produces this; it appears \
-                      only through what-if injection (inject_lfib_entry), so only explicit \
-                      entries are checked.",
     },
     RuleInfo {
         code: "W110",
@@ -209,18 +169,8 @@ pub static RULES: &[RuleInfo] = &[
         severity: Severity::Error,
         summary: "persona topology with zero PoPs or zero edges per PoP",
         explanation: "A persona that declares an empty point-of-presence structure cannot \
-                      generate a connected AS, which W104 would then reject after the fact; \
-                      this rule catches the cause at the persona layer.",
-    },
-    RuleInfo {
-        code: "X205",
-        family: Family::Cross,
-        severity: Severity::Error,
-        summary: "declared TE tunnel the configuration cannot produce",
-        explanation: "Ground-truth TE tunnels must be realizable by the scenario's \
-                      configuration (valid contiguous path, MPLS-enabled transit); an \
-                      impossible tunnel would make the campaign's ground truth unsatisfiable \
-                      and every recall metric meaningless.",
+                      generate a connected AS, which ControlPlane::build would then reject \
+                      after the fact; this rule catches the cause at the persona layer.",
     },
     RuleInfo {
         code: "X206",
@@ -305,16 +255,6 @@ pub static RULES: &[RuleInfo] = &[
                       revelation step transcript, and the transcript's step sizes must sum \
                       to the hop count; otherwise the per-method statistics misreport what \
                       the campaign actually did.",
-    },
-    RuleInfo {
-        code: "A309",
-        family: Family::Audit,
-        severity: Severity::Warn,
-        summary: "shard sent zero probes despite work stealing",
-        explanation: "Under work stealing an idle worker steals queued tasks, so a shard \
-                      that still sent zero probes means its vantage point was never enqueued \
-                      any work — a hole in task assignment rather than a scheduling \
-                      artifact. Degraded shards are exempt (A403 reports those).",
     },
     RuleInfo {
         code: "A310",

@@ -1,16 +1,32 @@
 //! The mutation self-test: the lint suite linting itself.
 //!
-//! Each corruption class takes a clean built plane, seeds exactly one
-//! dense-table corruption through the `wormhole-net` `mutation` hooks,
-//! and asserts that the D5xx verifier reports **exactly** the intended
-//! rule — no misses (the corruption slipped through) and no cascades
-//! (one corruption drowning the report in unrelated codes). A final
-//! coverage test proves every registered D5xx rule is fired by at
-//! least one class.
+//! Every registered rule has a seeded corruption class. A class takes a
+//! clean fixture, seeds one corruption, and runs the fixture through the
+//! entry point production runs the rule's family from:
 //!
-//! The LDP classes corrupt the tables every label is computed from: a
-//! skewed per-AS offset of the `/32` numbers (`D503`) and an own slot
-//! moved to its unowned neighbor, sorted order intact (`D504`).
+//! * `check_plane` — the `Session`/`Campaign` gate — for `W1xx` and
+//!   `D5xx`;
+//! * `check_scenario`, `check_persona` or `check_internet` for `X2xx`;
+//! * `lint::audit` over the `audit_input` of a real quick-scale campaign
+//!   for `A3xx`, `A4xx` and `V6xx`.
+//!
+//! The fixture must pass the deny gate, and every finding the corruption
+//! adds must carry exactly the class's rule: no misses (the corruption
+//! slipped through) and no cascades (one corruption drowning the report
+//! in unrelated codes). Each family's test also pins that the codes its
+//! classes expect are exactly the codes registered for the family, so a
+//! rule no corruption can isolate cannot stay registered.
+//!
+//! The `W1xx` classes corrupt a configuration and rebuild the plane from
+//! it ([`reconfigure`]), so the plane stays consistent and only the
+//! configuration rule can object. The `X2xx` classes edit the scenario's
+//! vantage point or target, a persona, or an Internet's persona list.
+//!
+//! The dense classes corrupt the plane's tables through the
+//! `wormhole-net` `mutation` hooks. The LDP classes corrupt the tables
+//! every label is computed from: a skewed per-AS offset of the `/32`
+//! numbers (`D503`) and an own slot moved to its unowned neighbor,
+//! sorted order intact (`D504`).
 //! The explicit-LFIB classes run over a quick plane where one LSR's
 //! first two LDP entries were re-installed as explicit copies of
 //! themselves (what-if injections that agree with LDP, so the plane is
@@ -31,46 +47,331 @@
 //! held address left unowned (forward), an unheld address bound to a
 //! router (reverse, over a fixture whose block run has gaps) and an
 //! orphan directory page (shape).
-//! Three break the per-AS slot tables or the slots memoized from them:
+//! Five break the per-AS slot tables or the slots memoized from them:
 //! a prefix given a second slot and owner offsets skewed past the pool
-//! (`D509`), and an interface pointed at its router's own loopback
-//! slot (`D510`) — the router owns both slots, so only the prefix the
-//! slot holds tells them apart.
+//! (`D509`), a loopback memo moved to the next slot, an interface
+//! pointed at its router's own loopback slot — the router owns both
+//! slots, so only the prefix the slot holds tells them apart — and a
+//! link slot rewritten to a prefix none of its owners holds (`D510`).
 //!
-//! One more class corrupts the campaign-audit snapshot instead of the
-//! dense plane: the incremental-aggregation accounting that `A310`
-//! guards ([`audit_class`]).
+//! The campaign classes corrupt one accounting fact of the quick
+//! campaign's audit snapshot each. The clean snapshot carries two `A302`
+//! warnings of its own (two return tunnels really are longer than the
+//! forward ones), which is why a class is judged by the findings it
+//! *adds*. `A311` and `A312` corrupt a distributed ledger that balances
+//! against the same snapshot ([`distributed_audit`]).
 //!
-//! Six further classes ([`v6_classes`]) corrupt the revelation-veracity
-//! slice of the snapshot — tiers, artifact evidence, screening flags —
-//! one per `V6xx` rule, under the same exactly-one-rule contract.
+//! Six codes were retired because no corruption isolates them. W103,
+//! W104 and X205 restated `ControlPlane::build`'s `MissingAsRel`,
+//! `DisconnectedAs` and `InvalidTeTunnel`, so no network with a plane
+//! reaches them. W108 fired with D510 on every dead slot
+//! (`rewrite-slot-prefix`), W109 with D507 on every dangling swap
+//! (`rewrite-te-branch-action`), and A309 with A307 on every idle shard
+//! (`shard-left-idle`).
 
 use std::collections::BTreeSet;
 use std::sync::OnceLock;
+use wormhole_core::{audit_input, Campaign, CampaignConfig};
 use wormhole_lint as lint;
+use wormhole_lint::{CampaignAudit, Diagnostic, Family, MethodClaim, RevelationKind, VeracityTier};
 use wormhole_net::{
-    Addr, Asn, ControlPlane, ExtRoute, Label, LabelAction, LdpPolicy, LfibEntry, LfibHop, LinkOpts,
-    Network, NetworkBuilder, PoppingMode, RouterConfig, RouterId, Vendor, OWNER_DIR_SIZE,
+    Addr, AsRel, Asn, ControlPlane, ExtRoute, Label, LabelAction, LdpPolicy, LfibEntry, LfibHop,
+    Link, LinkOpts, Network, NetworkBuilder, PoppingMode, Prefix, Router, RouterConfig, RouterId,
+    TeTunnel, Vendor, OWNER_DIR_SIZE,
 };
-use wormhole_topo::{generate, gns3_fig2, gns3_fig2_te, Fig2Config, InternetConfig};
+use wormhole_topo::{
+    generate, gns3_fig2, gns3_fig2_te, paper_personas, AsPersona, Fig2Config, Internet,
+    InternetConfig, Scenario,
+};
 
-/// One seeded corruption class.
-struct Class {
+/// A network with the control plane built from it.
+type Plane = (Network, ControlPlane);
+
+/// One seeded corruption class over a fixture of type `T`.
+struct Class<T> {
     name: &'static str,
-    /// The single D5xx rule that must catch it.
+    /// The single rule that must catch it.
     rule: &'static str,
-    build: fn() -> (Network, ControlPlane),
-    corrupt: fn(&mut Network, &mut ControlPlane),
+    build: fn() -> T,
+    corrupt: fn(&mut T),
 }
 
+/// What one class did under its family's entry point.
+struct Outcome {
+    name: &'static str,
+    rule: &'static str,
+    /// Whether the fixture already failed the deny gate.
+    fixture_fails: bool,
+    /// The findings the corruption added to the fixture's.
+    added: Vec<Diagnostic>,
+}
+
+impl<T> Class<T> {
+    fn run(&self, lint: impl Fn(&T) -> Vec<Diagnostic>) -> Outcome {
+        let mut input = (self.build)();
+        let clean = lint(&input);
+        (self.corrupt)(&mut input);
+        let mut added = lint(&input);
+        added.retain(|d| !clean.contains(d));
+        Outcome {
+            name: self.name,
+            rule: self.rule,
+            fixture_fails: lint::has_errors(&clean),
+            added,
+        }
+    }
+}
+
+/// Pins that `outcomes` expect exactly the codes registered for
+/// `family`, that every fixture passes the gate, and that every
+/// corruption adds findings of its own rule and no other.
+fn assert_family(family: Family, outcomes: &[Outcome]) {
+    let registered: BTreeSet<&str> = lint::RULES
+        .iter()
+        .filter(|r| r.family == family)
+        .map(|r| r.code)
+        .collect();
+    let expected: BTreeSet<&str> = outcomes.iter().map(|o| o.rule).collect();
+    let mut failures: Vec<String> = outcomes
+        .iter()
+        .filter_map(|o| {
+            let fired: BTreeSet<&str> = o.added.iter().map(|d| d.code).collect();
+            if o.fixture_fails {
+                Some(format!("{}: fixture fails the gate uncorrupted", o.name))
+            } else if fired != BTreeSet::from([o.rule]) {
+                Some(format!(
+                    "{}: expected exactly {} to fire, got {fired:?}\n{}",
+                    o.name,
+                    o.rule,
+                    lint::render(&o.added)
+                ))
+            } else {
+                None
+            }
+        })
+        .collect();
+    if expected != registered {
+        failures.push(format!(
+            "{family}: the classes expect {expected:?}, the registry holds {registered:?}"
+        ));
+    }
+    assert!(failures.is_empty(), "{}", failures.join("\n"));
+}
+
+fn plane_findings((net, cp): &Plane) -> Vec<Diagnostic> {
+    lint::check_plane(net, cp)
+}
+
+// ---------------------------------------------------------------- W1xx
+
+/// A built network's builder inputs, edited by [`reconfigure`].
+struct Config {
+    routers: Vec<Router>,
+    links: Vec<Link>,
+    rels: Vec<AsRel>,
+    tunnels: Vec<TeTunnel>,
+}
+
+impl Config {
+    fn of(net: &Network) -> Config {
+        Config {
+            routers: net.routers().to_vec(),
+            links: net.links().to_vec(),
+            rels: net.as_rels().to_vec(),
+            tunnels: net.te_tunnels().to_vec(),
+        }
+    }
+
+    /// The configuration of the router called `name`.
+    fn router(&mut self, name: &str) -> &mut RouterConfig {
+        let r = self.routers.iter_mut().find(|r| r.name == name);
+        &mut r.expect("a router of the fixture").config
+    }
+}
+
+/// Edits the plane's network configuration and rebuilds both from it
+/// through `NetworkBuilder` and `ControlPlane::build`: a configuration
+/// corruption reaches the gate through a plane that agrees with it.
+fn reconfigure(plane: &mut Plane, edit: impl FnOnce(&mut Config)) {
+    let mut c = Config::of(&plane.0);
+    edit(&mut c);
+    let mut b = NetworkBuilder::new();
+    for r in c.routers {
+        b.add_router_with_loopback(&r.name, r.asn, r.config, r.loopback);
+    }
+    for l in c.links {
+        let opts = LinkOpts {
+            delay_ms: l.delay_ms,
+            metric_ab: l.metric_ab,
+            metric_ba: l.metric_ba,
+        };
+        b.link_with_prefix(l.a.router, l.b.router, l.prefix, opts);
+    }
+    for r in c.rels {
+        b.as_rel(r.a, r.b, r.kind);
+    }
+    for t in c.tunnels {
+        b.te_tunnel(t.path, t.popping);
+    }
+    let net = b.build().expect("the edited configuration builds");
+    let cp = ControlPlane::build(&net).expect("the edited configuration has a plane");
+    *plane = (net, cp);
+}
+
+fn network_classes() -> Vec<Class<Plane>> {
+    vec![
+        Class {
+            name: "vp-enables-mpls",
+            rule: "W101",
+            build: ldp_plane,
+            corrupt: |p| reconfigure(p, |c| c.router("VP").mpls = true),
+        },
+        Class {
+            name: "add-unlinked-router",
+            rule: "W102",
+            build: ldp_plane,
+            corrupt: |p| {
+                reconfigure(p, |c| {
+                    c.routers.push(Router {
+                        id: RouterId(c.routers.len() as u32),
+                        name: "X".to_string(),
+                        asn: Asn(64_512),
+                        loopback: Addr::new(192, 0, 2, 1),
+                        ifaces: Vec::new(),
+                        config: RouterConfig::ip_router(Vendor::CiscoIos),
+                    })
+                })
+            },
+        },
+        Class {
+            name: "lsr-advertises-loopbacks-only",
+            rule: "W105",
+            build: ldp_plane,
+            corrupt: |p| reconfigure(p, |c| c.router("P2").ldp_policy = LdpPolicy::LoopbackOnly),
+        },
+        Class {
+            name: "one-ler-flips-ttl-propagate",
+            rule: "W106",
+            build: ldp_plane,
+            corrupt: |p| {
+                reconfigure(p, |c| {
+                    let pe1 = c.router("PE1");
+                    pe1.ttl_propagate = !pe1.ttl_propagate;
+                })
+            },
+        },
+        Class {
+            name: "te-tunnel-ends-in-the-core",
+            rule: "W107",
+            build: te_plane,
+            corrupt: |p| {
+                reconfigure(p, |c| {
+                    // Still a valid path of adjacent MPLS routers, so
+                    // the plane builds; its tail is now an LSR.
+                    c.tunnels[0].path.pop();
+                })
+            },
+        },
+        Class {
+            name: "lsr-pops-uhp",
+            rule: "W110",
+            build: ldp_plane,
+            corrupt: |p| reconfigure(p, |c| c.router("P2").popping = PoppingMode::Uhp),
+        },
+    ]
+}
+
+/// Every `W1xx` rule is isolated by a configuration corruption under
+/// `check_plane`.
+#[test]
+fn network_rules_each_isolated_through_check_plane() {
+    let outcomes: Vec<Outcome> = network_classes()
+        .iter()
+        .map(|c| c.run(plane_findings))
+        .collect();
+    assert_family(Family::Network, &outcomes);
+}
+
+// ---------------------------------------------------------------- X2xx
+
+fn fig2() -> Scenario {
+    gns3_fig2(Fig2Config::Default)
+}
+
+fn quick_internet() -> Internet {
+    generate(&InternetConfig::small(8))
+}
+
+fn scenario_classes() -> Vec<Class<Scenario>> {
+    vec![
+        Class {
+            name: "vp-is-a-router",
+            rule: "X201",
+            build: fig2,
+            corrupt: |s| s.vp = s.router("CE1"),
+        },
+        Class {
+            name: "target-owned-by-nobody",
+            rule: "X202",
+            build: fig2,
+            corrupt: |s| s.target = Addr::new(203, 0, 113, 77),
+        },
+    ]
+}
+
+fn persona_classes() -> Vec<Class<AsPersona>> {
+    vec![
+        Class {
+            name: "empty-edge-vendor-mix",
+            rule: "X203",
+            build: || paper_personas()[0].clone(),
+            corrupt: |p| p.edge_vendors = &[],
+        },
+        Class {
+            name: "persona-without-pops",
+            rule: "X204",
+            build: || paper_personas()[0].clone(),
+            corrupt: |p| p.pops = 0,
+        },
+    ]
+}
+
+fn internet_classes() -> Vec<Class<Internet>> {
+    vec![Class {
+        name: "persona-grows-a-pop",
+        rule: "X206",
+        build: quick_internet,
+        corrupt: |i| i.personas[0].pops += 1,
+    }]
+}
+
+/// Every `X2xx` rule is isolated through the entry point that runs it:
+/// `check_scenario`, `check_persona` or `check_internet`.
+#[test]
+fn cross_rules_each_isolated_through_their_entry_points() {
+    let mut outcomes: Vec<Outcome> = scenario_classes()
+        .iter()
+        .map(|c| c.run(lint::check_scenario))
+        .collect();
+    outcomes.extend(persona_classes().iter().map(|c| c.run(lint::check_persona)));
+    outcomes.extend(
+        internet_classes()
+            .iter()
+            .map(|c| c.run(lint::check_internet)),
+    );
+    assert_family(Family::Cross, &outcomes);
+}
+
+// ---------------------------------------------------------------- D5xx
+
 /// LDP-rich fixture: the Fig. 2 testbed with LDP on all prefixes.
-fn ldp_plane() -> (Network, ControlPlane) {
+fn ldp_plane() -> Plane {
     let s = gns3_fig2(Fig2Config::BackwardRecursive);
     (s.net, s.cp)
 }
 
 /// TE fixture: the Fig. 2 testbed steering through RSVP-TE tunnels.
-fn te_plane() -> (Network, ControlPlane) {
+fn te_plane() -> Plane {
     let s = gns3_fig2_te(PoppingMode::Php, false);
     (s.net, s.cp)
 }
@@ -81,7 +382,7 @@ const GAP: Addr = Addr::new(10, 0, 0, 3);
 /// Two linked routers with loopbacks `10.0.0.1` and `10.0.0.5`: the
 /// owner index's run for their block holds unowned entries, [`GAP`]
 /// among them.
-fn gapped_plane() -> (Network, ControlPlane) {
+fn gapped_plane() -> Plane {
     let mut b = NetworkBuilder::new();
     let cfg = RouterConfig::mpls_router(Vendor::CiscoIos);
     let x = b.add_router_with_loopback("X", Asn(1), cfg.clone(), Addr::new(10, 0, 0, 1));
@@ -96,8 +397,8 @@ fn gapped_plane() -> (Network, ControlPlane) {
 /// LDP entries gets both re-installed as explicit copies of themselves,
 /// so they override LDP without changing a branch and the plane
 /// verifies clean.
-fn injected_plane() -> (Network, ControlPlane) {
-    static PLANE: OnceLock<(Network, ControlPlane)> = OnceLock::new();
+fn injected_plane() -> Plane {
+    static PLANE: OnceLock<Plane> = OnceLock::new();
     PLANE
         .get_or_init(|| {
             let i = generate(&InternetConfig::small(8));
@@ -187,18 +488,13 @@ fn ext_words<'a>(
     })
 }
 
-/// The D5xx codes fired over `(net, cp)`, as a set.
-fn dense_codes(net: &Network, cp: &ControlPlane) -> BTreeSet<&'static str> {
-    lint::verify_dense(net, cp).iter().map(|d| d.code).collect()
-}
-
-fn classes() -> Vec<Class> {
+fn dense_classes() -> Vec<Class<Plane>> {
     vec![
         Class {
             name: "swap-te-csr-offsets",
             rule: "D501",
             build: te_plane,
-            corrupt: |_, cp| {
+            corrupt: |(_, cp)| {
                 let heads = cp.te_heads_mut();
                 let i = heads
                     .windows(2)
@@ -211,7 +507,7 @@ fn classes() -> Vec<Class> {
             name: "retarget-te-autoroute",
             rule: "D502",
             build: te_plane,
-            corrupt: |_, cp| {
+            corrupt: |(_, cp)| {
                 let route = &mut cp.te_routes_mut()[0].1;
                 route.0 += 1; // steer the head out of a different iface
             },
@@ -220,7 +516,7 @@ fn classes() -> Vec<Class> {
             name: "skew-ldp-csr-offset",
             rule: "D503",
             build: ldp_plane,
-            corrupt: |_, cp| {
+            corrupt: |(_, cp)| {
                 // Widen the first AS's window of /32 numbers and narrow
                 // the second's.
                 cp.bindings.host_number_base_mut()[1] += 1;
@@ -230,7 +526,7 @@ fn classes() -> Vec<Class> {
             name: "flip-ldp-advertisement",
             rule: "D504",
             build: ldp_plane,
-            corrupt: |net, cp| {
+            corrupt: |(net, cp)| {
                 // The last own position of an LDP router's row moves up
                 // by one, to a FEC it does not own: the row stays sorted
                 // below the router's counted slots, but the router now
@@ -258,7 +554,7 @@ fn classes() -> Vec<Class> {
             name: "shorten-igp-distance",
             rule: "D505",
             build: ldp_plane,
-            corrupt: |_, cp| {
+            corrupt: |(_, cp)| {
                 // Off-diagonal cells of a built AS are finite: lowering
                 // one breaks the shortest-path fixed point at that cell.
                 let view = &mut cp.igp[0];
@@ -273,7 +569,7 @@ fn classes() -> Vec<Class> {
             name: "shadow-lfib-label",
             rule: "D506",
             build: injected_plane,
-            corrupt: |_, cp| {
+            corrupt: |(_, cp)| {
                 // The second entry of the row takes the first one's
                 // label: the row is no longer strictly sorted and one
                 // entry shadows the other.
@@ -286,7 +582,7 @@ fn classes() -> Vec<Class> {
             name: "shift-lfib-row-offset",
             rule: "D506",
             build: injected_plane,
-            corrupt: |_, cp| {
+            corrupt: |(_, cp)| {
                 // Hand the row's last entry to the next router: every
                 // entry and label stays as built, only the row boundary
                 // moves — and the entry's branches name links that
@@ -299,7 +595,7 @@ fn classes() -> Vec<Class> {
             name: "tag-lfib-record-past-as-slots",
             rule: "D506",
             build: injected_plane,
-            corrupt: |net, cp| {
+            corrupt: |(net, cp)| {
                 // An explicit entry names the slot just past its AS
                 // table. Labels, offsets and branches stay as built.
                 let (rid, row) = injected_row(cp);
@@ -314,7 +610,7 @@ fn classes() -> Vec<Class> {
             name: "inject-stale-lfib-entry",
             rule: "D507",
             build: ldp_plane,
-            corrupt: |net, cp| {
+            corrupt: |(net, cp)| {
                 let r = net
                     .routers()
                     .iter()
@@ -341,7 +637,7 @@ fn classes() -> Vec<Class> {
             name: "rewrite-lfib-action",
             rule: "D507",
             build: injected_plane,
-            corrupt: |_, cp| {
+            corrupt: |(_, cp)| {
                 // An explicit override of an LDP label changes one
                 // branch's label operation; its shape stays as built.
                 rewrite_first_override(cp);
@@ -351,7 +647,7 @@ fn classes() -> Vec<Class> {
             name: "rewrite-te-branch-action",
             rule: "D507",
             build: te_plane,
-            corrupt: |_, cp| {
+            corrupt: |(_, cp)| {
                 // One explicit RSVP-TE transit branch changes its label
                 // operation; the explicit pool keeps its shape.
                 let hop = &mut cp.lfib_hops_mut()[0];
@@ -366,13 +662,13 @@ fn classes() -> Vec<Class> {
             name: "truncate-fib-group",
             rule: "D508",
             build: ldp_plane,
-            corrupt: |_, cp| truncate_first_fib_group(cp),
+            corrupt: |(_, cp)| truncate_first_fib_group(cp),
         },
         Class {
             name: "retarget-fib-pool-hop",
             rule: "D508",
             build: ldp_plane,
-            corrupt: |net, cp| {
+            corrupt: |(net, cp)| {
                 // Point one populated hop out of a different interface of
                 // the same router (at that interface's real peer): every
                 // group keeps its offsets, only the content lies.
@@ -401,7 +697,7 @@ fn classes() -> Vec<Class> {
             name: "index-fib-group-past-count",
             rule: "D508",
             build: ldp_plane,
-            corrupt: |net, cp| {
+            corrupt: |(net, cp)| {
                 // One cell names the group just past its router's own:
                 // the lookup reads an empty set, the offsets stay intact.
                 let v = cp.dense_view();
@@ -422,7 +718,7 @@ fn classes() -> Vec<Class> {
             name: "index-ext-class-past-count",
             rule: "D513",
             build: ldp_plane,
-            corrupt: |net, cp| {
+            corrupt: |(net, cp)| {
                 // AS 0's cell towards the first destination names the class
                 // just past its AS's classes; words and blocks stay intact.
                 let v = cp.dense_view();
@@ -437,7 +733,7 @@ fn classes() -> Vec<Class> {
             name: "direct-ext-over-intra-iface",
             rule: "D513",
             build: ldp_plane,
-            corrupt: |net, cp| {
+            corrupt: |(net, cp)| {
                 // A border's Direct route leaves over one of its
                 // intra-AS interfaces instead: still a valid word.
                 let (k, route) = ext_words(net, cp)
@@ -462,7 +758,7 @@ fn classes() -> Vec<Class> {
             name: "retarget-ext-egress",
             rule: "D513",
             build: ldp_plane,
-            corrupt: |net, cp| {
+            corrupt: |(net, cp)| {
                 // A member heads for another border of its own AS than
                 // the nearest one: every shape check still holds.
                 let (k, route) = ext_words(net, cp)
@@ -485,7 +781,7 @@ fn classes() -> Vec<Class> {
             name: "duplicate-slot-prefix",
             rule: "D509",
             build: ldp_plane,
-            corrupt: |_, cp| {
+            corrupt: |(_, cp)| {
                 // Give a second link /31 slot the first one's prefix:
                 // the slot count, the owners and the loopback-only LDP
                 // policy's view of both slots stay as they were.
@@ -500,7 +796,7 @@ fn classes() -> Vec<Class> {
             name: "skew-owner-offsets",
             rule: "D509",
             build: ldp_plane,
-            corrupt: |_, cp| {
+            corrupt: |(_, cp)| {
                 // Start every owner span one entry late: the offsets
                 // leave the pool origin and run past its end.
                 for o in &mut cp.as_prefixes[0].owner_base {
@@ -512,7 +808,7 @@ fn classes() -> Vec<Class> {
             name: "mis-slot-loopback",
             rule: "D510",
             build: ldp_plane,
-            corrupt: |_, cp| {
+            corrupt: |(_, cp)| {
                 let table = cp.loopback_slot_mut();
                 let i = table
                     .iter()
@@ -525,7 +821,7 @@ fn classes() -> Vec<Class> {
             name: "mis-slot-interface",
             rule: "D510",
             build: ldp_plane,
-            corrupt: |net, cp| {
+            corrupt: |(net, cp)| {
                 // Point an interface at its router's own loopback slot:
                 // the router owns both slots, so only the slot's prefix
                 // tells them apart.
@@ -540,10 +836,25 @@ fn classes() -> Vec<Class> {
             },
         },
         Class {
+            name: "rewrite-slot-prefix",
+            rule: "D510",
+            build: ldp_plane,
+            corrupt: |(_, cp)| {
+                // A link slot of the core AS now holds a prefix none of
+                // its owners has an address in: a dead slot, which its
+                // holders' memoized slots expose.
+                let table = &mut cp.as_prefixes[1];
+                let link = (0..table.len())
+                    .find(|&s| table.prefixes[s].len == 31)
+                    .expect("a link slot");
+                table.prefixes[link] = Prefix::new(Addr::new(198, 51, 100, 0), 31);
+            },
+        },
+        Class {
             name: "poison-owner-index",
             rule: "D512",
             build: ldp_plane,
-            corrupt: |net, _| {
+            corrupt: |(net, _)| {
                 // Rebind a held loopback to another router in the
                 // network's owner index, leaving the routers as they are.
                 let victim = net.routers()[0].loopback;
@@ -555,7 +866,7 @@ fn classes() -> Vec<Class> {
             name: "unindex-held-address",
             rule: "D512",
             build: ldp_plane,
-            corrupt: |net, _| {
+            corrupt: |(net, _)| {
                 // A held loopback reads as unowned: only the forward
                 // half (held address → holder) can see it.
                 let victim = net.routers()[0].loopback;
@@ -566,7 +877,7 @@ fn classes() -> Vec<Class> {
             name: "index-unheld-address",
             rule: "D512",
             build: gapped_plane,
-            corrupt: |net, _| {
+            corrupt: |(net, _)| {
                 // An unheld address inside a block run names a router:
                 // only the reverse half (entry → holder) can see it.
                 net.poison_owner_index(GAP, Some(RouterId(0)));
@@ -576,7 +887,7 @@ fn classes() -> Vec<Class> {
             name: "skew-owner-directory-run",
             rule: "D512",
             build: ldp_plane,
-            corrupt: |net, _| {
+            corrupt: |(net, _)| {
                 // Start a populated block's run one entry late: its
                 // addresses read their neighbours' owners and the runs
                 // no longer tile the pool.
@@ -592,7 +903,7 @@ fn classes() -> Vec<Class> {
             name: "orphan-owner-directory-page",
             rule: "D512",
             build: ldp_plane,
-            corrupt: |net, _| {
+            corrupt: |(net, _)| {
                 // A page no /8 reaches, its runs empty: every lookup
                 // still resolves, so only the shape half can see it.
                 let dir = net.owner_dir_mut();
@@ -603,265 +914,362 @@ fn classes() -> Vec<Class> {
     ]
 }
 
-/// Every corruption class starts clean, then is caught by exactly the
-/// intended rule — the acceptance criterion of the verifier.
+/// Every `D5xx` rule is isolated by a table corruption under
+/// `check_plane`.
 #[test]
-fn each_corruption_caught_by_exactly_the_intended_rule() {
-    for class in classes() {
-        let (mut net, mut cp) = (class.build)();
-        assert!(
-            dense_codes(&net, &cp).is_empty(),
-            "{}: fixture not clean before corruption",
-            class.name
-        );
-        (class.corrupt)(&mut net, &mut cp);
-        let fired = dense_codes(&net, &cp);
-        assert_eq!(
-            fired,
-            BTreeSet::from([class.rule]),
-            "{}: expected exactly {} to fire",
-            class.name,
-            class.rule
-        );
-    }
-}
-
-/// The coverage table: every registered D5xx rule is exercised by at
-/// least one corruption class, and every class names a dense rule.
-#[test]
-fn every_dense_rule_fired_by_a_corruption_class() {
-    let covered: BTreeSet<&str> = classes().iter().map(|c| c.rule).collect();
-    let registered: BTreeSet<&str> = lint::RULES
+fn dense_rules_each_isolated_through_check_plane() {
+    let outcomes: Vec<Outcome> = dense_classes()
         .iter()
-        .filter(|r| r.family == lint::Family::Dense)
-        .map(|r| r.code)
+        .map(|c| c.run(plane_findings))
         .collect();
-    assert_eq!(covered, registered, "coverage table incomplete");
-    assert!(classes().len() >= 8, "the issue demands ≥ 8 classes");
-    for c in classes() {
-        let info = lint::rule(c.rule).expect("class rule registered");
-        assert_eq!(info.family, lint::Family::Dense, "{}", c.name);
-    }
+    assert_family(Family::Dense, &outcomes);
 }
 
-/// The 13th corruption class. It lives on the campaign-audit snapshot
-/// rather than a `(net, cp)` pair, so it gets its own fixture: a
-/// consistent incremental-aggregation transcript whose cumulative link
-/// counter is then shrunk — the one thing an add-only builder can never
-/// legitimately do.
-struct AuditClass {
-    name: &'static str,
-    /// The single rule that must catch it.
-    rule: &'static str,
-    build: fn() -> lint::CampaignAudit,
-    corrupt: fn(&mut lint::CampaignAudit),
+// ---------------------------------------------------- A3xx, A4xx, V6xx
+
+/// The quick-scale Internet and the audit snapshot of the campaign the
+/// CLI runs over it (`campaign quick`: clean, screened).
+fn quick_campaign() -> &'static (Internet, CampaignAudit) {
+    static RUN: OnceLock<(Internet, CampaignAudit)> = OnceLock::new();
+    RUN.get_or_init(|| {
+        let i = quick_internet();
+        let cfg = CampaignConfig {
+            hdn_threshold: 6,
+            ..CampaignConfig::default()
+        };
+        let result = Campaign::new(&i.net, &i.cp, i.vps.clone(), cfg).run();
+        let a = audit_input(&result);
+        (i, a)
+    })
 }
 
-fn audit_class() -> AuditClass {
-    AuditClass {
-        name: "shrink-snapshot-links",
-        rule: "A310",
-        build: || lint::CampaignAudit {
-            num_traces: 4,
-            probes: 40,
-            snapshot_deltas: vec![
-                ("bootstrap".to_string(), 6, 5, 4, 7),
-                ("probe".to_string(), 4, 8, 9, 12),
-            ],
-            snapshot_checksum: Some(0xFEED_FACE),
-            snapshot_oracle: Some((10, 8, 9, 12, 0xFEED_FACE)),
-            ..lint::CampaignAudit::default()
-        },
-        corrupt: |a| {
-            a.snapshot_deltas[1].3 = 2; // links shrank mid-campaign
-            a.snapshot_oracle = None; // the conservation check alone must catch it
-        },
-    }
+fn quick_audit() -> CampaignAudit {
+    quick_campaign().1.clone()
 }
 
-/// The audit corruption class starts clean, then is caught by exactly
-/// `A310` — same acceptance criterion as the dense classes.
-#[test]
-fn audit_corruption_caught_by_exactly_the_intended_rule() {
-    let class = audit_class();
-    let (net, _) = ldp_plane();
-    let mut a = (class.build)();
-    let clean: BTreeSet<&'static str> = lint::audit(&net, &a).iter().map(|d| d.code).collect();
-    assert!(
-        clean.is_empty(),
-        "{}: fixture not clean before corruption",
-        class.name
-    );
-    (class.corrupt)(&mut a);
-    let fired: BTreeSet<&'static str> = lint::audit(&net, &a).iter().map(|d| d.code).collect();
-    assert_eq!(
-        fired,
-        BTreeSet::from([class.rule]),
-        "{}: expected exactly {} to fire",
-        class.name,
-        class.rule
-    );
-    let info = lint::rule(class.rule).expect("class rule registered");
-    assert_eq!(info.family, lint::Family::Audit, "{}", class.name);
-    // 26 dense classes + this one: the 27-class contract.
-    assert_eq!(classes().len() + 1, 27);
+fn audit_findings(a: &CampaignAudit) -> Vec<Diagnostic> {
+    lint::audit(&quick_campaign().0.net, a)
 }
 
-/// A clean screened-campaign snapshot the V6xx classes corrupt: one
-/// DPR-revealed tunnel, fully corroborated, every cross-check
-/// consistent. Addresses live in TEST-NET-3 so no fixture network owns
-/// them (A304 stays out of the way).
-fn veracity_fixture() -> lint::CampaignAudit {
-    let ingress = Addr::new(203, 0, 113, 1);
-    let egress = Addr::new(203, 0, 113, 2);
-    let hop = Addr::new(203, 0, 113, 3);
-    lint::CampaignAudit {
-        signatures: vec![
-            (ingress, Some(255), Some(255)),
-            (egress, Some(255), Some(64)),
-            (hop, Some(255), Some(64)),
-        ],
-        tunnels: vec![lint::TunnelAudit {
-            ingress,
-            egress,
-            hops: vec![hop],
-            rtl: Some(2),
-            steps: Vec::new(),
-            method: Some(lint::MethodClaim::Dpr),
+/// [`quick_audit`] as two workers ran it: one dispatched phase whose
+/// shard files carry every probe, master and workers on one substrate
+/// cache.
+fn distributed_audit() -> CampaignAudit {
+    let mut a = quick_audit();
+    a.dist = Some(lint::DistAudit {
+        workers: 2,
+        phases: vec![lint::DistPhaseAudit {
+            phase: "probe".to_string(),
+            dispatched: 2,
+            received: 2,
+            missing: Vec::new(),
+            duplicates: Vec::new(),
+            shard_probes: a.probes,
         }],
-        num_traces: 1,
-        probes: 10,
-        revelations: vec![(ingress, egress, lint::RevelationKind::Complete, 1)],
-        veracity: vec![(ingress, egress, lint::VeracityTier::Corroborated)],
-        revelation_artifacts: vec![(ingress, egress, 0, 0, false)],
-        deceptive_plan: true,
-        ..lint::CampaignAudit::default()
-    }
+        master_cache: Some(0xC0FFEE),
+        worker_cache: vec![(0, 0xC0FFEE), (1, 0xC0FFEE)],
+    });
+    a
 }
 
-/// One corruption class per V6xx rule, over [`veracity_fixture`].
-fn v6_classes() -> Vec<AuditClass> {
+/// The first tunnel `pick` accepts, by index.
+fn tunnel(a: &CampaignAudit, pick: impl Fn(&lint::TunnelAudit) -> bool) -> usize {
+    a.tunnels
+        .iter()
+        .position(pick)
+        .expect("the quick campaign reveals such a tunnel")
+}
+
+/// The signature row of `addr`, by index.
+fn signature(a: &CampaignAudit, addr: Addr) -> usize {
+    a.signatures
+        .iter()
+        .position(|s| s.0 == addr)
+        .expect("a fingerprinted address")
+}
+
+/// The tier the screen gave the revelation between `x` and `y`.
+fn tier(a: &CampaignAudit, x: Addr, y: Addr) -> Option<VeracityTier> {
+    a.veracity
+        .iter()
+        .find(|v| (v.0, v.1) == (x, y))
+        .map(|v| v.2)
+}
+
+/// Tunnel `t` carries an RTLA length within the A302 tolerance.
+fn rtla_plausible(t: &lint::TunnelAudit) -> bool {
+    t.rtl
+        .is_some_and(|rtl| (rtl - t.hops.len() as i32 - 1).abs() <= lint::RTLA_GAP_TOLERANCE)
+}
+
+fn audit_classes() -> Vec<Class<CampaignAudit>> {
     vec![
-        AuditClass {
-            name: "rtl-against-cisco-egress",
-            rule: "V601",
-            build: veracity_fixture,
+        Class {
+            name: "signature-off-the-taxonomy",
+            rule: "A301",
+            build: quick_audit,
             corrupt: |a| {
-                // The egress fingerprint flips to <128, 128> (still in
-                // taxonomy, so A301 stays quiet) while the tunnel keeps
-                // its RTLA length — a measurement RTLA cannot make.
-                a.signatures[1] = (a.signatures[1].0, Some(128), Some(128));
+                // An address no tunnel ends at, so the RTLA and egress
+                // checks never read it.
+                let k = a
+                    .signatures
+                    .iter()
+                    .position(|s| {
+                        s.1.is_some() && s.2.is_some() && a.tunnels.iter().all(|t| t.egress != s.0)
+                    })
+                    .expect("a fully fingerprinted non-egress address");
+                a.signatures[k] = (a.signatures[k].0, Some(64), Some(255));
             },
         },
-        AuditClass {
-            name: "forged-loop-still-corroborated",
-            rule: "V602",
-            build: veracity_fixture,
+        Class {
+            name: "stretch-rtla-gap",
+            rule: "A302",
+            build: quick_audit,
             corrupt: |a| {
-                a.revelation_artifacts[0].2 = 1; // a re-trace revisited a hop
+                let k = tunnel(a, rtla_plausible);
+                let t = &mut a.tunnels[k];
+                t.rtl = Some(t.hops.len() as i32 + 2 + lint::RTLA_GAP_TOLERANCE);
             },
         },
-        AuditClass {
-            name: "corroborate-hidden-egress",
-            rule: "V603",
-            build: veracity_fixture,
+        Class {
+            name: "ingress-revealed-as-a-hop",
+            rule: "A303",
+            build: quick_audit,
             corrupt: |a| {
-                // The egress never answered an echo — its er evidence
-                // vanishes (incomplete signature, so A301/V601 skip).
-                a.signatures[1] = (a.signatures[1].0, Some(255), None);
+                let k = tunnel(a, |t| !t.hops.is_empty());
+                a.tunnels[k].hops[0] = a.tunnels[k].ingress;
             },
         },
-        AuditClass {
-            name: "corroborate-through-stars",
-            rule: "V604",
-            build: veracity_fixture,
+        Class {
+            name: "splice-foreign-hop",
+            rule: "A304",
+            build: quick_audit,
             corrupt: |a| {
-                a.revelation_artifacts[0].3 = 2; // stars in the re-traces
+                let net = &quick_campaign().0.net;
+                let k = tunnel(a, |t| !t.hops.is_empty());
+                let home = net.owner_asn(a.tunnels[k].ingress);
+                let foreign = net
+                    .routers()
+                    .iter()
+                    .find(|r| Some(r.asn) != home)
+                    .expect("a second AS");
+                a.tunnels[k].hops[0] = foreign.loopback;
             },
         },
-        AuditClass {
-            name: "double-graded-revelation",
-            rule: "V605",
-            build: veracity_fixture,
+        Class {
+            name: "candidate-past-the-traces",
+            rule: "A305",
+            build: quick_audit,
+            corrupt: |a| a.candidates[0].2 = a.num_traces,
+        },
+        Class {
+            name: "shards-undercount-together",
+            rule: "A306",
+            build: quick_audit,
             corrupt: |a| {
-                let row = a.veracity[0];
-                a.veracity.push(row); // one revelation, two tiers
+                // Every shard keeps probing and the shards still sum to
+                // the total, but the total falls one short of a probe
+                // per trace.
+                let shards = a.probes_by_shard.len();
+                a.probes_by_shard.fill(1);
+                a.probes_by_shard[0] = (a.num_traces - shards) as u64;
+                a.probes = a.num_traces as u64 - 1;
             },
         },
-        AuditClass {
-            name: "drop-screening-under-deception",
-            rule: "V606",
-            build: veracity_fixture,
+        Class {
+            name: "shard-loses-a-probe",
+            rule: "A307",
+            build: quick_audit,
+            corrupt: |a| a.probes_by_shard[0] -= 1,
+        },
+        Class {
+            name: "shard-left-idle",
+            rule: "A307",
+            build: quick_audit,
             corrupt: |a| {
-                a.veracity.clear(); // adversarial run, nothing screened
+                // The sum holds; one vantage point's work moved to
+                // another.
+                let idle = std::mem::take(&mut a.probes_by_shard[1]);
+                a.probes_by_shard[0] += idle;
+            },
+        },
+        Class {
+            name: "misclaim-method",
+            rule: "A308",
+            build: quick_audit,
+            corrupt: |a| {
+                // Neither claim is DPR, so the egress evidence check
+                // (V603) stays out of it.
+                let k = tunnel(a, |t| t.method.is_some());
+                let t = &mut a.tunnels[k];
+                t.method = Some(if t.method == Some(MethodClaim::Either) {
+                    MethodClaim::Brpr
+                } else {
+                    MethodClaim::Either
+                });
+            },
+        },
+        Class {
+            name: "shrink-snapshot-links",
+            rule: "A310",
+            build: quick_audit,
+            corrupt: |a| {
+                // An add-only builder's cumulative links shrank between
+                // its last two phases.
+                let n = a.snapshot_deltas.len();
+                a.snapshot_deltas[n - 1].3 = a.snapshot_deltas[n - 2].3 - 1;
+            },
+        },
+        Class {
+            name: "worker-neither-received-nor-missing",
+            rule: "A311",
+            build: distributed_audit,
+            corrupt: |a| {
+                let ledger = a.dist.as_mut().expect("a distributed ledger");
+                ledger.phases[0].received -= 1;
+            },
+        },
+        Class {
+            name: "worker-resolves-another-substrate",
+            rule: "A312",
+            build: distributed_audit,
+            corrupt: |a| {
+                let ledger = a.dist.as_mut().expect("a distributed ledger");
+                ledger.worker_cache[1].1 ^= 1;
             },
         },
     ]
 }
 
-/// Every V6xx corruption class starts clean, then is caught by exactly
-/// the intended rule.
+fn robustness_classes() -> Vec<Class<CampaignAudit>> {
+    vec![
+        Class {
+            name: "trace-overruns-its-budget",
+            rule: "A401",
+            build: quick_audit,
+            corrupt: |a| {
+                let budget = a.trace_budget.expect("the campaign runs with a budget");
+                a.trace_probes[0].0 = budget + 1;
+            },
+        },
+        Class {
+            name: "abandon-with-hops",
+            rule: "A402",
+            build: quick_audit,
+            corrupt: |a| {
+                let k = a
+                    .revelations
+                    .iter()
+                    .position(|r| r.3 > 0)
+                    .expect("a revelation with hops");
+                a.revelations[k].2 = RevelationKind::Abandoned;
+            },
+        },
+        Class {
+            name: "degrade-a-missing-vp",
+            rule: "A403",
+            build: quick_audit,
+            corrupt: |a| {
+                let vps = a.probes_by_shard.len();
+                a.degraded_shards.push((vps, "probe".to_string()));
+            },
+        },
+    ]
+}
+
+fn veracity_classes() -> Vec<Class<CampaignAudit>> {
+    vec![
+        Class {
+            name: "rtl-against-cisco-egress",
+            rule: "V601",
+            build: quick_audit,
+            corrupt: |a| {
+                // <128, 128> is in the taxonomy (A301 stays quiet) but
+                // is not the <255, 64> pair RTLA needs.
+                let k = tunnel(a, |t| t.rtl.is_some());
+                let s = signature(a, a.tunnels[k].egress);
+                a.signatures[s] = (a.signatures[s].0, Some(128), Some(128));
+            },
+        },
+        Class {
+            name: "loop-artifact-left-standing",
+            rule: "V602",
+            build: quick_audit,
+            corrupt: |a| {
+                let k = a
+                    .revelation_artifacts
+                    .iter()
+                    .position(|r| tier(a, r.0, r.1) != Some(VeracityTier::Contradicted))
+                    .expect("a revelation the screen let stand");
+                a.revelation_artifacts[k].2 = 1; // a re-trace revisited a hop
+            },
+        },
+        Class {
+            name: "corroborate-hidden-egress",
+            rule: "V603",
+            build: quick_audit,
+            corrupt: |a| {
+                // The egress of a corroborated DPR tunnel never answered
+                // an echo: an incomplete signature, which A301 and V601
+                // skip.
+                let k = tunnel(a, |t| {
+                    t.method == Some(MethodClaim::Dpr)
+                        && tier(a, t.ingress, t.egress) == Some(VeracityTier::Corroborated)
+                });
+                let s = signature(a, a.tunnels[k].egress);
+                a.signatures[s].2 = None;
+            },
+        },
+        Class {
+            name: "corroborate-through-stars",
+            rule: "V604",
+            build: quick_audit,
+            corrupt: |a| {
+                let k = a
+                    .revelation_artifacts
+                    .iter()
+                    .position(|r| tier(a, r.0, r.1) == Some(VeracityTier::Corroborated))
+                    .expect("a corroborated revelation");
+                a.revelation_artifacts[k].3 = 2; // stars in the re-traces
+            },
+        },
+        Class {
+            name: "double-graded-revelation",
+            rule: "V605",
+            build: quick_audit,
+            corrupt: |a| {
+                let row = a.veracity[0];
+                a.veracity.push(row); // one revelation, two tiers
+            },
+        },
+        Class {
+            name: "drop-screening-under-deception",
+            rule: "V606",
+            build: quick_audit,
+            corrupt: |a| {
+                // An adversarial run whose screening pass was skipped.
+                a.deceptive_plan = true;
+                a.veracity.clear();
+            },
+        },
+    ]
+}
+
+/// Every `A3xx`, `A4xx` and `V6xx` rule is isolated by a corruption of
+/// the quick campaign's audit snapshot under `lint::audit`.
 #[test]
-fn veracity_corruption_caught_by_exactly_the_intended_rule() {
-    let (net, _) = ldp_plane();
-    for class in v6_classes() {
-        let mut a = (class.build)();
-        let clean: BTreeSet<&'static str> = lint::audit(&net, &a).iter().map(|d| d.code).collect();
-        assert!(
-            clean.is_empty(),
-            "{}: fixture not clean before corruption",
-            class.name
-        );
-        (class.corrupt)(&mut a);
-        let fired: BTreeSet<&'static str> = lint::audit(&net, &a).iter().map(|d| d.code).collect();
-        assert_eq!(
-            fired,
-            BTreeSet::from([class.rule]),
-            "{}: expected exactly {} to fire",
-            class.name,
-            class.rule
-        );
+fn campaign_rules_each_isolated_through_audit() {
+    for (family, classes) in [
+        (Family::Audit, audit_classes()),
+        (Family::Robustness, robustness_classes()),
+        (Family::Veracity, veracity_classes()),
+    ] {
+        let outcomes: Vec<Outcome> = classes.iter().map(|c| c.run(audit_findings)).collect();
+        assert_family(family, &outcomes);
     }
 }
 
-/// Coverage: every registered V6xx rule is exercised by exactly one
-/// corruption class, bringing the suite to 33 classes in total.
-#[test]
-fn every_veracity_rule_fired_by_a_corruption_class() {
-    let covered: BTreeSet<&str> = v6_classes().iter().map(|c| c.rule).collect();
-    let registered: BTreeSet<&str> = lint::RULES
-        .iter()
-        .filter(|r| r.family == lint::Family::Veracity)
-        .map(|r| r.code)
-        .collect();
-    assert_eq!(covered, registered, "coverage table incomplete");
-    for c in v6_classes() {
-        let info = lint::rule(c.rule).expect("class rule registered");
-        assert_eq!(info.family, lint::Family::Veracity, "{}", c.name);
-    }
-    assert_eq!(classes().len() + 1 + v6_classes().len(), 33);
-}
-
-/// Corrupted planes also fail the combined `check_plane` gate — the
-/// entry point Session/Campaign actually run.
-#[test]
-fn check_plane_carries_dense_findings() {
-    let (net, mut cp) = ldp_plane();
-    truncate_first_fib_group(&mut cp);
-    let diags = lint::check_plane(&net, &cp);
-    assert!(lint::has_errors(&diags));
-    assert!(diags.iter().any(|d| d.code == "D508"));
-    // A malformed owner CSR is reported, not read through by W108.
-    let (net, mut cp) = ldp_plane();
-    for o in &mut cp.as_prefixes[0].owner_base {
-        *o += 1;
-    }
-    let codes: BTreeSet<&str> = lint::check_plane(&net, &cp)
-        .iter()
-        .map(|d| d.code)
-        .collect();
-    assert_eq!(codes, BTreeSet::from(["D509"]));
-}
+// ------------------------------------------------------ D507 rendering
 
 /// The rendered `D507` finding for `router`, exactly as `lint::render`
 /// prints it.

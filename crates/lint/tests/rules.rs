@@ -4,11 +4,11 @@
 
 use wormhole_lint as lint;
 use wormhole_lint::{
-    audit, cross, network, CampaignAudit, MethodClaim, RevelationKind, Severity, TunnelAudit,
+    audit, cross, CampaignAudit, LintConfig, MethodClaim, RevelationKind, Severity, TunnelAudit,
 };
 use wormhole_net::{
-    Addr, AsPrefixes, Asn, ControlPlane, Label, LabelAction, LfibEntry, LfibHop, LinkOpts, Network,
-    NetworkBuilder, PoppingMode, Prefix, RelKind, RouterConfig, RouterId, Vendor,
+    Addr, Asn, ControlPlane, LinkOpts, Network, NetworkBuilder, PoppingMode, RelKind, RouterConfig,
+    RouterId, Vendor,
 };
 use wormhole_topo::{gns3_fig2, gns3_fig2_te, paper_personas, Fig2Config};
 
@@ -26,6 +26,12 @@ fn error_codes(diags: &[lint::Diagnostic]) -> Vec<&'static str> {
         .collect()
 }
 
+/// The lint-before-simulate gate over `net` and the plane built from it.
+fn gate(net: &Network) -> Vec<lint::Diagnostic> {
+    let cp = ControlPlane::build(net).expect("the fixture has a control plane");
+    lint::check_plane(net, &cp)
+}
+
 // ---------------------------------------------------------------- W1xx
 
 #[test]
@@ -35,7 +41,7 @@ fn w101_host_running_mpls() {
     cfg.mpls = true;
     b.add_router("vp", Asn(1), cfg);
     let net = b.build().unwrap();
-    let diags = lint::check(&net);
+    let diags = gate(&net);
     assert_eq!(error_codes(&diags), ["W101"]);
 }
 
@@ -44,39 +50,9 @@ fn w102_isolated_router_warns() {
     let mut b = NetworkBuilder::new();
     b.add_router("alone", Asn(1), RouterConfig::ip_router(Vendor::CiscoIos));
     let net = b.build().unwrap();
-    let diags = lint::check(&net);
+    let diags = gate(&net);
     assert_eq!(codes(&diags), ["W102"]);
     assert_eq!(diags[0].severity, Severity::Warn);
-}
-
-#[test]
-fn w103_inter_as_link_without_relationship() {
-    let mut b = NetworkBuilder::new();
-    let a = b.add_router("a", Asn(1), RouterConfig::ip_router(Vendor::CiscoIos));
-    let c = b.add_router("c", Asn(2), RouterConfig::ip_router(Vendor::CiscoIos));
-    b.link(a, c, LinkOpts::default());
-    // No b.as_rel(...) — the relationship is missing.
-    let net = b.build().unwrap();
-    let diags = lint::check(&net);
-    assert_eq!(error_codes(&diags), ["W103"]);
-}
-
-#[test]
-fn w104_internally_disconnected_as() {
-    let mut b = NetworkBuilder::new();
-    let cfg = RouterConfig::ip_router(Vendor::CiscoIos);
-    let a = b.add_router("a", Asn(1), cfg.clone());
-    let a2 = b.add_router("a2", Asn(1), cfg.clone());
-    let stranded = b.add_router("stranded", Asn(1), cfg.clone());
-    let other = b.add_router("other", Asn(2), cfg);
-    b.link(a, a2, LinkOpts::default());
-    // `stranded` only reaches its AS via another AS — no intra-AS path.
-    b.link(stranded, other, LinkOpts::default());
-    b.link(a2, other, LinkOpts::default());
-    b.as_rel(Asn(1), Asn(2), RelKind::Peer);
-    let net = b.build().unwrap();
-    let diags = lint::check(&net);
-    assert_eq!(error_codes(&diags), ["W104"]);
 }
 
 #[test]
@@ -87,7 +63,7 @@ fn w105_asymmetric_ldp_session() {
     let j = b.add_router("j", Asn(1), RouterConfig::mpls_router(Vendor::JuniperJunos));
     b.link(a, j, LinkOpts::default());
     let net = b.build().unwrap();
-    let diags = lint::check(&net);
+    let diags = gate(&net);
     assert!(codes(&diags).contains(&"W105"), "{}", lint::render(&diags));
     assert!(error_codes(&diags).is_empty(), "asymmetry is a warning");
 }
@@ -107,7 +83,7 @@ fn w106_ttl_propagate_differs_across_lers() {
     b.link(p2, ext, LinkOpts::default());
     b.as_rel(Asn(1), Asn(2), RelKind::ProviderCustomer);
     let net = b.build().unwrap();
-    let diags = lint::check(&net);
+    let diags = gate(&net);
     assert!(codes(&diags).contains(&"W106"), "{}", lint::render(&diags));
     assert!(
         error_codes(&diags).is_empty(),
@@ -131,7 +107,7 @@ fn w107_te_tunnel_ending_off_the_ler_edge() {
     // but neither is an LER, so autoroute can never use the tunnel.
     b.te_tunnel(vec![p1, p2], PoppingMode::Php);
     let net = b.build().unwrap();
-    let diags = lint::check(&net);
+    let diags = gate(&net);
     assert_eq!(error_codes(&diags), ["W107", "W107"]);
 }
 
@@ -146,65 +122,6 @@ fn tiny_as() -> (Network, [RouterId; 2]) {
 }
 
 #[test]
-fn w108_prefix_entry_with_no_reachable_next_hop() {
-    let (net, [a, _]) = tiny_as();
-    let (mut table, _) = AsPrefixes::build(&net, Asn(1));
-    assert!(
-        {
-            let mut out = Vec::new();
-            network::unreachable_prefix(&net, std::slice::from_ref(&table), &mut out);
-            out.is_empty()
-        },
-        "a freshly built table must be clean"
-    );
-    // What-if: an ownerless slot, as a fault-injection study would make.
-    let bogus = Prefix::new(Addr::new(203, 0, 113, 0), 24);
-    table.prefixes.push(bogus);
-    table.owner_base.push(table.owner_ids.len() as u32);
-    // And a slot whose owner holds no address inside the prefix.
-    let bogus2 = Prefix::new(Addr::new(198, 51, 100, 0), 24);
-    table.prefixes.push(bogus2);
-    table.owner_ids.push(a);
-    table.owner_base.push(table.owner_ids.len() as u32);
-    let mut out = Vec::new();
-    network::unreachable_prefix(&net, std::slice::from_ref(&table), &mut out);
-    assert_eq!(error_codes(&out), ["W108", "W108"]);
-}
-
-#[test]
-fn w109_dangling_lfib_label_swap() {
-    let mut b = NetworkBuilder::new();
-    let h = b.add_router("h", Asn(1), RouterConfig::ip_router(Vendor::CiscoIos));
-    let a = b.add_router("a", Asn(2), RouterConfig::mpls_router(Vendor::CiscoIos));
-    let c = b.add_router("c", Asn(2), RouterConfig::mpls_router(Vendor::CiscoIos));
-    let t = b.add_router("t", Asn(3), RouterConfig::ip_router(Vendor::CiscoIos));
-    b.link(h, a, LinkOpts::default());
-    b.link(a, c, LinkOpts::default());
-    b.link(c, t, LinkOpts::default());
-    b.as_rel(Asn(2), Asn(1), RelKind::ProviderCustomer);
-    b.as_rel(Asn(2), Asn(3), RelKind::ProviderCustomer);
-    let net = b.build().unwrap();
-    let mut cp = ControlPlane::build(&net).unwrap();
-    assert!(!lint::has_errors(&lint::check_full(&net, &cp)));
-    // What-if: swap towards a label `c` never installed.
-    let iface = net.router(a).iface_to(c).unwrap() as u32;
-    cp.inject_lfib_entry(
-        a,
-        Label(999_001),
-        LfibEntry {
-            slot: 0,
-            nexthops: vec![LfibHop {
-                iface,
-                next: c,
-                action: LabelAction::Swap(Label(999_002)),
-            }],
-        },
-    );
-    let diags = lint::check_full(&net, &cp);
-    assert_eq!(error_codes(&diags), ["W109"]);
-}
-
-#[test]
 fn w110_mixed_popping_modes_are_informational() {
     let mut b = NetworkBuilder::new();
     let a = b.add_router("a", Asn(1), RouterConfig::mpls_router(Vendor::CiscoIos));
@@ -215,7 +132,7 @@ fn w110_mixed_popping_modes_are_informational() {
     );
     b.link(a, u, LinkOpts::default());
     let net = b.build().unwrap();
-    let diags = lint::check(&net);
+    let diags = gate(&net);
     assert!(codes(&diags).contains(&"W110"));
     assert!(diags.iter().all(|d| d.severity != Severity::Error));
 }
@@ -270,23 +187,6 @@ fn x204_degenerate_persona_topology() {
     p.pops = 0;
     let diags = lint::check_persona(&p);
     assert_eq!(error_codes(&diags), ["X204"]);
-}
-
-#[test]
-fn x205_tunnel_the_config_cannot_produce() {
-    let mut b = NetworkBuilder::new();
-    let cfg = RouterConfig::mpls_router(Vendor::CiscoIos);
-    let a = b.add_router("a", Asn(1), cfg.clone());
-    let m = b.add_router("m", Asn(1), cfg.clone());
-    let c = b.add_router("c", Asn(1), cfg);
-    b.link(a, m, LinkOpts::default());
-    b.link(m, c, LinkOpts::default());
-    // a and c are not adjacent: no label chain can realise this path.
-    b.te_tunnel(vec![a, c], PoppingMode::Php);
-    let net = b.build().unwrap();
-    let mut out = Vec::new();
-    cross::impossible_tunnel(&net, &mut out);
-    assert_eq!(error_codes(&out), ["X205"]);
 }
 
 #[test]
@@ -461,49 +361,6 @@ fn a307_silent_without_shard_data() {
     };
     let diags = audit::audit(&net, &a);
     assert!(!codes(&diags).contains(&"A307"));
-}
-
-#[test]
-fn a309_idle_shard_under_stealing_warns() {
-    let (net, _) = tiny_as();
-    let a = CampaignAudit {
-        num_traces: 2,
-        probes: 10,
-        probes_by_shard: vec![10, 0],
-        stealing: true,
-        ..CampaignAudit::default()
-    };
-    let diags = audit::audit(&net, &a);
-    assert!(error_codes(&diags).is_empty(), "{}", lint::render(&diags));
-    assert!(diags
-        .iter()
-        .any(|d| d.code == "A309" && d.severity == Severity::Warn));
-}
-
-#[test]
-fn a309_silent_without_stealing_and_for_degraded_shards() {
-    let (net, _) = tiny_as();
-    // Same idle shard, but batch scheduling: A307 covers it, A309 stays
-    // quiet.
-    let batch = CampaignAudit {
-        num_traces: 2,
-        probes: 10,
-        probes_by_shard: vec![10, 0],
-        ..CampaignAudit::default()
-    };
-    let diags = audit::audit(&net, &batch);
-    assert!(!codes(&diags).contains(&"A309"));
-    // A shard idle because its worker panicked is A403's business.
-    let degraded = CampaignAudit {
-        num_traces: 2,
-        probes: 10,
-        probes_by_shard: vec![10, 0],
-        stealing: true,
-        degraded_shards: vec![(1, "probe".to_string())],
-        ..CampaignAudit::default()
-    };
-    let diags = audit::audit(&net, &degraded);
-    assert!(!codes(&diags).contains(&"A309"), "{}", lint::render(&diags));
 }
 
 /// A consistent incremental-aggregation transcript: bootstrap then
@@ -741,6 +598,19 @@ fn d510_slot_must_list_the_address_holder() {
     }
     let diags = lint::verify_dense(&net, &cp);
     assert_eq!(error_codes(&diags), ["D510"], "{}", lint::render(&diags));
+}
+
+// ------------------------------------------------------ retired codes
+
+/// Codes retired because no seeded corruption isolates them (see
+/// `tests/mutations.rs`) are refused wherever a code is named.
+#[test]
+fn retired_codes_are_refused() {
+    for code in ["W103", "W104", "W108", "W109", "X205", "A309"] {
+        assert!(lint::rule(code).is_none(), "{code} is registered");
+        let spec = format!("{code}=warn");
+        assert!(LintConfig::default().add_override(&spec).is_err(), "{spec}");
+    }
 }
 
 // ------------------------------------------------- negative contract

@@ -1109,9 +1109,9 @@ impl ControlPlane {
     /// recompute from the network, so
     /// [`ControlPlane::from_cache_payload`] rebuilds it instead of
     /// trusting more serialized state than necessary. The routes are
-    /// written one packed word per `(router, destination AS)` cell,
-    /// router-major — exactly `Vec<ExtRoute>`'s encoding — with the
-    /// classes expanded on the fly.
+    /// written as a cell count, then one [`ExtRoute::pack`] word per
+    /// `(router, destination AS)` cell, router-major, with the classes
+    /// expanded on the fly.
     pub fn cache_payload(&self) -> Vec<u8> {
         use crate::wire::Wire as _;
         let mut out = Vec::new();
@@ -1861,17 +1861,19 @@ mod tests {
         let err = ControlPlane::from_cache_payload(&net, &payload[..payload.len() - 3]);
         assert!(matches!(err, Err(CachePayloadError::Decode(_))));
         // So is an external-route word no route packs to (the last
-        // cell's).
-        let mut bad = payload.clone();
-        let at = bad.len() - 4;
-        bad[at..].copy_from_slice(&3u32.to_le_bytes());
-        let err = ControlPlane::from_cache_payload(&net, &bad);
-        assert!(matches!(
-            err,
-            Err(CachePayloadError::Decode(crate::wire::WireError::Corrupt(
-                "ExtRoute tag"
-            )))
-        ));
+        // cell's): tag 3, or an unreachable tag with a payload.
+        for word in [3u32, 4] {
+            let mut bad = payload.clone();
+            let at = bad.len() - 4;
+            bad[at..].copy_from_slice(&word.to_le_bytes());
+            let err = ControlPlane::from_cache_payload(&net, &bad);
+            assert!(matches!(
+                err,
+                Err(CachePayloadError::Decode(crate::wire::WireError::Corrupt(
+                    "ExtRoute tag"
+                )))
+            ));
+        }
         // A payload built for a different network fails the dimension check.
         let mut bld = NetworkBuilder::new();
         let x = bld.add_router("x", Asn(1), RouterConfig::ip_router(Vendor::CiscoIos));

@@ -350,11 +350,6 @@ impl<'a> Engine<'a> {
         self.sub.net
     }
 
-    /// The control plane in use.
-    pub fn control_plane(&self) -> &'a ControlPlane {
-        self.sub.cp
-    }
-
     /// The substrate handle.
     pub fn substrate(&self) -> SubstrateRef<'a> {
         self.sub

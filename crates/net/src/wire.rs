@@ -289,18 +289,6 @@ impl Wire for crate::ReplyKind {
     }
 }
 
-impl Wire for crate::ExtRoute {
-    /// Packed into one `u32` ([`crate::ExtRoute::pack`]): the
-    /// external-route table is the bulk of the substrate cache
-    /// (`n_as × num_routers` entries), so every entry stays four bytes.
-    fn put(&self, out: &mut Vec<u8>) {
-        self.pack().put(out);
-    }
-    fn take(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        crate::ExtRoute::unpack(u32::take(r)?).ok_or(WireError::Corrupt("ExtRoute tag"))
-    }
-}
-
 impl Wire for crate::EngineStats {
     fn put(&self, out: &mut Vec<u8>) {
         self.probes.put(out);
@@ -515,11 +503,6 @@ mod tests {
         round_trip(crate::Asn(3257));
         round_trip(Lse::new(Label(19), 1));
         round_trip(ReplyKind::TimeExceeded);
-        round_trip(crate::ExtRoute::Unreachable);
-        round_trip(crate::ExtRoute::Direct { iface: 3 });
-        round_trip(crate::ExtRoute::ViaEgress {
-            egress: crate::RouterId(14_000),
-        });
         round_trip(EngineStats {
             probes: 1,
             crossings: 2,
@@ -581,13 +564,6 @@ mod tests {
             from_bytes::<Vec<u8>>(&ok),
             Err(WireError::Corrupt("trailing bytes"))
         );
-        // Tag 3 and a tagged-unreachable payload are no route.
-        for word in [3u32, 4] {
-            assert_eq!(
-                from_bytes::<crate::ExtRoute>(&word.to_le_bytes()),
-                Err(WireError::Corrupt("ExtRoute tag"))
-            );
-        }
         // A forged huge length dies with Truncated, not an OOM.
         let mut huge = Vec::new();
         u64::MAX.put(&mut huge);
