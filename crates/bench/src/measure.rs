@@ -12,7 +12,10 @@
 use std::path::PathBuf;
 use std::time::Instant;
 use wormhole_core::{Campaign, CampaignConfig, CampaignResult, DistributedOpts, Scheduling};
-use wormhole_net::{wire, Addr, EngineStats, FaultPlan, FaultScenario, ProbeState, SubstrateRef};
+use wormhole_net::wire::{self, Wire};
+use wormhole_net::{
+    Addr, ControlPlane, EngineStats, FaultPlan, FaultScenario, ProbeState, SubstrateRef,
+};
 use wormhole_probe::{NullSink, Session};
 use wormhole_topo::{generate_cached, CacheStatus, Internet, InternetConfig};
 
@@ -169,14 +172,35 @@ pub fn walk_row(scale: &str, internet: &Internet) -> (String, u64) {
     (row, stats.heap_allocs)
 }
 
-/// One row per control-plane table: the heap bytes it reserves.
+/// One row per control-plane table: the heap bytes it reserves. The
+/// `fib` row also carries [`fib_checksum`], so a FIB kernel that keeps
+/// the table sizes but changes a hop still changes the row.
 pub fn plane_rows(scale: &str, internet: &Internet) -> Vec<String> {
     internet
         .cp
         .table_bytes()
         .into_iter()
-        .map(|(table, bytes)| format!("{{\"row\": \"plane {scale} {table}\", \"bytes\": {bytes}}}"))
+        .map(|(table, bytes)| {
+            let checksum = match table {
+                "fib" => format!(", \"checksum\": {}", fib_checksum(&internet.cp)),
+                _ => String::new(),
+            };
+            format!("{{\"row\": \"plane {scale} {table}\", \"bytes\": {bytes}{checksum}}}")
+        })
         .collect()
+}
+
+/// [`wire::checksum`] over the wire encodings of the FIB's five tables
+/// (`base`, `index`, `group_base`, `groups`, `pool`), in that order.
+fn fib_checksum(cp: &ControlPlane) -> u64 {
+    let v = cp.dense_view();
+    let mut bytes = Vec::new();
+    v.fib_base.to_vec().put(&mut bytes);
+    v.fib_index.to_vec().put(&mut bytes);
+    v.fib_group_base.to_vec().put(&mut bytes);
+    v.fib_groups.to_vec().put(&mut bytes);
+    v.fib_pool.to_vec().put(&mut bytes);
+    wire::checksum(&bytes)
 }
 
 /// The file text of `rows`: one row per line.

@@ -33,11 +33,25 @@ use std::collections::HashSet;
 use wormhole_net::igp::{adjacencies_into, INF};
 use wormhole_net::{
     ldp_label_action, te_group, te_program, te_row, Addr, Bgp, ControlPlane, ExtOracle, ExtRoute,
-    FibOracle, Label, LdpBindings, LdpPolicy, LfibHop, Network, Prefix, RouterId, OWNER_DIR_SIZE,
+    FibOracle, Label, LdpBindings, LdpPolicy, LfibEntry, LfibHop, NetError, Network, Prefix,
+    RouterId, TeRoute, OWNER_DIR_SIZE,
 };
 
 fn err(code: &'static str, location: Location, message: String, hint: &str) -> Diagnostic {
     Diagnostic::new(code, Severity::Error, location, message, hint)
+}
+
+/// The `code` finding for a network whose `what` no longer derives —
+/// `ControlPlane::build` would refuse it with `e` — so the plane under
+/// test was built from another network and its content cannot be
+/// checked.
+fn no_longer_builds(code: &'static str, what: &str, e: &NetError) -> Diagnostic {
+    err(
+        code,
+        Location::Network,
+        format!("the network no longer derives its {what}: {e}"),
+        "the plane was built from another network; rebuild it from this one",
+    )
 }
 
 /// True when `offsets` is a well-formed CSR offset array over a pool of
@@ -130,11 +144,14 @@ fn te_csr_shape(net: &Network, cp: &ControlPlane, out: &mut Vec<Diagnostic>) -> 
 }
 
 /// D502: the flattened TE autoroute table must equal the logical TE
-/// program re-derived from the declared tunnels.
-fn te_agreement(net: &Network, cp: &ControlPlane, out: &mut Vec<Diagnostic>) {
-    let Ok((_, expected)) = te_program(net) else {
-        return; // ControlPlane::build rejects these (NetError::InvalidTeTunnel)
-    };
+/// program re-derived from the declared tunnels (`expected`, the
+/// autoroutes of [`te_program`]).
+fn te_agreement(
+    net: &Network,
+    cp: &ControlPlane,
+    expected: &[((RouterId, RouterId), TeRoute)],
+    out: &mut Vec<Diagnostic>,
+) {
     let v = cp.dense_view();
     let mut actual = Vec::with_capacity(v.te_routes.len());
     for r in 0..net.num_routers() {
@@ -753,8 +770,9 @@ fn ext_content(net: &Network, cp: &ControlPlane, out: &mut Vec<Diagnostic>) {
     if cp.igp.len() != n_as {
         return; // the oracle needs one IGP view per AS
     }
-    let Ok(bgp) = Bgp::compute(net) else {
-        return; // ControlPlane::build rejects it too (NetError::MissingAsRel)
+    let bgp = match Bgp::compute(net) {
+        Ok(bgp) => bgp,
+        Err(e) => return out.push(no_longer_builds("D513", "AS-level routes", &e)),
     };
     let mut oracle = ExtOracle::new(net, &cp.igp, &bgp);
     // The AS's candidate set numbers → the class their first cell names.
@@ -801,12 +819,13 @@ fn ext_content(net: &Network, cp: &ControlPlane, out: &mut Vec<Diagnostic>) {
 /// left them. Every gate also needs the slot tables (D509): the oracles
 /// read slot owners through them.
 #[derive(Copy, Clone)]
-struct Gates {
+struct Gates<'t> {
     /// D508 content: the IGP views (D505) and the FIB CSR hold.
     fib: bool,
-    /// D507: the IGP views (D505), the explicit LFIB rows (D506) and
-    /// the LDP tables (D503/D504) hold.
-    lfib: bool,
+    /// D507: the TE transit program ([`te_program`]), present when the
+    /// IGP views (D505), the explicit LFIB rows (D506) and the LDP
+    /// tables (D503/D504) hold and the network still derives it.
+    lfib: Option<&'t [(RouterId, Label, LfibEntry)]>,
 }
 
 /// Capped findings of one rule: the first [`Capped::CAP`] in router
@@ -830,47 +849,81 @@ impl Capped {
 
 /// The content rules D507 and D508 in one pass over the routers.
 ///
-/// Each router's logical FIB row ([`FibOracle::row_into`]) is
-/// recomputed into reused scratch buffers — never larger than one AS's
-/// slots — and compared in place with the stored FIB spans (D508). D507
-/// matches the router's explicit LFIB entries against the row the
-/// build's own [`te_row`] oracle yields over the TE transit program:
-/// each program entry must be installed branch for branch. An installed
-/// entry the program lacks must override an LDP label whose FEC is
-/// routed, with exactly the branches LDP computes (the logical FIB
-/// span, each hop's [`ldp_label_action`]); any other is stale. LDP
-/// entries are computed, not installed, so they cannot drift; D507 runs
-/// only over clean LDP tables (D503/D504), which the override check
-/// inverts labels through.
-fn router_pass(net: &Network, cp: &ControlPlane, gates: Gates, out: &mut Vec<Diagnostic>) {
-    // ControlPlane::build rejects invalid tunnel declarations
-    // (NetError::InvalidTeTunnel).
-    let te_transit = gates
-        .lfib
-        .then(|| te_program(net).ok())
-        .flatten()
-        .map(|(t, _)| t);
+/// Each router's logical FIB row — one next-hop mask per slot
+/// ([`FibOracle::row`]), into the oracle's reused scratch, never larger
+/// than one AS's slots — is compared in place with the stored FIB
+/// (D508): each cell's hop list, read through its next-hop group, must
+/// hold exactly the adjacencies its mask sets, in bit order. A group
+/// whose hops matched a mask is remembered with it, so a later cell
+/// naming that group only compares masks. A router whose row cannot be
+/// derived (more intra-AS adjacencies than a mask has bits) is a D508
+/// finding. D507 matches the router's explicit LFIB entries against the
+/// row the build's own [`te_row`] oracle yields over the TE transit
+/// program: each program entry must be installed branch for branch. An
+/// installed entry the program lacks must override an LDP label whose
+/// FEC is routed, with exactly the branches LDP computes (the hops of
+/// the slot's mask, each with its [`ldp_label_action`]); any other is
+/// stale. Only a router with explicit entries needs its row for D507.
+/// LDP entries are computed, not installed, so they cannot drift; D507
+/// runs only over clean LDP tables (D503/D504), which the override
+/// check inverts labels through.
+fn router_pass(net: &Network, cp: &ControlPlane, gates: Gates<'_>, out: &mut Vec<Diagnostic>) {
+    let v = cp.dense_view();
     let mut oracle = FibOracle::new(net, &cp.igp, &cp.as_prefixes);
-    let (mut spans, mut hops, mut want) = (Vec::new(), Vec::new(), Vec::new());
-    let mut seen: Vec<bool> = Vec::new();
+    // Per group of the router: the mask its hops were found to equal.
+    let mut matched: Vec<Option<u64>> = Vec::new();
+    let (mut want, mut seen) = (Vec::new(), Vec::new());
     let mut te_next = 0;
     let mut d508 = Capped::default();
     let mut d507 = Vec::new();
     for r in net.routers() {
         let loc = || Location::Router(r.name.clone());
-        spans.clear();
-        hops.clear();
-        if gates.fib || te_transit.is_some() {
-            oracle.row_into(r.id, &mut spans, &mut hops);
-        }
-        let logical = |slot: usize| {
-            spans
-                .get(slot)
-                .map_or(&[][..], |&(s, l)| &hops[s as usize..(s + l) as usize])
+        // Taken before a row can fail, so the cursor stays on the
+        // router's span of the program.
+        let te = gates
+            .lfib
+            .map(|transit| te_group(transit, &mut te_next, r.id));
+        let explicit = te.is_some() && cp.lfib_explicit(r.id).next().is_some();
+        let row = if gates.fib || explicit {
+            match oracle.row(r.id) {
+                Ok(row) => Some(row),
+                Err(e) => {
+                    d508.push(|| {
+                        err(
+                            "D508",
+                            loc(),
+                            format!("no logical FIB row: {e}"),
+                            "ControlPlane::build refuses it too: a next-hop mask names at most 64 adjacencies",
+                        )
+                    });
+                    continue;
+                }
+            }
+        } else {
+            None
         };
-        if gates.fib {
-            for slot in 0..spans.len() {
-                if cp.fib_entry(r.id, slot as u32).unwrap_or(&[]) != logical(slot) {
+        if let Some(row) = row.filter(|_| gates.fib) {
+            let i = r.id.index();
+            let cells = &v.fib_index[v.fib_base[i] as usize..v.fib_base[i + 1] as usize];
+            let first = v.fib_group_base[i] as usize;
+            matched.clear();
+            matched.resize(v.fib_group_base[i + 1] as usize - first, None);
+            for (slot, (&g, &mask)) in cells.iter().zip(row.masks).enumerate() {
+                let g = usize::from(g);
+                let agrees = match matched[g] {
+                    Some(m) => m == mask,
+                    None => {
+                        let k = first + g;
+                        let hops =
+                            &v.fib_pool[v.fib_groups[k] as usize..v.fib_groups[k + 1] as usize];
+                        let same = hops.iter().copied().eq(row.hops(mask));
+                        if same {
+                            matched[g] = Some(mask);
+                        }
+                        same
+                    }
+                };
+                if !agrees {
                     d508.push(|| {
                         err(
                             "D508",
@@ -884,13 +937,18 @@ fn router_pass(net: &Network, cp: &ControlPlane, gates: Gates, out: &mut Vec<Dia
                 }
             }
         }
-        let Some(te_transit) = &te_transit else {
+        let Some(te) = te else {
             continue;
         };
-        let te = te_group(te_transit, &mut te_next, r.id);
         te_row(te, &mut want);
         seen.clear();
         seen.resize(want.len(), false);
+        // The mask of `slot` in the router's row (empty when unrouted).
+        let mask = |slot: u32| {
+            row.and_then(|row| row.masks.get(slot as usize))
+                .copied()
+                .unwrap_or(0)
+        };
         for (label, installed) in cp.lfib_explicit(r.id) {
             let agrees = match want.binary_search_by_key(&label, |&k| te[k].1) {
                 Ok(i) => {
@@ -899,10 +957,8 @@ fn router_pass(net: &Network, cp: &ControlPlane, gates: Gates, out: &mut Vec<Dia
                     installed.slot == e.slot && installed.branches().eq(e.nexthops.iter().copied())
                 }
                 Err(_) => {
-                    let routed = cp
-                        .ldp_fec(r.id, label)
-                        .filter(|&slot| !logical(slot as usize).is_empty());
-                    let Some(slot) = routed else {
+                    let routed = cp.ldp_fec(r.id, label).filter(|&slot| mask(slot) != 0);
+                    let (Some(slot), Some(row)) = (routed, row) else {
                         d507.push(err(
                             "D507",
                             loc(),
@@ -912,13 +968,13 @@ fn router_pass(net: &Network, cp: &ControlPlane, gates: Gates, out: &mut Vec<Dia
                         continue;
                     };
                     installed.slot == slot
-                        && installed.branches().eq(logical(slot as usize).iter().map(
-                            |&(iface, next)| LfibHop {
+                        && installed
+                            .branches()
+                            .eq(row.hops(mask(slot)).map(|(iface, next)| LfibHop {
                                 iface,
                                 next,
                                 action: ldp_label_action(cp, next, slot),
-                            },
-                        ))
+                            }))
                 }
             };
             if !agrees {
@@ -1237,13 +1293,20 @@ pub fn verify_dense(net: &Network, cp: &ControlPlane) -> Vec<Diagnostic> {
     let ext_ok = ext_shape(net, cp, &mut out);
     let slots_ok = slot_tables(cp, &mut out);
     let tables_ok = slots_ok.iter().all(|&ok| ok);
-    if te_ok {
-        te_agreement(net, cp, &mut out);
+    let te = te_program(net);
+    match &te {
+        Ok((_, autoroutes)) if te_ok => te_agreement(net, cp, autoroutes, &mut out),
+        Ok(_) => {}
+        Err(e) => out.push(no_longer_builds("D507", "RSVP-TE program", e)),
     }
     let ldp_clean = ldp_ok && tables_ok && ldp_content(net, cp, &mut out);
     let gates = Gates {
         fib: igp_ok && fib_ok && tables_ok,
-        lfib: igp_ok && lfib_ok && ldp_clean,
+        lfib: te
+            .as_ref()
+            .ok()
+            .filter(|_| igp_ok && lfib_ok && ldp_clean)
+            .map(|(transit, _)| transit.as_slice()),
     };
     router_pass(net, cp, gates, &mut out);
     if igp_ok && ext_ok {

@@ -401,10 +401,12 @@ pub static RULES: &[RuleInfo] = &[
         explanation: "Per router, the explicit LFIB row must hold the RSVP-TE transit \
                       program's entries, branch for branch. Any other explicit entry must \
                       override an LDP label whose FEC is routed with exactly the branches LDP \
-                      computes for it (the logical FIB span and each next router's \
-                      advertisement). Extra entries are stale or unreachable (nothing can \
-                      ever address them correctly); missing or differing entries break LSPs \
-                      mid-path.",
+                      computes for it (the hops of the slot's logical next-hop mask and \
+                      each next router's advertisement). Extra entries are stale or \
+                      unreachable (nothing can ever address them correctly); missing or \
+                      differing entries break LSPs mid-path. A network whose TE program no \
+                      longer derives (the plane was built from another network) is reported \
+                      with the build error.",
     },
     RuleInfo {
         code: "D508",
@@ -417,8 +419,11 @@ pub static RULES: &[RuleInfo] = &[
                       each naming one of its own groups, numbered by first appearance in \
                       slot order with none orphaned, and each slot's next-hop set read \
                       through its group must equal the logical FIB re-derived from IGP \
-                      distances and prefix owners. A truncated group or a mis-numbered \
-                      cell silently drops or swaps ECMP branches for every FEC sharing it.",
+                      distances and prefix owners, a next-hop mask over the router's \
+                      adjacencies. A truncated group or a mis-numbered cell silently drops \
+                      or swaps ECMP branches for every FEC sharing it. A router with more \
+                      intra-AS adjacencies than a 64-bit mask names has no logical row and \
+                      is reported.",
     },
     RuleInfo {
         code: "D509",
@@ -476,7 +481,9 @@ pub static RULES: &[RuleInfo] = &[
                       word must unpack, a Direct interface must be an inter-AS interface of \
                       its member, and a ViaEgress egress a member of the same AS. Each \
                       stored class must then equal the hot-potato choice the build's own \
-                      per-AS oracle recomputes for the destination's candidate borders.",
+                      per-AS oracle recomputes for the destination's candidate borders. A \
+                      network whose AS-level routes no longer derive (the plane was built \
+                      from another network) is reported with the build error.",
     },
     RuleInfo {
         code: "V601",

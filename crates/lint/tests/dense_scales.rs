@@ -64,8 +64,8 @@ fn tenfold_oracles_match_the_reference() {
     oracle::assert_reference_equivalent(&i.net, &i.cp, "tenfold/seed42");
 }
 
-/// `AsIgp`'s distances and the first hops derived from them equal the
-/// plain reference at thousandfold.
+/// `AsIgp`'s distances and the next-hop masks derived from them equal
+/// the plain reference at thousandfold.
 #[test]
 #[ignore = "release-mode CI scale; run with --include-ignored"]
 fn thousandfold_igp_matches_the_reference() {

@@ -6,7 +6,7 @@
 //! hot-potato external route chosen per `(router, destination AS)`.
 //!
 //! [`assert_reference_equivalent`] checks that `AsIgp`'s distance
-//! matrix, the first hops `AsIgp::first_hops_over` derives from it
+//! matrix, the next-hop masks `AsIgp::next_hop_masks` derives from it
 //! (against the reference's all-pairs first-hop CSR) and `logical_fib`
 //! (the FIB's next-hop groups) are exactly what this reference
 //! produces, and that the plane stores that FIB; [`assert_ext_reference_equivalent`] checks every
@@ -181,8 +181,8 @@ fn ref_logical_fib(net: &Network, igp: &[RefIgp], as_prefixes: &[AsPrefixes]) ->
     fib
 }
 
-/// Asserts that `cp`'s distance matrices, and the first hops derived
-/// from them, equal the reference; returns the reference.
+/// Asserts that `cp`'s distance matrices, and the next-hop masks
+/// derived from them, equal the reference; returns the reference.
 pub fn assert_igp_reference_equivalent(
     net: &Network,
     cp: &ControlPlane,
@@ -200,14 +200,19 @@ pub fn assert_igp_reference_equivalent(
         for (ls, row) in want.dist.iter().enumerate() {
             assert_eq!(view.row(ls), row, "{what}: {:?} distances", view.asn);
         }
-        let mut adj = Vec::new();
+        let (mut adj, mut masks) = (Vec::new(), Vec::new());
         for (ls, &s) in view.members.iter().enumerate() {
             adj.clear();
             adjacencies_into(net, &view.members, s, &mut adj);
+            view.next_hop_masks(&adj, ls, &mut masks);
             for (ld, &d) in view.members.iter().enumerate() {
+                let hops = adj
+                    .iter()
+                    .enumerate()
+                    .filter(|&(b, _)| masks[ld] >> b & 1 == 1)
+                    .map(|(_, a)| (a.iface, a.peer));
                 assert!(
-                    view.first_hops_over(&adj, ls, ld)
-                        .eq(want.first_hops(s, d).iter().copied()),
+                    hops.eq(want.first_hops(s, d).iter().copied()),
                     "{what}: {:?} first hops {s:?} → {d:?}",
                     view.asn
                 );

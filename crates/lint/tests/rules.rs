@@ -7,8 +7,8 @@ use wormhole_lint::{
     audit, cross, CampaignAudit, LintConfig, MethodClaim, RevelationKind, Severity, TunnelAudit,
 };
 use wormhole_net::{
-    Addr, Asn, ControlPlane, LinkOpts, Network, NetworkBuilder, PoppingMode, RelKind, RouterConfig,
-    RouterId, Vendor,
+    Addr, Asn, ControlPlane, LdpPolicy, LinkOpts, NetError, Network, NetworkBuilder, PoppingMode,
+    RelKind, RouterConfig, RouterId, Vendor,
 };
 use wormhole_topo::{gns3_fig2, gns3_fig2_te, paper_personas, Fig2Config};
 
@@ -598,6 +598,103 @@ fn d510_slot_must_list_the_address_holder() {
     }
     let diags = lint::verify_dense(&net, &cp);
     assert_eq!(error_codes(&diags), ["D510"], "{}", lint::render(&diags));
+}
+
+/// A hub with 64 spokes in one AS, each its own link, plus `extra`
+/// costlier links from the hub to its first spoke, which no shortest
+/// path takes.
+fn hub(extra: usize) -> Network {
+    let mut b = NetworkBuilder::new();
+    let cfg = RouterConfig::ip_router(Vendor::CiscoIos);
+    let hub = b.add_router("hub", Asn(1), cfg.clone());
+    let spokes: Vec<RouterId> = (0..64)
+        .map(|i| b.add_router(&format!("s{i}"), Asn(1), cfg.clone()))
+        .collect();
+    for &s in &spokes {
+        b.link(hub, s, LinkOpts::symmetric(10, 1.0));
+    }
+    for _ in 0..extra {
+        b.link(hub, spokes[0], LinkOpts::symmetric(100, 1.0));
+    }
+    b.build().unwrap()
+}
+
+#[test]
+fn d508_router_past_the_mask_bits_is_a_finding() {
+    // A 65th adjacency overflows the hub's next-hop mask: the build
+    // refuses it, and the verifier, handed the 64-adjacency hub's plane,
+    // reports the row it cannot derive instead of panicking.
+    let wide = hub(1);
+    assert!(matches!(
+        ControlPlane::build(&wide),
+        Err(NetError::TableOverflow { entries: 65, .. })
+    ));
+    let cp = ControlPlane::build(&hub(0)).unwrap();
+    let diags = lint::check_plane(&wide, &cp);
+    // D510 sees the new link's interfaces, which the plane never slotted.
+    let rest: Vec<_> = diags.iter().filter(|d| d.code != "D510").collect();
+    assert_eq!(rest.len(), 1, "{}", lint::render(&diags));
+    assert_eq!(rest[0].code, "D508");
+    assert!(
+        rest[0].message.contains("needs 65 entries"),
+        "{}",
+        rest[0].message
+    );
+}
+
+/// Fig. 2 as an RSVP-TE deployment: VP, CE1 (AS1) – PE1, P1, P2, P3,
+/// PE2 (AS2) – CE2 (AS3) in a line. AS2 is the provider of AS1 and,
+/// when `as3_rel`, of AS3; one PHP tunnel runs along `tunnel` (indices
+/// into the line).
+fn fig2_te(as3_rel: bool, tunnel: &[usize]) -> Network {
+    let mpls = RouterConfig::mpls_router(Vendor::CiscoIos).ldp(LdpPolicy::None);
+    let ip = RouterConfig::ip_router(Vendor::CiscoIos);
+    let mut b = NetworkBuilder::new();
+    let line: Vec<RouterId> = [
+        ("VP", 1, RouterConfig::host()),
+        ("CE1", 1, ip.clone()),
+        ("PE1", 2, mpls.clone()),
+        ("P1", 2, mpls.clone()),
+        ("P2", 2, mpls.clone()),
+        ("P3", 2, mpls.clone()),
+        ("PE2", 2, mpls),
+        ("CE2", 3, ip),
+    ]
+    .into_iter()
+    .map(|(name, asn, cfg)| b.add_router(name, Asn(asn), cfg))
+    .collect();
+    for w in line.windows(2) {
+        b.link(w[0], w[1], LinkOpts::symmetric(10, 1.0));
+    }
+    b.as_rel(Asn(2), Asn(1), RelKind::ProviderCustomer);
+    if as3_rel {
+        b.as_rel(Asn(2), Asn(3), RelKind::ProviderCustomer);
+    }
+    b.te_tunnel(tunnel.iter().map(|&i| line[i]).collect(), PoppingMode::Php);
+    b.build().unwrap()
+}
+
+#[test]
+fn d513_network_without_as_level_routes_is_a_finding() {
+    // The AS2–AS3 relationship is dropped after the plane was built.
+    let tunnel = [2, 3, 4, 5, 6];
+    let cp = ControlPlane::build(&fig2_te(true, &tunnel)).unwrap();
+    let diags = lint::check_plane(&fig2_te(false, &tunnel), &cp);
+    assert_eq!(error_codes(&diags), ["D513"], "{}", lint::render(&diags));
+    assert!(
+        diags[0].message.contains("without an AS relationship"),
+        "{}",
+        diags[0].message
+    );
+}
+
+#[test]
+fn d507_network_without_a_te_program_is_a_finding() {
+    // The tunnel is re-declared through P1–P3, which share no link.
+    let cp = ControlPlane::build(&fig2_te(true, &[2, 3, 4, 5, 6])).unwrap();
+    let diags = lint::check_plane(&fig2_te(true, &[2, 3, 5, 6]), &cp);
+    assert_eq!(error_codes(&diags), ["D507"], "{}", lint::render(&diags));
+    assert!(diags[0].message.contains("RSVP-TE"), "{}", diags[0].message);
 }
 
 // ------------------------------------------------------ retired codes

@@ -5,10 +5,11 @@
 //!
 //! 1. per-AS IGP distance matrices ([`AsIgp`]), AS by AS;
 //! 2. per-router intra-AS FIBs (ECMP next-hop sets towards the nearest
-//!    owner of each internal prefix, the first hops derived router by
-//!    router from the distance matrix by [`FibOracle`]), each router's
-//!    distinct sets stored once as next-hop groups with one `u16` group
-//!    number per prefix slot ([`FibTables`]);
+//!    owner of each internal prefix, derived router by router from the
+//!    distance matrix by [`FibOracle`] as one bitmask over the router's
+//!    adjacencies per slot), each router's distinct masks stored once
+//!    as next-hop groups with one `u16` group number per prefix slot
+//!    ([`FibTables`]);
 //! 3. external routes: hot-potato egress selection over the valley-free
 //!    AS-level routes ([`Bgp`], computed before step 1 and dropped once
 //!    this step has read it), each source AS's distinct vectors of
@@ -29,11 +30,12 @@ use crate::bgp::Bgp;
 use crate::error::NetError;
 use crate::hash::WordMap;
 use crate::ids::{Label, LinkId, RouterId};
-use crate::igp::{adjacencies_into, Adj, AsIgp, INF};
+use crate::igp::{adjacencies_into, Adj, AsIgp, INF, MASK_BITS};
 use crate::ldp::{LabelValue, LdpBindings};
 use crate::net::Network;
 use crate::prefixes::AsPrefixes;
 use crate::vendor::{LdpPolicy, PoppingMode};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 /// A route towards an external AS. The plane stores each one packed
@@ -501,50 +503,32 @@ impl FibTables {
             .unwrap_or(&[])
     }
 
-    /// Appends one router's FIB: `spans` index its per-slot hop sets in
-    /// `hops`, as [`FibOracle::row_into`] writes them. A hop set's
-    /// interfaces are the router's own and each names one peer, so a
-    /// singleton set is found through `single` (interface → group); any
-    /// other by a scan of the router's `multi` groups. Both are scratch,
-    /// reset here.
-    fn push_row(
-        &mut self,
-        ifaces: usize,
-        spans: &[(u32, u32)],
-        hops: &[(u32, RouterId)],
-        single: &mut Vec<Option<u16>>,
-        multi: &mut Vec<u16>,
-    ) -> Result<(), NetError> {
+    /// Appends one router's FIB: `row`'s masks, each mapped to the
+    /// router's group with that mask, a new group for a mask not seen
+    /// before in slot order. A group is found by bit for the empty mask
+    /// and the 64 one-bit masks, through `multi` (scratch, reset here)
+    /// for every other mask.
+    fn push_row(&mut self, row: FibRow<'_>, multi: &mut WordMap<u64, u16>) -> Result<(), NetError> {
         let first = self.groups.len() - 1;
         self.base.push(self.index.len() as u32);
         self.group_base.push(first as u32);
-        single.clear();
-        single.resize(ifaces, None);
+        let mut single: [Option<u16>; MASK_BITS + 1] = [None; MASK_BITS + 1];
         multi.clear();
-        for &(start, len) in spans {
-            let set = &hops[start as usize..(start + len) as usize];
-            let g = match set {
-                [(iface, _)] if (*iface as usize) < ifaces => match single[*iface as usize] {
+        for &mask in row.masks {
+            let g = if mask & mask.wrapping_sub(1) == 0 {
+                let bit = if mask == 0 {
+                    MASK_BITS
+                } else {
+                    mask.trailing_zeros() as usize
+                };
+                match single[bit] {
                     Some(g) => g,
-                    None => {
-                        let g = self.push_group(first, set)?;
-                        single[*iface as usize] = Some(g);
-                        g
-                    }
-                },
-                _ => {
-                    let found = multi.iter().copied().find(|&g| {
-                        let g = first + usize::from(g);
-                        self.pool[self.groups[g] as usize..self.groups[g + 1] as usize] == *set
-                    });
-                    match found {
-                        Some(g) => g,
-                        None => {
-                            let g = self.push_group(first, set)?;
-                            multi.push(g);
-                            g
-                        }
-                    }
+                    None => *single[bit].insert(self.push_group(first, row, mask)?),
+                }
+            } else {
+                match multi.entry(mask) {
+                    Entry::Occupied(e) => *e.get(),
+                    Entry::Vacant(e) => *e.insert(self.push_group(first, row, mask)?),
                 }
             };
             self.index.push(g);
@@ -552,36 +536,67 @@ impl FibTables {
         Ok(())
     }
 
-    /// Appends `set` as the next group of the router whose groups start
-    /// at `first`; its router-local number.
-    fn push_group(&mut self, first: usize, set: &[(u32, RouterId)]) -> Result<u16, NetError> {
+    /// Appends `row`'s hops for `mask` as the next group of the router
+    /// whose groups start at `first`; its router-local number.
+    fn push_group(&mut self, first: usize, row: FibRow<'_>, mask: u64) -> Result<u16, NetError> {
         let g =
             u16::try_from(self.groups.len() - 1 - first).map_err(|_| NetError::TableOverflow {
                 table: "FIB next-hop groups of one router",
                 entries: self.groups.len() - first,
             })?;
-        self.pool.extend_from_slice(set);
+        self.pool.extend(row.hops(mask));
         self.groups.push(self.pool.len() as u32);
         Ok(g)
     }
 }
 
+/// One router's logical intra-AS FIB, as [`FibOracle::row`] derives
+/// it: one next-hop mask per slot of its AS table, bit `b` naming
+/// `adj[b]`. A connected, unreachable or unrouted slot has the empty
+/// mask.
+#[derive(Copy, Clone, Debug)]
+pub struct FibRow<'o> {
+    /// One mask per prefix slot of the router's AS table.
+    pub masks: &'o [u64],
+    /// The router's intra-AS adjacencies, sorted by `(peer, iface)`:
+    /// the order of a group's hops in [`FibTables`].
+    pub adj: &'o [Adj],
+}
+
+impl<'o> FibRow<'o> {
+    /// The hops `mask` names, `(iface, next router)` in bit order,
+    /// which is `(next router, iface)` order.
+    pub fn hops(self, mask: u64) -> impl Iterator<Item = (u32, RouterId)> + 'o {
+        let adj = self.adj;
+        let mut rest = mask;
+        std::iter::from_fn(move || {
+            if rest == 0 {
+                return None;
+            }
+            let a = adj.get(rest.trailing_zeros() as usize)?;
+            rest &= rest - 1;
+            Some((a.iface, a.peer))
+        })
+    }
+}
+
 /// The per-router FIB oracle: the *logical* intra-AS FIB of one router
-/// at a time — per slot of its own AS's prefix table, the ECMP next-hop
-/// set towards the nearest owner of the prefix (empty for connected or
-/// unreachable prefixes), sorted by `(next router, iface)`.
-/// [`logical_fib`] loops it over every router to build the plane's FIB;
-/// the `wormhole-lint` D5xx verifier calls it router by router into
-/// reused buffers, so build and verifier stay in lockstep by
+/// at a time ([`FibRow`]) — per slot of its own AS's prefix table, the
+/// ECMP next-hop set towards the nearest owners of the prefix (empty
+/// for connected or unreachable prefixes) as a bitmask over the
+/// router's adjacencies. [`logical_fib`] loops it over every router to
+/// build the plane's FIB; the `wormhole-lint` D5xx verifier calls it
+/// router by router, so build and verifier stay in lockstep by
 /// construction.
 ///
 /// The oracle keeps one AS's slot owners, mapped to IGP local indices
 /// over the table's own owner offsets, and re-targets them when a
-/// router of another AS comes up. Per row it resolves the router's
-/// intra-AS adjacencies once; the per-`(router, slot)` loop then
-/// derives the first hops towards each nearest owner from the distance
-/// matrix ([`AsIgp::first_hops_over`]), with no hashing and no
-/// allocation per cell, so no all-pairs first-hop table is ever kept.
+/// router of another AS comes up. Per row it sorts the router's
+/// intra-AS adjacencies by `(peer, iface)`, fills one mask per AS
+/// member from the distance matrix ([`AsIgp::next_hop_masks`]), then
+/// gives each slot the mask of its nearest owner, the OR of the masks
+/// of owners tied at that distance. Nothing is hashed or allocated per
+/// cell, and no all-pairs first-hop table is ever kept.
 #[derive(Debug)]
 pub struct FibOracle<'a> {
     net: &'a Network,
@@ -592,8 +607,13 @@ pub struct FibOracle<'a> {
     /// The loaded table's `owner_ids` as local indices (`u32::MAX` =
     /// outside the IGP view), spanned by its `owner_base`.
     owner_locals: Vec<u32>,
-    /// The adjacencies of the router whose row is being emitted.
+    /// The adjacencies of the router whose row is derived, sorted by
+    /// `(peer, iface)`.
     adj: Vec<Adj>,
+    /// That router's next-hop mask towards each member of its AS.
+    toward: Vec<u64>,
+    /// That router's mask per slot.
+    masks: Vec<u64>,
 }
 
 impl<'a> FibOracle<'a> {
@@ -606,6 +626,8 @@ impl<'a> FibOracle<'a> {
             loaded: None,
             owner_locals: Vec::new(),
             adj: Vec::new(),
+            toward: Vec::new(),
+            masks: Vec::new(),
         }
     }
 
@@ -616,23 +638,23 @@ impl<'a> FibOracle<'a> {
             .filter(|&i| i < self.as_prefixes.len() && i < self.igp.len())
     }
 
-    /// Number of spans [`FibOracle::row_into`] appends for `router`.
+    /// Number of masks [`FibOracle::row`] yields for `router`.
     pub fn row_len(&self, router: RouterId) -> usize {
         self.home(router).map_or(0, |i| self.as_prefixes[i].len())
     }
 
-    /// Appends `router`'s logical FIB row — one `(start, len)` span per
-    /// slot of its AS table, none for a router outside every registered
-    /// AS — to `spans`, and the hop sets the spans index to `pool`.
-    pub fn row_into(
-        &mut self,
-        router: RouterId,
-        spans: &mut Vec<(u32, u32)>,
-        pool: &mut Vec<(u32, RouterId)>,
-    ) {
+    /// `router`'s logical FIB row: one mask per slot of its AS table,
+    /// none for a router outside every registered AS. Fails when the
+    /// router has more intra-AS adjacencies than a mask has bits.
+    pub fn row(&mut self, router: RouterId) -> Result<FibRow<'_>, NetError> {
         const NONE: u32 = u32::MAX;
+        self.masks.clear();
+        self.adj.clear();
         let Some(as_idx) = self.home(router) else {
-            return;
+            return Ok(FibRow {
+                masks: &self.masks,
+                adj: &self.adj,
+            });
         };
         let view = &self.igp[as_idx];
         let ap = &self.as_prefixes[as_idx];
@@ -644,43 +666,53 @@ impl<'a> FibOracle<'a> {
             self.loaded = Some(as_idx);
         }
         let ls = local(router);
-        let row = (ls != NONE).then(|| view.row(ls as usize));
-        self.adj.clear();
-        if row.is_some() {
-            adjacencies_into(self.net, &view.members, router, &mut self.adj);
+        if ls == NONE {
+            // Outside the IGP view: every slot is unrouted.
+            self.masks.resize(ap.len(), 0);
+            return Ok(FibRow {
+                masks: &self.masks,
+                adj: &self.adj,
+            });
         }
-        for slot in 0..ap.len() {
-            let start = pool.len();
-            let slot_owners =
-                &self.owner_locals[ap.owner_base[slot] as usize..ap.owner_base[slot + 1] as usize];
-            // Connected routes (the router owns the prefix) and routers
-            // outside the IGP view keep an empty span.
-            if let Some(row) = row.filter(|_| !slot_owners.contains(&ls)) {
-                let dist = |o: u32| if o == NONE { INF } else { row[o as usize] };
-                let best = slot_owners.iter().map(|&o| dist(o)).min().unwrap_or(INF);
-                if best < INF {
-                    for &o in slot_owners {
-                        if dist(o) != best {
-                            continue;
-                        }
-                        for h in view.first_hops_over(&self.adj, ls as usize, o as usize) {
-                            if !pool[start..].contains(&h) {
-                                pool.push(h);
-                            }
-                        }
-                    }
-                    pool[start..].sort_unstable_by_key(|&(i, r)| (r, i));
+        adjacencies_into(self.net, &view.members, router, &mut self.adj);
+        if self.adj.len() > MASK_BITS {
+            return Err(NetError::TableOverflow {
+                table: "FIB next-hop mask over one router's intra-AS adjacencies",
+                entries: self.adj.len(),
+            });
+        }
+        self.adj.sort_unstable_by_key(|a| (a.peer, a.iface));
+        view.next_hop_masks(&self.adj, ls as usize, &mut self.toward);
+        let dist = view.row(ls as usize);
+        self.masks.extend(ap.owner_base.windows(2).map(|w| {
+            let (mut best, mut mask) = (INF, 0);
+            for &o in &self.owner_locals[w[0] as usize..w[1] as usize] {
+                if o == ls {
+                    // Connected: the router owns the prefix.
+                    return 0;
+                }
+                let d = if o == NONE { INF } else { dist[o as usize] };
+                if d < best {
+                    (best, mask) = (d, self.toward[o as usize]);
+                } else if d == best && d < INF {
+                    mask |= self.toward[o as usize];
                 }
             }
-            spans.push((start as u32, (pool.len() - start) as u32));
-        }
+            mask
+        }));
+        Ok(FibRow {
+            masks: &self.masks,
+            adj: &self.adj,
+        })
     }
 }
 
-/// The *logical* intra-AS FIB of every router: [`FibOracle::row_into`]
-/// in router order, each row deduplicated into its next-hop groups as
+/// The *logical* intra-AS FIB of every router: [`FibOracle::row`] in
+/// router order, each row's distinct masks stored once as the router's
+/// next-hop groups, numbered by first appearance, as
 /// [`ControlPlane::build`] stores them. Fails when a router has more
-/// distinct next-hop sets than a `u16` numbers.
+/// intra-AS adjacencies than a mask has bits, or more distinct
+/// next-hop sets than a `u16` numbers.
 pub fn logical_fib(
     net: &Network,
     igp: &[AsIgp],
@@ -696,13 +728,9 @@ pub fn logical_fib(
         groups: vec![0],
         pool: Vec::new(),
     };
-    let (mut spans, mut hops) = (Vec::new(), Vec::new());
-    let (mut single, mut multi) = (Vec::new(), Vec::new());
-    for r in net.routers() {
-        spans.clear();
-        hops.clear();
-        oracle.row_into(r.id, &mut spans, &mut hops);
-        fib.push_row(r.ifaces.len(), &spans, &hops, &mut single, &mut multi)?;
+    let mut multi = WordMap::default();
+    for r in 0..n as u32 {
+        fib.push_row(oracle.row(RouterId(r))?, &mut multi)?;
     }
     fib.base.push(fib.index.len() as u32);
     fib.group_base.push(fib.groups.len() as u32 - 1);
@@ -1922,15 +1950,27 @@ mod tests {
 
     #[test]
     fn u16_overflow_is_a_typed_error() {
-        // One router with 65,537 distinct singleton hop sets.
+        // One router with 65,537 distinct next-hop masks over 17
+        // adjacencies.
         let n = usize::from(u16::MAX) + 2;
-        let spans: Vec<(u32, u32)> = (0..n as u32).map(|i| (i, 1)).collect();
-        let hops: Vec<(u32, RouterId)> = (0..n as u32).map(|i| (i, RouterId(0))).collect();
+        let masks: Vec<u64> = (1..=n as u64).collect();
+        let adj: Vec<Adj> = (0..17)
+            .map(|iface| Adj {
+                iface,
+                peer: RouterId(0),
+                local: 0,
+                metric: 1,
+            })
+            .collect();
+        let row = FibRow {
+            masks: &masks,
+            adj: &adj,
+        };
         let mut fib = FibTables {
             groups: vec![0],
             ..FibTables::default()
         };
-        let err = fib.push_row(n, &spans, &hops, &mut Vec::new(), &mut Vec::new());
+        let err = fib.push_row(row, &mut WordMap::default());
         assert!(matches!(err, Err(NetError::TableOverflow { entries, .. }) if entries == n));
         // One AS with 65,537 distinct classes.
         let (net, _) = line_net();
@@ -1943,6 +1983,36 @@ mod tests {
             ext.intern(&[u32::MAX]),
             Err(NetError::TableOverflow { entries, .. }) if entries == n
         ));
+    }
+
+    /// One AS: a hub with `spokes` neighbours, each its own link.
+    fn hub(spokes: usize) -> (Network, RouterId, Vec<RouterId>) {
+        let mut b = NetworkBuilder::new();
+        let cfg = RouterConfig::ip_router(Vendor::CiscoIos);
+        let hub = b.add_router("hub", Asn(1), cfg.clone());
+        let spokes: Vec<RouterId> = (0..spokes)
+            .map(|i| b.add_router(&format!("s{i}"), Asn(1), cfg.clone()))
+            .collect();
+        for &s in &spokes {
+            b.link(hub, s, LinkOpts::default());
+        }
+        (b.build().unwrap(), hub, spokes)
+    }
+
+    #[test]
+    fn more_adjacencies_than_mask_bits_is_a_typed_error() {
+        // 64 adjacencies fill the mask: the last spoke is its top bit.
+        let (net, h, spokes) = hub(MASK_BITS);
+        let cp = ControlPlane::build(&net).unwrap();
+        let last = spokes[MASK_BITS - 1];
+        let slot = cp.loopback_slot(last).unwrap();
+        assert_eq!(cp.fib_entry(h, slot), Some(&[(63, last)][..]));
+        let (net, _, _) = hub(MASK_BITS + 1);
+        let err = ControlPlane::build(&net).unwrap_err();
+        assert!(
+            matches!(err, NetError::TableOverflow { entries: 65, .. }),
+            "{err:?}"
+        );
     }
 
     #[test]

@@ -5,8 +5,9 @@
 //! runs one Dijkstra per member and keeps only the distance matrix: FIB
 //! next hops, LDP LSP construction and BGP hot-potato egress selection
 //! all derive from it. The ECMP first hops of a member are not stored;
-//! [`AsIgp::first_hops_over`] re-derives them from the matrix and the
-//! member's [`Adj`] list whenever the plane is built or verified.
+//! [`AsIgp::next_hop_masks`] re-derives them from the matrix and the
+//! member's [`Adj`] list, one bit per adjacency, whenever the plane is
+//! built or verified.
 
 use crate::ids::{Asn, RouterId};
 use crate::net::Network;
@@ -15,6 +16,9 @@ use std::collections::BinaryHeap;
 
 /// "Unreachable" distance sentinel.
 pub const INF: u32 = u32::MAX / 2;
+
+/// Most adjacencies a next-hop mask names: one bit each.
+pub const MASK_BITS: usize = 64;
 
 /// The IGP view of one AS: its members and the all-pairs distance
 /// matrix.
@@ -34,7 +38,7 @@ pub struct AsIgp {
 
 /// One intra-AS adjacency of a member: the interface, the neighbor,
 /// the neighbor's local index and the outgoing metric — read by
-/// Dijkstra, by [`AsIgp::first_hops_over`] and by the `D505` verifier.
+/// Dijkstra, by [`AsIgp::next_hop_masks`] and by the `D505` verifier.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct Adj {
     /// Interface index on the member.
@@ -126,27 +130,30 @@ impl AsIgp {
         }
     }
 
-    /// The ECMP first hops from local member `ls` towards local member
-    /// `ld`: every `(iface index, neighbor)` of `adj` — `ls`'s
-    /// adjacencies as [`adjacencies_into`] lists them — with
-    /// `metric + dist(neighbor, ld) == dist(ls, ld)`, in interface
-    /// order. Empty when `ld` is unreachable or `ls == ld`.
-    pub fn first_hops_over<'s>(
-        &'s self,
-        adj: &'s [Adj],
-        ls: usize,
-        ld: usize,
-    ) -> impl Iterator<Item = (u32, RouterId)> + 's {
-        let total = self.distance_local(ls, ld);
-        let live = total < INF && ls != ld;
-        adj.iter()
-            .filter(move |a| {
-                live && a
-                    .metric
-                    .saturating_add(self.distance_local(a.local as usize, ld))
-                    == total
-            })
-            .map(|a| (a.iface, a.peer))
+    /// Local member `ls`'s ECMP next hops towards every member, as one
+    /// mask per member in local-index order written to `masks`: bit `b`
+    /// of `masks[d]` is set when `adj[b]` — one of `ls`'s adjacencies as
+    /// [`adjacencies_into`] lists them, in any order — starts a
+    /// shortest path to `d`, i.e. `metric + dist(peer, d) == dist(ls,
+    /// d) < INF`. `masks[ls]` is empty. Each adjacency's distance row is
+    /// read contiguously, once.
+    ///
+    /// # Panics
+    /// Panics when `adj` holds more than [`MASK_BITS`] adjacencies.
+    pub fn next_hop_masks(&self, adj: &[Adj], ls: usize, masks: &mut Vec<u64>) {
+        assert!(adj.len() <= MASK_BITS, "{} adjacencies", adj.len());
+        let row = self.row(ls);
+        masks.clear();
+        masks.resize(row.len(), 0);
+        for (b, a) in adj.iter().enumerate() {
+            let metric = u64::from(a.metric);
+            let via = self.row(a.local as usize);
+            for ((m, &total), &rest) in masks.iter_mut().zip(row).zip(via) {
+                let on_path = total < INF && metric + u64::from(rest) == u64::from(total);
+                *m |= u64::from(on_path) << b;
+            }
+        }
+        masks[ls] = 0;
     }
 
     /// True when every member can reach every other member.
@@ -216,14 +223,21 @@ mod tests {
     use crate::router::RouterConfig;
     use crate::vendor::Vendor;
 
-    /// The derived ECMP first hops from `s` towards `d`.
+    /// The ECMP first hops from `s` towards `d`, read off `s`'s
+    /// next-hop mask towards `d`, in interface order.
     fn hops(net: &Network, igp: &AsIgp, s: RouterId, d: RouterId) -> Vec<(u32, RouterId)> {
         let mut adj = Vec::new();
         adjacencies_into(net, &igp.members, s, &mut adj);
-        match (igp.local_index(s), igp.local_index(d)) {
-            (Some(ls), Some(ld)) => igp.first_hops_over(&adj, ls, ld).collect(),
-            _ => Vec::new(),
-        }
+        let (Some(ls), Some(ld)) = (igp.local_index(s), igp.local_index(d)) else {
+            return Vec::new();
+        };
+        let mut masks = Vec::new();
+        igp.next_hop_masks(&adj, ls, &mut masks);
+        adj.iter()
+            .enumerate()
+            .filter(|&(b, _)| masks[ld] >> b & 1 == 1)
+            .map(|(_, a)| (a.iface, a.peer))
+            .collect()
     }
 
     /// Square AS: a-b, b-d, a-c, c-d, plus an expensive direct a-d.
@@ -310,6 +324,9 @@ mod tests {
         let igp = AsIgp::compute(&net, Asn(1));
         assert!(!igp.connected());
         assert_eq!(igp.find_unreachable(), Some(lonely));
+        // No next hop leads to the unreachable member.
+        assert!(hops(&net, &igp, x, lonely).is_empty());
+        assert_eq!(hops(&net, &igp, x, y).len(), 1);
     }
 
     #[test]

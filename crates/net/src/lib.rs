@@ -69,8 +69,8 @@ pub use addr::{Addr, AddrAllocator, Prefix};
 pub use bgp::Bgp;
 pub use control::{
     ldp_label_action, logical_fib, te_group, te_program, te_row, walk, CachePayloadError,
-    ControlPlane, DenseView, ExtOracle, ExtRoute, FibOracle, FibTables, LabelAction, LfibEntry,
-    LfibExplicit, LfibHop, LfibRef, TeRoute, WalkIface,
+    ControlPlane, DenseView, ExtOracle, ExtRoute, FibOracle, FibRow, FibTables, LabelAction,
+    LfibEntry, LfibExplicit, LfibHop, LfibRef, TeRoute, WalkIface,
 };
 pub use engine::{DropReason, Engine, EngineStats, ReplyInfo, ReplyKind, SendOutcome};
 pub use error::NetError;

@@ -5,7 +5,7 @@
 //! indices and write the FIB's next-hop groups directly; the reference
 //! in `crates/lint/tests/oracle` re-derives the same tables the plain
 //! `RouterId`-keyed way. Both must agree exactly on the distance
-//! matrices, on the first hops derived from them (against the
+//! matrices, on the next-hop masks derived from them (against the
 //! reference's all-pairs first-hop CSR) and on the FIB groups. The
 //! tenfold and thousandfold rows live in
 //! `crates/lint/tests/dense_scales.rs` (`--include-ignored`).
@@ -25,6 +25,11 @@
 //! entries (RSVP-TE transit, what-if injections) read back exactly as
 //! installed.
 //!
+//! A property row builds small random Internets whose links carry
+//! different metrics in each direction (1..=4, so equal-cost ties are
+//! common) and checks the same reference and a clean lint gate there;
+//! every generator and scenario elsewhere uses symmetric metrics.
+//!
 //! The AS tables number each loopback's and interface's FEC slot as
 //! they are built, and nothing looks an address up by prefix; the slot
 //! rows check every numbered slot against a test-only linear-scan
@@ -33,6 +38,9 @@
 #[path = "../crates/lint/tests/oracle/mod.rs"]
 mod oracle;
 
+use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use wormhole_net::{
     ldp_label_action, Addr, Asn, Bgp, ControlPlane, Label, LabelAction, LabelValue, LfibEntry,
     LfibHop, LinkOpts, Network, NetworkBuilder, PoppingMode, RelKind, RouterConfig, RouterId,
@@ -320,6 +328,72 @@ fn oracles_match_the_reference_at_paper_scale() {
         ..InternetConfig::default()
     });
     oracle::assert_reference_equivalent(&i.net, &i.cp, "paper/seed42");
+}
+
+/// A small random Internet: 2–4 ASes of 2–7 MPLS routers, each AS a
+/// random spanning tree plus random chords (parallel links included),
+/// each AS the provider of the next over one random link. Every link
+/// draws its two directions' metrics apart from 1..=4, so metrics are
+/// asymmetric and equal-cost ties common.
+fn asymmetric_internet(seed: u64) -> Network {
+    fn link(b: &mut NetworkBuilder, rng: &mut StdRng, x: RouterId, y: RouterId) {
+        let (metric_ab, metric_ba) = (rng.gen_range(1..=4), rng.gen_range(1..=4));
+        b.link(
+            x,
+            y,
+            LinkOpts {
+                delay_ms: 1.0,
+                metric_ab,
+                metric_ba,
+            },
+        );
+    }
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut b = NetworkBuilder::new();
+    let cfg = RouterConfig::mpls_router(Vendor::CiscoIos);
+    let ases: Vec<Vec<RouterId>> = (1..=rng.gen_range(2..=4u32))
+        .map(|a| {
+            let rs: Vec<RouterId> = (0..rng.gen_range(2..=7))
+                .map(|i| b.add_router(&format!("r{a}.{i}"), Asn(a), cfg.clone()))
+                .collect();
+            for i in 1..rs.len() {
+                let j = rng.gen_range(0..i);
+                link(&mut b, &mut rng, rs[i], rs[j]);
+            }
+            for _ in 0..rng.gen_range(0..=rs.len()) {
+                let (x, y) = (rng.gen_range(0..rs.len()), rng.gen_range(0..rs.len()));
+                if x != y {
+                    link(&mut b, &mut rng, rs[x], rs[y]);
+                }
+            }
+            rs
+        })
+        .collect();
+    for (a, pair) in ases.windows(2).enumerate() {
+        let x = pair[0][rng.gen_range(0..pair[0].len())];
+        let y = pair[1][rng.gen_range(0..pair[1].len())];
+        link(&mut b, &mut rng, x, y);
+        b.as_rel(
+            Asn(a as u32 + 1),
+            Asn(a as u32 + 2),
+            RelKind::ProviderCustomer,
+        );
+    }
+    b.build().expect("valid random Internet")
+}
+
+proptest! {
+    /// Under asymmetric metrics with frequent ties, the distance
+    /// matrices, next-hop masks and stored FIB equal the reference, and
+    /// the lint-before-simulate gate finds nothing.
+    #[test]
+    fn oracles_match_the_reference_under_asymmetric_metrics(seed in any::<u64>()) {
+        let net = asymmetric_internet(seed);
+        let cp = ControlPlane::build(&net).expect("the random Internet builds");
+        oracle::assert_reference_equivalent(&net, &cp, &format!("asymmetric/seed{seed}"));
+        let diags = wormhole_lint::check_plane(&net, &cp);
+        prop_assert!(diags.is_empty(), "{}", wormhole_lint::render(&diags));
+    }
 }
 
 #[test]
