@@ -155,26 +155,32 @@ pub fn distributed_row(
 
 /// One loopback sweep — a traceroute to every router loopback from the
 /// first vantage point, path recording off — as a row, with the heap
-/// allocations the walk charged (which must stay 0).
+/// allocations the walk charged (which must stay 0). The row's
+/// `checksum` is [`wire::checksum`] over the wire encoding of every
+/// trace in sweep order, so a walk that keeps the counters but moves a
+/// hop, a return TTL or an RTT still changes the row.
 pub fn walk_row(scale: &str, internet: &Internet) -> (String, u64) {
     let sub = SubstrateRef::new(&internet.net, &internet.cp);
     let mut sess = Session::over(sub, internet.vps[0], ProbeState::new(FaultPlan::none(), 0));
     let dsts: Vec<Addr> = internet.net.routers().iter().map(|r| r.loopback).collect();
+    let mut bytes = Vec::new();
     for &d in &dsts {
-        sess.traceroute(d);
+        sess.traceroute(d).put(&mut bytes);
     }
     let stats = sess.engine_stats();
     let row = format!(
-        "{{\"row\": \"walk {scale}\", \"traces\": {}, {}}}",
+        "{{\"row\": \"walk {scale}\", \"traces\": {}, {}, \"checksum\": {}}}",
         dsts.len(),
-        engine_fields(stats)
+        engine_fields(stats),
+        wire::checksum(&bytes)
     );
     (row, stats.heap_allocs)
 }
 
 /// One row per control-plane table: the heap bytes it reserves. The
-/// `fib` row also carries [`fib_checksum`], so a FIB kernel that keeps
-/// the table sizes but changes a hop still changes the row.
+/// `fib` row also carries a `checksum` over the FIB tables, so a FIB
+/// kernel that keeps the table sizes but changes a hop still changes
+/// the row.
 pub fn plane_rows(scale: &str, internet: &Internet) -> Vec<String> {
     internet
         .cp

@@ -88,7 +88,7 @@ impl Phase for Bootstrap {
     }
 
     fn run(&self, sess: &mut Session<'_>, _: &mut (), t: Addr) -> Vec<Option<Addr>> {
-        sess.traceroute(t).addr_path()
+        sess.addr_path(t)
     }
 }
 

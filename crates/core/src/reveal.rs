@@ -498,7 +498,7 @@ pub fn reveal_between(
     // Paris flow is held per destination); only a load balancer keyed
     // on per-probe fields can make the repeat diverge.
     let retrace_mismatch = match first_path {
-        Some(ref path) => sess.traceroute(y).addr_path() != *path,
+        Some(ref path) => sess.addr_path(y) != *path,
         None => false,
     };
     let extra_probes = sess.engine_stats().probes - probes_before;

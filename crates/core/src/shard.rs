@@ -38,15 +38,17 @@
 //! lets each worker claim the next *chunk* of tasks with a single
 //! atomic fetch-add — no per-VP affinity at all. Determinism survives
 //! because *state* moves from the worker to the task: each task runs in
-//! its own hermetic [`Session`] whose fault RNG stream is derived from
-//! `(campaign_seed, vp, task key)` ([`wormhole_net::trace_seed`]), so
+//! a hermetic [`Session`] — the worker's one session, restarted for the
+//! task — whose fault RNG stream is derived from
+//! `(campaign_seed, vp, task key)` ([`wormhole_net::trace_seed`]) and
+//! whose clock, rate-limiter buckets and counters start from zero, so
 //! the probe sequence of a task is a pure function of its identity, not
 //! of which worker ran it, what ran before it on that worker, or how
 //! many tasks the claim that won it covered. Results are regrouped per
 //! VP in queue order after the join, which makes the merged output
 //! byte-identical at any job count, any steal interleaving, and any
 //! chunk size. The distributed worker runs its share of a phase through
-//! this same executor, so a task's hermetic session is built in one
+//! this same executor, so a task's hermetic session is readied in one
 //! place ([`Hermetic::session`]) wherever it runs.
 //!
 //! Chunked claims amortize the queue's only shared cache line (the
@@ -160,14 +162,31 @@ pub(crate) struct Hermetic<'n> {
 }
 
 impl<'n> Hermetic<'n> {
-    /// The session for one task: its fault RNG stream is a pure
-    /// function of `(seed, vp, key)`, so the task behaves identically
-    /// no matter which thread or process runs it, or when.
-    fn session(&self, vp: usize, key: u64) -> Session<'n> {
-        let state = ProbeState::new(self.faults.clone(), trace_seed(self.seed, vp as u64, key));
-        let mut s = Session::over(self.sub, self.vps[vp], state);
-        s.set_opts(self.opts.clone());
-        s
+    /// The session for one task, in the worker's `slot`: built on the
+    /// worker's first task and [`Session::restart`]ed for every later
+    /// one. Either way its fault RNG stream is a pure function of
+    /// `(seed, vp, key)` and nothing else carries over, so the task
+    /// behaves identically no matter which thread or process runs it,
+    /// or what ran there before.
+    fn session<'s>(
+        &self,
+        slot: &'s mut Option<Session<'n>>,
+        vp: usize,
+        key: u64,
+    ) -> &'s mut Session<'n> {
+        let seed = trace_seed(self.seed, vp as u64, key);
+        match slot {
+            Some(s) => {
+                s.restart(self.vps[vp], seed);
+                s
+            }
+            None => {
+                let state = ProbeState::new(self.faults.clone(), seed);
+                let mut s = Session::over(self.sub, self.vps[vp], state);
+                s.set_opts(self.opts.clone());
+                slot.insert(s)
+            }
+        }
     }
 }
 
@@ -182,9 +201,10 @@ type TaskResult<R> = Result<(R, EngineStats), String>;
 /// Unlike [`run_vp_batches`], workers have no VP affinity: each claims
 /// the next unstarted *chunk* of up to `chunk` tasks from the shared
 /// queue (one atomic fetch-add on a cursor over the flat task list),
-/// then runs each claimed task in its own hermetic session with a fresh
-/// [`Phase::Scratch`]. Because every task owns its RNG stream and TTL
-/// bookkeeping, the result of a task does not depend on the claim order
+/// then runs each claimed task in a hermetic session (the worker's one
+/// session, restarted for the task) with a fresh [`Phase::Scratch`].
+/// Because every task owns its RNG stream and TTL bookkeeping, the
+/// result of a task does not depend on the claim order
 /// or the chunking, and the per-VP regrouping below restores a
 /// canonical order — the output is identical for every `jobs` and every
 /// `chunk` value. With one job, tasks run in queue order and each result
@@ -199,21 +219,27 @@ type TaskResult<R> = Result<(R, EngineStats), String>;
 /// Engine counters are summed per VP over that VP's *completed* tasks
 /// (every task runs exactly once regardless of scheduling, so the sums
 /// are deterministic too — including for VPs that end up degraded).
-pub(crate) fn run_stealing<P: Phase>(
-    hermetic: &Hermetic<'_>,
+pub(crate) fn run_stealing<'n, P: Phase>(
+    hermetic: &Hermetic<'n>,
     phase: &P,
     queue: &[(usize, P::Task)],
     jobs: usize,
     chunk: usize,
 ) -> PhaseOutput<P::Out> {
-    let run_task = |&(vp, task): &(usize, P::Task)| -> TaskResult<P::Out> {
-        catch_unwind(AssertUnwindSafe(|| {
-            let mut sess = hermetic.session(vp, P::key(&task));
-            let r = phase.run(&mut sess, &mut P::Scratch::default(), task);
-            (r, sess.engine_stats().clone())
-        }))
-        .map_err(panic_message)
-    };
+    // Each worker keeps one session in its slot; a task that panics
+    // drops it, so the next task starts from a newly built one.
+    let run_task =
+        |slot: &mut Option<Session<'n>>, &(vp, task): &(usize, P::Task)| -> TaskResult<P::Out> {
+            catch_unwind(AssertUnwindSafe(|| {
+                let sess = hermetic.session(slot, vp, P::key(&task));
+                let r = phase.run(sess, &mut P::Scratch::default(), task);
+                (r, sess.engine_stats().clone())
+            }))
+            .map_err(|e| {
+                *slot = None;
+                panic_message(e)
+            })
+        };
     let jobs = jobs.clamp(1, queue.len().max(1));
     let chunk = chunk.max(1);
     // Per-VP lanes in queue order, pre-sized from the queue's per-VP
@@ -242,8 +268,9 @@ pub(crate) fn run_stealing<P: Phase>(
         }
     };
     if jobs <= 1 {
+        let mut slot = None;
         for t in queue {
-            place(t.0, run_task(t));
+            place(t.0, run_task(&mut slot, t));
         }
     } else {
         let cursor = AtomicUsize::new(0);
@@ -254,6 +281,7 @@ pub(crate) fn run_stealing<P: Phase>(
                 .map(|_| {
                     scope.spawn(move || {
                         let mut out = Vec::new();
+                        let mut slot = None;
                         loop {
                             // One cursor bump claims a whole chunk of
                             // consecutive tasks; each task still runs
@@ -266,7 +294,7 @@ pub(crate) fn run_stealing<P: Phase>(
                             let end = (base + chunk).min(queue.len());
                             out.reserve(end - base);
                             for (i, t) in queue[base..end].iter().enumerate() {
-                                out.push((base + i, run_task(t)));
+                                out.push((base + i, run_task(&mut slot, t)));
                             }
                         }
                         out

@@ -28,7 +28,20 @@
 //! leg. Each leg is a loop over one router visit at a time until the
 //! packet is delivered, elicits an ICMP reply, or is dropped. That is
 //! the only walk; [`Engine::send_batch`] is a convenience loop over
-//! it. All per-hop state the walk consults lives in the
+//! it.
+//!
+//! One leg state carries the whole round trip. The reply is written
+//! over the probe in place, and the same state is reset in place for
+//! the return leg, so a send builds no second packet, leg state or
+//! path buffer; path buffers exist only while ground-truth recording
+//! is on. The return leg is bound for the probe's source: when that is
+//! the origin's own loopback (every probe a `Session` sends) its route
+//! cache is filled from the origin directly, with no address lookup.
+//! Most of a campaign's probes are one-hop bootstrap traces that die
+//! at the vantage point itself, so this fixed part of a send, not the
+//! per-hop walk, is what bounds them.
+//!
+//! All per-hop state the walk consults lives in the
 //! [`ControlPlane`]'s dense walk tables — flag bytes, vendor TTLs and
 //! flat interface records — and in the [`Network`]'s paged
 //! address→owner index, so the steady-state walk performs no hashing
@@ -59,10 +72,10 @@ pub struct EngineStats {
     /// Probes lost for any reason.
     pub lost: u64,
     /// Heap allocations the engine performed on behalf of packets —
-    /// charged once per path-recording buffer. Packets, label stacks
-    /// and ICMP payloads are inline `Copy` data, so with path recording
-    /// off ([`Engine::set_record_paths`]) this stays at zero: the
-    /// steady-state walk never touches the heap.
+    /// charged once per leg, for its path-recording buffer. Packets,
+    /// label stacks and ICMP payloads are inline `Copy` data, so with
+    /// path recording off ([`Engine::set_record_paths`]) this stays at
+    /// zero: the steady-state walk never touches the heap.
     pub heap_allocs: u64,
 }
 
@@ -169,24 +182,21 @@ impl SendOutcome {
     }
 }
 
+/// How one leg ended. The packet itself stays in the [`LegState`]: a
+/// leg that ends in an ICMP reply has already written the reply over
+/// the packet it answers.
 enum Leg {
-    Delivered {
-        at: RouterId,
-        pkt: Packet,
-        path: Vec<RouterId>,
-    },
+    /// The packet reached the router owning its destination.
+    Delivered { at: RouterId },
+    /// `at` answered with an ICMP error, now in the leg's packet.
     Reply {
-        reply: Packet,
         at: RouterId,
         /// `Some((iface, next))` when the reply must be injected
         /// directly on the wire (label-switched to the tunnel end).
         first_hop: Option<(u32, RouterId)>,
-        path: Vec<RouterId>,
     },
-    Dropped {
-        at: RouterId,
-        reason: DropReason,
-    },
+    /// The packet died at `at`.
+    Dropped { at: RouterId, reason: DropReason },
 }
 
 struct NextHop {
@@ -247,6 +257,20 @@ impl DstCache {
         self.owner
     }
 
+    /// The cache for `owner`'s own loopback, resolved up front from the
+    /// router itself: exactly what [`DstCache::fill`] derives for that
+    /// address, without the owner-index lookup.
+    fn own_loopback(sub: SubstrateRef<'_>, owner: RouterId) -> DstCache {
+        DstCache {
+            resolved: true,
+            owner: Some(owner),
+            dst_as_raw: sub.cp.router_as_raw(owner),
+            dst_idx: sub.cp.router_as_index(owner),
+            slot: sub.cp.loopback_slot(owner),
+            conn: None,
+        }
+    }
+
     #[inline(never)]
     fn fill(&mut self, sub: SubstrateRef<'_>, dst: Addr) {
         self.resolved = true;
@@ -273,8 +297,10 @@ impl DstCache {
     }
 }
 
-/// One leg of a probe's round trip (the probe out, or its reply back):
-/// the packet in motion plus everything the per-hop step reads.
+/// A probe's whole round trip: the packet in motion plus everything
+/// the per-hop step reads. The probe's forward leg runs in it; the
+/// reply it elicits is written over the probe in `pkt`, and
+/// [`LegState::turn`] resets the state in place for the return leg.
 struct LegState {
     pkt: Packet,
     /// The FEC slot `cur` advertised the top label for, when this walk
@@ -286,10 +312,47 @@ struct LegState {
     via_wire: bool,
     visits: usize,
     dst: DstCache,
+    /// The current leg's ground-truth router path. It stays empty, and
+    /// never allocates, while path recording is off.
     path: Vec<RouterId>,
 }
 
 impl LegState {
+    /// A probe sitting at `origin`, its forward leg not yet started.
+    fn new(origin: RouterId, pkt: Packet) -> LegState {
+        LegState {
+            pkt,
+            fec: None,
+            cur: origin,
+            in_iface_addr: None,
+            via_wire: false,
+            visits: 0,
+            dst: DstCache::new(),
+            path: Vec::new(),
+        }
+    }
+
+    /// Restarts the state for the return leg: the reply in `pkt` sits
+    /// at its generator `at`, bound for the destination `dst` resolves.
+    fn turn(&mut self, at: RouterId, dst: DstCache) {
+        self.fec = None;
+        self.cur = at;
+        self.in_iface_addr = None;
+        self.via_wire = false;
+        self.visits = 0;
+        self.dst = dst;
+    }
+
+    /// The packet crossed onto `next`, arriving on `arrival`.
+    fn arrive(&mut self, next: RouterId, arrival: Addr, record: bool) {
+        self.cur = next;
+        self.in_iface_addr = Some(arrival);
+        self.via_wire = true;
+        if record {
+            self.path.push(next);
+        }
+    }
+
     fn drop_here(&self, reason: DropReason) -> Leg {
         Leg::Dropped {
             at: self.cur,
@@ -377,94 +440,70 @@ impl<'a> Engine<'a> {
         self.state.tick_probe();
         let probe_src = pkt.src;
 
-        let mut fwd = self.leg_new(origin, pkt);
-        let (kind, at, reply, first_hop, fwd_path) = match self.run_leg(&mut fwd) {
-            Leg::Delivered { at, pkt, path } => {
-                // Probe reached its destination: echo requests elicit an
-                // echo-reply; anything else just sinks.
-                let IcmpPayload::EchoRequest { id, seq } = pkt.payload else {
-                    return self.lost(Some(at), DropReason::ReplyLost);
-                };
-                let flags = self.sub.cp.router_flags(at);
-                if flags & walk::REPLIES == 0
-                    || (flags & walk::IS_HOST == 0 && self.state.faults.is_persistently_silent(at))
-                    || self.hides_egress(at, pkt.dst)
-                {
-                    return self.lost(Some(at), DropReason::Silent);
-                }
-                if !self.state.allow_er(at, flags & walk::MPLS != 0) {
-                    return self.lost(Some(at), DropReason::RateLimited);
-                }
-                let reply = Packet {
-                    src: pkt.dst,
-                    dst: pkt.src,
-                    ip_ttl: self.reply_init_ttl(at, 1, probe_key(&pkt)),
-                    flow: pkt.flow,
-                    payload: IcmpPayload::EchoReply { id, seq },
-                    stack: LabelStack::empty(),
-                    elapsed_ms: pkt.elapsed_ms,
-                };
-                (ReplyKind::EchoReply, at, reply, None, path)
-            }
-            Leg::Reply {
-                reply,
-                at,
-                first_hop,
-                path,
-            } => {
-                let kind = match reply.payload {
-                    IcmpPayload::TimeExceeded { .. } => ReplyKind::TimeExceeded,
+        let mut f = LegState::new(origin, pkt);
+        self.start_path(&mut f);
+        let (kind, at, first_hop) = match self.run_leg(&mut f) {
+            // Probe reached its destination: echo requests elicit an
+            // echo-reply; anything else just sinks.
+            Leg::Delivered { at } => match self.echo_reply(at, &mut f.pkt) {
+                Ok(()) => (ReplyKind::EchoReply, at, None),
+                Err(reason) => return self.lost(Some(at), reason),
+            },
+            Leg::Reply { at, first_hop } => {
+                // `f.pkt` holds what `icmp_expired` or
+                // `icmp_unreachable` wrote over the probe.
+                let kind = match f.pkt.payload {
                     IcmpPayload::DestUnreachable { .. } => ReplyKind::DestUnreachable,
-                    // Error legs always carry ICMP errors; drop anything
-                    // else rather than crash the probing session.
-                    _ => return self.lost(Some(at), DropReason::ReplyLost),
+                    _ => ReplyKind::TimeExceeded,
                 };
-                (kind, at, reply, first_hop, path)
+                (kind, at, first_hop)
             }
             Leg::Dropped { at, reason } => return self.lost(Some(at), reason),
         };
 
-        let from = reply.src;
-        let mut ret = self.leg_new(at, reply);
+        // The return leg: the reply, already in `f.pkt`, goes back to
+        // the probe's source. A probe sent from the origin's own
+        // loopback (every `Session` probe) resolves that destination
+        // from the origin itself; any other source goes through the
+        // owner index. Either way the leg delivers only at the router
+        // owning the probe source.
+        let from = f.pkt.src;
+        let fwd_path = std::mem::take(&mut f.path);
+        let dst = if probe_src == self.sub.cp.loopback_addr(origin) {
+            DstCache::own_loopback(self.sub, origin)
+        } else {
+            DstCache::new()
+        };
+        f.turn(at, dst);
+        self.start_path(&mut f);
         if let Some((iface, next)) = first_hop {
             // Label-switched replies skip the replier's forwarding
             // decision and go straight onto the wire.
-            match self.cross(at, iface, &mut ret.pkt) {
-                Ok(arrival) => {
-                    ret.cur = next;
-                    ret.in_iface_addr = Some(arrival);
-                    ret.via_wire = true;
-                    if self.record_paths {
-                        ret.path.push(next);
-                    }
-                }
+            match self.cross(at, iface, &mut f.pkt) {
+                Ok(arrival) => f.arrive(next, arrival, self.record_paths),
                 Err(reason) => return self.lost(Some(at), reason),
             }
         }
-        match self.run_leg(&mut ret) {
-            Leg::Delivered { at: end, pkt, path }
-                if pkt.dst == probe_src && self.sub.net.owner(probe_src) == Some(end) =>
-            {
+        match self.run_leg(&mut f) {
+            Leg::Delivered { .. } => {
                 self.state.stats.replies += 1;
                 // The quoted stack is inline `Copy` data — no clone.
-                let mpls_ext = match pkt.payload {
+                let mpls_ext = match f.pkt.payload {
                     IcmpPayload::TimeExceeded { mpls_ext, .. } => mpls_ext,
                     _ => LabelStack::empty(),
                 };
                 SendOutcome::Reply(ReplyInfo {
                     kind,
                     from,
-                    ip_ttl: pkt.ip_ttl,
+                    ip_ttl: f.pkt.ip_ttl,
                     mpls_ext,
-                    rtt_ms: pkt.elapsed_ms,
+                    rtt_ms: f.pkt.elapsed_ms,
                     replier: at,
                     fwd_path,
-                    ret_path: path,
+                    ret_path: f.path,
                 })
             }
-            Leg::Delivered { at: died, .. } | Leg::Reply { at: died, .. } => {
-                self.lost(Some(died), DropReason::ReplyLost)
-            }
+            Leg::Reply { at: died, .. } => self.lost(Some(died), DropReason::ReplyLost),
             Leg::Dropped { at: died, reason } => self.lost(Some(died), reason),
         }
     }
@@ -482,26 +521,16 @@ impl<'a> Engine<'a> {
         SendOutcome::Lost { at, reason }
     }
 
-    /// A fresh leg with the packet sitting at `origin`.
-    fn leg_new(&mut self, origin: RouterId, pkt: Packet) -> LegState {
-        // `Vec::new()` does not allocate; with recording off the path
-        // buffer never grows, so the whole walk stays heap-free.
-        let mut f = LegState {
-            pkt,
-            fec: None,
-            cur: origin,
-            in_iface_addr: None,
-            via_wire: false,
-            visits: 0,
-            dst: DstCache::new(),
-            path: Vec::new(),
-        };
+    /// Starts the leg's ground-truth path at its current router when
+    /// path recording is on, charging the leg's one heap allocation.
+    /// With recording off the path stays an unallocated `Vec::new()`,
+    /// so the whole walk is heap-free.
+    fn start_path(&mut self, f: &mut LegState) {
         if self.record_paths {
             self.state.stats.heap_allocs += 1;
             f.path.reserve(8);
-            f.path.push(origin);
+            f.path.push(f.cur);
         }
-        f
     }
 
     /// Steps `f` one router visit at a time until its leg ends.
@@ -543,7 +572,7 @@ impl<'a> Engine<'a> {
                     // Nested stacks are outside our LDP model.
                     return Some(f.drop_here(DropReason::BadLabel));
                 }
-                if self.sub.net.owner(f.pkt.dst) != Some(cur) {
+                if f.dst.resolve(self.sub, f.pkt.dst) != Some(cur) {
                     f.pkt.ip_ttl = f.pkt.ip_ttl.saturating_sub(1);
                 }
                 skip_decrement = true;
@@ -577,8 +606,7 @@ impl<'a> Engine<'a> {
                         }
                         LabelAction::Pop => None,
                     };
-                    let path = std::mem::take(&mut f.path);
-                    return Some(self.icmp_expired(cur, &f.pkt, f.in_iface_addr, downstream, path));
+                    return Some(self.icmp_expired(f, downstream));
                 }
                 match hop.action {
                     LabelAction::Swap(l) => {
@@ -606,12 +634,7 @@ impl<'a> Engine<'a> {
                 }
                 return match self.cross(cur, hop.iface, &mut f.pkt) {
                     Ok(arrival) => {
-                        f.cur = hop.next;
-                        f.in_iface_addr = Some(arrival);
-                        f.via_wire = true;
-                        if self.record_paths {
-                            f.path.push(f.cur);
-                        }
+                        f.arrive(hop.next, arrival, self.record_paths);
                         None
                     }
                     Err(reason) => Some(f.drop_here(reason)),
@@ -624,25 +647,17 @@ impl<'a> Engine<'a> {
         // owner *is* the "does this router own the destination?" check,
         // without the per-hop interface scan.
         if f.dst.resolve(self.sub, f.pkt.dst) == Some(cur) {
-            return Some(Leg::Delivered {
-                at: cur,
-                pkt: f.pkt,
-                path: std::mem::take(&mut f.path),
-            });
+            return Some(Leg::Delivered { at: cur });
         }
         if f.via_wire && !skip_decrement {
             if f.pkt.ip_ttl <= 1 {
-                let path = std::mem::take(&mut f.path);
-                return Some(self.icmp_expired(cur, &f.pkt, f.in_iface_addr, None, path));
+                return Some(self.icmp_expired(f, None));
             }
             f.pkt.ip_ttl -= 1;
         }
         let nh = match self.decide(cur, &f.pkt, &mut f.dst) {
             Some(nh) => nh,
-            None => {
-                let path = std::mem::take(&mut f.path);
-                return Some(self.icmp_unreachable(cur, &f.pkt, f.in_iface_addr, path));
-            }
+            None => return Some(self.icmp_unreachable(f)),
         };
         if let Some(label) = nh.push {
             debug_assert!(f.pkt.stack.is_empty());
@@ -656,12 +671,7 @@ impl<'a> Engine<'a> {
         }
         match self.cross(cur, nh.iface, &mut f.pkt) {
             Ok(arrival) => {
-                f.cur = nh.next;
-                f.in_iface_addr = Some(arrival);
-                f.via_wire = true;
-                if self.record_paths {
-                    f.path.push(f.cur);
-                }
+                f.arrive(nh.next, arrival, self.record_paths);
                 None
             }
             Err(reason) => Some(f.drop_here(reason)),
@@ -744,53 +754,64 @@ impl<'a> Engine<'a> {
             && self.sub.cp.loopback_addr(owner) != dst
     }
 
-    /// Builds the time-exceeded leg for an expiry at `cur`.
+    /// Answers an echo request delivered at `at` by writing the
+    /// echo-reply over it, or says why `at` stays silent.
+    fn echo_reply(&mut self, at: RouterId, pkt: &mut Packet) -> Result<(), DropReason> {
+        let IcmpPayload::EchoRequest { id, seq } = pkt.payload else {
+            return Err(DropReason::ReplyLost);
+        };
+        let flags = self.sub.cp.router_flags(at);
+        if flags & walk::REPLIES == 0
+            || (flags & walk::IS_HOST == 0 && self.state.faults.is_persistently_silent(at))
+            || self.hides_egress(at, pkt.dst)
+        {
+            return Err(DropReason::Silent);
+        }
+        if !self.state.allow_er(at, flags & walk::MPLS != 0) {
+            return Err(DropReason::RateLimited);
+        }
+        *pkt = Packet {
+            src: pkt.dst,
+            dst: pkt.src,
+            ip_ttl: self.reply_init_ttl(at, 1, probe_key(pkt)),
+            flow: pkt.flow,
+            payload: IcmpPayload::EchoReply { id, seq },
+            stack: LabelStack::empty(),
+            elapsed_ms: pkt.elapsed_ms,
+        };
+        Ok(())
+    }
+
+    /// Ends the leg at `f.cur`, where `f.pkt` expired: writes the
+    /// time-exceeded over it, or drops it.
     ///
     /// `downstream` carries the label and wire hop when the reply must
     /// first be label-switched to the end of the LSP.
     fn icmp_expired(
         &mut self,
-        cur: RouterId,
-        expired: &Packet,
-        in_iface_addr: Option<Addr>,
+        f: &mut LegState,
         downstream: Option<(Label, u32, RouterId)>,
-        path: Vec<RouterId>,
     ) -> Leg {
+        let cur = f.cur;
+        let expired = &f.pkt;
         let flags = self.sub.cp.router_flags(cur);
         if expired.payload.is_error() {
             // Never ICMP about ICMP errors.
-            return Leg::Dropped {
-                at: cur,
-                reason: DropReason::ReplyLost,
-            };
+            return f.drop_here(DropReason::ReplyLost);
         }
         if flags & walk::REPLIES == 0
             || (flags & walk::IS_HOST == 0 && self.state.faults.is_persistently_silent(cur))
+            || self.hides_egress(cur, expired.dst)
         {
-            return Leg::Dropped {
-                at: cur,
-                reason: DropReason::Silent,
-            };
-        }
-        if self.hides_egress(cur, expired.dst) {
-            return Leg::Dropped {
-                at: cur,
-                reason: DropReason::Silent,
-            };
+            return f.drop_here(DropReason::Silent);
         }
         if !self.state.allow_te(cur, flags & walk::MPLS != 0) {
-            return Leg::Dropped {
-                at: cur,
-                reason: DropReason::RateLimited,
-            };
+            return f.drop_here(DropReason::RateLimited);
         }
         if self.state.faults.icmp_loss > 0.0
             && self.state.rng.get().gen::<f64>() < self.state.faults.icmp_loss
         {
-            return Leg::Dropped {
-                at: cur,
-                reason: DropReason::IcmpSuppressed,
-            };
+            return f.drop_here(DropReason::IcmpSuppressed);
         }
         let (quoted_id, quoted_seq) = match expired.payload {
             IcmpPayload::EchoRequest { id, seq } => (id, seq),
@@ -802,8 +823,15 @@ impl<'a> Engine<'a> {
         } else {
             LabelStack::empty()
         };
-        let mut reply = Packet {
-            src: in_iface_addr.unwrap_or_else(|| self.sub.cp.loopback_addr(cur)),
+        let mut stack = LabelStack::empty();
+        let first_hop = downstream.map(|(label, iface, next)| {
+            stack.push(Lse::new(label, 255));
+            (iface, next)
+        });
+        f.pkt = Packet {
+            src: f
+                .in_iface_addr
+                .unwrap_or_else(|| self.sub.cp.loopback_addr(cur)),
             dst: expired.src,
             ip_ttl: self.reply_init_ttl(cur, 0, probe_key(expired)),
             flow: expired.flow,
@@ -813,50 +841,35 @@ impl<'a> Engine<'a> {
                 quoted_dst: expired.dst,
                 mpls_ext,
             },
-            stack: LabelStack::empty(),
+            stack,
             elapsed_ms: expired.elapsed_ms,
         };
-        let first_hop = downstream.map(|(label, iface, next)| {
-            reply.stack.push(Lse::new(label, 255));
-            (iface, next)
-        });
-        Leg::Reply {
-            reply,
-            at: cur,
-            first_hop,
-            path,
-        }
+        Leg::Reply { at: cur, first_hop }
     }
 
-    fn icmp_unreachable(
-        &mut self,
-        cur: RouterId,
-        pkt: &Packet,
-        in_iface_addr: Option<Addr>,
-        path: Vec<RouterId>,
-    ) -> Leg {
+    /// Ends the leg at `f.cur`, which has no route for `f.pkt`: writes
+    /// the destination-unreachable over it, or drops it.
+    fn icmp_unreachable(&mut self, f: &mut LegState) -> Leg {
+        let cur = f.cur;
+        let pkt = &f.pkt;
         let flags = self.sub.cp.router_flags(cur);
         if pkt.payload.is_error()
             || flags & walk::REPLIES == 0
             || (flags & walk::IS_HOST == 0 && self.state.faults.is_persistently_silent(cur))
         {
-            return Leg::Dropped {
-                at: cur,
-                reason: DropReason::NoRoute,
-            };
+            return f.drop_here(DropReason::NoRoute);
         }
         if !self.state.allow_te(cur, flags & walk::MPLS != 0) {
-            return Leg::Dropped {
-                at: cur,
-                reason: DropReason::RateLimited,
-            };
+            return f.drop_here(DropReason::RateLimited);
         }
         let (quoted_id, quoted_seq) = match pkt.payload {
             IcmpPayload::EchoRequest { id, seq } => (id, seq),
             _ => (0, 0),
         };
-        let reply = Packet {
-            src: in_iface_addr.unwrap_or_else(|| self.sub.cp.loopback_addr(cur)),
+        f.pkt = Packet {
+            src: f
+                .in_iface_addr
+                .unwrap_or_else(|| self.sub.cp.loopback_addr(cur)),
             dst: pkt.src,
             ip_ttl: self.reply_init_ttl(cur, 0, probe_key(pkt)),
             flow: pkt.flow,
@@ -868,10 +881,8 @@ impl<'a> Engine<'a> {
             elapsed_ms: pkt.elapsed_ms,
         };
         Leg::Reply {
-            reply,
             at: cur,
             first_hop: None,
-            path,
         }
     }
 
@@ -1366,7 +1377,7 @@ mod tests {
         let out = eng.send(vp, Packet::echo_request(src, target, 64, 1, 1, 100));
         let r = out.reply().unwrap();
         assert!(!r.fwd_path.is_empty());
-        assert!(eng.stats().heap_allocs > 0);
+        assert_eq!(eng.stats().heap_allocs, 2, "one path buffer per leg");
     }
 
     #[test]

@@ -107,6 +107,17 @@ impl ProbeState {
         ProbeState::new(faults, worker_seed(campaign_seed, worker_id))
     }
 
+    /// Resets the state to what `ProbeState::new(faults, seed)` builds
+    /// with the same fault plan: virtual clock 0, empty rate-limiter
+    /// buckets (their table keeps its allocation), zeroed counters and
+    /// an RNG stream seeded with `seed`, not yet drawn.
+    pub fn reset(&mut self, seed: u64) {
+        self.rng = LazyRng::new(seed);
+        self.stats = EngineStats::default();
+        self.now_ms = 0.0;
+        self.buckets.clear();
+    }
+
     /// A fault-free, deterministic state.
     pub fn deterministic() -> ProbeState {
         ProbeState::new(FaultPlan::none(), 0)

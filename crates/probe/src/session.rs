@@ -6,7 +6,7 @@
 
 use crate::ping::{ping, PingResult};
 use crate::trace::Trace;
-use crate::traceroute::{traceroute, TracerouteOpts};
+use crate::traceroute::{trace_into, TracerouteOpts};
 use wormhole_net::{
     Addr, ControlPlane, Engine, EngineStats, FaultPlan, Network, ProbeState, RouterId, SubstrateRef,
 };
@@ -33,6 +33,9 @@ pub struct Session<'a> {
     src: Addr,
     opts: TracerouteOpts,
     next_id: u16,
+    /// The trace [`Session::traceroute`] and [`Session::addr_path`]
+    /// run into; its hop buffer is reused from trace to trace.
+    trace: Trace,
     /// Counters.
     pub stats: SessionStats,
 }
@@ -88,8 +91,31 @@ impl<'a> Session<'a> {
             src,
             opts: TracerouteOpts::campaign(),
             next_id: 1,
+            trace: Trace {
+                src,
+                dst: src,
+                flow: 0,
+                hops: Vec::new(),
+                reached: false,
+                probes: 0,
+                truncated: false,
+            },
             stats: SessionStats::default(),
         }
+    }
+
+    /// Restarts the session at `vp` with fresh worker state seeded with
+    /// `seed`: virtual clock 0, empty rate-limiter buckets, zeroed
+    /// counters, an undrawn RNG stream and echo ids from 1, under the
+    /// same fault plan and options. It then probes exactly like
+    /// `Session::over(sub, vp, ProbeState::new(faults, seed))`; only
+    /// its buffers' capacity carries over.
+    pub fn restart(&mut self, vp: RouterId, seed: u64) {
+        self.eng.state.reset(seed);
+        self.vp = vp;
+        self.src = self.eng.network().router(vp).loopback;
+        self.next_id = 1;
+        self.stats = SessionStats::default();
     }
 
     /// Overrides the traceroute options (default: the §4 campaign
@@ -132,15 +158,33 @@ impl<'a> Session<'a> {
         h as u16
     }
 
-    /// Runs a Paris traceroute to `dst`.
-    pub fn traceroute(&mut self, dst: Addr) -> Trace {
+    /// Runs a Paris traceroute to `dst` into the session's trace.
+    fn run_trace(&mut self, dst: Addr) {
         let id = self.next_id;
         self.next_id = self.next_id.wrapping_add(1);
-        let flow = self.flow_for(dst);
+        self.trace.src = self.src;
+        self.trace.dst = dst;
+        self.trace.flow = self.flow_for(dst);
         let before = self.eng.stats().probes;
-        let t = traceroute(&mut self.eng, self.vp, self.src, dst, flow, id, &self.opts);
+        trace_into(&mut self.eng, self.vp, id, &self.opts, &mut self.trace);
         self.stats.probes += self.eng.stats().probes - before;
-        t
+    }
+
+    /// Runs a Paris traceroute to `dst`.
+    pub fn traceroute(&mut self, dst: Addr) -> Trace {
+        self.run_trace(dst);
+        Trace {
+            hops: std::mem::take(&mut self.trace.hops),
+            ..self.trace
+        }
+    }
+
+    /// Runs a Paris traceroute to `dst` and returns only its address
+    /// path ([`Trace::addr_path`]). The hops stay in the session's
+    /// reused buffer, so no [`Trace`] is built and dropped.
+    pub fn addr_path(&mut self, dst: Addr) -> Vec<Option<Addr>> {
+        self.run_trace(dst);
+        self.trace.addr_path()
     }
 
     /// Pings `dst` (two attempts). The result carries attempts-used and
@@ -177,6 +221,41 @@ mod tests {
             0,
             "sessions keep path recording off, so the walk must not allocate"
         );
+    }
+
+    #[test]
+    fn a_restarted_session_probes_like_a_new_one() {
+        use wormhole_net::RateLimit;
+        let s = gns3_fig2(Fig2Config::Default);
+        let sub = SubstrateRef::new(&s.net, &s.cp);
+        let faults = FaultPlan {
+            loss: 0.1,
+            te_limit: Some(RateLimit {
+                per_sec: 2.0,
+                burst: 2.0,
+                mpls_only: false,
+            }),
+            ..FaultPlan::default()
+        };
+        let ce2 = s.net.router_by_name("CE2").unwrap().id;
+        let back = s.net.router(s.vp).loopback;
+        let run = |sess: &mut Session<'_>, dst: Addr| {
+            let t = sess.traceroute(dst);
+            let p = sess.ping(dst);
+            (t, p, sess.engine_stats().clone(), sess.stats.clone())
+        };
+        // Draw from the RNG, drain buckets, advance the clock and the
+        // echo ids, then restart elsewhere under another seed.
+        let mut used = Session::over(sub, s.vp, ProbeState::new(faults.clone(), 1));
+        run(&mut used, s.target);
+        assert!(used.engine_stats().probes > 0);
+        used.restart(ce2, 2);
+        let mut fresh = Session::over(sub, ce2, ProbeState::new(faults, 2));
+        assert_eq!(used.vp(), fresh.vp());
+        assert_eq!(used.src(), fresh.src());
+        for _ in 0..3 {
+            assert_eq!(run(&mut used, back), run(&mut fresh, back));
+        }
     }
 
     #[test]

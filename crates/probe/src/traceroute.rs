@@ -94,18 +94,39 @@ pub fn traceroute(
     id: u16,
     opts: &TracerouteOpts,
 ) -> Trace {
-    let base_attempts = opts.attempts.max(1);
     let mut t = Trace {
         src,
         dst,
         flow,
-        // Pre-sized for the common short trace; paths longer than this
-        // grow normally.
-        hops: Vec::with_capacity(8),
+        hops: Vec::new(),
         reached: false,
         probes: 0,
         truncated: false,
     };
+    trace_into(eng, vp, id, opts, &mut t);
+    t
+}
+
+/// Runs the traceroute `t` names — from `t.src` to `t.dst` on flow
+/// `t.flow` — as [`traceroute`] does, overwriting `t`'s hops, counters
+/// and flags. `t.hops` keeps its allocation, so a caller that traces
+/// into one `Trace` over and over allocates its hop buffer once.
+pub(crate) fn trace_into(
+    eng: &mut Engine<'_>,
+    vp: RouterId,
+    id: u16,
+    opts: &TracerouteOpts,
+    t: &mut Trace,
+) {
+    let (src, dst, flow) = (t.src, t.dst, t.flow);
+    t.hops.clear();
+    // Pre-sized for the common short trace; paths longer than this
+    // grow normally.
+    t.hops.reserve(8);
+    t.reached = false;
+    t.probes = 0;
+    t.truncated = false;
+    let base_attempts = opts.attempts.max(1);
     let mut seq: u16 = 0;
     let mut gap = 0u8;
     for ttl in opts.start_ttl..=opts.max_ttl {
@@ -119,7 +140,7 @@ pub fn traceroute(
                 hop.attempts = attempt;
                 t.hops.push(hop);
                 t.truncated = true;
-                return t;
+                return;
             }
             if attempt > 0 && opts.backoff_ms > 0.0 {
                 let doublings = (attempt - 1).min(BACKOFF_MAX_DOUBLINGS);
@@ -181,7 +202,6 @@ pub fn traceroute(
             break;
         }
     }
-    t
 }
 
 #[cfg(test)]
