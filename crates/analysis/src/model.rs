@@ -159,7 +159,7 @@ pub fn corrected_rfa(rfa: i32, tunnel: &RevealedTunnel) -> i32 {
 mod tests {
     use super::*;
     use wormhole_core::{RevealMethod, RevealStep, RevealedHop};
-    use wormhole_net::ReplyKind;
+    use wormhole_net::{LabelStack, ReplyKind};
     use wormhole_probe::{HopOutcome, TraceHop};
 
     fn a(x: u8) -> Addr {
@@ -172,7 +172,7 @@ mod tests {
             addr: Some(a(x)),
             reply_ip_ttl: Some(250),
             rtt_ms: Some(rtt),
-            labels: Vec::new(),
+            labels: LabelStack::empty(),
             kind: Some(ReplyKind::TimeExceeded),
             outcome: HopOutcome::Replied,
             attempts: 1,

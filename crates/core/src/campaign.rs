@@ -37,7 +37,6 @@ use crate::phase::{Bootstrap, Fingerprint, Phase, Probe, Reveal};
 use crate::reveal::{AbandonReason, RevealOpts, RevelationOutcome};
 use crate::shard;
 use std::collections::{BTreeSet, HashMap, HashSet};
-use std::fmt::Write as _;
 use std::time::Instant;
 use wormhole_net::{
     Addr, Asn, ControlPlane, EngineStats, FaultPlan, Network, ProbeState, ReplyKind, RouterId,
@@ -308,177 +307,6 @@ impl CampaignResult {
             .iter()
             .map(|c| (c.ingress, c.egress))
             .collect()
-    }
-
-    /// A canonical, byte-stable rendering of everything the campaign
-    /// observed: trace transcripts in probing order, observation maps
-    /// and revelations in address order, probe accounting per shard.
-    /// Two runs of the same `(topology, config, seed)` must produce
-    /// equal reports at **any** `jobs` setting — the determinism
-    /// regression tests compare these byte for byte.
-    pub fn report(&self) -> CampaignReport {
-        // Per-line sizes measured on the campaign rows (a hop line runs
-        // ~96 bytes, a trace header ~80), so the report is written with
-        // one allocation.
-        let hops: usize = self.traces.iter().map(|t| t.hops.len()).sum();
-        let mut out = String::with_capacity(
-            96 * hops
-                + 80 * (self.traces.len() + self.candidates.len())
-                + 16 * (self.targets.len() + self.hdns.len())
-                + 40 * (self.te_obs.len() + self.er_obs.len() + self.fingerprints.len())
-                + 120 * self.revelations.len()
-                + 256,
-        );
-        let w = &mut out;
-        let _ = writeln!(w, "snapshot nodes={}", self.snapshot.num_nodes());
-        let _ = writeln!(w, "hdns={:?}", self.hdns);
-        w.push_str("targets=[");
-        for (i, a) in self.targets.iter().enumerate() {
-            if i > 0 {
-                w.push(' ');
-            }
-            let _ = write!(w, "{a}");
-        }
-        w.push_str("]\n");
-        for (i, t) in self.traces.iter().enumerate() {
-            let _ = writeln!(
-                w,
-                "trace {i} vp={} dst={} flow={} reached={} probes={} truncated={}",
-                self.trace_vps[i], t.dst, t.flow, t.reached, t.probes, t.truncated
-            );
-            for h in &t.hops {
-                let Some(a) = h.addr else {
-                    let _ = writeln!(
-                        w,
-                        "  {} * outcome={:?} attempts={}",
-                        h.ttl, h.outcome, h.attempts
-                    );
-                    continue;
-                };
-                let _ = write!(w, "  {} {a} ttl=", h.ttl);
-                let _ = match h.reply_ip_ttl {
-                    Some(ttl) => write!(w, "Some({ttl})"),
-                    None => w.write_str("None"),
-                };
-                w.push_str(match h.kind {
-                    Some(ReplyKind::EchoReply) => " kind=Some(EchoReply) rtt=",
-                    Some(ReplyKind::TimeExceeded) => " kind=Some(TimeExceeded) rtt=",
-                    Some(ReplyKind::DestUnreachable) => " kind=Some(DestUnreachable) rtt=",
-                    None => " kind=None rtt=",
-                });
-                if let Some(rtt) = h.rtt_ms {
-                    let _ = write!(w, "{rtt:.6}");
-                }
-                let _ = writeln!(w, " labels={:?} attempts={}", h.labels, h.attempts);
-            }
-        }
-        let mut te: Vec<_> = self.te_obs.iter().collect();
-        te.sort_by_key(|&(a, _)| *a);
-        for (a, (vp, ttl)) in te {
-            let _ = writeln!(w, "te {a} vp={vp} ttl={ttl}");
-        }
-        let mut er: Vec<_> = self.er_obs.iter().collect();
-        er.sort_by_key(|&(a, _)| *a);
-        for (a, ttl) in er {
-            let _ = writeln!(w, "er {a} ttl={ttl}");
-        }
-        let mut sigs: Vec<_> = self.fingerprints.iter().collect();
-        sigs.sort_by_key(|&(a, _)| a);
-        for (a, s) in sigs {
-            let _ = writeln!(w, "sig {a} te={:?} er={:?}", s.te, s.er);
-        }
-        for c in &self.candidates {
-            let _ = writeln!(
-                w,
-                "candidate {}->{} d={} asn={} vp={} trace={}",
-                c.ingress, c.egress, c.target, c.asn.0, c.vp_index, c.trace_index
-            );
-        }
-        let mut revs: Vec<_> = self.revelations.iter().collect();
-        revs.sort_by_key(|&(pair, _)| *pair);
-        for ((x, y), out) in revs {
-            // The veracity marker appears only on contradicted
-            // revelations. Honest scenarios can never be contradicted
-            // (artifact screens require positive evidence of deception),
-            // so honest reports keep their exact historical bytes.
-            let vs = match out.veracity() {
-                crate::reveal::Veracity::Contradicted => " veracity=contradicted",
-                _ => "",
-            };
-            match out {
-                RevelationOutcome::Complete {
-                    tunnel, confidence, ..
-                } if !tunnel.is_empty() => {
-                    let _ = writeln!(
-                        w,
-                        "revealed {x}->{y} complete method={:?} hops={:?} extra_probes={} \
-                         confidence={}{vs}",
-                        tunnel.method(),
-                        tunnel.hops(),
-                        tunnel.extra_probes,
-                        confidence.label()
-                    );
-                }
-                RevelationOutcome::Complete { confidence, .. } => {
-                    let _ = writeln!(
-                        w,
-                        "revealed {x}->{y} nothing-hidden confidence={}{vs}",
-                        confidence.label()
-                    );
-                }
-                RevelationOutcome::Partial {
-                    tunnel,
-                    missing,
-                    confidence,
-                    ..
-                } => {
-                    let _ = writeln!(
-                        w,
-                        "revealed {x}->{y} partial missing={} method={:?} hops={:?} \
-                         extra_probes={} confidence={}{vs}",
-                        missing.label(),
-                        tunnel.method(),
-                        tunnel.hops(),
-                        tunnel.extra_probes,
-                        confidence.label()
-                    );
-                }
-                RevelationOutcome::Abandoned { reason } => {
-                    let _ = writeln!(w, "revealed {x}->{y} abandoned reason={}", reason.label());
-                }
-            }
-        }
-        let _ = writeln!(w, "probes={} by_vp={:?}", self.probes, self.probes_by_vp);
-        let _ = writeln!(w, "degraded_shards={}", self.degraded_shards.len());
-        for d in &self.degraded_shards {
-            let _ = writeln!(
-                w,
-                "degraded vp={} phase={} msg={}",
-                d.vp, d.phase, d.message
-            );
-        }
-        CampaignReport { text: out }
-    }
-}
-
-/// The canonical campaign output: a deterministic rendering used to
-/// verify that sharded execution merges into the exact same bytes as
-/// serial execution. Compare with `==`; print with `Display`.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct CampaignReport {
-    text: String,
-}
-
-impl CampaignReport {
-    /// The canonical report text.
-    pub fn text(&self) -> &str {
-        &self.text
-    }
-}
-
-impl std::fmt::Display for CampaignReport {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(&self.text)
     }
 }
 
@@ -759,7 +587,7 @@ impl<'a> Campaign<'a> {
         for path in boot_paths.into_iter().flatten() {
             builder.ingest(&path, |a| NodeInfo::resolve(self.net(), a));
             if self.cfg.keep_bootstrap_paths {
-                bootstrap_paths.push(path);
+                bootstrap_paths.push(path.into_vec());
             }
         }
         let mut snapshot_deltas = vec![SnapshotDelta {
@@ -815,7 +643,9 @@ impl<'a> Campaign<'a> {
         // the campaign never rebuilds aggregate state it already has.
         let analysis_started = Instant::now();
         for (_vp, trace) in &traces {
-            builder.ingest(&trace.addr_path(), |a| NodeInfo::resolve(self.net(), a));
+            builder.ingest_hops(trace.hops.iter().map(|h| h.addr), |a| {
+                NodeInfo::resolve(self.net(), a)
+            });
         }
         snapshot_deltas.push(SnapshotDelta {
             phase: "probe",
@@ -879,13 +709,17 @@ impl<'a> Campaign<'a> {
         let mut reveal_jobs: Vec<(usize, (Addr, Addr, Addr))> = Vec::new();
         let owner_asn = |a| self.net().owner_asn(a);
         let is_hdn = |n: Option<usize>| n.is_some_and(|n| hdn_nodes.contains(&n));
+        // One buffer holds each trace's responsive hops in turn.
+        let mut resp: Vec<(Addr, Option<usize>)> = Vec::new();
         for (trace_index, (vp, trace)) in traces.iter().enumerate() {
-            let resp: Vec<(Addr, Option<usize>)> = trace
-                .hops
-                .iter()
-                .filter_map(|h| h.addr)
-                .map(|a| (a, snapshot.node_of(a)))
-                .collect();
+            resp.clear();
+            resp.extend(
+                trace
+                    .hops
+                    .iter()
+                    .filter_map(|h| h.addr)
+                    .map(|a| (a, snapshot.node_of(a))),
+            );
             for i in 0..resp.len().saturating_sub(1) {
                 let (x, node_x) = resp[i];
                 let (y, node_y) = resp[i + 1];

@@ -196,7 +196,7 @@ mod tests {
             addr: Some(Addr::new(10, 0, 0, 1)),
             reply_ip_ttl: Some(reply_ttl),
             rtt_ms: Some(1.0),
-            labels: Vec::new(),
+            labels: wormhole_net::LabelStack::empty(),
             kind: Some(ReplyKind::TimeExceeded),
             outcome: wormhole_probe::HopOutcome::Replied,
             attempts: 1,

@@ -11,6 +11,7 @@
 //!   Corroborated/Unverified/Contradicted against deceptive routers
 //!   and non-Paris load balancers;
 //! * [`campaign`] — the full HDN-driven measurement campaign;
+//! * [`report`] — the campaign's canonical, byte-stable report;
 //! * [`distributed`] — multi-process campaign execution: shard specs,
 //!   shard files, and the deterministic file-level merge;
 //! * [`smart`] — the §8 "modified traceroute": FRPLA/RTLA as triggers,
@@ -24,6 +25,7 @@ pub mod distributed;
 pub mod fingerprint;
 pub mod frpla;
 mod phase;
+pub mod report;
 pub mod reveal;
 pub mod rtla;
 mod shard;
@@ -31,8 +33,8 @@ pub mod smart;
 pub mod veracity;
 
 pub use campaign::{
-    audit_campaign, audit_input, snapshot_oracle, Campaign, CampaignConfig, CampaignReport,
-    CampaignResult, CampaignTimings, CandidatePair, DegradedShard, Scheduling, SnapshotDelta,
+    audit_campaign, audit_input, snapshot_oracle, Campaign, CampaignConfig, CampaignResult,
+    CampaignTimings, CandidatePair, DegradedShard, Scheduling, SnapshotDelta,
 };
 pub use distributed::{
     worker_main, DistError, DistSummary, DistributedOpts, PhaseShardAccount, SubstrateResolver,
@@ -40,6 +42,7 @@ pub use distributed::{
 };
 pub use fingerprint::{infer_initial_ttl, return_path_len, FingerprintTable, Signature};
 pub use frpla::{rfa_of_hop, rfa_of_trace, FrplaAnalysis, RfaDistribution, RfaSample};
+pub use report::CampaignReport;
 pub use reveal::{
     reveal_between, AbandonReason, Confidence, MissingPart, RevealMethod, RevealOpts, RevealStep,
     RevealedHop, RevealedTunnel, RevelationOutcome, Veracity,

@@ -12,7 +12,7 @@ use crate::shard::STEAL_CHUNK;
 use std::collections::{BTreeSet, HashSet};
 use wormhole_net::wire::{Reader, Wire, WireError};
 use wormhole_net::{Addr, RouterId};
-use wormhole_probe::{PingResult, Session, Trace};
+use wormhole_probe::{AddrPath, PingResult, Session, Trace};
 
 /// One probing phase. The phase value's own [`Wire`] encoding is the
 /// context a worker process needs to run its tasks; tasks and results
@@ -53,7 +53,8 @@ fn steal_key(tag: u8, a: u64, b: u64) -> u64 {
     (u64::from(tag) << 56) ^ a.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(17) ^ b
 }
 
-/// Phase 1: one bootstrap traceroute, kept as its IP path.
+/// Phase 1: one bootstrap traceroute, kept as its IP path (inline when
+/// short, as nearly every bootstrap path is).
 pub(crate) struct Bootstrap;
 
 /// Phase 4: one Paris traceroute to an HDN-neighbourhood target.
@@ -80,14 +81,14 @@ impl Phase for Bootstrap {
     const TAG: u8 = 1;
     const LABEL: &'static str = "bootstrap";
     type Task = Addr;
-    type Out = Vec<Option<Addr>>;
+    type Out = AddrPath;
     type Scratch = ();
 
     fn key(t: &Addr) -> u64 {
         steal_key(Self::TAG, u64::from(t.0), 0)
     }
 
-    fn run(&self, sess: &mut Session<'_>, _: &mut (), t: Addr) -> Vec<Option<Addr>> {
+    fn run(&self, sess: &mut Session<'_>, _: &mut (), t: Addr) -> AddrPath {
         sess.addr_path(t)
     }
 }

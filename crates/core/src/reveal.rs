@@ -18,7 +18,7 @@
 //! new is revealed or the trace no longer passes through the ingress.
 
 use wormhole_net::{Addr, RouterId};
-use wormhole_probe::Session;
+use wormhole_probe::{AddrPath, Session};
 
 /// Options for the revelation recursion.
 #[derive(Clone, Debug)]
@@ -438,14 +438,14 @@ pub fn reveal_between(
     let mut cur = y;
     let mut degraded_hops = 0usize;
     let mut revisits = 0usize;
-    let mut first_path: Option<Vec<Option<Addr>>> = None;
+    let mut first_path: Option<AddrPath> = None;
     let mut missing: Option<MissingPart> = None;
     for step_idx in 0..=opts.max_steps {
         let trace = sess.traceroute(cur);
         degraded_hops += trace.hops.iter().filter(|h| h.addr.is_none()).count();
         revisits += trace.revisits();
         if step_idx == 0 && opts.paris_check {
-            first_path = Some(trace.addr_path());
+            first_path = Some(AddrPath::of(&trace.hops));
         }
         let Some(seg) = segment_between(&trace, x, cur) else {
             // The re-trace does not pass through the ingress: stop, keep

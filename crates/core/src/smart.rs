@@ -139,7 +139,7 @@ where
     let responsive: Vec<(Addr, TraceHop)> = base
         .hops
         .iter()
-        .filter_map(|h| h.addr.map(|a| (a, h.clone())))
+        .filter_map(|h| h.addr.map(|a| (a, *h)))
         .collect();
     let mut hops: Vec<SmartHop> = Vec::with_capacity(responsive.len());
     let mut unrevealed = Vec::new();

@@ -141,10 +141,13 @@ impl LabelStack {
         &self.entries[..self.len as usize]
     }
 
-    /// Copies the entries into a fresh `Vec` (top of stack first), for
-    /// callers that persist the stack beyond the packet's lifetime.
-    pub fn to_vec(&self) -> Vec<Lse> {
-        self.as_slice().to_vec()
+    /// Appends `lse` below the current bottom exactly as given, its
+    /// bottom-of-stack flag untouched, so the wire decoder rebuilds a
+    /// quoted stack bit for bit. The caller checks the capacity first.
+    pub(crate) fn append_verbatim(&mut self, lse: Lse) {
+        let n = self.len as usize;
+        self.entries[n] = lse;
+        self.len += 1;
     }
 
     fn fix_bottom(&mut self) {
@@ -163,6 +166,8 @@ impl Deref for LabelStack {
     }
 }
 
+/// The same text as the `Debug` of a `Vec<Lse>` holding the entries,
+/// so a stack renders like the vector it replaces.
 impl fmt::Debug for LabelStack {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_list().entries(self.as_slice()).finish()
@@ -309,7 +314,7 @@ mod tests {
         s.push(Lse::new(Label(17), 255));
         assert_eq!(copied.depth(), 1);
         assert_eq!(s.depth(), 2);
-        assert_eq!(copied.to_vec(), vec![Lse::new(Label(16), 31)]);
+        assert_eq!(copied.as_slice(), [Lse::new(Label(16), 31)]);
     }
 
     #[test]

@@ -271,6 +271,29 @@ impl Wire for crate::Lse {
     }
 }
 
+/// Encoded like a `Vec<Lse>`: the depth, then the entries top first.
+/// A depth over [`crate::packet::LABEL_STACK_CAP`] is corrupt input;
+/// it never reaches the stack's overflow assertion.
+impl Wire for crate::LabelStack {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.depth().put(out);
+        for lse in self.iter() {
+            lse.put(out);
+        }
+    }
+    fn take(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        let depth = usize::take(r)?;
+        if depth > crate::packet::LABEL_STACK_CAP {
+            return Err(WireError::Corrupt("label stack depth"));
+        }
+        let mut stack = crate::LabelStack::empty();
+        for _ in 0..depth {
+            stack.append_verbatim(crate::Lse::take(r)?);
+        }
+        Ok(stack)
+    }
+}
+
 impl Wire for crate::ReplyKind {
     fn put(&self, out: &mut Vec<u8>) {
         out.push(match self {
@@ -502,6 +525,13 @@ mod tests {
         round_trip(crate::RouterId(41));
         round_trip(crate::Asn(3257));
         round_trip(Lse::new(Label(19), 1));
+        let stack: crate::LabelStack = [Lse::new(Label(19), 1), Lse::new(Label(3), 2)]
+            .into_iter()
+            .collect();
+        round_trip(stack);
+        round_trip(crate::LabelStack::empty());
+        // A stack travels exactly as the `Vec<Lse>` of its entries.
+        assert_eq!(to_bytes(&stack), to_bytes(&stack.as_slice().to_vec()));
         round_trip(ReplyKind::TimeExceeded);
         round_trip(EngineStats {
             probes: 1,
@@ -568,6 +598,17 @@ mod tests {
         let mut huge = Vec::new();
         u64::MAX.put(&mut huge);
         assert_eq!(from_bytes::<Vec<u8>>(&huge), Err(WireError::Truncated));
+        // A quoted stack deeper than the inline capacity is corrupt,
+        // whether or not its entries follow.
+        let deep = vec![Lse::new(Label(16), 1); crate::packet::LABEL_STACK_CAP + 1];
+        assert_eq!(
+            from_bytes::<crate::LabelStack>(&to_bytes(&deep)),
+            Err(WireError::Corrupt("label stack depth"))
+        );
+        assert_eq!(
+            from_bytes::<crate::LabelStack>(&to_bytes(&u64::MAX)),
+            Err(WireError::Corrupt("label stack depth"))
+        );
     }
 
     #[test]

@@ -24,5 +24,5 @@ pub mod wire;
 pub use ping::{ping, PingFailure, PingReply, PingResult};
 pub use session::{Session, SessionStats};
 pub use sink::{stats_delta, stats_jsonl, trace_jsonl, JsonlSink, NullSink, TraceSink};
-pub use trace::{HopOutcome, Trace, TraceHop};
+pub use trace::{AddrPath, HopOutcome, Trace, TraceHop};
 pub use traceroute::{traceroute, TracerouteOpts};

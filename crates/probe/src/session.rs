@@ -5,7 +5,7 @@
 //! the probing budget a real deployment would need.
 
 use crate::ping::{ping, PingResult};
-use crate::trace::Trace;
+use crate::trace::{AddrPath, Trace};
 use crate::traceroute::{trace_into, TracerouteOpts};
 use wormhole_net::{
     Addr, ControlPlane, Engine, EngineStats, FaultPlan, Network, ProbeState, RouterId, SubstrateRef,
@@ -170,21 +170,20 @@ impl<'a> Session<'a> {
         self.stats.probes += self.eng.stats().probes - before;
     }
 
-    /// Runs a Paris traceroute to `dst`.
+    /// Runs a Paris traceroute to `dst`. The returned trace's hops are
+    /// one exact-size copy of the session's reused buffer.
     pub fn traceroute(&mut self, dst: Addr) -> Trace {
         self.run_trace(dst);
-        Trace {
-            hops: std::mem::take(&mut self.trace.hops),
-            ..self.trace
-        }
+        self.trace.clone()
     }
 
     /// Runs a Paris traceroute to `dst` and returns only its address
     /// path ([`Trace::addr_path`]). The hops stay in the session's
-    /// reused buffer, so no [`Trace`] is built and dropped.
-    pub fn addr_path(&mut self, dst: Addr) -> Vec<Option<Addr>> {
+    /// reused buffer, so no [`Trace`] is built and dropped, and a path
+    /// of up to three hops takes no heap memory at all.
+    pub fn addr_path(&mut self, dst: Addr) -> AddrPath {
         self.run_trace(dst);
-        self.trace.addr_path()
+        AddrPath::of(&self.trace.hops)
     }
 
     /// Pings `dst` (two attempts). The result carries attempts-used and

@@ -185,18 +185,19 @@ mod tests {
     use wormhole_net::{Addr, Label, Lse};
 
     fn sample() -> Trace {
-        let mut replied = TraceHop {
+        let replied = TraceHop {
             ttl: 2,
             addr: Some(Addr::new(10, 0, 0, 1)),
             reply_ip_ttl: Some(253),
             rtt_ms: Some(1.25),
-            labels: vec![Lse::new(Label(19), 1)],
+            labels: [Lse::new(Label(19), 1), Lse::new(Label(20), 2)]
+                .into_iter()
+                .collect(),
             kind: Some(ReplyKind::TimeExceeded),
             outcome: HopOutcome::Replied,
             attempts: 1,
             truth: None,
         };
-        replied.labels.push(Lse::new(Label(20), 2));
         Trace {
             src: Addr::new(10, 9, 0, 1),
             dst: Addr::new(10, 0, 0, 9),
@@ -216,6 +217,7 @@ mod tests {
         assert!(line.contains("\"rtt_ms\":1.250000"));
         assert!(line.contains("\"kind\":\"time-exceeded\""));
         assert!(line.contains("\"outcome\":\"lost\""));
+        assert!(line.contains("\"labels\":[\"MPLS Label 19 TTL=1\",\"MPLS Label 20 TTL=2\"]"));
         assert!(line.ends_with("]}"));
         assert!(!line.contains('\n'));
         // No value needs JSON escaping: addresses are dotted quads and

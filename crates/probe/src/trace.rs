@@ -1,7 +1,8 @@
 //! Trace records: what a measurement host observes.
 
 use std::fmt;
-use wormhole_net::{Addr, DropReason, Lse, ReplyKind, RouterId};
+use std::ops::Deref;
+use wormhole_net::{Addr, DropReason, LabelStack, ReplyKind, RouterId};
 
 /// What ultimately happened at a hop — the typed replacement for the
 /// bare `*`. A real prober cannot always tell these apart, but scamper
@@ -39,8 +40,9 @@ impl HopOutcome {
     }
 }
 
-/// One traceroute hop.
-#[derive(Clone, Debug, PartialEq)]
+/// One traceroute hop. `Copy`: the quoted label stack is stored
+/// inline, so a hop owns no heap memory.
+#[derive(Copy, Clone, Debug, PartialEq)]
 pub struct TraceHop {
     /// The probe TTL that elicited this hop.
     pub ttl: u8,
@@ -51,8 +53,8 @@ pub struct TraceHop {
     pub reply_ip_ttl: Option<u8>,
     /// Round-trip time, when a reply arrived.
     pub rtt_ms: Option<f64>,
-    /// RFC 4950 quoted label stack entries.
-    pub labels: Vec<Lse>,
+    /// RFC 4950 quoted label stack entries, top of stack first.
+    pub labels: LabelStack,
     /// What kind of reply arrived.
     pub kind: Option<ReplyKind>,
     /// What happened at this hop (typed star/rate-limited/unreachable
@@ -73,7 +75,7 @@ impl TraceHop {
             addr: None,
             reply_ip_ttl: None,
             rtt_ms: None,
-            labels: Vec::new(),
+            labels: LabelStack::empty(),
             kind: None,
             outcome: HopOutcome::Lost,
             attempts: 0,
@@ -84,6 +86,88 @@ impl TraceHop {
     /// True when the hop carries at least one quoted MPLS label.
     pub fn is_labeled(&self) -> bool {
         !self.labels.is_empty()
+    }
+}
+
+/// Hops an [`AddrPath`] holds without a heap buffer.
+const INLINE_HOPS: usize = 3;
+
+/// A trace's address sequence, one entry per hop with `None` for a
+/// star: the content of [`Trace::addr_path`] without, for short paths,
+/// its heap vector. A path of up to three hops is stored inline, and
+/// most bootstrap traces are one hop long (the vantage point's own
+/// no-route unreachable); longer paths live on the heap.
+#[derive(Clone)]
+pub struct AddrPath(PathRepr);
+
+#[derive(Clone)]
+enum PathRepr {
+    Inline(u8, [Option<Addr>; INLINE_HOPS]),
+    Heap(Vec<Option<Addr>>),
+}
+
+impl AddrPath {
+    /// The address sequence of `hops`.
+    pub fn of(hops: &[TraceHop]) -> AddrPath {
+        AddrPath::from_iter_sized(hops.len(), hops.iter().map(|h| h.addr))
+    }
+
+    /// A path of exactly `len` entries drawn from `hops`.
+    fn from_iter_sized(len: usize, hops: impl Iterator<Item = Option<Addr>>) -> AddrPath {
+        if len > INLINE_HOPS {
+            return AddrPath(PathRepr::Heap(hops.collect()));
+        }
+        let mut inline = [None; INLINE_HOPS];
+        for (slot, hop) in inline.iter_mut().zip(hops) {
+            *slot = hop;
+        }
+        AddrPath(PathRepr::Inline(len as u8, inline))
+    }
+
+    /// The entries as a slice.
+    pub fn as_slice(&self) -> &[Option<Addr>] {
+        match &self.0 {
+            PathRepr::Inline(len, hops) => &hops[..usize::from(*len)],
+            PathRepr::Heap(hops) => hops,
+        }
+    }
+
+    /// The entries as a vector.
+    pub fn into_vec(self) -> Vec<Option<Addr>> {
+        match self.0 {
+            PathRepr::Inline(len, hops) => hops[..usize::from(len)].to_vec(),
+            PathRepr::Heap(hops) => hops,
+        }
+    }
+}
+
+impl From<Vec<Option<Addr>>> for AddrPath {
+    fn from(hops: Vec<Option<Addr>>) -> AddrPath {
+        if hops.len() > INLINE_HOPS {
+            AddrPath(PathRepr::Heap(hops))
+        } else {
+            AddrPath::from_iter_sized(hops.len(), hops.into_iter())
+        }
+    }
+}
+
+impl Deref for AddrPath {
+    type Target = [Option<Addr>];
+
+    fn deref(&self) -> &[Option<Addr>] {
+        self.as_slice()
+    }
+}
+
+impl PartialEq for AddrPath {
+    fn eq(&self, other: &AddrPath) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+impl fmt::Debug for AddrPath {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.as_slice()).finish()
     }
 }
 
@@ -180,7 +264,7 @@ impl fmt::Display for Trace {
                         write!(f, " [{ttl}]")?;
                     }
                     writeln!(f)?;
-                    for lse in &hop.labels {
+                    for lse in hop.labels.iter() {
                         writeln!(f, "      {lse}")?;
                     }
                 }
@@ -202,7 +286,7 @@ mod tests {
             addr: Some(Addr::new(10, 0, 0, last_octet)),
             reply_ip_ttl: Some(250),
             rtt_ms: Some(3.5),
-            labels: Vec::new(),
+            labels: LabelStack::empty(),
             kind: Some(ReplyKind::TimeExceeded),
             outcome: HopOutcome::Replied,
             attempts: 1,
@@ -239,6 +323,23 @@ mod tests {
         let p = t.addr_path();
         assert_eq!(p.len(), 3);
         assert!(p[1].is_none());
+    }
+
+    #[test]
+    fn short_and_long_addr_paths_hold_the_same_entries() {
+        let mut t = sample();
+        for len in 0..=6 {
+            t.hops.truncate(len);
+            while t.hops.len() < len {
+                let ttl = t.hops.len() as u8 + 1;
+                t.hops.push(hop(ttl, ttl));
+            }
+            let path = AddrPath::of(&t.hops);
+            assert_eq!(path.as_slice(), t.addr_path().as_slice());
+            assert_eq!(path, AddrPath::from(t.addr_path()));
+            assert_eq!(path.clone().into_vec(), t.addr_path());
+            assert_eq!(format!("{path:?}"), format!("{:?}", t.addr_path()));
+        }
     }
 
     #[test]

@@ -156,7 +156,7 @@ pub(crate) fn trace_into(
                         addr: Some(r.from),
                         reply_ip_ttl: Some(r.ip_ttl),
                         rtt_ms: Some(r.rtt_ms),
-                        labels: r.mpls_ext.to_vec(),
+                        labels: r.mpls_ext,
                         kind: Some(r.kind),
                         outcome: HopOutcome::Replied,
                         attempts: attempt,

@@ -9,9 +9,10 @@
 //! in-process report byte for byte.
 
 use crate::ping::{PingFailure, PingReply, PingResult};
-use crate::trace::{HopOutcome, Trace, TraceHop};
+use crate::trace::{AddrPath, HopOutcome, Trace, TraceHop};
 use crate::traceroute::TracerouteOpts;
 use wormhole_net::wire::{Reader, Wire, WireError};
+use wormhole_net::Addr;
 
 impl Wire for TracerouteOpts {
     fn put(&self, out: &mut Vec<u8>) {
@@ -120,6 +121,20 @@ impl Wire for Trace {
     }
 }
 
+/// Encoded like the `Vec<Option<Addr>>` it stands for.
+impl Wire for AddrPath {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.len().put(out);
+        for hop in self.iter() {
+            hop.put(out);
+        }
+    }
+
+    fn take(r: &mut Reader<'_>) -> Result<AddrPath, WireError> {
+        Vec::<Option<Addr>>::take(r).map(AddrPath::from)
+    }
+}
+
 impl Wire for PingFailure {
     fn put(&self, out: &mut Vec<u8>) {
         let tag: u8 = match self {
@@ -177,8 +192,9 @@ impl Wire for PingResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wormhole_net::packet::LABEL_STACK_CAP;
     use wormhole_net::wire::{from_bytes, to_bytes};
-    use wormhole_net::{Addr, Lse, ReplyKind, RouterId};
+    use wormhole_net::{Label, LabelStack, Lse, ReplyKind, RouterId};
 
     fn round_trip<T: Wire + PartialEq + std::fmt::Debug>(v: &T) {
         let bytes = to_bytes(v);
@@ -187,41 +203,125 @@ mod tests {
         assert_eq!(to_bytes(&back), bytes);
     }
 
-    #[test]
-    fn trace_round_trips() {
-        let hop = TraceHop {
+    fn labeled_hop() -> TraceHop {
+        TraceHop {
             ttl: 3,
             addr: Some(Addr(0x0A00_0102)),
             reply_ip_ttl: Some(253),
             rtt_ms: Some(17.25),
-            labels: vec![Lse::new(wormhole_net::Label(300), 4)],
+            labels: [Lse::new(Label(300), 4), Lse::new(Label(0), 4)]
+                .into_iter()
+                .collect(),
             kind: Some(ReplyKind::TimeExceeded),
             outcome: HopOutcome::Replied,
             attempts: 1,
             truth: Some(RouterId(9)),
-        };
+        }
+    }
+
+    fn sample_trace() -> Trace {
         let star = TraceHop {
             ttl: 4,
             addr: None,
             reply_ip_ttl: None,
             rtt_ms: None,
-            labels: Vec::new(),
+            labels: LabelStack::empty(),
             kind: None,
             outcome: HopOutcome::Silent,
             attempts: 2,
             truth: None,
         };
-        round_trip(&hop);
-        round_trip(&star);
-        round_trip(&Trace {
+        Trace {
             src: Addr(1),
             dst: Addr(2),
             flow: 7,
-            hops: vec![hop, star],
+            hops: vec![labeled_hop(), star],
             reached: false,
             probes: 11,
             truncated: true,
-        });
+        }
+    }
+
+    #[test]
+    fn trace_round_trips() {
+        let trace = sample_trace();
+        round_trip(&trace.hops[0]);
+        round_trip(&trace.hops[1]);
+        round_trip(&trace);
+        round_trip(&AddrPath::of(&trace.hops));
+        let long: Vec<Option<Addr>> = (0..9).map(|i| (i % 3 > 0).then_some(Addr(i))).collect();
+        round_trip(&AddrPath::from(long.clone()));
+        // A path travels exactly as the vector it stands for.
+        assert_eq!(to_bytes(&AddrPath::from(long.clone())), to_bytes(&long));
+        assert_eq!(
+            to_bytes(&AddrPath::of(&trace.hops)),
+            to_bytes(&trace.addr_path())
+        );
+    }
+
+    #[test]
+    fn hop_labels_keep_the_vector_layout() {
+        // The fields in order, the labels as the `Vec<Lse>` a hop once
+        // carried: a length, then the entries.
+        let hop = labeled_hop();
+        let mut bytes = Vec::new();
+        hop.ttl.put(&mut bytes);
+        hop.addr.put(&mut bytes);
+        hop.reply_ip_ttl.put(&mut bytes);
+        hop.rtt_ms.put(&mut bytes);
+        hop.labels.as_slice().to_vec().put(&mut bytes);
+        hop.kind.put(&mut bytes);
+        hop.outcome.put(&mut bytes);
+        hop.attempts.put(&mut bytes);
+        hop.truth.put(&mut bytes);
+        assert_eq!(to_bytes(&hop), bytes);
+    }
+
+    #[test]
+    fn every_truncation_of_a_trace_is_an_error() {
+        let bytes = to_bytes(&sample_trace());
+        for len in 0..bytes.len() {
+            assert_eq!(
+                from_bytes::<Trace>(&bytes[..len]),
+                Err(WireError::Truncated),
+                "truncated to {len} bytes"
+            );
+        }
+    }
+
+    #[test]
+    fn a_hop_quoting_too_many_labels_is_corrupt() {
+        // A hop whose label count exceeds the inline stack's capacity
+        // decodes to a typed error, with or without the entries behind
+        // it, and never reaches the stack's overflow assertion.
+        let hop = labeled_hop();
+        for (count, entries) in [(LABEL_STACK_CAP + 1, LABEL_STACK_CAP + 1), (usize::MAX, 0)] {
+            let mut bytes = Vec::new();
+            hop.ttl.put(&mut bytes);
+            hop.addr.put(&mut bytes);
+            hop.reply_ip_ttl.put(&mut bytes);
+            hop.rtt_ms.put(&mut bytes);
+            count.put(&mut bytes);
+            for _ in 0..entries {
+                Lse::new(Label(16), 1).put(&mut bytes);
+            }
+            hop.kind.put(&mut bytes);
+            hop.outcome.put(&mut bytes);
+            hop.attempts.put(&mut bytes);
+            hop.truth.put(&mut bytes);
+            assert_eq!(
+                from_bytes::<TraceHop>(&bytes),
+                Err(WireError::Corrupt("label stack depth"))
+            );
+        }
+        // At exactly the capacity the hop decodes.
+        let full = TraceHop {
+            labels: (0..LABEL_STACK_CAP as u32)
+                .map(|l| Lse::new(Label(16 + l), 1))
+                .collect(),
+            ..hop
+        };
+        round_trip(&full);
     }
 
     #[test]

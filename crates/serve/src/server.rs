@@ -390,7 +390,7 @@ impl Server {
         } else {
             campaign_over(&internet, cfg, &mut wormhole_probe::NullSink)
         };
-        let report = result.report().text().to_string();
+        let report = result.report().into_text();
         write_frame(
             w,
             &format!(

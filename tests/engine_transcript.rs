@@ -73,7 +73,7 @@ fn put_outcome(out: &SendOutcome, bytes: &mut Vec<u8>) {
             r.kind.put(bytes);
             r.from.put(bytes);
             r.ip_ttl.put(bytes);
-            r.mpls_ext.to_vec().put(bytes);
+            r.mpls_ext.as_slice().to_vec().put(bytes);
             r.rtt_ms.put(bytes);
             r.replier.put(bytes);
             r.fwd_path.put(bytes);
