@@ -11,7 +11,7 @@
 
 use std::path::PathBuf;
 use std::time::Instant;
-use wormhole_core::{Campaign, CampaignConfig, CampaignResult, DistributedOpts, Scheduling};
+use wormhole_core::{Campaign, CampaignConfig, CampaignResult, DistributedOpts};
 use wormhole_net::wire::{self, Wire};
 use wormhole_net::{
     Addr, ControlPlane, EngineStats, FaultPlan, FaultScenario, ProbeState, SubstrateRef,
@@ -24,27 +24,11 @@ use wormhole_topo::{generate_cached, CacheStatus, Internet, InternetConfig};
 /// suffices; two keeps the threaded merge under the gate.
 const JOBS: usize = 2;
 
-/// The tenfold campaign rows: both executors, clean and hostile.
-pub const TENFOLD_MATRIX: &[(FaultScenario, Scheduling)] = &[
-    (FaultScenario::Clean, Scheduling::VpBatches),
-    (FaultScenario::Hostile, Scheduling::VpBatches),
-    (FaultScenario::Clean, Scheduling::Stealing),
-    (FaultScenario::Hostile, Scheduling::Stealing),
-];
+/// The tenfold campaign rows: clean and hostile.
+pub const TENFOLD_MATRIX: &[FaultScenario] = &[FaultScenario::Clean, FaultScenario::Hostile];
 
-/// The thousandfold campaign rows: both executors, clean.
-pub const THOUSANDFOLD_MATRIX: &[(FaultScenario, Scheduling)] = &[
-    (FaultScenario::Clean, Scheduling::VpBatches),
-    (FaultScenario::Clean, Scheduling::Stealing),
-];
-
-/// Stable on-disk name of a scheduling mode.
-fn scheduling_name(s: Scheduling) -> &'static str {
-    match s {
-        Scheduling::VpBatches => "batches",
-        Scheduling::Stealing => "stealing",
-    }
-}
+/// The thousandfold campaign rows: clean.
+pub const THOUSANDFOLD_MATRIX: &[FaultScenario] = &[FaultScenario::Clean];
 
 /// Every [`EngineStats`] field, as the inner part of a row.
 fn engine_fields(s: &EngineStats) -> String {
@@ -64,12 +48,7 @@ fn result_fields(r: &CampaignResult) -> String {
     )
 }
 
-fn campaign(
-    internet: &Internet,
-    jobs: usize,
-    scenario: FaultScenario,
-    scheduling: Scheduling,
-) -> Campaign<'_> {
+fn campaign(internet: &Internet, jobs: usize, scenario: FaultScenario) -> Campaign<'_> {
     Campaign::new(
         &internet.net,
         &internet.cp,
@@ -78,35 +57,29 @@ fn campaign(
             hdn_threshold: 9,
             jobs,
             faults: scenario.plan(),
-            scheduling,
             ..CampaignConfig::default()
         },
     )
 }
 
-/// One row per `(faults, scheduling)` entry of `matrix`, each a §4
-/// campaign at `JOBS` workers over `internet`.
-pub fn campaign_rows(
-    scale: &str,
-    internet: &Internet,
-    matrix: &[(FaultScenario, Scheduling)],
-) -> Vec<String> {
+/// One row per fault scenario of `matrix`, each a §4 campaign at
+/// `JOBS` workers over `internet`.
+pub fn campaign_rows(scale: &str, internet: &Internet, matrix: &[FaultScenario]) -> Vec<String> {
     matrix
         .iter()
-        .map(|&(scenario, scheduling)| {
-            let result = campaign(internet, JOBS, scenario, scheduling).run();
+        .map(|&scenario| {
+            let result = campaign(internet, JOBS, scenario).run();
             format!(
-                "{{\"row\": \"campaign {scale} {} {}\", \"jobs\": {JOBS}, {}}}",
+                "{{\"row\": \"campaign {scale} {}\", \"jobs\": {JOBS}, {}}}",
                 scenario.name(),
-                scheduling_name(scheduling),
                 result_fields(&result)
             )
         })
         .collect()
 }
 
-/// The row of one multi-process campaign: `workers` worker processes
-/// under the stealing executor, plus the shard totals over every
+/// The row of one multi-process campaign: `workers` worker processes,
+/// plus the shard totals over every
 /// dispatched phase. `worker_cmd` is the argv prefix re-invoked per
 /// worker (the caller supplies its own binary's worker mode); `cache`
 /// points every worker at a prewarmed substrate-cache file so no worker
@@ -132,7 +105,7 @@ pub fn distributed_row(
         keep_files: false,
         chaos_abort_worker: None,
     };
-    let result = campaign(internet, 1, FaultScenario::Clean, Scheduling::Stealing)
+    let result = campaign(internet, 1, FaultScenario::Clean)
         .run_distributed(&mut NullSink, &opts)
         .expect("distributed bench campaign");
     let _ = std::fs::remove_dir(&work_dir);
@@ -310,7 +283,7 @@ mod tests {
 
     fn rows() -> Vec<String> {
         vec![
-            "{\"row\": \"campaign tenfold clean batches\", \"jobs\": 2, \"probes\": 27146}".into(),
+            "{\"row\": \"campaign tenfold clean\", \"jobs\": 2, \"probes\": 27158}".into(),
             "{\"row\": \"walk tenfold\", \"traces\": 3694, \"probes\": 6011}".into(),
             "{\"row\": \"plane tenfold igp\", \"bytes\": 565640}".into(),
         ]

@@ -17,19 +17,19 @@
 //! # Execution model
 //!
 //! The campaign runs over an immutable, shared substrate
-//! ([`SubstrateRef`]: network + control plane + prefix tries). Each
-//! probing phase is defined once (`crate::phase`) and run by one
-//! driver on the executor the run selected: per-VP batches or work
-//! stealing across up to [`CampaignConfig::jobs`] threads
-//! (`crate::shard`), or worker processes ([`crate::distributed`]).
-//! Every phase assigns work per VP from the merged output of the
-//! previous phase and merges its results back in a fixed global order,
-//! so the same `(seed, topology)` produces **byte-identical** results
-//! ([`CampaignResult::report`]) at any thread or worker count. Under
-//! [`Scheduling::VpBatches`] each VP's long-lived session draws its
-//! fault RNG from `(seed, vp_index)` via [`wormhole_net::worker_seed`];
-//! under [`Scheduling::Stealing`] each task's hermetic session draws
-//! from `(seed, vp_index, task key)` via [`wormhole_net::trace_seed`].
+//! ([`SubstrateRef`]: network + control plane). Each probing phase is
+//! defined once (`crate::phase`) and every task of it runs
+//! hermetically: on a session restarted for the task, drawing its fault
+//! RNG from `(seed, vp_index, task key)` via
+//! [`wormhole_net::trace_seed`], and carrying no state to the next
+//! task. One driver hands the tasks to work stealing across up to
+//! [`CampaignConfig::jobs`] threads (`crate::shard`) or to worker
+//! processes ([`crate::distributed`]). Every phase assigns work per VP
+//! from the merged output of the previous phase and merges its results
+//! back in a fixed global order, so a report
+//! ([`CampaignResult::report`]) depends on the substrate and the
+//! config only: it is **byte-identical** at any thread or worker
+//! count, in process or not.
 
 use crate::distributed::{DistDispatcher, DistError, DistSummary, DistributedOpts};
 use crate::fingerprint::FingerprintTable;
@@ -39,10 +39,9 @@ use crate::shard;
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::time::Instant;
 use wormhole_net::{
-    Addr, Asn, ControlPlane, EngineStats, FaultPlan, Network, ProbeState, ReplyKind, RouterId,
-    SubstrateRef,
+    Addr, Asn, ControlPlane, EngineStats, FaultPlan, Network, ReplyKind, RouterId, SubstrateRef,
 };
-use wormhole_probe::{NullSink, Session, Trace, TraceSink, TracerouteOpts};
+use wormhole_probe::{NullSink, Trace, TraceSink, TracerouteOpts};
 use wormhole_topo::{ItdkBuilder, ItdkSnapshot, NodeInfo};
 
 /// Campaign parameters.
@@ -58,19 +57,13 @@ pub struct CampaignConfig {
     pub trace_opts: TracerouteOpts,
     /// Fault injection for every session.
     pub faults: FaultPlan,
-    /// Seed for fault randomness. Under [`Scheduling::VpBatches`] each
-    /// vantage point derives its own stream from `(seed, vp_index)`;
-    /// under [`Scheduling::Stealing`] each trace derives one from
+    /// Seed for fault randomness: each task derives its own stream from
     /// `(seed, vp_index, task key)`.
     pub seed: u64,
     /// Worker threads for the probing phases: `1` runs serially, `0`
     /// uses the machine's available parallelism. Results are identical
     /// for every value.
     pub jobs: usize,
-    /// How probing work is distributed over the worker threads; see
-    /// [`Scheduling`]. Either choice is deterministic in `jobs`; the two
-    /// differ from each other (different RNG stream granularity).
-    pub scheduling: Scheduling,
     /// Run the lint-before-simulate gate (deny `Error`-level static
     /// analysis findings, including the `D5xx` dense-plane verifier
     /// over the flat tables the walk runs on, so the plane is checked
@@ -111,7 +104,6 @@ impl Default for CampaignConfig {
             faults: FaultPlan::none(),
             seed: 0,
             jobs: 1,
-            scheduling: Scheduling::VpBatches,
             lint_gate: cfg!(debug_assertions),
             chaos_panic_vp: None,
             screen_revelations: true,
@@ -120,26 +112,15 @@ impl Default for CampaignConfig {
     }
 }
 
-/// How the probing phases distribute work over worker threads.
-///
-/// Both modes produce byte-identical reports at every `jobs` value;
-/// they are **not** byte-identical to each other, because they draw
-/// fault randomness at different granularity (one stream per VP vs one
-/// stream per trace).
-#[derive(Copy, Clone, PartialEq, Eq, Debug, Default)]
+/// A retired scheduler choice, kept only because the benchmark package
+/// (`perfbench/`) still names both values. Nothing in the campaign reads
+/// it: every campaign runs the one hermetic executor. The unblocking
+/// benchmark change in ROADMAP.md deletes it.
+#[derive(Copy, Clone, PartialEq, Eq, Debug)]
 pub enum Scheduling {
-    /// One long-lived [`Session`] per vantage point; each worker thread
-    /// owns a contiguous VP range for the whole phase. Fault RNG is one
-    /// stream per VP ([`wormhole_net::worker_seed`]). Balances poorly
-    /// when one VP owns the slow traces.
-    #[default]
+    /// Runs the hermetic executor.
     VpBatches,
-    /// Per-trace work stealing: every task goes into one shared
-    /// injector queue and idle workers claim the next task with an
-    /// atomic fetch-add. Each task runs in its own hermetic session
-    /// whose RNG stream is derived per `(seed, vp, target)`
-    /// ([`wormhole_net::trace_seed`]), so results are independent of
-    /// the steal interleaving.
+    /// Runs the hermetic executor.
     Stealing,
 }
 
@@ -248,9 +229,8 @@ pub struct CampaignResult {
     /// Probe packets per vantage-point shard (index-aligned with the
     /// campaign's vantage points; sums to `probes`).
     pub probes_by_vp: Vec<u64>,
-    /// Aggregated engine counters over every session the campaign ran
-    /// (per-VP sessions in batch mode, per-task hermetic sessions under
-    /// stealing). Deterministic at any `jobs` value; in
+    /// Aggregated engine counters over every hermetic task session the
+    /// campaign ran. Deterministic at any `jobs` value; in
     /// particular `heap_allocs` stays `0` — campaign sessions keep path
     /// recording off, so the whole probing walk is allocation-free.
     /// Excluded from [`Self::report`] (like [`Self::timings`]) to keep
@@ -261,8 +241,6 @@ pub struct CampaignResult {
     /// Vantage-point shards lost to worker panics; empty on a healthy
     /// run.
     pub degraded_shards: Vec<DegradedShard>,
-    /// The scheduling mode the campaign ran with.
-    pub scheduling: Scheduling,
     /// Whether the revelation-veracity screening pass ran
     /// ([`CampaignConfig::screen_revelations`]); the veracity tiers on
     /// [`Self::revelations`] are meaningful only when it did.
@@ -275,7 +253,7 @@ pub struct CampaignResult {
     pub timings: CampaignTimings,
     /// Per-phase running totals of the incremental snapshot builder
     /// (bootstrap, then the phase-4 probe traces). Deterministic at any
-    /// `jobs`/scheduling value, but excluded from
+    /// `jobs` value, but excluded from
     /// [`Self::report`] to keep existing transcripts stable.
     pub snapshot_deltas: Vec<SnapshotDelta>,
     /// Order-independent fingerprint of the builder's *final* state
@@ -310,24 +288,13 @@ impl CampaignResult {
     }
 }
 
-/// Which executor runs a campaign's probing phases.
-enum Executor<'s> {
-    /// One long-lived session per vantage point
-    /// ([`Scheduling::VpBatches`]), indexed by VP.
-    Batches(Vec<Session<'s>>),
-    /// Hermetic per-task sessions on worker threads
-    /// ([`Scheduling::Stealing`]).
-    Stealing,
-    /// Hermetic per-task sessions in worker processes
-    /// ([`Campaign::run_distributed`]).
-    Distributed(Box<DistDispatcher<'s>>),
-}
-
-/// Runs every probing phase of one campaign on its executor, and keeps
-/// what the phases share: which VPs are dead, the degraded-shard
-/// records, the engine counters per VP and the probing wall time.
+/// Runs every probing phase of one campaign, on worker threads or, for
+/// [`Campaign::run_distributed`], in worker processes, and keeps what
+/// the phases share: which VPs are dead, the degraded-shard records,
+/// the engine counters per VP and the probing wall time.
 struct Driver<'s> {
-    exec: Executor<'s>,
+    /// The worker processes, when the run is distributed.
+    dist: Option<DistDispatcher<'s>>,
     hermetic: shard::Hermetic<'s>,
     jobs: usize,
     dead: Vec<bool>,
@@ -342,14 +309,9 @@ struct Driver<'s> {
 impl<'s> Driver<'s> {
     fn new(campaign: &'s Campaign<'_>, dist: Option<DistDispatcher<'s>>) -> Driver<'s> {
         let cfg = &campaign.cfg;
-        let exec = match (dist, cfg.scheduling) {
-            (Some(d), _) => Executor::Distributed(Box::new(d)),
-            (None, Scheduling::Stealing) => Executor::Stealing,
-            (None, Scheduling::VpBatches) => Executor::Batches(campaign.sessions()),
-        };
         let n_vps = campaign.vps.len();
         Driver {
-            exec,
+            dist,
             hermetic: shard::Hermetic {
                 sub: campaign.sub,
                 vps: &campaign.vps,
@@ -376,14 +338,9 @@ impl<'s> Driver<'s> {
             .filter(|&&(vp, _)| !self.dead[vp])
             .copied()
             .collect();
-        let (lanes, stats) = match &mut self.exec {
-            Executor::Batches(sessions) => {
-                shard::run_vp_batches(sessions, phase, &queue, self.jobs)
-            }
-            Executor::Stealing => {
-                shard::run_stealing(&self.hermetic, phase, &queue, self.jobs, P::CHUNK)
-            }
-            Executor::Distributed(d) => d.dispatch(phase, &queue),
+        let (lanes, stats) = match &mut self.dist {
+            Some(d) => d.dispatch(phase, &queue),
+            None => shard::run_stealing(&self.hermetic, phase, &queue, self.jobs, P::CHUNK),
         };
         self.probe_seconds += started.elapsed().as_secs_f64();
         for (acc, s) in self.stats.iter_mut().zip(&stats) {
@@ -449,24 +406,6 @@ impl<'a> Campaign<'a> {
         self.sub.net
     }
 
-    /// One long-lived session per vantage point for
-    /// [`Scheduling::VpBatches`], linted once via the campaign gate
-    /// rather than per session. VP `i` draws its fault RNG from the
-    /// `(seed, i)` stream.
-    fn sessions(&self) -> Vec<Session<'a>> {
-        self.vps
-            .iter()
-            .enumerate()
-            .map(|(i, &vp)| {
-                let state =
-                    ProbeState::for_worker(self.cfg.faults.clone(), self.cfg.seed, i as u64);
-                let mut s = Session::over(self.sub, vp, state);
-                s.set_opts(self.cfg.trace_opts.clone());
-                s
-            })
-            .collect()
-    }
-
     /// Worker threads to use for this run.
     fn resolved_jobs(&self) -> usize {
         match self.cfg.jobs {
@@ -509,7 +448,7 @@ impl<'a> Campaign<'a> {
     /// [`Campaign::run`] with a streaming consumer attached: the merged
     /// phase-4 traces are forwarded to `sink` in global trace order
     /// (the same order [`CampaignResult::traces`] keeps them, so the
-    /// stream is byte-identical at every `jobs`/scheduling setting),
+    /// stream is byte-identical at every `jobs` setting),
     /// followed by one aggregate engine-stats delta for the whole run.
     /// Bootstrap traces are aggregated into the snapshot but, as in the
     /// paper's workflow, not retained or streamed. This is the single
@@ -519,26 +458,20 @@ impl<'a> Campaign<'a> {
         self.run_inner(sink, None)
     }
 
-    /// [`Campaign::run_streaming`] with every stealing probing phase
-    /// executed by worker *processes* instead of threads: the phase
+    /// [`Campaign::run_streaming`] with every probing phase executed by
+    /// worker *processes* instead of threads: the phase
     /// queue is partitioned by owning vantage point, each worker gets a
     /// shard-spec file and writes a canonical shard file back, and the
     /// master merges the files deterministically — see
     /// [`crate::distributed`] for the formats and the byte-identity
     /// argument. The returned result carries the cross-process
     /// accounting in [`CampaignResult::dist`]; its report is
-    /// byte-identical to an in-process `jobs = 1` stealing run.
-    ///
-    /// Requires [`Scheduling::Stealing`]: only per-task hermetic
-    /// sessions make a task independent of the process that ran it.
+    /// byte-identical to the in-process run's.
     pub fn run_distributed(
         &self,
         sink: &mut dyn TraceSink,
         opts: &DistributedOpts,
     ) -> Result<CampaignResult, DistError> {
-        if self.cfg.scheduling != Scheduling::Stealing {
-            return Err(DistError::NotStealing);
-        }
         let dispatcher = DistDispatcher::new(
             opts,
             self.vps.len(),
@@ -784,8 +717,8 @@ impl<'a> Campaign<'a> {
 
         // Veracity screening: grade every revelation against the merged
         // evidence (fingerprints include the hops pinged above). Runs on
-        // the merged result, so it is trivially independent of jobs,
-        // scheduling and batch width.
+        // the merged result, so it is trivially independent of jobs and
+        // workers.
         if self.cfg.screen_revelations {
             for ((_, y), out) in revelations.iter_mut() {
                 let rtl = match (te_obs.get(y), er_obs.get(y)) {
@@ -834,17 +767,13 @@ impl<'a> Campaign<'a> {
             engine_stats,
             trace_budget: self.cfg.trace_opts.probe_budget,
             degraded_shards: driver.degraded,
-            scheduling: self.cfg.scheduling,
             screened: self.cfg.screen_revelations,
             deceptive_faults: self.cfg.faults.is_deceptive(),
             timings,
             snapshot_deltas,
             snapshot_checksum,
             bootstrap_paths,
-            dist: match driver.exec {
-                Executor::Distributed(d) => Some(d.into_summary()),
-                _ => None,
-            },
+            dist: driver.dist.map(DistDispatcher::into_summary),
         }
     }
 }
@@ -1101,23 +1030,6 @@ mod tests {
     }
 
     #[test]
-    fn campaign_results_audit_clean() {
-        let internet = generate(&InternetConfig::small(11));
-        let cfg = CampaignConfig {
-            hdn_threshold: 6,
-            ..CampaignConfig::default()
-        };
-        let campaign = Campaign::new(&internet.net, &internet.cp, internet.vps.clone(), cfg);
-        let result = campaign.run();
-        let diags = audit_campaign(&internet.net, &result);
-        assert!(
-            !wormhole_lint::has_errors(&diags),
-            "{}",
-            wormhole_lint::render(&diags)
-        );
-    }
-
-    #[test]
     fn parallel_jobs_match_serial_byte_for_byte() {
         let internet = generate(&InternetConfig::small(11));
         let run = |jobs: usize| {
@@ -1142,92 +1054,56 @@ mod tests {
         assert_eq!(serial, run(4), "jobs=4 diverged from serial");
     }
 
+    /// `probes`, `probes_by_vp` and `engine_stats` all derive from the
+    /// driver's one per-VP counter record: they must agree with each
+    /// other, cover every phase-4 trace, and not move with the job
+    /// count.
     #[test]
-    fn stealing_jobs_match_serial_byte_for_byte() {
+    fn per_vp_counters_sum_to_the_engine_stats_at_any_job_count() {
         let internet = generate(&InternetConfig::small(11));
         let run = |jobs: usize| {
             let cfg = CampaignConfig {
                 hdn_threshold: 6,
-                faults: FaultPlan {
-                    loss: 0.02,
-                    icmp_loss: 0.01,
-                    jitter_ms: 0.5,
-                    ..FaultPlan::default()
-                },
+                faults: wormhole_net::FaultScenario::Hostile.plan(),
                 seed: 42,
                 jobs,
-                scheduling: Scheduling::Stealing,
                 ..CampaignConfig::default()
             };
-            Campaign::new(&internet.net, &internet.cp, internet.vps.clone(), cfg)
-                .run()
-                .report()
+            Campaign::new(&internet.net, &internet.cp, internet.vps.clone(), cfg).run()
         };
         let serial = run(1);
-        assert_eq!(serial, run(2), "stealing jobs=2 diverged from serial");
-        assert_eq!(serial, run(4), "stealing jobs=4 diverged from serial");
-    }
-
-    /// `probes`, `probes_by_vp` and `engine_stats` all derive from the
-    /// driver's one per-VP counter record: they must agree with each
-    /// other, cover every phase-4 trace, and not move with the job
-    /// count under either scheduler.
-    #[test]
-    fn per_vp_counters_sum_to_the_engine_stats_at_any_job_count() {
-        let internet = generate(&InternetConfig::small(11));
-        for scheduling in [Scheduling::VpBatches, Scheduling::Stealing] {
-            let run = |jobs: usize| {
-                let cfg = CampaignConfig {
-                    hdn_threshold: 6,
-                    faults: wormhole_net::FaultScenario::Hostile.plan(),
-                    seed: 42,
-                    jobs,
-                    scheduling,
-                    ..CampaignConfig::default()
-                };
-                Campaign::new(&internet.net, &internet.cp, internet.vps.clone(), cfg).run()
-            };
-            let serial = run(1);
-            let by_vp = &serial.probes_by_vp;
-            assert_eq!(by_vp.len(), internet.vps.len());
-            assert_eq!(by_vp.iter().sum::<u64>(), serial.engine_stats.probes);
-            assert_eq!(serial.probes, serial.engine_stats.probes);
-            assert!(
-                serial.engine_stats.lost > 0,
-                "{scheduling:?}: hostile run lost nothing"
-            );
-            let mut traced = vec![0u64; by_vp.len()];
-            for (&vp, t) in serial.trace_vps.iter().zip(&serial.traces) {
-                traced[vp] += u64::from(t.probes);
-            }
-            for (vp, (&all, &phase4)) in by_vp.iter().zip(&traced).enumerate() {
-                assert!(all > phase4, "{scheduling:?} vp {vp}: {all} <= {phase4}");
-            }
-            for jobs in [2, 4] {
-                let out = run(jobs);
-                assert_eq!(
-                    out.probes_by_vp, serial.probes_by_vp,
-                    "{scheduling:?} jobs={jobs}"
-                );
-                assert_eq!(
-                    out.engine_stats, serial.engine_stats,
-                    "{scheduling:?} jobs={jobs}"
-                );
-            }
+        let by_vp = &serial.probes_by_vp;
+        assert_eq!(by_vp.len(), internet.vps.len());
+        assert_eq!(by_vp.iter().sum::<u64>(), serial.engine_stats.probes);
+        assert_eq!(serial.probes, serial.engine_stats.probes);
+        assert!(serial.engine_stats.lost > 0, "hostile run lost nothing");
+        let mut traced = vec![0u64; by_vp.len()];
+        for (&vp, t) in serial.trace_vps.iter().zip(&serial.traces) {
+            traced[vp] += u64::from(t.probes);
+        }
+        for (vp, (&all, &phase4)) in by_vp.iter().zip(&traced).enumerate() {
+            assert!(all > phase4, "vp {vp}: {all} <= {phase4}");
+        }
+        for jobs in [2, 4] {
+            let out = run(jobs);
+            assert_eq!(out.probes_by_vp, serial.probes_by_vp, "jobs={jobs}");
+            assert_eq!(out.engine_stats, serial.engine_stats, "jobs={jobs}");
         }
     }
 
     #[test]
-    fn stealing_campaign_still_reveals_and_audits_clean() {
+    fn campaign_reveals_and_audits_clean() {
         let internet = generate(&InternetConfig::small(11));
         let cfg = CampaignConfig {
             hdn_threshold: 6,
-            scheduling: Scheduling::Stealing,
             ..CampaignConfig::default()
         };
         let campaign = Campaign::new(&internet.net, &internet.cp, internet.vps.clone(), cfg);
         let result = campaign.run();
-        assert!(result.tunnels().count() > 0, "stealing lost the tunnels");
+        assert!(
+            result.tunnels().count() > 0,
+            "the campaign lost the tunnels"
+        );
         assert_eq!(result.probes_by_vp.iter().sum::<u64>(), result.probes);
         assert!(result.probes_by_vp.iter().all(|&p| p > 0));
         let diags = audit_campaign(&internet.net, &result);

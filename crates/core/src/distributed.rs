@@ -2,12 +2,12 @@
 //! deterministic file-level merge.
 //!
 //! The master ([`crate::Campaign::run_distributed`]) runs the same
-//! serial analysis as an in-process campaign, but routes every
-//! [`crate::Scheduling::Stealing`] probing phase through a
-//! `DistDispatcher`: the phase's task queue is partitioned over `N`
-//! worker *processes* by owning vantage point (`vp % workers`), each
-//! worker receives one **shard-spec file** (`WHSP`), executes its
-//! subset with the stock stealing executor, and writes one canonical
+//! serial analysis as an in-process campaign, but routes every probing
+//! phase through a `DistDispatcher`: the phase's task queue is
+//! partitioned over `N` worker *processes* by owning vantage point
+//! (`vp % workers`), each worker receives one **shard-spec file**
+//! (`WHSP`), executes its subset with the in-process executor, and
+//! writes one canonical
 //! **shard file** (`WHSH`) back. The master validates and merges the
 //! shard files in worker order — a pure file-level merge with no
 //! shared memory at all.
@@ -21,7 +21,7 @@
 //!   function of `(campaign_seed, vp, task key)`
 //!   ([`wormhole_net::trace_seed`]). The spec's phase tag selects the
 //!   same phase definition the master ran, whose key derivation and
-//!   task body the worker runs through the same stealing executor, so a
+//!   task body the worker runs through the in-process executor, so a
 //!   task's probe sequence is independent of which *process* ran it.
 //!   Global task indices never leave the master: each result lane
 //!   answers its VP's tasks in the order they were sent.
@@ -318,10 +318,6 @@ pub struct DistributedOpts {
 /// shards and the campaign completes.
 #[derive(Debug)]
 pub enum DistError {
-    /// Distributed execution requires [`crate::Scheduling::Stealing`]:
-    /// only per-task hermetic sessions make a task's result independent
-    /// of the process that ran it.
-    NotStealing,
     /// `workers` was zero or `worker_cmd` was empty.
     NoWorkers,
     /// The work directory could not be created or written.
@@ -341,9 +337,6 @@ pub enum DistError {
 impl std::fmt::Display for DistError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            DistError::NotStealing => {
-                write!(f, "distributed campaigns require stealing scheduling")
-            }
             DistError::NoWorkers => write!(f, "need at least one worker and a worker command"),
             DistError::Io(e) => write!(f, "distributed work dir: {e}"),
             DistError::Spec { path, reason } => {
@@ -411,7 +404,7 @@ struct ShardFile<R> {
     stats: Vec<EngineStats>,
 }
 
-/// Routes the campaign's stealing phases to worker processes. Owned by
+/// Routes the campaign's probing phases to worker processes. Owned by
 /// [`crate::Campaign::run_distributed`] for the duration of one run.
 pub(crate) struct DistDispatcher<'o> {
     opts: &'o DistributedOpts,
@@ -764,8 +757,8 @@ fn spec_error(spec: &Path, reason: impl std::fmt::Display) -> DistError {
 
 /// Runs one worker process end to end: decode the spec, resolve the
 /// substrate through `resolve` (token, optional cache file + expected
-/// checksum), execute the phase's task subset serially with the stock
-/// stealing executor, and write the shard file atomically.
+/// checksum), execute the phase's task subset serially with the
+/// in-process executor, and write the shard file atomically.
 ///
 /// The caller (the CLI's `campaign-worker` subcommand) supplies
 /// `resolve` so this crate stays independent of how substrates are
@@ -828,7 +821,7 @@ pub fn worker_main(spec_path: &Path, resolve: &SubstrateResolver) -> Result<(), 
 }
 
 /// Decodes the spec's phase context and tasks, resolves the substrate,
-/// runs the tasks serially with the stock stealing executor, and
+/// runs the tasks serially with the in-process executor, and
 /// encodes the shard file.
 fn run_phase<P: Phase>(
     spec_path: &Path,

@@ -1,15 +1,14 @@
 //! The four probing phases of the §4 campaign, each defined once.
 //!
 //! A phase says what one task is, how the task's seed key is derived,
-//! and what running it on a session does. The campaign hands the same
-//! definition to whichever executor the run selected — vantage-point
-//! batches, in-process work stealing, or worker processes
-//! ([`crate::distributed`]) — so the executors differ only in where a
-//! task's session comes from and how its result travels back.
+//! and what running it on a hermetic session does. The campaign hands
+//! the same definition to in-process work stealing or to worker
+//! processes ([`crate::distributed`]), so the two differ only in where
+//! a task runs and how its result travels back.
 
 use crate::reveal::{reveal_between, RevealOpts, RevelationOutcome};
 use crate::shard::STEAL_CHUNK;
-use std::collections::{BTreeSet, HashSet};
+use std::collections::BTreeSet;
 use wormhole_net::wire::{Reader, Wire, WireError};
 use wormhole_net::{Addr, RouterId};
 use wormhole_probe::{AddrPath, PingResult, Session, Trace};
@@ -30,20 +29,11 @@ pub(crate) trait Phase: Wire + Sync {
     type Task: Copy + Send + Sync + Wire;
     /// What one task produces.
     type Out: Send + Wire;
-    /// State a task may read and extend: one value per task in hermetic
-    /// sessions, one per vantage-point batch under
-    /// [`crate::Scheduling::VpBatches`].
-    type Scratch: Default;
     /// The task's seed key: a hermetic session draws its fault RNG
     /// stream from `(campaign seed, vp, key)`.
     fn key(task: &Self::Task) -> u64;
-    /// Runs one task on `sess`.
-    fn run(
-        &self,
-        sess: &mut Session<'_>,
-        scratch: &mut Self::Scratch,
-        task: Self::Task,
-    ) -> Self::Out;
+    /// Runs one task on `sess`, a session restarted for the task.
+    fn run(&self, sess: &mut Session<'_>, task: Self::Task) -> Self::Out;
 }
 
 /// Folds a phase tag and up to two identifying values into a task's
@@ -82,13 +72,12 @@ impl Phase for Bootstrap {
     const LABEL: &'static str = "bootstrap";
     type Task = Addr;
     type Out = AddrPath;
-    type Scratch = ();
 
     fn key(t: &Addr) -> u64 {
         steal_key(Self::TAG, u64::from(t.0), 0)
     }
 
-    fn run(&self, sess: &mut Session<'_>, _: &mut (), t: Addr) -> AddrPath {
+    fn run(&self, sess: &mut Session<'_>, t: Addr) -> AddrPath {
         sess.addr_path(t)
     }
 }
@@ -98,13 +87,12 @@ impl Phase for Probe {
     const LABEL: &'static str = "probe";
     type Task = Addr;
     type Out = Trace;
-    type Scratch = ();
 
     fn key(t: &Addr) -> u64 {
         steal_key(Self::TAG, u64::from(t.0), 0)
     }
 
-    fn run(&self, sess: &mut Session<'_>, _: &mut (), t: Addr) -> Trace {
+    fn run(&self, sess: &mut Session<'_>, t: Addr) -> Trace {
         if let Some((idx, vp)) = self.chaos {
             assert!(sess.vp() != vp, "chaos: injected worker panic (vp {idx})");
         }
@@ -117,13 +105,12 @@ impl Phase for Fingerprint {
     const LABEL: &'static str = "fingerprint";
     type Task = Addr;
     type Out = PingResult;
-    type Scratch = ();
 
     fn key(a: &Addr) -> u64 {
         steal_key(Self::TAG, u64::from(a.0), 0)
     }
 
-    fn run(&self, sess: &mut Session<'_>, _: &mut (), a: Addr) -> PingResult {
+    fn run(&self, sess: &mut Session<'_>, a: Addr) -> PingResult {
         sess.ping(a)
     }
 }
@@ -137,25 +124,22 @@ impl Phase for Reveal {
     const CHUNK: usize = 1;
     type Task = (Addr, Addr, Addr);
     type Out = (RevelationOutcome, Vec<(Addr, Option<u8>)>);
-    /// The addresses already pinged by this session.
-    type Scratch = HashSet<Addr>;
 
     fn key(&(x, y, _): &(Addr, Addr, Addr)) -> u64 {
         steal_key(Self::TAG, u64::from(x.0), u64::from(y.0))
     }
 
-    fn run(
-        &self,
-        sess: &mut Session<'_>,
-        pinged: &mut HashSet<Addr>,
-        (x, y, d): (Addr, Addr, Addr),
-    ) -> Self::Out {
+    fn run(&self, sess: &mut Session<'_>, (x, y, d): (Addr, Addr, Addr)) -> Self::Out {
         let out = reveal_between(sess, x, y, d, &self.opts);
+        // Each revealed hop phase 4 did not discover is pinged once per
+        // task; `ers` is the dedup set (a looping segment can list one
+        // address twice).
         let mut ers: Vec<(Addr, Option<u8>)> = Vec::new();
         if let Some(t) = out.tunnel() {
             for step in &t.steps {
                 for h in &step.new_hops {
-                    if !self.discovered.contains(&h.addr) && pinged.insert(h.addr) {
+                    if !self.discovered.contains(&h.addr) && !ers.iter().any(|&(a, _)| a == h.addr)
+                    {
                         ers.push((h.addr, sess.ping(h.addr).reply_ip_ttl()));
                     }
                 }

@@ -25,7 +25,7 @@
 //! results, but it cannot launder an artifact into the corroborated
 //! tier.
 
-use crate::context::{campaign_config_for, campaign_over, internet_for, jobs_from_env, Scale};
+use crate::context::{campaign_config, campaign_over, internet_for, jobs_from_env, Scale};
 use crate::table3::{explicit_tunnels, replay_sessions, visible_internet, ExplicitTunnel};
 use crate::util::Report;
 use wormhole_core::{
@@ -359,12 +359,7 @@ pub fn run(quick: bool) -> Report {
 /// screen/audit divergence and fails the artifact check.
 pub fn audit_findings_json() -> String {
     let internet = internet_for(Scale::Quick, 8);
-    let cfg = campaign_config_for(
-        Scale::Quick,
-        jobs_from_env(),
-        FaultScenario::Paranoid,
-        wormhole_core::Scheduling::VpBatches,
-    );
+    let cfg = campaign_config(Scale::Quick, jobs_from_env(), FaultScenario::Paranoid);
     let result = campaign_over(&internet, &cfg, &mut NullSink);
     let mut diags = audit_campaign(&internet.net, &result);
     wormhole_lint::normalize(&mut diags);

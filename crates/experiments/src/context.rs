@@ -77,20 +77,6 @@ pub fn jobs_from_env() -> usize {
         .unwrap_or(1)
 }
 
-/// Reads `WORMHOLE_SCHED=batches|stealing` (default `batches`). Both
-/// settings are deterministic in `jobs`; stealing balances better when
-/// a few vantage points own the slow traces. Unknown names abort loudly.
-pub fn scheduling_from_env() -> Scheduling {
-    match std::env::var("WORMHOLE_SCHED") {
-        Ok(name) => match name.as_str() {
-            "batches" | "BATCHES" => Scheduling::VpBatches,
-            "stealing" | "STEALING" => Scheduling::Stealing,
-            _ => panic!("WORMHOLE_SCHED={name}: expected batches or stealing"),
-        },
-        Err(_) => Scheduling::VpBatches,
-    }
-}
-
 /// Reads `WORMHOLE_FAULTS` (default `clean`), accepting any
 /// [`FaultScenario::ALL`] name. Unknown names abort loudly — listing
 /// the valid scenarios — rather than silently running a clean campaign
@@ -198,12 +184,7 @@ pub fn internet_for(scale: Scale, seed: u64) -> Internet {
 /// runs at a given scale: the quick scale lowers the HDN threshold so
 /// the small Internet still yields candidates; everything else follows
 /// the paper's §4 parameters.
-pub fn campaign_config_for(
-    scale: Scale,
-    jobs: usize,
-    scenario: FaultScenario,
-    scheduling: Scheduling,
-) -> CampaignConfig {
+pub fn campaign_config(scale: Scale, jobs: usize, scenario: FaultScenario) -> CampaignConfig {
     CampaignConfig {
         hdn_threshold: match scale {
             Scale::Quick => 6,
@@ -211,9 +192,21 @@ pub fn campaign_config_for(
         },
         jobs,
         faults: scenario.plan(),
-        scheduling,
         ..CampaignConfig::default()
     }
+}
+
+/// [`campaign_config`] under its old four-argument signature, kept only
+/// because the benchmark package (`perfbench/`) still calls it; the
+/// [`Scheduling`] value is ignored. The unblocking benchmark change in
+/// ROADMAP.md deletes it.
+pub fn campaign_config_for(
+    scale: Scale,
+    jobs: usize,
+    scenario: FaultScenario,
+    _: Scheduling,
+) -> CampaignConfig {
+    campaign_config(scale, jobs, scenario)
 }
 
 /// Runs one §4 campaign over an already-built Internet, streaming
@@ -248,47 +241,30 @@ pub struct PaperContext {
 }
 
 impl PaperContext {
-    /// Generates the context at the given scale with the default seed
-    /// and the `WORMHOLE_JOBS` worker count.
+    /// Generates the context at the given scale with the default seed,
+    /// the `WORMHOLE_JOBS` worker count and the `WORMHOLE_FAULTS`
+    /// scenario (default clean).
     pub fn generate(scale: Scale) -> PaperContext {
-        PaperContext::generate_seeded(scale, 8)
-    }
-
-    /// Generates the context with an explicit seed and the
-    /// `WORMHOLE_JOBS` worker count.
-    pub fn generate_seeded(scale: Scale, seed: u64) -> PaperContext {
-        PaperContext::generate_with(scale, seed, jobs_from_env())
+        PaperContext::generate_with(scale, 8, jobs_from_env())
     }
 
     /// Generates the context with an explicit seed and worker count,
     /// under the `WORMHOLE_FAULTS` scenario (default clean).
     pub fn generate_with(scale: Scale, seed: u64, jobs: usize) -> PaperContext {
-        PaperContext::generate_faulted(scale, seed, jobs, faults_from_env())
-    }
-
-    /// Generates the context with an explicit fault scenario — the §4
-    /// campaign runs under the scenario's plan, and the result stays
-    /// byte-identical at every `jobs` setting.
-    pub fn generate_faulted(
-        scale: Scale,
-        seed: u64,
-        jobs: usize,
-        scenario: FaultScenario,
-    ) -> PaperContext {
-        PaperContext::generate_full(scale, seed, jobs, scenario, scheduling_from_env())
+        PaperContext::generate_full(scale, seed, jobs, faults_from_env())
     }
 
     /// Generates the context with every knob explicit: scale, seed,
-    /// worker count, fault scenario, and scheduling mode.
+    /// worker count and fault scenario. The result is byte-identical at
+    /// every `jobs` setting.
     pub fn generate_full(
         scale: Scale,
         seed: u64,
         jobs: usize,
         scenario: FaultScenario,
-        scheduling: Scheduling,
     ) -> PaperContext {
         let internet = internet_for(scale, seed);
-        let campaign_cfg = campaign_config_for(scale, jobs, scenario, scheduling);
+        let campaign_cfg = campaign_config(scale, jobs, scenario);
         let result = campaign_over(&internet, &campaign_cfg, &mut NullSink);
         let lint_lines = lint_summary(&internet, &result);
         PaperContext {

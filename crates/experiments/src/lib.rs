@@ -26,7 +26,7 @@ pub mod table6;
 pub mod util;
 
 pub use context::{
-    campaign_config_for, campaign_over, faults_from_env, internet_config_for, internet_for,
-    jobs_from_env, resolve_worker_substrate, scheduling_from_env, PaperContext, Scale,
+    campaign_config, campaign_config_for, campaign_over, faults_from_env, internet_config_for,
+    internet_for, jobs_from_env, resolve_worker_substrate, PaperContext, Scale,
 };
 pub use util::Report;

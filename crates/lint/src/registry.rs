@@ -273,7 +273,7 @@ pub static RULES: &[RuleInfo] = &[
         family: Family::Audit,
         severity: Severity::Error,
         summary: "distributed shard ledger out of balance",
-        explanation: "A distributed campaign partitions each stealing phase across worker \
+        explanation: "A distributed campaign partitions each probing phase across worker \
                       processes and merges their shard files. The ledger must balance: \
                       received + missing == dispatched, no duplicate shard merges, and the \
                       probes summed over received shard files equal the campaign total \

@@ -511,7 +511,7 @@ impl FaultScenario {
     }
 }
 
-/// SplitMix64 finalizer — the shared bit mixer behind worker seeds and
+/// SplitMix64 finalizer — the shared bit mixer behind trace seeds and
 /// the pure subset-selection hashes.
 fn mix(a: u64, b: u64) -> u64 {
     let mut z = a ^ b.wrapping_mul(0x9E37_79B9_7F4A_7C15);
@@ -528,14 +528,6 @@ fn in_share(salt: u64, id: u64, share: f64) -> bool {
         return false;
     }
     ((mix(salt, id.wrapping_add(1)) >> 11) as f64 / (1u64 << 53) as f64) < share
-}
-
-/// Derives the RNG seed for campaign worker `worker_id` from the
-/// campaign seed — a SplitMix64 finalizer over the pair, so adjacent
-/// worker ids land on statistically unrelated streams and the mapping
-/// is stable across platforms and thread counts.
-pub fn worker_seed(campaign_seed: u64, worker_id: u64) -> u64 {
-    mix(campaign_seed, worker_id)
 }
 
 /// Derives the RNG seed for one trace of a campaign from
@@ -756,14 +748,6 @@ mod tests {
     }
 
     #[test]
-    fn worker_seed_is_stable_and_spread() {
-        assert_eq!(worker_seed(8, 3), worker_seed(8, 3));
-        let seeds: std::collections::HashSet<u64> = (0..64).map(|w| worker_seed(1717, w)).collect();
-        assert_eq!(seeds.len(), 64, "worker streams must not collide");
-        assert_ne!(worker_seed(0, 0), worker_seed(1, 0));
-    }
-
-    #[test]
     fn trace_seed_depends_only_on_the_triple() {
         // Stable, and spread across every axis of (seed, vp, target).
         assert_eq!(trace_seed(42, 3, 9), trace_seed(42, 3, 9));
@@ -776,7 +760,5 @@ mod tests {
             }
         }
         assert_eq!(seeds.len(), 4 * 8 * 32, "trace streams must not collide");
-        // Distinct from the per-worker stream family on the same ids.
-        assert_ne!(trace_seed(42, 3, 9), worker_seed(42, 3));
     }
 }

@@ -75,8 +75,8 @@ pub use control::{
 pub use engine::{DropReason, Engine, EngineStats, ReplyInfo, ReplyKind, SendOutcome};
 pub use error::NetError;
 pub use fault::{
-    trace_seed, worker_seed, EgressHide, FaultPlan, FaultScenario, FlapSchedule, NonParisLb,
-    RateLimit, SilentSet, TtlSpoof,
+    trace_seed, EgressHide, FaultPlan, FaultScenario, FlapSchedule, NonParisLb, RateLimit,
+    SilentSet, TtlSpoof,
 };
 pub use hash::{WordHasher, WordMap};
 pub use ids::{Asn, Label, LinkId, PortRef, RouterId};
@@ -89,6 +89,6 @@ pub use packet::{IcmpPayload, LabelStack, Lse, Packet};
 pub use prefixes::AsPrefixes;
 pub use router::{Interface, Router, RouterConfig};
 pub use state::{ProbeState, PROBE_PACING_MS};
-pub use substrate::{Substrate, SubstrateRef};
+pub use substrate::SubstrateRef;
 pub use te::TeTunnel;
 pub use vendor::{LdpPolicy, PoppingMode, Vendor};

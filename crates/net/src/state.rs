@@ -7,15 +7,14 @@
 //! campaign worker owns its state outright and no locking or
 //! cross-worker ordering is ever needed.
 //!
-//! Reproducibility contract: a worker's RNG stream is a pure function
-//! of `(campaign_seed, worker_id)` via [`crate::fault::worker_seed`],
-//! and its virtual clock advances only through that worker's own probe
-//! pacing and explicit backoff waits, so campaign results are
-//! byte-identical at any thread count as long as each worker processes
-//! its own task list in a fixed order.
+//! Reproducibility contract: a state's RNG stream is a pure function of
+//! the seed it was built or reset with (a campaign derives one per task
+//! via [`crate::fault::trace_seed`]), and its virtual clock advances
+//! only through its own probe pacing and explicit backoff waits, so a
+//! task's probes do not depend on which thread runs it.
 
 use crate::engine::EngineStats;
-use crate::fault::{worker_seed, FaultPlan, RateLimit};
+use crate::fault::{FaultPlan, RateLimit};
 use crate::ids::RouterId;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -70,8 +69,8 @@ enum IcmpClass {
 }
 
 /// The mutable half of a probing engine: fault plan, RNG stream,
-/// virtual clock, rate-limiter buckets and counters. Cheap to create —
-/// one per vantage-point worker.
+/// virtual clock, rate-limiter buckets and counters. A campaign worker
+/// keeps one and [`ProbeState::reset`]s it for every task.
 #[derive(Clone, Debug)]
 pub struct ProbeState {
     /// Fault injection configuration.
@@ -97,14 +96,6 @@ impl ProbeState {
             now_ms: 0.0,
             buckets: HashMap::new(),
         }
-    }
-
-    /// State for campaign worker `worker_id`: the RNG stream is derived
-    /// from `(campaign_seed, worker_id)` so every worker draws from its
-    /// own deterministic stream regardless of how workers are scheduled
-    /// onto threads.
-    pub fn for_worker(faults: FaultPlan, campaign_seed: u64, worker_id: u64) -> ProbeState {
-        ProbeState::new(faults, worker_seed(campaign_seed, worker_id))
     }
 
     /// Resets the state to what `ProbeState::new(faults, seed)` builds
@@ -179,15 +170,20 @@ mod tests {
     use rand::RngCore;
 
     #[test]
-    fn worker_states_draw_distinct_streams() {
-        let mut a = ProbeState::for_worker(FaultPlan::none(), 7, 0);
-        let mut b = ProbeState::for_worker(FaultPlan::none(), 7, 1);
-        let mut a2 = ProbeState::for_worker(FaultPlan::none(), 7, 0);
-        let xs: Vec<u64> = (0..4).map(|_| a.rng.get().next_u64()).collect();
-        let ys: Vec<u64> = (0..4).map(|_| b.rng.get().next_u64()).collect();
-        let xs2: Vec<u64> = (0..4).map(|_| a2.rng.get().next_u64()).collect();
-        assert_eq!(xs, xs2, "same (seed, worker) ⇒ same stream");
-        assert_ne!(xs, ys, "different workers ⇒ different streams");
+    fn a_reset_state_replays_a_new_states_stream() {
+        let draw =
+            |st: &mut ProbeState| -> Vec<u64> { (0..4).map(|_| st.rng.get().next_u64()).collect() };
+        let mut a = ProbeState::new(FaultPlan::none(), 7);
+        let xs = draw(&mut a);
+        assert_ne!(
+            xs,
+            draw(&mut ProbeState::new(FaultPlan::none(), 8)),
+            "different seeds ⇒ different streams"
+        );
+        a.tick_probe();
+        a.reset(7);
+        assert_eq!(a.now_ms, 0.0);
+        assert_eq!(draw(&mut a), xs, "a reset replays the seed's stream");
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! The immutable measurement substrate: a built [`Network`] plus its
-//! computed [`ControlPlane`], bundled so they can be shared — by
-//! reference between scoped campaign workers, or by [`Arc`] handle
-//! between owners with independent lifetimes.
+//! computed [`ControlPlane`], bundled so they can be shared by
+//! reference between scoped campaign workers.
 //!
 //! The split this module anchors is the one the parallel campaign
 //! relies on: everything topology- and routing-shaped is **immutable
@@ -12,9 +11,7 @@
 //! substrate across threads needs no locks.
 
 use crate::control::ControlPlane;
-use crate::error::NetError;
 use crate::net::Network;
-use std::sync::Arc;
 
 /// A borrowed view of the substrate: the cheap, `Copy` handle that
 /// [`crate::engine::Engine`] (and everything above it) forwards over.
@@ -36,57 +33,6 @@ impl<'a> SubstrateRef<'a> {
     }
 }
 
-struct SubstrateInner {
-    net: Network,
-    cp: ControlPlane,
-}
-
-/// An owned, reference-counted substrate: build the network and its
-/// control plane once, then clone the handle freely — clones are an
-/// `Arc` bump, and every clone sees the same immutable routing state.
-#[derive(Clone)]
-pub struct Substrate {
-    inner: Arc<SubstrateInner>,
-}
-
-impl std::fmt::Debug for Substrate {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Substrate")
-            .field("routers", &self.inner.net.routers().len())
-            .finish()
-    }
-}
-
-impl Substrate {
-    /// Builds the control plane for `net` and wraps both.
-    pub fn build(net: Network) -> Result<Substrate, NetError> {
-        let cp = ControlPlane::build(&net)?;
-        Ok(Substrate::from_parts(net, cp))
-    }
-
-    /// Wraps an already-computed control plane with its network.
-    pub fn from_parts(net: Network, cp: ControlPlane) -> Substrate {
-        Substrate {
-            inner: Arc::new(SubstrateInner { net, cp }),
-        }
-    }
-
-    /// The network.
-    pub fn net(&self) -> &Network {
-        &self.inner.net
-    }
-
-    /// The control plane.
-    pub fn cp(&self) -> &ControlPlane {
-        &self.inner.cp
-    }
-
-    /// A borrowed view, as consumed by engines and sessions.
-    pub fn as_ref(&self) -> SubstrateRef<'_> {
-        SubstrateRef::new(&self.inner.net, &self.inner.cp)
-    }
-}
-
 // Compile-time audit: the shared substrate must be immutable-shareable
 // across campaign workers. If anyone introduces interior mutability
 // (Cell, RefCell, Rc) into the topology or routing layers, these
@@ -95,7 +41,6 @@ const _: () = {
     const fn assert_sync_send<T: Sync + Send>() {}
     assert_sync_send::<Network>();
     assert_sync_send::<ControlPlane>();
-    assert_sync_send::<Substrate>();
     assert_sync_send::<SubstrateRef<'_>>();
 };
 
@@ -116,19 +61,10 @@ mod tests {
     }
 
     #[test]
-    fn handle_clones_share_one_substrate() {
-        let sub = Substrate::build(two_router_net()).expect("control plane");
-        let clone = sub.clone();
-        assert!(std::ptr::eq(sub.net(), clone.net()));
-        assert!(std::ptr::eq(sub.cp(), clone.cp()));
-        let r = sub.as_ref();
-        assert!(std::ptr::eq(r.net, sub.net()));
-    }
-
-    #[test]
     fn substrate_is_readable_from_scoped_threads() {
-        let sub = Substrate::build(two_router_net()).expect("control plane");
-        let sref = sub.as_ref();
+        let net = two_router_net();
+        let cp = ControlPlane::build(&net).expect("control plane");
+        let sref = SubstrateRef::new(&net, &cp);
         let n = std::thread::scope(|s| {
             let h1 = s.spawn(move || sref.net.routers().len());
             let h2 = s.spawn(move || sref.net.routers().len());

@@ -39,40 +39,19 @@ impl TraceSink for NullSink {
     fn on_trace(&mut self, _vp: usize, _trace: &Trace) {}
 }
 
-/// The difference between two cumulative counter snapshots (all fields
-/// are monotone counters, so `after - before` is well-defined).
-pub fn stats_delta(before: &EngineStats, after: &EngineStats) -> EngineStats {
-    EngineStats {
-        probes: after.probes - before.probes,
-        crossings: after.crossings - before.crossings,
-        replies: after.replies - before.replies,
-        lost: after.lost - before.lost,
-        heap_allocs: after.heap_allocs - before.heap_allocs,
-    }
-}
-
-/// Streams traces as JSON Lines: one self-contained JSON object per
-/// line, hand-rendered with a fixed field order so the same campaign
-/// emits byte-identical streams from the CLI and from `wormhole-serve`.
+/// Streams a campaign as JSON Lines: one self-contained JSON object per
+/// line — [`phase_jsonl`] markers, [`trace_jsonl`] traces and
+/// [`stats_jsonl`] counter deltas — hand-rendered with a fixed field
+/// order so the same campaign emits byte-identical streams from the CLI
+/// and from `wormhole-serve`.
 pub struct JsonlSink<W: Write> {
     out: W,
-    emit_stats: bool,
 }
 
 impl<W: Write> JsonlSink<W> {
-    /// A sink writing trace lines to `out`.
+    /// A sink writing lines to `out`.
     pub fn new(out: W) -> JsonlSink<W> {
-        JsonlSink {
-            out,
-            emit_stats: false,
-        }
-    }
-
-    /// Also emit `{"type":"stats",...}` delta lines and
-    /// `{"type":"phase",...}` markers.
-    pub fn with_stats(mut self) -> JsonlSink<W> {
-        self.emit_stats = true;
-        self
+        JsonlSink { out }
     }
 
     /// Unwraps the writer.
@@ -87,15 +66,11 @@ impl<W: Write> TraceSink for JsonlSink<W> {
     }
 
     fn on_stats(&mut self, delta: &EngineStats) {
-        if self.emit_stats {
-            let _ = writeln!(self.out, "{}", stats_jsonl(delta));
-        }
+        let _ = writeln!(self.out, "{}", stats_jsonl(delta));
     }
 
     fn on_phase(&mut self, phase: &str) {
-        if self.emit_stats {
-            let _ = writeln!(self.out, "{{\"type\":\"phase\",\"phase\":\"{phase}\"}}");
-        }
+        let _ = writeln!(self.out, "{}", phase_jsonl(phase));
     }
 }
 
@@ -169,6 +144,12 @@ pub fn trace_jsonl(vp: usize, t: &Trace) -> String {
     s
 }
 
+/// Renders a phase boundary marker as a single JSON line. Phase names
+/// are fixed labels that need no escaping.
+pub fn phase_jsonl(phase: &str) -> String {
+    format!("{{\"type\":\"phase\",\"phase\":\"{phase}\"}}")
+}
+
 /// Renders an engine-counter delta as a single JSON line.
 pub fn stats_jsonl(d: &EngineStats) -> String {
     format!(
@@ -227,7 +208,7 @@ mod tests {
 
     #[test]
     fn jsonl_sink_writes_lines() {
-        let mut sink = JsonlSink::new(Vec::new()).with_stats();
+        let mut sink = JsonlSink::new(Vec::new());
         sink.on_phase("probe");
         sink.on_trace(0, &sample());
         sink.on_stats(&EngineStats {
@@ -247,29 +228,5 @@ mod tests {
             "{\"type\":\"stats\",\"probes\":4,\"crossings\":9,\"replies\":3,\"lost\":1,\
              \"heap_allocs\":0}"
         );
-    }
-
-    #[test]
-    fn delta_subtracts_fieldwise() {
-        let before = EngineStats {
-            probes: 10,
-            crossings: 50,
-            replies: 8,
-            lost: 2,
-            heap_allocs: 0,
-        };
-        let mut after = before.clone();
-        after.merge(&EngineStats {
-            probes: 5,
-            crossings: 21,
-            replies: 4,
-            lost: 1,
-            heap_allocs: 0,
-        });
-        let d = stats_delta(&before, &after);
-        assert_eq!(d.probes, 5);
-        assert_eq!(d.crossings, 21);
-        assert_eq!(d.replies, 4);
-        assert_eq!(d.lost, 1);
     }
 }

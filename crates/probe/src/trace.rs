@@ -235,12 +235,17 @@ impl Trace {
     /// never revisits a router, so a non-zero count is positive evidence
     /// of a forged loop/cycle artifact (a non-Paris load balancer
     /// forking the per-probe path; Viger et al.).
+    ///
+    /// A trace holds at most a few dozen hops, so each hop scans the
+    /// earlier ones instead of building a set.
     pub fn revisits(&self) -> usize {
-        let mut seen = std::collections::HashSet::new();
         self.hops
             .iter()
-            .filter_map(|h| h.addr)
-            .filter(|&a| !seen.insert(a))
+            .enumerate()
+            .filter(|&(i, h)| {
+                h.addr
+                    .is_some_and(|a| self.hops[..i].iter().any(|e| e.addr == Some(a)))
+            })
             .count()
     }
 
@@ -371,5 +376,13 @@ mod tests {
         assert_eq!(t.revisits(), 1);
         t.hops.push(hop(5, 1));
         assert_eq!(t.revisits(), 2);
+    }
+
+    #[test]
+    fn stars_are_never_revisits() {
+        let mut t = sample();
+        t.hops.push(TraceHop::star(4));
+        assert_eq!(t.stars(), 2);
+        assert_eq!(t.revisits(), 0);
     }
 }

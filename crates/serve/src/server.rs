@@ -19,10 +19,10 @@ use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
-use wormhole_core::{CampaignConfig, Scheduling};
-use wormhole_experiments::{campaign_config_for, campaign_over, internet_for, Scale};
+use wormhole_core::CampaignConfig;
+use wormhole_experiments::{campaign_config, campaign_over, internet_for, Scale};
 use wormhole_net::{Addr, FaultScenario};
-use wormhole_probe::{trace_jsonl, Session, TraceSink, TracerouteOpts};
+use wormhole_probe::{phase_jsonl, stats_jsonl, trace_jsonl, Session, TraceSink, TracerouteOpts};
 use wormhole_topo::Internet;
 
 /// How a server instance is configured.
@@ -68,8 +68,6 @@ pub enum Request {
         jobs: usize,
         /// `faults`, a [`FaultScenario`] name, default `clean`.
         faults: FaultScenario,
-        /// `scheduling`, `batches` (the default) or `stealing`.
-        scheduling: Scheduling,
         /// `stream`: send per-trace frames before the report, default
         /// true.
         stream: bool,
@@ -138,34 +136,40 @@ impl Request {
                 },
                 vp: whole("vp", 0)?,
             },
-            _ => Request::Campaign {
-                scale,
-                jobs: whole("jobs", 1)?,
-                faults: named(
+            _ => {
+                let jobs = whole("jobs", 1)?;
+                let faults = named(
                     get("faults"),
                     "fault scenario",
                     FaultScenario::Clean,
                     FaultScenario::parse,
-                )?,
-                // The `WORMHOLE_SCHED` vocabulary; anything else is an
-                // error, never a silent fallback to VP batches.
-                scheduling: match get("scheduling") {
-                    None => Scheduling::VpBatches,
-                    Some((Value::Str(s), _)) if s.is("batches") => Scheduling::VpBatches,
-                    Some((Value::Str(s), _)) if s.is("stealing") => Scheduling::Stealing,
+                )?;
+                // `scheduling` names a retired scheduler choice that no
+                // campaign reads, so it is checked and dropped. Only the
+                // benchmark package still sends it; the unblocking
+                // benchmark change in ROADMAP.md deletes the key.
+                match get("scheduling") {
+                    None => {}
+                    Some((Value::Str(s), _)) if s.is("batches") || s.is("stealing") => {}
                     Some((_, raw)) => {
                         let expected = "(expected batches or stealing)";
                         return Err(format!("unknown scheduling {raw} {expected}"));
                     }
-                },
-                stream: match get("stream") {
+                }
+                let stream = match get("stream") {
                     None => true,
                     Some((Value::Bool(stream), _)) => stream,
                     Some((_, raw)) => {
                         return Err(format!("stream must be true or false, got {raw}"))
                     }
-                },
-            },
+                };
+                Request::Campaign {
+                    scale,
+                    jobs,
+                    faults,
+                    stream,
+                }
+            }
         })
     }
 }
@@ -322,10 +326,9 @@ impl Server {
                 scale,
                 jobs,
                 faults,
-                scheduling,
                 stream,
             }) => {
-                let cfg = campaign_config_for(scale, jobs, faults, scheduling);
+                let cfg = campaign_config(scale, jobs, faults);
                 self.run_campaign(req, scale, &cfg, stream, w)?;
             }
             Ok(Request::Trace { scale, dst, vp }) => self.run_trace(scale, dst, vp, w)?,
@@ -452,10 +455,10 @@ impl Server {
     }
 }
 
-/// Streams campaign traces as protocol frames: the serve-side twin of
-/// the CLI's `JsonlSink` — both emit [`trace_jsonl`] lines, so a serve
-/// session and `wormhole-cli campaign --emit jsonl` agree byte for
-/// byte on every trace line.
+/// Streams a campaign as protocol frames: the serve-side twin of the
+/// CLI's `JsonlSink` — both render every line with [`phase_jsonl`],
+/// [`trace_jsonl`] and [`stats_jsonl`], so a serve session and
+/// `wormhole-cli campaign --emit jsonl` agree byte for byte.
 struct FrameSink<'a, W: Write> {
     out: &'a mut W,
 }
@@ -466,14 +469,11 @@ impl<W: Write> TraceSink for FrameSink<'_, W> {
     }
 
     fn on_stats(&mut self, delta: &wormhole_net::EngineStats) {
-        let _ = write_frame(self.out, &wormhole_probe::sink::stats_jsonl(delta));
+        let _ = write_frame(self.out, &stats_jsonl(delta));
     }
 
     fn on_phase(&mut self, phase: &str) {
-        let _ = write_frame(
-            self.out,
-            &format!("{{\"type\":\"phase\",\"phase\":\"{phase}\"}}"),
-        );
+        let _ = write_frame(self.out, &phase_jsonl(phase));
     }
 }
 

@@ -4,7 +4,6 @@
 //! a silent default.
 
 use proptest::prelude::*;
-use wormhole_core::Scheduling;
 use wormhole_experiments::Scale;
 use wormhole_net::{Addr, FaultScenario};
 use wormhole_serve::Request;
@@ -16,11 +15,12 @@ const EVERY_SCALE: [Scale; 4] = [
     Scale::ThousandFold,
 ];
 
-/// The request that drawn `(cmd, scale, jobs, fault)` and `(stealing,
-/// stream, dst, vp)` pick.
+/// The request that drawn `(cmd, scale, jobs, fault)` and `(_, stream,
+/// dst, vp)` pick; the first bool of `b` picks the `scheduling` value
+/// [`fields`] sends.
 fn request(
     (cmd, scale, jobs, fault): (u8, usize, usize, usize),
-    (stealing, stream, dst, vp): (bool, bool, u32, usize),
+    (_, stream, dst, vp): (bool, bool, u32, usize),
 ) -> Request {
     let scale = EVERY_SCALE[scale % EVERY_SCALE.len()];
     match cmd % 6 {
@@ -37,11 +37,6 @@ fn request(
             scale,
             jobs,
             faults: FaultScenario::ALL[fault % FaultScenario::ALL.len()],
-            scheduling: if stealing {
-                Scheduling::Stealing
-            } else {
-                Scheduling::VpBatches
-            },
             stream,
         },
     }
@@ -58,8 +53,10 @@ fn string(s: &str, escaped: bool) -> String {
 }
 
 /// The request's `(key, value text)` fields, `cmd` first. A field at
-/// its default is sent only when its bit in `keep` is set.
-fn fields(r: &Request, keep: u8, escaped: bool) -> Vec<(&'static str, String)> {
+/// its default is sent only when its bit in `keep` is set. A campaign's
+/// `scheduling` key, which decodes to nothing, is sent the same way,
+/// as `stealing` or `batches`.
+fn fields(r: &Request, stealing: bool, keep: u8, escaped: bool) -> Vec<(&'static str, String)> {
     let s = |v: &str| string(v, escaped);
     let scale = |scale: Scale| ("scale", s(scale.name()), scale == Scale::Quick);
     let (cmd, optional) = match *r {
@@ -79,10 +76,8 @@ fn fields(r: &Request, keep: u8, escaped: bool) -> Vec<(&'static str, String)> {
             scale: sc,
             jobs,
             faults,
-            scheduling,
             stream,
         } => {
-            let stealing = scheduling == Scheduling::Stealing;
             let sched = if stealing { "stealing" } else { "batches" };
             (
                 "campaign",
@@ -90,7 +85,7 @@ fn fields(r: &Request, keep: u8, escaped: bool) -> Vec<(&'static str, String)> {
                     scale(sc),
                     ("jobs", jobs.to_string(), jobs == 1),
                     ("faults", s(faults.name()), faults == FaultScenario::Clean),
-                    ("scheduling", s(sched), !stealing),
+                    ("scheduling", s(sched), true),
                     ("stream", stream.to_string(), stream),
                 ],
             )
@@ -145,7 +140,7 @@ proptest! {
     ) {
         let (keep, turn, spaced, escaped) = shape;
         let req = request(a, b);
-        let text = frame(&fields(&req, keep, escaped), turn, spaced);
+        let text = frame(&fields(&req, b.0, keep, escaped), turn, spaced);
         prop_assert_eq!(Request::decode(&text), Ok(req));
     }
 
@@ -156,7 +151,7 @@ proptest! {
         shape in (any::<u8>(), 0usize..8, any::<bool>(), any::<bool>()),
     ) {
         let (keep, turn, spaced, escaped) = shape;
-        let text = frame(&fields(&request(a, b), keep, escaped), turn, spaced);
+        let text = frame(&fields(&request(a, b), b.0, keep, escaped), turn, spaced);
         for cut in 0..text.len() {
             let decoded = Request::decode(&text[..cut]);
             prop_assert!(decoded.is_err(), "{} decoded to {:?}", &text[..cut], decoded);
@@ -171,7 +166,7 @@ proptest! {
         flip in 1u8..=255,
     ) {
         let (keep, turn, spaced, escaped) = shape;
-        let text = frame(&fields(&request(a, b), keep, escaped), turn, spaced);
+        let text = frame(&fields(&request(a, b), b.0, keep, escaped), turn, spaced);
         for at in 0..text.len() {
             let mut bytes = text.clone().into_bytes();
             bytes[at] ^= flip;
@@ -190,7 +185,7 @@ proptest! {
         pick in 0usize..8,
     ) {
         let (keep, turn, spaced, escaped) = shape;
-        let good = fields(&request(a, b), keep, escaped);
+        let good = fields(&request(a, b), b.0, keep, escaped);
         for i in 0..good.len() {
             let (key, value) = &good[i];
             let swaps = other_types(value);

@@ -6,7 +6,7 @@
 //! wormhole-cli reveal <config>           run the DPR/BRPR recursion
 //! wormhole-cli lint <config>             static analysis of a testbed config
 //! wormhole-cli campaign [quick|paper|tenfold|thousandfold]
-//!                       [--jobs N] [--faults <scenario>] [--stealing]
+//!                       [--jobs N] [--faults <scenario>]
 //!                       [--distributed N] [--cache-dir DIR]
 //!                       [--emit summary|jsonl|report]
 //!                                        full §4 campaign; scenarios:
@@ -17,7 +17,7 @@
 //!                                        trace (the same path wormhole-serve uses);
 //!                                        --emit report prints the canonical
 //!                                        byte-stable report.
-//!                                        --distributed N partitions each stealing
+//!                                        --distributed N partitions each probing
 //!                                        phase across N worker processes; the report
 //!                                        stays byte-identical to the in-process run.
 //!                                        --cache-dir DIR caches the built control
@@ -71,7 +71,7 @@ fn usage() -> ExitCode {
     eprintln!(
         "usage: wormhole-cli <trace|smart|reveal|lint> <config> \
          | campaign [quick|paper|tenfold|thousandfold] [--jobs N] [--faults <scenario>] \
-         [--stealing] [--distributed N] [--cache-dir DIR] [--emit summary|jsonl|report] \
+         [--distributed N] [--cache-dir DIR] [--emit summary|jsonl|report] \
          | campaign-worker --shard-spec <file> | list-configs\n\
          configs: {}\n\
          fault scenarios: clean, lossy_core, rate_limited_edge, hostile, deceptive_ttl, \
@@ -200,7 +200,7 @@ enum Emit {
     /// `wormhole-serve` streams over its socket.
     Jsonl,
     /// The canonical [`CampaignReport`](wormhole::core::CampaignReport)
-    /// text, byte-stable across `--jobs`/scheduling and identical to a
+    /// text, byte-stable across `--jobs`/`--distributed` and identical to a
     /// serve session's final frame.
     Report,
 }
@@ -215,7 +215,6 @@ fn cmd_campaign(args: &[String]) -> ExitCode {
     let mut scale = Scale::Paper;
     let mut jobs = wormhole::experiments::jobs_from_env();
     let mut faults = wormhole::experiments::faults_from_env();
-    let mut scheduling = wormhole::experiments::scheduling_from_env();
     let mut emit = Emit::Summary;
     let mut distributed: Option<usize> = None;
     let mut cache_dir: Option<std::path::PathBuf> = None;
@@ -223,7 +222,6 @@ fn cmd_campaign(args: &[String]) -> ExitCode {
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--stealing" => scheduling = wormhole::core::Scheduling::Stealing,
             "--jobs" => match it.next().and_then(|v| v.parse().ok()) {
                 Some(n) => jobs = n,
                 None => {
@@ -313,16 +311,13 @@ fn cmd_campaign(args: &[String]) -> ExitCode {
         return ExitCode::FAILURE;
     }
     eprintln!(
-        "running the §4 campaign at {scale:?} scale with jobs={jobs} ({scheduling:?} scheduling) \
-         under the '{}' scenario…",
+        "running the §4 campaign at {scale:?} scale with jobs={jobs} under the '{}' scenario…",
         faults.name()
     );
     match emit {
         Emit::Summary => {
             let t0 = std::time::Instant::now();
-            let ctx = wormhole::experiments::PaperContext::generate_full(
-                scale, 8, jobs, faults, scheduling,
-            );
+            let ctx = wormhole::experiments::PaperContext::generate_full(scale, 8, jobs, faults);
             let elapsed = t0.elapsed().as_secs_f64();
             println!(
                 "snapshot: {} nodes, {} HDNs; {} targets; {} candidate pairs; {} tunnels revealed; {} probes",
@@ -358,10 +353,10 @@ fn cmd_campaign(args: &[String]) -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             };
-            let cfg = wormhole::experiments::campaign_config_for(scale, jobs, faults, scheduling);
+            let cfg = wormhole::experiments::campaign_config(scale, jobs, faults);
             if emit == Emit::Jsonl {
                 let stdout = std::io::stdout();
-                let mut sink = wormhole::probe::JsonlSink::new(stdout.lock()).with_stats();
+                let mut sink = wormhole::probe::JsonlSink::new(stdout.lock());
                 let result = wormhole::experiments::campaign_over(&internet, &cfg, &mut sink);
                 drop(sink);
                 println!(
@@ -412,10 +407,10 @@ fn substrate_for(
     Ok((internet, Some((path, checksum))))
 }
 
-/// `campaign --distributed N`: partition each stealing phase across N
+/// `campaign --distributed N`: partition each probing phase across N
 /// worker processes (this same binary, `campaign-worker` subcommand)
 /// and merge their shard files. The report stays byte-identical to the
-/// in-process `--stealing` run.
+/// in-process run.
 #[allow(clippy::too_many_arguments)]
 fn cmd_campaign_distributed(
     scale: wormhole::experiments::Scale,
@@ -440,12 +435,7 @@ fn cmd_campaign_distributed(
             return ExitCode::FAILURE;
         }
     };
-    let cfg = wormhole::experiments::campaign_config_for(
-        scale,
-        jobs,
-        faults,
-        wormhole::core::Scheduling::Stealing,
-    );
+    let cfg = wormhole::experiments::campaign_config(scale, jobs, faults);
     let work_dir = std::env::temp_dir().join(format!("wormhole-dist-{}", std::process::id()));
     let opts = wormhole::core::DistributedOpts {
         workers,
@@ -466,7 +456,7 @@ fn cmd_campaign_distributed(
     let result = match emit {
         Emit::Jsonl => {
             let stdout = std::io::stdout();
-            let mut sink = wormhole::probe::JsonlSink::new(stdout.lock()).with_stats();
+            let mut sink = wormhole::probe::JsonlSink::new(stdout.lock());
             let result = campaign.run_distributed(&mut sink, &opts);
             drop(sink);
             if let Ok(r) = &result {

@@ -16,7 +16,7 @@
 //!
 //! ```text
 //! {"cmd":"campaign","scale":"tenfold","jobs":4}
-//! {"cmd":"campaign","scale":"quick","faults":"hostile","scheduling":"stealing"}
+//! {"cmd":"campaign","scale":"quick","faults":"hostile","stream":false}
 //! {"cmd":"trace","scale":"quick","dst":"10.1.0.0"}
 //! {"cmd":"lint","scale":"paper"}
 //! {"cmd":"history"}
@@ -28,7 +28,8 @@
 //! parentheses):
 //!
 //! - `campaign`: `scale` (`quick`), `jobs` (1; 0 = all cores), `faults`
-//!   (`clean`), `scheduling` (`batches`), `stream` (`true`);
+//!   (`clean`), `stream` (`true`), and `scheduling` (`batches` or
+//!   `stealing`), a retired key that is checked and ignored;
 //! - `trace`: `scale` (`quick`), `dst` (required: a dotted-quad
 //!   string), `vp` (0);
 //! - `lint`: `scale` (`quick`);

@@ -11,13 +11,7 @@ const BIN: &str = env!("CARGO_BIN_EXE_wormhole-cli");
 fn quick_hostile_summary_exits_cleanly() {
     let out = Command::new(BIN)
         .args([
-            "campaign",
-            "quick",
-            "--faults",
-            "hostile",
-            "--stealing",
-            "--emit",
-            "summary",
+            "campaign", "quick", "--faults", "hostile", "--emit", "summary",
         ])
         .output()
         .expect("spawn wormhole-cli");

@@ -1,7 +1,7 @@
 //! Distributed campaign executor: N worker processes, one shard file
 //! each, one deterministic merge. The contract under test is the hard
 //! one — the merged report is **byte-identical** to the in-process
-//! `--stealing --jobs 1` run, across worker counts, fault scenarios,
+//! `--jobs 1` run, across worker counts, fault scenarios,
 //! and the on-disk substrate cache — plus the failure model (a killed
 //! worker degrades its shard, a corrupt cache is a typed error).
 
@@ -36,15 +36,7 @@ fn scratch(name: &str) -> PathBuf {
 /// The canonical in-process report the distributed runs must hit.
 fn serial_report(scale: &str, faults: &str) -> String {
     let out = run_cli(&[
-        "campaign",
-        scale,
-        "--stealing",
-        "--jobs",
-        "1",
-        "--faults",
-        faults,
-        "--emit",
-        "report",
+        "campaign", scale, "--jobs", "1", "--faults", faults, "--emit", "report",
     ]);
     assert!(out.status.success(), "serial run failed: {}", stderr(&out));
     stdout(&out)
@@ -67,7 +59,7 @@ fn distributed_report(scale: &str, faults: &str, workers: &str, extra: &[&str]) 
 
 /// Byte-identity across 1/2/4 worker processes on the clean scenario:
 /// the partitioned queues, wire round-trips, and file-level merge must
-/// reconstruct exactly the report the in-process stealing run prints.
+/// reconstruct exactly the report the in-process run prints.
 #[test]
 fn distributed_quick_clean_matches_serial_at_1_2_4_workers() {
     let want = serial_report("quick", "clean");
@@ -199,7 +191,6 @@ fn corrupt_substrate_cache_is_a_typed_error() {
     let out = run_cli(&[
         "campaign",
         "quick",
-        "--stealing",
         "--emit",
         "report",
         "--cache-dir",
@@ -221,7 +212,6 @@ fn corrupt_substrate_cache_is_a_typed_error() {
     let out = run_cli(&[
         "campaign",
         "quick",
-        "--stealing",
         "--emit",
         "report",
         "--cache-dir",
@@ -238,7 +228,6 @@ fn corrupt_substrate_cache_is_a_typed_error() {
     let out = run_cli(&[
         "campaign",
         "quick",
-        "--stealing",
         "--emit",
         "report",
         "--cache-dir",

@@ -28,8 +28,18 @@ use wormhole::net::{
 use wormhole::probe::Session;
 use wormhole::topo::{generate, gns3_fig2, gns3_fig2_te, Fig2Config, InternetConfig, Scenario};
 
-/// The campaign seed every walk's RNG streams derive from.
+/// The seed every walk's RNG streams derive from.
 const SEED: u64 = 5;
+
+/// The RNG seed of walk `id`: a SplitMix64 finalizer over
+/// `(SEED, id)`, so each walk draws its own stable stream.
+fn walk_seed(id: u64) -> u64 {
+    let mut z = SEED ^ id.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
 
 /// Highest TTL of the engine sweep.
 const MAX_TTL: u8 = 32;
@@ -92,7 +102,7 @@ fn put_outcome(out: &SendOutcome, bytes: &mut Vec<u8>) {
 fn session_walk(bed: &Bed<'_>, scenario: FaultScenario, bytes: &mut Vec<u8>) {
     let sub = SubstrateRef::new(bed.net, bed.cp);
     for (i, &vp) in bed.vps.iter().enumerate() {
-        let state = ProbeState::for_worker(scenario.plan(), SEED, i as u64);
+        let state = ProbeState::new(scenario.plan(), walk_seed(i as u64));
         let mut sess = Session::over(sub, vp, state);
         let mut hops = Vec::new();
         for r in bed.net.routers() {
@@ -143,7 +153,7 @@ fn engine_sweep(bed: &Bed<'_>, scenario: FaultScenario, bytes: &mut Vec<u8>) {
         .flat_map(|r| std::iter::once(r.loopback).chain(r.ifaces.iter().map(|f| f.addr)))
         .chain([Addr::new(9, 9, 9, 9)]);
     for (i, &vp) in bed.vps.iter().enumerate() {
-        let state = ProbeState::for_worker(scenario.plan(), SEED, (n + i) as u64);
+        let state = ProbeState::new(scenario.plan(), walk_seed((n + i) as u64));
         let mut eng = Engine::over(sub, state);
         let router = bed.net.router(vp);
         let sources = [

@@ -14,7 +14,7 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use wormhole::core::{snapshot_oracle, Campaign, CampaignConfig, CampaignResult, Scheduling};
+use wormhole::core::{snapshot_oracle, Campaign, CampaignConfig, CampaignResult};
 use wormhole::net::{Addr, FaultScenario};
 use wormhole::topo::{generate, Internet, InternetConfig, ItdkBuilder, ItdkSnapshot, NodeInfo};
 
@@ -37,14 +37,12 @@ fn corpus(
     hdn_threshold: usize,
     faults: FaultScenario,
     chaos_panic_vp: Option<usize>,
-    scheduling: Scheduling,
 ) -> (CampaignResult, Vec<Vec<Option<Addr>>>) {
     let cfg = CampaignConfig {
         hdn_threshold,
         jobs: 2,
         faults: faults.plan(),
         chaos_panic_vp,
-        scheduling,
         keep_bootstrap_paths: true,
         ..CampaignConfig::default()
     };
@@ -117,13 +115,7 @@ fn assert_order_independent(
 #[test]
 fn quick_clean_campaign_is_ingest_order_independent() {
     let internet = generate(&InternetConfig::small(8));
-    let (result, paths) = corpus(
-        &internet,
-        6,
-        FaultScenario::Clean,
-        None,
-        Scheduling::VpBatches,
-    );
+    let (result, paths) = corpus(&internet, 6, FaultScenario::Clean, None);
     assert!(!paths.is_empty());
     assert_order_independent(&internet, &result, &paths, 6);
 }
@@ -136,7 +128,7 @@ fn quick_hostile_campaign_is_ingest_order_independent() {
         .find(|s| s.name() == "hostile")
         .expect("hostile scenario exists");
     let internet = generate(&InternetConfig::small(8));
-    let (result, paths) = corpus(&internet, 6, hostile, None, Scheduling::Stealing);
+    let (result, paths) = corpus(&internet, 6, hostile, None);
     assert_order_independent(&internet, &result, &paths, 6);
 }
 
@@ -145,13 +137,7 @@ fn quick_degraded_campaign_is_ingest_order_independent() {
     // A worker panic drops one shard's traces; the surviving corpus
     // must still aggregate order-independently.
     let internet = generate(&InternetConfig::small(8));
-    let (result, paths) = corpus(
-        &internet,
-        6,
-        FaultScenario::Clean,
-        Some(1),
-        Scheduling::VpBatches,
-    );
+    let (result, paths) = corpus(&internet, 6, FaultScenario::Clean, Some(1));
     assert!(
         !result.degraded_shards.is_empty(),
         "chaos panic should degrade a shard"
@@ -166,13 +152,7 @@ fn paper_campaign_is_ingest_order_independent() {
         seed: 8,
         ..InternetConfig::default()
     });
-    let (result, paths) = corpus(
-        &internet,
-        9,
-        FaultScenario::Clean,
-        None,
-        Scheduling::VpBatches,
-    );
+    let (result, paths) = corpus(&internet, 9, FaultScenario::Clean, None);
     assert_order_independent(&internet, &result, &paths, 9);
 }
 
@@ -180,13 +160,7 @@ fn paper_campaign_is_ingest_order_independent() {
 #[ignore = "tenfold scale; run with --ignored in release CI"]
 fn tenfold_campaign_is_ingest_order_independent() {
     let internet = generate(&InternetConfig::tenfold(8));
-    let (result, paths) = corpus(
-        &internet,
-        9,
-        FaultScenario::Clean,
-        None,
-        Scheduling::Stealing,
-    );
+    let (result, paths) = corpus(&internet, 9, FaultScenario::Clean, None);
     assert_order_independent(&internet, &result, &paths, 9);
 }
 
@@ -196,13 +170,7 @@ fn tenfold_campaign_is_ingest_order_independent() {
 #[test]
 fn a310_audit_is_clean_over_a_live_campaign() {
     let internet = generate(&InternetConfig::small(8));
-    let (result, _) = corpus(
-        &internet,
-        6,
-        FaultScenario::Clean,
-        None,
-        Scheduling::VpBatches,
-    );
+    let (result, _) = corpus(&internet, 6, FaultScenario::Clean, None);
     let diags = wormhole::core::audit_campaign(&internet.net, &result);
     assert!(
         !diags.iter().any(|d| d.code == "A310"),
@@ -220,13 +188,7 @@ fn shared_corpus() -> &'static Corpus {
     static CORPUS: std::sync::OnceLock<Corpus> = std::sync::OnceLock::new();
     CORPUS.get_or_init(|| {
         let internet = generate(&InternetConfig::small(8));
-        let (result, paths) = corpus(
-            &internet,
-            6,
-            FaultScenario::Clean,
-            None,
-            Scheduling::VpBatches,
-        );
+        let (result, paths) = corpus(&internet, 6, FaultScenario::Clean, None);
         (internet, result, paths)
     })
 }

@@ -1,24 +1,15 @@
-//! Determinism regression: the sharded campaign executor must produce
-//! byte-identical output at every worker count.
+//! Determinism regression: the work-stealing campaign executor must
+//! produce byte-identical output at every worker count.
 //!
-//! Fault injection is enabled so each vantage point actually consumes
-//! its `(seed, vp_index)` RNG stream — a lossless run would pass even
-//! with broken per-worker seeding, because no randomness is drawn.
+//! Fault injection is enabled so each task actually consumes its
+//! `(seed, vp, task key)` RNG stream — a lossless run would pass even
+//! with broken per-task seeding, because no randomness is drawn.
 
-use wormhole::core::{Campaign, CampaignConfig, CampaignReport, CampaignResult, Scheduling};
+use wormhole::core::{Campaign, CampaignConfig, CampaignReport, CampaignResult};
 use wormhole::net::{FaultPlan, FaultScenario};
 use wormhole::topo::{generate, Internet, InternetConfig};
 
 fn report(internet: &Internet, jobs: usize, seed: u64) -> CampaignReport {
-    report_with(internet, jobs, seed, Scheduling::VpBatches)
-}
-
-fn report_with(
-    internet: &Internet,
-    jobs: usize,
-    seed: u64,
-    scheduling: Scheduling,
-) -> CampaignReport {
     let cfg = CampaignConfig {
         hdn_threshold: 9,
         faults: FaultPlan {
@@ -29,7 +20,6 @@ fn report_with(
         },
         seed,
         jobs,
-        scheduling,
         ..CampaignConfig::default()
     };
     Campaign::new(&internet.net, &internet.cp, internet.vps.clone(), cfg)
@@ -39,16 +29,21 @@ fn report_with(
 
 #[test]
 fn paper_campaign_is_identical_at_any_worker_count() {
+    // Tasks run in whatever order idle workers claim them; byte-identical
+    // reports at every job count prove the per-(seed, vp, task key) RNG
+    // streams really are hermetic.
     let internet = generate(&InternetConfig {
         seed: 8,
         ..InternetConfig::default()
     });
     let serial = report(&internet, 1, 42);
-    let parallel = report(&internet, 4, 42);
-    assert_eq!(
-        serial, parallel,
-        "jobs=4 diverged from jobs=1 on the same seed"
-    );
+    for jobs in [2, 4] {
+        assert_eq!(
+            serial,
+            report(&internet, jobs, 42),
+            "jobs={jobs} diverged from jobs=1 on the same seed"
+        );
+    }
     // `jobs=0` (auto parallelism) must land on the same bytes too.
     assert_eq!(serial, report(&internet, 0, 42), "jobs=0 diverged");
     // Same topology, different campaign seed: faults are live, so the
@@ -63,31 +58,24 @@ fn paper_campaign_is_identical_at_any_worker_count() {
 
 #[test]
 fn every_fault_scenario_is_identical_at_any_worker_count() {
-    // The ISSUE's headline robustness guarantee: token buckets,
-    // persistent silence, and link flaps all run on per-worker virtual
-    // clocks, so even the hostile composite shards byte-identically.
-    // The aggregate engine counters must agree too, under both
-    // schedulers, and the recording-off walk must never touch the heap.
+    // The headline robustness guarantee: token buckets, persistent
+    // silence, and link flaps all run on per-task virtual clocks, so
+    // even the hostile composite shards byte-identically.
+    // The aggregate engine counters must agree too, and the
+    // recording-off walk must never touch the heap.
     let internet = generate(&InternetConfig::small(17));
     for scenario in FaultScenario::ALL {
-        for scheduling in [Scheduling::VpBatches, Scheduling::Stealing] {
-            let run = |jobs: usize| {
-                let cfg = CampaignConfig {
-                    hdn_threshold: 6,
-                    faults: scenario.plan(),
-                    seed: 5,
-                    jobs,
-                    scheduling,
-                    ..CampaignConfig::default()
-                };
-                Campaign::new(&internet.net, &internet.cp, internet.vps.clone(), cfg).run()
+        let run = |jobs: usize| {
+            let cfg = CampaignConfig {
+                hdn_threshold: 6,
+                faults: scenario.plan(),
+                seed: 5,
+                jobs,
+                ..CampaignConfig::default()
             };
-            assert_jobs_identical(
-                &run,
-                &[2, 4],
-                &format!("{} {scheduling:?}", scenario.name()),
-            );
-        }
+            Campaign::new(&internet.net, &internet.cp, internet.vps.clone(), cfg).run()
+        };
+        assert_jobs_identical(&run, &[2, 4], scenario.name());
     }
 }
 
@@ -119,40 +107,10 @@ fn assert_jobs_identical(run: &dyn Fn(usize) -> CampaignResult, jobs: &[usize], 
 }
 
 #[test]
-fn stealing_campaign_is_identical_at_any_worker_count() {
-    // Per-trace work stealing executes tasks in whatever order idle
-    // workers claim them; byte-identical reports at every job count
-    // prove the per-(seed, vp, target) RNG streams really are hermetic.
-    let internet = generate(&InternetConfig {
-        seed: 8,
-        ..InternetConfig::default()
-    });
-    let serial = report_with(&internet, 1, 42, Scheduling::Stealing);
-    for jobs in [2, 4] {
-        assert_eq!(
-            serial,
-            report_with(&internet, jobs, 42, Scheduling::Stealing),
-            "stealing diverged at jobs={jobs}"
-        );
-    }
-    assert_eq!(
-        serial,
-        report_with(&internet, 0, 42, Scheduling::Stealing),
-        "stealing diverged at jobs=0"
-    );
-    // Different seed must change the transcript (streams are consumed).
-    assert_ne!(
-        serial,
-        report_with(&internet, 1, 43, Scheduling::Stealing),
-        "different seeds produced identical stealing reports"
-    );
-}
-
-#[test]
 fn stealing_survives_the_hostile_scenario_at_any_worker_count() {
     // The hostile composite (loss + rate limiting + silence + flaps)
     // exercises every per-task fault mechanism; the report must not
-    // depend on how tasks are interleaved across stealing workers.
+    // depend on how tasks are interleaved across workers.
     let internet = generate(&InternetConfig::small(17));
     let hostile = FaultScenario::ALL
         .iter()
@@ -164,7 +122,6 @@ fn stealing_survives_the_hostile_scenario_at_any_worker_count() {
             faults: hostile.plan(),
             seed: 5,
             jobs,
-            scheduling: Scheduling::Stealing,
             ..CampaignConfig::default()
         };
         Campaign::new(&internet.net, &internet.cp, internet.vps.clone(), cfg)
@@ -173,11 +130,7 @@ fn stealing_survives_the_hostile_scenario_at_any_worker_count() {
     };
     let serial = run(1);
     for jobs in [2, 4] {
-        assert_eq!(
-            serial,
-            run(jobs),
-            "hostile stealing diverged at jobs={jobs}"
-        );
+        assert_eq!(serial, run(jobs), "hostile diverged at jobs={jobs}");
     }
 }
 
@@ -185,8 +138,8 @@ fn stealing_survives_the_hostile_scenario_at_any_worker_count() {
 fn stealing_survives_the_paranoid_scenario_at_any_worker_count() {
     // The paranoid composite layers every deception (spoofed quoted
     // TTLs, per-probe forking, egress hiding, silence) on top of the
-    // stealing executor's arbitrary task interleaving; reports must
-    // still be byte-identical at every worker count.
+    // executor's arbitrary task interleaving; reports must still be
+    // byte-identical at every worker count.
     let internet = generate(&InternetConfig::small(17));
     let paranoid = FaultScenario::ALL
         .iter()
@@ -198,7 +151,6 @@ fn stealing_survives_the_paranoid_scenario_at_any_worker_count() {
             faults: paranoid.plan(),
             seed: 5,
             jobs,
-            scheduling: Scheduling::Stealing,
             ..CampaignConfig::default()
         };
         Campaign::new(&internet.net, &internet.cp, internet.vps.clone(), cfg)
@@ -207,11 +159,7 @@ fn stealing_survives_the_paranoid_scenario_at_any_worker_count() {
     };
     let serial = run(1);
     for jobs in [2, 4] {
-        assert_eq!(
-            serial,
-            run(jobs),
-            "paranoid stealing diverged at jobs={jobs}"
-        );
+        assert_eq!(serial, run(jobs), "paranoid diverged at jobs={jobs}");
     }
 }
 
@@ -246,7 +194,7 @@ fn incremental_snapshot_is_identical_across_worker_counts() {
     // The streaming builder ingests shard merges in vantage-point
     // order, so its per-phase delta rows and order-independent
     // checksum must land on the same values at every worker count,
-    // under both schedulers, clean and hostile.
+    // clean and hostile.
     let internet = generate(&InternetConfig::small(11));
     let hostile = FaultScenario::ALL
         .iter()
@@ -254,31 +202,28 @@ fn incremental_snapshot_is_identical_across_worker_counts() {
         .find(|s| s.name() == "hostile")
         .expect("hostile scenario exists");
     for faults in [FaultPlan::none(), hostile.plan()] {
-        for scheduling in [Scheduling::VpBatches, Scheduling::Stealing] {
-            let run = |jobs: usize| {
-                let cfg = CampaignConfig {
-                    hdn_threshold: 6,
-                    faults: faults.clone(),
-                    seed: 7,
-                    jobs,
-                    scheduling,
-                    ..CampaignConfig::default()
-                };
-                Campaign::new(&internet.net, &internet.cp, internet.vps.clone(), cfg).run()
+        let run = |jobs: usize| {
+            let cfg = CampaignConfig {
+                hdn_threshold: 6,
+                faults: faults.clone(),
+                seed: 7,
+                jobs,
+                ..CampaignConfig::default()
             };
-            let serial = run(1);
-            assert_eq!(serial.snapshot_deltas.len(), 2, "bootstrap + probe rows");
-            for jobs in [2, 4] {
-                let parallel = run(jobs);
-                assert_eq!(
-                    serial.snapshot_deltas, parallel.snapshot_deltas,
-                    "delta rows diverged at jobs={jobs} ({scheduling:?})"
-                );
-                assert_eq!(
-                    serial.snapshot_checksum, parallel.snapshot_checksum,
-                    "snapshot checksum diverged at jobs={jobs} ({scheduling:?})"
-                );
-            }
+            Campaign::new(&internet.net, &internet.cp, internet.vps.clone(), cfg).run()
+        };
+        let serial = run(1);
+        assert_eq!(serial.snapshot_deltas.len(), 2, "bootstrap + probe rows");
+        for jobs in [2, 4] {
+            let parallel = run(jobs);
+            assert_eq!(
+                serial.snapshot_deltas, parallel.snapshot_deltas,
+                "delta rows diverged at jobs={jobs}"
+            );
+            assert_eq!(
+                serial.snapshot_checksum, parallel.snapshot_checksum,
+                "snapshot checksum diverged at jobs={jobs}"
+            );
         }
     }
 }

@@ -1,17 +1,20 @@
 //! Report bytes pinned: the byte length and FNV-1a checksum of
 //! `CampaignResult::report().text()` for quick-scale campaigns under
-//! every built-in fault scenario, clean under both schedulers, and a
-//! chaos run whose report renders `degraded` lines; the wire encoding of
-//! a quick campaign's traces; and, as ignored release rows, the tenfold
-//! paranoid report and the tenfold `--emit jsonl` transcript.
+//! every built-in fault scenario and a chaos run whose report renders
+//! `degraded` lines; the wire encoding of a quick campaign's traces;
+//! and, as ignored release rows, the tenfold paranoid report and the
+//! tenfold `--emit jsonl` transcript.
 //!
-//! Every constant was computed with the `write!`-driven renderer the
-//! hand-written one replaced, so a renderer, trace-layout or JSONL
-//! change that moves a single byte fails here.
+//! The constants were first computed with the `write!`-driven renderer
+//! the hand-written one replaced. Those that depend on fault RNG
+//! streams were recomputed when every probing task became hermetic
+//! (one stream per task instead of one per vantage point). A renderer,
+//! trace-layout, JSONL or RNG-stream change that moves a single byte
+//! fails here.
 
 use std::sync::OnceLock;
-use wormhole::core::{CampaignConfig, CampaignResult, Scheduling};
-use wormhole::experiments::{campaign_config_for, campaign_over, internet_for, Scale};
+use wormhole::core::{CampaignConfig, CampaignResult};
+use wormhole::experiments::{campaign_config, campaign_over, internet_for, Scale};
 use wormhole::net::wire::{checksum, to_bytes};
 use wormhole::net::FaultScenario;
 use wormhole::probe::{JsonlSink, NullSink};
@@ -41,33 +44,26 @@ fn quick_reports_are_pinned_under_every_fault_scenario() {
     // rate_limited_edge, hostile, deceptive_ttl, artifact_lb, paranoid.
     const PINS: [(usize, u64); 7] = [
         (136_343, 10_309_394_043_036_344_243),
-        (127_208, 15_647_432_719_035_071_160),
-        (136_183, 15_086_579_765_298_821_845),
-        (74_621, 6_225_847_902_840_542_752),
+        (125_688, 9_134_885_443_008_272_316),
+        (135_909, 4_621_383_174_529_405_246),
+        (86_473, 3_032_470_889_992_588_330),
         (136_865, 15_586_924_503_563_922_183),
-        (136_574, 9_759_411_702_103_589_135),
-        (113_631, 13_033_789_571_150_256_515),
+        (136_668, 2_760_291_037_304_719_753),
+        (113_384, 7_793_789_733_981_070_296),
     ];
     let got: Vec<(usize, u64)> = FaultScenario::ALL
         .iter()
-        .map(|&scenario| {
-            let cfg = campaign_config_for(Scale::Quick, 1, scenario, Scheduling::VpBatches);
-            pin(&run(quick(), &cfg))
-        })
+        .map(|&scenario| pin(&run(quick(), &campaign_config(Scale::Quick, 1, scenario))))
         .collect();
     assert_eq!(got, PINS);
 }
 
 #[test]
-fn quick_clean_reports_are_pinned_under_both_schedulers() {
-    let batches = campaign_config_for(Scale::Quick, 1, FaultScenario::Clean, Scheduling::VpBatches);
-    let stealing = campaign_config_for(Scale::Quick, 1, FaultScenario::Clean, Scheduling::Stealing);
+fn quick_clean_report_is_pinned() {
+    let cfg = campaign_config(Scale::Quick, 1, FaultScenario::Clean);
     assert_eq!(
-        [pin(&run(quick(), &batches)), pin(&run(quick(), &stealing))],
-        [
-            (136_343, 10_309_394_043_036_344_243),
-            (136_343, 10_309_394_043_036_344_243)
-        ]
+        pin(&run(quick(), &cfg)),
+        (136_343, 10_309_394_043_036_344_243)
     );
 }
 
@@ -75,7 +71,7 @@ fn quick_clean_reports_are_pinned_under_both_schedulers() {
 fn quick_chaos_report_with_degraded_lines_is_pinned() {
     let cfg = CampaignConfig {
         chaos_panic_vp: Some(1),
-        ..campaign_config_for(Scale::Quick, 1, FaultScenario::Clean, Scheduling::VpBatches)
+        ..campaign_config(Scale::Quick, 1, FaultScenario::Clean)
     };
     let result = run(quick(), &cfg);
     assert_eq!(result.degraded_shards.len(), 1);
@@ -88,7 +84,7 @@ fn quick_chaos_report_with_degraded_lines_is_pinned() {
 
 #[test]
 fn quick_trace_wire_bytes_are_pinned() {
-    let cfg = campaign_config_for(Scale::Quick, 1, FaultScenario::Clean, Scheduling::VpBatches);
+    let cfg = campaign_config(Scale::Quick, 1, FaultScenario::Clean);
     let bytes = to_bytes(&run(quick(), &cfg).traces);
     assert_eq!(
         (bytes.len(), checksum(&bytes)),
@@ -100,15 +96,10 @@ fn quick_trace_wire_bytes_are_pinned() {
 #[ignore = "tenfold scale: run in release CI via --include-ignored"]
 fn tenfold_paranoid_report_is_pinned() {
     let internet = internet_for(Scale::Tenfold, SEED);
-    let cfg = campaign_config_for(
-        Scale::Tenfold,
-        1,
-        FaultScenario::Paranoid,
-        Scheduling::VpBatches,
-    );
+    let cfg = campaign_config(Scale::Tenfold, 1, FaultScenario::Paranoid);
     assert_eq!(
         pin(&run(&internet, &cfg)),
-        (247_074, 6_426_661_296_453_584_927)
+        (247_526, 11_621_566_158_420_221_711)
     );
 }
 
@@ -118,13 +109,8 @@ fn tenfold_paranoid_report_is_pinned() {
 #[ignore = "tenfold scale: run in release CI via --include-ignored"]
 fn tenfold_jsonl_transcript_is_pinned() {
     let internet = internet_for(Scale::Tenfold, SEED);
-    let cfg = campaign_config_for(
-        Scale::Tenfold,
-        1,
-        FaultScenario::Clean,
-        Scheduling::VpBatches,
-    );
-    let mut sink = JsonlSink::new(Vec::new()).with_stats();
+    let cfg = campaign_config(Scale::Tenfold, 1, FaultScenario::Clean);
+    let mut sink = JsonlSink::new(Vec::new());
     let result = campaign_over(&internet, &cfg, &mut sink);
     let mut out = sink.into_inner();
     out.extend_from_slice(
@@ -138,6 +124,6 @@ fn tenfold_jsonl_transcript_is_pinned() {
     );
     assert_eq!(
         (out.len(), checksum(&out)),
-        (430_564, 133_213_893_018_241_179)
+        (430_564, 4_840_375_733_711_473_755)
     );
 }

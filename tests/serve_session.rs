@@ -2,12 +2,12 @@
 //! must sustain concurrent campaign sessions over one warm per-scale
 //! substrate — building it exactly once — and every session's report
 //! must be byte-identical to a direct batch run over the same
-//! `(scale, seed, jobs, faults, scheduling)`.
+//! `(scale, seed, jobs, faults)`.
 
 use std::sync::Arc;
 use std::thread;
 
-use wormhole::experiments::{campaign_config_for, campaign_over, internet_for, Scale};
+use wormhole::experiments::{campaign_config, campaign_over, internet_for, Scale};
 use wormhole::probe::NullSink;
 use wormhole::serve::proto::{str_field, Object, Value};
 use wormhole::serve::{Client, ServeConfig, Server, ServerHandle};
@@ -51,12 +51,7 @@ fn concurrent_sessions_share_one_warm_substrate() {
     // The batch oracle: the exact path `wormhole-cli campaign --emit
     // report` takes, at the serve defaults (seed 8, jobs as requested).
     let internet = internet_for(Scale::Quick, 8);
-    let cfg = campaign_config_for(
-        Scale::Quick,
-        2,
-        wormhole::net::FaultScenario::Clean,
-        wormhole::core::Scheduling::VpBatches,
-    );
+    let cfg = campaign_config(Scale::Quick, 2, wormhole::net::FaultScenario::Clean);
     let oracle = campaign_over(&internet, &cfg, &mut NullSink)
         .report()
         .text()
@@ -159,15 +154,15 @@ fn ping_trace_and_errors_round_trip() {
         Some("unknown fault scenario gremlins")
     );
 
-    // No present field may fall back silently: an unknown scheduler must
-    // not run VP batches, a negative or fractional `jobs` must not be
-    // cast to 0 (all cores) or truncated, a malformed `vp` must not run
-    // VP 0 or a truncated VP, a non-boolean `stream` must not stream,
-    // and a non-string `scale` or `faults` must not run the quick scale
-    // or the clean scenario. Nor may a misspelled or repeated key, a
-    // malformed frame, or a value of the wrong type pick a default:
-    // each answers with one error frame naming the key or the fault,
-    // and runs nothing.
+    // No present field may fall back silently: the retired `scheduling`
+    // key must still name `batches` or `stealing`, a negative or
+    // fractional `jobs` must not be cast to 0 (all cores) or truncated,
+    // a malformed `vp` must not run VP 0 or a truncated VP, a
+    // non-boolean `stream` must not stream, and a non-string `scale` or
+    // `faults` must not run the quick scale or the clean scenario. Nor
+    // may a misspelled or repeated key, a malformed frame, or a value of
+    // the wrong type pick a default: each answers with one error frame
+    // naming the key or the fault, and runs nothing.
     for (req, message) in [
         (
             r#"{"cmd":"campaign","scale":"quick","scheduling":"steal"}"#,
@@ -259,12 +254,22 @@ fn ping_trace_and_errors_round_trip() {
         assert_eq!(value(&frames[0], "served"), Some(Value::Num(0.0)), "{req}");
     }
 
-    // The connection is still usable after errors, and the explicit
-    // `"batches"` spelling is accepted.
-    let frames = c
-        .request(r#"{"cmd":"campaign","scale":"quick","scheduling":"batches","stream":false}"#)
-        .expect("campaign after errors");
-    assert!(!parse_campaign(&frames).1.is_empty());
+    // The connection is still usable after errors, and both spellings of
+    // the retired `scheduling` key are accepted and run the same
+    // campaign.
+    let mut reports = Vec::new();
+    for sched in ["batches", "stealing"] {
+        let req = format!(
+            r#"{{"cmd":"campaign","scale":"quick","scheduling":"{sched}","stream":false}}"#
+        );
+        let frames = c.request(&req).expect("campaign after errors");
+        reports.push(parse_campaign(&frames).1);
+    }
+    assert!(!reports[0].is_empty());
+    assert_eq!(
+        reports[0], reports[1],
+        "the scheduling key changed a report"
+    );
     let frames = c.request(r#"{"cmd":"ping"}"#).expect("ping after error");
     assert_eq!(str_field(&frames[0], "type").as_deref(), Some("pong"));
 
@@ -279,12 +284,7 @@ fn tenfold_sessions_match_the_batch_cli_byte_for_byte() {
     let sock = handle.socket.clone();
 
     let internet = internet_for(Scale::Tenfold, 8);
-    let cfg = campaign_config_for(
-        Scale::Tenfold,
-        4,
-        wormhole::net::FaultScenario::Clean,
-        wormhole::core::Scheduling::Stealing,
-    );
+    let cfg = campaign_config(Scale::Tenfold, 4, wormhole::net::FaultScenario::Clean);
     let oracle = Arc::new(
         campaign_over(&internet, &cfg, &mut NullSink)
             .report()
@@ -293,7 +293,7 @@ fn tenfold_sessions_match_the_batch_cli_byte_for_byte() {
     );
     drop(internet);
 
-    let req = r#"{"cmd":"campaign","scale":"tenfold","jobs":4,"scheduling":"stealing"}"#;
+    let req = r#"{"cmd":"campaign","scale":"tenfold","jobs":4}"#;
     let mut threads = Vec::new();
     for _ in 0..2 {
         let sock = sock.clone();
