@@ -39,12 +39,16 @@ fn engine_fields(s: &EngineStats) -> String {
 }
 
 /// A campaign's counters and the checksums of its snapshot and report.
+/// The report is checksummed as it is rendered, never held whole.
 fn result_fields(r: &CampaignResult) -> String {
+    let mut report = wire::Checksum::default();
+    r.write_report(&mut report)
+        .expect("checksumming cannot fail");
     format!(
         "{}, \"snapshot_checksum\": {}, \"report_checksum\": {}",
         engine_fields(&r.engine_stats),
         r.snapshot_checksum,
-        wire::checksum(r.report().text().as_bytes())
+        report.finish()
     )
 }
 

@@ -4,19 +4,21 @@
 //! into one byte-stable text; the determinism tests, the distributed
 //! merge and `wormhole-serve` all compare or ship these bytes.
 //! [`CampaignResult::write_report`] is the one renderer behind it,
-//! written against any [`fmt::Write`] sink.
+//! written against any [`fmt::Write`] sink, so a consumer that only
+//! prints or checksums the report streams it there instead.
 //!
-//! The renderer writes addresses, integers, booleans and label stacks
-//! by hand instead of through `write!`, which took about half the time
-//! of rendering a tenfold report (4,860 lines, 379 KB). The bytes are
-//! those the `Display`/`Debug` impls print (`Some(3)`,
-//! `[10.0.0.1, 10.0.0.2]`, `Lse { label: Label(16), … }`). Only RTTs
-//! keep `std` float formatting (`{:.6}`), for its exact rounding.
+//! Addresses, integers, booleans and label stacks go through the hand
+//! writers of [`wormhole_net::text`], which print the bytes the
+//! `Display`/`Debug` impls print (`Some(3)`, `[10.0.0.1, 10.0.0.2]`,
+//! `Lse { label: Label(16), … }`) at about half the cost of `write!`.
+//! Only RTTs keep `std` float formatting (`{:.6}`), for its exact
+//! rounding.
 
 use crate::campaign::CampaignResult;
 use crate::reveal::{RevealMethod, RevealedTunnel, RevelationOutcome, Veracity};
 use std::fmt::{self, Write};
-use wormhole_net::{Addr, Lse, ReplyKind};
+use wormhole_net::text::{addr, boolean, int, list, lse_debug, opt_int};
+use wormhole_net::{Addr, ReplyKind};
 use wormhole_probe::{HopOutcome, Trace, TraceHop};
 
 impl CampaignResult {
@@ -130,6 +132,19 @@ impl CampaignResult {
         }
         Ok(())
     }
+
+    /// Writes the line that closes a campaign's JSONL transcript
+    /// (without its newline): trace and probe counts and the snapshot
+    /// checksum.
+    pub fn write_done_jsonl<W: Write>(&self, w: &mut W) -> fmt::Result {
+        write!(
+            w,
+            "{{\"type\":\"done\",\"traces\":{},\"probes\":{},\"snapshot_checksum\":{}}}",
+            self.traces.len(),
+            self.probes,
+            self.snapshot_checksum
+        )
+    }
 }
 
 /// One trace: its header line, then one line per hop.
@@ -179,7 +194,7 @@ fn write_hop<W: Write>(w: &mut W, h: &TraceHop) -> fmt::Result {
         write!(w, "{rtt:.6}")?;
     }
     w.write_str(" labels=")?;
-    list(w, h.labels.iter(), lse)?;
+    list(w, h.labels.iter(), lse_debug)?;
     w.write_str(" attempts=")?;
     int(w, u64::from(h.attempts))?;
     w.write_char('\n')
@@ -248,89 +263,6 @@ fn write_tunnel<W: Write>(w: &mut W, tunnel: &RevealedTunnel) -> fmt::Result {
     int(w, tunnel.extra_probes)
 }
 
-/// `v` in decimal.
-fn int<W: Write>(w: &mut W, mut v: u64) -> fmt::Result {
-    let mut buf = [0u8; 20];
-    let mut at = buf.len();
-    loop {
-        at -= 1;
-        buf[at] = b'0' + (v % 10) as u8;
-        v /= 10;
-        if v == 0 {
-            break;
-        }
-    }
-    w.write_str(std::str::from_utf8(&buf[at..]).expect("decimal digits are ASCII"))
-}
-
-/// `Some(v)` or `None`, as `Option<u8>`'s `Debug` prints it.
-fn opt_int<W: Write>(w: &mut W, v: Option<u8>) -> fmt::Result {
-    match v {
-        Some(v) => {
-            w.write_str("Some(")?;
-            int(w, u64::from(v))?;
-            w.write_char(')')
-        }
-        None => w.write_str("None"),
-    }
-}
-
-fn boolean<W: Write>(w: &mut W, b: bool) -> fmt::Result {
-    w.write_str(if b { "true" } else { "false" })
-}
-
-/// A dotted quad, as [`Addr`]'s `Display` prints it.
-fn addr<W: Write>(w: &mut W, a: Addr) -> fmt::Result {
-    let mut buf = [0u8; 15];
-    let mut len = 0;
-    for (i, octet) in a.octets().into_iter().enumerate() {
-        if i > 0 {
-            buf[len] = b'.';
-            len += 1;
-        }
-        if octet >= 100 {
-            buf[len] = b'0' + octet / 100;
-            len += 1;
-        }
-        if octet >= 10 {
-            buf[len] = b'0' + octet / 10 % 10;
-            len += 1;
-        }
-        buf[len] = b'0' + octet % 10;
-        len += 1;
-    }
-    w.write_str(std::str::from_utf8(&buf[..len]).expect("a dotted quad is ASCII"))
-}
-
-/// One label stack entry, as its derived `Debug` prints it.
-fn lse<W: Write>(w: &mut W, e: &Lse) -> fmt::Result {
-    w.write_str("Lse { label: Label(")?;
-    int(w, u64::from(e.label.0))?;
-    w.write_str("), tc: ")?;
-    int(w, u64::from(e.tc))?;
-    w.write_str(", bottom: ")?;
-    boolean(w, e.bottom)?;
-    w.write_str(", ttl: ")?;
-    int(w, u64::from(e.ttl))?;
-    w.write_str(" }")
-}
-
-/// `[a, b, …]`, the `Debug` layout of a slice.
-fn list<W: Write, T>(
-    w: &mut W,
-    items: impl Iterator<Item = T>,
-    mut item: impl FnMut(&mut W, T) -> fmt::Result,
-) -> fmt::Result {
-    w.write_char('[')?;
-    for (i, v) in items.enumerate() {
-        if i > 0 {
-            w.write_str(", ")?;
-        }
-        item(w, v)?;
-    }
-    w.write_char(']')
-}
-
 /// A hop outcome's variant name, as its derived `Debug` prints it.
 fn outcome_name(outcome: HopOutcome) -> &'static str {
     match outcome {
@@ -345,7 +277,8 @@ fn outcome_name(outcome: HopOutcome) -> &'static str {
 
 /// The canonical campaign output: a deterministic rendering used to
 /// verify that sharded execution merges into the exact same bytes as
-/// serial execution. Compare with `==`; print with `Display`.
+/// serial execution. Compare with `==`; read with
+/// [`CampaignReport::text`].
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct CampaignReport {
     text: String,
@@ -363,19 +296,13 @@ impl CampaignReport {
     }
 }
 
-impl fmt::Display for CampaignReport {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.text)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::reveal::{
         AbandonReason, Confidence, MissingPart, RevealStep, RevealedHop, RevealedTunnel,
     };
-    use wormhole_net::{Label, LabelStack, RouterId};
+    use wormhole_net::{Label, LabelStack, Lse, RouterId};
 
     fn a(c: u8, d: u8) -> Addr {
         Addr::new(10, 0, c, d)
@@ -404,34 +331,7 @@ mod tests {
     }
 
     #[test]
-    fn hand_writers_print_what_std_formatting_prints() {
-        for v in [0, 7, 10, 99, 100, 65_535, u64::from(u32::MAX), u64::MAX] {
-            assert_eq!(line(|w| int(w, v)), v.to_string());
-        }
-        for o in [
-            [0, 0, 0, 0],
-            [255, 255, 255, 255],
-            [10, 100, 5, 0],
-            [1, 20, 199, 9],
-        ] {
-            let a = Addr::from(o);
-            assert_eq!(line(|w| addr(w, a)), a.to_string());
-        }
-        for v in [None, Some(0), Some(64), Some(255)] {
-            assert_eq!(line(|w| opt_int(w, v)), format!("{v:?}"));
-        }
-        let lists: [&[u64]; 3] = [&[], &[5], &[1, 22, 333]];
-        for l in lists {
-            assert_eq!(
-                line(|w| list(w, l.iter(), |w, &v| int(w, v))),
-                format!("{l:?}")
-            );
-        }
-        let stack = labeled_hop().labels;
-        assert_eq!(
-            line(|w| list(w, stack.iter(), lse)),
-            format!("{:?}", stack.as_slice())
-        );
+    fn outcome_names_are_what_debug_prints() {
         for o in [
             HopOutcome::Replied,
             HopOutcome::Silent,

@@ -1,8 +1,8 @@
 //! The diagnostics model: rule codes, severities, locations, and
 //! human-readable rendering.
 
-use std::fmt;
-use wormhole_net::{Addr, Asn, Prefix};
+use std::fmt::{self, Write as _};
+use wormhole_net::{text, Addr, Asn, Prefix};
 
 /// How bad a finding is.
 ///
@@ -171,27 +171,11 @@ pub fn render(diags: &[Diagnostic]) -> String {
     });
     let mut out = String::new();
     for d in sorted {
-        out.push_str(&d.to_string());
-        out.push('\n');
+        let _ = writeln!(out, "{d}");
     }
     let (e, w, i) = count(diags);
-    out.push_str(&format!("{e} error(s), {w} warning(s), {i} info\n"));
+    let _ = writeln!(out, "{e} error(s), {w} warning(s), {i} info");
     out
-}
-
-/// JSON-escapes `s` into `out` (RFC 8259 string rules).
-fn escape_json(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
 }
 
 /// Renders findings as a machine-readable JSON document:
@@ -203,20 +187,24 @@ pub fn to_json(diags: &[Diagnostic]) -> String {
     let (e, w, i) = count(diags);
     let mut out = format!("{{\"errors\":{e},\"warnings\":{w},\"infos\":{i},\"findings\":[");
     for (n, d) in diags.iter().enumerate() {
-        if n > 0 {
-            out.push(',');
-        }
         let family = crate::registry::rule(d.code).map_or("unknown", |r| r.family.name());
-        out.push_str(&format!(
-            "{{\"code\":\"{}\",\"family\":\"{family}\",\"severity\":\"{}\",\"location\":\"",
-            d.code, d.severity
-        ));
-        escape_json(&d.location.to_string(), &mut out);
-        out.push_str("\",\"message\":\"");
-        escape_json(&d.message, &mut out);
-        out.push_str("\",\"hint\":\"");
-        escape_json(&d.hint, &mut out);
-        out.push_str("\"}");
+        let _ = write!(
+            out,
+            "{}{{\"code\":\"{}\",\"family\":\"{family}\",\"severity\":\"{}\"",
+            if n > 0 { "," } else { "" },
+            d.code,
+            d.severity
+        );
+        let location = d.location.to_string();
+        for (key, value) in [
+            ("location", &location),
+            ("message", &d.message),
+            ("hint", &d.hint),
+        ] {
+            let _ = write!(out, ",\"{key}\":");
+            let _ = text::json_str(&mut out, value);
+        }
+        out.push('}');
     }
     out.push_str("]}");
     out

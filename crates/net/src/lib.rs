@@ -62,6 +62,7 @@ pub mod router;
 pub mod state;
 pub mod substrate;
 pub mod te;
+pub mod text;
 pub mod vendor;
 pub mod wire;
 

@@ -453,12 +453,44 @@ impl Wire for crate::FaultPlan {
 /// every shard/cache file. Not cryptographic; it catches truncation and
 /// bit rot, which is all a same-machine file handoff needs.
 pub fn checksum(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    let mut c = Checksum::default();
+    c.bytes(bytes);
+    c.finish()
+}
+
+/// [`checksum`], fed in pieces: bytes through [`Checksum::bytes`] or
+/// text through [`fmt::Write`], so a report can be checksummed as it
+/// is rendered, never held whole.
+#[derive(Clone, Copy, Debug)]
+pub struct Checksum(u64);
+
+impl Default for Checksum {
+    /// The checksum of nothing yet.
+    fn default() -> Checksum {
+        Checksum(0xcbf2_9ce4_8422_2325)
     }
-    h
+}
+
+impl Checksum {
+    /// Feeds `bytes`.
+    pub fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    /// The checksum of everything fed.
+    pub fn finish(self) -> u64 {
+        self.0
+    }
+}
+
+impl fmt::Write for Checksum {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.bytes(s.as_bytes());
+        Ok(())
+    }
 }
 
 /// Encodes one value to a fresh buffer (convenience for file writers).
@@ -617,5 +649,10 @@ mod tests {
         assert_eq!(a, checksum(b"wormhole"));
         assert_ne!(a, checksum(b"wormhol3"));
         assert_ne!(checksum(b""), 0);
+        // Fed in pieces, bytes or text, it is the one-shot checksum.
+        let mut c = Checksum::default();
+        c.bytes(b"worm");
+        fmt::Write::write_str(&mut c, "hole").unwrap();
+        assert_eq!(c.finish(), a);
     }
 }

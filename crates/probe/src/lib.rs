@@ -23,6 +23,6 @@ pub mod wire;
 
 pub use ping::{ping, PingFailure, PingReply, PingResult};
 pub use session::{Session, SessionStats};
-pub use sink::{phase_jsonl, stats_jsonl, trace_jsonl, JsonlSink, NullSink, TraceSink};
+pub use sink::{trace_jsonl, write_trace_jsonl, JsonlSink, NullSink, TraceSink};
 pub use trace::{AddrPath, HopOutcome, Trace, TraceHop};
 pub use traceroute::{traceroute, TracerouteOpts};

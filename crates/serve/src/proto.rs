@@ -52,24 +52,6 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Option<String>> {
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
 }
 
-/// Escapes `s` for embedding in a JSON string literal (the report
-/// frames carry multi-line report text).
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 8);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Most top-level fields one object may carry. Every frame the
 /// protocol sends has at most nine; the bound lets [`Object::parse`]
 /// hold the fields and check for duplicate keys without allocating.
@@ -87,7 +69,8 @@ const MAX_DEPTH: usize = 16;
 pub struct JsonStr<'a>(&'a str);
 
 impl<'a> JsonStr<'a> {
-    /// The decoded characters: the inverse of [`json_escape`].
+    /// The decoded characters: the inverse of
+    /// [`wormhole_net::text::json_str`].
     pub fn chars(self) -> impl Iterator<Item = char> + 'a {
         let mut rest = self.0.chars();
         std::iter::from_fn(move || match rest.next()? {
@@ -366,12 +349,11 @@ mod tests {
     #[test]
     fn escaping_round_trips() {
         let text = "line one\nline \"two\"\t\\slash\u{1}/\u{1F600}";
-        let frame = format!(
-            "{{\"type\":\"report\",\"report\":\"{}\"}}",
-            json_escape(text)
-        );
+        let mut frame = String::from("{\"type\":\"report\",\"report\":");
+        wormhole_net::text::json_str(&mut frame, text).unwrap();
+        frame.push('}');
         assert_eq!(str_field(&frame, "report").as_deref(), Some(text));
-        // Escapes `json_escape` never writes decode too: `\/`, `\b`,
+        // Escapes `json_str` never writes decode too: `\/`, `\b`,
         // `\f`, upper-case hex and a surrogate pair.
         let frame = r#"{"s":"\/\b\f\u00E9\uD83D\uDE00"}"#;
         assert_eq!(

@@ -13,7 +13,8 @@
 //! typed [`Request`] reaches a handler.
 
 use crate::history::History;
-use crate::proto::{json_escape, read_frame, str_field, write_frame, JsonStr, Object, Value};
+use crate::proto::{read_frame, str_field, write_frame, JsonStr, Object, Value};
+use std::fmt::Write as _;
 use std::io::{self, BufReader, BufWriter, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
@@ -21,8 +22,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use wormhole_core::CampaignConfig;
 use wormhole_experiments::{campaign_config, campaign_over, internet_for, Scale};
+use wormhole_net::text::json_str;
 use wormhole_net::{Addr, FaultScenario};
-use wormhole_probe::{phase_jsonl, stats_jsonl, trace_jsonl, Session, TraceSink, TracerouteOpts};
+use wormhole_probe::{write_trace_jsonl, JsonlSink, NullSink, Session, TracerouteOpts};
 use wormhole_topo::Internet;
 
 /// How a server instance is configured.
@@ -193,14 +195,12 @@ fn named<T>(
 }
 
 /// Writes an error frame carrying `message`.
-fn error_frame(w: &mut impl Write, message: &str) -> io::Result<()> {
-    write_frame(
-        w,
-        &format!(
-            "{{\"type\":\"error\",\"error\":\"{}\"}}",
-            json_escape(message)
-        ),
-    )
+fn error_frame(out: &mut JsonlSink<impl Write>, message: &str) {
+    out.write_line(|s| {
+        s.push_str("{\"type\":\"error\",\"error\":");
+        json_str(s, message)?;
+        s.write_char('}')
+    })
 }
 
 /// The resident server. Create with [`Server::new`], run the accept
@@ -301,10 +301,13 @@ impl Server {
     /// until the peer closes or asks for shutdown.
     fn serve_connection(&self, conn: UnixStream) -> io::Result<()> {
         let mut reader = BufReader::new(conn.try_clone()?);
-        let mut writer = BufWriter::new(conn);
+        // Every outgoing frame, a streamed campaign's trace frames
+        // included, is rendered into the sink's one reused buffer and
+        // written length-prefixed.
+        let mut out = JsonlSink::framed(BufWriter::new(conn), write_frame);
         while let Some(req) = read_frame(&mut reader)? {
-            let keep_going = self.dispatch(&req, &mut writer)?;
-            writer.flush()?;
+            let keep_going = self.dispatch(&req, &mut out)?;
+            out.flush()?;
             if !keep_going {
                 break;
             }
@@ -315,12 +318,12 @@ impl Server {
     /// Handles one request; returns false when the connection (and for
     /// `shutdown`, the whole server) should wind down. A request that
     /// does not decode gets one error frame and runs nothing.
-    fn dispatch(&self, req: &str, w: &mut impl Write) -> io::Result<bool> {
+    fn dispatch(&self, req: &str, out: &mut JsonlSink<impl Write>) -> io::Result<bool> {
         match Request::decode(req) {
-            Err(message) => error_frame(w, &message)?,
+            Err(message) => error_frame(out, &message),
             Ok(Request::Ping) => {
                 let served = self.history.lock().expect("history lock").served();
-                write_frame(w, &format!("{{\"type\":\"pong\",\"served\":{served}}}"))?;
+                out.write_line(|s| write!(s, "{{\"type\":\"pong\",\"served\":{served}}}"));
             }
             Ok(Request::Campaign {
                 scale,
@@ -329,35 +332,37 @@ impl Server {
                 stream,
             }) => {
                 let cfg = campaign_config(scale, jobs, faults);
-                self.run_campaign(req, scale, &cfg, stream, w)?;
+                self.run_campaign(req, scale, &cfg, stream, out)?;
             }
-            Ok(Request::Trace { scale, dst, vp }) => self.run_trace(scale, dst, vp, w)?,
-            Ok(Request::Lint { scale }) => self.run_lint(scale, w)?,
+            Ok(Request::Trace { scale, dst, vp }) => self.run_trace(scale, dst, vp, out),
+            Ok(Request::Lint { scale }) => self.run_lint(scale, out),
             Ok(Request::History) => {
                 let history = self.history.lock().expect("history lock");
                 for e in history.entries() {
-                    write_frame(
-                        w,
-                        &format!(
-                            "{{\"type\":\"history-entry\",\"seq\":{},\"request\":\"{}\",\"report\":\"{}\"}}",
-                            e.seq,
-                            json_escape(&e.request),
-                            json_escape(&e.report)
-                        ),
-                    )?;
+                    out.write_line(|s| {
+                        write!(
+                            s,
+                            "{{\"type\":\"history-entry\",\"seq\":{},\"request\":",
+                            e.seq
+                        )?;
+                        json_str(s, &e.request)?;
+                        s.push_str(",\"report\":");
+                        json_str(s, &e.report)?;
+                        s.write_char('}')
+                    });
                 }
-                write_frame(
-                    w,
-                    &format!(
+                out.write_line(|s| {
+                    write!(
+                        s,
                         "{{\"type\":\"history-end\",\"served\":{},\"retained\":{}}}",
                         history.served(),
                         history.len()
-                    ),
-                )?;
+                    )
+                });
             }
             Ok(Request::Shutdown) => {
-                write_frame(w, "{\"type\":\"bye\"}")?;
-                w.flush()?;
+                out.write_line(|s| s.write_str("{\"type\":\"bye\"}"));
+                out.flush()?;
                 self.shutdown.store(true, Ordering::SeqCst);
                 // Wake the accept loop so it observes the flag.
                 let _ = UnixStream::connect(&self.cfg.socket);
@@ -371,41 +376,47 @@ impl Server {
     /// substrate. Frames: `start` (carries the `warm` flag), then one
     /// frame per merged trace plus engine stats (only when `stream`),
     /// then the `report` frame with the canonical byte-stable report
-    /// text. The history keeps `req`, the request as sent.
+    /// text, escaped straight into the frame. The history keeps `req`,
+    /// the request as sent, and the one report `String`.
     fn run_campaign(
         &self,
         req: &str,
         scale: Scale,
         cfg: &CampaignConfig,
         stream: bool,
-        w: &mut impl Write,
+        out: &mut JsonlSink<impl Write>,
     ) -> io::Result<()> {
         let (internet, warm) = self.substrate(scale);
         let name = scale.name();
-        write_frame(
-            w,
-            &format!("{{\"type\":\"start\",\"scale\":\"{name}\",\"warm\":{warm}}}"),
-        )?;
-        w.flush()?;
+        out.write_line(|s| {
+            write!(
+                s,
+                "{{\"type\":\"start\",\"scale\":\"{name}\",\"warm\":{warm}}}"
+            )
+        });
+        out.flush()?;
         let result = if stream {
-            let mut sink = FrameSink { out: w };
-            campaign_over(&internet, cfg, &mut sink)
+            campaign_over(&internet, cfg, out)
         } else {
-            campaign_over(&internet, cfg, &mut wormhole_probe::NullSink)
+            campaign_over(&internet, cfg, &mut NullSink)
         };
         let report = result.report().into_text();
-        write_frame(
-            w,
-            &format!(
+        out.write_line(|s| {
+            write!(
+                s,
                 "{{\"type\":\"report\",\"warm\":{warm},\"traces\":{},\"probes\":{},\
-                 \"snapshot_checksum\":{},\"analysis_seconds\":{:.6},\"report\":\"{}\"}}",
+                 \"snapshot_checksum\":{},\"analysis_seconds\":{:.6},\"report\":",
                 result.traces.len(),
                 result.probes,
                 result.snapshot_checksum,
                 result.timings.analysis_seconds,
-                json_escape(&report)
-            ),
-        )?;
+            )?;
+            json_str(s, &report)?;
+            s.write_char('}')
+        });
+        // A frame that failed to go out fails the request here, before
+        // the history records the campaign.
+        out.flush()?;
         self.history
             .lock()
             .expect("history lock")
@@ -415,11 +426,11 @@ impl Server {
 
     /// `trace`: one traceroute over the warm substrate, from vantage
     /// point `vp` to `dst`.
-    fn run_trace(&self, scale: Scale, dst: Addr, vp: usize, w: &mut impl Write) -> io::Result<()> {
+    fn run_trace(&self, scale: Scale, dst: Addr, vp: usize, out: &mut JsonlSink<impl Write>) {
         let (internet, warm) = self.substrate(scale);
         if vp >= internet.vps.len() {
             return error_frame(
-                w,
+                out,
                 &format!(
                     "vp {vp} out of range ({} vantage points)",
                     internet.vps.len()
@@ -429,51 +440,31 @@ impl Server {
         let mut sess = Session::new(&internet.net, &internet.cp, internet.vps[vp]);
         sess.set_opts(TracerouteOpts::default());
         let trace = sess.traceroute(dst);
-        write_frame(w, &trace_jsonl(vp, &trace))?;
-        write_frame(
-            w,
-            &format!(
-                "{{\"type\":\"done\",\"warm\":{warm},\"probes\":{}}}",
-                sess.engine_stats().probes
-            ),
-        )
+        out.write_line(|s| write_trace_jsonl(s, vp, &trace));
+        let probes = sess.engine_stats().probes;
+        out.write_line(|s| {
+            write!(
+                s,
+                "{{\"type\":\"done\",\"warm\":{warm},\"probes\":{probes}}}"
+            )
+        });
     }
 
     /// `lint`: static analysis of the scale's warm substrate.
-    fn run_lint(&self, scale: Scale, w: &mut impl Write) -> io::Result<()> {
+    fn run_lint(&self, scale: Scale, out: &mut JsonlSink<impl Write>) {
         let (internet, warm) = self.substrate(scale);
         let diags = wormhole_lint::check_internet(&internet);
         let (errors, warns, infos) = wormhole_lint::count(&diags);
-        write_frame(
-            w,
-            &format!(
+        let report = wormhole_lint::render(&diags);
+        out.write_line(|s| {
+            write!(
+                s,
                 "{{\"type\":\"lint\",\"warm\":{warm},\"errors\":{errors},\"warnings\":{warns},\
-                 \"notes\":{infos},\"report\":\"{}\"}}",
-                json_escape(&wormhole_lint::render(&diags))
-            ),
-        )
-    }
-}
-
-/// Streams a campaign as protocol frames: the serve-side twin of the
-/// CLI's `JsonlSink` — both render every line with [`phase_jsonl`],
-/// [`trace_jsonl`] and [`stats_jsonl`], so a serve session and
-/// `wormhole-cli campaign --emit jsonl` agree byte for byte.
-struct FrameSink<'a, W: Write> {
-    out: &'a mut W,
-}
-
-impl<W: Write> TraceSink for FrameSink<'_, W> {
-    fn on_trace(&mut self, vp: usize, trace: &wormhole_probe::Trace) {
-        let _ = write_frame(self.out, &trace_jsonl(vp, trace));
-    }
-
-    fn on_stats(&mut self, delta: &wormhole_net::EngineStats) {
-        let _ = write_frame(self.out, &stats_jsonl(delta));
-    }
-
-    fn on_phase(&mut self, phase: &str) {
-        let _ = write_frame(self.out, &phase_jsonl(phase));
+                 \"notes\":{infos},\"report\":"
+            )?;
+            json_str(s, &report)?;
+            s.write_char('}')
+        });
     }
 }
 

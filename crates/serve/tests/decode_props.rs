@@ -1,11 +1,17 @@
 //! Properties of [`Request::decode`]: every valid request round-trips,
 //! and every damaged one — cut short, with a byte flipped, or with a
 //! value of the wrong JSON type — is an `Err`, never a panic and never
-//! a silent default.
+//! a silent default. And of the one JSON string escaper,
+//! `wormhole_net::text::json_str`: any text it writes into a frame or
+//! into `wormhole_lint::to_json` reads back through [`Object::parse`]
+//! as exactly that text.
 
 use proptest::prelude::*;
 use wormhole_experiments::Scale;
+use wormhole_lint::{Diagnostic, Location, Severity};
+use wormhole_net::text::json_str;
 use wormhole_net::{Addr, FaultScenario};
+use wormhole_serve::proto::{Object, Value};
 use wormhole_serve::Request;
 
 const EVERY_SCALE: [Scale; 4] = [
@@ -131,7 +137,81 @@ fn spelled(key: &str) -> &str {
     }
 }
 
+/// The characters drawn `(class, n)` pairs pick: C0 controls, DEL,
+/// quotes, backslashes, the solidus, printable ASCII, other BMP
+/// characters and astral ones.
+fn text(picks: &[(u8, u32)]) -> String {
+    picks
+        .iter()
+        .map(|&(class, n)| match class {
+            0 => char::from(n as u8 % 0x20),
+            1 => '\u{7f}',
+            2 => '"',
+            3 => '\\',
+            4 => '/',
+            5 => char::from(0x20 + n as u8 % 0x5f),
+            6 => char::from_u32(0x80 + n % (0xd800 - 0x80)).expect("below the surrogates"),
+            _ => char::from_u32(0x1_0000 + n % 0x10_0000).expect("an astral character"),
+        })
+        .collect()
+}
+
+/// The decoded string field `key` of the object `frame`.
+fn decoded(frame: &str, key: &str) -> Result<String, String> {
+    match Object::parse(frame)?.get(key).map(|f| f.value) {
+        Some(Value::Str(s)) => Ok(s.to_string()),
+        other => Err(format!("{key} is {other:?}")),
+    }
+}
+
+/// `s` escaped into a report frame, and read back.
+fn frame_round_trip(s: &str) -> Result<String, String> {
+    let mut frame = String::from("{\"type\":\"report\",\"report\":");
+    json_str(&mut frame, s).unwrap();
+    frame.push('}');
+    decoded(&frame, "report")
+}
+
+/// `lint::to_json` over one finding carrying `s` as its location,
+/// message and hint: the document must parse, and its one finding must
+/// read back `s` in all three.
+fn lint_round_trip(s: &str) -> Result<[String; 3], String> {
+    let d = Diagnostic::new("W107", Severity::Warn, Location::Router(s.into()), s, s);
+    let json = wormhole_lint::to_json(&[d]);
+    let findings = Object::parse(&json)?
+        .get("findings")
+        .ok_or("no findings")?
+        .raw;
+    let finding = findings
+        .strip_prefix('[')
+        .and_then(|f| f.strip_suffix(']'))
+        .ok_or("findings is not an array")?;
+    Ok([
+        decoded(finding, "location")?,
+        decoded(finding, "message")?,
+        decoded(finding, "hint")?,
+    ])
+}
+
+#[test]
+fn every_ascii_character_and_an_astral_one_round_trip() {
+    let s: String = (0..=0x7f_u8)
+        .map(char::from)
+        .chain(['é', '\u{1F600}'])
+        .collect();
+    assert_eq!(frame_round_trip(&s), Ok(s.clone()));
+    let located = format!("router {s}");
+    assert_eq!(lint_round_trip(&s), Ok([located, s.clone(), s]));
+}
+
 proptest! {
+    #[test]
+    fn escaped_text_round_trips(picks in proptest::collection::vec((0u8..8, any::<u32>()), 0..48)) {
+        let s = text(&picks);
+        prop_assert_eq!(frame_round_trip(&s), Ok(s.clone()));
+        prop_assert_eq!(lint_round_trip(&s), Ok([format!("router {s}"), s.clone(), s]));
+    }
+
     #[test]
     fn valid_requests_round_trip(
         a in (0u8..6, 0usize..4, 0usize..64, 0usize..7),

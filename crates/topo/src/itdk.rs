@@ -23,7 +23,7 @@
 
 use std::collections::{BTreeSet, HashSet};
 use std::hash::BuildHasherDefault;
-use wormhole_net::{Addr, Asn, Network, WordHasher, WordMap};
+use wormhole_net::{wire, Addr, Asn, Network, WordHasher, WordMap};
 
 /// An alias-resolved node key plus its AS annotation.
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
@@ -281,27 +281,6 @@ where
     (start, values)
 }
 
-/// Deterministic FNV-1a 64 over 8-byte words (no std hasher
-/// randomization — checksums must be comparable across processes).
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Fnv {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn word(&mut self, w: u64) {
-        for b in w.to_le_bytes() {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
-        }
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
 /// A graph's canonical node, address and adjacency tables: node `n`
 /// has the `n`-th smallest resolver key, and its addresses and
 /// neighbours are ascending runs of two flat lists.
@@ -326,31 +305,33 @@ impl Tables {
         &self.adj[self.adj_start[n] as usize..self.adj_start[n + 1] as usize]
     }
 
-    /// FNV-1a over nodes in ascending key order (key, AS, sorted
-    /// addresses) and links as ascending `(key, key)` pairs. Keys
-    /// ascend with the node index, so a node's higher-keyed neighbours
-    /// are the ones with a higher index, already in key order.
+    /// [`wire::checksum`] over little-endian words: nodes in ascending
+    /// key order (key, AS, sorted addresses) and links as ascending
+    /// `(key, key)` pairs. Keys ascend with the node index, so a node's
+    /// higher-keyed neighbours are the ones with a higher index,
+    /// already in key order.
     fn checksum(&self) -> u64 {
-        let mut b = Fnv::new();
+        let mut c = wire::Checksum::default();
+        let mut word = |w: u64| c.bytes(&w.to_le_bytes());
         for n in 0..self.keys.len() {
-            b.word(self.keys[n]);
-            b.word(match self.asns[n] {
+            word(self.keys[n]);
+            word(match self.asns[n] {
                 Some(a) => 1 | (u64::from(a.0) << 1),
                 None => 0,
             });
             let addrs = self.addresses(n);
-            b.word(addrs.len() as u64);
+            word(addrs.len() as u64);
             for a in addrs {
-                b.word(u64::from(a.0));
+                word(u64::from(a.0));
             }
             for &m in self.neighbors(n) {
                 if m as usize > n {
-                    b.word(self.keys[n]);
-                    b.word(self.keys[m as usize]);
+                    word(self.keys[n]);
+                    word(self.keys[m as usize]);
                 }
             }
         }
-        b.finish()
+        c.finish()
     }
 }
 

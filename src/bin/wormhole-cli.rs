@@ -28,10 +28,14 @@
 //! wormhole-cli list-configs              available testbed configurations
 //! ```
 
+use std::fmt;
+use std::io::{self, BufWriter, Write};
 use std::process::ExitCode;
-use wormhole::core::{reveal_between, smart_traceroute, RevealOpts, SmartOpts, Trigger};
+use wormhole::core::{
+    reveal_between, smart_traceroute, CampaignResult, RevealOpts, SmartOpts, Trigger,
+};
 use wormhole::net::PoppingMode;
-use wormhole::probe::{Session, TracerouteOpts};
+use wormhole::probe::{JsonlSink, Session, TracerouteOpts};
 use wormhole::topo::{gns3_fig2, gns3_fig2_te, Fig2Config, Scenario};
 
 const CONFIGS: &[(&str, &str)] = &[
@@ -319,15 +323,7 @@ fn cmd_campaign(args: &[String]) -> ExitCode {
             let t0 = std::time::Instant::now();
             let ctx = wormhole::experiments::PaperContext::generate_full(scale, 8, jobs, faults);
             let elapsed = t0.elapsed().as_secs_f64();
-            println!(
-                "snapshot: {} nodes, {} HDNs; {} targets; {} candidate pairs; {} tunnels revealed; {} probes",
-                ctx.result.snapshot.num_nodes(),
-                ctx.result.hdns.len(),
-                ctx.result.targets.len(),
-                ctx.result.unique_pairs().len(),
-                ctx.result.tunnels().count(),
-                ctx.result.probes
-            );
+            println!("{}", summary_line(&ctx.result));
             if !ctx.result.degraded_shards.is_empty() {
                 for d in &ctx.result.degraded_shards {
                     println!("degraded shard: vp {} lost in the {} phase", d.vp, d.phase);
@@ -354,25 +350,57 @@ fn cmd_campaign(args: &[String]) -> ExitCode {
                 }
             };
             let cfg = wormhole::experiments::campaign_config(scale, jobs, faults);
-            if emit == Emit::Jsonl {
-                let stdout = std::io::stdout();
-                let mut sink = wormhole::probe::JsonlSink::new(stdout.lock());
+            let written = if emit == Emit::Jsonl {
+                let mut sink = JsonlSink::new(BufWriter::new(io::stdout().lock()));
                 let result = wormhole::experiments::campaign_over(&internet, &cfg, &mut sink);
-                drop(sink);
-                println!(
-                    "{{\"type\":\"done\",\"traces\":{},\"probes\":{},\"snapshot_checksum\":{}}}",
-                    result.traces.len(),
-                    result.probes,
-                    result.snapshot_checksum
-                );
+                finish_jsonl(sink, &result)
             } else {
                 let mut sink = wormhole::probe::NullSink;
-                let result = wormhole::experiments::campaign_over(&internet, &cfg, &mut sink);
-                print!("{}", result.report());
-            }
+                print_report(&wormhole::experiments::campaign_over(
+                    &internet, &cfg, &mut sink,
+                ))
+            };
+            return written.map_or_else(stdout_failed, |()| ExitCode::SUCCESS);
         }
     }
     ExitCode::SUCCESS
+}
+
+/// The summary's first line: what the campaign saw and revealed.
+fn summary_line(r: &CampaignResult) -> String {
+    format!(
+        "snapshot: {} nodes, {} HDNs; {} targets; {} candidate pairs; {} tunnels revealed; \
+         {} probes",
+        r.snapshot.num_nodes(),
+        r.hdns.len(),
+        r.targets.len(),
+        r.unique_pairs().len(),
+        r.tunnels().count(),
+        r.probes
+    )
+}
+
+/// Closes a `--emit jsonl` transcript: the `done` line after the
+/// streamed ones, then a flush. The first error writing any of them is
+/// returned.
+fn finish_jsonl(mut sink: JsonlSink<impl Write>, result: &CampaignResult) -> io::Result<()> {
+    sink.write_line(|s| result.write_done_jsonl(s));
+    sink.finish().map(drop)
+}
+
+/// `--emit report`: the canonical report, rendered straight into
+/// stdout.
+fn print_report(result: &CampaignResult) -> io::Result<()> {
+    let mut out = BufWriter::new(io::stdout().lock());
+    write!(out, "{}", fmt::from_fn(|f| result.write_report(f)))?;
+    out.flush()
+}
+
+/// A stdout that fails (a closed pipe, a full disk) ends the command
+/// with one line on stderr and a failure exit.
+fn stdout_failed(e: io::Error) -> ExitCode {
+    eprintln!("wormhole-cli: writing to stdout: {e}");
+    ExitCode::FAILURE
 }
 
 /// Builds the campaign substrate, through the on-disk control-plane
@@ -453,19 +481,13 @@ fn cmd_campaign_distributed(
     );
     let campaign =
         wormhole::core::Campaign::new(&internet.net, &internet.cp, internet.vps.clone(), cfg);
+    let mut written = Ok(());
     let result = match emit {
         Emit::Jsonl => {
-            let stdout = std::io::stdout();
-            let mut sink = wormhole::probe::JsonlSink::new(stdout.lock());
+            let mut sink = JsonlSink::new(BufWriter::new(io::stdout().lock()));
             let result = campaign.run_distributed(&mut sink, &opts);
-            drop(sink);
             if let Ok(r) = &result {
-                println!(
-                    "{{\"type\":\"done\",\"traces\":{},\"probes\":{},\"snapshot_checksum\":{}}}",
-                    r.traces.len(),
-                    r.probes,
-                    r.snapshot_checksum
-                );
+                written = finish_jsonl(sink, r);
             }
             result
         }
@@ -502,22 +524,11 @@ fn cmd_campaign_distributed(
         eprintln!("degraded shard: vp {} lost in the {} phase", d.vp, d.phase);
     }
     match emit {
-        Emit::Summary => {
-            println!(
-                "snapshot: {} nodes, {} HDNs; {} targets; {} candidate pairs; \
-                 {} tunnels revealed; {} probes",
-                result.snapshot.num_nodes(),
-                result.hdns.len(),
-                result.targets.len(),
-                result.unique_pairs().len(),
-                result.tunnels().count(),
-                result.probes
-            );
-        }
-        Emit::Report => print!("{}", result.report()),
+        Emit::Summary => println!("{}", summary_line(&result)),
+        Emit::Report => written = print_report(&result),
         Emit::Jsonl => {}
     }
-    ExitCode::SUCCESS
+    written.map_or_else(stdout_failed, |()| ExitCode::SUCCESS)
 }
 
 /// `campaign-worker --shard-spec <file>`: the worker half of

@@ -2,20 +2,25 @@
 //! `CampaignResult::report().text()` for quick-scale campaigns under
 //! every built-in fault scenario and a chaos run whose report renders
 //! `degraded` lines; the wire encoding of a quick campaign's traces;
-//! and, as ignored release rows, the tenfold paranoid report and the
-//! tenfold `--emit jsonl` transcript.
+//! the quick `--emit jsonl` transcript; and, as ignored release rows,
+//! the tenfold paranoid report and the tenfold `--emit jsonl`
+//! transcript. The streamed report (the checksum writer and
+//! `wormhole-cli`'s stdout) must equal `report()` byte for byte.
 //!
 //! The constants were first computed with the `write!`-driven renderer
 //! the hand-written one replaced. Those that depend on fault RNG
 //! streams were recomputed when every probing task became hermetic
-//! (one stream per task instead of one per vantage point). A renderer,
-//! trace-layout, JSONL or RNG-stream change that moves a single byte
-//! fails here.
+//! (one stream per task instead of one per vantage point). The quick
+//! transcript pin was taken from `wormhole-cli campaign quick --emit
+//! jsonl` before the JSONL lines moved to the shared text writers. A
+//! renderer, trace-layout, JSONL or RNG-stream change that moves a
+//! single byte fails here.
 
+use std::process::Command;
 use std::sync::OnceLock;
 use wormhole::core::{CampaignConfig, CampaignResult};
 use wormhole::experiments::{campaign_config, campaign_over, internet_for, Scale};
-use wormhole::net::wire::{checksum, to_bytes};
+use wormhole::net::wire::{checksum, to_bytes, Checksum};
 use wormhole::net::FaultScenario;
 use wormhole::probe::{JsonlSink, NullSink};
 use wormhole::topo::Internet;
@@ -103,27 +108,59 @@ fn tenfold_paranoid_report_is_pinned() {
     );
 }
 
-/// The transcript `wormhole-cli campaign tenfold --emit jsonl` prints:
+/// The transcript `wormhole-cli campaign <scale> --emit jsonl` prints:
 /// the sink's lines, then the closing `done` line.
+fn transcript(internet: &Internet, scale: Scale) -> Vec<u8> {
+    let cfg = campaign_config(scale, 1, FaultScenario::Clean);
+    let mut sink = JsonlSink::new(Vec::new());
+    let result = campaign_over(internet, &cfg, &mut sink);
+    sink.write_line(|s| result.write_done_jsonl(s));
+    sink.finish().unwrap()
+}
+
+#[test]
+fn quick_jsonl_transcript_is_pinned() {
+    let out = transcript(quick(), Scale::Quick);
+    assert_eq!(
+        (out.len(), checksum(&out)),
+        (137_015, 1_803_191_080_997_875_613)
+    );
+}
+
 #[test]
 #[ignore = "tenfold scale: run in release CI via --include-ignored"]
 fn tenfold_jsonl_transcript_is_pinned() {
-    let internet = internet_for(Scale::Tenfold, SEED);
-    let cfg = campaign_config(Scale::Tenfold, 1, FaultScenario::Clean);
-    let mut sink = JsonlSink::new(Vec::new());
-    let result = campaign_over(&internet, &cfg, &mut sink);
-    let mut out = sink.into_inner();
-    out.extend_from_slice(
-        format!(
-            "{{\"type\":\"done\",\"traces\":{},\"probes\":{},\"snapshot_checksum\":{}}}\n",
-            result.traces.len(),
-            result.probes,
-            result.snapshot_checksum
-        )
-        .as_bytes(),
-    );
+    let out = transcript(&internet_for(Scale::Tenfold, SEED), Scale::Tenfold);
     assert_eq!(
         (out.len(), checksum(&out)),
         (430_564, 4_840_375_733_711_473_755)
     );
+}
+
+/// `wormhole-cli campaign quick --emit <emit>`'s stdout.
+fn cli_stdout(emit: &str) -> Vec<u8> {
+    let out = Command::new(env!("CARGO_BIN_EXE_wormhole-cli"))
+        .args(["campaign", "quick", "--emit", emit])
+        .output()
+        .expect("spawn wormhole-cli");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    out.stdout
+}
+
+#[test]
+fn streamed_reports_equal_the_report_string() {
+    let result = run(
+        quick(),
+        &campaign_config(Scale::Quick, 1, FaultScenario::Clean),
+    );
+    let report = result.report();
+    let mut streamed = Checksum::default();
+    result.write_report(&mut streamed).unwrap();
+    assert_eq!(streamed.finish(), checksum(report.text().as_bytes()));
+    assert!(cli_stdout("report") == report.text().as_bytes());
+    assert!(cli_stdout("jsonl") == transcript(quick(), Scale::Quick));
 }
