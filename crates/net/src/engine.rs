@@ -41,6 +41,16 @@
 //! at the vantage point itself, so this fixed part of a send, not the
 //! per-hop walk, is what bounds them.
 //!
+//! A Paris traceroute holds everything that picks a probe's forward
+//! path constant, so the probe at TTL t+1 retraces, visit for visit,
+//! the path the probe at TTL t took. The probe state remembers the
+//! last forward leg, and the next probe of the same trace resumes it
+//! just before the visit where it ended, with its TTLs lifted and the
+//! wire faults of the crossings before that point drawn again in order
+//! (`Engine::run_resumed` has the exactness argument). The forward
+//! work of an L-hop trace so grows as L instead of L². Return legs are
+//! always walked from the replier.
+//!
 //! All per-hop state the walk consults lives in the
 //! [`ControlPlane`]'s dense walk tables — flag bytes, vendor TTLs and
 //! flat interface records — and in the [`Network`]'s paged
@@ -50,7 +60,7 @@
 use crate::addr::Addr;
 use crate::control::{walk, ControlPlane, ExtRoute, LabelAction};
 use crate::fault::FaultPlan;
-use crate::ids::{Label, RouterId};
+use crate::ids::{Label, LinkId, RouterId};
 use crate::net::Network;
 use crate::packet::{IcmpPayload, LabelStack, Lse, Packet};
 use crate::state::ProbeState;
@@ -217,6 +227,7 @@ struct NextHop {
 /// `(router, iface, next)` triple: a non-loopback destination address
 /// sits on exactly one link, so the only router whose connected scan
 /// can ever succeed is that link's far side.
+#[derive(Clone, Copy, Debug)]
 struct DstCache {
     resolved: bool,
     owner: Option<RouterId>,
@@ -307,6 +318,12 @@ struct LegState {
     /// took that label from LDP one hop back: the LFIB lookup at `cur`
     /// then skips inverting the label.
     fec: Option<(Label, u32)>,
+    /// Whether a `ttl-propagate` router pushed the top label, so that
+    /// its LSE-TTL moves with the IP-TTL the probe was sent with.
+    lse_tracks_ip: bool,
+    /// Whether the leg's wire crossings are logged in the
+    /// [`LastLeg`] (remembered forward legs only).
+    remembered: bool,
     cur: RouterId,
     in_iface_addr: Option<Addr>,
     via_wire: bool,
@@ -323,6 +340,8 @@ impl LegState {
         LegState {
             pkt,
             fec: None,
+            lse_tracks_ip: false,
+            remembered: false,
             cur: origin,
             in_iface_addr: None,
             via_wire: false,
@@ -336,6 +355,7 @@ impl LegState {
     /// at its generator `at`, bound for the destination `dst` resolves.
     fn turn(&mut self, at: RouterId, dst: DstCache) {
         self.fec = None;
+        self.remembered = false;
         self.cur = at;
         self.in_iface_addr = None;
         self.via_wire = false;
@@ -343,14 +363,31 @@ impl LegState {
         self.dst = dst;
     }
 
-    /// The packet crossed onto `next`, arriving on `arrival`.
-    fn arrive(&mut self, next: RouterId, arrival: Addr, record: bool) {
-        self.cur = next;
-        self.in_iface_addr = Some(arrival);
-        self.via_wire = true;
-        if record {
-            self.path.push(next);
+    /// Where the walk stands: the fields a forward leg changes from
+    /// visit to visit.
+    fn cursor(&self) -> Cursor {
+        Cursor {
+            ip_ttl: self.pkt.ip_ttl,
+            stack: self.pkt.stack,
+            fec: self.fec,
+            lse_tracks_ip: self.lse_tracks_ip,
+            cur: self.cur,
+            in_iface_addr: self.in_iface_addr,
+            via_wire: self.via_wire,
+            visits: self.visits,
         }
+    }
+
+    /// Puts the walk where `c` stood.
+    fn set_cursor(&mut self, c: &Cursor) {
+        self.pkt.ip_ttl = c.ip_ttl;
+        self.pkt.stack = c.stack;
+        self.fec = c.fec;
+        self.lse_tracks_ip = c.lse_tracks_ip;
+        self.cur = c.cur;
+        self.in_iface_addr = c.in_iface_addr;
+        self.via_wire = c.via_wire;
+        self.visits = c.visits;
     }
 
     fn drop_here(&self, reason: DropReason) -> Leg {
@@ -358,6 +395,91 @@ impl LegState {
             at: self.cur,
             reason,
         }
+    }
+}
+
+/// The [`LegState`] fields a forward leg changes from visit to visit.
+/// The rest stays fixed until the visit that ends the leg: the probe's
+/// addresses, flow and payload, and the destination cache, which only
+/// fills. The elapsed time is left out: a resumed probe adds up its own.
+#[derive(Clone, Copy, Debug)]
+struct Cursor {
+    ip_ttl: u8,
+    stack: LabelStack,
+    fec: Option<(Label, u32)>,
+    lse_tracks_ip: bool,
+    cur: RouterId,
+    in_iface_addr: Option<Addr>,
+    via_wire: bool,
+    visits: usize,
+}
+
+/// What fixes a probe's forward path, hop for hop, when no router
+/// salts its ECMP hash per probe: Paris traceroute holds all of it
+/// constant over a trace, so only the TTL and the sequence number
+/// change from one probe to the next.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct PathKey {
+    origin: RouterId,
+    src: Addr,
+    dst: Addr,
+    flow: u16,
+    id: u16,
+}
+
+/// The forward leg of the last probe a [`ProbeState`] sent that can be
+/// resumed: the next probe with the same [`PathKey`] and a TTL no lower
+/// takes the same path up to where this leg ended, so [`Engine::send`]
+/// starts it there instead of at the origin.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct LastLeg {
+    /// The key and TTL of the probe that walked the leg, and the leg's
+    /// destination cache; `None` when nothing is remembered.
+    probe: Option<(PathKey, u8, DstCache)>,
+    /// Where that probe stood after its last wire crossing, just before
+    /// the visit that ended its leg, or at the origin if it crossed
+    /// none.
+    at: Option<Cursor>,
+    /// The wire crossings walked before `at`, in order.
+    crossings: Vec<Crossing>,
+}
+
+/// One wire crossing of a remembered leg: the router it left and what
+/// [`Engine::cross`] reads of the link, so a replay reads no interface
+/// table.
+#[derive(Clone, Copy, Debug)]
+struct Crossing {
+    from: RouterId,
+    link: LinkId,
+    delay_ms: f64,
+}
+
+impl LastLeg {
+    /// Forgets the leg; the crossing log keeps its allocation.
+    pub(crate) fn clear(&mut self) {
+        self.probe = None;
+        self.at = None;
+        self.crossings.clear();
+    }
+
+    /// Where a probe with `key` sent at `ttl` resumes: the remembered
+    /// cursor, its TTLs lifted by `Δ = ttl − remembered TTL` (see
+    /// [`Engine::run_resumed`]), and the destination cache. `None` when
+    /// the probe walks from the origin.
+    fn resume(&self, key: PathKey, ttl: u8) -> Option<(Cursor, DstCache)> {
+        let (k, t, dst) = self.probe?;
+        let mut c = self.at?;
+        if k != key || ttl < t || usize::from(ttl) + c.visits > 254 {
+            return None;
+        }
+        let lift = ttl - t;
+        c.ip_ttl += lift;
+        if c.lse_tracks_ip {
+            if let Some(top) = c.stack.top_mut() {
+                top.ttl += lift;
+            }
+        }
+        Some((c, dst))
     }
 }
 
@@ -393,8 +515,10 @@ impl<'a> Engine<'a> {
     }
 
     /// An engine over a substrate handle with externally-built state —
-    /// the constructor campaign workers use.
-    pub fn over(sub: SubstrateRef<'a>, state: ProbeState) -> Engine<'a> {
+    /// the constructor campaign workers use. A forward leg the state
+    /// remembers from another substrate is forgotten.
+    pub fn over(sub: SubstrateRef<'a>, mut state: ProbeState) -> Engine<'a> {
+        state.last_leg.clear();
         Engine {
             sub,
             record_paths: true,
@@ -433,7 +557,8 @@ impl<'a> Engine<'a> {
 
     /// Sends `pkt` from `origin` and runs the simulation to completion:
     /// the forward leg, the reply it elicits, then the reply's return
-    /// leg.
+    /// leg. A Paris probe resumes the forward leg the previous probe of
+    /// its trace walked.
     pub fn send(&mut self, origin: RouterId, pkt: Packet) -> SendOutcome {
         assert!(pkt.ip_ttl >= 1, "probes need a TTL of at least 1");
         self.state.stats.probes += 1;
@@ -442,7 +567,11 @@ impl<'a> Engine<'a> {
 
         let mut f = LegState::new(origin, pkt);
         self.start_path(&mut f);
-        let (kind, at, first_hop) = match self.run_leg(&mut f) {
+        let end = match self.path_key(origin, &pkt) {
+            Some(key) => self.run_resumed(&mut f, key),
+            None => self.run_leg(&mut f),
+        };
+        let (kind, at, first_hop) = match end {
             // Probe reached its destination: echo requests elicit an
             // echo-reply; anything else just sinks.
             Leg::Delivered { at } => match self.echo_reply(at, &mut f.pkt) {
@@ -479,9 +608,8 @@ impl<'a> Engine<'a> {
         if let Some((iface, next)) = first_hop {
             // Label-switched replies skip the replier's forwarding
             // decision and go straight onto the wire.
-            match self.cross(at, iface, &mut f.pkt) {
-                Ok(arrival) => f.arrive(next, arrival, self.record_paths),
-                Err(reason) => return self.lost(Some(at), reason),
+            if let Some(Leg::Dropped { at, reason }) = self.hop(&mut f, iface, next) {
+                return self.lost(Some(at), reason);
             }
         }
         match self.run_leg(&mut f) {
@@ -540,6 +668,78 @@ impl<'a> Engine<'a> {
                 return end;
             }
         }
+    }
+
+    /// The key of `pkt`'s forward path when the probe may resume a
+    /// remembered leg: an echo request, with no ground-truth path to
+    /// record and no router that salts its ECMP hash per probe.
+    fn path_key(&self, origin: RouterId, pkt: &Packet) -> Option<PathKey> {
+        let IcmpPayload::EchoRequest { id, .. } = pkt.payload else {
+            return None;
+        };
+        if self.record_paths || self.state.faults.non_paris.is_some() {
+            return None;
+        }
+        Some(PathKey {
+            origin,
+            src: pkt.src,
+            dst: pkt.dst,
+            flow: pkt.flow,
+            id,
+        })
+    }
+
+    /// Runs the forward leg of the probe in `f`, whose path `key`
+    /// fixes, and remembers it in the state's [`LastLeg`].
+    ///
+    /// When the last leg has the same key and a TTL `Δ` no higher, this
+    /// probe takes the same path up to the visit that ended that leg:
+    /// every router on the way made the same choice, and no TTL it
+    /// checked could have expired sooner. So the walk restarts from the
+    /// remembered state, lifted by `Δ`: the IP-TTL always moves by
+    /// `Δ`, and the top LSE-TTL too when a `ttl-propagate` router
+    /// pushed it (RFC 3443 copies the IP-TTL then; otherwise it starts
+    /// at 255 whatever the probe's TTL). Popping the last label takes
+    /// `min(IP-TTL, LSE-TTL − 1)`, which stays the IP-TTL on both
+    /// probes as long as TTL + visits ≤ 254; past that the leg is walked
+    /// from the origin. The remembered crossings are crossed again in order
+    /// ([`Engine::cross`]: link flaps at this probe's clock, loss and
+    /// jitter drawn from the same stream a full walk draws from), and
+    /// no other part of a visit that does not end the leg draws from
+    /// the fault plan or the clock.
+    fn run_resumed(&mut self, f: &mut LegState, key: PathKey) -> Leg {
+        let ttl = f.pkt.ip_ttl;
+        f.remembered = true;
+        let replayed = match self.state.last_leg.resume(key, ttl) {
+            Some((at, dst)) => {
+                f.set_cursor(&at);
+                f.dst = dst;
+                let n = self.state.last_leg.crossings.len();
+                for i in 0..n {
+                    let c = self.state.last_leg.crossings[i];
+                    if let Err(reason) = self.cross(c.link, c.delay_ms, &mut f.pkt.elapsed_ms) {
+                        return Leg::Dropped { at: c.from, reason };
+                    }
+                }
+                n
+            }
+            None => {
+                let last = &mut self.state.last_leg;
+                last.probe = None;
+                last.at = Some(f.cursor());
+                last.crossings.clear();
+                0
+            }
+        };
+        // `hop` logs each crossing and the cursor after it.
+        let end = self.run_leg(f);
+        let last = &mut self.state.last_leg;
+        // A resumed probe that crossed nothing ended where the last leg
+        // did, which so stays as remembered.
+        if last.probe.is_none() || last.crossings.len() > replayed {
+            last.probe = Some((key, ttl, f.dst));
+        }
+        end
     }
 
     /// One router visit: moves the leg's packet forward by one hop, or
@@ -632,13 +832,7 @@ impl<'a> Engine<'a> {
                         }
                     }
                 }
-                return match self.cross(cur, hop.iface, &mut f.pkt) {
-                    Ok(arrival) => {
-                        f.arrive(hop.next, arrival, self.record_paths);
-                        None
-                    }
-                    Err(reason) => Some(f.drop_here(reason)),
-                };
+                return self.hop(f, hop.iface, hop.next);
             }
         }
 
@@ -667,31 +861,54 @@ impl<'a> Engine<'a> {
                 255
             };
             f.pkt.stack.push(Lse::new(label, lse_ttl));
+            f.lse_tracks_ip = flags & walk::TTL_PROPAGATE != 0;
             f.fec = nh.fec.map(|slot| (label, slot));
         }
-        match self.cross(cur, nh.iface, &mut f.pkt) {
-            Ok(arrival) => {
-                f.arrive(nh.next, arrival, self.record_paths);
-                None
-            }
-            Err(reason) => Some(f.drop_here(reason)),
-        }
+        self.hop(f, nh.iface, nh.next)
     }
 
-    /// Crosses the wire out of `router`'s `iface`; returns the arrival
-    /// interface address on the peer. Reads only the control plane's
+    /// Moves `f`'s packet out of `f.cur`'s `iface` onto `next`, or ends
+    /// the leg where the wire dropped it. Reads only the control plane's
     /// flat interface records — link id, delay and the peer's address
     /// are inlined there at plane-build time.
+    fn hop(&mut self, f: &mut LegState, iface: u32, next: RouterId) -> Option<Leg> {
+        let from = f.cur;
+        let wi = self.sub.cp.walk_ifaces(from)[iface as usize];
+        if let Err(reason) = self.cross(wi.link, wi.delay_ms, &mut f.pkt.elapsed_ms) {
+            return Some(f.drop_here(reason));
+        }
+        if self.record_paths {
+            f.path.push(next);
+        }
+        f.cur = next;
+        f.in_iface_addr = Some(wi.peer_addr);
+        f.via_wire = true;
+        if f.remembered {
+            let last = &mut self.state.last_leg;
+            last.crossings.push(Crossing {
+                from,
+                link: wi.link,
+                delay_ms: wi.delay_ms,
+            });
+            last.at = Some(f.cursor());
+        }
+        None
+    }
+
+    /// Crosses `link`, adding its one-way `delay_ms` to `elapsed_ms`.
+    /// The one place a crossing meets the fault plan, in a fixed order:
+    /// the flap check, the loss draw, the delay, the jitter draw. A
+    /// resumed leg replays its remembered crossings through it too.
+    #[inline]
     fn cross(
         &mut self,
-        router: RouterId,
-        iface: u32,
-        pkt: &mut Packet,
-    ) -> Result<Addr, DropReason> {
+        link: LinkId,
+        delay_ms: f64,
+        elapsed_ms: &mut f64,
+    ) -> Result<(), DropReason> {
         self.state.stats.crossings += 1;
-        let wi = self.sub.cp.walk_ifaces(router)[iface as usize];
         if let Some(fl) = self.state.faults.flaps {
-            if fl.is_down(wi.link, self.state.now_ms) {
+            if fl.is_down(link, self.state.now_ms) {
                 return Err(DropReason::LinkDown);
             }
         }
@@ -700,11 +917,11 @@ impl<'a> Engine<'a> {
         {
             return Err(DropReason::Loss);
         }
-        pkt.elapsed_ms += wi.delay_ms;
+        *elapsed_ms += delay_ms;
         if self.state.faults.jitter_ms > 0.0 {
-            pkt.elapsed_ms += self.state.rng.get().gen::<f64>() * self.state.faults.jitter_ms;
+            *elapsed_ms += self.state.rng.get().gen::<f64>() * self.state.faults.jitter_ms;
         }
-        Ok(wi.peer_addr)
+        Ok(())
     }
 
     /// The initial TTL of an ICMP packet originated at `cur`: the
@@ -1016,7 +1233,7 @@ mod tests {
     use crate::ids::Asn;
     use crate::net::{LinkOpts, Network, NetworkBuilder, RelKind};
     use crate::router::RouterConfig;
-    use crate::vendor::Vendor;
+    use crate::vendor::{LdpPolicy, PoppingMode, Vendor};
 
     /// The paper's Fig. 2 line: VP - CE1 |AS1| PE1 - P1 - P2 - P3 - PE2
     /// |AS2, MPLS| - CE2 |AS3|, with a host VP and a host target.
@@ -1552,5 +1769,349 @@ mod tests {
             );
             assert!(out.reply().is_some(), "honest path broke at ttl {ttl}");
         }
+    }
+
+    /// What the prober sees of `out`, and the replier.
+    fn seen(out: &SendOutcome) -> String {
+        match out {
+            SendOutcome::Reply(r) => format!(
+                "{:?} from {} ttl {} {:?} rtt {:x} by {:?}",
+                r.kind,
+                r.from,
+                r.ip_ttl,
+                r.mpls_ext,
+                r.rtt_ms.to_bits(),
+                r.replier
+            ),
+            SendOutcome::Lost { at, reason } => format!("lost at {at:?}: {reason:?}"),
+        }
+    }
+
+    /// Two engines over one network, fault plan and seed: `resumed`
+    /// keeps path recording off and so resumes remembered forward legs;
+    /// `full` records paths and so walks every leg from the origin.
+    struct Twins<'a> {
+        resumed: Engine<'a>,
+        full: Engine<'a>,
+    }
+
+    impl<'a> Twins<'a> {
+        fn new(net: &'a Network, cp: &'a ControlPlane, plan: FaultPlan) -> Twins<'a> {
+            let mut resumed = Engine::with_faults(net, cp, plan.clone(), 7);
+            resumed.set_record_paths(false);
+            Twins {
+                resumed,
+                full: Engine::with_faults(net, cp, plan, 7),
+            }
+        }
+
+        /// Sends `pkt` from `origin` through both engines and asserts
+        /// that they see the same. Returns the outcome and whether the
+        /// resuming engine resumed a remembered leg.
+        fn send(&mut self, origin: RouterId, pkt: Packet) -> (SendOutcome, bool) {
+            let key = self.resumed.path_key(origin, &pkt).expect("a Paris probe");
+            let resumes = self
+                .resumed
+                .state
+                .last_leg
+                .resume(key, pkt.ip_ttl)
+                .is_some();
+            let got = self.resumed.send(origin, pkt);
+            let want = self.full.send(origin, pkt);
+            assert_eq!(seen(&got), seen(&want), "TTL {}", pkt.ip_ttl);
+            let (a, b) = (self.resumed.stats(), self.full.stats());
+            assert_eq!(
+                (a.probes, a.crossings, a.replies, a.lost),
+                (b.probes, b.crossings, b.replies, b.lost),
+                "counters after TTL {}",
+                pkt.ip_ttl
+            );
+            (got, resumes)
+        }
+
+        fn wait(&mut self, ms: f64) {
+            self.resumed.wait(ms);
+            self.full.wait(ms);
+        }
+    }
+
+    /// The Fig. 2 line with an RSVP-TE tunnel PE1 → PE2 and no LDP.
+    fn fig2_te(popping: PoppingMode, ttl_propagate: bool) -> (Network, RouterId, Addr) {
+        let mut mpls = RouterConfig::mpls_router(Vendor::CiscoIos).ldp(LdpPolicy::None);
+        mpls.ttl_propagate = ttl_propagate;
+        mpls.popping = popping;
+        let mut b = NetworkBuilder::new();
+        let vp = b.add_router("VP", Asn(1), RouterConfig::host());
+        let ce1 = b.add_router("CE1", Asn(1), RouterConfig::ip_router(Vendor::CiscoIos));
+        let line: Vec<RouterId> = ["PE1", "P1", "P2", "P3", "PE2"]
+            .into_iter()
+            .map(|n| b.add_router(n, Asn(2), mpls.clone()))
+            .collect();
+        let ce2 = b.add_router("CE2", Asn(3), RouterConfig::ip_router(Vendor::CiscoIos));
+        let chain: Vec<RouterId> = [vp, ce1]
+            .into_iter()
+            .chain(line.iter().copied())
+            .chain([ce2])
+            .collect();
+        for w in chain.windows(2) {
+            b.link(w[0], w[1], LinkOpts::symmetric(10, 1.0));
+        }
+        b.as_rel(Asn(2), Asn(1), RelKind::ProviderCustomer);
+        b.as_rel(Asn(2), Asn(3), RelKind::ProviderCustomer);
+        b.te_tunnel(line, popping);
+        let net = b.build().unwrap();
+        let target = net.router(ce2).loopback;
+        (net, vp, target)
+    }
+
+    fn name(net: &Network, out: &SendOutcome) -> String {
+        net.router(out.reply().expect("a reply").replier)
+            .name
+            .clone()
+    }
+
+    #[test]
+    fn resumed_uhp_probes_expire_twice_at_the_router_behind_the_egress() {
+        // Fig. 4d towards the VP: PE1, the UHP egress, charges the
+        // tunnel's one IP decrement without an expiry check, so CE1
+        // answers both the probe that reaches it with IP-TTL 0 and the
+        // one that reaches it with 1. The second resumes the first's
+        // leg just before CE1, its IP-TTL lifted from 0 to 1.
+        let cfg = RouterConfig::mpls_router(Vendor::CiscoIos)
+            .no_ttl_propagate()
+            .uhp();
+        let (net, vp, _) = fig2(cfg.clone(), cfg);
+        let cp = ControlPlane::build(&net).unwrap();
+        let ce2 = net.router_by_name("CE2").unwrap().id;
+        let (src, dst) = (net.router(ce2).loopback, net.router(vp).loopback);
+        let mut t = Twins::new(&net, &cp, FaultPlan::none());
+        let mut names = Vec::new();
+        for ttl in 1..=4u8 {
+            let (out, resumed) = t.send(ce2, Packet::echo_request(src, dst, ttl, 1, 1, ttl.into()));
+            assert_eq!(resumed, ttl > 1, "TTL {ttl}");
+            names.push(name(&net, &out));
+        }
+        assert_eq!(names, ["PE2", "CE1", "CE1", "VP"]);
+        // The same TTL resumes; a lower TTL, or another echo id, walks
+        // from the origin.
+        let (out, resumed) = t.send(ce2, Packet::echo_request(src, dst, 4, 1, 1, 9));
+        assert!(resumed, "the same TTL resumes");
+        assert_eq!(name(&net, &out), "VP");
+        let (_, resumed) = t.send(ce2, Packet::echo_request(src, dst, 2, 1, 1, 10));
+        assert!(!resumed, "a lower TTL walks in full");
+        let (_, resumed) = t.send(ce2, Packet::echo_request(src, dst, 3, 1, 2, 11));
+        assert!(!resumed, "another echo id walks in full");
+    }
+
+    #[test]
+    fn resumed_php_probes_keep_min_on_exit_with_and_without_propagation() {
+        // Fig. 4a (ttl-propagate: the LSE-TTL copies the IP-TTL, so it
+        // is lifted with it) and Fig. 4b (no-ttl-propagate: the LSE-TTL
+        // starts at 255 and is not), every TTL sent twice; then TTLs
+        // near 255, where popping's `min` could pick the LSE-TTL and the
+        // probe walks in full.
+        for (cfg, want) in [
+            (
+                RouterConfig::mpls_router(Vendor::CiscoIos),
+                vec![255, 254, 247, 248, 251, 250, 249],
+            ),
+            (
+                RouterConfig::mpls_router(Vendor::CiscoIos).no_ttl_propagate(),
+                vec![255, 254, 250, 250],
+            ),
+        ] {
+            let (net, vp, target) = fig2(cfg.clone(), cfg);
+            let cp = ControlPlane::build(&net).unwrap();
+            let src = net.router(vp).loopback;
+            let mut t = Twins::new(&net, &cp, FaultPlan::none());
+            let mut got = Vec::new();
+            let mut resumes = 0;
+            for ttl in 1..=want.len() as u8 {
+                for seq in 0..2u16 {
+                    let pkt =
+                        Packet::echo_request(src, target, ttl, 1, 1, u16::from(ttl) * 2 + seq);
+                    let (out, resumed) = t.send(vp, pkt);
+                    resumes += usize::from(resumed);
+                    if seq == 0 {
+                        got.push(out.reply().unwrap().ip_ttl);
+                    }
+                }
+            }
+            assert_eq!(got, want);
+            assert_eq!(
+                resumes,
+                2 * want.len() - 1,
+                "all but the first probe resume"
+            );
+            for ttl in 245..=255u8 {
+                let (_, resumed) =
+                    t.send(vp, Packet::echo_request(src, target, ttl, 1, 2, ttl.into()));
+                if ttl == 255 {
+                    assert!(!resumed, "TTL 255 walks in full");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn resumed_probes_cross_rsvp_te_tunnels_like_full_walks() {
+        // An RSVP-TE head pushes at the tunnel entrance; with
+        // ttl-propagate the LSRs expire the probes on the LSE-TTL and
+        // quote it (RFC 4950), so the lift must reach the LSE-TTL too.
+        for (popping, propagate) in [
+            (PoppingMode::Php, true),
+            (PoppingMode::Php, false),
+            (PoppingMode::Uhp, true),
+            (PoppingMode::Uhp, false),
+        ] {
+            let (net, vp, target) = fig2_te(popping, propagate);
+            let cp = ControlPlane::build(&net).unwrap();
+            let src = net.router(vp).loopback;
+            let mut t = Twins::new(&net, &cp, FaultPlan::none());
+            let mut quotes = Vec::new();
+            for ttl in 1..=8u8 {
+                for seq in 0..2u16 {
+                    let pkt =
+                        Packet::echo_request(src, target, ttl, 1, 1, u16::from(ttl) * 2 + seq);
+                    let (out, resumed) = t.send(vp, pkt);
+                    assert_eq!(resumed, ttl > 1 || seq > 0);
+                    let r = out.reply().expect("every hop answers");
+                    if seq == 0 && r.mpls_ext.len() == 1 {
+                        quotes.push(r.mpls_ext[0].ttl);
+                    }
+                    if r.kind == ReplyKind::EchoReply {
+                        break;
+                    }
+                }
+            }
+            if propagate {
+                assert_eq!(
+                    quotes,
+                    [1, 1, 1],
+                    "{popping:?}: the LSRs expire on the LSE-TTL"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_same_ttl_retry_after_a_loss_resumes_with_fresh_draws() {
+        let cfg = RouterConfig::mpls_router(Vendor::CiscoIos);
+        let (net, vp, target) = fig2(cfg.clone(), cfg);
+        let cp = ControlPlane::build(&net).unwrap();
+        let src = net.router(vp).loopback;
+        let plan = FaultPlan {
+            jitter_ms: 0.5,
+            ..FaultPlan::with_loss(0.08).unwrap()
+        };
+        let mut t = Twins::new(&net, &cp, plan);
+        let mut seq = 0u16;
+        let mut retried = 0;
+        for ttl in 1..=7u8 {
+            let mut lost = false;
+            for _ in 0..6 {
+                seq += 1;
+                let (out, resumed) = t.send(vp, Packet::echo_request(src, target, ttl, 1, 1, seq));
+                if lost && resumed {
+                    retried += 1;
+                }
+                lost = matches!(
+                    out,
+                    SendOutcome::Lost {
+                        reason: DropReason::Loss,
+                        ..
+                    }
+                );
+                if out.reply().is_some() {
+                    break;
+                }
+            }
+        }
+        assert!(retried > 0, "no resumed retry followed a loss");
+    }
+
+    #[test]
+    fn a_flap_on_a_replayed_crossing_drops_the_resumed_probe() {
+        use crate::fault::FlapSchedule;
+        use crate::state::PROBE_PACING_MS;
+        let cfg = RouterConfig::mpls_router(Vendor::CiscoIos);
+        let (net, vp, target) = fig2(cfg.clone(), cfg);
+        let cp = ControlPlane::build(&net).unwrap();
+        let src = net.router(vp).loopback;
+        let flaps = FlapSchedule {
+            share: 1.0,
+            salt: 3,
+            period_ms: 1_000.0,
+            down_ms: 100.0,
+        };
+        let plan = FaultPlan {
+            flaps: Some(flaps),
+            ..FaultPlan::default()
+        };
+        let first = net.router(vp).ifaces[0].link;
+        let mut t = Twins::new(&net, &cp, plan);
+        // The virtual wait after which the next probe finds the VP's
+        // own link down (or up).
+        let wait_until = |t: &Twins<'_>, down: bool| {
+            let now = t.resumed.state.now_ms + PROBE_PACING_MS;
+            (0..1_000)
+                .map(f64::from)
+                .find(|&w| flaps.is_down(first, now + w) == down)
+                .unwrap()
+        };
+        // TTL 4 expires at P2; send it until the whole round trip is up.
+        let mut seq = 0u16;
+        let mut probe = |t: &mut Twins<'_>| {
+            seq += 1;
+            t.send(vp, Packet::echo_request(src, target, 4, 1, 1, seq))
+        };
+        while probe(&mut t).0.reply().is_none() {
+            t.wait(50.0);
+        }
+        // The retry replays VP → CE1 first, and that link is now down.
+        let w = wait_until(&t, true);
+        t.wait(w);
+        let (out, resumed) = probe(&mut t);
+        assert!(resumed);
+        assert!(matches!(
+            out,
+            SendOutcome::Lost {
+                at: Some(at),
+                reason: DropReason::LinkDown
+            } if at == vp
+        ));
+        // The remembered leg survives the drop: once the link is back
+        // the next retry resumes it again.
+        let w = wait_until(&t, false);
+        t.wait(w);
+        let (_, resumed) = probe(&mut t);
+        assert!(resumed);
+    }
+
+    #[test]
+    fn a_state_moved_to_another_network_forgets_its_leg() {
+        // One line and one addressing plan, visible tunnel on one side,
+        // invisible on the other: a leg remembered on the first would
+        // resume into the wrong TTL behaviour on the second.
+        let visible = RouterConfig::mpls_router(Vendor::CiscoIos);
+        let hidden = visible.clone().no_ttl_propagate();
+        let (a, vp, target) = fig2(visible.clone(), visible);
+        let (b, _, _) = fig2(hidden.clone(), hidden);
+        let (cpa, cpb) = (
+            ControlPlane::build(&a).unwrap(),
+            ControlPlane::build(&b).unwrap(),
+        );
+        let src = a.router(vp).loopback;
+        let pkt = |ttl: u8| Packet::echo_request(src, target, ttl, 1, 1, ttl.into());
+        let mut on_a = Engine::new(&a, &cpa);
+        on_a.set_record_paths(false);
+        on_a.send(vp, pkt(3));
+        assert!(on_a.state.last_leg.probe.is_some());
+        let mut moved = Engine::over(SubstrateRef::new(&b, &cpb), on_a.state.clone());
+        moved.set_record_paths(false);
+        let got = moved.send(vp, pkt(4));
+        let want = Engine::new(&b, &cpb).send(vp, pkt(4));
+        assert_eq!(seen(&got), seen(&want));
+        assert_eq!(name(&b, &got), "CE2");
     }
 }

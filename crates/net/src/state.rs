@@ -2,8 +2,9 @@
 //!
 //! The counterpart of [`crate::substrate`]: while the substrate is
 //! immutable and shared, everything a probing worker mutates — its
-//! fault-injection RNG stream, its traffic counters, its virtual clock
-//! and its per-router rate-limiter buckets — is bundled here so each
+//! fault-injection RNG stream, its traffic counters, its virtual clock,
+//! its per-router rate-limiter buckets and the last forward leg it
+//! walked — is bundled here so each
 //! campaign worker owns its state outright and no locking or
 //! cross-worker ordering is ever needed.
 //!
@@ -13,12 +14,12 @@
 //! only through its own probe pacing and explicit backoff waits, so a
 //! task's probes do not depend on which thread runs it.
 
-use crate::engine::EngineStats;
+use crate::engine::{EngineStats, LastLeg};
 use crate::fault::{FaultPlan, RateLimit};
+use crate::hash::WordMap;
 use crate::ids::RouterId;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::HashMap;
 
 /// Virtual milliseconds between consecutive probe injections — the
 /// paper's 25 packets/s campaign rate. Token buckets and link flaps
@@ -69,8 +70,9 @@ enum IcmpClass {
 }
 
 /// The mutable half of a probing engine: fault plan, RNG stream,
-/// virtual clock, rate-limiter buckets and counters. A campaign worker
-/// keeps one and [`ProbeState::reset`]s it for every task.
+/// virtual clock, rate-limiter buckets, counters and the last forward
+/// leg walked. A campaign worker keeps one and [`ProbeState::reset`]s
+/// it for every task.
 #[derive(Clone, Debug)]
 pub struct ProbeState {
     /// Fault injection configuration.
@@ -83,7 +85,10 @@ pub struct ProbeState {
     /// [`PROBE_PACING_MS`] per injected probe and by explicit
     /// [`ProbeState::wait`] calls (retry backoff) — never by wall time.
     pub now_ms: f64,
-    buckets: HashMap<(RouterId, IcmpClass), Bucket>,
+    /// Probed and cleared, never iterated.
+    buckets: WordMap<(RouterId, IcmpClass), Bucket>,
+    /// The forward leg the next probe of the same trace resumes.
+    pub(crate) last_leg: LastLeg,
 }
 
 impl ProbeState {
@@ -94,19 +99,22 @@ impl ProbeState {
             rng: LazyRng::new(seed),
             stats: EngineStats::default(),
             now_ms: 0.0,
-            buckets: HashMap::new(),
+            buckets: WordMap::default(),
+            last_leg: LastLeg::default(),
         }
     }
 
     /// Resets the state to what `ProbeState::new(faults, seed)` builds
     /// with the same fault plan: virtual clock 0, empty rate-limiter
-    /// buckets (their table keeps its allocation), zeroed counters and
-    /// an RNG stream seeded with `seed`, not yet drawn.
+    /// buckets (their table keeps its allocation), zeroed counters, an
+    /// RNG stream seeded with `seed`, not yet drawn, and no remembered
+    /// forward leg.
     pub fn reset(&mut self, seed: u64) {
         self.rng = LazyRng::new(seed);
         self.stats = EngineStats::default();
         self.now_ms = 0.0;
         self.buckets.clear();
+        self.last_leg.clear();
     }
 
     /// A fault-free, deterministic state.

@@ -248,6 +248,16 @@ mod tests {
         let mut used = Session::over(sub, s.vp, ProbeState::new(faults.clone(), 1));
         run(&mut used, s.target);
         assert!(used.engine_stats().probes > 0);
+        // End on the probe a restarted session sends first — echo id 1
+        // from CE2 to `back` at TTL 2 — so its remembered forward leg
+        // matches that probe's path key and TTL.
+        used.restart(ce2, 3);
+        used.set_opts(TracerouteOpts {
+            max_ttl: 2,
+            ..TracerouteOpts::campaign()
+        });
+        used.traceroute(back);
+        used.set_opts(TracerouteOpts::campaign());
         used.restart(ce2, 2);
         let mut fresh = Session::over(sub, ce2, ProbeState::new(faults, 2));
         assert_eq!(used.vp(), fresh.vp());

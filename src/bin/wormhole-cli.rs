@@ -96,7 +96,7 @@ fn name_of(s: &Scenario, addr: wormhole::net::Addr) -> String {
         .unwrap_or_else(|| "?".into())
 }
 
-fn cmd_trace(s: &Scenario, target: Option<&str>) -> ExitCode {
+fn cmd_trace(out: &mut dyn Write, s: &Scenario, target: Option<&str>) -> io::Result<ExitCode> {
     let dst = match target {
         Some(t) => match t.parse() {
             Ok(a) => a,
@@ -104,7 +104,7 @@ fn cmd_trace(s: &Scenario, target: Option<&str>) -> ExitCode {
                 Some(r) => r.loopback,
                 None => {
                     eprintln!("unknown target {t} (use an address or a router name)");
-                    return ExitCode::FAILURE;
+                    return Ok(ExitCode::FAILURE);
                 }
             },
         },
@@ -114,13 +114,13 @@ fn cmd_trace(s: &Scenario, target: Option<&str>) -> ExitCode {
     sess.set_opts(TracerouteOpts::default());
     let trace = sess.traceroute(dst);
     for line in trace.to_string().lines() {
-        println!("{line}");
+        writeln!(out, "{line}")?;
     }
-    println!("({} probes)", sess.stats.probes);
-    ExitCode::SUCCESS
+    writeln!(out, "({} probes)", sess.stats.probes)?;
+    Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_smart(s: &Scenario) -> ExitCode {
+fn cmd_smart(out: &mut dyn Write, s: &Scenario) -> io::Result<ExitCode> {
     let mut sess = Session::new(&s.net, &s.cp, s.vp);
     sess.set_opts(TracerouteOpts::default());
     let net = &s.net;
@@ -130,68 +130,77 @@ fn cmd_smart(s: &Scenario) -> ExitCode {
         |a| net.owner_asn(a),
         &SmartOpts::default(),
     );
-    println!(
+    writeln!(
+        out,
         "smart traceroute to {} ({} extra probes):",
         t.dst, t.extra_probes
-    );
+    )?;
     for (i, hop) in t.hops.iter().enumerate() {
         let tag = match hop.revealed_by {
             Some(Trigger::FrplaShift(n)) => format!("  [revealed: FRPLA shift {n}]"),
             Some(Trigger::RtlaGap(n)) => format!("  [revealed: RTLA gap {n}]"),
             None => String::new(),
         };
-        println!(
+        writeln!(
+            out,
             "{:>2}  {:<14} {}{tag}",
             i + 1,
             hop.addr.to_string(),
             name_of(s, hop.addr)
-        );
+        )?;
     }
     for (addr, trig) in &t.unrevealed_triggers {
-        println!("  ! {addr} triggered ({trig:?}) but revealed nothing — UHP suspect");
+        writeln!(
+            out,
+            "  ! {addr} triggered ({trig:?}) but revealed nothing — UHP suspect"
+        )?;
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_reveal(s: &Scenario) -> ExitCode {
+fn cmd_reveal(out: &mut dyn Write, s: &Scenario) -> io::Result<ExitCode> {
     let mut sess = Session::new(&s.net, &s.cp, s.vp);
     sess.set_opts(TracerouteOpts::default());
     let trace = sess.traceroute(s.target);
     let resp: Vec<_> = trace.hops.iter().filter_map(|h| h.addr).collect();
     if resp.len() < 3 {
         eprintln!("trace too short to pick a candidate pair");
-        return ExitCode::FAILURE;
+        return Ok(ExitCode::FAILURE);
     }
     let (x, y) = (resp[resp.len() - 3], resp[resp.len() - 2]);
-    println!(
+    writeln!(
+        out,
         "candidate pair: {x} ({}) → {y} ({})",
         name_of(s, x),
         name_of(s, y)
-    );
+    )?;
     match reveal_between(&mut sess, x, y, s.target, &RevealOpts::default()).tunnel() {
         Some(t) => {
-            println!("revealed {} hops via {:?}:", t.len(), t.method());
+            writeln!(out, "revealed {} hops via {:?}:", t.len(), t.method())?;
             for hop in t.hops() {
-                println!("  {hop}  {}", name_of(s, hop));
+                writeln!(out, "  {hop}  {}", name_of(s, hop))?;
             }
         }
-        None => println!("nothing revealed (no invisible LDP tunnel between the pair)"),
+        None => writeln!(
+            out,
+            "nothing revealed (no invisible LDP tunnel between the pair)"
+        )?,
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_lint(name: &str, s: &Scenario) -> ExitCode {
+fn cmd_lint(out: &mut dyn Write, name: &str, s: &Scenario) -> io::Result<ExitCode> {
     let diags = wormhole::lint::check_scenario(s);
     if diags.is_empty() {
-        println!("{name}: clean (no findings)");
-        return ExitCode::SUCCESS;
+        writeln!(out, "{name}: clean (no findings)")?;
+        return Ok(ExitCode::SUCCESS);
     }
-    print!("{}", wormhole::lint::render(&diags));
-    if wormhole::lint::has_errors(&diags) {
+    write!(out, "{}", wormhole::lint::render(&diags))?;
+    Ok(if wormhole::lint::has_errors(&diags) {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS
-    }
+    })
 }
 
 /// What `campaign` writes to stdout.
@@ -261,10 +270,12 @@ fn cmd_campaign(args: &[String]) -> ExitCode {
                 // Escape hatch: `--faults list` prints the scenario
                 // names (one per line, script-friendly) and exits.
                 Some("list") => {
-                    for sc in FaultScenario::ALL {
-                        println!("{}", sc.name());
-                    }
-                    return ExitCode::SUCCESS;
+                    return printing(|out| {
+                        for sc in FaultScenario::ALL {
+                            writeln!(out, "{}", sc.name())?;
+                        }
+                        Ok(ExitCode::SUCCESS)
+                    });
                 }
                 Some(v) if FaultScenario::parse(v).is_some() => {
                     faults = FaultScenario::parse(v).expect("just checked");
@@ -323,21 +334,27 @@ fn cmd_campaign(args: &[String]) -> ExitCode {
             let t0 = std::time::Instant::now();
             let ctx = wormhole::experiments::PaperContext::generate_full(scale, 8, jobs, faults);
             let elapsed = t0.elapsed().as_secs_f64();
-            println!("{}", summary_line(&ctx.result));
-            if !ctx.result.degraded_shards.is_empty() {
+            printing(|out| {
+                writeln!(out, "{}", summary_line(&ctx.result))?;
                 for d in &ctx.result.degraded_shards {
-                    println!("degraded shard: vp {} lost in the {} phase", d.vp, d.phase);
+                    writeln!(
+                        out,
+                        "degraded shard: vp {} lost in the {} phase",
+                        d.vp, d.phase
+                    )?;
                 }
-            }
-            println!(
-                "wall: {elapsed:.2}s  ({:.0} probes/sec simulated; probe {:.2}s, merge {:.2}s, \
-                 analysis {:.3}s)",
-                ctx.result.probes as f64 / elapsed,
-                ctx.result.timings.probe_seconds,
-                ctx.result.timings.merge_seconds,
-                ctx.result.timings.analysis_seconds
-            );
-            println!("{}", wormhole::experiments::table4::run(&ctx));
+                writeln!(
+                    out,
+                    "wall: {elapsed:.2}s  ({:.0} probes/sec simulated; probe {:.2}s, \
+                     merge {:.2}s, analysis {:.3}s)",
+                    ctx.result.probes as f64 / elapsed,
+                    ctx.result.timings.probe_seconds,
+                    ctx.result.timings.merge_seconds,
+                    ctx.result.timings.analysis_seconds
+                )?;
+                writeln!(out, "{}", wormhole::experiments::table4::run(&ctx))?;
+                Ok(ExitCode::SUCCESS)
+            })
         }
         Emit::Jsonl | Emit::Report => {
             // The exact path `wormhole-serve` runs: build the substrate,
@@ -360,10 +377,9 @@ fn cmd_campaign(args: &[String]) -> ExitCode {
                     &internet, &cfg, &mut sink,
                 ))
             };
-            return written.map_or_else(stdout_failed, |()| ExitCode::SUCCESS);
+            written.map_or_else(stdout_failed, |()| ExitCode::SUCCESS)
         }
     }
-    ExitCode::SUCCESS
 }
 
 /// The summary's first line: what the campaign saw and revealed.
@@ -401,6 +417,16 @@ fn print_report(result: &CampaignResult) -> io::Result<()> {
 fn stdout_failed(e: io::Error) -> ExitCode {
     eprintln!("wormhole-cli: writing to stdout: {e}");
     ExitCode::FAILURE
+}
+
+/// Runs `body` over a buffered stdout and flushes it; a failed write
+/// ends the command through [`stdout_failed`].
+fn printing(body: impl FnOnce(&mut dyn Write) -> io::Result<ExitCode>) -> ExitCode {
+    let mut out = BufWriter::new(io::stdout().lock());
+    match body(&mut out).and_then(|code| out.flush().map(|()| code)) {
+        Ok(code) => code,
+        Err(e) => stdout_failed(e),
+    }
 }
 
 /// Builds the campaign substrate, through the on-disk control-plane
@@ -524,7 +550,7 @@ fn cmd_campaign_distributed(
         eprintln!("degraded shard: vp {} lost in the {} phase", d.vp, d.phase);
     }
     match emit {
-        Emit::Summary => println!("{}", summary_line(&result)),
+        Emit::Summary => written = writeln!(io::stdout(), "{}", summary_line(&result)),
         Emit::Report => written = print_report(&result),
         Emit::Jsonl => {}
     }
@@ -555,12 +581,12 @@ fn cmd_campaign_worker(args: &[String]) -> ExitCode {
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
-        Some("list-configs") => {
+        Some("list-configs") => printing(|out| {
             for &(name, desc) in CONFIGS {
-                println!("{name:<10} {desc}");
+                writeln!(out, "{name:<10} {desc}")?;
             }
-            ExitCode::SUCCESS
-        }
+            Ok(ExitCode::SUCCESS)
+        }),
         Some("campaign") => cmd_campaign(&args[1..]),
         Some("campaign-worker") => cmd_campaign_worker(&args[1..]),
         Some(cmd @ ("trace" | "smart" | "reveal" | "lint")) => {
@@ -571,13 +597,13 @@ fn main() -> ExitCode {
                 eprintln!("unknown config {config}");
                 return usage();
             };
-            match cmd {
-                "trace" => cmd_trace(&s, args.get(2).map(String::as_str)),
-                "smart" => cmd_smart(&s),
-                "reveal" => cmd_reveal(&s),
-                "lint" => cmd_lint(config, &s),
+            printing(|out| match cmd {
+                "trace" => cmd_trace(out, &s, args.get(2).map(String::as_str)),
+                "smart" => cmd_smart(out, &s),
+                "reveal" => cmd_reveal(out, &s),
+                "lint" => cmd_lint(out, config, &s),
                 _ => unreachable!(),
-            }
+            })
         }
         _ => usage(),
     }

@@ -14,6 +14,7 @@
 //! wormhole-lint --rules                      # the full rule table
 //! ```
 
+use std::io::{self, BufWriter, Write};
 use std::process::ExitCode;
 use wormhole::experiments::{internet_config_for, Scale};
 use wormhole::lint::{self, LintConfig};
@@ -29,31 +30,46 @@ enum Format {
     Json,
 }
 
-/// Prints one input's findings (text mode).
-fn report(name: &str, diags: &[lint::Diagnostic]) {
+/// Writes one input's findings (text mode).
+fn report(out: &mut dyn Write, name: &str, diags: &[lint::Diagnostic]) -> io::Result<()> {
     let (e, w, i) = lint::count(diags);
     if diags.is_empty() {
-        println!("{name:<28} clean");
+        writeln!(out, "{name:<28} clean")
     } else {
-        println!("{name:<28} {e} error(s), {w} warning(s), {i} info");
+        writeln!(out, "{name:<28} {e} error(s), {w} warning(s), {i} info")?;
         for d in diags {
             for line in d.to_string().lines() {
-                println!("    {line}");
+                writeln!(out, "    {line}")?;
             }
         }
+        Ok(())
     }
 }
 
-fn explain(code: &str) -> ExitCode {
+fn explain(out: &mut dyn Write, code: &str) -> io::Result<ExitCode> {
     let Some(r) = lint::rule(code) else {
         eprintln!("unknown rule code '{code}' (see wormhole-lint --rules)");
-        return ExitCode::FAILURE;
+        return Ok(ExitCode::FAILURE);
     };
-    println!("{} ({}, default {})", r.code, r.family, r.severity);
-    println!("  {}", r.summary);
-    println!();
-    println!("{}", r.explanation);
-    ExitCode::SUCCESS
+    writeln!(out, "{} ({}, default {})", r.code, r.family, r.severity)?;
+    writeln!(out, "  {}", r.summary)?;
+    writeln!(out)?;
+    writeln!(out, "{}", r.explanation)?;
+    Ok(ExitCode::SUCCESS)
+}
+
+/// Runs `body` over a buffered stdout and flushes it. A stdout that
+/// fails (a closed pipe, a full disk) ends the command with one line on
+/// stderr and a failure exit.
+fn printing(body: impl FnOnce(&mut dyn Write) -> io::Result<ExitCode>) -> ExitCode {
+    let mut out = BufWriter::new(io::stdout().lock());
+    match body(&mut out).and_then(|code| out.flush().map(|()| code)) {
+        Ok(code) => code,
+        Err(e) => {
+            eprintln!("wormhole-lint: writing to stdout: {e}");
+            ExitCode::FAILURE
+        }
+    }
 }
 
 fn main() -> ExitCode {
@@ -66,15 +82,17 @@ fn main() -> ExitCode {
     while let Some(a) = it.next() {
         match a.as_str() {
             "--rules" => {
-                print!("{}", lint::markdown_table());
-                return ExitCode::SUCCESS;
+                return printing(|out| {
+                    write!(out, "{}", lint::markdown_table())?;
+                    Ok(ExitCode::SUCCESS)
+                });
             }
             "--explain" => {
                 let Some(code) = it.next() else {
                     eprintln!("--explain needs a rule code");
                     return ExitCode::FAILURE;
                 };
-                return explain(code);
+                return printing(|out| explain(out, code));
             }
             "--scale" => match it.next().map(|s| (s, Scale::parse(s))) {
                 Some((_, Some(s))) => scale = s,
@@ -147,29 +165,32 @@ fn main() -> ExitCode {
         failed |= cfg.fails(diags);
     }
 
-    match format {
-        Format::Text => {
-            for (name, diags) in &runs {
-                report(name, diags);
-            }
-            if failed {
-                eprintln!("lint failed: diagnostics at or above the deny level");
-            } else {
-                println!("all inputs lint clean at the deny level");
-            }
-        }
-        Format::Json => {
-            // One aggregated, normalized document across every input —
-            // the artifact CI archives.
-            let mut all: Vec<lint::Diagnostic> = runs.into_iter().flat_map(|(_, d)| d).collect();
-            lint::normalize(&mut all);
-            println!("{}", lint::to_json(&all));
-        }
-    }
-
-    if failed {
+    let code = if failed {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS
-    }
+    };
+    printing(|out| {
+        match format {
+            Format::Text => {
+                for (name, diags) in &runs {
+                    report(out, name, diags)?;
+                }
+                if failed {
+                    eprintln!("lint failed: diagnostics at or above the deny level");
+                } else {
+                    writeln!(out, "all inputs lint clean at the deny level")?;
+                }
+            }
+            Format::Json => {
+                // One aggregated, normalized document across every
+                // input — the artifact CI archives.
+                let mut all: Vec<lint::Diagnostic> =
+                    runs.into_iter().flat_map(|(_, d)| d).collect();
+                lint::normalize(&mut all);
+                writeln!(out, "{}", lint::to_json(&all))?;
+            }
+        }
+        Ok(code)
+    })
 }
