@@ -1,7 +1,7 @@
 //! `bench-regression` — re-run the deterministic benchmark rows and
-//! fail unless they reproduce the committed `BENCH_campaign.json` /
-//! `BENCH_engine.json` byte for byte. Every differing, missing or extra
-//! line is printed.
+//! fail unless they reproduce the committed `BENCH_campaign.json`,
+//! `BENCH_engine.json` and `BENCH_outputs.json` byte for byte. Every
+//! differing, missing or extra line is printed.
 //!
 //! ```text
 //! bench-regression            compare fresh rows to the committed files
@@ -11,11 +11,12 @@
 //! ```
 //!
 //! The gate also fails when the recording-off packet walk, at either
-//! scale, performs a heap allocation: the allocation-free walk is an
-//! invariant, so `--write` cannot rebase it away. Likewise the
-//! substrate cache's warm restore must cost at most half its cold
-//! build — a machine-independent ratio, timed and printed on every
-//! gate run but never written to the files.
+//! scale, performs a heap allocation. The allocation-free walk is an
+//! invariant, so `--write` cannot rebase it away: it prints the failure
+//! and exits non-zero, as it does when a file cannot be written.
+//! Likewise the substrate cache's warm restore must cost at most half
+//! its cold build — a machine-independent ratio, timed and printed on
+//! every gate run but never written to the files.
 //!
 //! The distributed row re-invokes *this binary* as the worker process
 //! (the `campaign-worker` argv mode above), so the gate covers the
@@ -111,54 +112,57 @@ fn main() -> ExitCode {
         engine.extend(measure::plane_rows(scale, internet));
     }
 
-    let files = [
-        ("BENCH_campaign.json", measure::render(&campaign)),
-        ("BENCH_engine.json", measure::render(&engine)),
+    let texts = [
+        measure::render(&campaign),
+        measure::render(&engine),
+        measure::render(&measure::output_rows(&tenfold)),
     ];
-    if write {
-        for (file, text) in &files {
-            measure::write_baseline(file, text);
+    let files = measure::FILES.iter().zip(&texts);
+    let done = if write {
+        for (file, text) in files {
+            if let Err(e) = measure::write_baseline(file, text) {
+                failures.push(format!("could not write {file}: {e}"));
+            }
         }
-        println!("baselines rewritten");
-        return ExitCode::SUCCESS;
-    }
+        "baselines rewritten"
+    } else {
+        for (file, text) in files {
+            let committed = measure::read_baseline(file).unwrap_or_default();
+            let found = measure::compare(&committed, text);
+            if found.is_empty() {
+                println!(
+                    "ok {file}: {} rows match the committed bytes",
+                    text.lines().count()
+                );
+            }
+            failures.extend(found.into_iter().map(|f| format!("{file}: {f}")));
+        }
 
-    for (file, text) in &files {
-        let committed = measure::read_baseline(file).unwrap_or_default();
-        let found = measure::compare(&committed, text);
-        if found.is_empty() {
+        // Cache row: cold build vs warm restore at the scale where the
+        // cache matters most (the thousandfold plane dominates build time).
+        let c = measure::time_cache("thousandfold", &InternetConfig::thousandfold(8));
+        let ceiling = MAX_WARM_SHARE * c.cold_seconds;
+        if c.warm_seconds > ceiling {
+            failures.push(format!(
+                "substrate cache {}: warm restore {:.3}s exceeds {:.3}s \
+                 (50% of the {:.3}s cold build)",
+                c.scale, c.warm_seconds, ceiling, c.cold_seconds
+            ));
+        } else {
             println!(
-                "ok {file}: {} rows match the committed bytes",
-                text.lines().count()
+                "ok substrate cache {}: warm {:.3}s within 50% of cold {:.3}s",
+                c.scale, c.warm_seconds, c.cold_seconds
             );
         }
-        failures.extend(found.into_iter().map(|f| format!("{file}: {f}")));
-    }
-
-    // Cache row: cold build vs warm restore at the scale where the
-    // cache matters most (the thousandfold plane dominates build time).
-    let c = measure::time_cache("thousandfold", &InternetConfig::thousandfold(8));
-    let ceiling = MAX_WARM_SHARE * c.cold_seconds;
-    if c.warm_seconds > ceiling {
-        failures.push(format!(
-            "substrate cache {}: warm restore {:.3}s exceeds {:.3}s \
-             (50% of the {:.3}s cold build)",
-            c.scale, c.warm_seconds, ceiling, c.cold_seconds
-        ));
-    } else {
-        println!(
-            "ok substrate cache {}: warm {:.3}s within 50% of cold {:.3}s",
-            c.scale, c.warm_seconds, c.cold_seconds
-        );
-    }
+        "bench-regression: every row matches the committed files"
+    };
 
     if failures.is_empty() {
-        println!("bench-regression: every row matches the committed files");
-        ExitCode::SUCCESS
-    } else {
-        for f in &failures {
-            eprintln!("REGRESSION {f}");
-        }
-        ExitCode::FAILURE
+        println!("{done}");
+        return ExitCode::SUCCESS;
     }
+    for f in &failures {
+        eprintln!("REGRESSION {f}");
+    }
+    ExitCode::FAILURE
 }

@@ -1,22 +1,28 @@
 //! The rows behind the repo-root benchmark artefacts
-//! (`BENCH_campaign.json`, `BENCH_engine.json`) and the exact comparison
-//! `bench-regression` gates on. Every value in a row is deterministic —
-//! probe and engine counters, snapshot and report checksums, table heap
-//! bytes — so a fresh run reproduces the committed text byte for byte on
-//! any runner, and a difference is a behaviour change, never noise.
+//! (`BENCH_campaign.json`, `BENCH_engine.json`, `BENCH_outputs.json`)
+//! and the exact comparison `bench-regression` gates on. Every value in
+//! a row is deterministic — probe and engine counters, snapshot and
+//! report checksums, table heap bytes, the byte length and checksum of
+//! each output a binary prints — so a fresh run reproduces the committed
+//! text byte for byte on any runner, and a difference is a behaviour
+//! change, never noise.
 //! Timing belongs to `perfbench`, which paces its runs and reports their
 //! spread. The files hold one JSON object per line, rendered by hand to
 //! keep the crate free of serialisation dependencies; each line opens
 //! with its `"row"` name, which [`compare`] keys on.
 
+use std::io::{self, Write};
 use std::path::PathBuf;
 use std::time::Instant;
 use wormhole_core::{Campaign, CampaignConfig, CampaignResult, DistributedOpts};
+use wormhole_experiments::{adversarial, artefacts, campaign_config, campaign_over, scaling};
+use wormhole_experiments::{PaperContext, Scale};
+use wormhole_lint::{bundled_json, check_bundled, LintConfig};
 use wormhole_net::wire::{self, Wire};
 use wormhole_net::{
     Addr, ControlPlane, EngineStats, FaultPlan, FaultScenario, ProbeState, SubstrateRef,
 };
-use wormhole_probe::{NullSink, Session};
+use wormhole_probe::{JsonlSink, NullSink, Session};
 use wormhole_topo::{generate_cached, CacheStatus, Internet, InternetConfig};
 
 /// Worker count of every in-process campaign row. Results do not depend
@@ -186,6 +192,105 @@ fn fib_checksum(cp: &ControlPlane) -> u64 {
     wire::checksum(&bytes)
 }
 
+/// The byte count and [`wire::Checksum`] of everything written to it.
+#[derive(Default)]
+struct Tally(usize, wire::Checksum);
+
+impl Write for Tally {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.0 += buf.len();
+        self.1.bytes(buf);
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
+}
+
+/// The `output <name>` row of what `print` writes: its byte length and
+/// checksum, taken as it streams.
+fn output(name: &str, print: impl FnOnce(&mut Tally) -> io::Result<()>) -> String {
+    let mut t = Tally::default();
+    print(&mut t).expect("tallying cannot fail");
+    let (bytes, sum) = (t.0, t.1.finish());
+    format!("{{\"row\": \"output {name}\", \"bytes\": {bytes}, \"checksum\": {sum}}}")
+}
+
+/// `wormhole-cli campaign <scale> --faults <sc> --emit report`.
+fn report_row(scale: Scale, internet: &Internet, sc: FaultScenario) -> String {
+    let r = campaign_over(internet, &campaign_config(scale, 1, sc), &mut NullSink);
+    let report = std::fmt::from_fn(|f| r.write_report(f));
+    let name = format!("campaign {} {} report", scale.name(), sc.name());
+    output(&name, |t| write!(t, "{report}"))
+}
+
+/// `wormhole-cli campaign <scale> --emit jsonl`: the streamed lines,
+/// then the `done` line.
+fn jsonl_row(scale: Scale, internet: &Internet) -> String {
+    output(&format!("campaign {} clean jsonl", scale.name()), |t| {
+        let mut sink = JsonlSink::new(t);
+        let cfg = campaign_config(scale, 1, FaultScenario::Clean);
+        let r = campaign_over(internet, &cfg, &mut sink);
+        sink.write_line(|s| r.write_done_jsonl(s));
+        sink.finish().map(drop)
+    })
+}
+
+/// `wormhole-lint --scale <scale> --format json`.
+fn lint_row(scale: Scale, internet: &Internet) -> String {
+    let runs = check_bundled(scale.name(), internet, &LintConfig::default());
+    let (name, json) = (format!("lint {} json", scale.name()), bundled_json(runs));
+    output(&name, |t| writeln!(t, "{json}"))
+}
+
+/// One row per printed output, each taken through the library call its
+/// binary prints from:
+/// - `output <id> quick|paper`: `exp_<id>` under `WORMHOLE_SCALE`, for
+///   every artefact of `exp_all` and the adversarial sweep at quick;
+/// - `output campaign <scale> <scenario> report|jsonl`: `wormhole-cli
+///   campaign <scale> --faults <scenario> --emit report|jsonl`, paper
+///   under every scenario and tenfold under those without a campaign
+///   row;
+/// - `output lint <scale> json`: `wormhole-lint --scale <scale>
+///   --format json`.
+///
+/// `tenfold` is the seed-8 tenfold Internet.
+pub fn output_rows(tenfold: &Internet) -> Vec<String> {
+    let mut rows = Vec::new();
+    for scale in [Scale::Quick, Scale::Paper] {
+        let (quick, s) = (scale == Scale::Quick, scale.name());
+        let ctx = PaperContext::generate_full(scale, 8, 1, FaultScenario::Clean);
+        let mut printed = artefacts(&ctx, quick);
+        printed.push(scaling::run(quick));
+        printed.extend(quick.then(|| adversarial::run(true)));
+        for r in printed {
+            rows.push(output(&format!("{} {s}", r.id), |t| writeln!(t, "{r}")));
+        }
+        rows.push(lint_row(scale, &ctx.internet));
+        if !quick {
+            rows.extend(FaultScenario::ALL.map(|sc| report_row(scale, &ctx.internet, sc)));
+            rows.push(jsonl_row(scale, &ctx.internet));
+        }
+    }
+    for sc in FaultScenario::ALL {
+        if !TENFOLD_MATRIX.contains(&sc) {
+            rows.push(report_row(Scale::Tenfold, tenfold, sc));
+        }
+    }
+    rows.push(jsonl_row(Scale::Tenfold, tenfold));
+    rows.push(lint_row(Scale::Tenfold, tenfold));
+    rows
+}
+
+/// The committed artefacts the gate renders, at the repo root: the
+/// campaign, engine and output rows, in that order.
+pub const FILES: [&str; 3] = [
+    "BENCH_campaign.json",
+    "BENCH_engine.json",
+    "BENCH_outputs.json",
+];
+
 /// The file text of `rows`: one row per line.
 pub fn render(rows: &[String]) -> String {
     rows.iter().map(|r| format!("{r}\n")).collect()
@@ -224,11 +329,8 @@ pub fn compare(committed: &str, fresh: &str) -> Vec<String> {
 }
 
 /// Writes a benchmark artefact at the repo root, next to the sources.
-pub fn write_baseline(file: &str, text: &str) {
-    let path = format!("{}/../../{file}", env!("CARGO_MANIFEST_DIR"));
-    if let Err(e) = std::fs::write(&path, text) {
-        eprintln!("could not write {path}: {e}");
-    }
+pub fn write_baseline(file: &str, text: &str) -> io::Result<()> {
+    std::fs::write(format!("{}/../../{file}", env!("CARGO_MANIFEST_DIR")), text)
 }
 
 /// Reads a committed benchmark artefact from the repo root.
@@ -336,6 +438,32 @@ mod tests {
         let found = compare(&render(&rows()), &render(&fresh));
         assert_eq!(found.len(), 1, "{found:?}");
         assert!(found[0].contains("order"));
+    }
+
+    /// [`compare`] keys each line on the text before its first comma,
+    /// so a row name with a comma, or two rows of one name, would make
+    /// a file `--write` produces but the gate never passes. The gate
+    /// passes only while the committed files are exactly what it
+    /// renders, so their rows are the ones checked here.
+    #[test]
+    fn row_names_are_unique_and_comma_free() {
+        let text: String = FILES.map(|f| read_baseline(f).expect(f)).concat();
+        let mut keys = std::collections::HashSet::new();
+        for line in text.lines() {
+            let name = key(line)
+                .strip_prefix("{\"row\": \"")
+                .and_then(|n| n.strip_suffix('"'));
+            assert!(
+                name.is_some_and(|n| !n.is_empty()),
+                "not a whole row name: {line}"
+            );
+            assert!(keys.insert(key(line)), "two rows of one name: {line}");
+        }
+    }
+
+    #[test]
+    fn an_unwritable_baseline_is_an_error() {
+        assert!(write_baseline("no-such-directory/BENCH_rows.json", "").is_err());
     }
 
     #[test]

@@ -6,25 +6,11 @@ fn main() {
     let scale = Scale::from_env();
     let quick = scale == Scale::Quick;
     println!("# wormhole — full reproduction run ({scale:?} scale)\n");
-    // Scenario-based artefacts first (cheap, assert exact Fig. 4 values).
-    println!("{}", table1::run());
-    println!("{}", table2::run());
-    println!("{}", fig4::run());
-    println!("{}", table6::run());
-    println!("{}", table3::run(quick));
-    println!("{}", fault_sweep::run(quick));
     eprintln!("generating Internet + campaign…");
     let ctx = PaperContext::generate(scale);
-    println!("{}", fig1::run(&ctx));
-    println!("{}", table4::run(&ctx));
-    println!("{}", fig5::run(&ctx));
-    println!("{}", fig6::run(&ctx));
-    println!("{}", fig7::run(&ctx));
-    println!("{}", fig8::run(&ctx));
-    println!("{}", fig9::run(&ctx));
-    println!("{}", table5::run(&ctx));
-    println!("{}", fig10::run(&ctx));
-    println!("{}", fig11::run(&ctx));
+    for report in artefacts(&ctx, quick) {
+        println!("{report}");
+    }
     println!(
         "campaign probing budget: {} packets (≈{:.1} h at the paper's 25 pps)",
         ctx.result.probes,

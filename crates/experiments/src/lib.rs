@@ -30,3 +30,28 @@ pub use context::{
     internet_for, jobs_from_env, resolve_worker_substrate, PaperContext, Scale,
 };
 pub use util::Report;
+
+/// The artefacts `exp_all` prints, in its order, each the report its
+/// own `exp_<id>` binary prints at `ctx`'s scale (`quick` when that is
+/// [`Scale::Quick`]). The scaling sweep is printed apart, after the
+/// campaign's probing budget.
+pub fn artefacts(ctx: &PaperContext, quick: bool) -> Vec<Report> {
+    vec![
+        table1::run(),
+        table2::run(),
+        fig4::run(),
+        table6::run(),
+        table3::run(quick),
+        fault_sweep::run(quick),
+        fig1::run(ctx),
+        table4::run(ctx),
+        fig5::run(ctx),
+        fig6::run(ctx),
+        fig7::run(ctx),
+        fig8::run(ctx),
+        fig9::run(ctx),
+        table5::run(ctx),
+        fig10::run(ctx),
+        fig11::run(ctx),
+    ]
+}

@@ -2,9 +2,12 @@
 //! generated Internets validated against the `wormhole-net` layer they
 //! claim to describe.
 
+use crate::config::LintConfig;
 use crate::diag::{Diagnostic, Location, Severity};
-use wormhole_net::{Network, RouterId};
-use wormhole_topo::{AsPersona, GroundTruth, Internet, Scenario};
+use wormhole_net::{Network, PoppingMode, RouterId};
+use wormhole_topo::{
+    gns3_fig2, gns3_fig2_te, paper_personas, AsPersona, Fig2Config, GroundTruth, Internet, Scenario,
+};
 
 /// X201: a vantage point whose router is not configured as a host — a
 /// VP that participates in routing/MPLS corrupts every measurement
@@ -150,4 +153,39 @@ pub fn check_internet(i: &Internet) -> Vec<Diagnostic> {
     }
     crate::normalize(&mut out);
     out
+}
+
+/// Lints every input `wormhole-lint` checks, each under `cfg`: every
+/// Fig. 2 testbed, the two TE variants, the ten paper personas and
+/// `internet`, the generated Internet at the scale named `scale`.
+/// Returns each input's name with its findings.
+pub fn check_bundled(
+    scale: &str,
+    internet: &Internet,
+    cfg: &LintConfig,
+) -> Vec<(String, Vec<Diagnostic>)> {
+    let mut runs = Vec::new();
+    for c in Fig2Config::ALL {
+        runs.push((format!("fig2/{}", c.name()), check_scenario(&gns3_fig2(c))));
+    }
+    for (mode, te) in [(PoppingMode::Php, "php"), (PoppingMode::Uhp, "uhp")] {
+        let s = gns3_fig2_te(mode, false);
+        runs.push((format!("fig2-te/{te}"), check_scenario(&s)));
+    }
+    for p in paper_personas() {
+        runs.push((format!("persona/{}", p.name), check_persona(&p)));
+    }
+    runs.push((format!("internet/{scale}"), check_internet(internet)));
+    for (_, diags) in &mut runs {
+        cfg.apply(diags);
+    }
+    runs
+}
+
+/// The one JSON document `wormhole-lint --format json` prints: the
+/// findings of every run of [`check_bundled`], normalized together.
+pub fn bundled_json(runs: Vec<(String, Vec<Diagnostic>)>) -> String {
+    let mut all: Vec<Diagnostic> = runs.into_iter().flat_map(|(_, d)| d).collect();
+    crate::normalize(&mut all);
+    crate::to_json(&all)
 }

@@ -70,7 +70,7 @@ pub use audit::{
     RevelationKind, TunnelAudit, VeracityTier, RTLA_GAP_TOLERANCE, SIGNATURE_TAXONOMY,
 };
 pub use config::{parse_severity, LintConfig};
-pub use cross::{check_internet, check_persona, check_scenario};
+pub use cross::{bundled_json, check_bundled, check_internet, check_persona, check_scenario};
 pub use dense::verify_dense;
 pub use diag::{count, has_errors, normalize, render, to_json, Diagnostic, Location, Severity};
 pub use registry::{markdown_table, rule, Family, RuleInfo, RULES};

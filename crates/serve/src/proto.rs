@@ -21,23 +21,32 @@ use std::io::{self, Read, Write};
 pub const MAX_FRAME: u32 = 64 * 1024 * 1024;
 
 /// Writes one frame: 4-byte big-endian length, then the payload bytes.
+/// A payload over [`MAX_FRAME`], which no reader would accept, is
+/// refused before any byte is written.
 pub fn write_frame(w: &mut impl Write, payload: &str) -> io::Result<()> {
     let len = u32::try_from(payload.len())
-        .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "frame too large"))?;
+        .ok()
+        .filter(|&len| len <= MAX_FRAME)
+        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "frame too large"))?;
     w.write_all(&len.to_be_bytes())?;
     w.write_all(payload.as_bytes())
 }
 
 /// Reads one frame. `Ok(None)` on a clean end-of-stream (the peer
-/// closed between frames); an error on a truncated frame or an
-/// oversized length prefix.
+/// closed between frames, before any byte of a length prefix); an
+/// error on a truncated prefix or frame, or an oversized length prefix.
 pub fn read_frame(r: &mut impl Read) -> io::Result<Option<String>> {
     let mut len = [0u8; 4];
-    match r.read_exact(&mut len) {
-        Ok(()) => {}
-        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(None),
-        Err(e) => return Err(e),
+    let got = loop {
+        match r.read(&mut len) {
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            got => break got?,
+        }
+    };
+    if got == 0 {
+        return Ok(None);
     }
+    r.read_exact(&mut len[got..])?;
     let len = u32::from_be_bytes(len);
     if len > MAX_FRAME {
         return Err(io::Error::new(
@@ -342,8 +351,17 @@ mod tests {
     fn truncated_and_oversized_frames_error() {
         let mut r = Cursor::new(vec![0, 0, 0, 9, b'x']);
         assert!(read_frame(&mut r).is_err());
+        for cut in 1..4 {
+            let mut r = Cursor::new(vec![0; cut]);
+            let err = read_frame(&mut r).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "{cut} bytes");
+        }
         let mut r = Cursor::new((MAX_FRAME + 1).to_be_bytes().to_vec());
         assert!(read_frame(&mut r).is_err());
+        let mut out = Vec::new();
+        let err = write_frame(&mut out, &" ".repeat(MAX_FRAME as usize + 1)).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert!(out.is_empty());
     }
 
     #[test]

@@ -1,9 +1,10 @@
-//! `wormhole-lint` — static analysis over every bundled input: the six
-//! Fig. 2 testbed configurations, the two TE variants, the ten paper
-//! personas, and a generated Internet at a selectable scale (including
-//! the `D5xx` dense-plane verifier over its flat control-plane tables).
-//! Exits non-zero when any input reaches the deny level; CI runs this
-//! as the lint gate.
+//! `wormhole-lint` — static analysis over every bundled input
+//! (`lint::check_bundled`): the Fig. 2 testbed configurations, the two
+//! TE variants, the ten paper personas, and a generated Internet at a
+//! selectable scale (including the `D5xx` dense-plane verifier over its
+//! flat control-plane tables). Exits non-zero when any input reaches
+//! the deny level. `bench-regression` pins its JSON output at quick,
+//! paper and tenfold scale.
 //!
 //! ```text
 //! wormhole-lint [--scale quick|paper|tenfold|thousandfold]
@@ -18,8 +19,7 @@ use std::io::{self, BufWriter, Write};
 use std::process::ExitCode;
 use wormhole::experiments::{internet_config_for, Scale};
 use wormhole::lint::{self, LintConfig};
-use wormhole::net::PoppingMode;
-use wormhole::topo::{generate, gns3_fig2, gns3_fig2_te, paper_personas, Fig2Config, Scenario};
+use wormhole::topo::generate;
 
 const USAGE: &str = "usage: wormhole-lint [--scale quick|paper|tenfold|thousandfold] \
                      [--format text|json] [--deny LEVEL] [--severity CODE=LEVEL]... \
@@ -133,37 +133,9 @@ fn main() -> ExitCode {
         }
     }
 
-    let scenarios: Vec<(String, Scenario)> = Fig2Config::ALL
-        .into_iter()
-        .map(|c| (format!("fig2/{}", c.name()), gns3_fig2(c)))
-        .chain([
-            (
-                "fig2-te/php".to_string(),
-                gns3_fig2_te(PoppingMode::Php, false),
-            ),
-            (
-                "fig2-te/uhp".to_string(),
-                gns3_fig2_te(PoppingMode::Uhp, false),
-            ),
-        ])
-        .collect();
-
-    // (input name, findings with overrides applied)
-    let mut runs: Vec<(String, Vec<lint::Diagnostic>)> = Vec::new();
-    for (name, s) in &scenarios {
-        runs.push((name.clone(), lint::check_scenario(s)));
-    }
-    for p in paper_personas() {
-        runs.push((format!("persona/{}", p.name), lint::check_persona(&p)));
-    }
-    let diags = lint::check_internet(&generate(&internet_config_for(scale, 8)));
-    runs.push((format!("internet/{}", scale.name()), diags));
-
-    let mut failed = false;
-    for (_, diags) in &mut runs {
-        cfg.apply(diags);
-        failed |= cfg.fails(diags);
-    }
+    let internet = generate(&internet_config_for(scale, 8));
+    let runs = lint::check_bundled(scale.name(), &internet, &cfg);
+    let failed = runs.iter().any(|(_, diags)| cfg.fails(diags));
 
     let code = if failed {
         ExitCode::FAILURE
@@ -182,14 +154,9 @@ fn main() -> ExitCode {
                     writeln!(out, "all inputs lint clean at the deny level")?;
                 }
             }
-            Format::Json => {
-                // One aggregated, normalized document across every
-                // input — the artifact CI archives.
-                let mut all: Vec<lint::Diagnostic> =
-                    runs.into_iter().flat_map(|(_, d)| d).collect();
-                lint::normalize(&mut all);
-                writeln!(out, "{}", lint::to_json(&all))?;
-            }
+            // One aggregated, normalized document across every input
+            // — the artifact CI archives.
+            Format::Json => writeln!(out, "{}", lint::bundled_json(runs))?,
         }
         Ok(code)
     })

@@ -1,9 +1,10 @@
 //! Engine transcript: pins every byte the engine hands back, under
 //! every built-in fault scenario.
 //!
-//! The campaign rows of `BENCH_campaign.json` fix the bytes of the
-//! clean and hostile scenarios only, and no row fixes the ground-truth
-//! paths the engine records. Here, for each of [`FaultScenario::ALL`],
+//! The report rows of `BENCH_campaign.json` and `BENCH_outputs.json`
+//! fix what campaigns make of the engine's replies under every
+//! scenario, but no row fixes the ground-truth paths the engine
+//! records, nor the replies to probes a campaign never sends. Here, for each of [`FaultScenario::ALL`],
 //! the transcript covers the quick-scale Internet and the Fig. 2
 //! testbeds (the four LDP configurations and two RSVP-TE ones, which
 //! add label-switched replies, UHP and TE tunnels). On each, every

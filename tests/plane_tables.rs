@@ -5,9 +5,11 @@
 //! [`ControlPlane::table_bytes`] equals the element counts the dense
 //! view exposes, with no growth slack; so does the network's owner
 //! index. The LDP tables and the explicit LFIB rows are pinned to the
-//! byte at every scale. The `#[ignore]`d rows hold the
-//! resident footprint of the tenfold and thousandfold planes under a
-//! ceiling (release CI runs them with `--include-ignored`).
+//! byte at quick and paper scale; at tenfold and thousandfold every
+//! table's bytes are `plane` rows of `BENCH_engine.json`, which
+//! `bench-regression` gates on. The `#[ignore]`d rows hold the resident
+//! footprint of the tenfold and thousandfold planes under a ceiling
+//! (release CI runs them with `--include-ignored`).
 //!
 //! The plane keeps no BGP table: the AS-level routes live only as long
 //! as the external-route pass reading them, so no `bgp` row is listed.
@@ -288,7 +290,6 @@ fn tables_are_exactly_sized_at_paper_scale() {
 fn tenfold_plane_footprint_within_ceiling() {
     let i = generate(&internet_config_for(Scale::Tenfold, 8));
     assert_exactly_sized(&i, "tenfold/seed8");
-    assert_ldp_and_lfib_bytes(&i.cp, "tenfold/seed8", (92_796, 14_780));
     report("tenfold", &i.cp);
     assert!(
         total(&i.cp) <= 5 * MB / 2,
@@ -316,7 +317,6 @@ fn tenfold_plane_footprint_within_ceiling() {
 fn thousandfold_plane_footprint_within_ceiling() {
     let i = generate(&internet_config_for(Scale::ThousandFold, 8));
     assert_exactly_sized(&i, "thousandfold/seed8");
-    assert_ldp_and_lfib_bytes(&i.cp, "thousandfold/seed8", (310_340, 49_828));
     report("thousandfold", &i.cp);
     assert!(
         total(&i.cp) <= 8 * MB,
